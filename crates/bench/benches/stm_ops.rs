@@ -1,6 +1,6 @@
 //! STM primitive-cost comparison across ALL engines, plus LSA-RT-specific
 //! ablations (extension and version-depth) — the design-choice ablations
-//! DESIGN.md calls out.
+//! DESIGN.md calls out, and the LSA-RT read-path rows (DESIGN.md §2.1).
 //!
 //! The cross-engine groups use ONE generic criterion body per transaction
 //! shape, driven through the [`TxnEngine`] surface: adding an engine to the
@@ -13,6 +13,8 @@ use lsa_engine::{EngineHandle, EngineVar, TxnEngine, TxnOps};
 use lsa_stm::{Stm, StmConfig};
 use lsa_time::counter::SharedCounter;
 use lsa_time::hardware::HardwareClock;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Benchmark a read-only transaction over `n` variables on any engine.
 fn bench_read_only<E: TxnEngine>(
@@ -158,6 +160,81 @@ fn version_depth_ablation(c: &mut Criterion) {
     g.finish();
 }
 
+/// One read-only scan of `vars` on the native LSA-RT handle.
+fn scan(h: &mut lsa_stm::ThreadHandle<SharedCounter>, vars: &[lsa_stm::TVar<u64, u64>]) -> u64 {
+    h.atomically(|tx| {
+        let mut s = 0u64;
+        for v in vars {
+            s += *tx.read(v)?;
+        }
+        Ok(s)
+    })
+}
+
+fn read_path(c: &mut Criterion) {
+    // The LSA-RT read path piece by piece, on the serving default cell
+    // (shared counter) over one 256-variable table — alone (`1t`) and with a
+    // second thread scanning the same table (`2t`), which shares every
+    // object's lock word and the reference counts of its version with the
+    // measured thread. Read-only throughout, so nothing aborts and the gap
+    // between the two is shared-line traffic alone.
+    //
+    // * `read_first` — a whole transaction of one first read: the fixed cost
+    //   of begin + read-only commit plus one open.
+    // * `ro_scan_256` — a whole transaction of 256 first reads; over
+    //   `read_first`, 255 marginal opens.
+    // * `read_repeat` — one repeated read inside a running transaction.
+    // * `extend_256` — one `Extend(T)` over a 256-entry read set.
+    let mut g = c.benchmark_group("stm-ops/read-path");
+    let stm = Stm::new(SharedCounter::new());
+    let vars: Vec<_> = (0..256).map(|_| stm.new_tvar(0u64)).collect();
+    for threads in [1, 2] {
+        let tag = format!("{threads}t");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            if threads == 2 {
+                s.spawn(|| {
+                    let mut h = stm.register();
+                    while !stop.load(Ordering::Relaxed) {
+                        black_box(scan(&mut h, &vars));
+                    }
+                });
+            }
+            let mut h = stm.register();
+            g.bench_function(BenchmarkId::new("read_first", &tag), |b| {
+                b.iter(|| scan(&mut h, &vars[..1]))
+            });
+            g.bench_function(BenchmarkId::new("ro_scan_256", &tag), |b| {
+                b.iter(|| scan(&mut h, &vars))
+            });
+            g.bench_function(BenchmarkId::new("read_repeat", &tag), |b| {
+                h.atomically(|tx| {
+                    for v in &vars {
+                        tx.read(v)?;
+                    }
+                    let mut i = 0;
+                    b.iter(|| {
+                        i = (i + 1) % vars.len();
+                        tx.read(&vars[i]).map(|v| *v)
+                    });
+                    Ok(())
+                })
+            });
+            g.bench_function(BenchmarkId::new("extend_256", &tag), |b| {
+                h.atomically(|tx| {
+                    for v in &vars {
+                        tx.read(v)?;
+                    }
+                    b.iter(|| tx.extend());
+                    Ok(())
+                })
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+    g.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
@@ -168,6 +245,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = read_only_txn, update_txn, extension_ablation, version_depth_ablation
+    targets = read_only_txn, update_txn, extension_ablation, version_depth_ablation, read_path
 }
 criterion_main!(benches);

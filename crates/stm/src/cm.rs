@@ -76,9 +76,12 @@ impl CmState {
         self.ops.load(Ordering::Relaxed)
     }
 
-    /// Record one unit of work.
+    /// Record one unit of work: one object opened. Only the owning
+    /// transaction's thread calls this, so a load and a store replace the
+    /// locked read-modify-write; the other party of a conflict only reads.
     pub fn add_op(&self) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.ops
+            .store(self.ops.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
     /// Seed accumulated work from a previous attempt of the same logical

@@ -12,14 +12,14 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | `Start(T)` (Alg. 2 l.1–7) | `Txn::begin` (crate-internal, driven by `atomically`) |
+//! | `Start(T)` (Alg. 2 l.1–7) | `Txn::start` (crate-internal, driven by `atomically`) |
 //! | `Open(T,o,write)` (l.9–24) | [`Txn::write`] / [`Txn::modify`] via `open_write` |
 //! | `Open(T,o,read)` (l.25–33) | [`Txn::read`] |
-//! | `Commit(T)` (l.35–52) | `Txn::finish_commit` (driven by `atomically`) |
-//! | `Abort(T)` (l.53–59) | `Txn::ensure_aborted` + `Err(Abort)` propagation |
+//! | `Commit(T)` (l.35–52) | `Txn::finish_commit` (driven by `atomically` via `Txn::conclude`) |
+//! | `Abort(T)` (l.53–59) | `Txn::do_abort` + `Err(Abort)` propagation |
 //! | `Extend(T)` (Alg. 3 l.1–6) | [`Txn::extend`] |
 //! | `getVersion` (l.7–18) | [`crate::object::TObject::try_read`] + retry loop |
-//! | `getPrelimUB` (l.19–35) | `prelim_ub` (crate-internal) |
+//! | `getPrelimUB` (l.19–35) | [`ReadAttempt::Found::upper`] at opens, `prelim_raw` elsewhere |
 //! | helping (l.13) | `Txn::help_commit` |
 //!
 //! ### The `t` parameter of `getPrelimUB`
@@ -29,19 +29,22 @@
 //! was still the latest at (a real time corresponding to) `t`. We pass:
 //! * at **open**: the transaction's own latest observation — the join of
 //!   `⌊T.R⌋` (commit times of versions it read) and the last `getTime` it
-//!   performed — both in the past, and the version is the latest *now*;
+//!   performed — both in the past, and the version is the latest *now*: the
+//!   object samples "latest, no committing writer" in the critical section
+//!   that selects the version, after `t` was obtained, so no second lock
+//!   acquisition and no re-check are needed;
 //! * at **extend**: a fresh `getTime()` (Alg. 3 line 2);
 //! * at **commit validation**: `T.CT` (Alg. 2 line 44) — sound because any
 //!   later superseder must acquire its commit time after entering the
 //!   `Committing` state, i.e. strictly after ours (§2.4).
 
+use crate::alloc::BlockAlloc;
 use crate::cm::{ContentionManager, Resolution};
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason, TxResult};
 use crate::object::{AnyObject, ReadAttempt, TVar, WriteAttempt};
-use crate::reclaim::SnapshotSlot;
-use crate::stats::TxnStats;
 use crate::status::TxnStatus;
+use crate::stm::HandleCore;
 use crate::txn_shared::{CommitCtx, CtxEntry, TxnShared};
 use crate::version::VersionMeta;
 use lsa_obs::trace::{self, EventKind};
@@ -68,7 +71,9 @@ enum Prelim<Ts: Timestamp> {
 }
 
 /// `getPrelimUB(T, o, v, t)` — Algorithm 3 lines 19–35: one attempt at a
-/// conservative estimate of `⌈v.R⌉` as seen by transaction `me`.
+/// conservative estimate of `⌈v.R⌉` as seen by transaction `me`, for callers
+/// that did not select `v` under `o`'s lock just now (extend, validation,
+/// helpers).
 fn prelim_raw<Ts: Timestamp>(
     obj: &dyn AnyObject<Ts>,
     meta: &VersionMeta<Ts>,
@@ -156,84 +161,195 @@ pub(crate) fn validate<C: ThreadClock>(
     ct: C::Ts,
     owner: &TxnShared<C::Ts>,
 ) -> bool {
-    for e in entries {
+    entries.iter().all(|e| {
         let ub = prelim_resolved(clock, e.obj.as_ref(), &e.meta, ct, owner);
         // Paper line 45: abort if T.CT ≿ ub (possibly later than).
-        if ct.possibly_later(ub) {
-            return false;
+        !ct.possibly_later(ub)
+    })
+}
+
+/// How the running attempt has opened an object so far.
+#[derive(Clone, Copy)]
+enum Opened {
+    /// Read from the snapshot; the payload is `values[_]`.
+    Read(usize),
+    /// Registered as writer: reads go to the speculative version.
+    Written,
+}
+
+/// A handle's transaction working memory: the descriptor and the read/write
+/// sets. It is owned by the handle and only ever *cleared* — at every
+/// attempt's end, be it commit, abort or a panic unwinding through the body
+/// — so a steady-state attempt allocates nothing and its size is bounded by
+/// the largest transaction the handle has run.
+pub(crate) struct TxnScratch<Ts: Timestamp> {
+    /// The current (or last) attempt's descriptor. Reused in place for the
+    /// next attempt whenever no object or helper still holds a reference.
+    shared: Arc<TxnShared<Ts>>,
+    /// `T.O` in open order: versions read, then own speculative versions.
+    read_set: Vec<CtxEntry<Ts>>,
+    /// Payloads of the versions read, so a repeated read returns the very
+    /// same `Arc` even after the version was pruned from its object.
+    values: Vec<Arc<dyn Any + Send + Sync>>,
+    /// Every object opened so far, by id. (Std's default hasher: the
+    /// multiplicative id hasher this table is meant to get is on hold, see
+    /// EXPERIMENTS.md "LSA read path".)
+    opened: HashMap<u64, Opened>,
+    /// Objects this attempt registered on, to fold at its end.
+    write_set: Vec<Arc<dyn AnyObject<Ts>>>,
+}
+
+impl<Ts: Timestamp> TxnScratch<Ts> {
+    pub(crate) fn new() -> Self {
+        TxnScratch {
+            shared: Arc::new(TxnShared::new(0)),
+            read_set: Vec::new(),
+            values: Vec::new(),
+            opened: HashMap::default(),
+            write_set: Vec::new(),
         }
     }
-    true
+
+    fn clear(&mut self) {
+        self.read_set.clear();
+        self.values.clear();
+        self.opened.clear();
+        self.write_set.clear();
+    }
 }
 
 /// An executing transaction. Created by
 /// [`crate::stm::ThreadHandle::atomically`]; user code receives `&mut Txn`
 /// inside the transaction body and performs [`Txn::read`] / [`Txn::write`] /
 /// [`Txn::modify`] operations, propagating [`Abort`] errors with `?`.
+///
+/// One `Txn` serves every attempt of a logical transaction: `start` begins
+/// an attempt, `conclude` ends it and keeps what the contention manager
+/// carries into the retry.
 pub struct Txn<'h, B: TimeBase> {
     cfg: &'h StmConfig,
     cm: &'h dyn ContentionManager,
-    clock: &'h mut B::Clock,
-    stats: &'h mut TxnStats,
-    shared: Arc<TxnShared<B::Ts>>,
+    births: &'h BlockAlloc,
+    /// The handle's clock, statistics, snapshot slot and scratch.
+    core: &'h mut HandleCore<B>,
     /// `T.R` — the snapshot's validity range.
     range: ValidityRange<B::Ts>,
     /// Latest time this transaction has itself observed (start / extends);
     /// the sound fallback for `getPrelimUB` at opens.
     observed: B::Ts,
     is_update: bool,
+    /// No attempt is live (before the first `start`, after `conclude`).
     finished: bool,
-    /// The thread's snapshot-registration slot (`crate::reclaim`): holds the
-    /// snapshot lower bound for the watermark while this attempt is live.
-    /// `None` for runtimes without reclamation (direct `try_atomically` on a
-    /// bare descriptor in some tests).
-    slot: Option<&'h SnapshotSlot<B::Ts>>,
-    read_set: Vec<CtxEntry<B::Ts>>,
-    read_cache: HashMap<u64, Arc<dyn Any + Send + Sync>>,
-    write_set: HashMap<u64, Arc<dyn AnyObject<B::Ts>>>,
+    /// Contention-manager continuity across attempts: first-start order
+    /// (0 = not drawn yet), work carried over, attempts failed so far.
+    birth: u64,
+    carried_ops: u64,
+    retries: u32,
 }
 
 impl<'h, B: TimeBase> Txn<'h, B> {
-    /// `Start(T)` — Algorithm 2 lines 1–7.
-    pub(crate) fn begin(
+    /// A logical transaction on `core`, with no attempt started yet.
+    pub(crate) fn new(
         cfg: &'h StmConfig,
         cm: &'h dyn ContentionManager,
-        clock: &'h mut B::Clock,
-        stats: &'h mut TxnStats,
-        shared: Arc<TxnShared<B::Ts>>,
-        slot: Option<&'h SnapshotSlot<B::Ts>>,
+        births: &'h BlockAlloc,
+        core: &'h mut HandleCore<B>,
     ) -> Self {
+        let origin = <B::Ts as Timestamp>::origin();
+        Txn {
+            cfg,
+            cm,
+            births,
+            core,
+            range: ValidityRange::from(origin),
+            observed: origin,
+            is_update: false,
+            finished: true,
+            birth: 0,
+            carried_ops: 0,
+            retries: 0,
+        }
+    }
+
+    /// `Start(T)` — Algorithm 2 lines 1–7 — for the next attempt.
+    pub(crate) fn start(&mut self) {
+        debug_assert!(self.finished, "previous attempt still live");
+        let core = &mut *self.core;
+        let txn_id = core.next_txn_id();
+        trace::txn_begin(txn_id);
+        // A descriptor no object or helper references any more (every
+        // read-only attempt's, and an update's once its writes are folded)
+        // is reset in place instead of reallocated.
+        match Arc::get_mut(&mut core.scratch.shared) {
+            Some(shared) => *shared = TxnShared::new(txn_id),
+            None => core.scratch.shared = Arc::new(TxnShared::new(txn_id)),
+        }
+        let shared = &core.scratch.shared;
+        if self.cfg.snapshot_isolation {
+            shared.mark_snapshot_isolation();
+        }
+        shared.cm().seed(self.carried_ops, self.retries);
+        if self.cm.needs_birth() {
+            if self.birth == 0 {
+                self.birth = self.births.alloc();
+            }
+            shared.cm().set_birth(self.birth);
+        }
         // Two-phase slot publication: mark the slot *before* reading the
         // clock so a concurrent watermark advance cannot slip past a start
         // time that has been read but not yet published (see the pending
         // protocol in `crate::reclaim`).
-        if let Some(s) = slot {
-            s.mark_pending();
+        core.slot.mark_pending();
+        let start = core.clock.get_time();
+        core.slot.activate(start);
+        self.range = ValidityRange::from(start);
+        self.observed = start;
+        self.is_update = false;
+        self.finished = false;
+    }
+
+    /// End the attempt `start` began: commit if the body returned `Ok`,
+    /// abort otherwise. On failure, carries the contention manager's view of
+    /// the work done into the next attempt and yields under heavy
+    /// oversubscription (livelock hygiene).
+    pub(crate) fn conclude<R>(&mut self, result: TxResult<R>) -> TxResult<(R, Option<B::Ts>)> {
+        let txn_id = self.id();
+        let outcome = match result {
+            Ok(value) => self.finish_commit().map(|ct| (value, ct)),
+            Err(abort) => {
+                // Usually a no-op: the operation that produced the abort has
+                // already ended the attempt.
+                self.do_abort(abort.reason);
+                Err(abort)
+            }
+        };
+        match &outcome {
+            Ok((_, ct)) => {
+                trace::txn_event(EventKind::Commit, ct.is_none() as u8, txn_id);
+                if ct.is_some() {
+                    self.core.last_commit_time = *ct;
+                }
+            }
+            Err(abort) => {
+                trace::txn_event(EventKind::Abort, abort.reason.trace_class(), txn_id);
+                // Abort feedback to the time base: GV5-style clocks advance
+                // on aborts so the retry observes a fresh enough time to
+                // reach the versions that made this attempt fail.
+                self.core.clock.note_abort();
+                self.carried_ops = self.core.scratch.shared.cm().ops();
+                self.retries = self.retries.saturating_add(1);
+                self.core.stats.retries += 1;
+                if u64::from(self.retries) > self.cfg.yield_after_retries {
+                    std::thread::yield_now();
+                }
+            }
         }
-        let start = clock.get_time();
-        if let Some(s) = slot {
-            s.activate(start);
-        }
-        Txn {
-            cfg,
-            cm,
-            clock,
-            stats,
-            shared,
-            range: ValidityRange::from(start),
-            observed: start,
-            is_update: false,
-            finished: false,
-            slot,
-            read_set: Vec::new(),
-            read_cache: HashMap::new(),
-            write_set: HashMap::new(),
-        }
+        outcome
     }
 
     /// Unique id of this transaction attempt.
     pub fn id(&self) -> u64 {
-        self.shared.id()
+        self.core.scratch.shared.id()
     }
 
     /// The snapshot's current validity range `T.R`.
@@ -256,7 +372,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         if self.finished {
             return Err(Abort::new(AbortReason::Explicit));
         }
-        if self.shared.status() == TxnStatus::Aborted {
+        if self.core.scratch.shared.status() == TxnStatus::Aborted {
             // A contention manager killed us (Algorithm 2 lines 16–18).
             return Err(self.do_abort(AbortReason::Killed));
         }
@@ -273,43 +389,44 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     /// retry loop of Algorithm 3.
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<Arc<T>> {
         self.check_alive()?;
-        self.stats.reads += 1;
-        self.shared.cm().add_op();
         let id = var.id();
-
-        // Read-own-write: the speculative value is ours.
-        if self.write_set.contains_key(&id) {
-            return match var.object().read_spec_value(self.shared.id()) {
-                Some(v) => Ok(v),
-                None => Err(self.do_abort(AbortReason::Killed)),
-            };
+        match self.core.scratch.opened.get(&id).copied() {
+            // Read-own-write: the speculative value is ours.
+            Some(Opened::Written) => {
+                return match var.object().read_spec_value(self.id()) {
+                    Some(v) => Ok(v),
+                    None => Err(self.do_abort(AbortReason::Killed)),
+                };
+            }
+            // Repeated read: same version as before (snapshot stability).
+            Some(Opened::Read(i)) => {
+                let v = Arc::clone(&self.core.scratch.values[i])
+                    .downcast::<T>()
+                    .expect("object payload type is stable");
+                return Ok(v);
+            }
+            None => {}
         }
-        // Repeated read: same version as before (snapshot stability).
-        if let Some(cached) = self.read_cache.get(&id) {
-            let v = Arc::clone(cached)
-                .downcast::<T>()
-                .expect("object payload type is stable");
-            return Ok(v);
-        }
+        // A first open: the unit of `TxnStats::reads` and of Karma priority.
+        self.core.stats.reads += 1;
+        self.core.scratch.shared.cm().add_op();
 
         let mut extended = false;
         let mut spins = 0u32;
         loop {
             match var.object().try_read(&self.range) {
-                ReadAttempt::Found { value, meta, lower } => {
+                ReadAttempt::Found {
+                    value,
+                    meta,
+                    lower,
+                    upper,
+                } => {
                     // Tentatively intersect T.R with the version's range
-                    // (Alg. 2 lines 28–29).
+                    // (Alg. 2 lines 28–29); `upper` is getPrelimUB's
+                    // evidence, sampled with the selection.
                     let mut nr = self.range;
                     nr.restrict_lower(lower);
-                    let t = self.fallback_ts(nr.lower);
-                    let ub = prelim_resolved(
-                        self.clock,
-                        var.object().as_ref() as &dyn AnyObject<B::Ts>,
-                        &meta,
-                        t,
-                        &self.shared,
-                    );
-                    nr.restrict_upper(ub);
+                    nr.restrict_upper(upper.unwrap_or_else(|| self.fallback_ts(nr.lower)));
                     if !nr.is_consistent() {
                         // Possibly inconsistent (line 30): try one extension,
                         // which may move ⌈T.R⌉ forward far enough (§2.2:
@@ -322,13 +439,17 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                         return Err(self.do_abort(AbortReason::Snapshot));
                     }
                     self.range = nr;
-                    let entry = CtxEntry {
+                    let scratch = &mut self.core.scratch;
+                    scratch.read_set.push(CtxEntry {
                         obj: Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>,
-                        meta: Arc::clone(&meta),
-                    };
-                    self.read_set.push(entry);
-                    self.read_cache
-                        .insert(id, Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
+                        meta,
+                    });
+                    scratch
+                        .opened
+                        .insert(id, Opened::Read(scratch.values.len()));
+                    scratch
+                        .values
+                        .push(Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
                     return Ok(value);
                 }
                 ReadAttempt::NoOverlap { newest_lower: _ } => {
@@ -362,10 +483,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         value: T,
     ) -> TxResult<()> {
         self.open_write(var)?;
-        if !var
-            .object()
-            .set_spec_value(self.shared.id(), Arc::new(value))
-        {
+        if !var.object().set_spec_value(self.id(), Arc::new(value)) {
             return Err(self.do_abort(AbortReason::Killed));
         }
         Ok(())
@@ -379,30 +497,23 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         var: &TVar<T, B::Ts>,
         f: impl FnOnce(&T) -> T,
     ) -> TxResult<()> {
-        let current = if self.write_set.contains_key(&var.id()) {
-            match var.object().read_spec_value(self.shared.id()) {
-                Some(v) => v,
-                None => return Err(self.do_abort(AbortReason::Killed)),
-            }
-        } else {
-            self.read(var)?
-        };
+        let current = self.read(var)?;
         self.write(var, f(&current))
     }
 
     fn open_write<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<()> {
         self.check_alive()?;
         let id = var.id();
-        if self.write_set.contains_key(&id) {
+        if let Some(Opened::Written) = self.core.scratch.opened.get(&id) {
             return Ok(());
         }
-        self.stats.writes += 1;
-        self.shared.cm().add_op();
+        self.core.stats.writes += 1;
+        self.core.scratch.shared.cm().add_op();
 
         let mut cm_attempt = 0u32;
         let mut spins = 0u32;
         loop {
-            match var.object().try_write(&self.shared) {
+            match var.object().try_write(&self.core.scratch.shared) {
                 WriteAttempt::Registered {
                     base_value: _,
                     base_meta,
@@ -410,28 +521,36 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     spec_meta,
                 } => {
                     self.is_update = true;
-                    self.write_set
-                        .insert(id, Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>);
+                    self.note_written(var);
 
                     // Alg. 2 lines 22–24: "Is the version too recent?" —
                     // extend so the snapshot can reach the version we are
                     // about to base our write on.
-                    if let Some(u) = self.range.upper {
-                        if base_lower.possibly_later(u) {
-                            self.extend();
-                        }
+                    let too_recent =
+                        matches!(self.range.upper, Some(u) if base_lower.possibly_later(u));
+                    if too_recent {
+                        self.extend();
                     }
                     // Lines 28–29 against the base version vc.
                     let mut nr = self.range;
                     nr.restrict_lower(base_lower);
                     let t = self.fallback_ts(nr.lower);
-                    let ub = prelim_resolved(
-                        self.clock,
-                        var.object().as_ref() as &dyn AnyObject<B::Ts>,
-                        &base_meta,
-                        t,
-                        &self.shared,
-                    );
+                    // We registered under the lock with vc the latest
+                    // version, after `t` was obtained: `t` bounds it. An
+                    // extension has read the clock *since*, so its `t` needs
+                    // the lock-free sample-and-re-check instead.
+                    let ub = if too_recent {
+                        let core = &mut *self.core;
+                        prelim_resolved(
+                            &mut core.clock,
+                            var.object().as_ref(),
+                            &base_meta,
+                            t,
+                            &core.scratch.shared,
+                        )
+                    } else {
+                        t
+                    };
                     nr.restrict_upper(ub);
                     if !nr.is_consistent() {
                         return Err(self.do_abort(AbortReason::Snapshot));
@@ -439,21 +558,21 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     self.range = nr;
                     // T.O gains the new speculative version (paper line 33);
                     // its getPrelimUB at commit is the self-case (CT).
-                    self.read_set.push(CtxEntry {
+                    self.core.scratch.read_set.push(CtxEntry {
                         obj: Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>,
                         meta: spec_meta,
                     });
                     return Ok(());
                 }
                 WriteAttempt::AlreadyWriter => {
-                    self.write_set
-                        .insert(id, Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>);
+                    self.note_written(var);
                     return Ok(());
                 }
                 WriteAttempt::NeedHelp(w) => self.help_commit(&w),
                 WriteAttempt::Conflict(other) => {
-                    self.stats.conflicts += 1;
-                    match self.cm.resolve(self.shared.cm(), other.cm(), cm_attempt) {
+                    self.core.stats.conflicts += 1;
+                    let me = self.core.scratch.shared.cm();
+                    match self.cm.resolve(me, other.cm(), cm_attempt) {
                         Resolution::AbortOther => {
                             // Kill the registered writer (Alg. 2 l.16–18);
                             // if the CAS fails the writer moved on — loop.
@@ -477,22 +596,28 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
     }
 
+    fn note_written<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) {
+        let scratch = &mut self.core.scratch;
+        scratch.opened.insert(var.id(), Opened::Written);
+        scratch
+            .write_set
+            .push(Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>);
+    }
+
     /// `Extend(T)` — Algorithm 3 lines 1–6: raise `⌈T.R⌉` to the current
     /// time, then re-minimize over the read set's preliminary upper bounds.
     pub fn extend(&mut self) {
-        let now = self.clock.get_time();
+        let core = &mut *self.core;
+        let now = core.clock.get_time();
         self.observed = self.observed.join(now);
         self.range.set_upper(now);
-        for i in 0..self.read_set.len() {
-            let (obj, meta) = (
-                Arc::clone(&self.read_set[i].obj),
-                Arc::clone(&self.read_set[i].meta),
-            );
-            let ub = prelim_resolved(self.clock, obj.as_ref(), &meta, now, &self.shared);
+        let shared = &core.scratch.shared;
+        for e in &core.scratch.read_set {
+            let ub = prelim_resolved(&mut core.clock, e.obj.as_ref(), &e.meta, now, shared);
             self.range.restrict_upper(ub);
         }
-        self.stats.extensions += 1;
-        trace::txn_event(EventKind::Extend, 0, self.shared.id());
+        core.stats.extensions += 1;
+        trace::txn_event(EventKind::Extend, 0, shared.id());
     }
 
     /// Help a committing transaction complete (Algorithm 3 lines 12–13 and
@@ -503,6 +628,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         if w.status() != TxnStatus::Committing {
             return;
         }
+        let clock = &mut self.core.clock;
         // Race to set the commit time from our own clock (lines 41–42): "a
         // committing thread will try to set the timestamp obtained from its
         // local time reference … if it fails, another thread has set the
@@ -510,7 +636,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         let ct = match w.ct() {
             Some(ct) => ct,
             None => {
-                let t = self.clock.acquire_commit_ts(self.observed).ts();
+                let t = clock.acquire_commit_ts(self.observed).ts();
                 w.set_ct(t)
             }
         };
@@ -520,35 +646,29 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         if w.status() != TxnStatus::Committing {
             return;
         }
-        if w.is_snapshot_isolation() || validate(self.clock, &ctx.entries, ct, w) {
+        if w.is_snapshot_isolation() || validate(clock, &ctx.entries, ct, w) {
             if w.transition(TxnStatus::Committing, TxnStatus::Committed) {
-                self.stats.helps += 1;
+                self.core.stats.helps += 1;
             }
         } else {
             w.transition(TxnStatus::Committing, TxnStatus::Aborted);
         }
     }
 
-    /// `Commit(T)` — Algorithm 2 lines 35–52. Called by the `atomically`
-    /// retry loop after the body returned `Ok`. On success returns the
-    /// commit time of an update transaction (`None` for read-only commits).
-    pub(crate) fn finish_commit(&mut self) -> TxResult<Option<B::Ts>> {
+    /// `Commit(T)` — Algorithm 2 lines 35–52. Called by `conclude` after the
+    /// body returned `Ok`. On success returns the commit time of an update
+    /// transaction (`None` for read-only commits).
+    fn finish_commit(&mut self) -> TxResult<Option<B::Ts>> {
         debug_assert!(!self.finished, "commit called twice");
+        let core = &mut *self.core;
+        let shared = &core.scratch.shared;
         if !self.is_update {
             // Read-only: the snapshot is consistent by construction —
             // validation is unnecessary (lines 36–37).
-            if self
-                .shared
-                .transition(TxnStatus::Active, TxnStatus::Committed)
-            {
-                self.finished = true;
-                self.stats.ro_commits += 1;
-                self.cm.on_commit(self.shared.cm());
-                // Release the snapshot registration: an idle handle must not
-                // hold the watermark back between transactions.
-                if let Some(s) = self.slot {
-                    s.clear();
-                }
+            if shared.transition(TxnStatus::Active, TxnStatus::Committed) {
+                core.stats.ro_commits += 1;
+                self.cm.on_commit(shared.cm());
+                self.finalize_cleanup();
                 return Ok(None);
             }
             return Err(self.do_abort(AbortReason::Killed));
@@ -557,13 +677,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // Publish the read set for helpers *before* becoming visible as
         // committing: any thread that observes `Committing` finds the
         // context.
-        self.shared.publish_ctx(CommitCtx {
-            entries: self.read_set.clone(),
+        shared.publish_ctx(CommitCtx {
+            entries: core.scratch.read_set.clone(),
         });
-        if !self
-            .shared
-            .transition(TxnStatus::Active, TxnStatus::Committing)
-        {
+        if !shared.transition(TxnStatus::Active, TxnStatus::Committing) {
             return Err(self.do_abort(AbortReason::Killed));
         }
         // Tentative commit time through the base's arbitration protocol;
@@ -573,9 +690,9 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // transaction has itself observed. A Shared outcome means a
         // concurrent non-conflicting committer holds the same timestamp
         // (GV4/GV5 arbitration), which §2.3 explicitly allows.
-        let arbitrated = self.clock.acquire_commit_ts(self.observed);
+        let arbitrated = core.clock.acquire_commit_ts(self.observed);
         if arbitrated.is_shared() {
-            self.stats.shared_cts += 1;
+            core.stats.shared_cts += 1;
         }
         trace::txn_event(
             if arbitrated.is_shared() {
@@ -584,102 +701,98 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 EventKind::CtsExclusive
             },
             0,
-            self.shared.id(),
+            shared.id(),
         );
-        let ct = self.shared.set_ct(arbitrated.ts());
+        let ct = shared.set_ct(arbitrated.ts());
 
         // Snapshot-isolation mode (TRANSACT'06 extension): skip the read-set
         // validation — the snapshot was consistent when read, and visible
         // writes already exclude write-write conflicts. Serializable mode
         // runs Algorithm 2 lines 43–48.
         if !self.cfg.snapshot_isolation {
-            self.stats.validated_entries += self.read_set.len() as u64;
-            trace::txn_event(EventKind::Validate, 0, self.shared.id());
+            core.stats.validated_entries += core.scratch.read_set.len() as u64;
+            trace::txn_event(EventKind::Validate, 0, shared.id());
         }
-        let valid =
-            self.cfg.snapshot_isolation || validate(self.clock, &self.read_set, ct, &self.shared);
-        if valid {
-            self.shared
-                .transition(TxnStatus::Committing, TxnStatus::Committed);
+        let valid = self.cfg.snapshot_isolation
+            || validate(&mut core.clock, &core.scratch.read_set, ct, shared);
+        let to = if valid {
+            TxnStatus::Committed
         } else {
-            self.shared
-                .transition(TxnStatus::Committing, TxnStatus::Aborted);
-        }
+            TxnStatus::Aborted
+        };
+        shared.transition(TxnStatus::Committing, to);
         // Either our transition won or a helper finalized first; the status
         // is now final either way.
-        let status = self.shared.status();
-        self.finalize_cleanup();
-        match status {
+        let outcome = match shared.status() {
             TxnStatus::Committed => {
-                self.finished = true;
-                self.stats.commits += 1;
-                self.cm.on_commit(self.shared.cm());
+                core.stats.commits += 1;
+                self.cm.on_commit(shared.cm());
                 Ok(Some(ct))
             }
             TxnStatus::Aborted => {
-                self.finished = true;
-                self.stats.record_abort(AbortReason::Validation);
-                self.cm.on_abort(self.shared.cm());
+                core.stats.record_abort(AbortReason::Validation);
+                self.cm.on_abort(shared.cm());
                 Err(Abort::new(AbortReason::Validation))
             }
             _ => unreachable!("status must be final after commit"),
-        }
-    }
-
-    /// Make sure the transaction ends aborted (used by the retry loop when
-    /// the body propagated an [`Abort`], and as a safety net). Idempotent.
-    pub(crate) fn ensure_aborted(&mut self, reason: AbortReason) {
-        if !self.finished {
-            self.do_abort(reason);
-        }
+        };
+        self.finalize_cleanup();
+        outcome
     }
 
     /// `Abort(T)` — Algorithm 2 lines 53–59 (the owner-side path).
+    /// Idempotent: only the first call of an attempt ends and accounts it.
     fn do_abort(&mut self, reason: AbortReason) -> Abort {
         if !self.finished {
-            self.shared
-                .transition(TxnStatus::Active, TxnStatus::Aborted);
+            let shared = &self.core.scratch.shared;
+            shared.transition(TxnStatus::Active, TxnStatus::Aborted);
             // (Committing is never current here: the commit path finalizes
             // itself before returning.)
-            debug_assert!(self.shared.status().is_final());
+            debug_assert!(shared.status().is_final());
+            self.cm.on_abort(shared.cm());
+            self.core.stats.record_abort(reason);
             self.finalize_cleanup();
-            self.finished = true;
-            self.stats.record_abort(reason);
-            self.cm.on_abort(self.shared.cm());
         }
         Abort::new(reason)
     }
 
-    /// Post-final cleanup: fold/discard our speculative versions so objects
-    /// are immediately writable by others, and drop the helper context to
-    /// break the descriptor↔object reference cycle.
+    /// End-of-attempt cleanup, on every path out (commit, abort, unwind):
+    /// release the snapshot registration, fold/discard our speculative
+    /// versions so objects are immediately writable by others, drop the
+    /// helper context to break the descriptor↔object reference cycle, and
+    /// empty the scratch for the next attempt.
     fn finalize_cleanup(&mut self) {
+        let core = &mut *self.core;
         // Release the snapshot registration first: the folds below may prune
         // against the watermark, and a finished transaction must not count
-        // as demand. (Our own read set stays safe — it holds `Arc`s.)
-        if let Some(s) = self.slot {
-            s.clear();
+        // as demand — nor may an idle handle hold the watermark back.
+        core.slot.clear();
+        if !core.scratch.write_set.is_empty() {
+            for obj in &core.scratch.write_set {
+                obj.fold_resolved();
+            }
+            core.scratch.shared.clear_ctx();
         }
-        for obj in self.write_set.values() {
-            obj.fold_resolved();
-        }
-        self.shared.clear_ctx();
+        core.scratch.clear();
+        self.finished = true;
     }
 }
 
 impl<B: TimeBase> Drop for Txn<'_, B> {
     fn drop(&mut self) {
-        // A panicking body must not leave a zombie writer registered.
+        // A panicking body must leave neither a zombie writer registered, nor
+        // a snapshot registration that freezes the watermark, nor stale
+        // scratch entries for the handle's next transaction.
         if !self.finished {
-            self.shared
-                .transition(TxnStatus::Active, TxnStatus::Aborted);
-            if self.shared.status().is_final() {
+            let shared = &self.core.scratch.shared;
+            shared.transition(TxnStatus::Active, TxnStatus::Aborted);
+            if shared.status().is_final() {
                 self.finalize_cleanup();
-            }
-            // A zombie snapshot registration would freeze the watermark
-            // forever; clearing is idempotent if cleanup already ran.
-            if let Some(s) = self.slot {
-                s.clear();
+            } else {
+                // Unwinding out of the commit protocol itself: the published
+                // context stays for helpers to decide the outcome.
+                self.core.slot.clear();
+                self.core.scratch.clear();
             }
         }
     }

@@ -14,6 +14,15 @@
 //! while consulting the contention manager, helping a commit, or touching a
 //! time base. Global coordination happens **only** through the time base —
 //! preserving the phenomenon the paper measures.
+//!
+//! A first read takes the object's lock **once**: [`TObject::try_read`]
+//! selects the version and, in the same critical section, samples what
+//! `getPrelimUB` needs to bound it ([`ReadAttempt::Found::upper`]). A
+//! version's `upper` is only ever fixed under the write lock (by a fold), so
+//! "no upper bound, and the registered writer — if any — is still `Active`"
+//! is one atomic observation there, where the lock-free paths
+//! ([`AnyObject::current_writer`] from extend, validate and helpers) have to
+//! re-check `upper` after sampling the writer.
 
 use crate::reclaim::ReclaimDomain;
 use crate::status::TxnStatus;
@@ -51,6 +60,13 @@ pub enum ReadAttempt<T, Ts: Timestamp> {
         meta: Arc<VersionMeta<Ts>>,
         /// `⌊v.R⌋` — returned separately so the caller does not re-lock.
         lower: Ts,
+        /// `getPrelimUB`'s evidence, sampled with the selection: `Some(u)` is
+        /// the version's fixed `⌈v.R⌉`; `None` means that while the lock was
+        /// held the version was the latest and no registered writer had
+        /// entered `Committing` — so a superseder's commit time exceeds
+        /// every timestamp the caller obtained before the call, and the
+        /// caller's fallback `t` is a sound bound without re-locking.
+        upper: Option<Ts>,
     },
     /// No committed version overlaps the range. Carries the newest version's
     /// lower bound so the caller can decide whether extending could help
@@ -216,15 +232,13 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                 idx == 0 || v.meta.upper().is_some(),
                 "non-front version without an upper bound (chain corrupt)"
             );
-            let vrange = match v.meta.upper() {
-                Some(u) => ValidityRange::bounded(lower, u),
-                None => ValidityRange::from(lower),
-            };
-            if vrange.overlaps(range) {
+            let upper = v.meta.upper();
+            if (ValidityRange { lower, upper }).overlaps(range) {
                 return ReadAttempt::Found {
                     value: Arc::clone(&v.value),
                     meta: Arc::clone(&v.meta),
                     lower,
+                    upper,
                 };
             }
         }
@@ -579,10 +593,48 @@ mod tests {
         t1.transition(TxnStatus::Active, TxnStatus::Committing);
         let t2 = txn(2);
         assert!(matches!(o.try_write(&t2), WriteAttempt::NeedHelp(_)));
+        // No commit time is published yet: the read must not come back
+        // `Found` with "latest, fallback `t` is sound" evidence — the
+        // writer may already hold a commit time below the reader's `t` —
+        // but hand over the writer, so the reader joins the helper race.
+        assert_eq!(t1.ct(), None);
+        match o.try_read(&ValidityRange::from(0u64)) {
+            ReadAttempt::NeedHelp(w) => assert_eq!(w.id(), 1),
+            _ => panic!("a committing writer must be helped, not read past"),
+        }
+    }
+
+    #[test]
+    fn found_carries_the_upper_bound_evidence() {
+        let o = obj(4);
+        let t1 = txn(1);
+        assert!(matches!(o.try_write(&t1), WriteAttempt::Registered { .. }));
+        // Latest version beside an Active writer: no bound, the caller's
+        // fallback applies.
+        match o.try_read(&ValidityRange::from(0u64)) {
+            ReadAttempt::Found { upper, .. } => assert_eq!(upper, None),
+            _ => panic!("an active writer is invisible to readers"),
+        }
+        t1.transition(TxnStatus::Active, TxnStatus::Committing);
+        t1.set_ct(7);
+        t1.transition(TxnStatus::Committing, TxnStatus::Committed);
+        // Resolved but unfolded: the sample is refused until the fold fixes
+        // the superseded version's bound.
         assert!(matches!(
-            o.try_read(&ValidityRange::from(0u64)),
-            ReadAttempt::NeedHelp(_)
+            o.try_read(&ValidityRange::bounded(0u64, 3)),
+            ReadAttempt::NeedFold
         ));
+        o.fold_resolved();
+        match o.try_read(&ValidityRange::bounded(0u64, 3)) {
+            ReadAttempt::Found { upper, lower, .. } => {
+                assert_eq!((lower, upper), (0, Some(6)), "fixed at CT − 1");
+            }
+            _ => panic!("the superseded version still serves the past"),
+        }
+        match o.try_read(&ValidityRange::from(7u64)) {
+            ReadAttempt::Found { upper, lower, .. } => assert_eq!((lower, upper), (7, None)),
+            _ => panic!("the new version serves"),
+        }
     }
 
     #[test]

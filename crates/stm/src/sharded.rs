@@ -58,11 +58,10 @@ use crate::config::StmConfig;
 use crate::error::{Abort, TxResult};
 use crate::lsa::Txn;
 use crate::object::{TObject, TVar};
-use crate::reclaim::{ReclaimDomain, ReclaimStats, SnapshotRegistry, SnapshotSlot};
+use crate::reclaim::{ReclaimDomain, ReclaimStats, SnapshotRegistry};
 use crate::stats::TxnStats;
-use crate::stm::{after_failed_attempt, begin_attempt, next_instance};
-use lsa_obs::trace::{self, EventKind};
-use lsa_time::sharded::{ShardedClock, ShardedTimeBase, TouchSet};
+use crate::stm::{next_instance, run_attempts, AttemptView, HandleCore};
+use lsa_time::sharded::{ShardedTimeBase, TouchSet};
 use lsa_time::{ThreadClock, TimeBase, Timestamp};
 use std::sync::Arc;
 
@@ -255,21 +254,18 @@ impl<B: TimeBase> ShardedStm<B> {
         shard_of_id(var.id())
     }
 
-    /// Register the calling thread: allocates its per-shard clocks and stats.
+    /// Register the calling thread: allocates its per-shard clocks, stats,
+    /// snapshot-registration slot and transaction scratch.
     pub fn register(&self) -> ShardedHandle<B> {
-        let handle_id = self.inner.next_handle.alloc();
         let clock = self.inner.tb.register_thread();
-        let touch = clock.touch_set();
         ShardedHandle {
-            slot: self.inner.registry.register(),
+            touch: clock.touch_set(),
+            core: HandleCore::new(
+                self.inner.next_handle.alloc(),
+                clock,
+                self.inner.registry.register(),
+            ),
             stm: self.clone(),
-            handle_id,
-            clock,
-            touch,
-            stats: TxnStats::default(),
-            txn_seq: 0,
-            last_commit_time: None,
-            commits_since_advance: 0,
         }
     }
 }
@@ -277,25 +273,10 @@ impl<B: TimeBase> ShardedStm<B> {
 /// A registered thread's gateway to running sharded transactions.
 pub struct ShardedHandle<B: TimeBase> {
     stm: ShardedStm<B>,
-    handle_id: u64,
-    clock: ShardedClock<B>,
-    /// Shard-selection mask shared with `clock`: filled as the transaction
+    core: HandleCore<ShardedTimeBase<B>>,
+    /// Shard-selection mask shared with the clock: filled as the transaction
     /// opens objects, consumed by the commit arbitration.
     touch: TouchSet,
-    stats: TxnStats,
-    txn_seq: u64,
-    last_commit_time: Option<B::Ts>,
-    /// This thread's snapshot registration (see [`crate::reclaim`]).
-    slot: Arc<SnapshotSlot<B::Ts>>,
-    /// Commits since this thread last advanced the watermark.
-    commits_since_advance: u64,
-}
-
-impl<B: TimeBase> Drop for ShardedHandle<B> {
-    fn drop(&mut self) {
-        // A dead handle must not freeze the watermark.
-        self.slot.close();
-    }
 }
 
 impl<B: TimeBase> ShardedHandle<B> {
@@ -306,41 +287,18 @@ impl<B: TimeBase> ShardedHandle<B> {
 
     /// Statistics accumulated by this thread so far.
     pub fn stats(&self) -> &TxnStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Take (and reset) the accumulated statistics.
     pub fn take_stats(&mut self) -> TxnStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.core.stats)
     }
 
     /// Commit time of this thread's most recent committed update
     /// transaction (see [`crate::stm::ThreadHandle::last_commit_time`]).
     pub fn last_commit_time(&self) -> Option<B::Ts> {
-        self.last_commit_time
-    }
-
-    fn next_txn_id(&mut self) -> u64 {
-        self.txn_seq += 1;
-        (self.handle_id << 40) | (self.txn_seq & ((1 << 40) - 1))
-    }
-
-    /// Amortized watermark maintenance (see
-    /// `crate::stm::ThreadHandle::maybe_advance_watermark`): one registry
-    /// scan installed into *every* shard's domain, so shard-local fold-time
-    /// watermark reads never converge on a shared line.
-    fn maybe_advance_watermark(&mut self) {
-        self.commits_since_advance += 1;
-        if self.commits_since_advance >= self.stm.inner.cfg.wm_advance_interval {
-            self.commits_since_advance = 0;
-            let now = self.clock.get_time();
-            if let Some(wm) = self.stm.inner.registry.min_active_or(now) {
-                for dom in &self.stm.inner.reclaim {
-                    dom.install(wm, now);
-                }
-                self.stats.wm_advances += 1;
-            }
-        }
+        self.core.last_commit_time
     }
 
     /// Run `body` as a transaction, retrying on abort until it commits
@@ -348,92 +306,37 @@ impl<B: TimeBase> ShardedHandle<B> {
     /// Single-shard bodies commit with shard-local arbitration; bodies that
     /// touch several shards escalate to the cross-shard protocol described
     /// in the module docs.
-    pub fn atomically<R>(
-        &mut self,
-        mut body: impl FnMut(&mut ShardedTxn<'_, B>) -> TxResult<R>,
-    ) -> R {
-        let mut birth = 0u64;
-        let mut carried_ops = 0u64;
-        let mut retries = 0u32;
-        // NOTE: mirrors `ThreadHandle::atomically` (crate::stm) plus shard
-        // bookkeeping; keep the control flow in sync. The subtle per-attempt
-        // pieces (CM continuity, isolation marking) are shared via
-        // `begin_attempt` / `after_failed_attempt`.
-        loop {
-            let txn_id = self.next_txn_id();
-            trace::txn_begin(txn_id);
-            let inner = &self.stm.inner;
-            let shared = begin_attempt(
-                txn_id,
+    pub fn atomically<R>(&mut self, body: impl FnMut(&mut ShardedTxn<'_, B>) -> TxResult<R>) -> R {
+        let inner = &self.stm.inner;
+        let mut stx = ShardedTxn {
+            txn: Txn::new(
                 &inner.cfg,
                 inner.cm.as_ref(),
                 &inner.birth_counter,
-                &mut birth,
-                carried_ops,
-                retries,
-            );
-
-            // A fresh attempt selects its shards from scratch (and disarms
-            // any leftover commit flag).
-            self.touch.clear();
-            let txn = Txn::begin(
-                &inner.cfg,
-                inner.cm.as_ref(),
-                &mut self.clock,
-                &mut self.stats,
-                Arc::clone(&shared),
-                Some(self.slot.as_ref()),
-            );
-            let mut stx = ShardedTxn {
-                txn,
-                touch: &self.touch,
-            };
-            match body(&mut stx) {
-                Ok(value) => {
-                    let spanned = stx.touch.count();
-                    if stx.txn.is_update() {
-                        // The commit acquisition (the next arbitration on
-                        // this clock) must chain through every touched
-                        // shard; helper/prelim arbitrations stay
-                        // single-shard.
-                        stx.touch.arm_commit();
-                    }
-                    match stx.txn.finish_commit() {
-                        Ok(ct) => {
-                            drop(stx);
-                            trace::txn_event(EventKind::Commit, ct.is_none() as u8, txn_id);
-                            if ct.is_some() {
-                                self.last_commit_time = ct;
-                                if spanned >= 2 {
-                                    self.stats.cross_shard_commits += 1;
-                                }
-                            }
-                            self.maybe_advance_watermark();
-                            return value;
-                        }
-                        Err(a) => {
-                            trace::txn_event(EventKind::Abort, a.reason.trace_class(), txn_id);
-                        }
-                    }
-                }
-                Err(abort) => {
-                    stx.txn.ensure_aborted(abort.reason);
-                    trace::txn_event(EventKind::Abort, abort.reason.trace_class(), txn_id);
-                }
-            }
-            drop(stx);
-            // Abort feedback goes to the clocks of the shards the failed
-            // attempt touched (the mask is still set from the attempt).
-            self.clock.note_abort();
-
-            after_failed_attempt(
-                &shared,
-                &inner.cfg,
-                &mut self.stats,
-                &mut carried_ops,
-                &mut retries,
-            );
+                &mut self.core,
+            ),
+            touch: &self.touch,
+        };
+        let Ok((value, ct)) = run_attempts(&mut stx, None, body) else {
+            unreachable!("unbounded attempts end in a commit")
+        };
+        drop(stx);
+        // The mask is still set from the committed attempt.
+        if ct.is_some() && self.touch.count() >= 2 {
+            self.core.stats.cross_shard_commits += 1;
         }
+        // One registry scan installed into *every* shard's domain, so
+        // shard-local fold-time watermark reads never converge on a shared
+        // line.
+        if let Some(now) = self.core.watermark_due(inner.cfg.wm_advance_interval) {
+            if let Some(wm) = inner.registry.min_active_or(now) {
+                for dom in &inner.reclaim {
+                    dom.install(wm, now);
+                }
+                self.core.stats.wm_advances += 1;
+            }
+        }
+        value
     }
 }
 
@@ -444,6 +347,29 @@ impl<B: TimeBase> ShardedHandle<B> {
 pub struct ShardedTxn<'h, B: TimeBase> {
     txn: Txn<'h, ShardedTimeBase<B>>,
     touch: &'h TouchSet,
+}
+
+impl<'h, B: TimeBase> AttemptView<'h, ShardedTimeBase<B>> for ShardedTxn<'h, B> {
+    fn txn(&mut self) -> &mut Txn<'h, ShardedTimeBase<B>> {
+        &mut self.txn
+    }
+
+    /// A fresh attempt selects its shards from scratch (and disarms any
+    /// leftover commit flag). The failed attempt's mask stays set until
+    /// here, so its abort feedback reaches the clocks of the shards it
+    /// touched.
+    fn before_attempt(&mut self) {
+        self.touch.clear();
+    }
+
+    /// An update's commit acquisition (the next arbitration on this clock)
+    /// must chain through every touched shard; helper/prelim arbitrations
+    /// stay single-shard.
+    fn before_commit(&mut self) {
+        if self.txn.is_update() {
+            self.touch.arm_commit();
+        }
+    }
 }
 
 impl<B: TimeBase> ShardedTxn<'_, B> {

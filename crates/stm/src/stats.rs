@@ -18,9 +18,14 @@ pub struct TxnStats {
     pub ro_commits: u64,
     /// Aborts by reason, indexed like [`AbortReason::ALL`].
     pub aborts: [u64; AbortReason::ALL.len()],
-    /// Object reads (`open` in read mode).
+    /// Objects opened in read mode: counted once per distinct object per
+    /// attempt, when the version is selected. A repeated read of the same
+    /// object, or a read of the transaction's own pending write, is served
+    /// from the transaction's scratch and is not an open.
     pub reads: u64,
-    /// Object writes (`open` in write mode).
+    /// Objects opened in write mode: counted once per distinct object per
+    /// attempt, at writer registration. (The contention managers' `ops`
+    /// currency counts the same opens, `reads + writes`.)
     pub writes: u64,
     /// Validity-range extensions performed (Algorithm 3 lines 1–6).
     pub extensions: u64,

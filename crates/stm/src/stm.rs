@@ -24,12 +24,10 @@ use crate::alloc::BlockAlloc;
 use crate::cm::{ContentionManager, Polite};
 use crate::config::StmConfig;
 use crate::error::TxResult;
-use crate::lsa::Txn;
+use crate::lsa::{Txn, TxnScratch};
 use crate::object::{TObject, TVar};
 use crate::reclaim::{ReclaimDomain, ReclaimStats, SnapshotRegistry, SnapshotSlot};
 use crate::stats::TxnStats;
-use crate::txn_shared::TxnShared;
-use lsa_obs::trace::{self, EventKind};
 use lsa_time::{ThreadClock, TimeBase, Timestamp};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -57,50 +55,106 @@ const HANDLE_ID_BLOCK: u64 = 8;
 /// [`crate::alloc`]).
 const BIRTH_BLOCK: u64 = 16;
 
-/// Per-attempt shared-descriptor setup common to the unsharded and sharded
-/// retry loops: snapshot-isolation marking and contention-manager
-/// continuity across retries of one logical transaction (op carry-over,
-/// retry seeding, lazy birth allocation). Keeping this in one place means a
-/// CM-continuity or isolation-mode fix cannot silently diverge between the
-/// two runtimes' loops.
-pub(crate) fn begin_attempt<Ts: Timestamp>(
-    txn_id: u64,
-    cfg: &StmConfig,
-    cm: &dyn ContentionManager,
-    birth_counter: &BlockAlloc,
-    birth: &mut u64,
-    carried_ops: u64,
-    retries: u32,
-) -> Arc<TxnShared<Ts>> {
-    let shared = Arc::new(TxnShared::new(txn_id));
-    if cfg.snapshot_isolation {
-        shared.mark_snapshot_isolation();
-    }
-    shared.cm().seed(carried_ops, retries);
-    if cm.needs_birth() {
-        if *birth == 0 {
-            *birth = birth_counter.alloc();
-        }
-        shared.cm().set_birth(*birth);
-    }
-    shared
+/// What a registered thread keeps between transactions, common to
+/// [`ThreadHandle`] and [`crate::sharded::ShardedHandle`]: its clock,
+/// statistics, snapshot-registration slot and transaction scratch.
+pub(crate) struct HandleCore<B: TimeBase> {
+    handle_id: u64,
+    txn_seq: u64,
+    pub(crate) clock: B::Clock,
+    pub(crate) stats: TxnStats,
+    pub(crate) last_commit_time: Option<B::Ts>,
+    /// This thread's snapshot-registration slot ([`crate::reclaim`]).
+    pub(crate) slot: Arc<SnapshotSlot<B::Ts>>,
+    pub(crate) scratch: TxnScratch<B::Ts>,
+    /// Commits since the last watermark advance (the lazy amortization).
+    commits_since_advance: u64,
 }
 
-/// Post-abort bookkeeping shared by the retry loops: carry the attempt's
-/// contention-manager ops into the next attempt, count the retry, and
-/// yield under heavy oversubscription (livelock hygiene).
-pub(crate) fn after_failed_attempt<Ts: Timestamp>(
-    shared: &TxnShared<Ts>,
-    cfg: &StmConfig,
-    stats: &mut TxnStats,
-    carried_ops: &mut u64,
-    retries: &mut u32,
-) {
-    *carried_ops = shared.cm().ops();
-    *retries = retries.saturating_add(1);
-    stats.retries += 1;
-    if u64::from(*retries) > cfg.yield_after_retries {
-        std::thread::yield_now();
+impl<B: TimeBase> HandleCore<B> {
+    pub(crate) fn new(handle_id: u64, clock: B::Clock, slot: Arc<SnapshotSlot<B::Ts>>) -> Self {
+        HandleCore {
+            handle_id,
+            txn_seq: 0,
+            clock,
+            stats: TxnStats::default(),
+            last_commit_time: None,
+            slot,
+            scratch: TxnScratch::new(),
+            commits_since_advance: 0,
+        }
+    }
+
+    pub(crate) fn next_txn_id(&mut self) -> u64 {
+        self.txn_seq += 1;
+        (self.handle_id << 40) | (self.txn_seq & ((1 << 40) - 1))
+    }
+
+    /// Amortized watermark maintenance: every `interval` completed
+    /// transactions the thread owes a registry rescan — the lazy advance of
+    /// DESIGN.md §11, no dedicated reclamation thread. Returns the time to
+    /// advance to when one is due.
+    pub(crate) fn watermark_due(&mut self, interval: u64) -> Option<B::Ts> {
+        self.commits_since_advance += 1;
+        if self.commits_since_advance < interval {
+            return None;
+        }
+        self.commits_since_advance = 0;
+        Some(self.clock.get_time())
+    }
+}
+
+impl<B: TimeBase> Drop for HandleCore<B> {
+    fn drop(&mut self) {
+        // Free the slot for reuse and make sure a dropped handle can never
+        // hold the watermark back.
+        self.slot.close();
+    }
+}
+
+/// What a transaction body is handed: the LSA transaction itself, or a
+/// runtime's wrapper around it with its own per-attempt bookkeeping.
+pub(crate) trait AttemptView<'h, B: TimeBase> {
+    /// The wrapped LSA transaction.
+    fn txn(&mut self) -> &mut Txn<'h, B>;
+    /// Before an attempt starts.
+    fn before_attempt(&mut self) {}
+    /// After the body returned `Ok`, before the commit protocol runs.
+    fn before_commit(&mut self) {}
+}
+
+impl<'h, B: TimeBase> AttemptView<'h, B> for Txn<'h, B> {
+    fn txn(&mut self) -> &mut Txn<'h, B> {
+        self
+    }
+}
+
+/// The retry shell behind every `atomically` / `try_atomically`: run `body`
+/// on `view` until an attempt commits, or — when `max_attempts` is given —
+/// until that many have aborted. Returns the body's result and the commit
+/// time of an update transaction (`None` for read-only commits).
+pub(crate) fn run_attempts<'h, B: TimeBase, V: AttemptView<'h, B>, R>(
+    view: &mut V,
+    max_attempts: Option<u32>,
+    mut body: impl FnMut(&mut V) -> TxResult<R>,
+) -> TxResult<(R, Option<B::Ts>)> {
+    let mut failed = 0u32;
+    loop {
+        view.before_attempt();
+        view.txn().start();
+        let result = body(view);
+        if result.is_ok() {
+            view.before_commit();
+        }
+        match view.txn().conclude(result) {
+            Ok(done) => return Ok(done),
+            Err(abort) => {
+                failed += 1;
+                if max_attempts == Some(failed) {
+                    return Err(abort);
+                }
+            }
+        }
     }
 }
 
@@ -226,19 +280,16 @@ impl<B: TimeBase> Stm<B> {
         ))
     }
 
-    /// Register the calling thread: allocates its clock handle, stats and
-    /// snapshot-registration slot.
+    /// Register the calling thread: allocates its clock handle, stats,
+    /// snapshot-registration slot and transaction scratch.
     pub fn register(&self) -> ThreadHandle<B> {
-        let handle_id = self.inner.next_handle.alloc();
         ThreadHandle {
-            slot: self.inner.reclaim.registry().register(),
+            core: HandleCore::new(
+                self.inner.next_handle.alloc(),
+                self.inner.tb.register_thread(),
+                self.inner.reclaim.registry().register(),
+            ),
             stm: self.clone(),
-            handle_id,
-            clock: self.inner.tb.register_thread(),
-            stats: TxnStats::default(),
-            txn_seq: 0,
-            last_commit_time: None,
-            commits_since_advance: 0,
         }
     }
 }
@@ -246,23 +297,7 @@ impl<B: TimeBase> Stm<B> {
 /// A registered thread's gateway to running transactions.
 pub struct ThreadHandle<B: TimeBase> {
     stm: Stm<B>,
-    handle_id: u64,
-    clock: B::Clock,
-    stats: TxnStats,
-    txn_seq: u64,
-    last_commit_time: Option<B::Ts>,
-    /// This thread's snapshot-registration slot ([`crate::reclaim`]).
-    slot: Arc<SnapshotSlot<B::Ts>>,
-    /// Commits since the last watermark advance (the lazy amortization).
-    commits_since_advance: u64,
-}
-
-impl<B: TimeBase> Drop for ThreadHandle<B> {
-    fn drop(&mut self) {
-        // Free the slot for reuse and make sure a dropped handle can never
-        // hold the watermark back.
-        self.slot.close();
-    }
+    core: HandleCore<B>,
 }
 
 impl<B: TimeBase> ThreadHandle<B> {
@@ -273,12 +308,12 @@ impl<B: TimeBase> ThreadHandle<B> {
 
     /// Statistics accumulated by this thread so far.
     pub fn stats(&self) -> &TxnStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Take (and reset) the accumulated statistics.
     pub fn take_stats(&mut self) -> TxnStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.core.stats)
     }
 
     /// Commit time of this thread's most recent committed *update*
@@ -286,26 +321,7 @@ impl<B: TimeBase> ThreadHandle<B> {
     /// commits). The offline serializability checker in the integration
     /// tests orders the committed history by these values.
     pub fn last_commit_time(&self) -> Option<B::Ts> {
-        self.last_commit_time
-    }
-
-    fn next_txn_id(&mut self) -> u64 {
-        self.txn_seq += 1;
-        (self.handle_id << 40) | (self.txn_seq & ((1 << 40) - 1))
-    }
-
-    /// Amortized watermark maintenance: every `wm_advance_interval`
-    /// completed transactions this thread rescans the snapshot registry and
-    /// installs a fresh watermark — the lazy advance of DESIGN.md §11, no
-    /// dedicated reclamation thread.
-    fn maybe_advance_watermark(&mut self) {
-        self.commits_since_advance += 1;
-        if self.commits_since_advance >= self.stm.inner.cfg.wm_advance_interval {
-            self.commits_since_advance = 0;
-            let now = self.clock.get_time();
-            self.stm.inner.reclaim.advance(now);
-            self.stats.wm_advances += 1;
-        }
+        self.core.last_commit_time
     }
 
     /// Run `body` as a transaction, retrying on abort until it commits;
@@ -313,70 +329,10 @@ impl<B: TimeBase> ThreadHandle<B> {
     /// through the provided [`Txn`] and propagate [`crate::error::Abort`]
     /// errors with `?` — the loop re-executes it from scratch after an abort
     /// (any side effects outside the STM must therefore be idempotent).
-    pub fn atomically<R>(&mut self, mut body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>) -> R {
-        let mut birth = 0u64;
-        let mut carried_ops = 0u64;
-        let mut retries = 0u32;
-        // NOTE: this retry shell is mirrored by `ShardedHandle::atomically`
-        // (crate::sharded) with shard bookkeeping added; control-flow
-        // changes here belong there too. The subtle per-attempt pieces
-        // (CM continuity, isolation marking) are shared via `begin_attempt`
-        // / `after_failed_attempt`.
-        loop {
-            let txn_id = self.next_txn_id();
-            trace::txn_begin(txn_id);
-            let inner = &self.stm.inner;
-            let shared = begin_attempt(
-                txn_id,
-                &inner.cfg,
-                inner.cm.as_ref(),
-                &inner.birth_counter,
-                &mut birth,
-                carried_ops,
-                retries,
-            );
-
-            let mut txn = Txn::begin(
-                &inner.cfg,
-                inner.cm.as_ref(),
-                &mut self.clock,
-                &mut self.stats,
-                Arc::clone(&shared),
-                Some(self.slot.as_ref()),
-            );
-            match body(&mut txn) {
-                Ok(value) => match txn.finish_commit() {
-                    Ok(ct) => {
-                        drop(txn);
-                        trace::txn_event(EventKind::Commit, ct.is_none() as u8, txn_id);
-                        if ct.is_some() {
-                            self.last_commit_time = ct;
-                        }
-                        self.maybe_advance_watermark();
-                        return value;
-                    }
-                    Err(a) => {
-                        trace::txn_event(EventKind::Abort, a.reason.trace_class(), txn_id);
-                    }
-                },
-                Err(abort) => {
-                    txn.ensure_aborted(abort.reason);
-                    trace::txn_event(EventKind::Abort, abort.reason.trace_class(), txn_id);
-                }
-            }
-            drop(txn);
-            // Abort feedback to the time base: GV5-style clocks advance on
-            // aborts so the retry observes a fresh enough time to reach the
-            // versions that made this attempt fail.
-            self.clock.note_abort();
-
-            after_failed_attempt(
-                &shared,
-                &inner.cfg,
-                &mut self.stats,
-                &mut carried_ops,
-                &mut retries,
-            );
+    pub fn atomically<R>(&mut self, body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>) -> R {
+        match self.run(None, body) {
+            Ok(value) => value,
+            Err(_) => unreachable!("unbounded attempts end in a commit"),
         }
     }
 
@@ -386,53 +342,31 @@ impl<B: TimeBase> ThreadHandle<B> {
     pub fn try_atomically<R>(
         &mut self,
         max_attempts: u32,
-        mut body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>,
+        body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>,
     ) -> TxResult<R> {
         assert!(max_attempts >= 1);
-        let mut last = None;
-        for _ in 0..max_attempts {
-            let txn_id = self.next_txn_id();
-            trace::txn_begin(txn_id);
-            let shared = Arc::new(TxnShared::new(txn_id));
-            if self.stm.inner.cfg.snapshot_isolation {
-                shared.mark_snapshot_isolation();
-            }
-            let inner = &self.stm.inner;
-            let mut txn = Txn::begin(
-                &inner.cfg,
-                inner.cm.as_ref(),
-                &mut self.clock,
-                &mut self.stats,
-                Arc::clone(&shared),
-                Some(self.slot.as_ref()),
-            );
-            match body(&mut txn) {
-                Ok(value) => match txn.finish_commit() {
-                    Ok(ct) => {
-                        drop(txn);
-                        trace::txn_event(EventKind::Commit, ct.is_none() as u8, txn_id);
-                        if ct.is_some() {
-                            self.last_commit_time = ct;
-                        }
-                        self.maybe_advance_watermark();
-                        return Ok(value);
-                    }
-                    Err(a) => {
-                        trace::txn_event(EventKind::Abort, a.reason.trace_class(), txn_id);
-                        last = Some(a);
-                    }
-                },
-                Err(a) => {
-                    txn.ensure_aborted(a.reason);
-                    trace::txn_event(EventKind::Abort, a.reason.trace_class(), txn_id);
-                    last = Some(a);
-                }
-            }
-            drop(txn);
-            self.clock.note_abort();
-            self.stats.retries += 1;
+        self.run(Some(max_attempts), body)
+    }
+
+    fn run<R>(
+        &mut self,
+        max_attempts: Option<u32>,
+        body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>,
+    ) -> TxResult<R> {
+        let inner = &self.stm.inner;
+        let mut txn = Txn::new(
+            &inner.cfg,
+            inner.cm.as_ref(),
+            &inner.birth_counter,
+            &mut self.core,
+        );
+        let (value, _) = run_attempts(&mut txn, max_attempts, body)?;
+        drop(txn);
+        if let Some(now) = self.core.watermark_due(inner.cfg.wm_advance_interval) {
+            inner.reclaim.advance(now);
+            self.core.stats.wm_advances += 1;
         }
-        Err(last.expect("max_attempts >= 1"))
+        Ok(value)
     }
 }
 
@@ -440,6 +374,7 @@ impl<B: TimeBase> ThreadHandle<B> {
 mod tests {
     use super::*;
     use crate::error::AbortReason;
+    use crate::object::AnyObject;
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
     use lsa_time::perfect::PerfectClock;
@@ -523,6 +458,74 @@ mod tests {
         let r: TxResult<()> = h.try_atomically(3, |tx| Err(tx.abort_retry()));
         assert!(r.is_err());
         assert_eq!(h.stats().aborts_for(AbortReason::Explicit), 3);
+    }
+
+    #[test]
+    fn try_atomically_keeps_contention_manager_continuity() {
+        // Bounded attempts are attempts of one logical transaction like any
+        // other: the birth is drawn once and kept, opens and retries carry
+        // over — what TimestampCm and Karma rank by.
+        let stm = Stm::with_cm(
+            SharedCounter::new(),
+            StmConfig::default(),
+            crate::cm::TimestampCm::default(),
+        );
+        let x = stm.new_tvar(0u64);
+        let mut h = stm.register();
+        let mut seen = Vec::new();
+        let r: TxResult<()> = h.try_atomically(3, |tx| {
+            tx.write(&x, 1)?;
+            let me = x.object().current_writer().expect("registered");
+            seen.push((me.cm().birth(), me.cm().ops(), me.cm().retries()));
+            Err(tx.abort_retry())
+        });
+        assert!(r.is_err());
+        let birth = seen[0].0;
+        assert_ne!(birth, 0, "the policy needs a birth and must get one");
+        assert_eq!(seen, [(birth, 1, 0), (birth, 2, 1), (birth, 3, 2)]);
+        assert_eq!(h.stats().retries, 3);
+    }
+
+    #[test]
+    fn only_first_opens_count() {
+        let stm = Stm::new(SharedCounter::new());
+        let x = stm.new_tvar(1u64);
+        let mut h = stm.register();
+        let ops = h.atomically(|tx| {
+            tx.read(&x)?;
+            tx.read(&x)?; // repeated read
+            tx.write(&x, 2)?;
+            tx.read(&x)?; // read-own-write
+            tx.modify(&x, |v| v + 1)?; // neither a new read nor a new write
+            Ok(x.object().current_writer().expect("registered").cm().ops())
+        });
+        assert_eq!(*x.snapshot_latest(), 3);
+        assert_eq!((h.stats().reads, h.stats().writes), (1, 1));
+        assert_eq!(ops, 2, "Karma's currency counts the same opens");
+        assert_eq!(h.stats().validated_entries, 2, "version read + own write");
+    }
+
+    #[test]
+    fn retry_does_not_see_the_aborted_attempts_write() {
+        let stm = Stm::new(SharedCounter::new());
+        let (x, y) = (stm.new_tvar(10i64), stm.new_tvar(20i64));
+        let mut h = stm.register();
+        let mut attempts = 0;
+        let seen = h.atomically(|tx| {
+            attempts += 1;
+            if attempts == 1 {
+                tx.read(&y)?;
+                tx.write(&x, 99)?;
+                assert_eq!(*tx.read(&x)?, 99, "read-own-write");
+                return Err(tx.abort_retry());
+            }
+            // No stale scratch entry: `x` is neither "written" (its
+            // speculative 99 is gone) nor cached.
+            Ok((*tx.read(&x)?, *tx.read(&y)?))
+        });
+        assert_eq!(seen, (10, 20));
+        assert_eq!(h.stats().ro_commits, 1, "the retry wrote nothing");
+        assert_eq!(*x.snapshot_latest(), 10);
     }
 
     #[test]

@@ -133,3 +133,30 @@ fn version_count_is_bounded_under_concurrency() {
         "pruning must keep the chain bounded"
     );
 }
+
+#[test]
+fn repeated_read_returns_the_same_arc_after_its_version_was_pruned() {
+    // Single-version chains: the committer's fold prunes the version the
+    // reader holds. A second read of the object must come from the
+    // transaction's own scratch — the very `Arc` it got first — and not go
+    // back to the object, which no longer has it.
+    let stm = Stm::with_config(SharedCounter::new(), StmConfig::single_version());
+    let a = stm.new_tvar(String::from("first"));
+    let mut reader = stm.register();
+    let mut writer = stm.register();
+
+    let mut attempts = 0;
+    reader.atomically(|tx| {
+        attempts += 1;
+        let v1 = tx.read(&a)?;
+        writer.atomically(|wtx| wtx.write(&a, String::from("second")));
+        assert_eq!(a.version_count(), 1, "the reader's version is pruned");
+        assert_eq!(*a.snapshot_latest(), "second");
+        let v2 = tx.read(&a)?;
+        assert!(std::sync::Arc::ptr_eq(&v1, &v2), "snapshot stability");
+        assert_eq!(*v2, "first");
+        Ok(())
+    });
+    assert_eq!(attempts, 1, "a read-only snapshot of the past commits");
+    assert_eq!(reader.stats().reads, 1, "the repeated read is not an open");
+}
