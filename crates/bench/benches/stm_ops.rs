@@ -1,13 +1,15 @@
 //! STM primitive-cost comparison across ALL engines, plus LSA-RT-specific
 //! ablations (extension and version-depth) — the design-choice ablations
-//! DESIGN.md calls out, and the LSA-RT read-path rows (DESIGN.md §2.1).
+//! DESIGN.md calls out, the LSA-RT read-path rows (DESIGN.md §2.1) and the
+//! update-path scaling rows (DESIGN.md §11; `-- update-path` runs only
+//! those, within `LSA_BENCH_MS` per row).
 //!
 //! The cross-engine groups use ONE generic criterion body per transaction
 //! shape, driven through the [`TxnEngine`] surface: adding an engine to the
 //! lists below (or a new shape) is one line, exactly like the harness
 //! registry — the first ROADMAP bench item ("engine-generic benches") done.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::{EngineHandle, EngineVar, TxnEngine, TxnOps};
 use lsa_stm::{Stm, StmConfig};
@@ -15,6 +17,8 @@ use lsa_time::counter::SharedCounter;
 use lsa_time::hardware::HardwareClock;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 /// Benchmark a read-only transaction over `n` variables on any engine.
 fn bench_read_only<E: TxnEngine>(
@@ -235,6 +239,80 @@ fn read_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// Committed two-variable update transactions per second, summed over
+/// `threads` threads that run for `window` on the serving default cell
+/// (LSA-RT, shared counter): each on a 4096-variable table of its own, or
+/// all on one.
+fn update_2var_rate(threads: usize, shared_table: bool, window: Duration) -> f64 {
+    const VARS: usize = 4096;
+    let stm = Stm::new(SharedCounter::new());
+    let tables: Vec<Vec<_>> = (0..if shared_table { 1 } else { threads })
+        .map(|_| (0..VARS).map(|_| stm.new_tvar(0i64)).collect())
+        .collect();
+    let start = Barrier::new(threads);
+    let rates: Vec<f64> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (stm, start, table) = (&stm, &start, &tables[t % tables.len()]);
+                s.spawn(move || {
+                    let mut h = stm.register();
+                    let mut seed = t as u64 + 1;
+                    let mut transfer = || {
+                        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let a = (seed >> 33) as usize % VARS;
+                        let b = (a + 1 + (seed >> 50) as usize % (VARS - 1)) % VARS;
+                        h.atomically(|tx| {
+                            tx.modify(&table[a], |v| v + 1)?;
+                            tx.modify(&table[b], |v| v - 1)
+                        })
+                    };
+                    (0..2_000).for_each(|_| transfer());
+                    start.wait();
+                    let (begin, mut done) = (Instant::now(), 0u64);
+                    while begin.elapsed() < window {
+                        (0..256).for_each(|_| transfer());
+                        done += 256;
+                    }
+                    done as f64 / begin.elapsed().as_secs_f64()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    rates.iter().sum()
+}
+
+fn update_path() {
+    // What two disjoint committers share is the time base and nothing else
+    // (DESIGN.md §11), so `private` should scale with the threads until the
+    // counter saturates; `shared` adds real conflicts on one table. Each
+    // row is the median of three windows.
+    let ms = std::env::var("LSA_BENCH_MS")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    let window = Duration::from_millis(ms.unwrap_or(900u64).max(30)) / 3;
+    let row = |name: &str, threads: usize, shared_table: bool| {
+        let mut rates: Vec<f64> = (0..3)
+            .map(|_| update_2var_rate(threads, shared_table, window))
+            .collect();
+        rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
+        println!(
+            "{:<56} {:>12.0} txn/s",
+            format!("stm-ops/update-path/{name}/{threads}t"),
+            rates[1]
+        );
+        rates[1]
+    };
+    let one = row("update_2var_private", 1, false);
+    let two = row("update_2var_private", 2, false);
+    row("update_2var_shared", 2, true);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "stm-ops/update-path/private-2t-over-1t {:.2} (available_parallelism {cpus})",
+        two / one
+    );
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
@@ -247,4 +325,9 @@ criterion_group! {
     config = quick();
     targets = read_only_txn, update_txn, extension_ablation, version_depth_ablation, read_path
 }
-criterion_main!(benches);
+fn main() {
+    if !std::env::args().any(|a| a == "update-path") {
+        benches();
+    }
+    update_path();
+}

@@ -28,13 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// its own cache slot in the thread-local map.
 static ALLOC_KEYS: AtomicU64 = AtomicU64::new(1);
 
-/// Reserve a fresh process-wide allocator identity. Shared with the version
-/// arena (`crate::reclaim`), whose thread-local node pools live in their own
-/// map but use the same identity space.
-pub(crate) fn next_alloc_key() -> u64 {
-    ALLOC_KEYS.fetch_add(1, Ordering::Relaxed)
-}
-
 thread_local! {
     /// Per-thread block caches: allocator key → (next unissued, block end).
     /// Entries of dropped allocators linger (a thread cannot clear its
@@ -58,7 +51,7 @@ impl BlockAlloc {
         BlockAlloc {
             next: AtomicU64::new(start),
             block,
-            key: next_alloc_key(),
+            key: ALLOC_KEYS.fetch_add(1, Ordering::Relaxed),
         }
     }
 

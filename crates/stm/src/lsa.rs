@@ -13,7 +13,7 @@
 //! | Paper | Here |
 //! |---|---|
 //! | `Start(T)` (Alg. 2 l.1–7) | `Txn::start` (crate-internal, driven by `atomically`) |
-//! | `Open(T,o,write)` (l.9–24) | [`Txn::write`] / [`Txn::modify`] via `open_write` |
+//! | `Open(T,o,write)` (l.9–24) | [`Txn::write`] / [`Txn::modify`] |
 //! | `Open(T,o,read)` (l.25–33) | [`Txn::read`] |
 //! | `Commit(T)` (l.35–52) | `Txn::finish_commit` (driven by `atomically` via `Txn::conclude`) |
 //! | `Abort(T)` (l.53–59) | `Txn::do_abort` + `Err(Abort)` propagation |
@@ -36,7 +36,10 @@
 //! * at **extend**: a fresh `getTime()` (Alg. 3 line 2);
 //! * at **commit validation**: `T.CT` (Alg. 2 line 44) — sound because any
 //!   later superseder must acquire its commit time after entering the
-//!   `Committing` state, i.e. strictly after ours (§2.4).
+//!   `Committing` state, i.e. strictly after ours (§2.4). For the versions
+//!   of objects the transaction holds the write mark on
+//!   ([`CtxEntry::own`]) this is Alg. 3 line 27's self case, and `validate`
+//!   answers it from the entry alone.
 
 use crate::alloc::BlockAlloc;
 use crate::cm::{ContentionManager, Resolution};
@@ -71,15 +74,10 @@ enum Prelim<Ts: Timestamp> {
 }
 
 /// `getPrelimUB(T, o, v, t)` — Algorithm 3 lines 19–35: one attempt at a
-/// conservative estimate of `⌈v.R⌉` as seen by transaction `me`, for callers
-/// that did not select `v` under `o`'s lock just now (extend, validation,
-/// helpers).
-fn prelim_raw<Ts: Timestamp>(
-    obj: &dyn AnyObject<Ts>,
-    meta: &VersionMeta<Ts>,
-    t: Ts,
-    me: &TxnShared<Ts>,
-) -> Prelim<Ts> {
+/// conservative estimate of `⌈v.R⌉`, for callers that did not select `v`
+/// under `o`'s lock just now (extend, validation, helpers) and do not hold
+/// `o`'s write mark while committing (that self case is `validate`'s).
+fn prelim_raw<Ts: Timestamp>(obj: &dyn AnyObject<Ts>, meta: &VersionMeta<Ts>, t: Ts) -> Prelim<Ts> {
     // Superseded: the exact upper bound is known.
     if let Some(u) = meta.upper() {
         return Prelim::Ready(u);
@@ -106,12 +104,6 @@ fn prelim_raw<Ts: Timestamp>(
         let st = w.status();
         if matches!(st, TxnStatus::Committing | TxnStatus::Committed) {
             return match w.ct() {
-                Some(ct) if w.id() == me.id() => {
-                    // Own write: overestimate by one — we know no other
-                    // transaction can commit a version of o before CT+1 if
-                    // we commit (Alg. 3 line 27, "simplifies Commit").
-                    finish(Prelim::Ready(ct))
-                }
                 Some(ct) => {
                     // The superseding version becomes valid at ct, so v is
                     // valid at least until ct − 1 (Alg. 3 line 29). Sound
@@ -136,10 +128,9 @@ fn prelim_resolved<C: ThreadClock>(
     obj: &dyn AnyObject<C::Ts>,
     meta: &VersionMeta<C::Ts>,
     t: C::Ts,
-    me: &TxnShared<C::Ts>,
 ) -> C::Ts {
     loop {
-        match prelim_raw(obj, meta, t, me) {
+        match prelim_raw(obj, meta, t) {
             Prelim::Ready(ub) => return ub,
             Prelim::NeedCt(w) => {
                 // Arbitrated like any commit time: `t` is in the caller's
@@ -153,16 +144,22 @@ fn prelim_resolved<C: ThreadClock>(
     }
 }
 
-/// Commit-time validation (Algorithm 2 lines 43–48): every version in `T.O`
-/// must be (guaranteed) valid at `ct`.
+/// Commit-time validation (Algorithm 2 lines 43–48), by the owner or a
+/// helper: every version in `T.O` must be (guaranteed) valid at `ct`.
 pub(crate) fn validate<C: ThreadClock>(
     clock: &mut C,
     entries: &[CtxEntry<C::Ts>],
     ct: C::Ts,
-    owner: &TxnShared<C::Ts>,
 ) -> bool {
     entries.iter().all(|e| {
-        let ub = prelim_resolved(clock, e.obj.as_ref(), &e.meta, ct, owner);
+        let ub = match e.meta.upper() {
+            // Own write mark, version still the latest (Alg. 3 line 27): the
+            // committing owner keeps the mark until it resolves, so nobody
+            // commits a version of the object before CT + 1. An entry whose
+            // bound is fixed was superseded before the mark was taken.
+            None if e.own => ct,
+            _ => prelim_resolved(clock, e.obj.as_ref(), &e.meta, ct),
+        };
         // Paper line 45: abort if T.CT ≿ ub (possibly later than).
         !ct.possibly_later(ub)
     })
@@ -171,8 +168,9 @@ pub(crate) fn validate<C: ThreadClock>(
 /// How the running attempt has opened an object so far.
 #[derive(Clone, Copy)]
 enum Opened {
-    /// Read from the snapshot; the payload is `values[_]`.
-    Read(usize),
+    /// Read from the snapshot: the payload is `values[value]`, the version
+    /// `read_set[entry]`.
+    Read { value: usize, entry: usize },
     /// Registered as writer: reads go to the speculative version.
     Written,
 }
@@ -180,14 +178,18 @@ enum Opened {
 /// A handle's transaction working memory: the descriptor and the read/write
 /// sets. It is owned by the handle and only ever *cleared* — at every
 /// attempt's end, be it commit, abort or a panic unwinding through the body
-/// — so a steady-state attempt allocates nothing and its size is bounded by
-/// the largest transaction the handle has run.
+/// — so a steady-state attempt allocates nothing but the payloads it writes,
+/// and its size is bounded by the largest transaction the handle has run.
 pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// The current (or last) attempt's descriptor. Reused in place for the
     /// next attempt whenever no object or helper still holds a reference.
     shared: Arc<TxnShared<Ts>>,
-    /// `T.O` in open order: versions read, then own speculative versions.
+    /// `T.O` in open order: versions read and own speculative versions.
     read_set: Vec<CtxEntry<Ts>>,
+    /// The shell `read_set` is published to helpers in. Between a commit's
+    /// publication and the attempt's `clear` it holds the read set; at all
+    /// other times it is empty and this is the only reference.
+    ctx: Arc<CommitCtx<Ts>>,
     /// Payloads of the versions read, so a repeated read returns the very
     /// same `Arc` even after the version was pruned from its object.
     values: Vec<Arc<dyn Any + Send + Sync>>,
@@ -204,13 +206,32 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
         TxnScratch {
             shared: Arc::new(TxnShared::new(0)),
             read_set: Vec::new(),
+            ctx: Arc::default(),
             values: Vec::new(),
             opened: HashMap::default(),
             write_set: Vec::new(),
         }
     }
 
+    /// Publish the read set for helpers by handing the vector itself over:
+    /// from here to `clear`, `T.O` is `ctx.entries` and nobody mutates it.
+    fn publish_read_set(&mut self) {
+        let ctx = Arc::get_mut(&mut self.ctx).expect("clear() leaves the context unshared");
+        std::mem::swap(&mut ctx.entries, &mut self.read_set);
+        self.shared.publish_ctx(Arc::clone(&self.ctx));
+    }
+
     fn clear(&mut self) {
+        if !self.ctx.entries.is_empty() {
+            match Arc::get_mut(&mut self.ctx) {
+                // Take the published read set back (the descriptor has
+                // dropped its reference by now).
+                Some(ctx) => std::mem::swap(&mut ctx.entries, &mut self.read_set),
+                // A helper is still validating through it: it keeps that
+                // one, the next commit publishes a fresh one.
+                None => self.ctx = Arc::default(),
+            }
+        }
         self.read_set.clear();
         self.values.clear();
         self.opened.clear();
@@ -399,8 +420,8 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 };
             }
             // Repeated read: same version as before (snapshot stability).
-            Some(Opened::Read(i)) => {
-                let v = Arc::clone(&self.core.scratch.values[i])
+            Some(Opened::Read { value, .. }) => {
+                let v = Arc::clone(&self.core.scratch.values[value])
                     .downcast::<T>()
                     .expect("object payload type is stable");
                 return Ok(v);
@@ -440,13 +461,16 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     }
                     self.range = nr;
                     let scratch = &mut self.core.scratch;
+                    let opened = Opened::Read {
+                        value: scratch.values.len(),
+                        entry: scratch.read_set.len(),
+                    };
+                    scratch.opened.insert(id, opened);
                     scratch.read_set.push(CtxEntry {
                         obj: Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>,
                         meta,
+                        own: false,
                     });
-                    scratch
-                        .opened
-                        .insert(id, Opened::Read(scratch.values.len()));
                     scratch
                         .values
                         .push(Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
@@ -464,7 +488,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     // No suitable version (Alg. 3 line 11).
                     return Err(self.do_abort(AbortReason::NoVersion));
                 }
-                ReadAttempt::NeedFold => var.object().fold_resolved(),
+                ReadAttempt::NeedFold => var.object().fold_resolved(Some(&mut self.core.reclaim)),
                 ReadAttempt::NeedHelp(w) => self.help_commit(&w),
             }
             spins += 1;
@@ -475,53 +499,49 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
     }
 
-    /// `Open(T, o, write)` — Algorithm 2 lines 9–24 — followed by installing
-    /// `value` as the speculative payload.
+    /// `Open(T, o, write)` — Algorithm 2 lines 9–24 — with `value` as the
+    /// speculative payload, installed by the registration itself.
     pub fn write<T: Send + Sync + 'static>(
         &mut self,
         var: &TVar<T, B::Ts>,
         value: T,
     ) -> TxResult<()> {
-        self.open_write(var)?;
-        if !var.object().set_spec_value(self.id(), Arc::new(value)) {
-            return Err(self.do_abort(AbortReason::Killed));
-        }
-        Ok(())
-    }
-
-    /// Read-modify-write convenience: applies `f` to the current value (the
-    /// transaction's own pending write if it has one, the snapshot value
-    /// otherwise) and writes the result.
-    pub fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &TVar<T, B::Ts>,
-        f: impl FnOnce(&T) -> T,
-    ) -> TxResult<()> {
-        let current = self.read(var)?;
-        self.write(var, f(&current))
-    }
-
-    fn open_write<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<()> {
         self.check_alive()?;
         let id = var.id();
-        if let Some(Opened::Written) = self.core.scratch.opened.get(&id) {
+        let prior = self.core.scratch.opened.get(&id).copied();
+        if let Some(Opened::Written) = prior {
+            // A re-write of an object we already registered on.
+            if !var.object().set_spec_value(self.id(), Arc::new(value)) {
+                return Err(self.do_abort(AbortReason::Killed));
+            }
             return Ok(());
         }
         self.core.stats.writes += 1;
         self.core.scratch.shared.cm().add_op();
 
+        // Offered to every registration attempt, taken by the one that
+        // succeeds.
+        let mut payload = Some(Arc::new(value));
         let mut cm_attempt = 0u32;
         let mut spins = 0u32;
         loop {
-            match var.object().try_write(&self.core.scratch.shared) {
+            let core = &mut *self.core;
+            let attempt =
+                var.object()
+                    .try_write(&core.scratch.shared, &mut payload, Some(&mut core.reclaim));
+            match attempt {
                 WriteAttempt::Registered {
-                    base_value: _,
                     base_meta,
                     base_lower,
                     spec_meta,
                 } => {
                     self.is_update = true;
                     self.note_written(var);
+                    // We hold the write mark from here on: the version we
+                    // read here earlier, if any, is ours to bound at commit.
+                    if let Some(Opened::Read { entry, .. }) = prior {
+                        self.core.scratch.read_set[entry].own = true;
+                    }
 
                     // Alg. 2 lines 22–24: "Is the version too recent?" —
                     // extend so the snapshot can reach the version we are
@@ -540,14 +560,8 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     // extension has read the clock *since*, so its `t` needs
                     // the lock-free sample-and-re-check instead.
                     let ub = if too_recent {
-                        let core = &mut *self.core;
-                        prelim_resolved(
-                            &mut core.clock,
-                            var.object().as_ref(),
-                            &base_meta,
-                            t,
-                            &core.scratch.shared,
-                        )
+                        let clock = &mut self.core.clock;
+                        prelim_resolved(clock, var.object().as_ref(), &base_meta, t)
                     } else {
                         t
                     };
@@ -561,6 +575,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     self.core.scratch.read_set.push(CtxEntry {
                         obj: Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>,
                         meta: spec_meta,
+                        own: true,
                     });
                     return Ok(());
                 }
@@ -596,6 +611,18 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
     }
 
+    /// Read-modify-write convenience: applies `f` to the current value (the
+    /// transaction's own pending write if it has one, the snapshot value
+    /// otherwise) and writes the result.
+    pub fn modify<T: Send + Sync + 'static>(
+        &mut self,
+        var: &TVar<T, B::Ts>,
+        f: impl FnOnce(&T) -> T,
+    ) -> TxResult<()> {
+        let current = self.read(var)?;
+        self.write(var, f(&current))
+    }
+
     fn note_written<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) {
         let scratch = &mut self.core.scratch;
         scratch.opened.insert(var.id(), Opened::Written);
@@ -611,13 +638,12 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         let now = core.clock.get_time();
         self.observed = self.observed.join(now);
         self.range.set_upper(now);
-        let shared = &core.scratch.shared;
         for e in &core.scratch.read_set {
-            let ub = prelim_resolved(&mut core.clock, e.obj.as_ref(), &e.meta, now, shared);
+            let ub = prelim_resolved(&mut core.clock, e.obj.as_ref(), &e.meta, now);
             self.range.restrict_upper(ub);
         }
         core.stats.extensions += 1;
-        trace::txn_event(EventKind::Extend, 0, shared.id());
+        trace::txn_event(EventKind::Extend, 0, core.scratch.shared.id());
     }
 
     /// Help a committing transaction complete (Algorithm 3 lines 12–13 and
@@ -646,7 +672,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         if w.status() != TxnStatus::Committing {
             return;
         }
-        if w.is_snapshot_isolation() || validate(clock, &ctx.entries, ct, w) {
+        if w.is_snapshot_isolation() || validate(clock, &ctx.entries, ct) {
             if w.transition(TxnStatus::Committing, TxnStatus::Committed) {
                 self.core.stats.helps += 1;
             }
@@ -661,10 +687,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     fn finish_commit(&mut self) -> TxResult<Option<B::Ts>> {
         debug_assert!(!self.finished, "commit called twice");
         let core = &mut *self.core;
-        let shared = &core.scratch.shared;
         if !self.is_update {
             // Read-only: the snapshot is consistent by construction —
             // validation is unnecessary (lines 36–37).
+            let shared = &core.scratch.shared;
             if shared.transition(TxnStatus::Active, TxnStatus::Committed) {
                 core.stats.ro_commits += 1;
                 self.cm.on_commit(shared.cm());
@@ -677,9 +703,8 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // Publish the read set for helpers *before* becoming visible as
         // committing: any thread that observes `Committing` finds the
         // context.
-        shared.publish_ctx(CommitCtx {
-            entries: core.scratch.read_set.clone(),
-        });
+        core.scratch.publish_read_set();
+        let (shared, read_set) = (&core.scratch.shared, &core.scratch.ctx.entries);
         if !shared.transition(TxnStatus::Active, TxnStatus::Committing) {
             return Err(self.do_abort(AbortReason::Killed));
         }
@@ -710,11 +735,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // writes already exclude write-write conflicts. Serializable mode
         // runs Algorithm 2 lines 43–48.
         if !self.cfg.snapshot_isolation {
-            core.stats.validated_entries += core.scratch.read_set.len() as u64;
+            core.stats.validated_entries += read_set.len() as u64;
             trace::txn_event(EventKind::Validate, 0, shared.id());
         }
-        let valid = self.cfg.snapshot_isolation
-            || validate(&mut core.clock, &core.scratch.read_set, ct, shared);
+        let valid = self.cfg.snapshot_isolation || validate(&mut core.clock, read_set, ct);
         let to = if valid {
             TxnStatus::Committed
         } else {
@@ -769,7 +793,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         core.slot.clear();
         if !core.scratch.write_set.is_empty() {
             for obj in &core.scratch.write_set {
-                obj.fold_resolved();
+                obj.fold_resolved(Some(&mut core.reclaim));
             }
             core.scratch.shared.clear_ctx();
         }
@@ -795,5 +819,70 @@ impl<B: TimeBase> Drop for Txn<'_, B> {
                 self.core.scratch.clear();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::object::TObject;
+
+    fn entry(obj: &Arc<TObject<u64, u64>>) -> CtxEntry<u64> {
+        CtxEntry {
+            obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
+            meta: Arc::new(VersionMeta::committed_at(0)),
+            own: false,
+        }
+    }
+
+    #[test]
+    fn the_published_context_is_the_read_set_itself_and_is_recycled() {
+        let obj = Arc::new(TObject::new(1, 0u64, 0, 4));
+        let mut scratch = TxnScratch::new();
+        scratch.read_set.extend([entry(&obj), entry(&obj)]);
+        let built = scratch.read_set.as_ptr();
+
+        scratch.publish_read_set();
+        let seen = scratch.shared.ctx().expect("published");
+        assert!(Arc::ptr_eq(&seen, &scratch.ctx), "one context, shared");
+        assert_eq!(seen.entries.as_ptr(), built, "the vector moved, uncopied");
+        drop(seen);
+
+        // Commit done: the descriptor lets go, the scratch takes the vector
+        // back for the next attempt.
+        scratch
+            .shared
+            .transition(TxnStatus::Active, TxnStatus::Aborted);
+        scratch.shared.clear_ctx();
+        let shell = Arc::as_ptr(&scratch.ctx);
+        scratch.clear();
+        assert_eq!(Arc::as_ptr(&scratch.ctx), shell, "same context again");
+        assert!(scratch.ctx.entries.is_empty() && scratch.read_set.is_empty());
+        assert_eq!(scratch.read_set.as_ptr(), built);
+    }
+
+    #[test]
+    fn a_helper_still_holding_the_context_forces_a_fresh_one() {
+        let obj = Arc::new(TObject::new(1, 0u64, 0, 4));
+        let mut scratch = TxnScratch::new();
+        scratch.read_set.push(entry(&obj));
+        scratch.publish_read_set();
+        let helper = scratch.shared.ctx().expect("published");
+
+        scratch
+            .shared
+            .transition(TxnStatus::Active, TxnStatus::Aborted);
+        scratch.shared.clear_ctx();
+        scratch.clear();
+        // The owner's next attempt builds and publishes its read set while
+        // the helper is still validating the old one.
+        scratch
+            .read_set
+            .extend([entry(&obj), entry(&obj), entry(&obj)]);
+        scratch.publish_read_set();
+
+        assert_eq!(helper.entries.len(), 1, "the helper's view never moved");
+        assert!(!Arc::ptr_eq(&helper, &scratch.ctx));
+        assert_eq!(scratch.ctx.entries.len(), 3);
     }
 }

@@ -13,7 +13,16 @@
 //! [`RwLock`]; no thread ever holds two object locks, and no lock is held
 //! while consulting the contention manager, helping a commit, or touching a
 //! time base. Global coordination happens **only** through the time base —
-//! preserving the phenomenon the paper measures.
+//! preserving the phenomenon the paper measures. That covers the version
+//! store too: registering a write and folding it draw their version node,
+//! their gauges and the pruning watermark from the calling thread's own
+//! [`LocalReclaim`], so a commit writes its objects, its descriptor, its
+//! snapshot slot and its gauge shard, and of the shared reclamation state
+//! only *reads* the epoch word ([`crate::reclaim`]).
+//!
+//! A transaction takes an object's lock three times to modify it: the read
+//! below, [`TObject::try_write`] — which registers the writer *and* installs
+//! its payload in one critical section — and the fold at commit.
 //!
 //! A first read takes the object's lock **once**: [`TObject::try_read`]
 //! selects the version and, in the same critical section, samples what
@@ -24,7 +33,7 @@
 //! ([`AnyObject::current_writer`] from extend, validate and helpers) have to
 //! re-check `upper` after sampling the writer.
 
-use crate::reclaim::ReclaimDomain;
+use crate::reclaim::{LocalReclaim, ReclaimDomain};
 use crate::status::TxnStatus;
 use crate::txn_shared::TxnShared;
 use crate::version::VersionMeta;
@@ -45,8 +54,9 @@ pub trait AnyObject<Ts: Timestamp>: Send + Sync {
 
     /// Fold a *resolved* (committed/aborted) speculative version into the
     /// committed chain / the void. No-op when there is no speculative
-    /// version or its writer is still live.
-    fn fold_resolved(&self);
+    /// version or its writer is still live. `local` is the calling thread's
+    /// share of the reclamation domain, `None` outside a handle.
+    fn fold_resolved(&self, local: Option<&mut LocalReclaim<Ts>>);
 }
 
 /// Outcome of a read attempt (the object-side half of `getVersion`,
@@ -84,13 +94,11 @@ pub enum ReadAttempt<T, Ts: Timestamp> {
 }
 
 /// Outcome of a write-registration attempt (Algorithm 2 lines 11–21).
-pub enum WriteAttempt<T, Ts: Timestamp> {
-    /// We are now the registered writer.
+pub enum WriteAttempt<Ts: Timestamp> {
+    /// We are now the registered writer and the payload is installed.
     Registered {
-        /// The latest committed version's payload the speculative copy was
-        /// cloned from (`vc` in Algorithm 2 line 12).
-        base_value: Arc<T>,
-        /// `vc`'s range metadata.
+        /// Range metadata of `vc`, the latest committed version
+        /// (Algorithm 2 line 12).
         base_meta: Arc<VersionMeta<Ts>>,
         /// `⌊vc.R⌋`.
         base_lower: Ts,
@@ -98,7 +106,8 @@ pub enum WriteAttempt<T, Ts: Timestamp> {
         /// its `getPrelimUB` is the self-case returning `T.CT`).
         spec_meta: Arc<VersionMeta<Ts>>,
     },
-    /// This transaction is already the registered writer.
+    /// This transaction was already the registered writer; the payload
+    /// replaced its earlier one.
     AlreadyWriter,
     /// Another *active* transaction holds the write mark: consult the
     /// contention manager (Algorithm 2 lines 16–17).
@@ -176,7 +185,7 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         wm_prune: bool,
     ) -> Self {
         let mut obj = Self::new(id, initial, lower, max_versions);
-        reclaim.note_live(); // the initial version
+        reclaim.note_seeded(); // the initial version
         obj.reclaim = Some(reclaim);
         obj.wm_prune = wm_prune;
         obj
@@ -185,7 +194,7 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     /// The latest committed value, ignoring transactions (for seeding and
     /// debugging; *not* transactionally consistent with anything else).
     pub fn snapshot_latest(&self) -> Arc<T> {
-        self.fold_resolved();
+        self.fold_resolved(None);
         Arc::clone(
             &self
                 .inner
@@ -252,22 +261,49 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         ReadAttempt::NoOverlap { newest_lower }
     }
 
-    /// Attempt to register `me` as the writer (Algorithm 2 lines 11–21).
-    /// On success the speculative version starts as an `Arc`-clone of the
-    /// latest committed payload; the caller replaces it via
-    /// [`TObject::set_spec_value`].
-    pub fn try_write(&self, me: &Arc<TxnShared<Ts>>) -> WriteAttempt<T, Ts> {
+    /// The caller's share of this object's reclamation domain, synced to the
+    /// domain's epoch: `local` when it is one, else a short-lived share put
+    /// into `detached` (callers outside a handle, handles of another
+    /// runtime). `None` for free-standing objects.
+    fn reclaimer<'a>(
+        &self,
+        local: Option<&'a mut LocalReclaim<Ts>>,
+        detached: &'a mut Option<LocalReclaim<Ts>>,
+    ) -> Option<&'a mut LocalReclaim<Ts>> {
+        let domain = self.reclaim.as_ref()?;
+        let share = match local {
+            Some(share) if share.serves(domain) => share,
+            _ => detached.insert(LocalReclaim::new(domain)),
+        };
+        share.sync();
+        Some(share)
+    }
+
+    /// Attempt to register `me` as the writer (Algorithm 2 lines 11–21) with
+    /// `payload` as its speculative value — registration and installation
+    /// are one critical section. The payload is taken exactly when the call
+    /// leaves `me` registered (`Registered`, `AlreadyWriter`); on `Conflict`
+    /// and `NeedHelp` it stays with the caller for the retry.
+    pub fn try_write(
+        &self,
+        me: &Arc<TxnShared<Ts>>,
+        payload: &mut Option<Arc<T>>,
+        local: Option<&mut LocalReclaim<Ts>>,
+    ) -> WriteAttempt<Ts> {
+        let mut detached = None;
+        let mut reclaim = self.reclaimer(local, &mut detached);
         let mut inner = self.inner.write();
         // The registered writer's status is not protected by this object's
         // lock, so it can resolve at any instant — loop until we observe a
         // stable, unresolved state (we hold the lock, so at most one extra
         // fold happens).
         loop {
-            self.fold_locked(&mut inner);
-            match &inner.spec {
+            self.fold_locked(&mut inner, reclaim.as_deref_mut());
+            match &mut inner.spec {
                 None => break,
                 Some(spec) => match spec.writer.status() {
                     TxnStatus::Active | TxnStatus::Committing if spec.writer.id() == me.id() => {
+                        spec.value = payload.take().expect("a payload to install");
                         return WriteAttempt::AlreadyWriter;
                     }
                     TxnStatus::Active => return WriteAttempt::Conflict(Arc::clone(&spec.writer)),
@@ -280,31 +316,30 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
             }
         }
         let base = inner.committed.front().expect("non-empty");
-        let base_value = Arc::clone(&base.value);
         let base_meta = Arc::clone(&base.meta);
         let base_lower = base.meta.lower().expect("committed version has lower");
-        let spec_meta = match &self.reclaim {
+        let spec_meta = match reclaim {
             // Arena path: recycle an epoch-expired node instead of a fresh
             // heap allocation on the write/commit hot path.
             Some(r) => r.alloc_meta(),
             None => Arc::new(VersionMeta::speculative()),
         };
         inner.spec = Some(Spec {
-            value: Arc::clone(&base_value),
+            value: payload.take().expect("a payload to install"),
             meta: Arc::clone(&spec_meta),
             writer: Arc::clone(me),
         });
         WriteAttempt::Registered {
-            base_value,
             base_meta,
             base_lower,
             spec_meta,
         }
     }
 
-    /// Replace the speculative payload (the transaction's pending write).
-    /// Returns `false` if `me` is no longer the registered writer (it was
-    /// killed and its speculative version discarded).
+    /// Replace the speculative payload (a re-write of an object the
+    /// transaction already registered on). Returns `false` if `me` is no
+    /// longer the registered writer (it was killed and its speculative
+    /// version discarded).
     pub fn set_spec_value(&self, me_id: u64, value: Arc<T>) -> bool {
         let mut inner = self.inner.write();
         match &mut inner.spec {
@@ -336,8 +371,9 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     ///
     /// Tail pruning retires **eagerly at commit** — the committer folds its
     /// own write (`finalize_cleanup` → `fold_resolved`), so reclamation does
-    /// not depend on a future accessor happening to touch this object. Two
-    /// policies prune:
+    /// not depend on a future accessor happening to touch this object. The
+    /// folding thread's (synced) share of the domain supplies the watermark
+    /// and takes the retired nodes. Two policies prune:
     ///
     /// * the `max_versions` hard ceiling (always), and
     /// * the minimum-active-snapshot watermark (when enabled): a tail
@@ -345,7 +381,7 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     ///   by every registered snapshot (each active lower bound `s` has
     ///   `s ≽ w`, so `u ≽ s` would give `u ≽ w` by transitivity,
     ///   contradicting `w ≿ u`) and is retired into the arena.
-    fn fold_locked(&self, inner: &mut ObjInner<T, Ts>) {
+    fn fold_locked(&self, inner: &mut ObjInner<T, Ts>, mut reclaim: Option<&mut LocalReclaim<Ts>>) {
         let resolved = match &inner.spec {
             Some(spec) => spec.writer.status().is_final(),
             None => false,
@@ -372,7 +408,7 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                     value: spec.value,
                     meta: spec.meta,
                 });
-                if let Some(r) = &self.reclaim {
+                if let Some(r) = &reclaim {
                     r.note_live();
                 }
                 while inner.committed.len() > self.max_versions {
@@ -381,28 +417,23 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                     // readers that still hold the meta keep the full range.
                     let pruned = inner.committed.pop_back().expect("len checked");
                     debug_assert!(pruned.meta.upper().is_some());
-                    if let Some(r) = &self.reclaim {
+                    if let Some(r) = &mut reclaim {
                         r.retire(pruned.meta);
                     }
                 }
-                if self.wm_prune {
-                    if let Some(r) = &self.reclaim {
-                        if let Some(w) = r.watermark() {
-                            while inner.committed.len() > 1 {
-                                let tail_upper =
-                                    inner.committed.back().expect("len > 1").meta.upper();
-                                match tail_upper {
-                                    Some(u) if w.possibly_later(u) => {
-                                        let pruned =
-                                            inner.committed.pop_back().expect("len checked");
-                                        r.retire(pruned.meta);
-                                    }
-                                    // The tail still overlaps `[w, ∞)`: some
-                                    // registered snapshot may read it (and
-                                    // everything newer), stop.
-                                    _ => break,
-                                }
+                let watermark = reclaim.as_ref().and_then(|r| r.watermark());
+                if let (true, Some(r), Some(w)) = (self.wm_prune, reclaim, watermark) {
+                    while inner.committed.len() > 1 {
+                        let tail_upper = inner.committed.back().expect("len > 1").meta.upper();
+                        match tail_upper {
+                            Some(u) if w.possibly_later(u) => {
+                                let pruned = inner.committed.pop_back().expect("len checked");
+                                r.retire(pruned.meta);
                             }
+                            // The tail still overlaps `[w, ∞)`: some
+                            // registered snapshot may read it (and
+                            // everything newer), stop.
+                            _ => break,
                         }
                     }
                 }
@@ -426,9 +457,17 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> AnyObject<Ts> for TObject<T, Ts> {
             .map(|s| Arc::clone(&s.writer))
     }
 
-    fn fold_resolved(&self) {
+    fn fold_resolved(&self, local: Option<&mut LocalReclaim<Ts>>) {
+        // Writers fold their own commits, so outside a handle there is
+        // rarely anything to do: look before setting up a detached share.
+        let spec_resolved = |spec: &Spec<T, Ts>| spec.writer.status().is_final();
+        if local.is_none() && !self.inner.read().spec.as_ref().is_some_and(spec_resolved) {
+            return;
+        }
+        let mut detached = None;
+        let reclaim = self.reclaimer(local, &mut detached);
         let mut inner = self.inner.write();
-        self.fold_locked(&mut inner);
+        self.fold_locked(&mut inner, reclaim);
     }
 }
 
@@ -509,6 +548,11 @@ mod tests {
         Arc::new(TxnShared::new(id))
     }
 
+    /// Register `t` on `o` with `value` as its payload, outside any handle.
+    fn write(o: &TObject<i64, u64>, t: &Arc<TxnShared<u64>>, value: i64) -> WriteAttempt<u64> {
+        o.try_write(t, &mut Some(Arc::new(value)), None)
+    }
+
     #[test]
     fn fresh_object_serves_initial_version() {
         let o = obj(4);
@@ -525,7 +569,7 @@ mod tests {
     fn write_commit_fold_produces_new_version() {
         let o = obj(4);
         let t = txn(100);
-        let spec_meta = match o.try_write(&t) {
+        let spec_meta = match write(&o, &t, 42) {
             WriteAttempt::Registered {
                 spec_meta,
                 base_lower,
@@ -536,11 +580,10 @@ mod tests {
             }
             _ => panic!("expected Registered"),
         };
-        assert!(o.set_spec_value(t.id(), Arc::new(42)));
         t.transition(TxnStatus::Active, TxnStatus::Committing);
         t.set_ct(7);
         t.transition(TxnStatus::Committing, TxnStatus::Committed);
-        o.fold_resolved();
+        o.fold_resolved(None);
         assert_eq!(spec_meta.lower(), Some(7));
         assert_eq!(*o.snapshot_latest(), 42);
         assert_eq!(o.version_count(), 2);
@@ -563,10 +606,12 @@ mod tests {
     fn aborted_writer_is_discarded() {
         let o = obj(4);
         let t = txn(100);
-        assert!(matches!(o.try_write(&t), WriteAttempt::Registered { .. }));
-        o.set_spec_value(t.id(), Arc::new(999));
+        assert!(matches!(
+            write(&o, &t, 999),
+            WriteAttempt::Registered { .. }
+        ));
         t.transition(TxnStatus::Active, TxnStatus::Aborted);
-        o.fold_resolved();
+        o.fold_resolved(None);
         assert_eq!(*o.snapshot_latest(), 10, "write discarded");
         assert_eq!(o.version_count(), 1);
         assert!(o.current_writer().is_none());
@@ -577,22 +622,60 @@ mod tests {
         let o = obj(4);
         let t1 = txn(1);
         let t2 = txn(2);
-        assert!(matches!(o.try_write(&t1), WriteAttempt::Registered { .. }));
-        match o.try_write(&t2) {
+        assert!(matches!(write(&o, &t1, 0), WriteAttempt::Registered { .. }));
+        match write(&o, &t2, 0) {
             WriteAttempt::Conflict(w) => assert_eq!(w.id(), 1),
             _ => panic!("expected Conflict"),
         }
-        assert!(matches!(o.try_write(&t1), WriteAttempt::AlreadyWriter));
+        assert!(matches!(write(&o, &t1, 0), WriteAttempt::AlreadyWriter));
+    }
+
+    #[test]
+    fn the_payload_is_taken_exactly_when_the_writer_ends_up_registered() {
+        let o = obj(4);
+        let (t1, t2) = (txn(1), txn(2));
+        let mut first = Some(Arc::new(11));
+        assert!(matches!(
+            o.try_write(&t1, &mut first, None),
+            WriteAttempt::Registered { .. }
+        ));
+        assert!(first.is_none());
+        assert_eq!(*o.read_spec_value(t1.id()).unwrap(), 11, "installed");
+
+        // Turned away by an active writer, then by a committing one: the
+        // payload stays with the caller for its retry.
+        let mut blocked = Some(Arc::new(22));
+        assert!(matches!(
+            o.try_write(&t2, &mut blocked, None),
+            WriteAttempt::Conflict(_)
+        ));
+        t1.transition(TxnStatus::Active, TxnStatus::Committing);
+        assert!(matches!(
+            o.try_write(&t2, &mut blocked, None),
+            WriteAttempt::NeedHelp(_)
+        ));
+        assert_eq!(blocked.as_deref(), Some(&22));
+        assert_eq!(*o.read_spec_value(t1.id()).unwrap(), 11, "untouched");
+
+        t1.set_ct(7);
+        t1.transition(TxnStatus::Committing, TxnStatus::Committed);
+        assert!(matches!(
+            o.try_write(&t2, &mut blocked, None),
+            WriteAttempt::Registered { .. }
+        ));
+        assert!(blocked.is_none());
+        assert_eq!(*o.snapshot_latest(), 11, "t1's fold, not t2's payload");
+        assert_eq!(*o.read_spec_value(t2.id()).unwrap(), 22);
     }
 
     #[test]
     fn committing_writer_asks_for_help() {
         let o = obj(4);
         let t1 = txn(1);
-        assert!(matches!(o.try_write(&t1), WriteAttempt::Registered { .. }));
+        assert!(matches!(write(&o, &t1, 0), WriteAttempt::Registered { .. }));
         t1.transition(TxnStatus::Active, TxnStatus::Committing);
         let t2 = txn(2);
-        assert!(matches!(o.try_write(&t2), WriteAttempt::NeedHelp(_)));
+        assert!(matches!(write(&o, &t2, 0), WriteAttempt::NeedHelp(_)));
         // No commit time is published yet: the read must not come back
         // `Found` with "latest, fallback `t` is sound" evidence — the
         // writer may already hold a commit time below the reader's `t` —
@@ -608,7 +691,7 @@ mod tests {
     fn found_carries_the_upper_bound_evidence() {
         let o = obj(4);
         let t1 = txn(1);
-        assert!(matches!(o.try_write(&t1), WriteAttempt::Registered { .. }));
+        assert!(matches!(write(&o, &t1, 0), WriteAttempt::Registered { .. }));
         // Latest version beside an Active writer: no bound, the caller's
         // fallback applies.
         match o.try_read(&ValidityRange::from(0u64)) {
@@ -624,7 +707,7 @@ mod tests {
             o.try_read(&ValidityRange::bounded(0u64, 3)),
             ReadAttempt::NeedFold
         ));
-        o.fold_resolved();
+        o.fold_resolved(None);
         match o.try_read(&ValidityRange::bounded(0u64, 3)) {
             ReadAttempt::Found { upper, lower, .. } => {
                 assert_eq!((lower, upper), (0, Some(6)), "fixed at CT − 1");
@@ -641,8 +724,10 @@ mod tests {
     fn reader_ignores_active_writer() {
         let o = obj(4);
         let t1 = txn(1);
-        assert!(matches!(o.try_write(&t1), WriteAttempt::Registered { .. }));
-        o.set_spec_value(t1.id(), Arc::new(77));
+        assert!(matches!(
+            write(&o, &t1, 77),
+            WriteAttempt::Registered { .. }
+        ));
         match o.try_read(&ValidityRange::from(0u64)) {
             ReadAttempt::Found { value, .. } => assert_eq!(*value, 10),
             _ => panic!("reader must see committed version"),
@@ -654,12 +739,14 @@ mod tests {
         let o = obj(2);
         for (i, ct) in [(1u64, 10u64), (2, 20), (3, 30), (4, 40)] {
             let t = txn(i);
-            assert!(matches!(o.try_write(&t), WriteAttempt::Registered { .. }));
-            o.set_spec_value(t.id(), Arc::new(i as i64));
+            assert!(matches!(
+                write(&o, &t, i as i64),
+                WriteAttempt::Registered { .. }
+            ));
             t.transition(TxnStatus::Active, TxnStatus::Committing);
             t.set_ct(ct);
             t.transition(TxnStatus::Committing, TxnStatus::Committed);
-            o.fold_resolved();
+            o.fold_resolved(None);
         }
         assert_eq!(o.version_count(), 2);
         assert_eq!(*o.snapshot_latest(), 4);
@@ -674,12 +761,11 @@ mod tests {
     fn single_version_mode_keeps_only_latest() {
         let o = obj(1);
         let t = txn(1);
-        assert!(matches!(o.try_write(&t), WriteAttempt::Registered { .. }));
-        o.set_spec_value(t.id(), Arc::new(5));
+        assert!(matches!(write(&o, &t, 5), WriteAttempt::Registered { .. }));
         t.transition(TxnStatus::Active, TxnStatus::Committing);
         t.set_ct(100);
         t.transition(TxnStatus::Committing, TxnStatus::Committed);
-        o.fold_resolved();
+        o.fold_resolved(None);
         assert_eq!(o.version_count(), 1);
         // Reads in the past fail: TL2-like behaviour (§1.2).
         assert!(matches!(
@@ -692,8 +778,10 @@ mod tests {
     fn read_own_write_roundtrip() {
         let o = obj(4);
         let t = txn(9);
-        assert!(matches!(o.try_write(&t), WriteAttempt::Registered { .. }));
-        assert!(o.set_spec_value(t.id(), Arc::new(1234)));
+        assert!(matches!(
+            write(&o, &t, 1234),
+            WriteAttempt::Registered { .. }
+        ));
         assert_eq!(*o.read_spec_value(t.id()).unwrap(), 1234);
         assert!(
             o.read_spec_value(555).is_none(),
@@ -701,33 +789,28 @@ mod tests {
         );
     }
 
-    type ReclaimedObj = (
-        Arc<crate::reclaim::SnapshotRegistry<u64>>,
-        Arc<ReclaimDomain<u64>>,
-        TObject<i64, u64>,
-    );
-
-    fn reclaimed_obj(max_versions: usize, wm_prune: bool) -> ReclaimedObj {
-        let reg = Arc::new(crate::reclaim::SnapshotRegistry::new());
-        let dom = Arc::new(ReclaimDomain::new(Arc::clone(&reg)));
+    fn reclaimed_obj(
+        max_versions: usize,
+        wm_prune: bool,
+    ) -> (Arc<ReclaimDomain<u64>>, TObject<i64, u64>) {
+        let dom = Arc::new(ReclaimDomain::new());
         let o = TObject::with_reclaim(1, 10, 0, max_versions, Arc::clone(&dom), wm_prune);
-        (reg, dom, o)
+        (dom, o)
     }
 
     fn commit_write(o: &TObject<i64, u64>, id: u64, val: i64, ct: u64) {
         let t = txn(id);
-        assert!(matches!(o.try_write(&t), WriteAttempt::Registered { .. }));
-        assert!(o.set_spec_value(t.id(), Arc::new(val)));
+        assert!(matches!(write(o, &t, val), WriteAttempt::Registered { .. }));
         t.transition(TxnStatus::Active, TxnStatus::Committing);
         t.set_ct(ct);
         t.transition(TxnStatus::Committing, TxnStatus::Committed);
-        o.fold_resolved();
+        o.fold_resolved(None);
     }
 
     #[test]
     fn watermark_prunes_exactly_below_min_active_snapshot() {
-        let (reg, dom, o) = reclaimed_obj(usize::MAX, true);
-        let slot = reg.register();
+        let (dom, o) = reclaimed_obj(usize::MAX, true);
+        let slot = dom.registry().register();
         slot.activate(25); // a long reader pinned at 25
         dom.advance(100); // watermark = 25
         for (i, ct) in [(1u64, 10u64), (2, 20), (3, 30), (4, 40)] {
@@ -752,8 +835,8 @@ mod tests {
 
     #[test]
     fn watermark_pruning_can_be_disabled() {
-        let (reg, dom, o) = reclaimed_obj(usize::MAX, false);
-        let _idle = reg.register();
+        let (dom, o) = reclaimed_obj(usize::MAX, false);
+        let _idle = dom.registry().register();
         dom.advance(1_000);
         for (i, ct) in [(1u64, 10u64), (2, 20), (3, 30)] {
             commit_write(&o, i, i as i64, ct);
@@ -763,7 +846,7 @@ mod tests {
 
     #[test]
     fn commit_path_retires_eagerly_into_the_arena() {
-        let (_reg, dom, o) = reclaimed_obj(1, false);
+        let (dom, o) = reclaimed_obj(1, false);
         commit_write(&o, 1, 1, 10);
         commit_write(&o, 2, 2, 20);
         let s = dom.stats();
@@ -780,12 +863,12 @@ mod tests {
     fn killed_writer_loses_spec_slot() {
         let o = obj(4);
         let t1 = txn(1);
-        assert!(matches!(o.try_write(&t1), WriteAttempt::Registered { .. }));
+        assert!(matches!(write(&o, &t1, 0), WriteAttempt::Registered { .. }));
         // t1 gets killed by a contention manager.
         t1.transition(TxnStatus::Active, TxnStatus::Aborted);
         // Another writer takes over (fold happens inside try_write).
         let t2 = txn(2);
-        assert!(matches!(o.try_write(&t2), WriteAttempt::Registered { .. }));
+        assert!(matches!(write(&o, &t2, 0), WriteAttempt::Registered { .. }));
         assert!(!o.set_spec_value(t1.id(), Arc::new(0)), "t1 lost the slot");
         assert!(o.read_spec_value(t1.id()).is_none());
     }

@@ -29,6 +29,31 @@
 //! transaction read an earlier start time but *before* it published it —
 //! and the stale watermark would overshoot that transaction's snapshot.
 //!
+//! ## What a commit touches
+//!
+//! Everything a fold needs from this module comes out of the folding
+//! thread's own [`LocalReclaim`] — its share of the domain, owned by its
+//! handle: a gauge shard only it writes, the version-node pool, and a copy
+//! of the watermark. The one domain word a commit *reads* is the `epoch`,
+//! on a cache line of its own that is written only by an advance (once per
+//! `wm_advance_interval` commits per thread). Two disjoint commits therefore
+//! write no common line in here; the time base stays the only one they
+//! share, which is the paper's premise.
+//!
+//! The cached watermark is re-read whenever the epoch has moved, and every
+//! install bumps the epoch *after* storing the watermark. A fold syncs
+//! before it prunes, so it prunes against the watermark of the newest epoch
+//! it can observe — exactly what reading the domain's lock at that point
+//! returned. (A copy that lags is harmless in any case: watermarks only
+//! grow, an older one prunes less.)
+//!
+//! Gauges are sharded the way `lsa-obs` counters are: written privately,
+//! merged only by [`ReclaimDomain::stats`]. A shard outlives its owner and
+//! is handed to the next registrant, so totals are exact once writers have
+//! stopped and every monotone counter is monotone while they run; `live`
+//! is a sum of per-shard deltas read one after the other and may be off by
+//! the folds in flight during the scan.
+//!
 //! ## Why pruning is safe, and what reuse needs
 //!
 //! Pruning never breaks opacity: readers keep `Arc<VersionMeta>` in their
@@ -48,18 +73,20 @@
 //! again only after the watermark has advanced past that epoch, so even the
 //! *timing* of reuse is tied to snapshot progress. See DESIGN.md §11.
 
-use crate::alloc::next_alloc_key;
 use crate::version::VersionMeta;
 use lsa_time::Timestamp;
 use parking_lot::{Mutex, RwLock};
-use std::any::Any;
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Maximum recycled version nodes cached per thread per arena.
-const POOL_CAP: usize = 64;
+/// Maximum recycled version nodes cached per [`LocalReclaim`]. A node waits
+/// out the epoch it was retired in, so around an advance the pool carries
+/// two epochs' worth — the one being handed out and the one filling up.
+/// 128 is that for two-write commits at the default advance interval;
+/// smaller, and the burst of retirements a fresh watermark releases spills
+/// to the allocator every other epoch.
+const POOL_CAP: usize = 128;
 
 #[derive(Debug)]
 struct SlotState<Ts: Timestamp> {
@@ -77,8 +104,10 @@ struct SlotState<Ts: Timestamp> {
 ///
 /// Written only by the owning thread (begin/finish), read by whichever
 /// thread happens to advance the watermark — an uncontended mutex in the
-/// common case, never a shared read-modify-write on the transaction path.
+/// common case, never a shared read-modify-write on the transaction path
+/// (hence the alignment: two threads' slots never share a cache line).
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct SnapshotSlot<Ts: Timestamp> {
     state: Mutex<SlotState<Ts>>,
 }
@@ -137,9 +166,9 @@ impl<Ts: Timestamp> SnapshotSlot<Ts> {
     }
 }
 
-/// The registry of [`SnapshotSlot`]s for one runtime (shared by all shards
-/// of a `ShardedStm` — a transaction has one snapshot lower bound no matter
-/// how many shards it touches).
+/// The registry of [`SnapshotSlot`]s for one runtime (a transaction has one
+/// snapshot lower bound no matter how many shards of a `ShardedStm` it
+/// touches).
 #[derive(Debug)]
 pub struct SnapshotRegistry<Ts: Timestamp> {
     slots: RwLock<Vec<Arc<SnapshotSlot<Ts>>>>,
@@ -197,146 +226,42 @@ impl<Ts: Timestamp> SnapshotRegistry<Ts> {
     }
 }
 
-/// One pooled node: (retirement epoch stamp, type-erased
-/// `Arc<VersionMeta<Ts>>`).
-type PooledNode = (u64, Box<dyn Any>);
-
-thread_local! {
-    /// Per-thread recycled-node pools: arena key → epoch-stamped nodes.
-    /// Nodes are type-erased because thread-local storage cannot be
-    /// generic; each arena key only ever sees one concrete `Ts`.
-    static POOLS: RefCell<HashMap<u64, VecDeque<PooledNode>>> =
-        RefCell::new(HashMap::new());
-}
-
-/// Arena counters and the thread-cached free lists for version metadata
-/// nodes — the `BlockAlloc` pattern (one shared line touched rarely, all
-/// fast-path traffic thread-local) applied to version reclamation.
-#[derive(Debug)]
-struct VersionArena<Ts: Timestamp> {
-    /// Identity of this arena in the thread-local pool maps (same key space
-    /// as [`crate::alloc::BlockAlloc`]).
-    key: u64,
-    /// Reuse epoch: bumped by every watermark advance; a pooled node is
-    /// handed out again only when the current epoch is strictly past its
-    /// retirement stamp.
-    epoch: AtomicU64,
-    /// Committed versions currently linked into some object chain. Signed:
-    /// relaxed global counting may transiently dip below zero between a
-    /// concurrent retire and the matching link.
+/// One owner's share of a domain's version counters, on cache lines of its
+/// own. Only the owner — the [`LocalReclaim`] that claimed it — writes, so
+/// an update is a plain load and store; [`ReclaimDomain::stats`] sums the
+/// shards. Counts stay when the owner goes and the next claimant adds to
+/// them.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct GaugeShard {
+    /// Held by a live [`LocalReclaim`]. Release on drop, acquire on claim:
+    /// the hand-over that lets successive owners use plain stores.
+    claimed: AtomicBool,
+    /// Versions linked into chains minus versions unlinked, by this owner.
+    /// Signed: one owner may unlink what another linked.
     live: AtomicI64,
-    /// Versions unlinked from chains over the arena's lifetime.
-    retired: AtomicU64,
-    /// Retired versions actually released (dropped) or recycled; the
-    /// difference `retired - reclaimed` is sitting in thread-local pools.
-    reclaimed: AtomicU64,
-    /// Nodes currently cached in thread-local pools.
+    /// Versions unlinked from chains.
+    retired: AtomicI64,
+    /// Retired versions released (dropped) or recycled; the difference
+    /// `retired - reclaimed` is sitting in the owner's pool.
+    reclaimed: AtomicI64,
+    /// Nodes currently in the owner's pool.
     pooled: AtomicI64,
     /// Retired nodes that were later handed out again (diagnostic).
-    recycled: AtomicU64,
-    _ts: std::marker::PhantomData<fn() -> Ts>,
+    recycled: AtomicI64,
 }
 
-impl<Ts: Timestamp> VersionArena<Ts> {
-    fn new() -> Self {
-        VersionArena {
-            key: next_alloc_key(),
-            epoch: AtomicU64::new(1),
-            live: AtomicI64::new(0),
-            retired: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
-            pooled: AtomicI64::new(0),
-            recycled: AtomicU64::new(0),
-            _ts: std::marker::PhantomData,
-        }
-    }
-
-    /// Metadata for a new speculative version, recycled from the calling
-    /// thread's pool when an epoch-expired node is available.
-    fn alloc_meta(&self) -> Arc<VersionMeta<Ts>> {
-        let epoch_now = self.epoch.load(Ordering::Acquire);
-        let node = POOLS.with(|p| {
-            let mut pools = p.borrow_mut();
-            let pool = pools.get_mut(&self.key)?;
-            // Oldest stamp first: if even the front is too fresh, so is the
-            // rest of the queue.
-            let (stamp, _) = pool.front()?;
-            if *stamp >= epoch_now {
-                return None;
-            }
-            Some(pool.pop_front().expect("front() was Some").1)
-        });
-        match node {
-            Some(boxed) => {
-                self.pooled.fetch_sub(1, Ordering::Relaxed);
-                self.reclaimed.fetch_add(1, Ordering::Relaxed);
-                self.recycled.fetch_add(1, Ordering::Relaxed);
-                let mut meta = boxed
-                    .downcast::<Arc<VersionMeta<Ts>>>()
-                    .expect("arena pools are homogeneous per key");
-                Arc::get_mut(&mut meta)
-                    .expect("pooled nodes hold the only reference")
-                    .reset();
-                *meta
-            }
-            None => Arc::new(VersionMeta::speculative()),
-        }
-    }
-
-    /// A version was linked into a chain.
-    fn note_live(&self) {
-        self.live.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A version was unlinked from its chain. Pools the node for reuse when
-    /// the chain held the last reference (the uniqueness proof that makes
-    /// recycling safe); otherwise the surviving readers' `Arc` frees it.
-    fn retire(&self, mut meta: Arc<VersionMeta<Ts>>) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        self.retired.fetch_add(1, Ordering::Relaxed);
-        if Arc::get_mut(&mut meta).is_none() {
-            // Shared with a read set: never pooled, dropped by the last
-            // reader. Counted as reclaimed — the arena releases its claim.
-            self.reclaimed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let stamp = self.epoch.load(Ordering::Acquire);
-        let overflow = POOLS.with(move |p| {
-            let mut pools = p.borrow_mut();
-            let pool = pools.entry(self.key).or_default();
-            if pool.len() >= POOL_CAP {
-                Some(meta)
-            } else {
-                pool.push_back((stamp, Box::new(meta) as Box<dyn Any>));
-                None
-            }
-        });
-        if overflow.is_some() {
-            self.reclaimed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.pooled.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drop every node the calling thread has pooled for this arena
-    /// (tests / teardown accounting).
-    fn flush_local(&self) {
-        let n = POOLS.with(|p| {
-            p.borrow_mut()
-                .get_mut(&self.key)
-                .map(|pool| pool.drain(..).count())
-                .unwrap_or(0)
-        });
-        if n > 0 {
-            self.pooled.fetch_sub(n as i64, Ordering::Relaxed);
-            self.reclaimed.fetch_add(n as u64, Ordering::Relaxed);
-        }
-    }
-
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-    }
+/// `counter += delta`, by the shard's one writer.
+#[inline]
+fn bump(counter: &AtomicI64, delta: i64) {
+    counter.store(counter.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
 }
+
+/// The reuse epoch, alone on its line: every commit reads it, only an
+/// advance writes it.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Epoch(AtomicU64);
 
 /// A snapshot of a [`ReclaimDomain`]'s gauges and counters — the native
 /// (engine-internal) form of `lsa_engine::MemoryStats`.
@@ -347,9 +272,9 @@ pub struct ReclaimStats {
     /// Versions unlinked from chains over the domain's lifetime.
     pub versions_retired: u64,
     /// Retired versions released or recycled (`retired - reclaimed` nodes
-    /// sit in thread-local pools).
+    /// sit in per-handle pools).
     pub versions_reclaimed: u64,
-    /// Nodes cached in thread-local pools right now.
+    /// Nodes cached in per-handle pools right now.
     pub versions_pooled: u64,
     /// Retired nodes handed out again by the arena.
     pub versions_recycled: u64,
@@ -363,98 +288,113 @@ pub struct ReclaimStats {
     pub advances: u64,
 }
 
-/// One reclamation domain: the snapshot registry (possibly shared with
-/// sibling domains), the cached watermark, and the version arena. The
-/// unsharded runtime owns one domain; `ShardedStm` owns one per shard, all
-/// fed by a single registry, so fold-time watermark reads stay shard-local
-/// instead of converging on one global line.
+/// One runtime's reclamation domain: the snapshot registry, the watermark
+/// and the gauge shards of the version arena. Both runtimes own exactly one
+/// — every shard of a `ShardedStm` shares it, since fold-time watermark
+/// reads are served from each handle's copy and never reach the domain.
 #[derive(Debug)]
 pub struct ReclaimDomain<Ts: Timestamp> {
-    registry: Arc<SnapshotRegistry<Ts>>,
-    /// Cached watermark: `None` until the first advance (prune nothing —
+    registry: SnapshotRegistry<Ts>,
+    /// Bumped by every watermark advance, after the watermark is stored: a
+    /// cached watermark is current while the epoch it was read at is, and a
+    /// pooled node is handed out again only when the epoch is strictly past
+    /// its retirement stamp.
+    epoch: Epoch,
+    /// The watermark: `None` until the first advance (prune nothing —
     /// maximally conservative).
     watermark: Mutex<Option<Ts>>,
     lag_raw: AtomicU64,
     advances: AtomicU64,
-    arena: VersionArena<Ts>,
+    /// Initial versions of the objects created on this domain (object
+    /// creation has no handle, so these are counted here).
+    seeded: AtomicU64,
+    /// Every gauge shard ever claimed; bounded by the peak number of
+    /// concurrently live [`LocalReclaim`]s.
+    shards: Mutex<Vec<Arc<GaugeShard>>>,
 }
 
 impl<Ts: Timestamp> ReclaimDomain<Ts> {
-    /// A domain drawing snapshot bounds from `registry`.
-    pub(crate) fn new(registry: Arc<SnapshotRegistry<Ts>>) -> Self {
+    /// A domain with an empty registry and no watermark yet.
+    pub(crate) fn new() -> Self {
         ReclaimDomain {
-            registry,
+            registry: SnapshotRegistry::new(),
+            epoch: Epoch(AtomicU64::new(1)),
             watermark: Mutex::new(None),
             lag_raw: AtomicU64::new(0),
             advances: AtomicU64::new(0),
-            arena: VersionArena::new(),
+            seeded: AtomicU64::new(0),
+            shards: Mutex::new(Vec::new()),
         }
     }
 
-    /// The registry feeding this domain.
-    pub(crate) fn registry(&self) -> &Arc<SnapshotRegistry<Ts>> {
+    /// The registry of snapshot slots feeding the watermark.
+    pub(crate) fn registry(&self) -> &SnapshotRegistry<Ts> {
         &self.registry
     }
 
-    /// The cached minimum-active-snapshot watermark, if one has been
-    /// computed yet.
+    /// The minimum-active-snapshot watermark, if one has been computed yet.
     pub(crate) fn watermark(&self) -> Option<Ts> {
         *self.watermark.lock()
     }
 
-    /// Recompute the watermark from the registry and install it. `now` is a
-    /// fresh reading of the advancing thread's clock: the fallback watermark
-    /// when no snapshot is active, and the reference point for the lag gauge.
-    pub(crate) fn advance(&self, now: Ts) {
-        if let Some(wm) = self.registry.min_active_or(now) {
-            self.install(wm, now);
-        }
-    }
-
-    /// Install an externally computed watermark (the sharded runtime scans
-    /// the shared registry once and installs into every shard's domain).
-    pub(crate) fn install(&self, wm: Ts, now: Ts) {
+    /// Recompute the watermark from the registry and install it; `false`
+    /// when a pending slot forbade it. `now` is a fresh reading of the
+    /// advancing thread's clock: the fallback watermark when no snapshot is
+    /// active, and the reference point for the lag gauge.
+    pub(crate) fn advance(&self, now: Ts) -> bool {
+        let Some(wm) = self.registry.min_active_or(now) else {
+            return false;
+        };
         *self.watermark.lock() = Some(wm);
         let lag = (now.raw_value() - wm.raw_value()).clamp(0, u64::MAX as i128) as u64;
         self.lag_raw.store(lag, Ordering::Relaxed);
         self.advances.fetch_add(1, Ordering::Relaxed);
-        self.arena.bump_epoch();
+        self.epoch.0.fetch_add(1, Ordering::AcqRel);
+        true
     }
 
-    /// Allocate metadata for a speculative version (recycling pooled nodes
-    /// whose retirement epoch the watermark has passed).
-    pub(crate) fn alloc_meta(&self) -> Arc<VersionMeta<Ts>> {
-        self.arena.alloc_meta()
+    /// Account the initial version of a new object.
+    pub(crate) fn note_seeded(&self) {
+        self.seeded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Account a version linked into a chain.
-    pub(crate) fn note_live(&self) {
-        self.arena.note_live();
+    /// A gauge shard nobody holds: a released one when there is one.
+    fn claim_shard(&self) -> Arc<GaugeShard> {
+        let mut shards = self.shards.lock();
+        let free = shards
+            .iter()
+            .find(|s| !s.claimed.swap(true, Ordering::Acquire));
+        if let Some(shard) = free {
+            return Arc::clone(shard);
+        }
+        let shard = Arc::new(GaugeShard::default());
+        shard.claimed.store(true, Ordering::Relaxed);
+        shards.push(Arc::clone(&shard));
+        shard
     }
 
-    /// Retire a version unlinked from a chain into the arena.
-    pub(crate) fn retire(&self, meta: Arc<VersionMeta<Ts>>) {
-        self.arena.retire(meta);
-    }
-
-    /// Drop the calling thread's pooled nodes (teardown/leak accounting).
-    pub(crate) fn flush_local(&self) {
-        self.arena.flush_local();
-    }
-
-    /// Point-in-time snapshot of the domain's counters.
+    /// Point-in-time snapshot of the domain's counters, merged over the
+    /// gauge shards.
     pub fn stats(&self) -> ReclaimStats {
-        let live = self.arena.live.load(Ordering::Relaxed).max(0) as u64;
-        let pooled = self.arena.pooled.load(Ordering::Relaxed).max(0) as u64;
+        let (mut live, mut pooled) = (self.seeded.load(Ordering::Relaxed) as i64, 0);
+        let (mut retired, mut reclaimed, mut recycled) = (0, 0, 0);
+        for s in self.shards.lock().iter() {
+            live += s.live.load(Ordering::Relaxed);
+            retired += s.retired.load(Ordering::Relaxed);
+            reclaimed += s.reclaimed.load(Ordering::Relaxed);
+            pooled += s.pooled.load(Ordering::Relaxed);
+            recycled += s.recycled.load(Ordering::Relaxed);
+        }
+        let (live, pooled) = (live.max(0) as u64, pooled.max(0) as u64);
         // Metadata node + the Arc's strong/weak counts that precede it.
         let node_bytes =
             (std::mem::size_of::<VersionMeta<Ts>>() + 2 * std::mem::size_of::<usize>()) as u64;
         ReclaimStats {
             versions_live: live,
-            versions_retired: self.arena.retired.load(Ordering::Relaxed),
-            versions_reclaimed: self.arena.reclaimed.load(Ordering::Relaxed),
+            versions_retired: retired as u64,
+            versions_reclaimed: reclaimed as u64,
             versions_pooled: pooled,
-            versions_recycled: self.arena.recycled.load(Ordering::Relaxed),
+            versions_recycled: recycled as u64,
             arena_bytes: (live + pooled) * node_bytes,
             watermark_lag: self.lag_raw.load(Ordering::Relaxed),
             advances: self.advances.load(Ordering::Relaxed),
@@ -462,19 +402,131 @@ impl<Ts: Timestamp> ReclaimDomain<Ts> {
     }
 }
 
+/// One thread's share of a [`ReclaimDomain`], owned by its handle: the gauge
+/// shard it alone writes, its pool of recycled version nodes, and its copy
+/// of the watermark — everything a fold needs, so that folding touches no
+/// domain line another thread writes (see the module docs).
+#[derive(Debug)]
+pub struct LocalReclaim<Ts: Timestamp> {
+    domain: Arc<ReclaimDomain<Ts>>,
+    gauges: Arc<GaugeShard>,
+    /// Retired nodes awaiting reuse, `(retirement epoch, node)`, oldest
+    /// first.
+    pool: VecDeque<(u64, Arc<VersionMeta<Ts>>)>,
+    /// The domain epoch `watermark` was read at.
+    epoch: u64,
+    watermark: Option<Ts>,
+}
+
+impl<Ts: Timestamp> LocalReclaim<Ts> {
+    /// A share of `domain` with an empty pool.
+    pub(crate) fn new(domain: &Arc<ReclaimDomain<Ts>>) -> Self {
+        let mut share = LocalReclaim {
+            domain: Arc::clone(domain),
+            gauges: domain.claim_shard(),
+            pool: VecDeque::new(),
+            epoch: 0, // behind every real epoch
+            watermark: None,
+        };
+        share.sync();
+        share
+    }
+
+    /// Whether this is a share of `domain`.
+    pub(crate) fn serves(&self, domain: &Arc<ReclaimDomain<Ts>>) -> bool {
+        Arc::ptr_eq(&self.domain, domain)
+    }
+
+    /// Bring the watermark copy up to the domain's current epoch. Objects
+    /// call this once before they allocate or fold.
+    pub(crate) fn sync(&mut self) {
+        let epoch = self.domain.epoch.0.load(Ordering::Acquire);
+        if epoch != self.epoch {
+            self.watermark = self.domain.watermark();
+            self.epoch = epoch;
+        }
+    }
+
+    /// The watermark as of the last [`sync`](Self::sync).
+    pub(crate) fn watermark(&self) -> Option<Ts> {
+        self.watermark
+    }
+
+    /// Advance the domain's watermark ([`ReclaimDomain::advance`]); `true`
+    /// when one was installed, which this copy then reflects.
+    pub(crate) fn advance(&mut self, now: Ts) -> bool {
+        let installed = self.domain.advance(now);
+        if installed {
+            self.sync();
+        }
+        installed
+    }
+
+    /// Metadata for a new speculative version, recycled from the pool when
+    /// a node retired before the current epoch is available.
+    pub(crate) fn alloc_meta(&mut self) -> Arc<VersionMeta<Ts>> {
+        // Oldest stamp first: if even the front is too fresh, so is the
+        // rest of the queue.
+        if !matches!(self.pool.front(), Some((stamp, _)) if *stamp < self.epoch) {
+            return Arc::new(VersionMeta::speculative());
+        }
+        let (_, mut meta) = self.pool.pop_front().expect("front() was Some");
+        bump(&self.gauges.pooled, -1);
+        bump(&self.gauges.reclaimed, 1);
+        bump(&self.gauges.recycled, 1);
+        Arc::get_mut(&mut meta)
+            .expect("pooled nodes hold the only reference")
+            .reset();
+        meta
+    }
+
+    /// A version was linked into a chain.
+    pub(crate) fn note_live(&self) {
+        bump(&self.gauges.live, 1);
+    }
+
+    /// A version was unlinked from its chain. Pools the node for reuse when
+    /// the chain held the last reference (the uniqueness proof that makes
+    /// recycling safe); otherwise the surviving readers' `Arc` frees it.
+    pub(crate) fn retire(&mut self, mut meta: Arc<VersionMeta<Ts>>) {
+        bump(&self.gauges.live, -1);
+        bump(&self.gauges.retired, 1);
+        // A node shared with a read set is never pooled: the last reader
+        // drops it. Like a node the full pool turns away, it counts as
+        // reclaimed — the arena releases its claim.
+        if Arc::get_mut(&mut meta).is_none() || self.pool.len() >= POOL_CAP {
+            bump(&self.gauges.reclaimed, 1);
+        } else {
+            self.pool.push_back((self.epoch, meta));
+            bump(&self.gauges.pooled, 1);
+        }
+    }
+}
+
+impl<Ts: Timestamp> Drop for LocalReclaim<Ts> {
+    fn drop(&mut self) {
+        // The pooled nodes are freed with the pool: account them released,
+        // so `retired == reclaimed` once every handle is gone.
+        let n = self.pool.len() as i64;
+        bump(&self.gauges.pooled, -n);
+        bump(&self.gauges.reclaimed, n);
+        self.gauges.claimed.store(false, Ordering::Release);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn domain() -> (Arc<SnapshotRegistry<u64>>, ReclaimDomain<u64>) {
-        let reg = Arc::new(SnapshotRegistry::new());
-        let dom = ReclaimDomain::new(Arc::clone(&reg));
-        (reg, dom)
+    fn domain() -> (Arc<ReclaimDomain<u64>>, LocalReclaim<u64>) {
+        let dom = Arc::new(ReclaimDomain::new());
+        let local = LocalReclaim::new(&dom);
+        (dom, local)
     }
 
     #[test]
     fn watermark_is_min_over_active_slots() {
-        let (reg, _dom) = domain();
+        let reg = SnapshotRegistry::new();
         let a = reg.register();
         let b = reg.register();
         a.activate(5);
@@ -488,20 +540,22 @@ mod tests {
 
     #[test]
     fn pending_slot_blocks_advancement() {
-        let (reg, dom) = domain();
-        let a = reg.register();
+        let (dom, mut local) = domain();
+        let a = dom.registry().register();
         a.mark_pending();
-        assert_eq!(reg.min_active_or(50), None, "pending begin must block");
-        dom.advance(50);
+        assert_eq!(dom.registry().min_active_or(50), None, "pending blocks");
+        assert!(!local.advance(50));
         assert_eq!(dom.watermark(), None, "blocked advance installs nothing");
+        assert_eq!(dom.stats().advances, 0);
         a.activate(42);
-        dom.advance(50);
+        assert!(local.advance(50));
         assert_eq!(dom.watermark(), Some(42));
+        assert_eq!(local.watermark(), Some(42), "the advancer's copy follows");
     }
 
     #[test]
     fn closed_slots_are_reused() {
-        let (reg, _dom) = domain();
+        let reg = SnapshotRegistry::<u64>::new();
         let a = reg.register();
         assert_eq!(reg.len(), 1);
         a.close();
@@ -513,7 +567,7 @@ mod tests {
 
     #[test]
     fn closed_slot_does_not_hold_watermark() {
-        let (reg, _dom) = domain();
+        let reg = SnapshotRegistry::new();
         let a = reg.register();
         a.activate(3);
         a.close();
@@ -521,21 +575,32 @@ mod tests {
     }
 
     #[test]
+    fn a_watermark_copy_is_refreshed_when_the_epoch_moves() {
+        let (dom, mut mine) = domain();
+        let mut other = LocalReclaim::new(&dom);
+        assert_eq!(mine.watermark(), None);
+        assert!(other.advance(10));
+        assert_eq!(mine.watermark(), None, "a copy, until the next sync");
+        mine.sync();
+        assert_eq!(mine.watermark(), Some(10));
+    }
+
+    #[test]
     fn arena_recycles_only_after_epoch_advance() {
-        let (_reg, dom) = domain();
-        let m = dom.alloc_meta();
+        let (dom, mut local) = domain();
+        let m = local.alloc_meta();
         m.set_lower(1);
-        dom.note_live();
-        dom.retire(m);
+        local.note_live();
+        local.retire(m);
         assert_eq!(dom.stats().versions_pooled, 1);
         // Same epoch: the pooled node is not yet eligible.
-        let fresh = dom.alloc_meta();
+        let fresh = local.alloc_meta();
         assert_eq!(dom.stats().versions_recycled, 0);
         assert_eq!(fresh.lower(), None);
         drop(fresh);
         // Advance moves the epoch past the retirement stamp.
-        dom.advance(10);
-        let recycled = dom.alloc_meta();
+        assert!(local.advance(10));
+        let recycled = local.alloc_meta();
         assert_eq!(dom.stats().versions_recycled, 1);
         assert_eq!(recycled.lower(), None, "recycled node must be reset");
         assert_eq!(dom.stats().versions_pooled, 0);
@@ -543,11 +608,11 @@ mod tests {
 
     #[test]
     fn shared_nodes_are_never_pooled() {
-        let (_reg, dom) = domain();
-        let m = dom.alloc_meta();
-        dom.note_live();
+        let (dom, mut local) = domain();
+        let m = local.alloc_meta();
+        local.note_live();
         let reader_copy = Arc::clone(&m);
-        dom.retire(m);
+        local.retire(m);
         let s = dom.stats();
         assert_eq!(s.versions_pooled, 0, "a shared node must not be pooled");
         assert_eq!(s.versions_retired, 1);
@@ -556,54 +621,63 @@ mod tests {
     }
 
     #[test]
-    fn retired_splits_into_reclaimed_plus_pooled() {
-        let (_reg, dom) = domain();
+    fn dropping_a_share_releases_and_accounts_its_pool() {
+        let (dom, mut local) = domain();
         for i in 0..10u64 {
-            let m = dom.alloc_meta();
+            let m = local.alloc_meta();
             m.set_lower(i);
-            dom.note_live();
-            dom.retire(m);
+            local.note_live();
+            local.retire(m);
         }
         let s = dom.stats();
         assert_eq!(s.versions_retired, 10);
         assert_eq!(s.versions_reclaimed + s.versions_pooled, 10);
-        dom.flush_local();
+        assert!(s.versions_pooled > 0 && s.arena_bytes > 0, "memory is held");
+        drop(local);
         let s = dom.stats();
         assert_eq!(s.versions_pooled, 0);
-        assert_eq!(
-            s.versions_reclaimed, s.versions_retired,
-            "after a flush every retired node is reclaimed"
-        );
-        assert_eq!(s.versions_live, 0);
+        assert_eq!(s.versions_reclaimed, s.versions_retired);
+        assert_eq!((s.versions_live, s.arena_bytes), (0, 0));
+    }
+
+    #[test]
+    fn gauge_shards_are_merged_and_outlive_their_owner() {
+        let (dom, mut a) = domain();
+        let mut b = LocalReclaim::new(&dom);
+        dom.note_seeded();
+        // `a` links two versions, `b` unlinks one of them: per-shard deltas
+        // of +2 and -1.
+        let (m1, m2) = (a.alloc_meta(), a.alloc_meta());
+        a.note_live();
+        a.note_live();
+        b.retire(m1);
+        assert_eq!(dom.stats().versions_live, 2, "seeded + 2 - 1");
+        drop(a);
+        drop(b);
+        assert_eq!(dom.stats().versions_live, 2, "counts stay when owners go");
+        assert_eq!(dom.stats().versions_retired, 1);
+        // The next registrants take over the released shards.
+        let mut c = LocalReclaim::new(&dom);
+        let _d = LocalReclaim::new(&dom);
+        assert_eq!(dom.shards.lock().len(), 2, "released shards are reclaimed");
+        c.retire(m2);
+        assert_eq!(dom.stats().versions_live, 1);
+        assert_eq!(dom.stats().versions_retired, 2);
     }
 
     #[test]
     fn advance_tracks_lag_and_counts() {
-        let (reg, dom) = domain();
-        let a = reg.register();
+        let (dom, mut local) = domain();
+        let a = dom.registry().register();
         a.activate(3);
-        dom.advance(10);
+        assert!(local.advance(10));
         let s = dom.stats();
         assert_eq!(dom.watermark(), Some(3));
         assert_eq!(s.watermark_lag, 7);
         assert_eq!(s.advances, 1);
         a.clear();
-        dom.advance(20);
+        assert!(local.advance(20));
         assert_eq!(dom.watermark(), Some(20));
         assert_eq!(dom.stats().watermark_lag, 0);
-    }
-
-    #[test]
-    fn arena_bytes_track_live_and_pooled() {
-        let (_reg, dom) = domain();
-        assert_eq!(dom.stats().arena_bytes, 0);
-        let m = dom.alloc_meta();
-        dom.note_live();
-        assert!(dom.stats().arena_bytes > 0);
-        dom.retire(m);
-        // Still pooled: memory is held, the gauge must say so.
-        assert!(dom.stats().arena_bytes > 0);
-        dom.flush_local();
-        assert_eq!(dom.stats().arena_bytes, 0);
     }
 }

@@ -58,7 +58,7 @@ use crate::config::StmConfig;
 use crate::error::{Abort, TxResult};
 use crate::lsa::Txn;
 use crate::object::{TObject, TVar};
-use crate::reclaim::{ReclaimDomain, ReclaimStats, SnapshotRegistry};
+use crate::reclaim::{ReclaimDomain, ReclaimStats};
 use crate::stats::TxnStats;
 use crate::stm::{next_instance, run_attempts, AttemptView, HandleCore};
 use lsa_time::sharded::{ShardedTimeBase, TouchSet};
@@ -91,14 +91,11 @@ struct ShardedInner<B: TimeBase> {
     shard_seq: Vec<BlockAlloc>,
     next_handle: BlockAlloc,
     birth_counter: BlockAlloc,
-    /// One snapshot registry for the whole runtime: a transaction has a
-    /// single snapshot lower bound no matter how many shards it touches.
-    registry: Arc<SnapshotRegistry<B::Ts>>,
-    /// Per-shard reclamation domains (watermark cache + version arena), all
-    /// fed by the shared registry. Fold-time watermark reads stay
-    /// shard-local; the advance scans the registry once and installs the
-    /// result into every shard.
-    reclaim: Vec<Arc<ReclaimDomain<B::Ts>>>,
+    /// One reclamation domain for the whole runtime: a transaction has a
+    /// single snapshot lower bound no matter how many shards it touches, and
+    /// folds read the watermark from their handle's copy, so there is no
+    /// per-shard line to keep apart ([`crate::reclaim`]).
+    reclaim: Arc<ReclaimDomain<B::Ts>>,
 }
 
 /// The sharded LSA software transactional memory runtime.
@@ -139,10 +136,6 @@ impl<B: TimeBase> ShardedStm<B> {
     /// the engine's).
     pub fn with_cm(tb: B, shards: usize, cfg: StmConfig, cm: impl ContentionManager) -> Self {
         let tb = ShardedTimeBase::new(tb, shards);
-        let registry = Arc::new(SnapshotRegistry::new());
-        let reclaim = (0..shards)
-            .map(|_| Arc::new(ReclaimDomain::new(Arc::clone(&registry))))
-            .collect();
         ShardedStm {
             inner: Arc::new(ShardedInner {
                 cfg,
@@ -152,47 +145,23 @@ impl<B: TimeBase> ShardedStm<B> {
                 shard_seq: (0..shards).map(|_| BlockAlloc::new(1, 64)).collect(),
                 next_handle: BlockAlloc::new(1, 8),
                 birth_counter: BlockAlloc::new(1, 16),
-                registry,
-                reclaim,
+                reclaim: Arc::new(ReclaimDomain::new()),
                 tb,
             }),
         }
     }
 
-    /// Point-in-time snapshot of the version-store gauges summed across all
-    /// shard domains (watermark lag and advance count report the maximum —
-    /// they are per-domain gauges, not additive).
+    /// Point-in-time snapshot of the version-store gauges (see
+    /// [`crate::stm::Stm::reclaim_stats`]).
     pub fn reclaim_stats(&self) -> ReclaimStats {
-        let mut total = ReclaimStats::default();
-        for dom in &self.inner.reclaim {
-            let s = dom.stats();
-            total.versions_live += s.versions_live;
-            total.versions_retired += s.versions_retired;
-            total.versions_reclaimed += s.versions_reclaimed;
-            total.versions_pooled += s.versions_pooled;
-            total.versions_recycled += s.versions_recycled;
-            total.arena_bytes += s.arena_bytes;
-            total.watermark_lag = total.watermark_lag.max(s.watermark_lag);
-            total.advances = total.advances.max(s.advances);
-        }
-        total
+        self.inner.reclaim.stats()
     }
 
-    /// Force a watermark advance on every shard and drop the calling
-    /// thread's pooled arena nodes — leak-accounting hook for tests and
-    /// teardown (see [`crate::stm::Stm::reclaim_quiesce`]).
+    /// Force a watermark advance (see [`crate::stm::Stm::reclaim_quiesce`]).
     #[doc(hidden)]
     pub fn reclaim_quiesce(&self) {
         let mut clock = self.inner.tb.register_thread();
-        let now = clock.get_time();
-        if let Some(wm) = self.inner.registry.min_active_or(now) {
-            for dom in &self.inner.reclaim {
-                dom.install(wm, now);
-            }
-        }
-        for dom in &self.inner.reclaim {
-            dom.flush_local();
-        }
+        self.inner.reclaim.advance(clock.get_time());
     }
 
     /// The runtime's configuration.
@@ -244,7 +213,7 @@ impl<B: TimeBase> ShardedStm<B> {
             value,
             <B::Ts as Timestamp>::origin(),
             self.inner.cfg.max_versions,
-            Arc::clone(&self.inner.reclaim[shard]),
+            Arc::clone(&self.inner.reclaim),
             self.inner.cfg.watermark_pruning,
         ))
     }
@@ -255,16 +224,13 @@ impl<B: TimeBase> ShardedStm<B> {
     }
 
     /// Register the calling thread: allocates its per-shard clocks, stats,
-    /// snapshot-registration slot and transaction scratch.
+    /// snapshot-registration slot, transaction scratch and share of the
+    /// reclamation domain.
     pub fn register(&self) -> ShardedHandle<B> {
         let clock = self.inner.tb.register_thread();
         ShardedHandle {
             touch: clock.touch_set(),
-            core: HandleCore::new(
-                self.inner.next_handle.alloc(),
-                clock,
-                self.inner.registry.register(),
-            ),
+            core: HandleCore::new(self.inner.next_handle.alloc(), clock, &self.inner.reclaim),
             stm: self.clone(),
         }
     }
@@ -325,17 +291,7 @@ impl<B: TimeBase> ShardedHandle<B> {
         if ct.is_some() && self.touch.count() >= 2 {
             self.core.stats.cross_shard_commits += 1;
         }
-        // One registry scan installed into *every* shard's domain, so
-        // shard-local fold-time watermark reads never converge on a shared
-        // line.
-        if let Some(now) = self.core.watermark_due(inner.cfg.wm_advance_interval) {
-            if let Some(wm) = inner.registry.min_active_or(now) {
-                for dom in &inner.reclaim {
-                    dom.install(wm, now);
-                }
-                self.core.stats.wm_advances += 1;
-            }
-        }
+        self.core.maintain_watermark(inner.cfg.wm_advance_interval);
         value
     }
 }

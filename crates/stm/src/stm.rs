@@ -26,7 +26,7 @@ use crate::config::StmConfig;
 use crate::error::TxResult;
 use crate::lsa::{Txn, TxnScratch};
 use crate::object::{TObject, TVar};
-use crate::reclaim::{ReclaimDomain, ReclaimStats, SnapshotRegistry, SnapshotSlot};
+use crate::reclaim::{LocalReclaim, ReclaimDomain, ReclaimStats, SnapshotSlot};
 use crate::stats::TxnStats;
 use lsa_time::{ThreadClock, TimeBase, Timestamp};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -57,7 +57,8 @@ const BIRTH_BLOCK: u64 = 16;
 
 /// What a registered thread keeps between transactions, common to
 /// [`ThreadHandle`] and [`crate::sharded::ShardedHandle`]: its clock,
-/// statistics, snapshot-registration slot and transaction scratch.
+/// statistics, snapshot-registration slot, transaction scratch and share of
+/// the reclamation domain.
 pub(crate) struct HandleCore<B: TimeBase> {
     handle_id: u64,
     txn_seq: u64,
@@ -67,20 +68,25 @@ pub(crate) struct HandleCore<B: TimeBase> {
     /// This thread's snapshot-registration slot ([`crate::reclaim`]).
     pub(crate) slot: Arc<SnapshotSlot<B::Ts>>,
     pub(crate) scratch: TxnScratch<B::Ts>,
+    /// This thread's gauge shard, version-node pool and watermark copy
+    /// ([`crate::reclaim`]); dropped with the handle, which releases and
+    /// accounts the pooled nodes.
+    pub(crate) reclaim: LocalReclaim<B::Ts>,
     /// Commits since the last watermark advance (the lazy amortization).
     commits_since_advance: u64,
 }
 
 impl<B: TimeBase> HandleCore<B> {
-    pub(crate) fn new(handle_id: u64, clock: B::Clock, slot: Arc<SnapshotSlot<B::Ts>>) -> Self {
+    pub(crate) fn new(handle_id: u64, clock: B::Clock, domain: &Arc<ReclaimDomain<B::Ts>>) -> Self {
         HandleCore {
             handle_id,
             txn_seq: 0,
             clock,
             stats: TxnStats::default(),
             last_commit_time: None,
-            slot,
+            slot: domain.registry().register(),
             scratch: TxnScratch::new(),
+            reclaim: LocalReclaim::new(domain),
             commits_since_advance: 0,
         }
     }
@@ -90,17 +96,19 @@ impl<B: TimeBase> HandleCore<B> {
         (self.handle_id << 40) | (self.txn_seq & ((1 << 40) - 1))
     }
 
-    /// Amortized watermark maintenance: every `interval` completed
-    /// transactions the thread owes a registry rescan — the lazy advance of
-    /// DESIGN.md §11, no dedicated reclamation thread. Returns the time to
-    /// advance to when one is due.
-    pub(crate) fn watermark_due(&mut self, interval: u64) -> Option<B::Ts> {
+    /// Amortized watermark maintenance, after every completed transaction:
+    /// each `interval`-th one owes a registry rescan — the lazy advance of
+    /// DESIGN.md §11, no dedicated reclamation thread. Only an advance that
+    /// installed a watermark (no pending slot blocked it) is counted.
+    pub(crate) fn maintain_watermark(&mut self, interval: u64) {
         self.commits_since_advance += 1;
         if self.commits_since_advance < interval {
-            return None;
+            return;
         }
         self.commits_since_advance = 0;
-        Some(self.clock.get_time())
+        if self.reclaim.advance(self.clock.get_time()) {
+            self.stats.wm_advances += 1;
+        }
     }
 }
 
@@ -171,8 +179,8 @@ struct StmInner<B: TimeBase> {
     next_obj: BlockAlloc,
     next_handle: BlockAlloc,
     birth_counter: BlockAlloc,
-    /// Version reclamation: the snapshot registry, the cached watermark and
-    /// the version arena ([`crate::reclaim`]).
+    /// Version reclamation: the snapshot registry, the watermark and the
+    /// version arena's gauges ([`crate::reclaim`]).
     reclaim: Arc<ReclaimDomain<B::Ts>>,
 }
 
@@ -229,7 +237,7 @@ impl<B: TimeBase> Stm<B> {
                 next_obj: BlockAlloc::new(1, OBJ_ID_BLOCK),
                 next_handle: BlockAlloc::new(1, HANDLE_ID_BLOCK),
                 birth_counter: BlockAlloc::new(1, BIRTH_BLOCK),
-                reclaim: Arc::new(ReclaimDomain::new(Arc::new(SnapshotRegistry::new()))),
+                reclaim: Arc::new(ReclaimDomain::new()),
             }),
         }
     }
@@ -240,14 +248,13 @@ impl<B: TimeBase> Stm<B> {
         self.inner.reclaim.stats()
     }
 
-    /// Force a watermark advance and drop the calling thread's pooled arena
-    /// nodes — leak-accounting hook for tests and teardown: after all
-    /// threads quiesce, `versions_retired == versions_reclaimed`.
+    /// Force a watermark advance, whatever the handles' amortization says —
+    /// hook for tests and teardown. (Pooled version nodes belong to the
+    /// handles and are released and accounted when those drop.)
     #[doc(hidden)]
     pub fn reclaim_quiesce(&self) {
         let mut clock = self.inner.tb.register_thread();
         self.inner.reclaim.advance(clock.get_time());
-        self.inner.reclaim.flush_local();
     }
 
     /// The runtime's configuration.
@@ -281,13 +288,14 @@ impl<B: TimeBase> Stm<B> {
     }
 
     /// Register the calling thread: allocates its clock handle, stats,
-    /// snapshot-registration slot and transaction scratch.
+    /// snapshot-registration slot, transaction scratch and share of the
+    /// reclamation domain.
     pub fn register(&self) -> ThreadHandle<B> {
         ThreadHandle {
             core: HandleCore::new(
                 self.inner.next_handle.alloc(),
                 self.inner.tb.register_thread(),
-                self.inner.reclaim.registry().register(),
+                &self.inner.reclaim,
             ),
             stm: self.clone(),
         }
@@ -362,10 +370,7 @@ impl<B: TimeBase> ThreadHandle<B> {
         );
         let (value, _) = run_attempts(&mut txn, max_attempts, body)?;
         drop(txn);
-        if let Some(now) = self.core.watermark_due(inner.cfg.wm_advance_interval) {
-            inner.reclaim.advance(now);
-            self.core.stats.wm_advances += 1;
-        }
+        self.core.maintain_watermark(inner.cfg.wm_advance_interval);
         Ok(value)
     }
 }
@@ -526,6 +531,29 @@ mod tests {
         assert_eq!(seen, (10, 20));
         assert_eq!(h.stats().ro_commits, 1, "the retry wrote nothing");
         assert_eq!(*x.snapshot_latest(), 10);
+    }
+
+    #[test]
+    fn a_blocked_advance_is_not_counted_and_installs_nothing() {
+        let cfg = StmConfig {
+            wm_advance_interval: 1,
+            ..StmConfig::default()
+        };
+        let stm = Stm::with_config(SharedCounter::new(), cfg);
+        let x = stm.new_tvar(0u64);
+        let mut h = stm.register();
+        // Another thread is between "begin" and "start time published".
+        let beginner = stm.inner.reclaim.registry().register();
+        beginner.mark_pending();
+        h.atomically(|tx| tx.write(&x, 1));
+        assert_eq!(h.stats().wm_advances, 0, "the advance was due, not done");
+        assert_eq!(stm.reclaim_stats().advances, 0);
+        assert_eq!(h.core.reclaim.watermark(), None);
+        beginner.clear();
+        h.atomically(|tx| tx.write(&x, 2));
+        assert_eq!(h.stats().wm_advances, 1);
+        assert_eq!(stm.reclaim_stats().advances, 1);
+        assert!(h.core.reclaim.watermark().is_some(), "the copy follows");
     }
 
     #[test]

@@ -20,22 +20,37 @@ use std::sync::{Arc, OnceLock};
 
 /// One read-set element as published for helpers: the object (for its
 /// current-writer information) and the specific version meta that was read.
-#[derive(Clone)]
 pub struct CtxEntry<Ts: Timestamp> {
     /// The object the version belongs to.
     pub obj: Arc<dyn AnyObject<Ts>>,
     /// The version's shared range metadata.
     pub meta: Arc<VersionMeta<Ts>>,
+    /// The transaction holds the write mark on `obj`: this is its own
+    /// speculative version, or a version it read there before (or when)
+    /// registering. No other transaction can supersede such a version
+    /// before this one resolves, so while its upper bound is unset,
+    /// commit-time validation decides it from the entry alone
+    /// (Algorithm 3 line 27's self case).
+    pub own: bool,
 }
 
-/// The read-set snapshot a committing transaction publishes so that helpers
-/// can run the commit-time validation loop (Algorithm 2 lines 43–48) on its
-/// behalf.
+/// The read set a committing transaction publishes so that helpers can run
+/// the commit-time validation loop (Algorithm 2 lines 43–48) on its behalf.
+/// The owner hands over the very vector it built — it does not touch it
+/// again until no helper holds the context.
 pub struct CommitCtx<Ts: Timestamp> {
     /// All `(object, version)` pairs in `T.O`, including the transaction's
     /// own speculative versions (whose `getPrelimUB` is the self-case of
     /// Algorithm 3 line 27).
     pub entries: Vec<CtxEntry<Ts>>,
+}
+
+impl<Ts: Timestamp> Default for CommitCtx<Ts> {
+    fn default() -> Self {
+        CommitCtx {
+            entries: Vec::new(),
+        }
+    }
 }
 
 /// Shared descriptor of one transaction attempt.
@@ -113,11 +128,11 @@ impl<Ts: Timestamp> TxnShared<Ts> {
         &self.cm
     }
 
-    /// Publish the read-set snapshot helpers need. Must be called *before*
+    /// Publish the read set helpers need. Must be called *before*
     /// transitioning to `Committing` so that any thread observing the
     /// `Committing` state is guaranteed to find the context.
-    pub fn publish_ctx(&self, ctx: CommitCtx<Ts>) {
-        *self.ctx.lock() = Some(Arc::new(ctx));
+    pub fn publish_ctx(&self, ctx: Arc<CommitCtx<Ts>>) {
+        *self.ctx.lock() = Some(ctx);
     }
 
     /// Fetch the published context (None if not published or already
@@ -181,9 +196,7 @@ mod tests {
     fn ctx_lifecycle() {
         let t: TxnShared<u64> = TxnShared::new(7);
         assert!(t.ctx().is_none());
-        t.publish_ctx(CommitCtx {
-            entries: Vec::new(),
-        });
+        t.publish_ctx(Arc::default());
         assert!(t.ctx().is_some());
         t.transition(TxnStatus::Active, TxnStatus::Committing);
         t.transition(TxnStatus::Committing, TxnStatus::Committed);

@@ -23,19 +23,22 @@ fn stuck_committing_writer(
     value: u64,
 ) -> Arc<TxnShared<u64>> {
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xDEAD));
-    let spec_meta = match var.object_for_tests().try_write(&writer) {
+    let mut payload = Some(Arc::new(value));
+    let spec_meta = match var
+        .object_for_tests()
+        .try_write(&writer, &mut payload, None)
+    {
         WriteAttempt::Registered { spec_meta, .. } => spec_meta,
         _ => panic!("fresh object must register"),
     };
-    assert!(var
-        .object_for_tests()
-        .set_spec_value(writer.id(), Arc::new(value)));
-    writer.publish_ctx(CommitCtx {
+    assert!(payload.is_none(), "the registration installed the payload");
+    writer.publish_ctx(Arc::new(CommitCtx {
         entries: vec![CtxEntry {
-            obj: Arc::clone(var.object_for_tests()) as Arc<dyn lsa_stm::object::AnyObject<u64>>,
+            obj: Arc::clone(var.object_for_tests()) as Arc<dyn AnyObject<u64>>,
             meta: spec_meta,
+            own: true,
         }],
-    });
+    }));
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
     let _ = stm;
     writer
@@ -129,11 +132,10 @@ fn aborted_stuck_writer_is_discarded_by_next_accessor() {
     let var = stm.new_tvar(9u64);
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xBEEF));
     assert!(matches!(
-        var.object_for_tests().try_write(&writer),
+        var.object_for_tests()
+            .try_write(&writer, &mut Some(Arc::new(666)), None),
         WriteAttempt::Registered { .. }
     ));
-    var.object_for_tests()
-        .set_spec_value(writer.id(), Arc::new(666));
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Aborted));
 
     let mut h = stm.register();
@@ -167,4 +169,148 @@ fn two_helpers_race_exactly_one_commit() {
         2,
         "initial + exactly one helped commit"
     );
+}
+
+/// A committing writer stuck like [`stuck_committing_writer`], whose read set
+/// also holds the version of `var` it read *before* registering, flagged as
+/// covered by its own write mark (`CtxEntry::own`) — what `Txn::modify`
+/// publishes. `interloper` runs between that read and the registration.
+fn stuck_read_modify_writer(
+    var: &TVar<u64, u64>,
+    flag_read_entry: bool,
+    interloper: impl FnOnce(),
+) -> Arc<TxnShared<u64>> {
+    let obj = var.object_for_tests();
+    let read_meta = match obj.try_read(&ValidityRange::from(0u64)) {
+        ReadAttempt::Found { meta, .. } => meta,
+        _ => panic!("a fresh object serves its initial version"),
+    };
+    interloper();
+    let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xFEED));
+    let spec_meta = match obj.try_write(&writer, &mut Some(Arc::new(42)), None) {
+        WriteAttempt::Registered { spec_meta, .. } => spec_meta,
+        _ => panic!("nobody else holds the mark"),
+    };
+    let entry = |meta, own| CtxEntry {
+        obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
+        meta,
+        own,
+    };
+    writer.publish_ctx(Arc::new(CommitCtx {
+        entries: vec![entry(read_meta, flag_read_entry), entry(spec_meta, true)],
+    }));
+    assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
+    writer
+}
+
+#[test]
+fn helper_takes_the_self_case_for_the_version_under_the_writers_own_mark() {
+    // The writer read `var`, then registered on it: the version it read is
+    // still the latest and only the writer itself can supersede it — Alg. 3
+    // line 27, decided from the flagged entry alone. The helper must commit
+    // it, as the owner would have.
+    let stm = Stm::new(SharedCounter::new());
+    let var = stm.new_tvar(1u64);
+    let writer = stuck_read_modify_writer(&var, true, || {});
+    let mut h = stm.register();
+    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 42);
+    assert_eq!(writer.status(), TxnStatus::Committed);
+
+    // The same read set unflagged is judged by the registered writer's
+    // commit time like anybody else's — the version ends at CT − 1 < CT.
+    let var = stm.new_tvar(1u64);
+    let writer = stuck_read_modify_writer(&var, false, || {});
+    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 1);
+    assert_eq!(writer.status(), TxnStatus::Aborted);
+}
+
+#[test]
+fn a_read_lost_to_another_committer_fails_validation_despite_the_own_mark() {
+    // Between the writer's read and its registration another transaction
+    // committed `var`: the version read has a fixed upper bound, so the
+    // self case does not apply and the helper must abort the writer.
+    let stm = Stm::new(SharedCounter::new());
+    let var = stm.new_tvar(1u64);
+    let mut other = stm.register();
+    let writer = stuck_read_modify_writer(&var, true, || {
+        other.atomically(|tx| tx.write(&var, 7));
+    });
+    let mut h = stm.register();
+    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 7);
+    assert_eq!(writer.status(), TxnStatus::Aborted);
+    assert_eq!(var.version_count(), 2, "initial + the interloper's");
+
+    // The same through the public API: the loser's open-for-write finds no
+    // snapshot that holds both its read and the version it would overwrite.
+    let mut first = true;
+    let mut loser = stm.register();
+    loser.atomically(|tx| {
+        let seen = *tx.read(&var)?;
+        if first {
+            first = false;
+            other.atomically(|otx| otx.write(&var, 8));
+        }
+        tx.write(&var, seen + 100)
+    });
+    assert_eq!(*var.snapshot_latest(), 108, "the retry read the winner's 8");
+    assert_eq!(loser.stats().total_aborts(), 1);
+}
+
+#[test]
+fn a_blocked_write_keeps_its_payload_for_the_retry() {
+    // The payload rides along with the registration. A registration that is
+    // turned away — here first by a committing writer that needs help, then
+    // by an active one the contention manager kills — must neither drop it
+    // nor install it twice.
+    let stm = Stm::with_cm(
+        SharedCounter::new(),
+        StmConfig::watermark_retention(),
+        Aggressive,
+    );
+    let var = stm.new_tvar(Arc::new(0u64));
+    let committing: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xC0));
+    let obj = var.object_for_tests();
+    let spec_meta = match obj.try_write(&committing, &mut Some(Arc::new(Arc::new(1))), None) {
+        WriteAttempt::Registered { spec_meta, .. } => spec_meta,
+        _ => panic!("fresh object must register"),
+    };
+    committing.publish_ctx(Arc::new(CommitCtx {
+        entries: vec![CtxEntry {
+            obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
+            meta: spec_meta,
+            own: true,
+        }],
+    }));
+    assert!(committing.transition(TxnStatus::Active, TxnStatus::Committing));
+
+    let payload = Arc::new(5u64);
+    let mut h = stm.register();
+    let mut enemy_registered = false;
+    h.atomically(|tx| {
+        if !enemy_registered {
+            enemy_registered = true;
+            // NeedHelp: the write helps `committing` finish, then retries.
+            tx.write(&var, Arc::clone(&payload))?;
+            return Err(tx.abort_retry());
+        }
+        tx.write(&var, Arc::clone(&payload))
+    });
+    assert_eq!(committing.status(), TxnStatus::Committed);
+
+    // Conflict: an active writer holds the mark; Aggressive kills it and the
+    // same payload registers on the next turn of the loop.
+    let active: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xAC));
+    assert!(matches!(
+        obj.try_write(&active, &mut Some(Arc::new(Arc::new(2))), None),
+        WriteAttempt::Registered { .. }
+    ));
+    h.atomically(|tx| tx.write(&var, Arc::clone(&payload)));
+    assert_eq!(active.status(), TxnStatus::Aborted);
+    assert_eq!(h.stats().conflicts, 1);
+
+    assert!(Arc::ptr_eq(&*var.snapshot_latest(), &payload));
+    // Ours, plus one per committed version holding it: the helped 1, then
+    // the payload twice. An aborted attempt's copy is gone.
+    assert_eq!(var.version_count(), 4);
+    assert_eq!(Arc::strong_count(&payload), 3);
 }

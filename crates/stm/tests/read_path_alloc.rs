@@ -3,10 +3,10 @@
 //! A handle's transaction scratch — descriptor, read set, read-value cache,
 //! write set — is owned by the handle and only ever cleared, so after
 //! warm-up a read-only transaction touches the heap not at all, and an
-//! update transaction allocates only what it publishes (its new values and
-//! the helper context). A counting `#[global_allocator]` holds that, and a
-//! panicking body proves the scratch comes back clean on the unwind path
-//! too.
+//! update transaction allocates only the values it writes: helpers are
+//! handed the read set itself, and version nodes come out of the handle's
+//! own pool. A counting `#[global_allocator]` holds that, and a panicking
+//! body proves the scratch comes back clean on the unwind path too.
 
 use lsa_stm::prelude::*;
 use lsa_time::counter::SharedCounter;
@@ -93,7 +93,7 @@ fn steady_state_read_only_transactions_do_not_allocate() {
 }
 
 #[test]
-fn update_transactions_allocate_only_what_they_publish() {
+fn update_transactions_allocate_only_the_values_they_write() {
     let stm = Stm::new(SharedCounter::new());
     let (a, b) = (stm.new_tvar(0i64), stm.new_tvar(0i64));
     let mut h = stm.register();
@@ -112,14 +112,12 @@ fn update_transactions_allocate_only_what_they_publish() {
             transfer(&mut h);
         }
     });
-    // The seed (PR 11) made 10 per transaction: the two new values, the
-    // helper context's entry vector and its `Arc`, two boxed version nodes
-    // in the arena's pool, the descriptor, and one build each of the three
-    // per-attempt collections (read set, read cache, write set). Those
-    // three are the bar; the recycled descriptor takes it to 6.
-    assert!(
-        n <= (10 - 3) * TXNS,
-        "{n} allocations in {TXNS} two-variable update transactions"
+    // Two per transaction, the `Arc`s of the two new values. The helper
+    // context, the version nodes and the descriptor are all recycled.
+    assert_eq!(
+        n,
+        2 * TXNS,
+        "allocations in {TXNS} two-variable update transactions"
     );
     assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
 }

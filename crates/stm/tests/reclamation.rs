@@ -7,17 +7,22 @@
 //!    reader that pins a snapshot and then watches an arbitrary number of
 //!    watermark advances still commits its original consistent view, with
 //!    zero aborts, on both the single-shard and the sharded engine.
-//! 2. **No leaks** — every retired version is eventually released or
-//!    recycled: after all threads quiesce, `versions_retired ==
-//!    versions_reclaimed` and nothing is left sitting in thread-local pools.
+//! 2. **No leaks, exact gauges** — every retired version is eventually
+//!    released or recycled: once the handles are dropped — no quiesce call,
+//!    a handle accounts its own pool — `versions_retired ==
+//!    versions_reclaimed` and no node is left pooled. The gauges are sharded
+//!    per handle and merged on read; they stay exact after join and
+//!    monotone under a concurrent sampler.
 //! 3. **Demand-driven retention beats fixed depth** — the acceptance demo:
 //!    a long reader that loses its history under `max_versions = 8` keeps it
 //!    (and commits abort-free) under watermark retention, while memory stays
 //!    bounded by what that one snapshot actually pins.
 
 use lsa_stm::prelude::*;
+use lsa_stm::ReclaimStats;
 use lsa_time::counter::SharedCounter;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -103,11 +108,11 @@ proptest! {
     }
 
     #[test]
-    /// Leak witness: after a randomized single-threaded workload quiesces,
-    /// every retired version has been released or recycled — nothing is
-    /// stranded in thread-local pools, and the live gauge equals what the
-    /// chains still hold.
-    fn quiesced_engine_retires_everything_it_reclaims(
+    /// Leak witness: once the handle of a randomized single-threaded
+    /// workload is dropped — without any quiesce call — every retired
+    /// version has been released or recycled, nothing is stranded in its
+    /// pool, and the live gauge equals what the chains still hold.
+    fn a_dropped_handle_leaves_nothing_pooled(
         commits in 1usize..200,
         vars in 1usize..8,
         interval in 1u64..6,
@@ -123,7 +128,9 @@ proptest! {
             let v = &tvars[i % vars];
             h.atomically(|tx| tx.modify(v, |x| x + 1));
         }
-        stm.reclaim_quiesce();
+        let s = stm.reclaim_stats();
+        prop_assert_eq!(s.versions_retired, s.versions_reclaimed + s.versions_pooled);
+        drop(h);
         let s = stm.reclaim_stats();
         prop_assert_eq!(s.versions_retired, s.versions_reclaimed);
         prop_assert_eq!(s.versions_pooled, 0);
@@ -133,11 +140,11 @@ proptest! {
 }
 
 /// Concurrent leak + bounded-memory witness: transfer transactions hammer a
-/// small variable set from several threads (no long readers), every thread
-/// quiesces before exiting, and afterwards the arena accounts for every
-/// node: retired == reclaimed, pools empty, and the live population is the
-/// chains' actual residue — orders of magnitude below the commit count an
-/// unbounded store would have accumulated.
+/// small variable set from several threads (no long readers), the threads
+/// simply exit, and afterwards the arena accounts for every node: retired ==
+/// reclaimed, pools empty, and the live population is the chains' actual
+/// residue — orders of magnitude below the commit count an unbounded store
+/// would have accumulated.
 #[test]
 fn concurrent_transfers_reclaim_without_leaks() {
     const THREADS: usize = 4;
@@ -177,20 +184,16 @@ fn concurrent_transfers_reclaim_without_leaks() {
                         assert_eq!(sum, 0, "transfer invariant torn by reclamation");
                     }
                 }
-                // Flush this thread's recycling pool before it exits so the
-                // leak accounting below can be exact.
-                stm.reclaim_quiesce();
             });
         }
     });
-    stm.reclaim_quiesce();
 
     let s = stm.reclaim_stats();
     assert_eq!(
         s.versions_retired, s.versions_reclaimed,
         "retired versions leaked: {s:?}"
     );
-    assert_eq!(s.versions_pooled, 0, "pools must be empty after quiesce");
+    assert_eq!(s.versions_pooled, 0, "no handle is left to hold a pool");
     assert!(
         s.versions_reclaimed > 0,
         "reclamation never fired — the witness tested nothing"
@@ -203,6 +206,104 @@ fn concurrent_transfers_reclaim_without_leaks() {
         total_updates
     );
 }
+
+/// Gauge witness: `THREADS` × `COMMITS` two-write commits, alternately on a
+/// thread's private variables and on shared ones, while a sampler reads the
+/// merged gauges. Mid-run no monotone counter goes backwards and `live`
+/// stays within what the chains can hold plus one fold in flight per thread;
+/// after join the gauges are exact, with the handles alive (their pools
+/// counted) and after they are dropped without a quiesce (nothing pooled).
+macro_rules! gauge_witness {
+    ($name:ident, $stm:expr) => {
+        #[test]
+        fn $name() {
+            const THREADS: usize = 4;
+            const COMMITS: usize = 3_000;
+            const VARS: usize = 4;
+
+            let stm = $stm;
+            let max_versions = stm.config().max_versions as u64;
+            let shared: Vec<_> = (0..VARS).map(|_| stm.new_tvar(0i64)).collect();
+            let private: Vec<Vec<_>> = (0..THREADS)
+                .map(|_| (0..VARS).map(|_| stm.new_tvar(0i64)).collect())
+                .collect();
+            let objects = ((THREADS + 1) * VARS) as u64;
+            let done = AtomicBool::new(false);
+
+            let (handles, samples) = std::thread::scope(|s| {
+                let sampler = s.spawn(|| {
+                    let mut prev = stm.reclaim_stats();
+                    let mut samples = 0u64;
+                    while !done.load(Ordering::Acquire) {
+                        let now: ReclaimStats = stm.reclaim_stats();
+                        assert!(now.versions_retired >= prev.versions_retired);
+                        assert!(now.versions_reclaimed >= prev.versions_reclaimed);
+                        assert!(now.versions_recycled >= prev.versions_recycled);
+                        assert!(
+                            now.versions_live <= objects * max_versions + THREADS as u64,
+                            "live gauge out of range mid-run: {now:?}"
+                        );
+                        prev = now;
+                        samples += 1;
+                    }
+                    samples
+                });
+                let workers: Vec<_> = private
+                    .iter()
+                    .map(|mine| {
+                        let (stm, shared) = (&stm, &shared);
+                        s.spawn(move || {
+                            let mut h = stm.register();
+                            for i in 0..COMMITS {
+                                let vars = if i % 2 == 0 { mine } else { shared };
+                                let (a, b) = (&vars[i % VARS], &vars[(i + 1) % VARS]);
+                                h.atomically(|tx| {
+                                    tx.modify(a, |v| v + 1)?;
+                                    tx.modify(b, |v| v - 1)
+                                });
+                            }
+                            h
+                        })
+                    })
+                    .collect();
+                let handles: Vec<_> = workers
+                    .into_iter()
+                    .map(|w| w.join().expect("worker panicked"))
+                    .collect();
+                done.store(true, Ordering::Release);
+                (handles, sampler.join().expect("sampler panicked"))
+            });
+            assert!(samples > 0);
+
+            let chains: u64 = private
+                .iter()
+                .flatten()
+                .chain(&shared)
+                .map(|v| v.version_count() as u64)
+                .sum();
+            let s = stm.reclaim_stats();
+            assert_eq!(s.versions_live, chains, "live == objects + retained");
+            assert_eq!(s.versions_retired, s.versions_reclaimed + s.versions_pooled);
+            assert!(s.versions_retired >= (THREADS * COMMITS) as u64, "{s:?}");
+            assert!(s.versions_pooled > 0 && s.versions_recycled > 0, "{s:?}");
+
+            drop(handles);
+            let s = stm.reclaim_stats();
+            assert_eq!(s.versions_pooled, 0, "dropped handles hold no pool");
+            assert_eq!(s.versions_retired, s.versions_reclaimed);
+            assert_eq!(s.versions_live, chains);
+        }
+    };
+}
+
+gauge_witness!(
+    gauges_stay_exact_on_stm,
+    Stm::with_config(SharedCounter::new(), StmConfig::default())
+);
+gauge_witness!(
+    gauges_stay_exact_on_sharded_stm,
+    ShardedStm::with_config(SharedCounter::new(), 4, StmConfig::default())
+);
 
 /// Acceptance demo: the workload the watermark exists for. A long reader
 /// pins a snapshot, 32 write-both commits land behind its back. With the

@@ -160,3 +160,33 @@ fn repeated_read_returns_the_same_arc_after_its_version_was_pruned() {
     assert_eq!(attempts, 1, "a read-only snapshot of the past commits");
     assert_eq!(reader.stats().reads, 1, "the repeated read is not an open");
 }
+
+#[test]
+fn a_fold_prunes_against_the_newest_installed_watermark() {
+    // Retention by watermark alone, and a second handle that does nearly all
+    // of the advancing: `busy` commits four times a round (one advance a
+    // round at interval 4), `hot` once (one advance every fourth round). A
+    // fold takes the watermark from its handle's copy, and the copy follows
+    // the domain's epoch — so `x`'s chain is cut back to its newest two
+    // versions by every fold, exactly as when each fold read the domain's
+    // watermark under its lock. A copy refreshed only by the handle's own
+    // advances would let the chain grow to five.
+    let cfg = StmConfig {
+        wm_advance_interval: 4,
+        ..StmConfig::watermark_retention()
+    };
+    let stm = Stm::with_config(SharedCounter::new(), cfg);
+    let (x, y) = (stm.new_tvar(0u64), stm.new_tvar(0u64));
+    let mut hot = stm.register();
+    let mut busy = stm.register();
+    for round in 0..40 {
+        for _ in 0..4 {
+            busy.atomically(|tx| tx.modify(&y, |v| v + 1));
+        }
+        hot.atomically(|tx| tx.modify(&x, |v| v + 1));
+        assert_eq!(x.version_count(), 2, "round {round}");
+    }
+    assert_eq!(y.version_count(), 5, "`busy` folds four times per advance");
+    assert_eq!(hot.stats().wm_advances, 10);
+    assert_eq!(busy.stats().wm_advances, 40);
+}
