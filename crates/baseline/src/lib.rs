@@ -23,6 +23,7 @@
 
 pub mod engine;
 pub mod norec;
+mod scratch;
 pub mod stats;
 pub mod tl2;
 pub mod validation;

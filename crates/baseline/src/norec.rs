@@ -30,11 +30,11 @@
 //! abort where byte comparison would not (a benign extra abort, never an
 //! unsound commit).
 
+use crate::scratch::Scratch;
 use crate::stats::BaselineStats;
 use crossbeam_utils::CachePadded;
 use lsa_engine::AbortClass;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -133,6 +133,7 @@ impl NorecStm {
         NorecThread {
             inner: Arc::clone(&self.inner),
             stats: BaselineStats::default(),
+            scratch: Scratch::default(),
         }
     }
 }
@@ -177,10 +178,18 @@ pub struct NorecTxn<'h> {
     /// Even sequence-lock value this transaction is currently consistent
     /// with.
     snapshot: u64,
-    reads: Vec<Box<dyn ReadCheck>>,
-    redo: Vec<Box<dyn RedoEntry>>,
-    write_ids: HashMap<u64, usize>,
-    read_cache: HashMap<u64, Arc<dyn std::any::Any + Send + Sync>>,
+    /// The thread's read set and redo log (`writes`), emptied when the
+    /// attempt ends.
+    scratch: &'h mut NorecScratch,
+}
+
+type NorecScratch = Scratch<Box<dyn ReadCheck>, Box<dyn RedoEntry>>;
+
+impl Drop for NorecTxn<'_> {
+    fn drop(&mut self) {
+        // On every way out of an attempt, a panicking body's unwind too.
+        self.scratch.recycle();
+    }
 }
 
 /// Spin until the sequence lock is even (no write-back in progress) and
@@ -215,8 +224,8 @@ impl NorecTxn<'_> {
         loop {
             let t = wait_even(self.seqlock);
             self.stats.validations += 1;
-            self.stats.validated_entries += self.reads.len() as u64;
-            if !self.reads.iter().all(|r| r.still_same()) {
+            self.stats.validated_entries += self.scratch.reads.len() as u64;
+            if !self.scratch.reads.iter().all(|r| r.still_same()) {
                 self.stats.revalidation_failures += 1;
                 return Err(NorecAbort::Invalidated);
             }
@@ -232,14 +241,8 @@ impl NorecTxn<'_> {
     /// memory, revalidating the read set whenever the global clock moved.
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &NorecVar<T>) -> NorecResult<Arc<T>> {
         self.stats.reads += 1;
-        if self.write_ids.contains_key(&var.id) {
-            if let Some(pending) = self.read_cache.get(&(var.id | (1 << 63))) {
-                return Ok(Arc::clone(pending).downcast::<T>().expect("stable type"));
-            }
-            unreachable!("pending write always cached");
-        }
-        if let Some(cached) = self.read_cache.get(&var.id) {
-            return Ok(Arc::clone(cached).downcast::<T>().expect("stable type"));
+        if let Some(known) = self.scratch.known(var.id) {
+            return Ok(known);
         }
         let value = loop {
             let value = Arc::clone(&var.inner.data.read());
@@ -250,14 +253,11 @@ impl NorecTxn<'_> {
             // adopt the new clock, and re-read this location.
             self.snapshot = self.validate()?;
         };
-        self.reads.push(Box::new(TypedCheck {
+        self.scratch.reads.push(Box::new(TypedCheck {
             inner: Arc::clone(&var.inner),
             seen: Arc::clone(&value),
         }));
-        self.read_cache.insert(
-            var.id,
-            Arc::clone(&value) as Arc<dyn std::any::Any + Send + Sync>,
-        );
+        self.scratch.note_read(var.id, &value);
         Ok(value)
     }
 
@@ -269,21 +269,11 @@ impl NorecTxn<'_> {
     ) -> NorecResult<()> {
         self.stats.writes += 1;
         let pending = Arc::new(value);
-        self.read_cache.insert(
-            var.id | (1 << 63),
-            Arc::clone(&pending) as Arc<dyn std::any::Any + Send + Sync>,
-        );
-        let entry = TypedRedo {
+        let entry = Box::new(TypedRedo {
             inner: Arc::clone(&var.inner),
-            pending,
-        };
-        match self.write_ids.get(&var.id) {
-            Some(&idx) => self.redo[idx] = Box::new(entry),
-            None => {
-                self.write_ids.insert(var.id, self.redo.len());
-                self.redo.push(Box::new(entry));
-            }
-        }
+            pending: Arc::clone(&pending),
+        });
+        self.scratch.buffer_write(var.id, &pending, entry);
         Ok(())
     }
 
@@ -297,8 +287,8 @@ impl NorecTxn<'_> {
         self.write(var, f(&cur))
     }
 
-    fn commit(mut self) -> NorecResult<()> {
-        if self.redo.is_empty() {
+    fn commit(&mut self) -> NorecResult<()> {
+        if self.scratch.writes.is_empty() {
             // Read-only: every read was validated against the snapshot at
             // read time, so the read set is a consistent snapshot already —
             // commit without touching shared state (NOrec's headline
@@ -329,7 +319,7 @@ impl NorecTxn<'_> {
         }
         // Sequence lock held (odd): write back the redo log, then release,
         // publishing a new even clock.
-        for w in &self.redo {
+        for w in &self.scratch.writes {
             w.write_back();
         }
         self.seqlock.store(self.snapshot + 2, Ordering::Release);
@@ -342,6 +332,7 @@ impl NorecTxn<'_> {
 pub struct NorecThread {
     inner: Arc<NorecInner>,
     stats: BaselineStats,
+    scratch: NorecScratch,
 }
 
 impl NorecThread {
@@ -367,10 +358,7 @@ impl NorecThread {
                 seqlock: &self.inner.seqlock,
                 stats: &mut self.stats,
                 snapshot,
-                reads: Vec::new(),
-                redo: Vec::new(),
-                write_ids: HashMap::new(),
-                read_cache: HashMap::new(),
+                scratch: &mut self.scratch,
             };
             match body(&mut txn) {
                 Ok(value) => {
@@ -378,8 +366,9 @@ impl NorecThread {
                         return value;
                     }
                 }
-                Err(NorecAbort::Invalidated) => self.stats.record_abort(AbortClass::Validation),
+                Err(NorecAbort::Invalidated) => txn.stats.record_abort(AbortClass::Validation),
             }
+            drop(txn);
             self.stats.retries += 1;
             for _ in 0..(1u64 << backoff.min(10)) {
                 std::hint::spin_loop();

@@ -37,11 +37,12 @@
 //! therefore only ever fires on bases with genuinely unique commit times
 //! (shared counter, batched blocks), where it is sound.
 
+use crate::scratch::Scratch;
 use crate::stats::BaselineStats;
+use lsa_engine::idmap::recycle_vec;
 use lsa_engine::AbortClass;
 use lsa_time::{CommitTs, ThreadClock, TimeBase};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -204,6 +205,8 @@ impl<B: TimeBase<Ts = u64>> Tl2Stm<B> {
         Tl2Thread {
             clock: self.inner.tb.register_thread(),
             stats: BaselineStats::default(),
+            scratch: Scratch::default(),
+            locked: Vec::new(),
         }
     }
 }
@@ -263,10 +266,20 @@ pub struct Tl2Txn<'h, B: TimeBase<Ts = u64>> {
     clock: &'h mut B::Clock,
     stats: &'h mut BaselineStats,
     rv: u64,
-    reads: Vec<ReadEntry>,
-    writes: Vec<Box<dyn WriteEntry>>,
-    write_ids: HashMap<u64, usize>,
-    read_cache: HashMap<u64, Arc<dyn std::any::Any + Send + Sync>>,
+    /// The thread's read / write sets, emptied when the attempt ends.
+    scratch: &'h mut Tl2Scratch,
+    /// Commit's record of the locks it took: write-set index, old lock word.
+    locked: &'h mut Vec<(usize, u64)>,
+}
+
+type Tl2Scratch = Scratch<ReadEntry, Box<dyn WriteEntry>>;
+
+impl<B: TimeBase<Ts = u64>> Drop for Tl2Txn<'_, B> {
+    fn drop(&mut self) {
+        // On every way out of an attempt, a panicking body's unwind too.
+        self.scratch.recycle();
+        recycle_vec(self.locked);
+    }
 }
 
 impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
@@ -278,17 +291,9 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
     /// Transactional read.
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>) -> Tl2Result<Arc<T>> {
         self.stats.reads += 1;
-        // Read-own-write.
-        if let Some(&idx) = self.write_ids.get(&var.id) {
-            let any = &self.writes[idx];
-            debug_assert_eq!(any.var_id(), var.id);
-            if let Some(cached) = self.read_cache.get(&(var.id | (1 << 63))) {
-                return Ok(Arc::clone(cached).downcast::<T>().expect("stable type"));
-            }
-            unreachable!("pending write always cached");
-        }
-        if let Some(cached) = self.read_cache.get(&var.id) {
-            return Ok(Arc::clone(cached).downcast::<T>().expect("stable type"));
+        // Read-own-write, or a repeated read.
+        if let Some(known) = self.scratch.known(var.id) {
+            return Ok(known);
         }
         loop {
             let w1 = var.inner.vlock.sample();
@@ -311,14 +316,11 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
                 return Err(Tl2Abort::ReadTooNew);
             }
             let inner = Arc::clone(&var.inner);
-            self.reads.push(ReadEntry {
+            self.scratch.reads.push(ReadEntry {
                 var_id: var.id,
                 sample: Box::new(move || inner.vlock.sample()),
             });
-            self.read_cache.insert(
-                var.id,
-                Arc::clone(&value) as Arc<dyn std::any::Any + Send + Sync>,
-            );
+            self.scratch.note_read(var.id, &value);
             return Ok(value);
         }
     }
@@ -327,27 +329,12 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
     pub fn write<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>, value: T) -> Tl2Result<()> {
         self.stats.writes += 1;
         let pending = Arc::new(value);
-        self.read_cache.insert(
-            var.id | (1 << 63),
-            Arc::clone(&pending) as Arc<dyn std::any::Any + Send + Sync>,
-        );
-        match self.write_ids.get(&var.id) {
-            Some(&idx) => {
-                self.writes[idx] = Box::new(TypedWrite {
-                    inner: Arc::clone(&var.inner),
-                    id: var.id,
-                    pending,
-                });
-            }
-            None => {
-                self.write_ids.insert(var.id, self.writes.len());
-                self.writes.push(Box::new(TypedWrite {
-                    inner: Arc::clone(&var.inner),
-                    id: var.id,
-                    pending,
-                }));
-            }
-        }
+        let entry = Box::new(TypedWrite {
+            inner: Arc::clone(&var.inner),
+            id: var.id,
+            pending: Arc::clone(&pending),
+        });
+        self.scratch.buffer_write(var.id, &pending, entry);
         Ok(())
     }
 
@@ -361,21 +348,27 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
         self.write(var, f(&cur))
     }
 
-    fn commit(mut self) -> Tl2Result<()> {
-        if self.writes.is_empty() {
+    fn commit(&mut self) -> Tl2Result<()> {
+        let Scratch {
+            reads,
+            writes,
+            write_ids,
+            ..
+        } = &mut *self.scratch;
+        if writes.is_empty() {
             // Read-only transactions need no commit-time work at all.
             self.stats.ro_commits += 1;
             return Ok(());
         }
         // Deterministic lock order (by id) for deadlock avoidance.
-        self.writes.sort_by_key(|w| w.var_id());
-        let mut locked: Vec<(usize, u64)> = Vec::with_capacity(self.writes.len());
-        for (i, w) in self.writes.iter().enumerate() {
+        writes.sort_by_key(|w| w.var_id());
+        let locked = &mut *self.locked;
+        for (i, w) in writes.iter().enumerate() {
             match w.lock() {
                 Some(old) => locked.push((i, old)),
                 None => {
-                    for &(j, old) in &locked {
-                        self.writes[j].revert(old);
+                    for &(j, old) in locked.iter() {
+                        writes[j].revert(old);
                     }
                     self.stats.record_abort(AbortClass::Contention);
                     return Err(Tl2Abort::LockBusy);
@@ -403,21 +396,21 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
             // General path: validate the read set — still unlocked-by-others
             // and not newer than rv.
             self.stats.validations += 1;
-            self.stats.validated_entries += self.reads.len() as u64;
-            for r in &self.reads {
+            self.stats.validated_entries += reads.len() as u64;
+            for r in reads.iter() {
                 let w = (r.sample)();
                 // The version check applies to every read entry — including
                 // objects we also wrote (we hold their lock, but a concurrent
                 // committer may have updated them between our read and our lock
                 // acquisition, which would make our pending write a lost update).
                 // The lock-freedom check applies only to locks we do not own.
-                let owned = self.write_ids.contains_key(&r.var_id);
+                let owned = write_ids.contains_key(&r.var_id);
                 if VLock::version(w) > self.rv || (!owned && VLock::is_locked(w)) {
                     if VLock::version(w) > self.rv {
                         self.clock.observe_ts(VLock::version(w));
                     }
-                    for &(j, old) in &locked {
-                        self.writes[j].revert(old);
+                    for &(j, old) in locked.iter() {
+                        writes[j].revert(old);
                     }
                     self.stats.revalidation_failures += 1;
                     self.stats.record_abort(AbortClass::Validation);
@@ -425,7 +418,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
                 }
             }
         }
-        for w in &self.writes {
+        for w in writes.iter() {
             w.publish_and_unlock(wv);
         }
         self.stats.commits += 1;
@@ -437,6 +430,8 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
 pub struct Tl2Thread<B: TimeBase<Ts = u64>> {
     clock: B::Clock,
     stats: BaselineStats,
+    scratch: Tl2Scratch,
+    locked: Vec<(usize, u64)>,
 }
 
 impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
@@ -459,10 +454,8 @@ impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
                 clock: &mut self.clock,
                 stats: &mut self.stats,
                 rv,
-                reads: Vec::new(),
-                writes: Vec::new(),
-                write_ids: HashMap::new(),
-                read_cache: HashMap::new(),
+                scratch: &mut self.scratch,
+                locked: &mut self.locked,
             };
             match body(&mut txn) {
                 Ok(value) => {
@@ -470,10 +463,9 @@ impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
                         return value;
                     }
                 }
-                Err(e) => {
-                    self.stats.record_abort(abort_class(e));
-                }
+                Err(e) => txn.stats.record_abort(abort_class(e)),
             }
+            drop(txn);
             // Abort feedback: GV5-style bases advance the clock on aborts so
             // the retry's rv can reach the versions that caused the abort.
             self.clock.note_abort();

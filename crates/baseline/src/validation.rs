@@ -17,11 +17,11 @@
 //! experiment (EXP-VAL in DESIGN.md) sweeps read-set sizes across this
 //! engine and LSA-RT.
 
+use crate::scratch::Scratch;
 use crate::stats::BaselineStats;
 use crossbeam_utils::CachePadded;
 use lsa_engine::AbortClass;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -140,6 +140,7 @@ impl ValidationStm {
             mode: self.inner.mode,
             commit_counter: Arc::clone(&self.inner.commit_counter),
             stats: BaselineStats::default(),
+            scratch: Scratch::default(),
         }
     }
 }
@@ -201,12 +202,19 @@ pub struct ValTxn<'h> {
     stats: &'h mut BaselineStats,
     /// Commit-counter value at the last successful validation.
     seen_cc: u64,
-    reads: Vec<Box<dyn ReadCheck>>,
-    writes: Vec<Box<dyn WriteApply>>,
-    write_ids: HashMap<u64, usize>,
-    read_cache: HashMap<u64, Arc<dyn std::any::Any + Send + Sync>>,
+    /// The thread's read / write sets, emptied when the attempt ends.
+    scratch: &'h mut ValScratch,
     /// Number of full read-set validations performed (the experiment metric).
     validations: u64,
+}
+
+type ValScratch = Scratch<Box<dyn ReadCheck>, Box<dyn WriteApply>>;
+
+impl Drop for ValTxn<'_> {
+    fn drop(&mut self) {
+        // On every way out of an attempt, a panicking body's unwind too.
+        self.scratch.recycle();
+    }
 }
 
 impl ValTxn<'_> {
@@ -218,8 +226,8 @@ impl ValTxn<'_> {
     fn validate_read_set(&mut self) -> bool {
         self.validations += 1;
         self.stats.validations += 1;
-        self.stats.validated_entries += self.reads.len() as u64;
-        let ok = self.reads.iter().all(|r| r.still_valid());
+        self.stats.validated_entries += self.scratch.reads.len() as u64;
+        let ok = self.scratch.reads.iter().all(|r| r.still_valid());
         if !ok {
             self.stats.revalidation_failures += 1;
         }
@@ -254,14 +262,8 @@ impl ValTxn<'_> {
     /// whole read set consistent again (validation-on-access).
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &ValVar<T>) -> ValResult<Arc<T>> {
         self.stats.reads += 1;
-        if let Some(&idx) = self.write_ids.get(&var.id) {
-            let _ = idx;
-            if let Some(p) = self.read_cache.get(&(var.id | (1 << 63))) {
-                return Ok(Arc::clone(p).downcast::<T>().expect("stable type"));
-            }
-        }
-        if let Some(cached) = self.read_cache.get(&var.id) {
-            return Ok(Arc::clone(cached).downcast::<T>().expect("stable type"));
+        if let Some(known) = self.scratch.known(var.id) {
+            return Ok(known);
         }
         let mut spins = 0u32;
         let (value, seen_version) = loop {
@@ -292,15 +294,12 @@ impl ValTxn<'_> {
                 break (value, v1);
             }
         };
-        self.reads.push(Box::new(TypedCheck {
+        self.scratch.reads.push(Box::new(TypedCheck {
             inner: Arc::clone(&var.inner),
             seen_version,
         }));
         self.maybe_validate()?;
-        self.read_cache.insert(
-            var.id,
-            Arc::clone(&value) as Arc<dyn std::any::Any + Send + Sync>,
-        );
+        self.scratch.note_read(var.id, &value);
         Ok(value)
     }
 
@@ -308,22 +307,12 @@ impl ValTxn<'_> {
     pub fn write<T: Send + Sync + 'static>(&mut self, var: &ValVar<T>, value: T) -> ValResult<()> {
         self.stats.writes += 1;
         let pending = Arc::new(value);
-        self.read_cache.insert(
-            var.id | (1 << 63),
-            Arc::clone(&pending) as Arc<dyn std::any::Any + Send + Sync>,
-        );
-        let entry = TypedApply {
+        let entry = Box::new(TypedApply {
             inner: Arc::clone(&var.inner),
             id: var.id,
-            pending,
-        };
-        match self.write_ids.get(&var.id) {
-            Some(&idx) => self.writes[idx] = Box::new(entry),
-            None => {
-                self.write_ids.insert(var.id, self.writes.len());
-                self.writes.push(Box::new(entry));
-            }
-        }
+            pending: Arc::clone(&pending),
+        });
+        self.scratch.buffer_write(var.id, &pending, entry);
         Ok(())
     }
 
@@ -337,8 +326,8 @@ impl ValTxn<'_> {
         self.write(var, f(&cur))
     }
 
-    fn commit(mut self) -> ValResult<()> {
-        if self.writes.is_empty() {
+    fn commit(&mut self) -> ValResult<()> {
+        if self.scratch.writes.is_empty() {
             // Read-only: the read set was kept valid throughout; one final
             // validation closes the linearization window.
             if !self.validate_read_set() {
@@ -350,9 +339,9 @@ impl ValTxn<'_> {
         }
         // RSTM heuristic: announce progress so concurrent readers revalidate.
         self.commit_counter.fetch_add(1, Ordering::AcqRel);
-        self.writes.sort_by_key(|w| w.var_id());
+        self.scratch.writes.sort_by_key(|w| w.var_id());
         let mut locked = 0usize;
-        for (i, w) in self.writes.iter().enumerate() {
+        for (i, w) in self.scratch.writes.iter().enumerate() {
             let mut ok = false;
             for _ in 0..64 {
                 if w.try_lock() {
@@ -362,7 +351,7 @@ impl ValTxn<'_> {
                 std::hint::spin_loop();
             }
             if !ok {
-                for w in &self.writes[..i] {
+                for w in &self.scratch.writes[..i] {
                     w.unlock();
                 }
                 self.stats.record_abort(AbortClass::Contention);
@@ -372,16 +361,16 @@ impl ValTxn<'_> {
         }
         // Final validation under locks.
         if !self.validate_read_set() {
-            for w in &self.writes[..locked] {
+            for w in &self.scratch.writes[..locked] {
                 w.unlock();
             }
             self.stats.record_abort(AbortClass::Validation);
             return Err(ValAbort::Invalidated);
         }
-        for w in &self.writes {
+        for w in &self.scratch.writes {
             w.apply_and_bump();
         }
-        for w in &self.writes {
+        for w in &self.scratch.writes {
             w.unlock();
         }
         self.stats.commits += 1;
@@ -394,6 +383,7 @@ pub struct ValThread {
     mode: ValidationMode,
     commit_counter: Arc<CachePadded<AtomicU64>>,
     stats: BaselineStats,
+    scratch: ValScratch,
 }
 
 impl ValThread {
@@ -417,10 +407,7 @@ impl ValThread {
                 commit_counter: &self.commit_counter,
                 stats: &mut self.stats,
                 seen_cc,
-                reads: Vec::new(),
-                writes: Vec::new(),
-                write_ids: HashMap::new(),
-                read_cache: HashMap::new(),
+                scratch: &mut self.scratch,
                 validations: 0,
             };
             match body(&mut txn) {
@@ -429,11 +416,12 @@ impl ValThread {
                         return value;
                     }
                 }
-                Err(e) => self.stats.record_abort(match e {
+                Err(e) => txn.stats.record_abort(match e {
                     ValAbort::Invalidated => AbortClass::Validation,
                     ValAbort::LockBusy => AbortClass::Contention,
                 }),
             }
+            drop(txn);
             self.stats.retries += 1;
             for _ in 0..(1u64 << backoff.min(10)) {
                 std::hint::spin_loop();

@@ -2,7 +2,8 @@
 //! ablations (extension and version-depth) — the design-choice ablations
 //! DESIGN.md calls out, the LSA-RT read-path rows (DESIGN.md §2.1) and the
 //! update-path scaling rows (DESIGN.md §11; `-- update-path` runs only
-//! those, within `LSA_BENCH_MS` per row).
+//! those, within `LSA_BENCH_MS` per row; `-- read-path` only the read-path
+//! group).
 //!
 //! The cross-engine groups use ONE generic criterion body per transaction
 //! shape, driven through the [`TxnEngine`] surface: adding an engine to the
@@ -185,8 +186,10 @@ fn read_path(c: &mut Criterion) {
     //
     // * `read_first` — a whole transaction of one first read: the fixed cost
     //   of begin + read-only commit plus one open.
-    // * `ro_scan_256` — a whole transaction of 256 first reads; over
-    //   `read_first`, 255 marginal opens.
+    // * `ro_scan_256/lsa-rt` — a whole transaction of 256 first reads; over
+    //   `read_first`, 255 marginal opens. `ro_scan_256/tl2/1t` is the same
+    //   transaction on TL2, the contrast column: both engines keep their
+    //   per-transaction tables in `lsa_engine::IdMap` on the thread handle.
     // * `read_repeat` — one repeated read inside a running transaction.
     // * `extend_256` — one `Extend(T)` over a 256-entry read set.
     let mut g = c.benchmark_group("stm-ops/read-path");
@@ -208,7 +211,7 @@ fn read_path(c: &mut Criterion) {
             g.bench_function(BenchmarkId::new("read_first", &tag), |b| {
                 b.iter(|| scan(&mut h, &vars[..1]))
             });
-            g.bench_function(BenchmarkId::new("ro_scan_256", &tag), |b| {
+            g.bench_function(BenchmarkId::new("ro_scan_256/lsa-rt", &tag), |b| {
                 b.iter(|| scan(&mut h, &vars))
             });
             g.bench_function(BenchmarkId::new("read_repeat", &tag), |b| {
@@ -236,6 +239,8 @@ fn read_path(c: &mut Criterion) {
             stop.store(true, Ordering::Relaxed);
         });
     }
+    let tl2 = Tl2Stm::new(SharedCounter::new());
+    bench_read_only(&mut g, "ro_scan_256/tl2/1t", &tl2, 256);
     g.finish();
 }
 
@@ -325,8 +330,17 @@ criterion_group! {
     config = quick();
     targets = read_only_txn, update_txn, extension_ablation, version_depth_ablation, read_path
 }
+criterion_group! {
+    name = read_path_only;
+    config = quick();
+    targets = read_path
+}
 fn main() {
-    if !std::env::args().any(|a| a == "update-path") {
+    let asked = |group: &str| std::env::args().any(|a| a == group);
+    if asked("read-path") {
+        return read_path_only();
+    }
+    if !asked("update-path") {
         benches();
     }
     update_path();

@@ -43,11 +43,20 @@
 //!
 //! A new backend costs one trait impl — not a fork of the workloads and the
 //! harness. See `DESIGN.md` §5 for the implementation notes per engine.
+//!
+//! ## Shared engine-layer types
+//!
+//! [`IdMap`] ([`idmap`]) is the table every engine's transaction path and
+//! the wire client key by runtime-allocated ids, with the retention rule
+//! their per-handle scratch is recycled under.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod conformance;
+pub mod idmap;
+
+pub use idmap::{IdHasher, IdMap};
 
 use std::fmt;
 use std::sync::Arc;

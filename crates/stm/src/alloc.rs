@@ -20,8 +20,8 @@
 //! block per thread — the priority signal the timestamp/karma managers
 //! consume is heuristic to begin with).
 
+use lsa_engine::IdMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide source of allocator identities, so each [`BlockAlloc`] finds
@@ -33,7 +33,7 @@ thread_local! {
     /// Entries of dropped allocators linger (a thread cannot clear its
     /// siblings' caches), but each entry is two words and allocator churn
     /// is bounded by runtime instances created, so the map stays tiny.
-    static CACHES: RefCell<HashMap<u64, (u64, u64)>> = RefCell::new(HashMap::new());
+    static CACHES: RefCell<IdMap<(u64, u64)>> = RefCell::new(IdMap::default());
 }
 
 /// A globally unique id sequence handed out in thread-cached blocks.

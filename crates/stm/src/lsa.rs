@@ -50,10 +50,11 @@ use crate::status::TxnStatus;
 use crate::stm::HandleCore;
 use crate::txn_shared::{CommitCtx, CtxEntry, TxnShared};
 use crate::version::VersionMeta;
+use lsa_engine::idmap::{recycle_map, recycle_vec, IdMap};
 use lsa_obs::trace::{self, EventKind};
 use lsa_time::{ThreadClock, TimeBase, Timestamp, ValidityRange};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Outcome of one `getPrelimUB` attempt.
@@ -176,10 +177,11 @@ enum Opened {
 }
 
 /// A handle's transaction working memory: the descriptor and the read/write
-/// sets. It is owned by the handle and only ever *cleared* — at every
-/// attempt's end, be it commit, abort or a panic unwinding through the body
-/// — so a steady-state attempt allocates nothing but the payloads it writes,
-/// and its size is bounded by the largest transaction the handle has run.
+/// sets. It is owned by the handle and *recycled* — at every attempt's end,
+/// be it commit, abort or a panic unwinding through the body — so a
+/// steady-state attempt allocates nothing but the payloads it writes, and
+/// what an idle handle retains is bounded by `lsa_engine::idmap`'s retention
+/// rule instead of by the largest transaction it ever ran.
 pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// The current (or last) attempt's descriptor. Reused in place for the
     /// next attempt whenever no object or helper still holds a reference.
@@ -193,10 +195,10 @@ pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// Payloads of the versions read, so a repeated read returns the very
     /// same `Arc` even after the version was pruned from its object.
     values: Vec<Arc<dyn Any + Send + Sync>>,
-    /// Every object opened so far, by id. (Std's default hasher: the
-    /// multiplicative id hasher this table is meant to get is on hold, see
-    /// EXPERIMENTS.md "LSA read path".)
-    opened: HashMap<u64, Opened>,
+    /// Every object opened so far, by id. Probed once per open: a first
+    /// read claims its entry in the lookup, a write's insert returns what
+    /// was there.
+    opened: IdMap<Opened>,
     /// Objects this attempt registered on, to fold at its end.
     write_set: Vec<Arc<dyn AnyObject<Ts>>>,
 }
@@ -208,7 +210,7 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
             read_set: Vec::new(),
             ctx: Arc::default(),
             values: Vec::new(),
-            opened: HashMap::default(),
+            opened: IdMap::default(),
             write_set: Vec::new(),
         }
     }
@@ -232,10 +234,20 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
                 None => self.ctx = Arc::default(),
             }
         }
-        self.read_set.clear();
-        self.values.clear();
-        self.opened.clear();
-        self.write_set.clear();
+        recycle_vec(&mut self.read_set);
+        recycle_vec(&mut self.values);
+        recycle_map(&mut self.opened);
+        recycle_vec(&mut self.write_set);
+    }
+
+    /// Largest capacity, in entries, any of the scratch containers holds.
+    pub(crate) fn capacity(&self) -> usize {
+        self.read_set
+            .capacity()
+            .max(self.ctx.entries.capacity())
+            .max(self.values.capacity())
+            .max(self.opened.capacity())
+            .max(self.write_set.capacity())
     }
 }
 
@@ -383,6 +395,12 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         self.is_update
     }
 
+    /// Number of distinct objects this attempt has opened so far, for
+    /// reading or writing.
+    pub fn opened(&self) -> usize {
+        self.core.scratch.opened.len()
+    }
+
     /// Abort deliberately; the `atomically` loop will re-run the body.
     /// Usage: `return Err(tx.abort_retry());`
     pub fn abort_retry(&mut self) -> Abort {
@@ -410,8 +428,22 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     /// retry loop of Algorithm 3.
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<Arc<T>> {
         self.check_alive()?;
-        let id = var.id();
-        match self.core.scratch.opened.get(&id).copied() {
+        // One probe: a first open claims its entry here, with the slots the
+        // version will take once selected. Nothing reads the table before
+        // they are filled, and every failing exit below empties the scratch
+        // through `do_abort`.
+        let scratch = &mut self.core.scratch;
+        let prior = match scratch.opened.entry(var.id()) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => {
+                e.insert(Opened::Read {
+                    value: scratch.values.len(),
+                    entry: scratch.read_set.len(),
+                });
+                None
+            }
+        };
+        match prior {
             // Read-own-write: the speculative value is ours.
             Some(Opened::Written) => {
                 return match var.object().read_spec_value(self.id()) {
@@ -461,11 +493,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     }
                     self.range = nr;
                     let scratch = &mut self.core.scratch;
-                    let opened = Opened::Read {
-                        value: scratch.values.len(),
-                        entry: scratch.read_set.len(),
-                    };
-                    scratch.opened.insert(id, opened);
                     scratch.read_set.push(CtxEntry {
                         obj: Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>,
                         meta,
@@ -507,8 +534,11 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         value: T,
     ) -> TxResult<()> {
         self.check_alive()?;
-        let id = var.id();
-        let prior = self.core.scratch.opened.get(&id).copied();
+        // One probe: the insert claims the object as written and returns how
+        // it was opened before. Every failing exit below empties the scratch
+        // through `do_abort`.
+        let scratch = &mut self.core.scratch;
+        let prior = scratch.opened.insert(var.id(), Opened::Written);
         if let Some(Opened::Written) = prior {
             // A re-write of an object we already registered on.
             if !var.object().set_spec_value(self.id(), Arc::new(value)) {
@@ -624,11 +654,8 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     }
 
     fn note_written<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) {
-        let scratch = &mut self.core.scratch;
-        scratch.opened.insert(var.id(), Opened::Written);
-        scratch
-            .write_set
-            .push(Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>);
+        let obj = Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>;
+        self.core.scratch.write_set.push(obj);
     }
 
     /// `Extend(T)` — Algorithm 3 lines 1–6: raise `⌈T.R⌉` to the current

@@ -332,6 +332,14 @@ impl<B: TimeBase> ThreadHandle<B> {
         self.core.last_commit_time
     }
 
+    /// Largest capacity, in entries, the transaction scratch holds on to
+    /// between transactions — hook for the retention witness
+    /// (`lsa_engine::idmap`'s rule).
+    #[doc(hidden)]
+    pub fn scratch_capacity(&self) -> usize {
+        self.core.scratch.capacity()
+    }
+
     /// Run `body` as a transaction, retrying on abort until it commits;
     /// returns the body's result. The body must perform all shared accesses
     /// through the provided [`Txn`] and propagate [`crate::error::Abort`]

@@ -7,7 +7,14 @@
 //! handed the read set itself, and version nodes come out of the handle's
 //! own pool. A counting `#[global_allocator]` holds that, and a panicking
 //! body proves the scratch comes back clean on the unwind path too.
+//!
+//! The same allocator states what the baseline engines cost per update now
+//! that their containers live on the thread handle, and holds the retention
+//! rule: what one huge transaction grew is given back, and the handle is
+//! allocation-free again afterwards.
 
+use lsa_baseline::{NorecStm, Tl2Stm};
+use lsa_engine::idmap::RETAIN_FLOOR;
 use lsa_stm::prelude::*;
 use lsa_time::counter::SharedCounter;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -100,7 +107,11 @@ fn update_transactions_allocate_only_the_values_they_write() {
     let transfer = |h: &mut ThreadHandle<SharedCounter>| {
         h.atomically(|tx| {
             tx.modify(&a, |v| v - 1)?;
-            tx.modify(&b, |v| v + 1)
+            tx.modify(&b, |v| v + 1)?;
+            // `modify` alone: each read claimed an entry, each write
+            // re-labelled it.
+            assert_eq!(tx.opened(), 2);
+            Ok(())
         })
     };
     for _ in 0..200 {
@@ -113,13 +124,155 @@ fn update_transactions_allocate_only_the_values_they_write() {
         }
     });
     // Two per transaction, the `Arc`s of the two new values. The helper
-    // context, the version nodes and the descriptor are all recycled.
+    // context, the version nodes and the descriptor are all recycled, and
+    // the scratch table neither grows nor rehashes.
     assert_eq!(
         n,
         2 * TXNS,
         "allocations in {TXNS} two-variable update transactions"
     );
     assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
+}
+
+#[test]
+fn every_open_is_one_table_entry_per_distinct_object() {
+    let stm = Stm::new(SharedCounter::new());
+    let vars: Vec<_> = (0..8).map(|i| stm.new_tvar(i as i64)).collect();
+    let mut h = stm.register();
+    // Read-only, repeated reads included.
+    let opened = h.atomically(|tx| {
+        for v in vars.iter().chain(&vars[..3]) {
+            tx.read(v)?;
+        }
+        Ok(tx.opened())
+    });
+    assert_eq!(opened, 8);
+    // Write-only, re-writes included.
+    let opened = h.atomically(|tx| {
+        for v in vars[..5].iter().chain(&vars[..2]) {
+            tx.write(v, 7)?;
+        }
+        Ok(tx.opened())
+    });
+    assert_eq!(opened, 5);
+    // `modify` only: the read claims the entry, the write re-labels it —
+    // no second entry, however often the pair repeats.
+    let opened = h.atomically(|tx| {
+        for v in vars[..4].iter().chain(&vars[..4]) {
+            tx.modify(v, |x| x + 1)?;
+        }
+        Ok(tx.opened())
+    });
+    assert_eq!(opened, 4);
+    assert_eq!(*vars[0].snapshot_latest(), 9);
+    // Opens that end in an abort leave nothing behind for the retry.
+    let mut first = true;
+    let opened = h.atomically(|tx| {
+        tx.read(&vars[7])?;
+        tx.modify(&vars[6], |x| x + 1)?;
+        if std::mem::take(&mut first) {
+            return Err(tx.abort_retry());
+        }
+        Ok(tx.opened())
+    });
+    assert_eq!(opened, 2);
+}
+
+/// Allocations per two-variable `modify` transaction on the baseline
+/// engines: per variable one boxed read-set entry, one `Arc` for the new
+/// value and one boxed write-set entry. The read / write sets, the two id
+/// tables and TL2's lock record live on the thread handle.
+const BASELINE_ALLOCS_PER_TRANSFER: u64 = 6;
+
+#[test]
+fn tl2_update_transactions_allocate_their_entries_and_values_only() {
+    let stm = Tl2Stm::new(SharedCounter::new());
+    let (a, b) = (stm.new_var(0i64), stm.new_var(0i64));
+    let mut h = stm.register();
+    let mut transfer = || {
+        h.atomically(|tx| {
+            tx.modify(&a, |v| v - 1)?;
+            tx.modify(&b, |v| v + 1)
+        })
+    };
+    for _ in 0..200 {
+        transfer();
+    }
+    const TXNS: u64 = 1_000;
+    let n = allocs_during(|| {
+        for _ in 0..TXNS {
+            transfer();
+        }
+    });
+    assert_eq!(n, BASELINE_ALLOCS_PER_TRANSFER * TXNS);
+    assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
+}
+
+#[test]
+fn norec_update_transactions_allocate_their_entries_and_values_only() {
+    let stm = NorecStm::new();
+    let (a, b) = (stm.new_var(0i64), stm.new_var(0i64));
+    let mut h = stm.register();
+    let mut transfer = || {
+        h.atomically(|tx| {
+            tx.modify(&a, |v| v - 1)?;
+            tx.modify(&b, |v| v + 1)
+        })
+    };
+    for _ in 0..200 {
+        transfer();
+    }
+    const TXNS: u64 = 1_000;
+    let n = allocs_during(|| {
+        for _ in 0..TXNS {
+            transfer();
+        }
+    });
+    assert_eq!(n, BASELINE_ALLOCS_PER_TRANSFER * TXNS);
+    assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
+}
+
+#[test]
+fn one_huge_scan_does_not_tax_the_transactions_after_it() {
+    const HUGE: usize = 100_000;
+    let stm = Stm::new(SharedCounter::new());
+    let vars: Vec<_> = (0..HUGE).map(|_| stm.new_tvar(1i64)).collect();
+    let (a, b) = (&vars[0], &vars[1]);
+    let mut h = stm.register();
+    let transfer = |h: &mut ThreadHandle<SharedCounter>| {
+        h.atomically(|tx| {
+            tx.modify(a, |v| v - 1)?;
+            tx.modify(b, |v| v + 1)
+        })
+    };
+
+    assert_eq!(scan(&mut h, &vars), HUGE as i64);
+    // Kept: the attempt used what it grew, and a second scan of the kind
+    // should not have to grow it again.
+    assert!(h.scratch_capacity() >= HUGE);
+    assert_eq!(
+        allocs_during(|| assert_eq!(scan(&mut h, &vars), HUGE as i64)),
+        0
+    );
+
+    // The first small transaction hands it back; the next ones settle on
+    // what they need.
+    for _ in 0..200 {
+        transfer(&mut h);
+    }
+    assert!(
+        h.scratch_capacity() <= RETAIN_FLOOR,
+        "{} entries retained after two-variable transactions",
+        h.scratch_capacity()
+    );
+    const TXNS: u64 = 1_000;
+    let n = allocs_during(|| {
+        for _ in 0..TXNS {
+            transfer(&mut h);
+        }
+    });
+    assert_eq!(n, 2 * TXNS, "steady state: the two values written");
+    assert!(h.scratch_capacity() <= RETAIN_FLOOR);
 }
 
 #[test]

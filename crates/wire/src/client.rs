@@ -19,8 +19,8 @@
 
 use crate::frame::{decode_frame, encode_frame, FrameError, ReadBuf};
 use crate::tables::{Reply, Request};
+use lsa_engine::IdMap;
 use lsa_service::oneshot::{OneshotPool, Receiver, Sender};
-use std::collections::HashMap;
 use std::future::Future;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -64,8 +64,12 @@ impl From<std::io::Error> for WireError {
 /// when the reader exits, closing the insert/drain race: a sender either
 /// lands in the map before the drain (and is cancelled by it) or observes
 /// `closed` and fails fast.
+///
+/// Every key is an id this client drew from its own `next_id`; a reply's
+/// `req_id` only ever looks one up, so a peer cannot choose what the table
+/// holds and the unkeyed [`IdMap`] hasher is safe here.
 struct PendingMap {
-    map: HashMap<u64, Sender<Reply>>,
+    map: IdMap<Sender<Reply>>,
     closed: bool,
 }
 
@@ -246,7 +250,7 @@ fn open_conn(addr: SocketAddr) -> std::io::Result<LaneConn> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     let pending = Arc::new(Mutex::new(PendingMap {
-        map: HashMap::new(),
+        map: IdMap::default(),
         closed: false,
     }));
     let reader = {
