@@ -244,11 +244,21 @@ fn read_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// How an update transaction opens its two variables.
+#[derive(Clone, Copy)]
+enum OpenStyle {
+    /// `modify`, `modify`: opened by writing, recorded in the write set alone.
+    Modify,
+    /// read, read, write, write — the bank / wire `Transfer` shape, whose
+    /// reads keep their read-set entries and are validated.
+    ReadThenWrite,
+}
+
 /// Committed two-variable update transactions per second, summed over
 /// `threads` threads that run for `window` on the serving default cell
 /// (LSA-RT, shared counter): each on a 4096-variable table of its own, or
 /// all on one.
-fn update_2var_rate(threads: usize, shared_table: bool, window: Duration) -> f64 {
+fn update_2var_rate(threads: usize, shared_table: bool, style: OpenStyle, window: Duration) -> f64 {
     const VARS: usize = 4096;
     let stm = Stm::new(SharedCounter::new());
     let tables: Vec<Vec<_>> = (0..if shared_table { 1 } else { threads })
@@ -266,9 +276,17 @@ fn update_2var_rate(threads: usize, shared_table: bool, window: Duration) -> f64
                         seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let a = (seed >> 33) as usize % VARS;
                         let b = (a + 1 + (seed >> 50) as usize % (VARS - 1)) % VARS;
-                        h.atomically(|tx| {
-                            tx.modify(&table[a], |v| v + 1)?;
-                            tx.modify(&table[b], |v| v - 1)
+                        let (a, b) = (&table[a], &table[b]);
+                        h.atomically(|tx| match style {
+                            OpenStyle::Modify => {
+                                tx.modify(a, |v| v + 1)?;
+                                tx.modify(b, |v| v - 1)
+                            }
+                            OpenStyle::ReadThenWrite => {
+                                let (va, vb) = (*tx.read(a)?, *tx.read(b)?);
+                                tx.write(a, va + 1)?;
+                                tx.write(b, vb - 1)
+                            }
                         })
                     };
                     (0..2_000).for_each(|_| transfer());
@@ -290,15 +308,16 @@ fn update_2var_rate(threads: usize, shared_table: bool, window: Duration) -> f64
 fn update_path() {
     // What two disjoint committers share is the time base and nothing else
     // (DESIGN.md §11), so `private` should scale with the threads until the
-    // counter saturates; `shared` adds real conflicts on one table. Each
-    // row is the median of three windows.
+    // counter saturates; `shared` adds real conflicts on one table, and
+    // `transfer` is the private row's other open style. Each row is the
+    // median of three windows.
     let ms = std::env::var("LSA_BENCH_MS")
         .ok()
         .and_then(|v| v.parse().ok());
     let window = Duration::from_millis(ms.unwrap_or(900u64).max(30)) / 3;
-    let row = |name: &str, threads: usize, shared_table: bool| {
+    let row = |name: &str, threads: usize, shared_table: bool, style: OpenStyle| {
         let mut rates: Vec<f64> = (0..3)
-            .map(|_| update_2var_rate(threads, shared_table, window))
+            .map(|_| update_2var_rate(threads, shared_table, style, window))
             .collect();
         rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
         println!(
@@ -308,9 +327,10 @@ fn update_path() {
         );
         rates[1]
     };
-    let one = row("update_2var_private", 1, false);
-    let two = row("update_2var_private", 2, false);
-    row("update_2var_shared", 2, true);
+    let one = row("update_2var_private", 1, false, OpenStyle::Modify);
+    let two = row("update_2var_private", 2, false, OpenStyle::Modify);
+    row("update_2var_shared", 2, true, OpenStyle::Modify);
+    row("transfer_2var_private", 1, false, OpenStyle::ReadThenWrite);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "stm-ops/update-path/private-2t-over-1t {:.2} (available_parallelism {cpus})",

@@ -40,6 +40,17 @@
 //!   of objects the transaction holds the write mark on
 //!   ([`CtxEntry::own`]) this is Alg. 3 line 27's self case, and `validate`
 //!   answers it from the entry alone.
+//!
+//! ### Written objects are not in `T.O`
+//!
+//! An object opened by writing it is recorded in the write set only. The
+//! version written over, `vc`, is the latest for as long as the write mark
+//! is held, so `getPrelimUB` for it is the self case wherever it is asked:
+//! at open (`T.R` is intersected with `[⌊vc.R⌋, t]` like a read's), at
+//! commit (a transaction that reaches validation was never killed, so it
+//! never lost a mark) and at extend, where the one thing that could have
+//! ended it — a kill — is checked once, after the clock read
+//! ([`Txn::extend`]).
 
 use crate::alloc::BlockAlloc;
 use crate::cm::{ContentionManager, Resolution};
@@ -186,7 +197,9 @@ pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// The current (or last) attempt's descriptor. Reused in place for the
     /// next attempt whenever no object or helper still holds a reference.
     shared: Arc<TxnShared<Ts>>,
-    /// `T.O` in open order: versions read and own speculative versions.
+    /// `T.O` in open order: the versions read. A version the attempt went
+    /// on to write over stays, flagged [`CtxEntry::own`]; an object opened
+    /// by writing it has no entry here.
     read_set: Vec<CtxEntry<Ts>>,
     /// The shell `read_set` is published to helpers in. Between a commit's
     /// publication and the attempt's `clear` it holds the read set; at all
@@ -199,7 +212,8 @@ pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// read claims its entry in the lookup, a write's insert returns what
     /// was there.
     opened: IdMap<Opened>,
-    /// Objects this attempt registered on, to fold at its end.
+    /// Objects this attempt registered on, to fold at its end — the one
+    /// place a written object is recorded.
     write_set: Vec<Arc<dyn AnyObject<Ts>>>,
 }
 
@@ -218,8 +232,17 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
     /// Publish the read set for helpers by handing the vector itself over:
     /// from here to `clear`, `T.O` is `ctx.entries` and nobody mutates it.
     fn publish_read_set(&mut self) {
-        let ctx = Arc::get_mut(&mut self.ctx).expect("clear() leaves the context unshared");
-        std::mem::swap(&mut ctx.entries, &mut self.read_set);
+        match Arc::get_mut(&mut self.ctx) {
+            Some(ctx) => std::mem::swap(&mut ctx.entries, &mut self.read_set),
+            // A helper of an earlier commit still holds the shell — one
+            // that published an empty read set leaves `clear` no sign of
+            // it. The helper keeps that one.
+            None => {
+                self.ctx = Arc::new(CommitCtx {
+                    entries: std::mem::take(&mut self.read_set),
+                })
+            }
+        }
         self.shared.publish_ctx(Arc::clone(&self.ctx));
     }
 
@@ -445,19 +468,9 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         };
         match prior {
             // Read-own-write: the speculative value is ours.
-            Some(Opened::Written) => {
-                return match var.object().read_spec_value(self.id()) {
-                    Some(v) => Ok(v),
-                    None => Err(self.do_abort(AbortReason::Killed)),
-                };
-            }
+            Some(Opened::Written) => return self.own_write(var),
             // Repeated read: same version as before (snapshot stability).
-            Some(Opened::Read { value, .. }) => {
-                let v = Arc::clone(&self.core.scratch.values[value])
-                    .downcast::<T>()
-                    .expect("object payload type is stable");
-                return Ok(v);
-            }
+            Some(Opened::Read { value, .. }) => return Ok(self.cached_value(value)),
             None => {}
         }
         // A first open: the unit of `TxnStats::reads` and of Karma priority.
@@ -537,36 +550,110 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // One probe: the insert claims the object as written and returns how
         // it was opened before. Every failing exit below empties the scratch
         // through `do_abort`.
-        let scratch = &mut self.core.scratch;
-        let prior = scratch.opened.insert(var.id(), Opened::Written);
-        if let Some(Opened::Written) = prior {
-            // A re-write of an object we already registered on.
-            if !var.object().set_spec_value(self.id(), Arc::new(value)) {
-                return Err(self.do_abort(AbortReason::Killed));
-            }
-            return Ok(());
+        let prior = self.core.scratch.opened.insert(var.id(), Opened::Written);
+        let payload = Arc::new(value);
+        match prior {
+            Some(Opened::Written) => self.install(var, payload),
+            _ => self.open_write(var, Some(payload), prior).map(drop),
         }
+    }
+
+    /// Read-modify-write: applies `f` to the current value (the
+    /// transaction's own pending write if it has one, the snapshot value
+    /// otherwise) and writes the result. On an object the attempt has not
+    /// opened yet this is `Open(T, o, write)` as the paper has it: one
+    /// critical section registers the writer and takes the value of `vc`,
+    /// `f` runs outside the lock, and the object is recorded in the write
+    /// set alone — `vc` is covered by the write mark, not by `T.O`.
+    pub fn modify<T: Send + Sync + 'static>(
+        &mut self,
+        var: &TVar<T, B::Ts>,
+        f: impl FnOnce(&T) -> T,
+    ) -> TxResult<()> {
+        self.check_alive()?;
+        let prior = self.core.scratch.opened.insert(var.id(), Opened::Written);
+        match prior {
+            None => {
+                // A first open for reading and for writing at once.
+                self.core.stats.reads += 1;
+                self.core.scratch.shared.cm().add_op();
+                let vc = self
+                    .open_write(var, None, None)?
+                    .expect("a payload-less registration hands back vc's value");
+                self.install(var, Arc::new(f(&vc)))
+            }
+            Some(Opened::Read { value, .. }) => {
+                let current = self.cached_value::<T>(value);
+                self.open_write(var, Some(Arc::new(f(&current))), prior)
+                    .map(drop)
+            }
+            Some(Opened::Written) => {
+                let current = self.own_write(var)?;
+                self.install(var, Arc::new(f(&current)))
+            }
+        }
+    }
+
+    /// The attempt's own pending write to `var` (read-own-write).
+    fn own_write<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<Arc<T>> {
+        match var.object().read_spec_value(self.id()) {
+            Some(value) => Ok(value),
+            // Killed, and the speculative version already discarded.
+            None => Err(self.do_abort(AbortReason::Killed)),
+        }
+    }
+
+    /// The payload of the version `Opened::Read { value, .. }` names.
+    fn cached_value<T: Send + Sync + 'static>(&self, value: usize) -> Arc<T> {
+        Arc::clone(&self.core.scratch.values[value])
+            .downcast::<T>()
+            .expect("object payload type is stable")
+    }
+
+    /// Install `payload` as the speculative value of an object this attempt
+    /// is registered on.
+    fn install<T: Send + Sync + 'static>(
+        &mut self,
+        var: &TVar<T, B::Ts>,
+        payload: Arc<T>,
+    ) -> TxResult<()> {
+        if var.object().set_spec_value(self.id(), payload) {
+            Ok(())
+        } else {
+            // Killed, and the speculative version already discarded.
+            Err(self.do_abort(AbortReason::Killed))
+        }
+    }
+
+    /// The registration loop of `Open(T, o, write)` on an object this
+    /// attempt is not registered on yet (`prior` says whether it has read
+    /// it). With a `payload` the registration installs it; without one it
+    /// returns the value of `vc` for the caller to derive and install one.
+    fn open_write<T: Send + Sync + 'static>(
+        &mut self,
+        var: &TVar<T, B::Ts>,
+        mut payload: Option<Arc<T>>,
+        prior: Option<Opened>,
+    ) -> TxResult<Option<Arc<T>>> {
         self.core.stats.writes += 1;
         self.core.scratch.shared.cm().add_op();
 
-        // Offered to every registration attempt, taken by the one that
-        // succeeds.
-        let mut payload = Some(Arc::new(value));
         let mut cm_attempt = 0u32;
         let mut spins = 0u32;
         loop {
             let core = &mut *self.core;
+            // The payload is offered to every registration attempt and taken
+            // by the one that succeeds.
             let attempt =
                 var.object()
                     .try_write(&core.scratch.shared, &mut payload, Some(&mut core.reclaim));
             match attempt {
-                WriteAttempt::Registered {
-                    base_meta,
-                    base_lower,
-                    spec_meta,
-                } => {
+                WriteAttempt::Registered { base_lower, base } => {
                     self.is_update = true;
-                    self.note_written(var);
+                    // The object's one record in this attempt: the write
+                    // set, folded at its end.
+                    let obj = Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>;
+                    self.core.scratch.write_set.push(obj);
                     // We hold the write mark from here on: the version we
                     // read here earlier, if any, is ours to bound at commit.
                     if let Some(Opened::Read { entry, .. }) = prior {
@@ -576,42 +663,26 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     // Alg. 2 lines 22–24: "Is the version too recent?" —
                     // extend so the snapshot can reach the version we are
                     // about to base our write on.
-                    let too_recent =
-                        matches!(self.range.upper, Some(u) if base_lower.possibly_later(u));
-                    if too_recent {
+                    if matches!(self.range.upper, Some(u) if base_lower.possibly_later(u)) {
                         self.extend();
                     }
-                    // Lines 28–29 against the base version vc.
+                    // Lines 28–29 against the base version vc. We registered
+                    // under the lock with vc the latest version and it stays
+                    // the latest while we hold the mark, so everything this
+                    // attempt has observed so far bounds it — a clock
+                    // reading by the extension above included, which only
+                    // counts if the mark was still held after it.
                     let mut nr = self.range;
                     nr.restrict_lower(base_lower);
-                    let t = self.fallback_ts(nr.lower);
-                    // We registered under the lock with vc the latest
-                    // version, after `t` was obtained: `t` bounds it. An
-                    // extension has read the clock *since*, so its `t` needs
-                    // the lock-free sample-and-re-check instead.
-                    let ub = if too_recent {
-                        let clock = &mut self.core.clock;
-                        prelim_resolved(clock, var.object().as_ref(), &base_meta, t)
-                    } else {
-                        t
-                    };
-                    nr.restrict_upper(ub);
+                    nr.restrict_upper(self.fallback_ts(nr.lower));
                     if !nr.is_consistent() {
                         return Err(self.do_abort(AbortReason::Snapshot));
                     }
                     self.range = nr;
-                    // T.O gains the new speculative version (paper line 33);
-                    // its getPrelimUB at commit is the self-case (CT).
-                    self.core.scratch.read_set.push(CtxEntry {
-                        obj: Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>,
-                        meta: spec_meta,
-                        own: true,
-                    });
-                    return Ok(());
+                    return Ok(base);
                 }
                 WriteAttempt::AlreadyWriter => {
-                    self.note_written(var);
-                    return Ok(());
+                    unreachable!("`opened` knows every object this attempt is registered on")
                 }
                 WriteAttempt::NeedHelp(w) => self.help_commit(&w),
                 WriteAttempt::Conflict(other) => {
@@ -641,28 +712,22 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
     }
 
-    /// Read-modify-write convenience: applies `f` to the current value (the
-    /// transaction's own pending write if it has one, the snapshot value
-    /// otherwise) and writes the result.
-    pub fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &TVar<T, B::Ts>,
-        f: impl FnOnce(&T) -> T,
-    ) -> TxResult<()> {
-        let current = self.read(var)?;
-        self.write(var, f(&current))
-    }
-
-    fn note_written<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) {
-        let obj = Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>;
-        self.core.scratch.write_set.push(obj);
-    }
-
     /// `Extend(T)` — Algorithm 3 lines 1–6: raise `⌈T.R⌉` to the current
     /// time, then re-minimize over the read set's preliminary upper bounds.
+    ///
+    /// The versions under this attempt's own write marks are not in the read
+    /// set: they stay the latest for as long as the marks are held, and the
+    /// marks are lost only by being killed. So an update transaction checks
+    /// its own status *after* reading the clock — `o.writer = T` of Alg. 3
+    /// line 27, once for all written objects: still `Active` means every
+    /// usurper draws its commit time after this reading, and a killed
+    /// attempt extends nothing (it is about to abort anyway).
     pub fn extend(&mut self) {
         let core = &mut *self.core;
         let now = core.clock.get_time();
+        if self.is_update && core.scratch.shared.status() != TxnStatus::Active {
+            return;
+        }
         self.observed = self.observed.join(now);
         self.range.set_upper(now);
         for e in &core.scratch.read_set {
@@ -911,5 +976,36 @@ mod tests {
         assert_eq!(helper.entries.len(), 1, "the helper's view never moved");
         assert!(!Arc::ptr_eq(&helper, &scratch.ctx));
         assert_eq!(scratch.ctx.entries.len(), 3);
+    }
+
+    #[test]
+    fn a_helper_still_holding_an_empty_context_forces_a_fresh_one_too() {
+        // A write-only commit publishes an empty read set, so `clear` finds
+        // nothing to take back and cannot tell that the shell went out. The
+        // next publication must notice the helper instead of insisting on
+        // an unshared shell.
+        let obj = Arc::new(TObject::new(1, 0u64, 0, 4));
+        let mut scratch = TxnScratch::new();
+        scratch.publish_read_set();
+        let helper = scratch.shared.ctx().expect("published");
+        assert!(helper.entries.is_empty());
+
+        scratch
+            .shared
+            .transition(TxnStatus::Active, TxnStatus::Aborted);
+        scratch.shared.clear_ctx();
+        scratch.clear();
+        assert!(
+            Arc::ptr_eq(&helper, &scratch.ctx),
+            "clear saw no sign of it"
+        );
+
+        scratch.read_set.extend([entry(&obj), entry(&obj)]);
+        scratch.publish_read_set();
+        assert!(helper.entries.is_empty(), "the helper's view never moved");
+        assert!(!Arc::ptr_eq(&helper, &scratch.ctx));
+        let seen = scratch.shared.ctx().expect("published");
+        assert!(Arc::ptr_eq(&seen, &scratch.ctx));
+        assert_eq!(seen.entries.len(), 2);
     }
 }

@@ -20,9 +20,13 @@
 //! snapshot slot and its gauge shard, and of the shared reclamation state
 //! only *reads* the epoch word ([`crate::reclaim`]).
 //!
-//! A transaction takes an object's lock three times to modify it: the read
-//! below, [`TObject::try_write`] — which registers the writer *and* installs
-//! its payload in one critical section — and the fold at commit.
+//! Opening an object for writing is one critical section,
+//! [`TObject::try_write`] (Algorithm 2 lines 9–24): it registers the writer
+//! and either installs the payload the caller brought (`Txn::write`) or hands
+//! back the value of `vc`, the latest committed version, for the caller to
+//! derive one from (`Txn::modify`, which installs it with
+//! [`TObject::set_spec_value`] once its closure has run, outside the lock).
+//! The fold at commit is the only other acquisition.
 //!
 //! A first read takes the object's lock **once**: [`TObject::try_read`]
 //! selects the version and, in the same critical section, samples what
@@ -94,20 +98,20 @@ pub enum ReadAttempt<T, Ts: Timestamp> {
 }
 
 /// Outcome of a write-registration attempt (Algorithm 2 lines 11–21).
-pub enum WriteAttempt<Ts: Timestamp> {
-    /// We are now the registered writer and the payload is installed.
+pub enum WriteAttempt<T, Ts: Timestamp> {
+    /// We are now the registered writer.
     Registered {
-        /// Range metadata of `vc`, the latest committed version
-        /// (Algorithm 2 line 12).
-        base_meta: Arc<VersionMeta<Ts>>,
-        /// `⌊vc.R⌋`.
+        /// `⌊vc.R⌋` of `vc`, the latest committed version (Algorithm 2
+        /// line 12). While the caller holds the write mark `vc` stays the
+        /// latest, so its upper bound needs no evidence beyond that.
         base_lower: Ts,
-        /// The fresh speculative version's metadata (goes into the read set;
-        /// its `getPrelimUB` is the self-case returning `T.CT`).
-        spec_meta: Arc<VersionMeta<Ts>>,
+        /// `vc`'s value, for a caller that registered without a payload and
+        /// owes one ([`TObject::set_spec_value`]); `None` when the payload
+        /// it brought was installed.
+        base: Option<Arc<T>>,
     },
-    /// This transaction was already the registered writer; the payload
-    /// replaced its earlier one.
+    /// This transaction was already the registered writer; a payload, if
+    /// one was brought, replaced its earlier one.
     AlreadyWriter,
     /// Another *active* transaction holds the write mark: consult the
     /// contention manager (Algorithm 2 lines 16–17).
@@ -122,7 +126,9 @@ struct Committed<T, Ts: Timestamp> {
 }
 
 struct Spec<T, Ts: Timestamp> {
-    value: Arc<T>,
+    /// `None` between a payload-less registration and the writer's
+    /// `set_spec_value`; a writer only starts committing with it installed.
+    value: Option<Arc<T>>,
     meta: Arc<VersionMeta<Ts>>,
     writer: Arc<TxnShared<Ts>>,
 }
@@ -279,17 +285,20 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         Some(share)
     }
 
-    /// Attempt to register `me` as the writer (Algorithm 2 lines 11–21) with
-    /// `payload` as its speculative value — registration and installation
-    /// are one critical section. The payload is taken exactly when the call
-    /// leaves `me` registered (`Registered`, `AlreadyWriter`); on `Conflict`
-    /// and `NeedHelp` it stays with the caller for the retry.
+    /// Attempt to register `me` as the writer (Algorithm 2 lines 11–21).
+    /// With a `payload`, registration and installation are one critical
+    /// section, and the payload is taken exactly when the call leaves `me`
+    /// registered (`Registered`, `AlreadyWriter`); on `Conflict` and
+    /// `NeedHelp` it stays with the caller for the retry. Without one, a
+    /// successful registration returns `vc`'s value from the same critical
+    /// section and leaves the speculative version empty until the caller
+    /// installs what it derives.
     pub fn try_write(
         &self,
         me: &Arc<TxnShared<Ts>>,
         payload: &mut Option<Arc<T>>,
         local: Option<&mut LocalReclaim<Ts>>,
-    ) -> WriteAttempt<Ts> {
+    ) -> WriteAttempt<T, Ts> {
         let mut detached = None;
         let mut reclaim = self.reclaimer(local, &mut detached);
         let mut inner = self.inner.write();
@@ -303,7 +312,9 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                 None => break,
                 Some(spec) => match spec.writer.status() {
                     TxnStatus::Active | TxnStatus::Committing if spec.writer.id() == me.id() => {
-                        spec.value = payload.take().expect("a payload to install");
+                        if payload.is_some() {
+                            spec.value = payload.take();
+                        }
                         return WriteAttempt::AlreadyWriter;
                     }
                     TxnStatus::Active => return WriteAttempt::Conflict(Arc::clone(&spec.writer)),
@@ -315,36 +326,32 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                 },
             }
         }
-        let base = inner.committed.front().expect("non-empty");
-        let base_meta = Arc::clone(&base.meta);
-        let base_lower = base.meta.lower().expect("committed version has lower");
-        let spec_meta = match reclaim {
+        let vc = inner.committed.front().expect("non-empty");
+        let base_lower = vc.meta.lower().expect("committed version has lower");
+        let base = payload.is_none().then(|| Arc::clone(&vc.value));
+        let meta = match reclaim {
             // Arena path: recycle an epoch-expired node instead of a fresh
             // heap allocation on the write/commit hot path.
             Some(r) => r.alloc_meta(),
             None => Arc::new(VersionMeta::speculative()),
         };
         inner.spec = Some(Spec {
-            value: payload.take().expect("a payload to install"),
-            meta: Arc::clone(&spec_meta),
+            value: payload.take(),
+            meta,
             writer: Arc::clone(me),
         });
-        WriteAttempt::Registered {
-            base_meta,
-            base_lower,
-            spec_meta,
-        }
+        WriteAttempt::Registered { base_lower, base }
     }
 
-    /// Replace the speculative payload (a re-write of an object the
-    /// transaction already registered on). Returns `false` if `me` is no
-    /// longer the registered writer (it was killed and its speculative
-    /// version discarded).
+    /// Install or replace the speculative payload (after a payload-less
+    /// registration, or a re-write of an object the transaction already
+    /// registered on). Returns `false` if `me` is no longer the registered
+    /// writer (it was killed and its speculative version discarded).
     pub fn set_spec_value(&self, me_id: u64, value: Arc<T>) -> bool {
         let mut inner = self.inner.write();
         match &mut inner.spec {
             Some(spec) if spec.writer.id() == me_id => {
-                spec.value = value;
+                spec.value = Some(value);
                 true
             }
             _ => false,
@@ -356,7 +363,7 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     pub fn read_spec_value(&self, me_id: u64) -> Option<Arc<T>> {
         let inner = self.inner.read();
         match &inner.spec {
-            Some(spec) if spec.writer.id() == me_id => Some(Arc::clone(&spec.value)),
+            Some(spec) if spec.writer.id() == me_id => spec.value.clone(),
             _ => None,
         }
     }
@@ -405,7 +412,9 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                     prev.meta.set_upper(ct.prior());
                 }
                 inner.committed.push_front(Committed {
-                    value: spec.value,
+                    value: spec
+                        .value
+                        .expect("a committing writer has installed its payload"),
                     meta: spec.meta,
                 });
                 if let Some(r) = &reclaim {
@@ -549,7 +558,7 @@ mod tests {
     }
 
     /// Register `t` on `o` with `value` as its payload, outside any handle.
-    fn write(o: &TObject<i64, u64>, t: &Arc<TxnShared<u64>>, value: i64) -> WriteAttempt<u64> {
+    fn write(o: &TObject<i64, u64>, t: &Arc<TxnShared<u64>>, value: i64) -> WriteAttempt<i64, u64> {
         o.try_write(t, &mut Some(Arc::new(value)), None)
     }
 
@@ -569,22 +578,18 @@ mod tests {
     fn write_commit_fold_produces_new_version() {
         let o = obj(4);
         let t = txn(100);
-        let spec_meta = match write(&o, &t, 42) {
-            WriteAttempt::Registered {
-                spec_meta,
-                base_lower,
-                ..
-            } => {
+        match write(&o, &t, 42) {
+            WriteAttempt::Registered { base_lower, base } => {
                 assert_eq!(base_lower, 0);
-                spec_meta
+                assert!(base.is_none(), "the payload was brought along");
             }
             _ => panic!("expected Registered"),
-        };
+        }
         t.transition(TxnStatus::Active, TxnStatus::Committing);
         t.set_ct(7);
         t.transition(TxnStatus::Committing, TxnStatus::Committed);
         o.fold_resolved(None);
-        assert_eq!(spec_meta.lower(), Some(7));
+        assert_eq!(o.debug_chain()[0], (Some(7), None), "valid from CT on");
         assert_eq!(*o.snapshot_latest(), 42);
         assert_eq!(o.version_count(), 2);
         // Old version's upper is CT - 1.
@@ -666,6 +671,51 @@ mod tests {
         assert!(blocked.is_none());
         assert_eq!(*o.snapshot_latest(), 11, "t1's fold, not t2's payload");
         assert_eq!(*o.read_spec_value(t2.id()).unwrap(), 22);
+    }
+
+    #[test]
+    fn a_payload_less_registration_hands_back_vc_and_owes_the_payload() {
+        let o = obj(4);
+        let (t1, t2) = (txn(1), txn(2));
+        match o.try_write(&t1, &mut None, None) {
+            WriteAttempt::Registered { base_lower, base } => {
+                assert_eq!((base_lower, base.as_deref()), (0, Some(&10)));
+            }
+            _ => panic!("expected Registered"),
+        }
+        assert!(
+            o.read_spec_value(t1.id()).is_none(),
+            "nothing installed yet"
+        );
+        // Registered all the same: others conflict, readers look past it.
+        assert!(matches!(write(&o, &t2, 0), WriteAttempt::Conflict(_)));
+        assert!(matches!(
+            o.try_read(&ValidityRange::from(0u64)),
+            ReadAttempt::Found { .. }
+        ));
+        // Asking again neither re-registers nor wipes what is there.
+        assert!(o.set_spec_value(t1.id(), Arc::new(11)));
+        assert!(matches!(
+            o.try_write(&t1, &mut None, None),
+            WriteAttempt::AlreadyWriter
+        ));
+        assert_eq!(*o.read_spec_value(t1.id()).unwrap(), 11);
+
+        // Killed before it installed anything: the empty speculative
+        // version goes with the next fold, the object is writable again.
+        let o = obj(4);
+        assert!(matches!(
+            o.try_write(&t1, &mut None, None),
+            WriteAttempt::Registered { .. }
+        ));
+        t1.transition(TxnStatus::Active, TxnStatus::Aborted);
+        assert!(
+            !o.set_spec_value(t2.id(), Arc::new(0)),
+            "not t2's to install"
+        );
+        assert!(matches!(write(&o, &t2, 5), WriteAttempt::Registered { .. }));
+        assert!(!o.set_spec_value(t1.id(), Arc::new(12)), "t1 lost the slot");
+        assert_eq!(o.version_count(), 1);
     }
 
     #[test]

@@ -11,23 +11,59 @@
 //!
 //! ## The watermark protocol
 //!
-//! Each registered thread owns one [`SnapshotSlot`]. A transaction publishes
-//! its snapshot lower bound into its slot at begin and clears it at finish.
-//! The watermark is advanced *lazily* — amortized over commits, no dedicated
-//! thread — by scanning the slots and caching the result in the
-//! [`ReclaimDomain`]. Slots are per-thread and uncontended (the owning
-//! thread writes, the advancing thread reads), so no new *global* hot cache
-//! line appears on the per-transaction path — the same contention argument
-//! the paper makes for its time bases (§4.2): the shared state is touched
-//! once per *advance interval*, not once per transaction.
+//! Each registered thread owns one [`SnapshotSlot`]: a state byte (`idle` /
+//! `pending` / `active` / `closed`) and a timestamp cell
+//! ([`lsa_time::TsCell`]). A transaction publishes its snapshot lower bound
+//! into its slot at begin and clears it at finish. The watermark is advanced
+//! *lazily* — amortized over commits, no dedicated thread — by scanning the
+//! slots and caching the result in the [`ReclaimDomain`]. Only the owning
+//! thread writes a slot, with plain stores, and only the advancing thread
+//! reads it: no lock, no read-modify-write and no new *global* hot cache
+//! line on the per-transaction path — the same contention argument the paper
+//! makes for its time bases (§4.2): the shared state is touched once per
+//! *advance interval*, not once per transaction.
 //!
 //! The begin protocol is two-phase: a slot is first marked *pending*, then
 //! the clock is read and the slot activated with the observed start time.
 //! A pending slot blocks watermark advancement entirely. Without this, an
-//! advance racing a begin could compute a watermark from "no active slots"
-//! (falling back to the advancer's own clock reading) *after* the beginning
+//! advance racing a begin could compute a watermark *after* the beginning
 //! transaction read an earlier start time but *before* it published it —
 //! and the stale watermark would overshoot that transaction's snapshot.
+//!
+//! ### Why no installed watermark is later than a live snapshot
+//!
+//! The owner `B` runs `state ← pending; fence; S ← clock; lower ← S;
+//! state ← active (release)` and, at the end, `state ← idle (release)`. The
+//! advancer `A` runs `now ← clock; fence; for each slot: look` and installs
+//! `W = meet(now, bounds of the slots found active)`, or nothing if a slot
+//! was pending. Both fences are `SeqCst`. Take `A`'s look at `B`'s slot:
+//!
+//! * **pending** — nothing is installed.
+//! * **active**, bound `L` read, state re-read: still active → `W ≼ L`. The
+//!   owner may have finished and begun again between the three loads, so
+//!   `L` may belong to an earlier transaction than the one live at the
+//!   re-read — but one thread's start times only grow, so it is no later
+//!   than the live one's. (The release store of `active` after the cell
+//!   write, and the acquire load of it before the cell read, make the cell
+//!   hold a bound that was published whole.) Re-read pending → nothing is
+//!   installed. Re-read idle → as below.
+//! * **idle** (or closed): the look precedes the `pending` store of every
+//!   later begin in the byte's modification order. Suppose such a begin
+//!   read a start time `S` that `now` is possibly later than, i.e. its
+//!   clock reading is ordered before `A`'s in the clock's own history. `A`'s
+//!   fence sits between its clock reading and its look; `B`'s sits between
+//!   its store and its clock reading. "Look before store" puts `A`'s fence
+//!   before `B`'s in the single order of `SeqCst` fences, "reading before
+//!   reading" puts `B`'s before `A`'s — a contradiction. (A read-modify-write
+//!   on the byte would order the two on x86, where it is a full barrier;
+//!   the language's model orders a later load of *another* location only
+//!   against a fence, and the clocks read with `Acquire`.) So `S ≽ now ≽ W`.
+//!   Clocks that are not memory (`PerfectClock`, `ExternalClock`) are read
+//!   at an instant after `B`'s fence retires, respectively before `A`'s.
+//!
+//! `now` is part of the `meet` for that last case: a slot the scan has yet
+//! to visit may carry a start time later than a transaction that began
+//! behind the scan, and only `now` bounds the latter.
 //!
 //! ## What a commit touches
 //!
@@ -74,10 +110,10 @@
 //! *timing* of reuse is tied to snapshot progress. See DESIGN.md §11.
 
 use crate::version::VersionMeta;
-use lsa_time::Timestamp;
+use lsa_time::{Timestamp, TsCell};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Maximum recycled version nodes cached per [`LocalReclaim`]. A node waits
@@ -88,80 +124,104 @@ use std::sync::Arc;
 /// to the allocator every other epoch.
 const POOL_CAP: usize = 128;
 
-#[derive(Debug)]
-struct SlotState<Ts: Timestamp> {
-    /// The owner's current snapshot lower bound, if a transaction is live.
-    lower: Option<Ts>,
-    /// A transaction is between "begin" and "start time published": blocks
-    /// watermark advancement (see the module docs).
-    pending: bool,
-    /// The owning thread handle was dropped; the slot may be reused by the
-    /// next registration.
-    closed: bool,
-}
+/// No transaction is live on the slot's owner.
+const IDLE: u8 = 0;
+/// A transaction is between "begin" and "start time published": blocks
+/// watermark advancement (see the module docs).
+const PENDING: u8 = 1;
+/// A transaction is live; its snapshot lower bound is in the slot's cell.
+const ACTIVE: u8 = 2;
+/// The owning thread handle was dropped; the slot may be reused by the next
+/// registration.
+const CLOSED: u8 = 3;
 
-/// One thread's snapshot registration slot.
+/// One thread's snapshot registration slot: a state byte and the timestamp
+/// cell holding the live transaction's snapshot lower bound.
 ///
-/// Written only by the owning thread (begin/finish), read by whichever
-/// thread happens to advance the watermark — an uncontended mutex in the
-/// common case, never a shared read-modify-write on the transaction path
-/// (hence the alignment: two threads' slots never share a cache line).
+/// Written only by the owning thread (begin/finish) with plain stores, read
+/// by whichever thread happens to advance the watermark — no lock and no
+/// read-modify-write on the transaction path (hence the alignment: two
+/// threads' slots never share a cache line). The one contended transition
+/// is claiming a closed slot at registration.
 #[derive(Debug)]
 #[repr(align(128))]
 pub struct SnapshotSlot<Ts: Timestamp> {
-    state: Mutex<SlotState<Ts>>,
+    state: AtomicU8,
+    /// Meaningful while `state` is `ACTIVE`; otherwise the last
+    /// transaction's bound, which nobody reads.
+    lower: Ts::Cell,
+}
+
+/// What a watermark scan learns from one slot.
+enum Sampled<Ts> {
+    /// No live transaction: nothing to respect.
+    Idle,
+    /// A live transaction with this snapshot lower bound.
+    Active(Ts),
+    /// A begin is in flight: the scan must give up.
+    Pending,
 }
 
 impl<Ts: Timestamp> SnapshotSlot<Ts> {
     fn new() -> Self {
         SnapshotSlot {
-            state: Mutex::new(SlotState {
-                lower: None,
-                pending: false,
-                closed: false,
-            }),
+            state: AtomicU8::new(IDLE),
+            lower: Ts::Cell::default(),
         }
     }
 
     /// Phase 1 of begin: announce that a snapshot lower bound is about to be
-    /// published, blocking watermark advancement until it is.
+    /// published, blocking watermark advancement until it is. The caller
+    /// reads its clock next; the fence orders the announcement before that
+    /// reading (store → load, see the module docs).
     pub(crate) fn mark_pending(&self) {
-        let mut s = self.state.lock();
-        s.pending = true;
+        self.state.store(PENDING, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
     }
 
     /// Phase 2 of begin: publish the transaction's snapshot lower bound.
     pub(crate) fn activate(&self, lower: Ts) {
-        let mut s = self.state.lock();
-        s.lower = Some(lower);
-        s.pending = false;
+        self.lower.put(Some(lower));
+        self.state.store(ACTIVE, Ordering::Release);
     }
 
     /// The owning transaction finished (committed or aborted): release the
     /// snapshot so the watermark may pass it.
     pub(crate) fn clear(&self) {
-        let mut s = self.state.lock();
-        s.lower = None;
-        s.pending = false;
+        self.state.store(IDLE, Ordering::Release);
     }
 
     /// The owning thread handle is gone: free the slot for reuse.
     pub(crate) fn close(&self) {
-        let mut s = self.state.lock();
-        s.lower = None;
-        s.pending = false;
-        s.closed = true;
+        self.state.store(CLOSED, Ordering::Release);
     }
 
     fn reopen(&self) -> bool {
-        let mut s = self.state.lock();
-        if s.closed {
-            s.closed = false;
-            s.lower = None;
-            s.pending = false;
-            true
-        } else {
-            false
+        self.state
+            .compare_exchange(CLOSED, IDLE, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// One slot's contribution to a watermark scan.
+    fn sample(&self) -> Sampled<Ts> {
+        match self.state.load(Ordering::Acquire) {
+            PENDING => Sampled::Pending,
+            ACTIVE => self.confirm(self.lower.get().expect("an active slot has a bound")),
+            _ => Sampled::Idle,
+        }
+    }
+
+    /// The second look at a slot found active, after its bound was read:
+    /// the owner may have finished that transaction and begun the next in
+    /// between. Whichever of its bounds was read is no later than its next
+    /// start time, so an active slot contributes it; a begin in flight
+    /// blocks the advance here as it does on the first look, and a slot
+    /// found idle counts as idle.
+    fn confirm(&self, lower: Ts) -> Sampled<Ts> {
+        match self.state.load(Ordering::Acquire) {
+            ACTIVE => Sampled::Active(lower),
+            PENDING => Sampled::Pending,
+            _ => Sampled::Idle,
         }
     }
 }
@@ -199,25 +259,24 @@ impl<Ts: Timestamp> SnapshotRegistry<Ts> {
         slot
     }
 
-    /// The watermark candidate: the `meet` over all active snapshot lower
-    /// bounds, `now` when no snapshot is active, or `None` when a pending
-    /// slot forbids advancing at all.
+    /// The watermark candidate: the `meet` of `now` — a reading of the
+    /// caller's clock taken before the call — and all active snapshot lower
+    /// bounds, or `None` when a pending slot forbids advancing at all.
     pub(crate) fn min_active_or(&self, now: Ts) -> Option<Ts> {
+        // Orders the caller's reading of `now` before the slot loads below
+        // (load → load across the two locations; pairs with the fence in
+        // `SnapshotSlot::mark_pending`).
+        fence(Ordering::SeqCst);
         let slots = self.slots.read();
-        let mut wm: Option<Ts> = None;
+        let mut wm = now;
         for slot in slots.iter() {
-            let s = slot.state.lock();
-            if s.pending {
-                return None;
-            }
-            if let Some(lower) = s.lower {
-                wm = Some(match wm {
-                    None => lower,
-                    Some(w) => w.meet(lower),
-                });
+            match slot.sample() {
+                Sampled::Idle => {}
+                Sampled::Active(lower) => wm = wm.meet(lower),
+                Sampled::Pending => return None,
             }
         }
-        Some(wm.unwrap_or(now))
+        Some(wm)
     }
 
     #[cfg(test)]
@@ -551,6 +610,43 @@ mod tests {
         assert!(local.advance(50));
         assert_eq!(dom.watermark(), Some(42));
         assert_eq!(local.watermark(), Some(42), "the advancer's copy follows");
+    }
+
+    #[test]
+    fn a_begin_that_races_the_bound_read_blocks_the_advance() {
+        let reg = SnapshotRegistry::new();
+        let a = reg.register();
+        a.activate(5);
+        // A scan looks at the slot, finds it active and reads its bound …
+        let lower = match a.sample() {
+            Sampled::Active(lower) => lower,
+            _ => panic!("an active slot contributes its bound"),
+        };
+        // … while the owner finishes that transaction and begins the next:
+        // its clock may already be read, its new bound is not published.
+        a.clear();
+        a.mark_pending();
+        assert!(matches!(a.confirm(lower), Sampled::Pending));
+        assert_eq!(reg.min_active_or(50), None, "and so does the next scan");
+        // Published: the scan that sampled the old bound may use it — it is
+        // no later than the new one.
+        a.activate(9);
+        assert!(matches!(a.confirm(lower), Sampled::Active(5)));
+        assert_eq!(reg.min_active_or(50), Some(9));
+        // Finished in between and idle since: nothing to respect.
+        a.clear();
+        assert!(matches!(a.confirm(lower), Sampled::Idle));
+    }
+
+    #[test]
+    fn the_watermark_never_passes_the_advancers_own_reading() {
+        // A transaction may begin behind a scan that has passed its slot,
+        // with a start time between the scan's `now` and the bounds of
+        // slots the scan has yet to visit; only `now` bounds it.
+        let reg = SnapshotRegistry::new();
+        let late = reg.register();
+        late.activate(70);
+        assert_eq!(reg.min_active_or(50), Some(50));
     }
 
     #[test]

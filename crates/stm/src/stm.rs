@@ -257,6 +257,13 @@ impl<B: TimeBase> Stm<B> {
         self.inner.reclaim.advance(clock.get_time());
     }
 
+    /// The installed watermark, if any — hook for the slot-protocol
+    /// witnesses.
+    #[doc(hidden)]
+    pub fn reclaim_watermark(&self) -> Option<B::Ts> {
+        self.inner.reclaim.watermark()
+    }
+
     /// The runtime's configuration.
     pub fn config(&self) -> &StmConfig {
         &self.inner.cfg
@@ -515,7 +522,30 @@ mod tests {
         assert_eq!(*x.snapshot_latest(), 3);
         assert_eq!((h.stats().reads, h.stats().writes), (1, 1));
         assert_eq!(ops, 2, "Karma's currency counts the same opens");
-        assert_eq!(h.stats().validated_entries, 2, "version read + own write");
+        assert_eq!(
+            h.stats().validated_entries,
+            1,
+            "the version read; the write is in the write set alone"
+        );
+
+        // `modify` as the first open is both at once, and validates nothing.
+        let y = stm.new_tvar(1u64);
+        let before = *h.stats();
+        let (ops, opened) = h.atomically(|tx| {
+            tx.modify(&y, |v| v + 1)?;
+            tx.modify(&y, |v| v + 1)?; // a re-write
+            tx.read(&y)?; // read-own-write
+            let ops = y.object().current_writer().expect("registered").cm().ops();
+            Ok((ops, tx.opened()))
+        });
+        assert_eq!(*y.snapshot_latest(), 3);
+        let after = *h.stats();
+        assert_eq!(
+            (after.reads, after.writes),
+            (before.reads + 1, before.writes + 1)
+        );
+        assert_eq!((ops, opened), (2, 1), "one object, opened for both");
+        assert_eq!(after.validated_entries, before.validated_entries);
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! it to abort").
 //!
 //! The paper's `C&S(T.CT, 0, t)` — first writer wins, everyone agrees on the
-//! result — is rendered as a [`OnceLock`]: `set` is the CAS, `get` the read.
+//! result — is the timestamp cell's [`TsCell::set_once`]: one CAS on a `u64`
+//! time base, and `get` is the read.
 
 use crate::cm::CmState;
 use crate::object::AnyObject;
 use crate::status::{AtomicStatus, TxnStatus};
 use crate::version::VersionMeta;
-use lsa_time::Timestamp;
+use lsa_time::{Timestamp, TsCell};
 use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One read-set element as published for helpers: the object (for its
 /// current-writer information) and the specific version meta that was read.
@@ -25,10 +26,9 @@ pub struct CtxEntry<Ts: Timestamp> {
     pub obj: Arc<dyn AnyObject<Ts>>,
     /// The version's shared range metadata.
     pub meta: Arc<VersionMeta<Ts>>,
-    /// The transaction holds the write mark on `obj`: this is its own
-    /// speculative version, or a version it read there before (or when)
-    /// registering. No other transaction can supersede such a version
-    /// before this one resolves, so while its upper bound is unset,
+    /// The transaction holds the write mark on `obj`: it read this version
+    /// and then registered there. No other transaction can supersede such a
+    /// version before this one resolves, so while its upper bound is unset,
     /// commit-time validation decides it from the entry alone
     /// (Algorithm 3 line 27's self case).
     pub own: bool,
@@ -39,9 +39,11 @@ pub struct CtxEntry<Ts: Timestamp> {
 /// The owner hands over the very vector it built — it does not touch it
 /// again until no helper holds the context.
 pub struct CommitCtx<Ts: Timestamp> {
-    /// All `(object, version)` pairs in `T.O`, including the transaction's
-    /// own speculative versions (whose `getPrelimUB` is the self-case of
-    /// Algorithm 3 line 27).
+    /// All `(object, version)` pairs in `T.O`: the versions the transaction
+    /// read. Objects it opened by writing them are not here — what it wrote
+    /// over is covered by its write mark (Algorithm 3 line 27's self case)
+    /// and needs no validation — so a write-only transaction publishes an
+    /// empty set, which a helper validates vacuously.
     pub entries: Vec<CtxEntry<Ts>>,
 }
 
@@ -57,7 +59,7 @@ impl<Ts: Timestamp> Default for CommitCtx<Ts> {
 pub struct TxnShared<Ts: Timestamp> {
     id: u64,
     status: AtomicStatus,
-    ct: OnceLock<Ts>,
+    ct: Ts::Cell,
     cm: CmState,
     ctx: Mutex<Option<Arc<CommitCtx<Ts>>>>,
     /// Whether this transaction commits under snapshot isolation (helpers
@@ -71,7 +73,7 @@ impl<Ts: Timestamp> TxnShared<Ts> {
         TxnShared {
             id,
             status: AtomicStatus::new(),
-            ct: OnceLock::new(),
+            ct: Ts::Cell::default(),
             cm: CmState::new(id),
             ctx: Mutex::new(None),
             si: std::sync::atomic::AtomicBool::new(false),
@@ -111,15 +113,14 @@ impl<Ts: Timestamp> TxnShared<Ts> {
     /// The agreed commit time, if already set.
     #[inline]
     pub fn ct(&self) -> Option<Ts> {
-        self.ct.get().copied()
+        self.ct.get()
     }
 
     /// `C&S(T.CT, 0, t)`: install `t` as the commit time unless one is
     /// already set; returns the commit time everyone must use.
     #[inline]
     pub fn set_ct(&self, t: Ts) -> Ts {
-        let _ = self.ct.set(t);
-        *self.ct.get().expect("ct was just set")
+        self.ct.set_once(t)
     }
 
     /// Contention-manager bookkeeping attached to this transaction.
@@ -171,25 +172,6 @@ mod tests {
         assert_eq!(t.set_ct(42), 42);
         assert_eq!(t.set_ct(99), 42, "second setter adopts the first value");
         assert_eq!(t.ct(), Some(42));
-    }
-
-    #[test]
-    fn ct_racing_setters_agree() {
-        let t: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(1));
-        let winners: Vec<u64> = std::thread::scope(|s| {
-            (0..8)
-                .map(|i| {
-                    let t = Arc::clone(&t);
-                    s.spawn(move || t.set_ct(100 + i))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        let first = winners[0];
-        assert!(winners.iter().all(|&w| w == first), "all agree on one CT");
-        assert_eq!(t.ct(), Some(first));
     }
 
     #[test]

@@ -7,29 +7,48 @@
 //!
 //! [`VersionMeta`] separates the range bookkeeping from the (typed) payload
 //! so that the transaction read set can be stored type-erased. Both bounds
-//! are write-once ([`std::sync::OnceLock`]): the lower bound is fixed when
-//! the writing transaction's speculative version is *folded* into the
-//! committed chain, the upper bound when the next version commits. Readers
-//! keep an `Arc<VersionMeta>` in their read set, so pruning old versions from
-//! an object's chain never invalidates the information a reader needs — a
-//! pruned version always has both bounds fixed.
+//! are write-once timestamp cells ([`lsa_time::TsCell`], one word each for
+//! `u64` time bases): the lower bound is fixed when the writing
+//! transaction's speculative version is *folded* into the committed chain,
+//! the upper bound when the next version commits. Both happen inside a fold,
+//! which holds the object's write lock — so a bound has one writer at a time
+//! and fixing it is a load and a release store, no read-modify-write; readers
+//! outside the lock (extend, validation, helpers) pair with it by acquire.
+//! Readers keep an `Arc<VersionMeta>` in their read set, so pruning old
+//! versions from an object's chain never invalidates the information a
+//! reader needs — a pruned version always has both bounds fixed.
 
-use lsa_time::Timestamp;
-use std::sync::OnceLock;
+use lsa_time::{Timestamp, TsCell};
 
 /// Shared, write-once validity-range metadata of one object version.
 #[derive(Debug)]
 pub struct VersionMeta<Ts: Timestamp> {
-    lower: OnceLock<Ts>,
-    upper: OnceLock<Ts>,
+    lower: Ts::Cell,
+    upper: Ts::Cell,
+    /// Keeps a `u64` node the 32 bytes it was with two `OnceLock`s. At 16
+    /// its `Arc` allocation drops a size class and packs tighter against
+    /// the neighbouring payload `Arc`s, whose counts every reader of those
+    /// objects increments: `engine_scan` ran ~3 % slower that way
+    /// (EXPERIMENTS.md, "LSA update atomics").
+    _class_pad: [u64; 2],
+}
+
+/// Fix `bound` unless it already is. The caller is the bound's only writer
+/// (it holds the object's write lock, or the only reference to the node).
+#[inline]
+fn fix<Ts: Timestamp>(bound: &Ts::Cell, ts: Ts) {
+    if bound.get().is_none() {
+        bound.put(Some(ts));
+    }
 }
 
 impl<Ts: Timestamp> VersionMeta<Ts> {
     /// Metadata for a speculative version: both bounds unknown.
     pub fn speculative() -> Self {
         VersionMeta {
-            lower: OnceLock::new(),
-            upper: OnceLock::new(),
+            lower: Ts::Cell::default(),
+            upper: Ts::Cell::default(),
+            _class_pad: [0; 2],
         }
     }
 
@@ -37,35 +56,36 @@ impl<Ts: Timestamp> VersionMeta<Ts> {
     /// (used for the initial version of a fresh object).
     pub fn committed_at(lower: Ts) -> Self {
         let meta = Self::speculative();
-        meta.lower.set(lower).ok();
+        meta.lower.put(Some(lower));
         meta
     }
 
     /// `⌊v.R⌋`, if the version has been committed.
     #[inline]
     pub fn lower(&self) -> Option<Ts> {
-        self.lower.get().copied()
+        self.lower.get()
     }
 
     /// `⌈v.R⌉`, if the version has been superseded (`None` means `∞`).
     #[inline]
     pub fn upper(&self) -> Option<Ts> {
-        self.upper.get().copied()
+        self.upper.get()
     }
 
     /// Fix the lower bound (at fold time, to the writer's commit time).
-    /// Idempotent: only the first call takes effect — folding is performed
-    /// by whichever thread touches the object first and may race helpers.
+    /// Only the first call takes effect. Callers hold the object's write
+    /// lock (a fold) or own the node outright.
     #[inline]
     pub fn set_lower(&self, ts: Ts) {
-        self.lower.set(ts).ok();
+        fix(&self.lower, ts);
     }
 
     /// Fix the upper bound (when a superseding version is folded, to the
-    /// superseder's commit time minus one granule). Idempotent.
+    /// superseder's commit time minus one granule). Only the first call
+    /// takes effect; same single-writer rule as [`set_lower`](Self::set_lower).
     #[inline]
     pub fn set_upper(&self, ts: Ts) {
-        self.upper.set(ts).ok();
+        fix(&self.upper, ts);
     }
 
     /// Return the node to its speculative state (both bounds unknown) so the

@@ -16,31 +16,20 @@ use std::sync::Arc;
 
 /// Build a "stuck" committing writer on a fresh object: registered, value
 /// installed, context published, status = Committing, **no commit time** —
-/// as if the owner thread was preempted right after the status CAS.
-fn stuck_committing_writer(
-    stm: &Stm<SharedCounter>,
-    var: &TVar<u64, u64>,
-    value: u64,
-) -> Arc<TxnShared<u64>> {
+/// as if the owner thread was preempted right after the status CAS. It
+/// opened the object by writing it, so its read set is empty: what it wrote
+/// over is covered by its write mark.
+fn stuck_committing_writer(var: &TVar<u64, u64>, value: u64) -> Arc<TxnShared<u64>> {
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xDEAD));
     let mut payload = Some(Arc::new(value));
-    let spec_meta = match var
-        .object_for_tests()
-        .try_write(&writer, &mut payload, None)
-    {
-        WriteAttempt::Registered { spec_meta, .. } => spec_meta,
-        _ => panic!("fresh object must register"),
-    };
+    assert!(matches!(
+        var.object_for_tests()
+            .try_write(&writer, &mut payload, None),
+        WriteAttempt::Registered { base: None, .. }
+    ));
     assert!(payload.is_none(), "the registration installed the payload");
-    writer.publish_ctx(Arc::new(CommitCtx {
-        entries: vec![CtxEntry {
-            obj: Arc::clone(var.object_for_tests()) as Arc<dyn AnyObject<u64>>,
-            meta: spec_meta,
-            own: true,
-        }],
-    }));
+    writer.publish_ctx(Arc::default());
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
-    let _ = stm;
     writer
 }
 
@@ -48,11 +37,12 @@ fn stuck_committing_writer(
 fn reader_helps_stuck_committer_and_sees_its_write() {
     let stm = Stm::new(SharedCounter::new());
     let var = stm.new_tvar(1u64);
-    let writer = stuck_committing_writer(&stm, &var, 42);
+    let writer = stuck_committing_writer(&var, 42);
     assert_eq!(writer.ct(), None, "owner never set a commit time");
 
     // A reader arriving now must help the commit finish (Algorithm 3
-    // line 13) and then read the committed value 42.
+    // line 13) — an empty read set validates vacuously — and then read the
+    // committed value 42.
     let mut h = stm.register();
     let seen = h.atomically(|tx| tx.read(&var).map(|v| *v));
     assert_eq!(seen, 42, "reader must observe the helped commit");
@@ -68,7 +58,7 @@ fn reader_helps_stuck_committer_and_sees_its_write() {
 fn writer_helps_stuck_committer_before_taking_over() {
     let stm = Stm::new(SharedCounter::new());
     let var = stm.new_tvar(1u64);
-    let writer = stuck_committing_writer(&stm, &var, 7);
+    let writer = stuck_committing_writer(&var, 7);
 
     let mut h = stm.register();
     h.atomically(|tx| tx.modify(&var, |v| v * 10));
@@ -84,7 +74,7 @@ fn writer_helps_stuck_committer_before_taking_over() {
 fn raw_reader_gets_need_help_for_committing_writer() {
     let stm = Stm::new(SharedCounter::new());
     let var = stm.new_tvar(5u64);
-    let writer = stuck_committing_writer(&stm, &var, 6);
+    let writer = stuck_committing_writer(&var, 6);
     match var.object_for_tests().try_read(&ValidityRange::from(0u64)) {
         ReadAttempt::NeedHelp(w) => assert_eq!(w.id(), writer.id()),
         _ => panic!("committing writer must request help"),
@@ -150,7 +140,7 @@ fn two_helpers_race_exactly_one_commit() {
     // exactly once and every reader agree on the value.
     let stm = Stm::new(SharedCounter::new());
     let var = stm.new_tvar(0u64);
-    let writer = stuck_committing_writer(&stm, &var, 1234);
+    let writer = stuck_committing_writer(&var, 1234);
     std::thread::scope(|s| {
         for _ in 0..4 {
             let stm = stm.clone();
@@ -172,9 +162,10 @@ fn two_helpers_race_exactly_one_commit() {
 }
 
 /// A committing writer stuck like [`stuck_committing_writer`], whose read set
-/// also holds the version of `var` it read *before* registering, flagged as
-/// covered by its own write mark (`CtxEntry::own`) — what `Txn::modify`
-/// publishes. `interloper` runs between that read and the registration.
+/// holds the version of `var` it read *before* registering, flagged as
+/// covered by its own write mark (`CtxEntry::own`) — what `Txn::read`
+/// followed by `Txn::write` publishes. `interloper` runs between that read
+/// and the registration.
 fn stuck_read_modify_writer(
     var: &TVar<u64, u64>,
     flag_read_entry: bool,
@@ -187,17 +178,16 @@ fn stuck_read_modify_writer(
     };
     interloper();
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xFEED));
-    let spec_meta = match obj.try_write(&writer, &mut Some(Arc::new(42)), None) {
-        WriteAttempt::Registered { spec_meta, .. } => spec_meta,
-        _ => panic!("nobody else holds the mark"),
-    };
-    let entry = |meta, own| CtxEntry {
-        obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
-        meta,
-        own,
-    };
+    assert!(matches!(
+        obj.try_write(&writer, &mut Some(Arc::new(42)), None),
+        WriteAttempt::Registered { .. }
+    ));
     writer.publish_ctx(Arc::new(CommitCtx {
-        entries: vec![entry(read_meta, flag_read_entry), entry(spec_meta, true)],
+        entries: vec![CtxEntry {
+            obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
+            meta: read_meta,
+            own: flag_read_entry,
+        }],
     }));
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
     writer
@@ -270,17 +260,11 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
     let var = stm.new_tvar(Arc::new(0u64));
     let committing: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xC0));
     let obj = var.object_for_tests();
-    let spec_meta = match obj.try_write(&committing, &mut Some(Arc::new(Arc::new(1))), None) {
-        WriteAttempt::Registered { spec_meta, .. } => spec_meta,
-        _ => panic!("fresh object must register"),
-    };
-    committing.publish_ctx(Arc::new(CommitCtx {
-        entries: vec![CtxEntry {
-            obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
-            meta: spec_meta,
-            own: true,
-        }],
-    }));
+    assert!(matches!(
+        obj.try_write(&committing, &mut Some(Arc::new(Arc::new(1))), None),
+        WriteAttempt::Registered { .. }
+    ));
+    committing.publish_ctx(Arc::default());
     assert!(committing.transition(TxnStatus::Active, TxnStatus::Committing));
 
     let payload = Arc::new(5u64);
@@ -313,4 +297,67 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
     // the payload twice. An aborted attempt's copy is gone.
     assert_eq!(var.version_count(), 4);
     assert_eq!(Arc::strong_count(&payload), 3);
+}
+
+#[test]
+fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() {
+    // `modify` on an unopened object registers first and installs after its
+    // closure has run. Whatever ends the attempt in between — the closure
+    // panicking, a contention manager killing the writer — must leave no
+    // payload-less speculative version behind, the object writable by
+    // others, and the handle's scratch clean.
+    let stm = Stm::new(SharedCounter::new());
+    let var = stm.new_tvar(10u64);
+    let obj = var.object_for_tests();
+    let mut h = stm.register();
+    let mut other = stm.register();
+
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        h.atomically(|tx| {
+            tx.modify(&var, |_| {
+                let me = obj.current_writer().expect("registered before f runs");
+                assert_eq!(me.status(), TxnStatus::Active);
+                panic!("closure failed between registration and install")
+            })
+        })
+    }));
+    assert!(unwound.is_err());
+    assert!(
+        obj.current_writer().is_none(),
+        "the unwind folded the mark away"
+    );
+    other.atomically(|tx| tx.modify(&var, |v| v + 1));
+    assert_eq!(other.stats().conflicts, 0);
+    assert_eq!(*var.snapshot_latest(), 11);
+
+    // Killed inside the closure: the install finds the mark gone, the
+    // attempt aborts as `Killed` and the retry goes through.
+    let mut injected = false;
+    h.atomically(|tx| {
+        tx.modify(&var, |v| {
+            if !std::mem::replace(&mut injected, true) {
+                let me = obj.current_writer().expect("registered before f runs");
+                assert!(me.transition(TxnStatus::Active, TxnStatus::Aborted));
+                // An enemy takes the object over and commits meanwhile.
+                other.atomically(|otx| otx.write(&var, 20));
+            }
+            v + 1
+        })?;
+        // Opened once, by writing: the write set's, not `T.O`'s.
+        assert_eq!(tx.opened(), 1);
+        Ok(())
+    });
+    assert_eq!(h.stats().aborts_for(AbortReason::Killed), 1);
+    assert_eq!(
+        *var.snapshot_latest(),
+        21,
+        "the retry derived from the enemy's 20"
+    );
+    assert!(obj.current_writer().is_none());
+    assert_eq!(
+        var.version_count(),
+        4,
+        "10, 11, 20, 21 — nothing half-written"
+    );
+    assert_eq!(h.stats().validated_entries, 0);
 }

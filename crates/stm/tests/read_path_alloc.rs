@@ -108,8 +108,8 @@ fn update_transactions_allocate_only_the_values_they_write() {
         h.atomically(|tx| {
             tx.modify(&a, |v| v - 1)?;
             tx.modify(&b, |v| v + 1)?;
-            // `modify` alone: each read claimed an entry, each write
-            // re-labelled it.
+            // `modify` alone: one open per object, for reading and writing
+            // at once.
             assert_eq!(tx.opened(), 2);
             Ok(())
         })
@@ -118,11 +118,19 @@ fn update_transactions_allocate_only_the_values_they_write() {
         transfer(&mut h);
     }
     const TXNS: u64 = 1_000;
+    let before = *h.stats();
     let n = allocs_during(|| {
         for _ in 0..TXNS {
             transfer(&mut h);
         }
     });
+    // Opened by writing, the two objects are in the write set alone: each
+    // counts as a read and a write, and commit validates nothing — what was
+    // written over is covered by the write marks.
+    let after = *h.stats();
+    assert_eq!(after.reads - before.reads, 2 * TXNS);
+    assert_eq!(after.writes - before.writes, 2 * TXNS);
+    assert_eq!(after.validated_entries, before.validated_entries);
     // Two per transaction, the `Arc`s of the two new values. The helper
     // context, the version nodes and the descriptor are all recycled, and
     // the scratch table neither grows nor rehashes.
@@ -131,6 +139,40 @@ fn update_transactions_allocate_only_the_values_they_write() {
         2 * TXNS,
         "allocations in {TXNS} two-variable update transactions"
     );
+    assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
+}
+
+#[test]
+fn read_then_write_still_validates_what_it_read() {
+    // The bank / wire `Transfer` shape: read, read, write, write. The
+    // versions read stay in `T.O` (flagged as under the writer's own mark)
+    // and are validated; the writes add nothing to it.
+    let stm = Stm::new(SharedCounter::new());
+    let (a, b) = (stm.new_tvar(0i64), stm.new_tvar(0i64));
+    let mut h = stm.register();
+    let transfer = |h: &mut ThreadHandle<SharedCounter>| {
+        h.atomically(|tx| {
+            let (va, vb) = (*tx.read(&a)?, *tx.read(&b)?);
+            tx.write(&a, va - 1)?;
+            tx.write(&b, vb + 1)?;
+            assert_eq!(tx.opened(), 2);
+            Ok(())
+        })
+    };
+    for _ in 0..200 {
+        transfer(&mut h);
+    }
+    const TXNS: u64 = 1_000;
+    let before = *h.stats();
+    let n = allocs_during(|| {
+        for _ in 0..TXNS {
+            transfer(&mut h);
+        }
+    });
+    assert_eq!(n, 2 * TXNS, "the two values written");
+    let after = *h.stats();
+    assert_eq!(after.validated_entries - before.validated_entries, 2 * TXNS);
+    assert_eq!(after.total_aborts(), 0);
     assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
 }
 
@@ -155,8 +197,8 @@ fn every_open_is_one_table_entry_per_distinct_object() {
         Ok(tx.opened())
     });
     assert_eq!(opened, 5);
-    // `modify` only: the read claims the entry, the write re-labels it —
-    // no second entry, however often the pair repeats.
+    // `modify` only: the first one claims the entry as written, the
+    // repeats find it — no second entry.
     let opened = h.atomically(|tx| {
         for v in vars[..4].iter().chain(&vars[..4]) {
             tx.modify(v, |x| x + 1)?;

@@ -1,6 +1,6 @@
 //! Watermark reclamation: safety and leak witnesses (DESIGN.md §11).
 //!
-//! Three properties pin the epoch/arena version store down:
+//! Four properties pin the epoch/arena version store down:
 //!
 //! 1. **Reclamation safety** — no version readable by a registered active
 //!    snapshot is ever pruned or recycled out from under it. Witness: a
@@ -13,7 +13,10 @@
 //!    versions_reclaimed` and no node is left pooled. The gauges are sharded
 //!    per handle and merged on read; they stay exact after join and
 //!    monotone under a concurrent sampler.
-//! 3. **Demand-driven retention beats fixed depth** — the acceptance demo:
+//! 3. **The slot protocol holds under fire** — with begins, finishes and
+//!    watermark advances racing on lock-free slots, no transaction ever
+//!    sees an installed watermark possibly later than its own snapshot.
+//! 4. **Demand-driven retention beats fixed depth** — the acceptance demo:
 //!    a long reader that loses its history under `max_versions = 8` keeps it
 //!    (and commits abort-free) under watermark retention, while memory stays
 //!    bounded by what that one snapshot actually pins.
@@ -21,6 +24,7 @@
 use lsa_stm::prelude::*;
 use lsa_stm::ReclaimStats;
 use lsa_time::counter::SharedCounter;
+use lsa_time::Timestamp;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -205,6 +209,80 @@ fn concurrent_transfers_reclaim_without_leaks() {
         s.versions_live,
         total_updates
     );
+}
+
+/// Slot-protocol witness (`reclaim`'s module docs give the argument): short
+/// transactions begin and finish on three threads — each also advancing the
+/// watermark after every commit — while a fourth does nothing but advance.
+/// Whenever a transaction looks, between its start and its end, the
+/// installed watermark is not possibly later than its snapshot's lower
+/// bound: every scan either saw its slot pending (and installed nothing),
+/// saw it active (and stayed at or below its start time), or had passed the
+/// slot before the begin (and stayed at or below its own earlier clock
+/// reading).
+#[test]
+fn no_installed_watermark_passes_a_live_snapshot() {
+    const WORKERS: usize = 3;
+    const TXNS: usize = 60_000;
+
+    let cfg = StmConfig {
+        wm_advance_interval: 1,
+        ..StmConfig::watermark_retention()
+    };
+    let stm = Stm::with_config(SharedCounter::new(), cfg);
+    let vars: Vec<_> = (0..2 * WORKERS).map(|_| stm.new_tvar(0i64)).collect();
+    let done = AtomicBool::new(false);
+    let behind_the_watermark = |tx: &Txn<'_, SharedCounter>| {
+        let lower = tx.validity_range().lower;
+        if let Some(w) = stm.reclaim_watermark() {
+            assert!(
+                !w.possibly_later(lower),
+                "watermark {w} installed over a live snapshot at {lower}"
+            );
+        }
+    };
+
+    let advances = std::thread::scope(|s| {
+        let advancer = s.spawn(|| {
+            let mut advances = 0u64;
+            while !done.load(Ordering::Acquire) {
+                stm.reclaim_quiesce();
+                advances += 1;
+            }
+            advances
+        });
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|t| {
+                let (stm, vars, check) = (&stm, &vars, &behind_the_watermark);
+                s.spawn(move || {
+                    let mut h = stm.register();
+                    for i in 0..TXNS {
+                        // Own pair mostly, a neighbour's now and then.
+                        let p = if i % 8 == 0 { (t + 1) % WORKERS } else { t };
+                        let (a, b) = (&vars[2 * p], &vars[2 * p + 1]);
+                        h.atomically(|tx| {
+                            check(tx);
+                            tx.modify(a, |v| v + 1)?;
+                            check(tx);
+                            let seen = *tx.read(b)?;
+                            check(tx);
+                            tx.write(b, seen - 1)
+                        });
+                    }
+                })
+            })
+            .collect();
+        // Stop the advancer before reporting a worker's failure.
+        let results: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        done.store(true, Ordering::Release);
+        for r in results {
+            r.expect("worker panicked");
+        }
+        advancer.join().expect("advancer panicked")
+    });
+    assert!(advances > 0 && stm.reclaim_stats().advances > 0);
+    let total: i64 = vars.iter().map(|v| *v.snapshot_latest()).sum();
+    assert_eq!(total, 0);
 }
 
 /// Gauge witness: `THREADS` × `COMMITS` two-write commits, alternately on a

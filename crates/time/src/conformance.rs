@@ -17,7 +17,8 @@
 
 use crate::base::{ThreadClock, TimeBase, Uniqueness};
 use crate::sharded::ShardedTimeBase;
-use crate::timestamp::Timestamp;
+use crate::timestamp::{Timestamp, TsCell};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One operation of a [`thread_contract`] pattern.
 #[derive(Clone, Copy, Debug)]
@@ -501,6 +502,86 @@ pub fn sharded_multi_shard_thread_contract<B: TimeBase>(
             }
         }
     }
+}
+
+/// The laws of a timestamp type's [`TsCell`] — the atomic `Option<Ts>` the
+/// STM keeps commit times, version bounds and snapshot registrations in —
+/// checked through the trait alone, so every cell implementation is held to
+/// the same text. `samples` are at least eight pairwise distinct timestamps
+/// whose parts identify them (a triple mixed from two samples is not a
+/// sample).
+pub fn cell_laws<Ts: Timestamp>(samples: &[Ts]) {
+    assert!(samples.len() >= 8, "need 8 distinct samples");
+    let name = std::any::type_name::<Ts::Cell>();
+
+    // Unset reads `None`; `put` writes through in both directions.
+    let cell = Ts::Cell::default();
+    assert_eq!(cell.get(), None, "{name}: a fresh cell is unset");
+    cell.put(Some(samples[0]));
+    assert_eq!(cell.get(), Some(samples[0]), "{name}");
+    cell.put(Some(samples[1]));
+    assert_eq!(cell.get(), Some(samples[1]), "{name}: put overwrites");
+    cell.put(None);
+    assert_eq!(cell.get(), None, "{name}: put(None) after put(Some)");
+
+    // `set_once`: the first setter wins, later ones adopt its value.
+    assert_eq!(cell.set_once(samples[2]), samples[2], "{name}");
+    assert_eq!(cell.set_once(samples[3]), samples[2], "{name}: adopted");
+    assert_eq!(cell.get(), Some(samples[2]), "{name}");
+
+    // … also when eight setters race: all leave with the one value that
+    // landed. The barrier lines them up on the unset cell.
+    for _ in 0..64 {
+        let cell = Ts::Cell::default();
+        let barrier = std::sync::Barrier::new(8);
+        let winners: Vec<Ts> = std::thread::scope(|s| {
+            let setters: Vec<_> = samples[..8]
+                .iter()
+                .map(|&mine| {
+                    let (cell, barrier) = (&cell, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        cell.set_once(mine)
+                    })
+                })
+                .collect();
+            setters
+                .into_iter()
+                .map(|h| h.join().expect("setter panicked"))
+                .collect()
+        });
+        let first = winners[0];
+        assert!(
+            samples[..8].contains(&first),
+            "{name}: {first:?} was never set"
+        );
+        assert!(
+            winners.iter().all(|&w| w == first),
+            "{name}: racing setters disagree: {winners:?}"
+        );
+        assert_eq!(cell.get(), Some(first), "{name}");
+    }
+
+    // A reader beside the single writer sees unset or a sample, never a mix
+    // of two.
+    let cell = Ts::Cell::default();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                if let Some(t) = cell.get() {
+                    assert!(samples.contains(&t), "{name}: read {t:?}, never put whole");
+                }
+            }
+        });
+        for round in 0..200_000usize {
+            cell.put(match round % 5 {
+                0 => None,
+                _ => Some(samples[round % samples.len()]),
+            });
+        }
+        done.store(true, Ordering::Release);
+    });
 }
 
 #[cfg(test)]

@@ -20,8 +20,8 @@
 //! by up to `2·dev`.
 
 use crate::base::{monotonic_ns, ThreadClock, TimeBase};
-use crate::timestamp::Timestamp;
-use std::sync::atomic::{AtomicU32, Ordering};
+use crate::timestamp::{Timestamp, TsCell};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Clock identifier carried by an [`ExtTimestamp`]. [`ClockId::UNDEFINED`]
@@ -74,6 +74,8 @@ impl ExtTimestamp {
 }
 
 impl Timestamp for ExtTimestamp {
+    type Cell = ExtCell;
+
     /// Algorithm 5, function `≽`: same-clock timestamps compare exactly;
     /// cross-clock comparisons require the intervals of possible real times
     /// to be disjoint in the right direction.
@@ -150,6 +152,99 @@ impl Timestamp for ExtTimestamp {
             cid: ClockId::UNDEFINED,
             dev: 0,
         }
+    }
+}
+
+/// [`TsCell`] for the three-word [`ExtTimestamp`]: a sequence lock over
+/// atomic words. `seq` is `version << 2 | SET | BUSY`; a writer claims the
+/// cell by raising `BUSY`, stores the triple, and publishes the next version
+/// with `SET` telling whether a value is there. A reader takes the triple
+/// only between two equal, non-busy readings of `seq`, so it never returns
+/// one that was not stored whole; while a writer is between claim and
+/// publish it waits, as `OnceLock` readers did for an initializer.
+///
+/// Orderings, writer then reader: the release fence after the claim orders
+/// the `BUSY` store before the triple's stores, and pairs with the reader's
+/// acquire fence — a reader that saw any word of a newer triple sees `seq`
+/// moved on its second reading and retries; the publishing release store
+/// pairs with the reader's first (acquire) reading.
+#[derive(Debug, Default)]
+pub struct ExtCell {
+    seq: AtomicU64,
+    ts: AtomicU64,
+    cid: AtomicU32,
+    dev: AtomicU64,
+}
+
+const BUSY: u64 = 1;
+const SET: u64 = 2;
+const VERSION: u64 = 4;
+
+impl ExtCell {
+    /// Store `value` and publish the version after `claimed`; the caller
+    /// raised `BUSY` on `claimed` and is the only writer until this returns.
+    fn publish(&self, claimed: u64, value: Option<ExtTimestamp>) {
+        fence(Ordering::Release);
+        let set = match value {
+            Some(t) => {
+                self.ts.store(t.ts, Ordering::Relaxed);
+                self.cid.store(t.cid.0, Ordering::Relaxed);
+                self.dev.store(t.dev, Ordering::Relaxed);
+                SET
+            }
+            None => 0,
+        };
+        let next = (claimed & !(SET | BUSY)).wrapping_add(VERSION) | set;
+        self.seq.store(next, Ordering::Release);
+    }
+}
+
+impl TsCell<ExtTimestamp> for ExtCell {
+    fn get(&self) -> Option<ExtTimestamp> {
+        loop {
+            let seq = self.seq.load(Ordering::Acquire);
+            if seq & BUSY == 0 {
+                if seq & SET == 0 {
+                    return None;
+                }
+                let value = ExtTimestamp {
+                    ts: self.ts.load(Ordering::Relaxed),
+                    cid: ClockId(self.cid.load(Ordering::Relaxed)),
+                    dev: self.dev.load(Ordering::Relaxed),
+                };
+                fence(Ordering::Acquire);
+                if self.seq.load(Ordering::Relaxed) == seq {
+                    return Some(value);
+                }
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    fn set_once(&self, ts: ExtTimestamp) -> ExtTimestamp {
+        loop {
+            if let Some(winner) = self.get() {
+                return winner;
+            }
+            let seq = self.seq.load(Ordering::Relaxed);
+            let unclaimed = seq & (SET | BUSY) == 0;
+            if unclaimed
+                && self
+                    .seq
+                    .compare_exchange(seq, seq | BUSY, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                self.publish(seq, Some(ts));
+                return ts;
+            }
+        }
+    }
+
+    fn put(&self, value: Option<ExtTimestamp>) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        debug_assert_eq!(seq & BUSY, 0, "put() raced another writer");
+        self.seq.store(seq | BUSY, Ordering::Relaxed);
+        self.publish(seq, value);
     }
 }
 

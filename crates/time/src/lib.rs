@@ -72,7 +72,7 @@ pub mod timestamp;
 pub use base::{CommitTs, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness};
 pub use range::ValidityRange;
 pub use sharded::{ShardedClock, ShardedTimeBase, TouchSet};
-pub use timestamp::Timestamp;
+pub use timestamp::{Timestamp, TsCell};
 
 /// Convenient re-exports of every concrete time base.
 pub mod prelude {

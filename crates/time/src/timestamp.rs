@@ -28,6 +28,38 @@
 //!   clocks), `ge` degenerates to `>=` and `join`/`meet` to `max`/`min`.
 
 use core::fmt::Debug;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// An atomic `Option<Ts>`: the shared cell a transaction's commit time, a
+/// version's validity bounds and a thread's published snapshot bound live
+/// in. Starts unset ([`Default`]). Two disciplines share it and a given
+/// cell follows one of them:
+///
+/// * **first setter wins** — any number of threads race [`set_once`] on an
+///   unset cell and all leave with the one value that landed (the paper's
+///   `C&S(T.CT, 0, t)`, Algorithm 2 lines 41–42);
+/// * **single writer** — one thread at a time (the cell's owner, or whoever
+///   holds the lock that guards it) calls [`put`], readers run alongside.
+///
+/// [`get`] never blocks a writer and never returns a value that was not
+/// written whole. A value a reader obtains was written before everything
+/// the writer did after the write (release / acquire).
+///
+/// [`set_once`]: TsCell::set_once
+/// [`put`]: TsCell::put
+/// [`get`]: TsCell::get
+pub trait TsCell<Ts>: Debug + Default + Send + Sync + 'static {
+    /// The current value, `None` while unset.
+    fn get(&self) -> Option<Ts>;
+
+    /// Install `ts` unless a value is already there; returns the value
+    /// every caller must use from now on.
+    fn set_once(&self, ts: Ts) -> Ts;
+
+    /// Overwrite the cell. Callers guarantee there is no concurrent `put`
+    /// or `set_once`.
+    fn put(&self, value: Option<Ts>);
+}
 
 /// A timestamp drawn from some time base, together with the uncertainty-aware
 /// comparison operations of Algorithm 1.
@@ -36,6 +68,11 @@ use core::fmt::Debug;
 /// throughout the STM hot path) and must satisfy the algebraic laws
 /// documented on each method.
 pub trait Timestamp: Copy + Clone + Debug + PartialEq + Send + Sync + 'static {
+    /// The atomic `Option<Self>` for this timestamp type, sized to it: one
+    /// word for word-sized timestamps, a multi-word cell where the
+    /// timestamp is a tuple.
+    type Cell: TsCell<Self>;
+
     /// The paper's `t1 ≽ t2` ("guaranteed later than or equal"): returns
     /// `true` iff it is guaranteed that `other` was read no later than
     /// `self`.
@@ -92,6 +129,8 @@ pub trait Timestamp: Copy + Clone + Debug + PartialEq + Send + Sync + 'static {
 /// Logical (integer) timestamps: the time base is a totally ordered counter
 /// or a perfectly synchronized clock. `ge` is ordinary `>=`.
 impl Timestamp for u64 {
+    type Cell = U64Cell;
+
     #[inline]
     fn ge(self, other: Self) -> bool {
         self >= other
@@ -120,6 +159,58 @@ impl Timestamp for u64 {
     #[inline]
     fn origin() -> Self {
         0
+    }
+}
+
+/// [`TsCell`] for `u64` timestamps: one atomic word, `u64::MAX` standing for
+/// "unset" — no time base reaches it, and storing it is refused rather than
+/// read back as `None`.
+#[derive(Debug)]
+pub struct U64Cell(AtomicU64);
+
+const UNSET: u64 = u64::MAX;
+
+/// The word that stores `value`.
+#[inline]
+fn word(value: Option<u64>) -> u64 {
+    match value {
+        Some(ts) => {
+            assert_ne!(ts, UNSET, "u64::MAX is the cell's unset marker");
+            ts
+        }
+        None => UNSET,
+    }
+}
+
+impl Default for U64Cell {
+    fn default() -> Self {
+        U64Cell(AtomicU64::new(UNSET))
+    }
+}
+
+impl TsCell<u64> for U64Cell {
+    #[inline]
+    fn get(&self) -> Option<u64> {
+        match self.0.load(Ordering::Acquire) {
+            UNSET => None,
+            ts => Some(ts),
+        }
+    }
+
+    #[inline]
+    fn set_once(&self, ts: u64) -> u64 {
+        let raced =
+            self.0
+                .compare_exchange(UNSET, word(Some(ts)), Ordering::AcqRel, Ordering::Acquire);
+        match raced {
+            Ok(_) => ts,
+            Err(winner) => winner,
+        }
+    }
+
+    #[inline]
+    fn put(&self, value: Option<u64>) {
+        self.0.store(word(value), Ordering::Release);
     }
 }
 

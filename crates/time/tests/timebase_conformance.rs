@@ -13,12 +13,12 @@
 
 use lsa_time::conformance::{self, ClockOp};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
-use lsa_time::external::{ExternalClock, OffsetPolicy};
+use lsa_time::external::{ClockId, ExtTimestamp, ExternalClock, OffsetPolicy};
 use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
 use lsa_time::sharded::ShardedTimeBase;
-use lsa_time::{TimeBase, Uniqueness};
+use lsa_time::{TimeBase, Timestamp, TsCell, Uniqueness};
 use proptest::prelude::*;
 
 /// Every registered base at conformance-friendly settings. Keep in sync
@@ -128,6 +128,35 @@ fn sharded_composite_rejects_best_effort_blocks() {
 }
 
 /// Map proptest-generated bytes onto clock operations.
+#[test]
+fn timestamp_cells_keep_the_cell_laws() {
+    // One generic function, both cell implementations: the one-word cell of
+    // `u64` bases and the sequence-locked triple of `ExtTimestamp`.
+    let words: Vec<u64> = (0..12)
+        .map(|k| k * 1_000 + 7)
+        .chain([0, u64::MAX - 1])
+        .collect();
+    conformance::cell_laws(&words);
+    // Every part names the sample, so a triple mixed from two is no sample.
+    let triples: Vec<ExtTimestamp> = (1..=12u64)
+        .map(|k| ExtTimestamp::new(k << 32 | k, ClockId(k as u32), k * 1_000_003))
+        .chain([ExtTimestamp::origin()])
+        .collect();
+    conformance::cell_laws(&triples);
+}
+
+#[test]
+#[should_panic(expected = "unset marker")]
+fn u64_cell_refuses_to_set_the_unset_marker_once() {
+    <u64 as Timestamp>::Cell::default().set_once(u64::MAX);
+}
+
+#[test]
+#[should_panic(expected = "unset marker")]
+fn u64_cell_refuses_to_put_the_unset_marker() {
+    <u64 as Timestamp>::Cell::default().put(Some(u64::MAX));
+}
+
 fn ops_from_bytes(bytes: &[u8]) -> Vec<ClockOp> {
     bytes
         .iter()
