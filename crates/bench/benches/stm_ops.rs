@@ -192,7 +192,12 @@ fn read_path(c: &mut Criterion) {
     //   per-transaction tables in `lsa_engine::IdMap` on the thread handle.
     // * `read_repeat` — one repeated read inside a running transaction.
     // * `extend_256` — one `Extend(T)` over a 256-entry read set.
+    //
+    // The closing `ro-scan-2t-over-1t` line is the read side's scaling
+    // figure, the twin of `private-2t-over-1t`: scans the two threads deliver
+    // together over what one delivers alone (2 × 1t ÷ 2t per iteration).
     let mut g = c.benchmark_group("stm-ops/read-path");
+    let mut scan_ns = [0.0f64; 2];
     let stm = Stm::new(SharedCounter::new());
     let vars: Vec<_> = (0..256).map(|_| stm.new_tvar(0u64)).collect();
     for threads in [1, 2] {
@@ -211,9 +216,17 @@ fn read_path(c: &mut Criterion) {
             g.bench_function(BenchmarkId::new("read_first", &tag), |b| {
                 b.iter(|| scan(&mut h, &vars[..1]))
             });
+            // Mean over every call the harness makes, warm-up included.
+            let (mut spent, mut scans) = (Duration::ZERO, 0u64);
             g.bench_function(BenchmarkId::new("ro_scan_256/lsa-rt", &tag), |b| {
-                b.iter(|| scan(&mut h, &vars))
+                let begin = Instant::now();
+                b.iter(|| {
+                    scans += 1;
+                    scan(&mut h, &vars)
+                });
+                spent += begin.elapsed();
             });
+            scan_ns[threads - 1] = spent.as_nanos() as f64 / scans as f64;
             g.bench_function(BenchmarkId::new("read_repeat", &tag), |b| {
                 h.atomically(|tx| {
                     for v in &vars {
@@ -242,6 +255,16 @@ fn read_path(c: &mut Criterion) {
     let tl2 = Tl2Stm::new(SharedCounter::new());
     bench_read_only(&mut g, "ro_scan_256/tl2/1t", &tl2, 256);
     g.finish();
+    println!(
+        "stm-ops/read-path/ro-scan-2t-over-1t {:.2} (available_parallelism {})",
+        2.0 * scan_ns[0] / scan_ns[1],
+        cpus()
+    );
+}
+
+/// What a scaling ratio has to stand on.
+fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// How an update transaction opens its two variables.
@@ -331,10 +354,10 @@ fn update_path() {
     let two = row("update_2var_private", 2, false, OpenStyle::Modify);
     row("update_2var_shared", 2, true, OpenStyle::Modify);
     row("transfer_2var_private", 1, false, OpenStyle::ReadThenWrite);
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "stm-ops/update-path/private-2t-over-1t {:.2} (available_parallelism {cpus})",
-        two / one
+        "stm-ops/update-path/private-2t-over-1t {:.2} (available_parallelism {})",
+        two / one,
+        cpus()
     );
 }
 

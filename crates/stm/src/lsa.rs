@@ -20,6 +20,7 @@
 //! | `Extend(T)` (Alg. 3 l.1–6) | [`Txn::extend`] |
 //! | `getVersion` (l.7–18) | [`crate::object::TObject::try_read`] + retry loop |
 //! | `getPrelimUB` (l.19–35) | [`ReadAttempt::Found::upper`] at opens, `prelim_raw` elsewhere |
+//! | `o.writer` of a version in `T.O` | through the version node ([`VersionMeta`]), see below |
 //! | helping (l.13) | `Txn::help_commit` |
 //!
 //! ### The `t` parameter of `getPrelimUB`
@@ -40,6 +41,18 @@
 //!   of objects the transaction holds the write mark on
 //!   ([`CtxEntry::own`]) this is Alg. 3 line 27's self case, and `validate`
 //!   answers it from the entry alone.
+//!
+//! ### `T.O` holds versions, not objects
+//!
+//! A read-set entry is the version node: bounds, payload, and a weak
+//! reference back to the object. A repeated read takes its value from the
+//! entry. `getPrelimUB` needs the object only for `o.writer`, and only for
+//! a version whose upper bound is still unset; [`Txn::extend`] upgrades the
+//! reference the first time it meets such an entry and keeps the result in
+//! the scratch (`TxnScratch::objects`) for the attempt's later extensions, so
+//! a transaction that never extends never touches an object's reference
+//! count, and one that extends often pays for it once. An object whose last
+//! `TVar` is gone has no writer: the caller's `t` bounds its head version.
 //!
 //! ### Written objects are not in `T.O`
 //!
@@ -64,7 +77,6 @@ use crate::version::VersionMeta;
 use lsa_engine::idmap::{recycle_map, recycle_vec, IdMap};
 use lsa_obs::trace::{self, EventKind};
 use lsa_time::{ThreadClock, TimeBase, Timestamp, ValidityRange};
-use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -89,10 +101,21 @@ enum Prelim<Ts: Timestamp> {
 /// conservative estimate of `⌈v.R⌉`, for callers that did not select `v`
 /// under `o`'s lock just now (extend, validation, helpers) and do not hold
 /// `o`'s write mark while committing (that self case is `validate`'s).
-fn prelim_raw<Ts: Timestamp>(obj: &dyn AnyObject<Ts>, meta: &VersionMeta<Ts>, t: Ts) -> Prelim<Ts> {
+///
+/// `o` is reached through `v`: `object` is where the caller keeps the
+/// upgraded back-reference, filled here the first time `v` is found without
+/// an upper bound. It stays `None` for an object that has been dropped.
+fn prelim_raw<Ts: Timestamp>(
+    meta: &VersionMeta<Ts>,
+    object: &mut Option<Arc<dyn AnyObject<Ts>>>,
+    t: Ts,
+) -> Prelim<Ts> {
     // Superseded: the exact upper bound is known.
     if let Some(u) = meta.upper() {
         return Prelim::Ready(u);
+    }
+    if object.is_none() {
+        *object = meta.object();
     }
     // The paper's pseudocode evaluates getPrelimUB atomically; here the
     // reads of `meta.upper` (above) and `o.writer` (below) are separate and
@@ -111,8 +134,8 @@ fn prelim_raw<Ts: Timestamp>(obj: &dyn AnyObject<Ts>, meta: &VersionMeta<Ts>, t:
         }
     };
     // v is (tentatively) the latest version: only the registered writer may
-    // bound it before t.
-    if let Some(w) = obj.current_writer() {
+    // bound it before t. (A dropped object has none, and cannot get one.)
+    if let Some(w) = object.as_ref().and_then(|o| o.current_writer()) {
         let st = w.status();
         if matches!(st, TxnStatus::Committing | TxnStatus::Committed) {
             return match w.ct() {
@@ -137,12 +160,12 @@ fn prelim_raw<Ts: Timestamp>(obj: &dyn AnyObject<Ts>, meta: &VersionMeta<Ts>, t:
 /// from `clock` (the paper's nonblocking helper behaviour) and recompute.
 fn prelim_resolved<C: ThreadClock>(
     clock: &mut C,
-    obj: &dyn AnyObject<C::Ts>,
     meta: &VersionMeta<C::Ts>,
+    object: &mut Option<Arc<dyn AnyObject<C::Ts>>>,
     t: C::Ts,
 ) -> C::Ts {
     loop {
-        match prelim_raw(obj, meta, t) {
+        match prelim_raw(meta, object, t) {
             Prelim::Ready(ub) => return ub,
             Prelim::NeedCt(w) => {
                 // Arbitrated like any commit time: `t` is in the caller's
@@ -170,7 +193,8 @@ pub(crate) fn validate<C: ThreadClock>(
             // commits a version of the object before CT + 1. An entry whose
             // bound is fixed was superseded before the mark was taken.
             None if e.own => ct,
-            _ => prelim_resolved(clock, e.obj.as_ref(), &e.meta, ct),
+            // Validation runs once: the object reference is not kept.
+            _ => prelim_resolved(clock, &e.meta, &mut None, ct),
         };
         // Paper line 45: abort if T.CT ≿ ub (possibly later than).
         !ct.possibly_later(ub)
@@ -180,9 +204,8 @@ pub(crate) fn validate<C: ThreadClock>(
 /// How the running attempt has opened an object so far.
 #[derive(Clone, Copy)]
 enum Opened {
-    /// Read from the snapshot: the payload is `values[value]`, the version
-    /// `read_set[entry]`.
-    Read { value: usize, entry: usize },
+    /// Read from the snapshot: the version is `read_set[entry]`.
+    Read { entry: usize },
     /// Registered as writer: reads go to the speculative version.
     Written,
 }
@@ -205,9 +228,11 @@ pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// publication and the attempt's `clear` it holds the read set; at all
     /// other times it is empty and this is the only reference.
     ctx: Arc<CommitCtx<Ts>>,
-    /// Payloads of the versions read, so a repeated read returns the very
-    /// same `Arc` even after the version was pruned from its object.
-    values: Vec<Arc<dyn Any + Send + Sync>>,
+    /// The objects of read-set entries, by entry index, as far as an
+    /// `Extend` needed them for `o.writer`: upgraded once, kept for the
+    /// attempt's later extensions. Empty in an attempt that never extends;
+    /// never longer than `read_set`.
+    objects: Vec<Option<Arc<dyn AnyObject<Ts>>>>,
     /// Every object opened so far, by id. Probed once per open: a first
     /// read claims its entry in the lookup, a write's insert returns what
     /// was there.
@@ -223,7 +248,7 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
             shared: Arc::new(TxnShared::new(0)),
             read_set: Vec::new(),
             ctx: Arc::default(),
-            values: Vec::new(),
+            objects: Vec::new(),
             opened: IdMap::default(),
             write_set: Vec::new(),
         }
@@ -258,7 +283,7 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
             }
         }
         recycle_vec(&mut self.read_set);
-        recycle_vec(&mut self.values);
+        recycle_vec(&mut self.objects);
         recycle_map(&mut self.opened);
         recycle_vec(&mut self.write_set);
     }
@@ -268,7 +293,7 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
         self.read_set
             .capacity()
             .max(self.ctx.entries.capacity())
-            .max(self.values.capacity())
+            .max(self.objects.capacity())
             .max(self.opened.capacity())
             .max(self.write_set.capacity())
     }
@@ -460,7 +485,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             Entry::Occupied(e) => Some(*e.get()),
             Entry::Vacant(e) => {
                 e.insert(Opened::Read {
-                    value: scratch.values.len(),
                     entry: scratch.read_set.len(),
                 });
                 None
@@ -470,7 +494,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             // Read-own-write: the speculative value is ours.
             Some(Opened::Written) => return self.own_write(var),
             // Repeated read: same version as before (snapshot stability).
-            Some(Opened::Read { value, .. }) => return Ok(self.cached_value(value)),
+            Some(Opened::Read { entry }) => return Ok(self.value_read(entry)),
             None => {}
         }
         // A first open: the unit of `TxnStats::reads` and of Karma priority.
@@ -481,12 +505,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         let mut spins = 0u32;
         loop {
             match var.object().try_read(&self.range) {
-                ReadAttempt::Found {
-                    value,
-                    meta,
-                    lower,
-                    upper,
-                } => {
+                ReadAttempt::Found { meta, lower, upper } => {
                     // Tentatively intersect T.R with the version's range
                     // (Alg. 2 lines 28–29); `upper` is getPrelimUB's
                     // evidence, sampled with the selection.
@@ -505,18 +524,17 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                         return Err(self.do_abort(AbortReason::Snapshot));
                     }
                     self.range = nr;
-                    let scratch = &mut self.core.scratch;
-                    scratch.read_set.push(CtxEntry {
-                        obj: Arc::clone(var.object()) as Arc<dyn AnyObject<B::Ts>>,
-                        meta,
-                        own: false,
-                    });
-                    scratch
-                        .values
-                        .push(Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
+                    // The node goes to `T.O` as it came out of the chain;
+                    // the caller's `Arc` of the payload is the read's one
+                    // other count.
+                    let value = meta.value();
+                    self.core
+                        .scratch
+                        .read_set
+                        .push(CtxEntry { meta, own: false });
                     return Ok(value);
                 }
-                ReadAttempt::NoOverlap { newest_lower: _ } => {
+                ReadAttempt::NoOverlap => {
                     if self.cfg.extend_on_read && !extended {
                         extended = true;
                         self.extend();
@@ -582,8 +600,8 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     .expect("a payload-less registration hands back vc's value");
                 self.install(var, Arc::new(f(&vc)))
             }
-            Some(Opened::Read { value, .. }) => {
-                let current = self.cached_value::<T>(value);
+            Some(Opened::Read { entry }) => {
+                let current = self.value_read::<T>(entry);
                 self.open_write(var, Some(Arc::new(f(&current))), prior)
                     .map(drop)
             }
@@ -603,11 +621,11 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
     }
 
-    /// The payload of the version `Opened::Read { value, .. }` names.
-    fn cached_value<T: Send + Sync + 'static>(&self, value: usize) -> Arc<T> {
-        Arc::clone(&self.core.scratch.values[value])
-            .downcast::<T>()
-            .expect("object payload type is stable")
+    /// The payload of the version `Opened::Read { entry }` names — the very
+    /// `Arc` the first read returned, whether or not the version is still in
+    /// its object's chain.
+    fn value_read<T: Send + Sync + 'static>(&self, entry: usize) -> Arc<T> {
+        self.core.scratch.read_set[entry].meta.value()
     }
 
     /// Install `payload` as the speculative value of an object this attempt
@@ -656,7 +674,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     self.core.scratch.write_set.push(obj);
                     // We hold the write mark from here on: the version we
                     // read here earlier, if any, is ours to bound at commit.
-                    if let Some(Opened::Read { entry, .. }) = prior {
+                    if let Some(Opened::Read { entry }) = prior {
                         self.core.scratch.read_set[entry].own = true;
                     }
 
@@ -730,8 +748,11 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
         self.observed = self.observed.join(now);
         self.range.set_upper(now);
-        for e in &core.scratch.read_set {
-            let ub = prelim_resolved(&mut core.clock, e.obj.as_ref(), &e.meta, now);
+        let scratch = &mut core.scratch;
+        // Entries read since the last extension get their (empty) slot.
+        scratch.objects.resize_with(scratch.read_set.len(), || None);
+        for (e, object) in scratch.read_set.iter().zip(&mut scratch.objects) {
+            let ub = prelim_resolved(&mut core.clock, &e.meta, object, now);
             self.range.restrict_upper(ub);
         }
         core.stats.extensions += 1;
@@ -920,16 +941,15 @@ mod tests {
     use crate::object::TObject;
 
     fn entry(obj: &Arc<TObject<u64, u64>>) -> CtxEntry<u64> {
-        CtxEntry {
-            obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
-            meta: Arc::new(VersionMeta::committed_at(0)),
-            own: false,
+        match obj.try_read(&ValidityRange::from(0u64)) {
+            ReadAttempt::Found { meta, .. } => CtxEntry { meta, own: false },
+            _ => panic!("a fresh object serves its initial version"),
         }
     }
 
     #[test]
     fn the_published_context_is_the_read_set_itself_and_is_recycled() {
-        let obj = Arc::new(TObject::new(1, 0u64, 0, 4));
+        let obj = TObject::new(1, 0u64, 0, 4);
         let mut scratch = TxnScratch::new();
         scratch.read_set.extend([entry(&obj), entry(&obj)]);
         let built = scratch.read_set.as_ptr();
@@ -955,7 +975,7 @@ mod tests {
 
     #[test]
     fn a_helper_still_holding_the_context_forces_a_fresh_one() {
-        let obj = Arc::new(TObject::new(1, 0u64, 0, 4));
+        let obj = TObject::new(1, 0u64, 0, 4);
         let mut scratch = TxnScratch::new();
         scratch.read_set.push(entry(&obj));
         scratch.publish_read_set();
@@ -984,7 +1004,7 @@ mod tests {
         // nothing to take back and cannot tell that the shell went out. The
         // next publication must notice the helper instead of insisting on
         // an unshared shell.
-        let obj = Arc::new(TObject::new(1, 0u64, 0, 4));
+        let obj = TObject::new(1, 0u64, 0, 4);
         let mut scratch = TxnScratch::new();
         scratch.publish_read_set();
         let helper = scratch.shared.ctx().expect("published");

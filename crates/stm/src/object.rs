@@ -1,7 +1,8 @@
 //! Multi-version transactional objects with visible writes.
 //!
-//! Each object holds a bounded chain of *committed* versions (newest first)
-//! plus at most one *speculative* version owned by a registered writer — the
+//! Each object holds a bounded chain of *committed* versions (the latest in
+//! the object itself, the superseded ones behind it, newest first) plus at
+//! most one *speculative* version owned by a registered writer — the
 //! paper's `o.writer` mark (§2.3, DSTM-style visible writes). "Setting the
 //! transaction's state atomically commits — or discards in case of an abort —
 //! all object versions written by the transaction": the speculative version's
@@ -30,7 +31,10 @@
 //!
 //! A first read takes the object's lock **once**: [`TObject::try_read`]
 //! selects the version and, in the same critical section, samples what
-//! `getPrelimUB` needs to bound it ([`ReadAttempt::Found::upper`]). A
+//! `getPrelimUB` needs to bound it ([`ReadAttempt::Found::upper`]). What it
+//! hands out is the version node itself ([`VersionMeta`]: bounds, payload,
+//! the way back to this object) — the chain holds nothing else, so the read
+//! clones one `Arc` under the lock and leaves the object's own count alone. A
 //! version's `upper` is only ever fixed under the write lock (by a fold), so
 //! "no upper bound, and the registered writer — if any — is still `Active`"
 //! is one atomic observation there, where the lock-free paths
@@ -43,8 +47,9 @@ use crate::txn_shared::TxnShared;
 use crate::version::VersionMeta;
 use lsa_time::{Timestamp, ValidityRange};
 use parking_lot::RwLock;
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Type-erased view of an object used by read sets, validation and helping
 /// (no payload type parameter, so descriptors can hold heterogeneous sets).
@@ -65,12 +70,11 @@ pub trait AnyObject<Ts: Timestamp>: Send + Sync {
 
 /// Outcome of a read attempt (the object-side half of `getVersion`,
 /// Algorithm 3 lines 7–18).
-pub enum ReadAttempt<T, Ts: Timestamp> {
+pub enum ReadAttempt<Ts: Timestamp> {
     /// A committed version overlapping the requested range.
     Found {
-        /// The version's payload.
-        value: Arc<T>,
-        /// The version's range metadata (goes into the read set).
+        /// The version (goes into the read set; the payload is its
+        /// [`VersionMeta::value`]).
         meta: Arc<VersionMeta<Ts>>,
         /// `⌊v.R⌋` — returned separately so the caller does not re-lock.
         lower: Ts,
@@ -82,13 +86,10 @@ pub enum ReadAttempt<T, Ts: Timestamp> {
         /// caller's fallback `t` is a sound bound without re-locking.
         upper: Option<Ts>,
     },
-    /// No committed version overlaps the range. Carries the newest version's
-    /// lower bound so the caller can decide whether extending could help
-    /// (the newest version begins after the range's upper bound).
-    NoOverlap {
-        /// Lower bound of the newest committed version.
-        newest_lower: Ts,
-    },
+    /// No committed version overlaps the range. The head has no upper bound
+    /// (nothing unfolded supersedes it), so it lies wholly above `⌈T.R⌉` and
+    /// an extension is always worth trying.
+    NoOverlap,
     /// A resolved speculative version must be folded first; call
     /// [`AnyObject::fold_resolved`] and retry.
     NeedFold,
@@ -120,23 +121,28 @@ pub enum WriteAttempt<T, Ts: Timestamp> {
     NeedHelp(Arc<TxnShared<Ts>>),
 }
 
-struct Committed<T, Ts: Timestamp> {
-    value: Arc<T>,
-    meta: Arc<VersionMeta<Ts>>,
-}
-
 struct Spec<T, Ts: Timestamp> {
     /// `None` between a payload-less registration and the writer's
     /// `set_spec_value`; a writer only starts committing with it installed.
+    /// The fold moves it into the node.
     value: Option<Arc<T>>,
+    /// The node the version will be. Nobody else holds it until the fold
+    /// has linked it: a speculative node has one reference.
     meta: Arc<VersionMeta<Ts>>,
     writer: Arc<TxnShared<Ts>>,
 }
 
 struct ObjInner<T, Ts: Timestamp> {
-    /// Committed versions, newest first. Never empty (objects are created
-    /// with an initial committed version).
-    committed: VecDeque<Committed<T, Ts>>,
+    /// The latest committed version, held in the object itself. A read of
+    /// it — the common one — goes from the lock word to the node without
+    /// passing through a chain buffer, which as a small allocation of its
+    /// own shares a cache line with whatever the allocator puts beside it
+    /// (payload `Arc`s, whose counts every reader of *another* object
+    /// writes).
+    head: Arc<VersionMeta<Ts>>,
+    /// The superseded versions still retained, newest first. Allocates
+    /// when the first of them has to stay.
+    older: VecDeque<Arc<VersionMeta<Ts>>>,
     /// The at-most-one speculative version (the visible write mark).
     spec: Option<Spec<T, Ts>>,
 }
@@ -152,29 +158,53 @@ pub struct TObject<T, Ts: Timestamp> {
     /// Prune below the watermark in addition to the `max_versions` ceiling
     /// (`StmConfig::watermark_pruning`).
     wm_prune: bool,
+    /// This object, for the back-reference of the versions it commits.
+    me: Weak<Self>,
     inner: RwLock<ObjInner<T, Ts>>,
+}
+
+impl<T, Ts: Timestamp> ObjInner<T, Ts> {
+    /// The committed versions, newest first.
+    fn versions(&self) -> impl Iterator<Item = &Arc<VersionMeta<Ts>>> {
+        std::iter::once(&self.head).chain(&self.older)
+    }
 }
 
 impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     /// Create an object whose initial version is valid from `lower`
     /// (normally [`Timestamp::origin`], so every snapshot can see it).
-    pub fn new(id: u64, initial: T, lower: Ts, max_versions: usize) -> Self {
+    pub fn new(id: u64, initial: T, lower: Ts, max_versions: usize) -> Arc<Self> {
+        Self::build(id, initial, lower, max_versions, None, false)
+    }
+
+    fn build(
+        id: u64,
+        initial: T,
+        lower: Ts,
+        max_versions: usize,
+        reclaim: Option<Arc<ReclaimDomain<Ts>>>,
+        wm_prune: bool,
+    ) -> Arc<Self> {
         assert!(max_versions >= 1, "need at least one committed version");
-        let mut committed = VecDeque::with_capacity(max_versions.min(16) + 1);
-        committed.push_front(Committed {
-            value: Arc::new(initial),
-            meta: Arc::new(VersionMeta::committed_at(lower)),
-        });
-        TObject {
-            id,
-            max_versions,
-            reclaim: None,
-            wm_prune: false,
-            inner: RwLock::new(ObjInner {
-                committed,
-                spec: None,
-            }),
-        }
+        Arc::new_cyclic(|me: &Weak<Self>| {
+            let head = Arc::new(VersionMeta::committed_at(
+                lower,
+                Arc::new(initial),
+                me.clone(),
+            ));
+            TObject {
+                id,
+                max_versions,
+                reclaim,
+                wm_prune,
+                me: me.clone(),
+                inner: RwLock::new(ObjInner {
+                    head,
+                    older: VecDeque::new(),
+                    spec: None,
+                }),
+            }
+        })
     }
 
     /// Like [`TObject::new`], but attached to a reclamation domain: version
@@ -189,32 +219,22 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         max_versions: usize,
         reclaim: Arc<ReclaimDomain<Ts>>,
         wm_prune: bool,
-    ) -> Self {
-        let mut obj = Self::new(id, initial, lower, max_versions);
+    ) -> Arc<Self> {
         reclaim.note_seeded(); // the initial version
-        obj.reclaim = Some(reclaim);
-        obj.wm_prune = wm_prune;
-        obj
+        Self::build(id, initial, lower, max_versions, Some(reclaim), wm_prune)
     }
 
     /// The latest committed value, ignoring transactions (for seeding and
     /// debugging; *not* transactionally consistent with anything else).
     pub fn snapshot_latest(&self) -> Arc<T> {
         self.fold_resolved(None);
-        Arc::clone(
-            &self
-                .inner
-                .read()
-                .committed
-                .front()
-                .expect("non-empty")
-                .value,
-        )
+        let inner = self.inner.read();
+        inner.head.value()
     }
 
     /// Number of committed versions currently retained.
     pub fn version_count(&self) -> usize {
-        self.inner.read().committed.len()
+        1 + self.inner.read().older.len()
     }
 
     /// Debug view of the committed chain: `(lower, upper)` per version,
@@ -223,16 +243,15 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     pub fn debug_chain(&self) -> Vec<(Option<Ts>, Option<Ts>)> {
         self.inner
             .read()
-            .committed
-            .iter()
-            .map(|v| (v.meta.lower(), v.meta.upper()))
+            .versions()
+            .map(|v| (v.lower(), v.upper()))
             .collect()
     }
 
     /// The object-side half of `getVersion` for a read in `range`:
     /// the newest committed version whose validity range (as recorded —
     /// preliminary bounds are the caller's business) overlaps `range`.
-    pub fn try_read(&self, range: &ValidityRange<Ts>) -> ReadAttempt<T, Ts> {
+    pub fn try_read(&self, range: &ValidityRange<Ts>) -> ReadAttempt<Ts> {
         let inner = self.inner.read();
         if let Some(spec) = &inner.spec {
             match spec.writer.status() {
@@ -241,30 +260,22 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                 TxnStatus::Active => {} // invisible to readers
             }
         }
-        for (idx, v) in inner.committed.iter().enumerate() {
-            let lower = v.meta.lower().expect("committed version has lower");
+        for (idx, v) in inner.versions().enumerate() {
+            let lower = v.lower().expect("committed version has lower");
             debug_assert!(
-                idx == 0 || v.meta.upper().is_some(),
+                idx == 0 || v.upper().is_some(),
                 "non-front version without an upper bound (chain corrupt)"
             );
-            let upper = v.meta.upper();
+            let upper = v.upper();
             if (ValidityRange { lower, upper }).overlaps(range) {
                 return ReadAttempt::Found {
-                    value: Arc::clone(&v.value),
-                    meta: Arc::clone(&v.meta),
+                    meta: Arc::clone(v),
                     lower,
                     upper,
                 };
             }
         }
-        let newest_lower = inner
-            .committed
-            .front()
-            .expect("non-empty")
-            .meta
-            .lower()
-            .expect("committed version has lower");
-        ReadAttempt::NoOverlap { newest_lower }
+        ReadAttempt::NoOverlap
     }
 
     /// The caller's share of this object's reclamation domain, synced to the
@@ -326,9 +337,9 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                 },
             }
         }
-        let vc = inner.committed.front().expect("non-empty");
-        let base_lower = vc.meta.lower().expect("committed version has lower");
-        let base = payload.is_none().then(|| Arc::clone(&vc.value));
+        let vc = &inner.head;
+        let base_lower = vc.lower().expect("committed version has lower");
+        let base = payload.is_none().then(|| vc.value());
         let meta = match reclaim {
             // Arena path: recycle an epoch-expired node instead of a fresh
             // heap allocation on the write/commit hot path.
@@ -370,10 +381,12 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
 
     /// Fold a resolved speculative version while holding the write lock:
     ///
-    /// * committed writer → fix the speculative version's lower bound to the
-    ///   writer's commit time `CT`, fix the previous newest version's upper
-    ///   bound to `CT.prior()` (Algorithm 3 line 29's "valid at least until
-    ///   then" becomes exact here), push it as the new head, prune the tail;
+    /// * committed writer → make the speculative node the version: lower
+    ///   bound the writer's commit time `CT`, the payload, the way back to
+    ///   this object, bound in one exclusive access to the still-unshared
+    ///   node; fix the previous newest version's upper bound to `CT.prior()`
+    ///   (Algorithm 3 line 29's "valid at least until then" becomes exact
+    ///   here), push the node as the new head, prune the tail;
     /// * aborted writer → discard.
     ///
     /// Tail pruning retires **eagerly at commit** — the committer folds its
@@ -396,48 +409,46 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         if !resolved {
             return;
         }
-        let spec = inner.spec.take().expect("checked above");
+        let mut spec = inner.spec.take().expect("checked above");
         match spec.writer.status() {
             TxnStatus::Committed => {
                 let ct = spec.writer.ct().expect("committed writer has a CT");
-                spec.meta.set_lower(ct);
-                if let Some(prev) = inner.committed.front() {
-                    debug_assert!(
-                        ct.possibly_later(prev.meta.lower().expect("committed")),
-                        "commit-time order inverted within one object's chain: \
-                         new {:?} after {:?}",
-                        ct,
-                        prev.meta.lower()
-                    );
-                    prev.meta.set_upper(ct.prior());
-                }
-                inner.committed.push_front(Committed {
-                    value: spec
-                        .value
-                        .expect("a committing writer has installed its payload"),
-                    meta: spec.meta,
-                });
+                let payload: Arc<dyn Any + Send + Sync> = spec
+                    .value
+                    .expect("a committing writer has installed its payload");
+                Arc::get_mut(&mut spec.meta)
+                    .expect("a speculative node has one reference")
+                    .commit(ct, payload, self.me.clone());
+                let prev = std::mem::replace(&mut inner.head, spec.meta);
+                debug_assert!(
+                    ct.possibly_later(prev.lower().expect("committed")),
+                    "commit-time order inverted within one object's chain: \
+                     new {:?} after {:?}",
+                    ct,
+                    prev.lower()
+                );
+                prev.set_upper(ct.prior());
+                inner.older.push_front(prev);
                 if let Some(r) = &reclaim {
                     r.note_live();
                 }
-                while inner.committed.len() > self.max_versions {
+                while inner.older.len() >= self.max_versions {
                     // Only superseded versions (fixed upper) can sit behind
                     // the head, so pruning never erases live range info —
-                    // readers that still hold the meta keep the full range.
-                    let pruned = inner.committed.pop_back().expect("len checked");
-                    debug_assert!(pruned.meta.upper().is_some());
+                    // readers that still hold the node keep range and value.
+                    let pruned = inner.older.pop_back().expect("len checked");
+                    debug_assert!(pruned.upper().is_some());
                     if let Some(r) = &mut reclaim {
-                        r.retire(pruned.meta);
+                        r.retire(pruned);
                     }
                 }
                 let watermark = reclaim.as_ref().and_then(|r| r.watermark());
                 if let (true, Some(r), Some(w)) = (self.wm_prune, reclaim, watermark) {
-                    while inner.committed.len() > 1 {
-                        let tail_upper = inner.committed.back().expect("len > 1").meta.upper();
-                        match tail_upper {
+                    while let Some(tail) = inner.older.back() {
+                        match tail.upper() {
                             Some(u) if w.possibly_later(u) => {
-                                let pruned = inner.committed.pop_back().expect("len checked");
-                                r.retire(pruned.meta);
+                                let pruned = inner.older.pop_back().expect("back() was Some");
+                                r.retire(pruned);
                             }
                             // The tail still overlaps `[w, ∞)`: some
                             // registered snapshot may read it (and
@@ -503,8 +514,8 @@ impl<T, Ts: Timestamp> Clone for TVar<T, Ts> {
 
 impl<T: Send + Sync + 'static, Ts: Timestamp> TVar<T, Ts> {
     /// Wrap an object (used by [`crate::stm::Stm::new_tvar`]).
-    pub(crate) fn from_object(obj: TObject<T, Ts>) -> Self {
-        TVar { obj: Arc::new(obj) }
+    pub(crate) fn from_object(obj: Arc<TObject<T, Ts>>) -> Self {
+        TVar { obj }
     }
 
     /// The underlying object.
@@ -549,7 +560,7 @@ mod tests {
     use super::*;
     use crate::status::TxnStatus;
 
-    fn obj(max_versions: usize) -> TObject<i64, u64> {
+    fn obj(max_versions: usize) -> Arc<TObject<i64, u64>> {
         TObject::new(1, 10, 0, max_versions)
     }
 
@@ -566,8 +577,8 @@ mod tests {
     fn fresh_object_serves_initial_version() {
         let o = obj(4);
         match o.try_read(&ValidityRange::from(5u64)) {
-            ReadAttempt::Found { value, lower, .. } => {
-                assert_eq!(*value, 10);
+            ReadAttempt::Found { meta, lower, .. } => {
+                assert_eq!(*meta.value::<i64>(), 10);
                 assert_eq!(lower, 0);
             }
             _ => panic!("expected Found"),
@@ -594,15 +605,15 @@ mod tests {
         assert_eq!(o.version_count(), 2);
         // Old version's upper is CT - 1.
         match o.try_read(&ValidityRange::bounded(0u64, 6)) {
-            ReadAttempt::Found { value, meta, .. } => {
-                assert_eq!(*value, 10);
+            ReadAttempt::Found { meta, .. } => {
+                assert_eq!(*meta.value::<i64>(), 10);
                 assert_eq!(meta.upper(), Some(6));
             }
             _ => panic!("old version must still be readable at 6"),
         }
         // New version serves times >= 7.
         match o.try_read(&ValidityRange::from(7u64)) {
-            ReadAttempt::Found { value, .. } => assert_eq!(*value, 42),
+            ReadAttempt::Found { meta, .. } => assert_eq!(*meta.value::<i64>(), 42),
             _ => panic!("new version must serve"),
         }
     }
@@ -779,7 +790,7 @@ mod tests {
             WriteAttempt::Registered { .. }
         ));
         match o.try_read(&ValidityRange::from(0u64)) {
-            ReadAttempt::Found { value, .. } => assert_eq!(*value, 10),
+            ReadAttempt::Found { meta, .. } => assert_eq!(*meta.value::<i64>(), 10),
             _ => panic!("reader must see committed version"),
         }
     }
@@ -801,10 +812,14 @@ mod tests {
         assert_eq!(o.version_count(), 2);
         assert_eq!(*o.snapshot_latest(), 4);
         // A range before the retained window finds nothing.
-        match o.try_read(&ValidityRange::bounded(0u64, 5)) {
-            ReadAttempt::NoOverlap { newest_lower } => assert_eq!(newest_lower, 40),
-            _ => panic!("pruned history must be unreachable"),
-        }
+        assert!(
+            matches!(
+                o.try_read(&ValidityRange::bounded(0u64, 5)),
+                ReadAttempt::NoOverlap
+            ),
+            "pruned history must be unreachable"
+        );
+        assert_eq!(o.debug_chain()[0].0, Some(40));
     }
 
     #[test]
@@ -820,7 +835,7 @@ mod tests {
         // Reads in the past fail: TL2-like behaviour (§1.2).
         assert!(matches!(
             o.try_read(&ValidityRange::bounded(0u64, 50)),
-            ReadAttempt::NoOverlap { .. }
+            ReadAttempt::NoOverlap
         ));
     }
 
@@ -842,7 +857,7 @@ mod tests {
     fn reclaimed_obj(
         max_versions: usize,
         wm_prune: bool,
-    ) -> (Arc<ReclaimDomain<u64>>, TObject<i64, u64>) {
+    ) -> (Arc<ReclaimDomain<u64>>, Arc<TObject<i64, u64>>) {
         let dom = Arc::new(ReclaimDomain::new());
         let o = TObject::with_reclaim(1, 10, 0, max_versions, Arc::clone(&dom), wm_prune);
         (dom, o)
@@ -869,8 +884,8 @@ mod tests {
         // Chain: [40,∞) [30,39] [20,29] [10,19]; only [10,19] ends below 25.
         assert_eq!(o.version_count(), 3);
         match o.try_read(&ValidityRange::bounded(25u64, 25)) {
-            ReadAttempt::Found { value, .. } => {
-                assert_eq!(*value, 2, "the reader's version must survive")
+            ReadAttempt::Found { meta, .. } => {
+                assert_eq!(*meta.value::<i64>(), 2, "the reader's version must survive")
             }
             _ => panic!("version covering the active snapshot was pruned"),
         }

@@ -92,9 +92,9 @@
 //!
 //! ## Why pruning is safe, and what reuse needs
 //!
-//! Pruning never breaks opacity: readers keep `Arc<VersionMeta>` in their
-//! read sets, so unlinking a version from its chain only limits *future*
-//! reads (availability). The watermark makes even that loss impossible for
+//! Pruning never breaks opacity: readers keep the version node — bounds and
+//! payload — in their read sets, so unlinking a version from its chain only
+//! limits *future* reads (availability). The watermark makes even that loss impossible for
 //! registered snapshots: a pruned version has a fixed upper bound `u` with
 //! `w ≿ u` (`w.possibly_later(u)`), and every active snapshot lower bound
 //! `s` satisfies `s ≽ w` by the `meet` contract, so `u ≽ s` would imply
@@ -104,8 +104,9 @@
 //! *Reuse* of a version node is the safety-critical part, and it rests on
 //! two independent guards: (1) a node is only pooled when `Arc::get_mut`
 //! proves the chain held the last reference (a node still referenced by any
-//! reader is dropped normally instead — the reader's metadata stays frozen
-//! forever); (2) pooled nodes are epoch-stamped at retirement and handed out
+//! reader is dropped normally instead — what the reader holds stays frozen
+//! forever), and that exclusive access also empties it, so no pooled node
+//! keeps a payload or an object alive; (2) pooled nodes are epoch-stamped at retirement and handed out
 //! again only after the watermark has advanced past that epoch, so even the
 //! *timing* of reuse is tied to snapshot progress. See DESIGN.md §11.
 
@@ -337,9 +338,9 @@ pub struct ReclaimStats {
     pub versions_pooled: u64,
     /// Retired nodes handed out again by the arena.
     pub versions_recycled: u64,
-    /// Approximate bytes of version metadata held live or pooled. A lower
-    /// bound: counts the metadata node (validity bounds + refcounts), not
-    /// the workload-owned payload.
+    /// Approximate bytes of version nodes held live or pooled. A lower
+    /// bound: counts the node (validity bounds, payload and object
+    /// references, refcounts), not the workload-owned payload behind it.
     pub arena_bytes: u64,
     /// `now - watermark` in raw time-base units at the last advance.
     pub watermark_lag: u64,
@@ -445,7 +446,7 @@ impl<Ts: Timestamp> ReclaimDomain<Ts> {
             recycled += s.recycled.load(Ordering::Relaxed);
         }
         let (live, pooled) = (live.max(0) as u64, pooled.max(0) as u64);
-        // Metadata node + the Arc's strong/weak counts that precede it.
+        // The node + the Arc's strong/weak counts that precede it.
         let node_bytes =
             (std::mem::size_of::<VersionMeta<Ts>>() + 2 * std::mem::size_of::<usize>()) as u64;
         ReclaimStats {
@@ -521,21 +522,19 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
         installed
     }
 
-    /// Metadata for a new speculative version, recycled from the pool when
-    /// a node retired before the current epoch is available.
+    /// The node for a new speculative version, recycled from the pool when
+    /// one retired before the current epoch is available. Pooled nodes were
+    /// reset when they were retired, so this is a pop.
     pub(crate) fn alloc_meta(&mut self) -> Arc<VersionMeta<Ts>> {
         // Oldest stamp first: if even the front is too fresh, so is the
         // rest of the queue.
         if !matches!(self.pool.front(), Some((stamp, _)) if *stamp < self.epoch) {
             return Arc::new(VersionMeta::speculative());
         }
-        let (_, mut meta) = self.pool.pop_front().expect("front() was Some");
+        let (_, meta) = self.pool.pop_front().expect("front() was Some");
         bump(&self.gauges.pooled, -1);
         bump(&self.gauges.reclaimed, 1);
         bump(&self.gauges.recycled, 1);
-        Arc::get_mut(&mut meta)
-            .expect("pooled nodes hold the only reference")
-            .reset();
         meta
     }
 
@@ -546,18 +545,23 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
 
     /// A version was unlinked from its chain. Pools the node for reuse when
     /// the chain held the last reference (the uniqueness proof that makes
-    /// recycling safe); otherwise the surviving readers' `Arc` frees it.
+    /// recycling safe), resetting it through that same exclusive access: the
+    /// payload and the back-reference go now, not when the node is next
+    /// handed out, so the pool holds empty nodes only. Otherwise the
+    /// surviving readers' `Arc` frees node and payload.
     pub(crate) fn retire(&mut self, mut meta: Arc<VersionMeta<Ts>>) {
         bump(&self.gauges.live, -1);
         bump(&self.gauges.retired, 1);
         // A node shared with a read set is never pooled: the last reader
         // drops it. Like a node the full pool turns away, it counts as
         // reclaimed — the arena releases its claim.
-        if Arc::get_mut(&mut meta).is_none() || self.pool.len() >= POOL_CAP {
-            bump(&self.gauges.reclaimed, 1);
-        } else {
-            self.pool.push_back((self.epoch, meta));
-            bump(&self.gauges.pooled, 1);
+        match Arc::get_mut(&mut meta) {
+            Some(node) if self.pool.len() < POOL_CAP => {
+                node.reset();
+                self.pool.push_back((self.epoch, meta));
+                bump(&self.gauges.pooled, 1);
+            }
+            _ => bump(&self.gauges.reclaimed, 1),
         }
     }
 }
@@ -714,6 +718,44 @@ mod tests {
         assert_eq!(s.versions_retired, 1);
         assert_eq!(s.versions_reclaimed, 1);
         drop(reader_copy);
+    }
+
+    #[test]
+    fn a_node_is_emptied_when_it_is_pooled_not_when_it_is_reused() {
+        use crate::object::{AnyObject, TObject};
+        use std::sync::Weak;
+        let (dom, mut local) = domain();
+        let obj = TObject::new(1, 0u64, 0, 4);
+        let weak_before = Arc::weak_count(&obj);
+        let payload = Arc::new(7u64);
+        let bind = |node: &mut Arc<VersionMeta<u64>>| {
+            let back = Arc::downgrade(&obj) as Weak<dyn AnyObject<u64>>;
+            Arc::get_mut(node)
+                .expect("a speculative node has one reference")
+                .commit(1, payload.clone(), back);
+        };
+        // Unshared at retirement: pooled, and empty from that moment on.
+        let mut node = local.alloc_meta();
+        bind(&mut node);
+        local.note_live();
+        assert_eq!(Arc::strong_count(&payload), 2);
+        local.retire(node);
+        assert_eq!(dom.stats().versions_pooled, 1);
+        assert!(local.pool.iter().all(|(_, node)| node.is_unbound()));
+        assert_eq!(Arc::strong_count(&payload), 1, "released at retirement");
+        assert_eq!(Arc::weak_count(&obj), weak_before);
+        // Shared with a reader: not pooled, and the reader keeps all of it.
+        let mut node = local.alloc_meta();
+        bind(&mut node);
+        local.note_live();
+        let reader = Arc::clone(&node);
+        local.retire(node);
+        assert_eq!(dom.stats().versions_pooled, 1, "only the first one");
+        assert_eq!(*reader.value::<u64>(), 7);
+        assert_eq!(reader.object().expect("alive").id(), 1);
+        drop(reader);
+        assert_eq!(Arc::strong_count(&payload), 1, "the last reader's drop");
+        assert_eq!(Arc::weak_count(&obj), weak_before);
     }
 
     #[test]

@@ -12,24 +12,22 @@
 //! time base, and `get` is the read.
 
 use crate::cm::CmState;
-use crate::object::AnyObject;
 use crate::status::{AtomicStatus, TxnStatus};
 use crate::version::VersionMeta;
 use lsa_time::{Timestamp, TsCell};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// One read-set element as published for helpers: the object (for its
-/// current-writer information) and the specific version meta that was read.
+/// One read-set element as published for helpers: the version that was
+/// read. The node carries its own way back to the object, which `getPrelimUB`
+/// takes only for a version whose upper bound is still unset.
 pub struct CtxEntry<Ts: Timestamp> {
-    /// The object the version belongs to.
-    pub obj: Arc<dyn AnyObject<Ts>>,
-    /// The version's shared range metadata.
+    /// The version read.
     pub meta: Arc<VersionMeta<Ts>>,
-    /// The transaction holds the write mark on `obj`: it read this version
-    /// and then registered there. No other transaction can supersede such a
-    /// version before this one resolves, so while its upper bound is unset,
-    /// commit-time validation decides it from the entry alone
+    /// The transaction holds the write mark on the version's object: it read
+    /// this version and then registered there. No other transaction can
+    /// supersede such a version before this one resolves, so while its upper
+    /// bound is unset, commit-time validation decides it from the entry alone
     /// (Algorithm 3 line 27's self case).
     pub own: bool,
 }
@@ -39,8 +37,7 @@ pub struct CtxEntry<Ts: Timestamp> {
 /// The owner hands over the very vector it built — it does not touch it
 /// again until no helper holds the context.
 pub struct CommitCtx<Ts: Timestamp> {
-    /// All `(object, version)` pairs in `T.O`: the versions the transaction
-    /// read. Objects it opened by writing them are not here — what it wrote
+    /// `T.O`: the versions the transaction read. Objects it opened by writing them are not here — what it wrote
     /// over is covered by its write mark (Algorithm 3 line 27's self case)
     /// and needs no validation — so a write-only transaction publishes an
     /// empty set, which a helper validates vacuously.

@@ -1,40 +1,55 @@
-//! Object version metadata.
+//! Object versions.
 //!
 //! Every object traverses a sequence of versions (§1.1). A version's
 //! *validity range* `[⌊v.R⌋, ⌈v.R⌉]` starts at the commit time of the
 //! transaction that wrote it and ends just before the commit time of the
 //! transaction that superseded it; the latest version has `⌈v.R⌉ = ∞`.
 //!
-//! [`VersionMeta`] separates the range bookkeeping from the (typed) payload
-//! so that the transaction read set can be stored type-erased. Both bounds
-//! are write-once timestamp cells ([`lsa_time::TsCell`], one word each for
-//! `u64` time bases): the lower bound is fixed when the writing
+//! [`VersionMeta`] *is* the version: one node holds the two bounds, the
+//! payload (type-erased, so read sets hold heterogeneous versions) and a weak
+//! reference back to the object, and the object's chain, a transaction's read
+//! set and the version arena all hold the same `Arc` of it. A first read
+//! therefore moves two reference counts — the node's for `T.O`, the payload's
+//! for the caller — and never the object's.
+//!
+//! Both bounds are write-once timestamp cells ([`lsa_time::TsCell`], one
+//! word each for `u64` time bases): the lower bound is fixed when the writing
 //! transaction's speculative version is *folded* into the committed chain,
 //! the upper bound when the next version commits. Both happen inside a fold,
 //! which holds the object's write lock — so a bound has one writer at a time
 //! and fixing it is a load and a release store, no read-modify-write; readers
 //! outside the lock (extend, validation, helpers) pair with it by acquire.
-//! Readers keep an `Arc<VersionMeta>` in their read set, so pruning old
-//! versions from an object's chain never invalidates the information a
-//! reader needs — a pruned version always has both bounds fixed.
+//! Pruning a version from its chain never invalidates what a reader holds —
+//! a pruned version has both bounds fixed, and its payload stays until the
+//! last reader lets go of the node.
+//!
+//! Payload and back-reference are plain fields, written only through
+//! `&mut`: by the fold that commits the node, which still holds its only
+//! reference, and by the arena when it takes a retired node nobody else
+//! holds ([`VersionMeta::reset`]). In between — for as long as the node is
+//! shared — they do not change.
 
+use crate::object::AnyObject;
 use lsa_time::{Timestamp, TsCell};
+use std::any::Any;
+use std::sync::atomic::{fence, Ordering};
+use std::sync::{Arc, Weak};
 
-/// Shared, write-once validity-range metadata of one object version.
-#[derive(Debug)]
+/// One object version: validity range, payload and the way back to the
+/// object.
 pub struct VersionMeta<Ts: Timestamp> {
     lower: Ts::Cell,
     upper: Ts::Cell,
-    /// Keeps a `u64` node the 32 bytes it was with two `OnceLock`s. At 16
-    /// its `Arc` allocation drops a size class and packs tighter against
-    /// the neighbouring payload `Arc`s, whose counts every reader of those
-    /// objects increments: `engine_scan` ran ~3 % slower that way
-    /// (EXPERIMENTS.md, "LSA update atomics").
-    _class_pad: [u64; 2],
+    /// `None` while the version is speculative (its writer's payload is in
+    /// the object's write mark) and once the node is pooled.
+    payload: Option<Arc<dyn Any + Send + Sync>>,
+    /// The object this is a version of, for `o.writer` (`getPrelimUB`).
+    /// Weak: the object owns its versions. Same lifetime as `payload`.
+    object: Option<Weak<dyn AnyObject<Ts>>>,
 }
 
 /// Fix `bound` unless it already is. The caller is the bound's only writer
-/// (it holds the object's write lock, or the only reference to the node).
+/// (it holds the object's write lock).
 #[inline]
 fn fix<Ts: Timestamp>(bound: &Ts::Cell, ts: Ts) {
     if bound.get().is_none() {
@@ -43,21 +58,41 @@ fn fix<Ts: Timestamp>(bound: &Ts::Cell, ts: Ts) {
 }
 
 impl<Ts: Timestamp> VersionMeta<Ts> {
-    /// Metadata for a speculative version: both bounds unknown.
+    /// A speculative version: both bounds unknown, nothing bound yet.
     pub fn speculative() -> Self {
         VersionMeta {
             lower: Ts::Cell::default(),
             upper: Ts::Cell::default(),
-            _class_pad: [0; 2],
+            payload: None,
+            object: None,
         }
     }
 
-    /// Metadata for an already-committed version with a known lower bound
-    /// (used for the initial version of a fresh object).
-    pub fn committed_at(lower: Ts) -> Self {
-        let meta = Self::speculative();
-        meta.lower.put(Some(lower));
-        meta
+    /// An already-committed version of `object` with a known lower bound
+    /// (the initial version of a fresh object).
+    pub fn committed_at(
+        lower: Ts,
+        payload: Arc<dyn Any + Send + Sync>,
+        object: Weak<dyn AnyObject<Ts>>,
+    ) -> Self {
+        let mut node = Self::speculative();
+        node.commit(lower, payload, object);
+        node
+    }
+
+    /// Make a speculative node the version of `object` valid from `lower`
+    /// with `payload` — everything a fold binds, in the one exclusive
+    /// access it takes.
+    pub(crate) fn commit(
+        &mut self,
+        lower: Ts,
+        payload: Arc<dyn Any + Send + Sync>,
+        object: Weak<dyn AnyObject<Ts>>,
+    ) {
+        debug_assert!(self.is_unbound() && self.lower().is_none());
+        self.lower.put(Some(lower));
+        self.payload = Some(payload);
+        self.object = Some(object);
     }
 
     /// `⌊v.R⌋`, if the version has been committed.
@@ -72,25 +107,58 @@ impl<Ts: Timestamp> VersionMeta<Ts> {
         self.upper.get()
     }
 
-    /// Fix the lower bound (at fold time, to the writer's commit time).
-    /// Only the first call takes effect. Callers hold the object's write
-    /// lock (a fold) or own the node outright.
-    #[inline]
-    pub fn set_lower(&self, ts: Ts) {
+    /// Fix the lower bound of a node that is not going through
+    /// [`commit`](Self::commit): unit tests that need a committed-looking
+    /// node and no object.
+    #[cfg(test)]
+    pub(crate) fn set_lower(&self, ts: Ts) {
         fix(&self.lower, ts);
     }
 
     /// Fix the upper bound (when a superseding version is folded, to the
     /// superseder's commit time minus one granule). Only the first call
-    /// takes effect; same single-writer rule as [`set_lower`](Self::set_lower).
+    /// takes effect. The caller is the bound's only writer: it holds the
+    /// object's write lock.
     #[inline]
     pub fn set_upper(&self, ts: Ts) {
         fix(&self.upper, ts);
     }
 
-    /// Return the node to its speculative state (both bounds unknown) so the
-    /// version arena can hand it out again. Requires exclusive access — the
-    /// arena proves it with `Arc::get_mut` before calling.
+    /// The version's payload, as the `T` its object holds. Panics on a
+    /// speculative node, and if `T` is not the object's payload type.
+    #[inline]
+    pub fn value<T: Send + Sync + 'static>(&self) -> Arc<T> {
+        Arc::clone(self.payload.as_ref().expect("a committed version"))
+            .downcast::<T>()
+            .expect("object payload type is stable")
+    }
+
+    /// The object this is a version of, if it is still alive. A `TVar` whose
+    /// last handle is gone has no registered writer and never will have one,
+    /// so `None` lets `getPrelimUB` go straight to its fallback — after the
+    /// re-check of `upper` that the fence below orders behind every fold
+    /// done through a reference that has since been dropped.
+    #[inline]
+    pub(crate) fn object(&self) -> Option<Arc<dyn AnyObject<Ts>>> {
+        let object = self.object.as_ref().and_then(Weak::upgrade);
+        if object.is_none() {
+            // `upgrade` reads a zero strong count relaxed; the holders'
+            // decrements were releases.
+            fence(Ordering::Acquire);
+        }
+        object
+    }
+
+    /// Whether the node holds neither payload nor back-reference (what the
+    /// arena's pool may contain).
+    pub(crate) fn is_unbound(&self) -> bool {
+        self.payload.is_none() && self.object.is_none()
+    }
+
+    /// Return the node to its speculative state — bounds unknown, payload
+    /// and back-reference released — so the version arena can hand it out
+    /// again. Requires exclusive access: the arena proves it with
+    /// `Arc::get_mut` when it retires the node.
     #[inline]
     pub(crate) fn reset(&mut self) {
         *self = VersionMeta::speculative();
@@ -108,15 +176,37 @@ impl<Ts: Timestamp> VersionMeta<Ts> {
     }
 }
 
+impl<Ts: Timestamp> std::fmt::Debug for VersionMeta<Ts> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VersionMeta")
+            .field("lower", &self.lower())
+            .field("upper", &self.upper())
+            .field("bound", &!self.is_unbound())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::TObject;
+
+    /// A committed version of a live object, and the object.
+    fn committed_at(lower: u64) -> (Arc<TObject<u64, u64>>, VersionMeta<u64>) {
+        let obj = TObject::new(1, 0u64, 0, 4);
+        let object = Arc::downgrade(&obj) as Weak<dyn AnyObject<u64>>;
+        (
+            obj,
+            VersionMeta::committed_at(lower, Arc::new(5u64), object),
+        )
+    }
 
     #[test]
     fn speculative_has_no_bounds() {
         let m: VersionMeta<u64> = VersionMeta::speculative();
         assert_eq!(m.lower(), None);
         assert_eq!(m.upper(), None);
+        assert!(m.is_unbound());
     }
 
     #[test]
@@ -132,7 +222,7 @@ mod tests {
 
     #[test]
     fn committed_at_sets_lower_only() {
-        let m: VersionMeta<u64> = VersionMeta::committed_at(7);
+        let (_obj, m) = committed_at(7);
         assert_eq!(m.lower(), Some(7));
         assert_eq!(m.upper(), None);
         let r = m.range();
@@ -142,7 +232,7 @@ mod tests {
 
     #[test]
     fn range_reflects_fixed_upper() {
-        let m: VersionMeta<u64> = VersionMeta::committed_at(7);
+        let (_obj, m) = committed_at(7);
         m.set_upper(20);
         let r = m.range();
         assert_eq!(r.upper, Some(20));
@@ -154,5 +244,23 @@ mod tests {
     fn range_on_speculative_panics() {
         let m: VersionMeta<u64> = VersionMeta::speculative();
         let _ = m.range();
+    }
+
+    #[test]
+    fn a_committed_node_carries_its_payload_and_its_way_back() {
+        let (obj, mut m) = committed_at(7);
+        assert_eq!(*m.value::<u64>(), 5);
+        let back = m.object().expect("the object is alive");
+        assert_eq!(back.id(), obj.id());
+        drop(back);
+        // The reference is weak: the node does not keep the object.
+        assert_eq!(Arc::strong_count(&obj), 1);
+        drop(obj);
+        assert!(m.object().is_none(), "a dropped object is not found");
+        assert_eq!(*m.value::<u64>(), 5, "the payload is the node's own");
+        // Reset releases both, and the bounds with them.
+        m.reset();
+        assert!(m.is_unbound());
+        assert_eq!((m.lower(), m.upper()), (None, None));
     }
 }

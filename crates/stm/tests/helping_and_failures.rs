@@ -184,7 +184,6 @@ fn stuck_read_modify_writer(
     ));
     writer.publish_ctx(Arc::new(CommitCtx {
         entries: vec![CtxEntry {
-            obj: Arc::clone(obj) as Arc<dyn AnyObject<u64>>,
             meta: read_meta,
             own: flag_read_entry,
         }],
@@ -212,6 +211,42 @@ fn helper_takes_the_self_case_for_the_version_under_the_writers_own_mark() {
     let writer = stuck_read_modify_writer(&var, false, || {});
     assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 1);
     assert_eq!(writer.status(), TxnStatus::Aborted);
+}
+
+#[test]
+fn helper_validates_a_version_whose_object_was_dropped_by_the_callers_bound() {
+    // The writer read `gone` and nothing else of it survives the attempt:
+    // the last `TVar` went before the commit. The entry's way back to the
+    // object is dead, which also means no writer is or ever will be
+    // registered there — the version is the latest for good, `getPrelimUB`
+    // takes its fallback (the commit time) and the helper must commit.
+    let stm = Stm::new(SharedCounter::new());
+    let var = stm.new_tvar(1u64);
+    let gone = stm.new_tvar(5u64);
+    let read_meta = match gone.object_for_tests().try_read(&ValidityRange::from(0u64)) {
+        ReadAttempt::Found { meta, .. } => meta,
+        _ => panic!("a fresh object serves its initial version"),
+    };
+    drop(gone);
+    assert_eq!(*read_meta.value::<u64>(), 5, "the node keeps the payload");
+
+    let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xD0A));
+    assert!(matches!(
+        var.object_for_tests()
+            .try_write(&writer, &mut Some(Arc::new(42)), None),
+        WriteAttempt::Registered { .. }
+    ));
+    writer.publish_ctx(Arc::new(CommitCtx {
+        entries: vec![CtxEntry {
+            meta: read_meta,
+            own: false,
+        }],
+    }));
+    assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
+
+    let mut h = stm.register();
+    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 42);
+    assert_eq!(writer.status(), TxnStatus::Committed);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Allocation witness for the LSA-RT hot path (DESIGN.md §2.1).
 //!
-//! A handle's transaction scratch — descriptor, read set, read-value cache,
-//! write set — is owned by the handle and only ever cleared, so after
-//! warm-up a read-only transaction touches the heap not at all, and an
+//! A handle's transaction scratch — descriptor, read set, write set — is
+//! owned by the handle and only ever cleared, so after warm-up a read-only
+//! transaction touches the heap not at all, and an
 //! update transaction allocates only the values it writes: helpers are
 //! handed the read set itself, and version nodes come out of the handle's
 //! own pool. A counting `#[global_allocator]` holds that, and a panicking
@@ -12,14 +12,23 @@
 //! that their containers live on the thread handle, and holds the retention
 //! rule: what one huge transaction grew is given back, and the handle is
 //! allocation-free again afterwards.
+//!
+//! Beside the allocation counts stand the reference counts (DESIGN.md §2.1,
+//! read-side ledger), on both runtimes: a first read moves the version
+//! node's count and the payload's, never the object's; a repeated read is
+//! served from the read-set entry; `Extend` takes the object's count once
+//! per attempt; and a node the arena pools has let go of its payload and of
+//! its object.
 
 use lsa_baseline::{NorecStm, Tl2Stm};
 use lsa_engine::idmap::RETAIN_FLOOR;
 use lsa_stm::prelude::*;
+use lsa_stm::ShardedStm;
 use lsa_time::counter::SharedCounter;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Per thread, so
@@ -332,7 +341,7 @@ fn a_panicking_body_hands_back_a_clean_scratch() {
 
     let unwound = catch_unwind(AssertUnwindSafe(|| {
         h.atomically(|tx| {
-            let seen = *tx.read(&x)?; // a read-set entry and a cached value
+            let seen = *tx.read(&x)?; // a read-set entry
             tx.write(&y, seen + 40)?; // a write-set entry and a registered writer
             if seen == 1 {
                 panic!("body failed mid-transaction");
@@ -371,4 +380,180 @@ fn a_panicking_body_hands_back_a_clean_scratch() {
     assert_eq!(after.ro_commits, before.ro_commits + 1);
     assert_eq!(after.reads, before.reads + 2, "both were first opens");
     assert_eq!(after.validated_entries, before.validated_entries);
+}
+
+/// `(strong, weak)` of the object behind each variable.
+fn object_counts(vars: &[TVar<i64, u64>]) -> Vec<(usize, usize)> {
+    let counts = |v: &TVar<i64, u64>| {
+        let obj = v.object_for_tests();
+        (Arc::strong_count(obj), Arc::weak_count(obj))
+    };
+    vars.iter().map(counts).collect()
+}
+
+fn payload_counts(payloads: &[Arc<i64>]) -> Vec<usize> {
+    payloads.iter().map(Arc::strong_count).collect()
+}
+
+/// A first read leaves the object's counts alone and raises the payload's by
+/// the `Arc` the caller holds; 256 of them and a commit later every count is
+/// back where it was. (A macro: the two runtimes share the calls, not a
+/// trait that names `TVar`.)
+macro_rules! first_reads_move_the_payloads_count_and_never_the_objects {
+    ($stm:expr) => {{
+        let stm = $stm;
+        let vars: Vec<_> = (0..SCAN).map(|i| stm.new_tvar(i as i64)).collect();
+        let payloads: Vec<Arc<i64>> = vars.iter().map(|v| v.snapshot_latest()).collect();
+        let (objects_before, payloads_before) = (object_counts(&vars), payload_counts(&payloads));
+        let mut h = stm.register();
+        h.atomically(|tx| {
+            let first = tx.read(&vars[0])?;
+            assert_eq!(object_counts(&vars[..1]), objects_before[..1]);
+            assert_eq!(
+                Arc::strong_count(&payloads[0]),
+                payloads_before[0] + 1,
+                "exactly the Arc the caller holds"
+            );
+            // Served from the read-set entry: the same Arc, one more count
+            // for the second handle, nothing else.
+            let again = tx.read(&vars[0])?;
+            assert!(Arc::ptr_eq(&first, &again));
+            assert_eq!(Arc::strong_count(&payloads[0]), payloads_before[0] + 2);
+            drop((first, again));
+            assert_eq!(
+                Arc::strong_count(&payloads[0]),
+                payloads_before[0],
+                "the read set holds the node, not a second Arc of the payload"
+            );
+            for v in &vars {
+                tx.read(v)?;
+            }
+            assert_eq!(object_counts(&vars), objects_before, "during the attempt");
+            assert_eq!(payload_counts(&payloads), payloads_before);
+            Ok(())
+        });
+        assert_eq!(object_counts(&vars), objects_before, "after the commit");
+        assert_eq!(payload_counts(&payloads), payloads_before);
+    }};
+}
+
+#[test]
+fn a_first_read_moves_two_counts_on_stm() {
+    first_reads_move_the_payloads_count_and_never_the_objects!(Stm::new(SharedCounter::new()));
+}
+
+#[test]
+fn a_first_read_moves_two_counts_on_sharded_stm() {
+    first_reads_move_the_payloads_count_and_never_the_objects!(ShardedStm::new(
+        SharedCounter::new(),
+        2
+    ));
+}
+
+/// Single-version chains, a concurrent committer: the version a transaction
+/// read is pruned — and its node retired — while the read set still holds
+/// it. A repeated read returns the very `Arc` the first one did; once the
+/// last reader lets go, the payload dies, and what the arena pooled of the
+/// later retirements holds neither a payload nor a way back to the object.
+macro_rules! a_pruned_version_stays_readable_and_a_pooled_node_is_empty {
+    ($stm:expr) => {{
+        let stm = $stm;
+        let var = stm.new_tvar(7i64);
+        let object = Arc::clone(var.object_for_tests());
+        // The object's own reference to itself, and its head version's.
+        assert_eq!(Arc::weak_count(&object), 2);
+        let (mut reader, mut writer) = (stm.register(), stm.register());
+        let witness = reader.atomically(|tx| {
+            let first = tx.read(&var)?;
+            writer.atomically(|wtx| wtx.write(&var, 8));
+            assert_eq!(var.version_count(), 1, "the version read is off the chain");
+            let again = tx.read(&var)?;
+            assert!(Arc::ptr_eq(&first, &again), "same version, same Arc");
+            assert_eq!(*again, 7);
+            Ok(Arc::downgrade(&first))
+        });
+        assert!(
+            witness.upgrade().is_none(),
+            "retired while the reader held it, so the reader's drop was the last"
+        );
+        // No reader now: each commit retires its predecessor into the
+        // writer's pool, emptied on the way in.
+        let latest = Arc::downgrade(&var.snapshot_latest());
+        writer.atomically(|wtx| wtx.write(&var, 9));
+        assert!(
+            stm.reclaim_stats().versions_pooled >= 1,
+            "the node went to the pool …"
+        );
+        assert!(latest.upgrade().is_none(), "… without its payload …");
+        assert_eq!(
+            Arc::weak_count(&object),
+            2,
+            "… and without its way back: the object itself and its head version"
+        );
+        assert_eq!(*var.snapshot_latest(), 9);
+    }};
+}
+
+#[test]
+fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_stm() {
+    a_pruned_version_stays_readable_and_a_pooled_node_is_empty!(Stm::with_config(
+        SharedCounter::new(),
+        StmConfig::single_version()
+    ));
+}
+
+#[test]
+fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_sharded_stm() {
+    a_pruned_version_stays_readable_and_a_pooled_node_is_empty!(ShardedStm::with_config(
+        SharedCounter::new(),
+        2,
+        StmConfig::single_version()
+    ));
+}
+
+#[test]
+fn extend_takes_the_objects_count_once_per_attempt() {
+    let stm = Stm::new(SharedCounter::new());
+    let (latest, superseded) = (stm.new_tvar(1i64), stm.new_tvar(2i64));
+    let mut gone = Some(stm.new_tvar(3i64));
+    let strong = |v: &TVar<i64, u64>| Arc::strong_count(v.object_for_tests());
+    let (mut h, mut other) = (stm.register(), stm.register());
+    h.atomically(|tx| {
+        tx.read(&latest)?;
+        tx.read(&superseded)?;
+        // The last handle goes mid-attempt: the entry's way back is dead.
+        let var = gone.take().expect("read-only: one attempt");
+        assert_eq!(*tx.read(&var)?, 3);
+        drop(var);
+        other.atomically(|otx| otx.write(&superseded, 20));
+        assert_eq!((strong(&latest), strong(&superseded)), (1, 1), "reads");
+
+        let before = tx.validity_range();
+        tx.extend();
+        assert_eq!(strong(&latest), 2, "upgraded for o.writer, and kept");
+        assert_eq!(strong(&superseded), 1, "its bound is fixed: no object");
+        tx.extend();
+        tx.extend();
+        assert_eq!(strong(&latest), 2, "later extensions reuse the reference");
+        // The superseded version caps the range where it ended; the entry
+        // of the dropped object fell back to the clock reading.
+        let after = tx.validity_range();
+        assert!(after.is_consistent() && after.upper >= before.upper);
+        Ok(())
+    });
+    assert_eq!((strong(&latest), strong(&superseded)), (1, 1), "released");
+
+    // An update's commit validates through the node as well: the dropped
+    // object has no writer, so the commit time bounds its version.
+    let target = stm.new_tvar(0i64);
+    let mut gone = Some(stm.new_tvar(4i64));
+    h.atomically(|tx| {
+        let var = gone.take().expect("nothing to abort for: one attempt");
+        let seen = *tx.read(&var)?;
+        drop(var);
+        tx.modify(&target, |v| v + seen)
+    });
+    assert_eq!(*target.snapshot_latest(), 4);
+    assert_eq!(h.stats().total_aborts(), 0);
+    assert_eq!(h.stats().validated_entries, 1);
 }
