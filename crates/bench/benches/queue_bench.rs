@@ -13,13 +13,15 @@
 //! 200 ms). `LSA_BENCH_JSON=PATH` additionally writes the results as JSON
 //! for the CI artifact. The queue benchmarks run the same contract through
 //! both implementations — `ring` is [`lsa_service::BoundedQueue`] (the one
-//! the service uses), `mutex` is [`lsa_service::MutexQueue`] (the previous
-//! implementation, retained precisely for this comparison).
+//! the service uses), `mutex` is this file's private `MutexQueue` (the
+//! previous implementation, kept here, and only here, as the baseline).
 
 use criterion::black_box;
 use lsa_service::oneshot::{self, OneshotPool};
-use lsa_service::{BoundedQueue, MutexQueue, PushError};
+use lsa_service::{BoundedQueue, PushError};
 use lsa_wire::{encode_frame, shard_hint, Request};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-benchmark measurement budget.
@@ -70,18 +72,57 @@ impl<T: Send + 'static> Queue<T> for BoundedQueue<T> {
     }
 }
 
+/// The `Mutex`+`Condvar` queue the service used before the lock-free
+/// ring: the same shed-past-capacity, FIFO, blocking-pop contract, every
+/// operation under one lock. Close is left out; no row exercises it.
+struct MutexQueue<T> {
+    inner: Arc<(Mutex<VecDeque<T>>, Condvar)>,
+    capacity: usize,
+}
+
+impl<T> Clone for MutexQueue<T> {
+    fn clone(&self) -> Self {
+        MutexQueue {
+            inner: Arc::clone(&self.inner),
+            capacity: self.capacity,
+        }
+    }
+}
+
 impl<T: Send + 'static> Queue<T> for MutexQueue<T> {
     fn make(capacity: usize) -> Self {
-        MutexQueue::new(capacity)
+        let items = VecDeque::with_capacity(capacity.min(1024));
+        MutexQueue {
+            inner: Arc::new((Mutex::new(items), Condvar::new())),
+            capacity,
+        }
     }
     fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        MutexQueue::try_push(self, item)
+        let (items, cv) = &*self.inner;
+        let mut q = items.lock().unwrap();
+        if q.len() >= self.capacity {
+            return Err(PushError::Overloaded(item));
+        }
+        q.push_back(item);
+        drop(q);
+        cv.notify_one();
+        Ok(())
     }
     fn pop(&self) -> Option<T> {
-        MutexQueue::pop(self)
+        let (items, cv) = &*self.inner;
+        let mut q = cv
+            .wait_while(items.lock().unwrap(), |q| q.is_empty())
+            .unwrap();
+        q.pop_front()
     }
     fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        MutexQueue::pop_batch(self, out, max)
+        let (items, cv) = &*self.inner;
+        let mut q = cv
+            .wait_while(items.lock().unwrap(), |q| q.is_empty())
+            .unwrap();
+        let n = q.len().min(max);
+        out.extend(q.drain(..n));
+        n
     }
 }
 

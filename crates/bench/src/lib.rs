@@ -1,17 +1,14 @@
-//! # lsa-bench — Criterion benchmarks for every figure of the SPAA'07
-//! evaluation
+//! # lsa-bench — Criterion micro-benchmarks for the SPAA'07 reproduction
 //!
 //! | bench target | paper artifact |
 //! |---|---|
-//! | `fig2_throughput` | Figure 2 (counter vs MMTimer, 10/50/100 accesses) |
 //! | `fig1_sync_error` | Figure 1 (synchronization measurement round cost) |
 //! | `timebase_ops` | §4.2 raw time-base costs (EXP-TB) |
-//! | `err_sweep` | §4.3 synchronization-error effect (EXP-ERR) |
-//! | `validation_cost` | §1 validation vs time-based reads (EXP-VAL) |
 //! | `stm_ops` | LSA-RT primitive costs (open/commit/extend ablations) |
 //!
 //! The benches are deliberately small so `cargo bench --workspace` finishes
-//! on a laptop; the `lsa-harness` binaries produce the full figure series.
+//! on a laptop. Figure 2, EXP-ERR and EXP-VAL have one implementation
+//! each: the `fig2`, `err_sweep` and `validation_cost` harness binaries.
 //!
 //! This library exposes tiny helpers shared by the bench targets.
 

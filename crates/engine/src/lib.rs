@@ -64,14 +64,6 @@ use std::sync::Arc;
 /// Shorthand for an engine's abort type.
 pub type EngineAbort<E> = <E as TxnEngine>::Abort;
 
-/// A type-erased, `Send`-able unit of transactional work for engine `E`:
-/// a closure executed on a worker's registered [`EngineHandle`]. This is the
-/// request surface the async service front-end (`lsa-service`) ships across
-/// threads — clients build a request on any thread, a pool worker runs it on
-/// its own long-lived handle, and the closure routes results back through a
-/// completion channel it captured.
-pub type EngineRequest<E> = Box<dyn FnOnce(&mut <E as TxnEngine>::Handle) + Send + 'static>;
-
 /// Shorthand for an engine's transactional-variable type.
 pub type EngineVar<E, T> = <E as TxnEngine>::Var<T>;
 

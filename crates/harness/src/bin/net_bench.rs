@@ -164,7 +164,6 @@ fn point_json(kind: NetKind, engine: &str, tb: &str, rate: f64, out: &NetOutcome
         ("frames_in", Json::U64(out.report.frames_in)),
         ("frames_out", Json::U64(out.report.frames_out)),
         ("protocol_errors", Json::U64(out.report.protocol_errors)),
-        ("hist_merges", Json::U64(out.hist_merges)),
         (
             "job_pool_hit",
             Json::Fixed(out.report.job_pool.hit_rate(), 4),
@@ -312,8 +311,8 @@ fn main() {
          4x the lowest-rate baseline — the saturation knee of the serving \
          path. pool % is the server's request-record pool hit rate (100% \
          after warm-up means the serving path allocated nothing per \
-         request); latency was recorded into per-lane histograms merged at \
-         report time, never a global lock. the server audits its table \
+         request); one receiver thread waited on the replies in send order \
+         and recorded their latency. the server audits its table \
          invariants (bank total, set sortedness, hash placement) at \
          shutdown of every point."
     );

@@ -50,3 +50,23 @@ pub use registry::{default_registry, run_workload, EngineEntry, Workload};
 pub use runner::{measure_window, run_for, run_steps, BenchWorker, RunOutcome};
 pub use service_bench::{run_service_bench, RequestKind, ServiceOutcome, ServiceSpec};
 pub use table::{f2, f3, Table};
+
+use std::time::{Duration, Instant};
+
+/// Sleep-then-spin until `deadline`: coarse sleeps stop short of the target
+/// so an open-loop arrival schedule ([`service_bench`], [`net_bench`]) keeps
+/// microsecond-ish precision at rates far above the OS timer granularity.
+pub(crate) fn wait_until(deadline: Instant) {
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            return;
+        }
+        let remaining = deadline - now;
+        if remaining > Duration::from_micros(300) {
+            std::thread::sleep(remaining - Duration::from_micros(200));
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}

@@ -14,15 +14,14 @@
 //! saturation knee: the first offered rate where the server starts
 //! shedding or p99 latency blows past the uncontended baseline.
 
-use crossbeam_utils::CachePadded;
 use lsa_engine::TxnEngine;
-use lsa_service::{Executor, LatencyHistogram};
+use lsa_service::LatencyHistogram;
 use lsa_wire::{
-    Reply, Request, ServerConfig, SetOp, TablesConfig, WireClient, WireReport, WireServer,
+    PendingReply, Reply, Request, ServerConfig, SetOp, TablesConfig, WireClient, WireReport,
+    WireServer,
 };
 use lsa_workloads::FastRng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Which request mix the wire load generator submits.
@@ -107,14 +106,10 @@ pub struct NetOutcome {
     /// Wall clock from first arrival to full drain.
     pub elapsed: Duration,
     /// Client-side submit-to-reply latency distribution (completed
-    /// requests only — the full round trip including framing and socket).
+    /// requests only — the full round trip including framing and socket),
+    /// recorded by the one receiver thread that waits on replies in send
+    /// order.
     pub latency: LatencyHistogram,
-    /// Per-lane latency histograms merged into [`latency`](Self::latency)
-    /// at report time — one merge per client lane. The measurement path
-    /// records into the submitting lane's own histogram, so completion
-    /// tasks never contend on one global lock; this gauge proves the merge
-    /// actually covered every lane.
-    pub hist_merges: u64,
     /// The server's own accounting (frames, sheds, protocol errors,
     /// service report).
     pub report: WireReport,
@@ -220,21 +215,33 @@ fn draw_request(kind: NetKind, rng: &mut FastRng, cfg: &TablesConfig) -> Request
     }
 }
 
-/// Sleep-then-spin until `deadline` (same discipline as the service bench:
-/// coarse sleeps stop short so the schedule keeps sub-millisecond precision).
-fn wait_until(deadline: Instant) {
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let remaining = deadline - now;
-        if remaining > Duration::from_micros(300) {
-            std::thread::sleep(remaining - Duration::from_micros(200));
-        } else {
-            std::hint::spin_loop();
+/// What the receiver thread tallies from the reply FIFO.
+#[derive(Default)]
+struct Replies {
+    completed: u64,
+    shed: u64,
+    errors: u64,
+    latency: LatencyHistogram,
+    mid_scrape: Option<String>,
+}
+
+/// Wait on every reply in send order: a request's entry carries its submit
+/// instant, the halftime `Stats` scrape's carries `None`.
+fn collect_replies(fifo: mpsc::Receiver<(PendingReply, Option<Instant>)>) -> Replies {
+    let mut r = Replies::default();
+    for (pending, submitted) in fifo {
+        match (pending.wait(), submitted) {
+            (Ok(Reply::Stats(json)), None) => r.mid_scrape = String::from_utf8(json).ok(),
+            (_, None) => {} // a lost scrape is not a lost request
+            (Ok(Reply::Overloaded), Some(_)) => r.shed += 1,
+            (Ok(Reply::Error(_)) | Err(_), Some(_)) => r.errors += 1,
+            (Ok(_), Some(t)) => {
+                r.latency.record(t.elapsed());
+                r.completed += 1;
+            }
         }
     }
+    r
 }
 
 /// Run one open-loop wire benchmark on `engine`: start a loopback
@@ -264,71 +271,35 @@ pub fn run_net_bench<E: TxnEngine>(engine: E, spec: &NetSpec) -> NetOutcome {
     .expect("loopback bind");
     let client = WireClient::connect(server.local_addr(), spec.conns).expect("loopback client");
 
-    let ex = Executor::new(2);
-    // Shared counters are cache-line padded: completion tasks bump them
-    // from executor threads while the submitter reads the clock on its
-    // own line — no false sharing on the measurement path.
-    let done = Arc::new(CachePadded::new(AtomicU64::new(0)));
-    let shed = Arc::new(CachePadded::new(AtomicU64::new(0)));
-    let errors = Arc::new(CachePadded::new(AtomicU64::new(0)));
-    // `LatencyHistogram::record` needs `&mut`. Instead of one global
-    // mutex that every completion task fights over, each client lane gets
-    // its own histogram (requests go to lane `offered % conns`, matching
-    // the client's round-robin); they are merged once at report time.
-    let lanes: Arc<Vec<Mutex<LatencyHistogram>>> = Arc::new(
-        (0..spec.conns)
-            .map(|_| Mutex::new(LatencyHistogram::new()))
-            .collect(),
-    );
+    // The submitter never waits on a reply: it pushes each pending reply
+    // into this FIFO, and one receiver thread waits on them in send order
+    // and owns the one histogram.
+    let (fifo, replies) = mpsc::channel();
+    let receiver = std::thread::spawn(move || collect_replies(replies));
     let mut rng = FastRng::new(0x0b5e_55ed);
-
-    let mid_scrape: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let mut scrapes = 0u64;
+    let mut send_errors = 0u64;
 
     let start = Instant::now();
     let mut offered = 0u64;
     while start.elapsed() < spec.duration {
-        wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
+        crate::wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
         // One live scrape at halftime, over the same wire the workload is
-        // using: fire-and-forget so the arrival schedule is not perturbed.
+        // using: its reply rides the FIFO, so the schedule is not perturbed.
         if scrapes == 0 && start.elapsed() >= spec.duration / 2 {
             if let Ok(pending) = client.send(&Request::Stats) {
                 scrapes += 1;
-                let slot = Arc::clone(&mid_scrape);
-                ex.spawn(async move {
-                    if let Ok(Reply::Stats(json)) = pending.await {
-                        *slot.lock().unwrap() = String::from_utf8(json).ok();
-                    }
-                });
+                // The receiver outlives the submitter: this cannot fail.
+                let _ = fifo.send((pending, None));
             }
         }
         let req = draw_request(spec.kind, &mut rng, &tables);
         let submitted = Instant::now();
         match client.send(&req) {
             Ok(pending) => {
-                let done = Arc::clone(&done);
-                let shed = Arc::clone(&shed);
-                let errors = Arc::clone(&errors);
-                let lanes = Arc::clone(&lanes);
-                let lane_ix = (offered % spec.conns as u64) as usize;
-                ex.spawn(async move {
-                    match pending.await {
-                        Ok(Reply::Overloaded) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Reply::Error(_)) | Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => {
-                            lanes[lane_ix].lock().unwrap().record(submitted.elapsed());
-                            done.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
+                let _ = fifo.send((pending, Some(submitted)));
             }
-            Err(_) => {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => send_errors += 1,
         }
         offered += 1;
     }
@@ -336,30 +307,21 @@ pub fn run_net_bench<E: TxnEngine>(engine: E, spec: &NetSpec) -> NetOutcome {
     // Drain: every accepted request resolves (reply or connection loss)
     // before the server is torn down, so the histogram covers every
     // completed request.
-    ex.wait_idle();
+    drop(fifo);
+    let replies = receiver.join().expect("reply receiver panicked");
     let elapsed = start.elapsed();
-    ex.shutdown();
     drop(client);
     let report = server.shutdown();
 
-    let lanes = Arc::try_unwrap(lanes).expect("completion tasks drained");
-    let mut latency = LatencyHistogram::new();
-    let mut hist_merges = 0u64;
-    for lane in lanes {
-        latency.merge(&lane.into_inner().unwrap());
-        hist_merges += 1;
-    }
-    let mid_scrape = mid_scrape.lock().unwrap().take();
     NetOutcome {
         offered,
-        completed: done.load(Ordering::Relaxed),
-        shed: shed.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
+        completed: replies.completed,
+        shed: replies.shed,
+        errors: replies.errors + send_errors,
         elapsed,
-        latency,
-        hist_merges,
+        latency: replies.latency,
         report,
-        mid_scrape,
+        mid_scrape: replies.mid_scrape,
         scrapes,
     }
 }
@@ -391,11 +353,6 @@ mod tests {
         assert_eq!(out.latency.count(), out.completed);
         assert!(out.latency.p99() >= out.latency.p50());
         assert!(out.throughput() > 0.0);
-        assert_eq!(
-            out.hist_merges,
-            quick_spec(NetKind::Bank).conns as u64,
-            "one per-lane histogram merged per client connection"
-        );
         // Both sides agree: the server read one frame per offered request
         // (plus the halftime stats scrape) and wrote one reply per frame.
         assert_eq!(out.report.frames_in, out.offered + out.scrapes);

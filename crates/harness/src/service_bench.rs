@@ -140,24 +140,6 @@ impl ServiceOutcome {
     }
 }
 
-/// Sleep-then-spin until `deadline`: coarse sleeps stop short of the target
-/// so the arrival schedule keeps microsecond-ish precision at rates far
-/// above the OS timer granularity.
-fn wait_until(deadline: Instant) {
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let remaining = deadline - now;
-        if remaining > Duration::from_micros(300) {
-            std::thread::sleep(remaining - Duration::from_micros(200));
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
 /// What one pooled request record executes on a worker. The variants
 /// mirror the closure bodies of the legacy submission path; shared tables
 /// travel as `Arc`s cloned from the [`Mix`], so arming a record clones two
@@ -486,7 +468,7 @@ pub fn run_service_bench<E: TxnEngine>(engine: E, spec: &ServiceSpec) -> Service
     let mut offered = 0u64;
     let mut mid_scrape = None;
     while start.elapsed() < spec.duration {
-        wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
+        crate::wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
         mix.submit_one(&svc, &mut rng, &pool);
         offered += 1;
         // Scrape the registry once at halftime, mid-load: proves the
@@ -581,7 +563,7 @@ pub fn run_memory_ceiling<E: TxnEngine>(
     for round in 1..=rounds {
         let round_end = spec.duration * round as u32;
         while start.elapsed() < round_end {
-            wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
+            crate::wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
             mix.submit_one(&svc, &mut rng, &pool);
             offered += 1;
         }

@@ -1,4 +1,4 @@
-//! # lsa-service — an async transaction-service front-end over any engine
+//! # lsa-service — a transaction-service front-end over any engine
 //!
 //! The paper's scalable time bases exist to make commit-time arbitration
 //! cheap enough that an STM can serve *many concurrent clients*. This crate
@@ -6,11 +6,10 @@
 //! scheduled onto a pool of workers — each holding one long-lived registered
 //! [`EngineHandle`](lsa_engine::EngineHandle) of any
 //! [`TxnEngine`](lsa_engine::TxnEngine) — and completions come back through
-//! futures, so the request topology (thousands of clients, few STM threads)
-//! is decoupled from the engine's thread registration model.
-//!
-//! The workspace builds offline (no tokio — see `crates/shims/*`), so the
-//! runtime is hand-rolled from `std` + `core::future`:
+//! blocking oneshot channels, so the request topology (thousands of clients,
+//! few STM threads) is decoupled from the engine's thread registration
+//! model. It keeps one of each: one job type ([`RunRequest`]), one queue
+//! ([`BoundedQueue`]), one way to wait ([`Completion::wait`]).
 //!
 //! * [`service`] — [`TxnService`]: worker pool, bounded per-worker
 //!   submission queues with admission control (typed
@@ -18,24 +17,19 @@
 //!   routing on sharded engines, per-request latency capture, and a merged
 //!   [`ServiceReport`] whose shed accounting lands in the cross-engine
 //!   [`AbortClass::Overload`](lsa_engine::AbortClass) taxonomy,
-//! * [`oneshot`] — the completion channel: a future-and-blocking receiver,
-//!   poolable through [`oneshot::OneshotPool`] so hot request paths reuse
-//!   the channel allocation,
+//! * [`oneshot`] — the completion channel: a blocking receiver, poolable
+//!   through [`oneshot::OneshotPool`] so hot request paths reuse the
+//!   channel allocation,
 //! * [`queue`] — the lock-free bounded MPSC submission ring (memory
-//!   ordering argument in DESIGN.md §13); the previous mutex
-//!   implementation survives as [`MutexQueue`] for the `queue_bench`
-//!   old-vs-new comparison,
+//!   ordering argument in DESIGN.md §13),
 //! * [`pool`] — the lock-free object [`Pool`] behind the allocation-free
 //!   request lifecycle (request records, oneshots, reply buffers), with
 //!   the hit/miss gauge `service_bench` prints,
-//! * [`executor`] — a small multi-threaded future executor plus
-//!   [`block_on`], driving completion futures without an async framework,
-//! * [`histogram`] — HDR-style bucketed latency histogram (p50/p90/p99/max
-//!   at ~3% resolution, O(1) recording),
 //! * [`conformance`] — the engine-generic correctness suite re-expressed as
 //!   concurrent request submissions *through* the service.
 //!
-//! Why open-loop latency is the right lens for the paper's claims, and the
+//! Latency lands in [`LatencyHistogram`] (re-exported from `lsa-obs`). Why
+//! open-loop latency is the right lens for the paper's claims, and the
 //! backpressure policy, are written up in `DESIGN.md` §10; the harness's
 //! `service_bench` binary drives this crate across the engine registry.
 
@@ -43,17 +37,14 @@
 #![deny(unsafe_code)]
 
 pub mod conformance;
-pub mod executor;
-pub mod histogram;
 pub mod oneshot;
 pub mod pool;
 pub mod queue;
 pub mod service;
 
-pub use executor::{block_on, Executor};
-pub use histogram::LatencyHistogram;
+pub use lsa_obs::LatencyHistogram;
 pub use pool::{Pool, PoolStats};
-pub use queue::{BoundedQueue, MutexQueue, PushError};
+pub use queue::{BoundedQueue, PushError};
 pub use service::{
     Completion, Response, RunRequest, ServiceConfig, ServiceHandle, ServiceReport, SubmitError,
     TxnService,

@@ -1,14 +1,10 @@
 //! A hand-rolled oneshot channel: the completion path of the service.
 //!
 //! One value travels from the worker that executed a request to the client
-//! that submitted it. The receiving side is *both* a [`Future`] (so async
-//! clients — the open-loop load generator's completion tasks — can `await`
-//! it on the [`crate::executor`]) and a blocking [`Receiver::wait`] (so
-//! plain threads — the conformance clients — need no executor at all).
-//!
-//! The workspace builds offline with no tokio/futures dependency (see
-//! `crates/shims/*`), so this is `std` + `core::task` only: a mutex-guarded
-//! slot holding either the parked consumer's [`Waker`]/condvar or the value.
+//! that submitted it. The receiving side blocks ([`Receiver::wait`]) or
+//! probes ([`Receiver::try_recv`]); nothing polls it, so there is no waker
+//! to store: the slot is a mutex-guarded state word and the consumer parks
+//! on a condvar beside it.
 //!
 //! Channels can be *pooled*: an [`OneshotPool`] recycles the shared
 //! allocation behind a channel once both halves are done with it, so a hot
@@ -17,10 +13,7 @@
 //! unpooled constructor.
 
 use crate::pool::{Pool, PoolStats, WeakPool};
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
 
 /// Error returned when the sender was dropped without sending — for the
 /// service this means the worker pool shut down before running the request.
@@ -36,8 +29,8 @@ impl std::fmt::Display for Canceled {
 impl std::error::Error for Canceled {}
 
 enum Slot<T> {
-    /// Nothing sent yet; holds the consumer's waker if it polled.
-    Empty(Option<Waker>),
+    /// Nothing sent yet.
+    Empty,
     /// Value delivered, not yet taken.
     Value(T),
     /// Sender dropped without sending.
@@ -58,7 +51,7 @@ struct Inner<T> {
 /// channel). Hot paths should prefer an [`OneshotPool`].
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     pair(Arc::new(Inner {
-        slot: Mutex::new(Slot::Empty(None)),
+        slot: Mutex::new(Slot::Empty),
         cv: Condvar::new(),
         home: WeakPool::new(),
     }))
@@ -105,7 +98,7 @@ impl<T> OneshotPool<T> {
     pub fn channel(&self) -> (Sender<T>, Receiver<T>) {
         let inner = self.pool.get().unwrap_or_else(|| {
             Arc::new(Inner {
-                slot: Mutex::new(Slot::Empty(None)),
+                slot: Mutex::new(Slot::Empty),
                 cv: Condvar::new(),
                 home: self.pool.downgrade(),
             })
@@ -127,7 +120,7 @@ impl<T> OneshotPool<T> {
 fn release<T>(arc: Arc<Inner<T>>) {
     if Arc::strong_count(&arc) == 1 {
         if let Some(pool) = arc.home.upgrade() {
-            *arc.slot.lock().unwrap() = Slot::Empty(None);
+            *arc.slot.lock().unwrap() = Slot::Empty;
             pool.put(arc);
         }
     }
@@ -145,20 +138,10 @@ impl<T> Sender<T> {
     /// (the service must not panic because a client gave up on a request).
     pub fn send(mut self, value: T) {
         let inner = self.inner.take().expect("send consumes the live sender");
-        let waker = {
-            let mut slot = inner.slot.lock().unwrap();
-            let prev = std::mem::replace(&mut *slot, Slot::Value(value));
-            match prev {
-                Slot::Empty(w) => w,
-                // Receiver-side states are unreachable while we exist and
-                // `send` consumes the only sender.
-                _ => None,
-            }
-        };
+        // The slot is `Empty`: receiver-side states need a value first, and
+        // `send` consumes the only sender.
+        *inner.slot.lock().unwrap() = Slot::Value(value);
         inner.cv.notify_all();
-        if let Some(w) = waker {
-            w.wake();
-        }
         release(inner);
     }
 }
@@ -168,25 +151,14 @@ impl<T> Drop for Sender<T> {
         let Some(inner) = self.inner.take() else {
             return; // sent: the channel was relinquished there
         };
-        let waker = {
-            let mut slot = inner.slot.lock().unwrap();
-            match std::mem::replace(&mut *slot, Slot::Closed) {
-                Slot::Empty(w) => w,
-                other => {
-                    *slot = other;
-                    None
-                }
-            }
-        };
+        // Unsent, so the slot is still `Empty`.
+        *inner.slot.lock().unwrap() = Slot::Closed;
         inner.cv.notify_all();
-        if let Some(w) = waker {
-            w.wake();
-        }
         release(inner);
     }
 }
 
-/// The consuming half: a [`Future`] resolving to `Result<T, Canceled>`.
+/// The consuming half, resolving to `Result<T, Canceled>`.
 pub struct Receiver<T> {
     /// `Some` until the half is relinquished (wait or drop).
     inner: Option<Arc<Inner<T>>>,
@@ -204,8 +176,8 @@ impl<T> Receiver<T> {
         match std::mem::replace(&mut *slot, Slot::Taken) {
             Slot::Value(v) => Some(Ok(v)),
             Slot::Closed => Some(Err(Canceled)),
-            other @ Slot::Empty(_) => {
-                *slot = other;
+            Slot::Empty => {
+                *slot = Slot::Empty;
                 None
             }
             Slot::Taken => panic!("oneshot value already taken"),
@@ -221,8 +193,8 @@ impl<T> Receiver<T> {
                 match std::mem::replace(&mut *slot, Slot::Taken) {
                     Slot::Value(v) => break Ok(v),
                     Slot::Closed => break Err(Canceled),
-                    other @ Slot::Empty(_) => {
-                        *slot = other;
+                    Slot::Empty => {
+                        *slot = Slot::Empty;
                         slot = inner.cv.wait(slot).unwrap();
                     }
                     Slot::Taken => panic!("oneshot value already taken"),
@@ -242,39 +214,9 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-impl<T> Future for Receiver<T> {
-    type Output = Result<T, Canceled>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let mut slot = this.live().slot.lock().unwrap();
-        match std::mem::replace(&mut *slot, Slot::Taken) {
-            Slot::Value(v) => Poll::Ready(Ok(v)),
-            Slot::Closed => Poll::Ready(Err(Canceled)),
-            Slot::Empty(_) => {
-                // (Re)register the latest waker — the task may migrate
-                // between executor threads across polls.
-                *slot = Slot::Empty(Some(cx.waker().clone()));
-                Poll::Pending
-            }
-            Slot::Taken => panic!("oneshot polled after completion"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::task::Wake;
-
-    struct CountingWaker(AtomicUsize);
-
-    impl Wake for CountingWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
 
     #[test]
     fn value_flows_through() {
@@ -305,48 +247,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         tx.send("done");
         assert_eq!(j.join().unwrap(), Ok("done"));
-    }
-
-    /// Wake correctness: a send after a pending poll must invoke the stored
-    /// waker exactly once; the woken poll then observes the value.
-    #[test]
-    fn send_wakes_pending_poll() {
-        let (tx, mut rx) = channel();
-        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let waker: Waker = Arc::clone(&counter).into();
-        let mut cx = Context::from_waker(&waker);
-        assert!(Pin::new(&mut rx).poll(&mut cx).is_pending());
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-        tx.send(5u8);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "send must wake");
-        match Pin::new(&mut rx).poll(&mut cx) {
-            Poll::Ready(Ok(5)) => {}
-            other => panic!("expected ready value, got {other:?}"),
-        }
-    }
-
-    /// Drop correctness: cancelling wakes a parked consumer too, and the
-    /// waker registered last is the one woken.
-    #[test]
-    fn cancel_wakes_latest_waker() {
-        let (tx, mut rx) = channel::<u8>();
-        let stale = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let fresh = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let w1: Waker = Arc::clone(&stale).into();
-        let w2: Waker = Arc::clone(&fresh).into();
-        assert!(Pin::new(&mut rx)
-            .poll(&mut Context::from_waker(&w1))
-            .is_pending());
-        assert!(Pin::new(&mut rx)
-            .poll(&mut Context::from_waker(&w2))
-            .is_pending());
-        drop(tx);
-        assert_eq!(stale.0.load(Ordering::SeqCst), 0, "stale waker replaced");
-        assert_eq!(fresh.0.load(Ordering::SeqCst), 1, "latest waker woken");
-        assert!(matches!(
-            Pin::new(&mut rx).poll(&mut Context::from_waker(&w2)),
-            Poll::Ready(Err(Canceled))
-        ));
     }
 
     /// A send into a dropped receiver must not panic or leak the lock.
@@ -404,5 +304,39 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.hits + s.misses, 8);
         assert!(s.hits >= 6, "steady state must mostly hit, got {s:?}");
+    }
+
+    /// Cancel races complete on a pooled channel: a producer thread sends
+    /// or drops each sender while this thread waits on or drops the
+    /// receiver. `wait` sees the value exactly when it was sent and
+    /// `Canceled` exactly when it was not, every pair is one pool get, and
+    /// whatever the last half out recycles comes back empty.
+    #[test]
+    fn pooled_cancel_races_complete_across_threads() {
+        const ROUNDS: u64 = 20_000;
+        let pool = OneshotPool::new(4);
+        let (handoff, senders) = std::sync::mpsc::channel::<(Sender<u64>, bool)>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for (tx, send) in senders {
+                    if send {
+                        tx.send(7);
+                    }
+                }
+            });
+            for round in 0..ROUNDS {
+                let (send, wait) = (round & 1 == 0, round & 2 == 0);
+                let (tx, mut rx) = pool.channel();
+                assert!(rx.try_recv().is_none(), "round {round}: stale slot");
+                handoff.send((tx, send)).unwrap();
+                if wait {
+                    let want = if send { Ok(7) } else { Err(Canceled) };
+                    assert_eq!(rx.wait(), want, "round {round}");
+                }
+            }
+            drop(handoff);
+        });
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, ROUNDS);
     }
 }

@@ -51,7 +51,6 @@
 
 use crossbeam_utils::CachePadded;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -388,113 +387,6 @@ impl<T> BoundedQueue<T> {
         let tail = self.inner.tail.load(Ordering::SeqCst) & POS_MASK;
         let head = self.inner.head.load(Ordering::SeqCst);
         tail.saturating_sub(head) as usize
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The previous `Mutex`+`Condvar` implementation of the same contract,
-/// retained as the baseline side of the `queue_bench` old-vs-new
-/// comparison. Not used by the service.
-pub struct MutexQueue<T> {
-    inner: Arc<MutexInner<T>>,
-}
-
-struct MutexState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-struct MutexInner<T> {
-    state: Mutex<MutexState<T>>,
-    capacity: usize,
-    pop_cv: Condvar,
-}
-
-impl<T> Clone for MutexQueue<T> {
-    fn clone(&self) -> Self {
-        MutexQueue {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T> MutexQueue<T> {
-    /// New queue admitting at most `capacity` queued items.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "queue depth must be at least 1");
-        MutexQueue {
-            inner: Arc::new(MutexInner {
-                state: Mutex::new(MutexState {
-                    items: VecDeque::with_capacity(capacity.min(1024)),
-                    closed: false,
-                }),
-                capacity,
-                pop_cv: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Admit `item` if there is room; shed it otherwise. Never blocks (but
-    /// does take the queue lock — the cost `queue_bench` measures).
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = self.inner.state.lock().unwrap();
-        if st.closed {
-            return Err(PushError::Closed(item));
-        }
-        if st.items.len() >= self.inner.capacity {
-            return Err(PushError::Overloaded(item));
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.inner.pop_cv.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop: `Some(item)` in FIFO order, or `None` once closed and
-    /// drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.inner.pop_cv.wait(st).unwrap();
-        }
-    }
-
-    /// Blocking batch pop; see [`BoundedQueue::pop_batch`].
-    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        assert!(max >= 1, "batch size must be at least 1");
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if !st.items.is_empty() {
-                let n = st.items.len().min(max);
-                out.extend(st.items.drain(..n));
-                return n;
-            }
-            if st.closed {
-                return 0;
-            }
-            st = self.inner.pop_cv.wait(st).unwrap();
-        }
-    }
-
-    /// Close the queue: future pushes fail, consumers drain then end.
-    pub fn close(&self) {
-        self.inner.state.lock().unwrap().closed = true;
-        self.inner.pop_cv.notify_all();
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.state.lock().unwrap().items.len()
     }
 
     /// Whether nothing is queued.
@@ -841,24 +733,5 @@ mod tests {
         assert_eq!(drained.len() as u64, PRODUCERS * PER, "no loss");
         let set: std::collections::HashSet<u64> = drained.iter().copied().collect();
         assert_eq!(set.len(), drained.len(), "no duplicates");
-    }
-
-    // -- the retained mutex baseline honors the same contract --------------
-
-    #[test]
-    fn mutex_queue_matches_the_contract() {
-        let q = MutexQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Overloaded(3)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out, 8), 1);
-        assert_eq!(out, vec![2]);
-        q.close();
-        assert_eq!(q.try_push(4), Err(PushError::Closed(4)));
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 }

@@ -4,9 +4,10 @@
 //! the service routes it through bounded per-worker submission queues to a
 //! pool of threads, each holding one long-lived registered
 //! [`EngineHandle`] — the paper's "many concurrent clients, few STM
-//! threads" serving shape. Completions come back through oneshot futures
-//! ([`Completion`]), so clients can block ([`Completion::wait`]), poll, or
-//! `await` on the [`crate::executor`].
+//! threads" serving shape. Every queued job is one boxed [`RunRequest`]:
+//! a closure submission rides in a private adapter that carries its
+//! oneshot sender, so clients block on [`Completion::wait`] or probe with
+//! [`Completion::try_take`]; pooled records deliver their own results.
 //!
 //! Admission control is explicit: a full queue sheds the request with a
 //! typed [`SubmitError::Overloaded`] instead of queueing unboundedly —
@@ -19,13 +20,13 @@
 //! all requests for one shard land on one worker, so single-shard
 //! transactions from different clients stop colliding across the pool.
 
-use crate::histogram::LatencyHistogram;
 use crate::oneshot;
 use crate::queue::{BoundedQueue, PushError};
 use crossbeam_utils::CachePadded;
-use lsa_engine::{EngineHandle, EngineRequest, EngineStats, TxnEngine};
+use lsa_engine::{EngineHandle, EngineStats, TxnEngine};
 use lsa_obs::registry::{Counter, MetricsRegistry};
 use lsa_obs::trace::{self, EventKind};
+use lsa_obs::LatencyHistogram;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,7 +89,7 @@ pub struct Response<R> {
     pub latency: Duration,
 }
 
-/// The client's handle on an in-flight request: a future resolving to
+/// The client's handle on an in-flight request, resolving to
 /// `Result<Response<R>, Canceled>` (canceled only if the service shuts
 /// down before running the request).
 pub struct Completion<R> {
@@ -107,28 +108,16 @@ impl<R> Completion<R> {
     }
 }
 
-impl<R> std::future::Future for Completion<R> {
-    type Output = Result<Response<R>, oneshot::Canceled>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        std::pin::Pin::new(&mut self.get_mut().rx).poll(cx)
-    }
-}
-
-/// A poolable request record: the allocation-free alternative to the boxed
-/// closure + oneshot submission path.
+/// The one kind of work a service queue holds.
 ///
 /// A record is submitted with [`TxnService::submit_record`], executed once
 /// on a worker's engine handle, and then handed back to wherever it came
-/// from via [`recycle`](RunRequest::recycle) — the concrete type typically
-/// pushes itself into a [`Pool`](crate::Pool) it carries a handle to, so at
-/// steady state the serving path performs no per-request heap allocation.
-/// There is no completion future on this path: the record's `run` body is
-/// responsible for delivering its own result (the wire server's records
-/// encode the reply and push it onto the connection's out queue).
+/// from via [`recycle`](RunRequest::recycle) — a pooled type pushes itself
+/// into a [`Pool`](crate::Pool) it carries a handle to, so at steady state
+/// the serving path performs no per-request heap allocation. The record's
+/// `run` body delivers its own result (the wire server's records encode
+/// the reply and push it onto the connection's out queue; a closure
+/// submission's adapter sends it down the [`Completion`]'s oneshot).
 pub trait RunRequest<E: TxnEngine>: Send {
     /// Execute the request on a worker's registered engine handle. Called
     /// exactly once per submission.
@@ -140,32 +129,37 @@ pub trait RunRequest<E: TxnEngine>: Send {
     fn recycle(self: Box<Self>);
 }
 
-/// What a queued job executes: the legacy closure path (one allocation per
-/// request, carries its own oneshot) or a pooled record (allocation-free at
-/// steady state).
-enum JobRun<E: TxnEngine> {
-    /// Type-erased request closure + its captured completion sender.
-    Closure(EngineRequest<E>),
-    /// Pooled, recyclable request record.
-    Record(Box<dyn RunRequest<E>>),
+/// A closure submission as a [`RunRequest`]: the body and the completion
+/// sender travel together (one `Box` per request) and leave the `Option`
+/// on the one `run`; `recycle` just drops what is left.
+struct ClosureRequest<F, R> {
+    job: Option<(F, oneshot::Sender<Response<R>>)>,
+    submitted: Instant,
+}
+
+impl<E, F, R> RunRequest<E> for ClosureRequest<F, R>
+where
+    E: TxnEngine,
+    R: Send + 'static,
+    F: FnOnce(&mut E::Handle) -> R + Send + 'static,
+{
+    fn run(&mut self, handle: &mut E::Handle) {
+        let (body, tx) = self.job.take().expect("a request runs once");
+        let value = body(handle);
+        tx.send(Response {
+            value,
+            latency: self.submitted.elapsed(),
+        });
+    }
+
+    fn recycle(self: Box<Self>) {}
 }
 
 /// One queued unit of work: the submission timestamp (for the worker-side
-/// latency capture) plus what to run.
+/// latency capture) plus the request to run.
 struct Job<E: TxnEngine> {
     submitted: Instant,
-    run: JobRun<E>,
-}
-
-impl<E: TxnEngine> Job<E> {
-    /// Extract the record from a refused record submission so the caller
-    /// can recycle it.
-    fn into_record(self) -> Box<dyn RunRequest<E>> {
-        match self.run {
-            JobRun::Record(r) => r,
-            JobRun::Closure(_) => unreachable!("refused record job holds a record"),
-        }
-    }
+    run: Box<dyn RunRequest<E>>,
 }
 
 /// Registry handles for the per-batch engine-stat fold: workers diff their
@@ -272,36 +266,19 @@ impl<E: TxnEngine> Shared<E> {
         F: FnOnce(&mut E::Handle) -> R + Send + 'static,
     {
         let (tx, rx) = oneshot::channel();
-        let submitted = Instant::now();
-        let job = Job {
-            submitted,
-            run: JobRun::Closure(Box::new(move |handle: &mut E::Handle| {
-                let value = body(handle);
-                tx.send(Response {
-                    value,
-                    latency: submitted.elapsed(),
-                });
-            })),
+        let request = ClosureRequest {
+            job: Some((body, tx)),
+            submitted: Instant::now(),
         };
-        let qix = self.route(shard);
-        match self.queues[qix].try_push(job) {
-            Ok(()) => {
-                self.submitted.inc();
-                trace::event_sampled(EventKind::Enqueue, 0, qix as u64);
-                Ok(Completion { rx })
-            }
-            Err(PushError::Overloaded(_)) => {
-                self.shed.inc();
-                trace::event(EventKind::Shed, 0, qix as u64);
-                Err(SubmitError::Overloaded)
-            }
-            Err(PushError::Closed(_)) => Err(SubmitError::Closed),
-        }
+        // A refused adapter drops here, and its sender with it.
+        self.submit_record(shard, Box::new(request))
+            .map(|()| Completion { rx })
+            .map_err(|(e, _)| e)
     }
 
-    /// Submit a pooled record (see [`RunRequest`]). On refusal the record
-    /// comes back with the typed error so the caller can recycle it — a
-    /// shed must not cost the allocation the pool exists to avoid.
+    /// Submit a record (see [`RunRequest`]). On refusal the record comes
+    /// back with the typed error so the caller can recycle it — a shed must
+    /// not cost the allocation the pool exists to avoid.
     fn submit_record(
         &self,
         shard: Option<usize>,
@@ -309,7 +286,7 @@ impl<E: TxnEngine> Shared<E> {
     ) -> Result<(), (SubmitError, Box<dyn RunRequest<E>>)> {
         let job = Job {
             submitted: Instant::now(),
-            run: JobRun::Record(record),
+            run: record,
         };
         let qix = self.route(shard);
         match self.queues[qix].try_push(job) {
@@ -321,9 +298,9 @@ impl<E: TxnEngine> Shared<E> {
             Err(PushError::Overloaded(job)) => {
                 self.shed.inc();
                 trace::event(EventKind::Shed, 0, qix as u64);
-                Err((SubmitError::Overloaded, job.into_record()))
+                Err((SubmitError::Overloaded, job.run))
             }
-            Err(PushError::Closed(job)) => Err((SubmitError::Closed, job.into_record())),
+            Err(PushError::Closed(job)) => Err((SubmitError::Closed, job.run)),
         }
     }
 }
@@ -412,7 +389,7 @@ pub struct ServiceReport {
     pub engine: EngineStats,
 }
 
-/// An async transaction-service front-end over any [`TxnEngine`].
+/// A transaction-service front-end over any [`TxnEngine`].
 pub struct TxnService<E: TxnEngine> {
     shared: Arc<Shared<E>>,
     workers: Vec<JoinHandle<WorkerReport>>,
@@ -420,16 +397,11 @@ pub struct TxnService<E: TxnEngine> {
 
 impl<E: TxnEngine> TxnService<E> {
     /// Start the worker pool on `engine`, instrumenting into a fresh
-    /// [`MetricsRegistry`] (see [`metrics`](TxnService::metrics)).
+    /// [`MetricsRegistry`] (see [`metrics`](TxnService::metrics)); an
+    /// embedding front-end registers its own instruments on a clone of it.
     pub fn start(engine: E, cfg: ServiceConfig) -> Self {
-        Self::start_with_metrics(engine, cfg, MetricsRegistry::new())
-    }
-
-    /// [`start`](TxnService::start) instrumenting into a caller-supplied
-    /// registry, so an embedding front-end (the wire server) can serve one
-    /// namespace spanning its own metrics and the service's.
-    pub fn start_with_metrics(engine: E, cfg: ServiceConfig, metrics: MetricsRegistry) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
+        let metrics = MetricsRegistry::new();
         let shard_affine = engine.shards() > 1;
         let queues: Vec<BoundedQueue<Job<E>>> = (0..cfg.workers)
             .map(|_| BoundedQueue::new(cfg.queue_depth))
@@ -476,16 +448,12 @@ impl<E: TxnEngine> TxnService<E> {
                         }
                         trace::event_sampled(EventKind::Dequeue, 0, n as u64);
                         for job in batch.drain(..) {
-                            let Job { submitted, run } = job;
-                            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || match run {
-                                    JobRun::Closure(f) => f(&mut handle),
-                                    JobRun::Record(mut r) => {
-                                        r.run(&mut handle);
-                                        r.recycle();
-                                    }
-                                },
-                            ));
+                            let Job { submitted, mut run } = job;
+                            let outcome =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    run.run(&mut handle);
+                                    run.recycle();
+                                }));
                             if let Err(payload) = outcome {
                                 // A request body panicked (e.g. an invariant
                                 // assert fired). Fail loudly, not silently:
@@ -520,8 +488,8 @@ impl<E: TxnEngine> TxnService<E> {
 
     /// Submit `body` for execution on some worker's engine handle.
     ///
-    /// Returns immediately: `Ok` carries the [`Completion`] future, `Err`
-    /// the typed admission decision. The body runs exactly once (its
+    /// Returns immediately: `Ok` carries the [`Completion`], `Err` the
+    /// typed admission decision. The body runs exactly once (its
     /// `atomically` loop retries internally as usual).
     pub fn submit<R, F>(&self, body: F) -> Result<Completion<R>, SubmitError>
     where
@@ -546,11 +514,13 @@ impl<E: TxnEngine> TxnService<E> {
         self.shared.submit_to(shard, body)
     }
 
-    /// Submit a pooled, recyclable request record — the allocation-free
-    /// fast path (see [`RunRequest`]). No completion future: the record
-    /// delivers its own result from `run`, and the worker still captures
+    /// Submit a request record (see [`RunRequest`]); [`submit`] wraps its
+    /// closure in one. No [`Completion`]: the record delivers its own
+    /// result from `run`, and the worker still captures
     /// submission-to-completion latency in the service report. On refusal
     /// the record is handed back with the typed error for recycling.
+    ///
+    /// [`submit`]: TxnService::submit
     pub fn submit_record(
         &self,
         shard: Option<usize>,
@@ -852,28 +822,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn completion_awaits_on_the_executor() {
-        let engine = Stm::new(SharedCounter::new());
-        let var = engine.new_var(0u64);
-        let svc = Arc::new(TxnService::start(engine, small_cfg(2, 64)));
-        let ex = crate::executor::Executor::new(2);
-        let done = Arc::new(AtomicU64::new(0));
-        for _ in 0..20 {
-            let var = var.clone();
-            let c = svc
-                .submit(move |h| h.atomically(|tx| tx.modify(&var, |v| v + 1)))
-                .unwrap();
-            let done = Arc::clone(&done);
-            ex.spawn(async move {
-                let resp = c.await.unwrap();
-                assert!(resp.latency > Duration::ZERO);
-                done.fetch_add(1, Ordering::SeqCst);
-            });
+    /// A record that counts its runs and recycles; `recycle` before `run`
+    /// is counted as a fault.
+    struct Probe {
+        ran: bool,
+        runs: Arc<AtomicU64>,
+        recycles: Arc<AtomicU64>,
+        faults: Arc<AtomicU64>,
+    }
+
+    impl Probe {
+        fn new(counts: &[Arc<AtomicU64>; 3]) -> Box<Self> {
+            Box::new(Probe {
+                ran: false,
+                runs: Arc::clone(&counts[0]),
+                recycles: Arc::clone(&counts[1]),
+                faults: Arc::clone(&counts[2]),
+            })
         }
-        ex.wait_idle();
-        assert_eq!(done.load(Ordering::SeqCst), 20);
-        ex.shutdown();
-        assert_eq!(*<Stm<SharedCounter> as TxnEngine>::peek(&var), 20);
+    }
+
+    impl<E: TxnEngine> RunRequest<E> for Probe {
+        fn run(&mut self, _handle: &mut E::Handle) {
+            if self.ran {
+                self.faults.fetch_add(1, Ordering::SeqCst);
+            }
+            self.ran = true;
+            self.runs.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn recycle(self: Box<Self>) {
+            if !self.ran {
+                self.faults.fetch_add(1, Ordering::SeqCst);
+            }
+            self.recycles.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn counts() -> [Arc<AtomicU64>; 3] {
+        std::array::from_fn(|_| Arc::new(AtomicU64::new(0)))
+    }
+
+    fn load(c: &Arc<AtomicU64>) -> u64 {
+        c.load(Ordering::SeqCst)
+    }
+
+    /// Closures and records are one job type: they share the admission
+    /// counter, the completion count and the `service.latency_ns`
+    /// histogram, and every admitted record is recycled exactly once,
+    /// after its one run.
+    #[test]
+    fn records_and_closures_share_one_path() {
+        let engine = Stm::new(SharedCounter::new());
+        let svc = TxnService::start(engine, small_cfg(2, 64));
+        let c = counts();
+        let mut closures = Vec::new();
+        for i in 0..10u64 {
+            closures.push(svc.submit(move |_h| i).unwrap());
+            if svc.submit_record(None, Probe::new(&c)).is_err() {
+                panic!("a 64-deep queue admits record {i}");
+            }
+        }
+        for (i, done) in closures.into_iter().enumerate() {
+            assert_eq!(done.wait().unwrap().value, i as u64);
+        }
+        let submitted = svc.metrics().snapshot().counter("service.submitted");
+        let report = svc.shutdown();
+        assert_eq!(submitted, Some(20), "one admission counter for both");
+        assert_eq!(report.submitted, 20);
+        assert_eq!(report.completed, 20);
+        assert_eq!(report.latency.count(), 20, "one latency histogram");
+        assert_eq!((load(&c[0]), load(&c[1])), (10, 10), "run and recycle once");
+        assert_eq!(load(&c[2]), 0, "recycle always follows run");
+    }
+
+    /// A refused record comes back whole with the typed error, unrun and
+    /// unrecycled: shed at a wedged depth-1 worker, closed after shutdown.
+    #[test]
+    fn refused_records_come_back_with_the_typed_error() {
+        let engine = Stm::new(SharedCounter::new());
+        let svc = TxnService::start(engine, small_cfg(1, 1));
+        let handle = svc.handle();
+        let c = counts();
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        let blocker = svc
+            .submit(move |_h| {
+                let (lock, cv) = &*g;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            })
+            .unwrap();
+        while !svc.shared.queues[0].is_empty() {
+            std::thread::yield_now();
+        }
+        if svc.submit_record(None, Probe::new(&c)).is_err() {
+            panic!("the depth-1 queue has room for one record");
+        }
+        match svc.submit_record(None, Probe::new(&c)) {
+            Err((SubmitError::Overloaded, _record)) => {}
+            Err((e, _)) => panic!("expected Overloaded, got {e:?}"),
+            Ok(()) => panic!("a full depth-1 queue must shed"),
+        }
+        {
+            let (lock, cv) = &*gate;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        blocker.wait().unwrap();
+        let report = svc.shutdown();
+        assert_eq!((report.submitted, report.shed), (2, 1));
+        match handle.submit_record(None, Probe::new(&c)) {
+            Err((SubmitError::Closed, _record)) => {}
+            Err((e, _)) => panic!("expected Closed, got {e:?}"),
+            Ok(()) => panic!("a shut-down service must refuse"),
+        }
+        // Only the admitted record ran; neither refused one was touched.
+        assert_eq!((load(&c[0]), load(&c[1]), load(&c[2])), (1, 1, 0));
     }
 }

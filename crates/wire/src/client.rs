@@ -5,7 +5,7 @@
 //! response frames and resolves the matching pending request by id, so any
 //! number of requests can be in flight on a lane at once — [`send`]
 //! returns a [`PendingReply`] immediately and the caller decides when to
-//! wait (blocking [`PendingReply::wait`]) or `await` it on an executor.
+//! block on it ([`PendingReply::wait`]).
 //! Lanes are picked round-robin per request; writes hold the lane lock only
 //! while the frame hits the socket, so senders on different threads pipeline
 //! onto shared lanes without coordinating.
@@ -21,13 +21,10 @@ use crate::frame::{decode_frame, encode_frame, FrameError, ReadBuf};
 use crate::tables::{Reply, Request};
 use lsa_engine::IdMap;
 use lsa_service::oneshot::{OneshotPool, Receiver, Sender};
-use std::future::Future;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 
 /// Transport-level client errors. Application-level outcomes — including
@@ -88,8 +85,7 @@ struct Lane {
     buf: Vec<u8>,
 }
 
-/// A reply that has not arrived yet. Either block on [`wait`](Self::wait)
-/// or `await` it (e.g. on `lsa_service::Executor`).
+/// A reply that has not arrived yet; block on it with [`wait`](Self::wait).
 pub struct PendingReply {
     rx: Receiver<Reply>,
 }
@@ -98,16 +94,6 @@ impl PendingReply {
     /// Block the calling thread until the reply (or connection loss).
     pub fn wait(self) -> Result<Reply, WireError> {
         self.rx.wait().map_err(|_| WireError::ConnectionLost)
-    }
-}
-
-impl Future for PendingReply {
-    type Output = Result<Reply, WireError>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.rx)
-            .poll(cx)
-            .map(|r| r.map_err(|_| WireError::ConnectionLost))
     }
 }
 

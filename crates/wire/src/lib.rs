@@ -20,10 +20,12 @@
 //!   bounded in-flight [`Window`](conn::Window) that propagates
 //!   backpressure to TCP,
 //! * [`server`] — [`WireServer`]: listener + per-connection reader/writer
-//!   threads over a [`TxnService`](lsa_service::TxnService) pool; service
-//!   sheds surface as typed [`Reply::Overloaded`] responses,
+//!   threads over a [`TxnService`](lsa_service::TxnService) pool, its wire
+//!   counters registered on the service's registry; service sheds surface
+//!   as typed [`Reply::Overloaded`] responses,
 //! * [`client`] — [`WireClient`]: pipelined requests over N lanes with
-//!   request-id correlation and lazy reconnect.
+//!   request-id correlation and lazy reconnect; each reply is a blocking
+//!   [`PendingReply`].
 //!
 //! The frame layout, threading model and backpressure policy are written up
 //! in `DESIGN.md` §12; the harness's `net_bench` binary drives this crate

@@ -220,18 +220,17 @@ impl<E: TxnEngine> WireServer<E> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let tables = Tables::build(&engine, &cfg.tables);
-        // One registry spans the whole serving path: the service registers
-        // its engine/queue metrics on it, the server its wire counters, and
-        // a live `Stats` scrape snapshots them all together.
-        let metrics = MetricsRegistry::new();
-        let service = TxnService::start_with_metrics(
+        let service = TxnService::start(
             engine.clone(),
             ServiceConfig {
                 workers: cfg.workers,
                 queue_depth: cfg.queue_depth,
             },
-            metrics.clone(),
         );
+        // One registry spans the whole serving path: the service's, with
+        // the server's wire counters registered beside its engine/queue
+        // metrics, so a live `Stats` scrape snapshots them all together.
+        let metrics = service.metrics().clone();
         let handle = service.handle();
         let shared = Arc::new(ServerShared {
             shutdown: AtomicBool::new(false),
