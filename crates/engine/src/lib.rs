@@ -95,7 +95,7 @@ pub trait TxnEngine: Clone + Send + Sync + 'static {
     /// engine to home the object on shard `shard % shards()`. Unsharded
     /// engines ignore the hint (the default), so workload code can pin its
     /// partitions unconditionally — on `lsa-sharded` the hint routes the
-    /// object shard-locally (`ShardedStm::new_tvar_on`), everywhere else it
+    /// object shard-locally (`Stm::new_tvar_on`), everywhere else it
     /// degenerates to [`new_var`](TxnEngine::new_var).
     fn new_var_on<T: Send + Sync + 'static>(&self, shard: usize, value: T) -> Self::Var<T> {
         let _ = shard;

@@ -329,8 +329,9 @@ pub fn run_net_bench<E: TxnEngine>(engine: E, spec: &NetSpec) -> NetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_stm::{ShardedStm, Stm};
+    use lsa_stm::Stm;
     use lsa_time::counter::SharedCounter;
+    use lsa_time::sharded::ShardedTimeBase;
 
     fn quick_spec(kind: NetKind) -> NetSpec {
         NetSpec {
@@ -372,7 +373,7 @@ mod tests {
     fn every_kind_runs_on_the_sharded_engine() {
         for kind in NetKind::ALL {
             let out = run_net_bench(
-                ShardedStm::new(SharedCounter::new(), 4),
+                Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)),
                 &NetSpec {
                     duration: Duration::from_millis(80),
                     ..quick_spec(kind)

@@ -21,12 +21,13 @@
 use crate::runner::{run_for_pinned, BenchWorker, RunOutcome};
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::TxnEngine;
-use lsa_stm::{ShardedStm, Stm, StmConfig};
+use lsa_stm::{Stm, StmConfig};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
 use lsa_time::external::{ExternalClock, OffsetPolicy};
 use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
+use lsa_time::sharded::ShardedTimeBase;
 use lsa_workloads::{
     BankConfig, BankWorkload, DisjointConfig, DisjointWorkload, HashsetConfig, HashsetWorkload,
     IntsetConfig, IntsetWorkload, PlacementHint, ScanConfig, ScanWorkload, SnapshotConfig,
@@ -422,18 +423,21 @@ pub fn default_registry() -> Vec<EngineEntry> {
                 StmConfig::multi_version(8),
             )
         }),
-        // The sharded LSA runtime: disjoint object shards, per-shard
-        // arbitration, cross-shard two-phase commits (DESIGN.md §9). Only
-        // composable bases appear — the composite rejects gv4/gv5 (not
-        // commit-monotonic) and real-time bases (best-effort blocks).
+        // LSA-RT on the sharded composite base: disjoint object shards,
+        // per-shard arbitration, cross-shard two-phase commits (DESIGN.md
+        // §9). Only composable bases appear — the composite rejects gv4/gv5
+        // (not commit-monotonic) and real-time bases (best-effort blocks).
         EngineEntry::new("lsa-sharded", "shared-counter", || {
-            ShardedStm::new(SharedCounter::new(), DEFAULT_SHARDS)
+            Stm::new(ShardedTimeBase::new(SharedCounter::new(), DEFAULT_SHARDS))
         }),
         EngineEntry::new("lsa-sharded", "block64", || {
-            ShardedStm::new(BlockCounter::new(64), DEFAULT_SHARDS)
+            Stm::new(ShardedTimeBase::new(BlockCounter::new(64), DEFAULT_SHARDS))
         }),
         EngineEntry::new("lsa-sharded", "numa-altix", || {
-            ShardedStm::new(NumaCounter::new(NumaModel::altix()), DEFAULT_SHARDS)
+            Stm::new(ShardedTimeBase::new(
+                NumaCounter::new(NumaModel::altix()),
+                DEFAULT_SHARDS,
+            ))
         })
         .pinned(),
         EngineEntry::new(

@@ -595,8 +595,9 @@ pub fn run_memory_ceiling<E: TxnEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_stm::{ShardedStm, Stm};
+    use lsa_stm::Stm;
     use lsa_time::counter::SharedCounter;
+    use lsa_time::sharded::ShardedTimeBase;
 
     fn quick_spec(kind: RequestKind) -> ServiceSpec {
         ServiceSpec {
@@ -672,7 +673,7 @@ mod tests {
     fn all_request_kinds_run_on_sharded_lsa() {
         for kind in RequestKind::ALL {
             let out = run_service_bench(
-                ShardedStm::new(SharedCounter::new(), 4),
+                Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)),
                 &ServiceSpec {
                     placement: PlacementHint::Partitioned,
                     ..quick_spec(kind)

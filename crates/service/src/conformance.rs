@@ -254,8 +254,9 @@ pub fn service_suite<E: TxnEngine>(engine: &E) {
 mod tests {
     use super::*;
     use lsa_baseline::{NorecStm, Tl2Stm};
-    use lsa_stm::{ShardedStm, Stm};
+    use lsa_stm::Stm;
     use lsa_time::counter::SharedCounter;
+    use lsa_time::sharded::ShardedTimeBase;
 
     #[test]
     fn lsa_passes_the_service_suite() {
@@ -264,7 +265,7 @@ mod tests {
 
     #[test]
     fn sharded_lsa_passes_the_service_suite_shard_affinely() {
-        service_suite(&ShardedStm::new(SharedCounter::new(), 4));
+        service_suite(&Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)));
     }
 
     #[test]

@@ -608,8 +608,9 @@ impl<E: TxnEngine> Drop for TxnService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_stm::{ShardedStm, Stm};
+    use lsa_stm::Stm;
     use lsa_time::counter::SharedCounter;
+    use lsa_time::sharded::ShardedTimeBase;
     use std::sync::atomic::AtomicU64;
     use std::sync::{Condvar, Mutex};
 
@@ -766,7 +767,7 @@ mod tests {
 
     #[test]
     fn shard_hints_pin_to_workers_on_sharded_engines() {
-        let engine = ShardedStm::new(SharedCounter::new(), 4);
+        let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
         let svc = TxnService::start(engine, small_cfg(3, 64));
         // Same hint → same worker, always.
         for shard in 0..4usize {

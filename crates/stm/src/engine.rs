@@ -10,8 +10,6 @@
 use crate::error::Abort;
 use crate::lsa::Txn;
 use crate::object::TVar;
-use crate::reclaim::ReclaimStats;
-use crate::sharded::{ShardedHandle, ShardedStm, ShardedTxn};
 use crate::stats::TxnStats;
 use crate::stm::{Stm, ThreadHandle};
 use lsa_engine::{
@@ -56,16 +54,6 @@ fn to_engine_stats(s: &TxnStats) -> EngineStats {
     }
 }
 
-fn to_memory_stats(r: &ReclaimStats) -> MemoryStats {
-    MemoryStats {
-        versions_live: r.versions_live,
-        versions_retired: r.versions_retired,
-        versions_reclaimed: r.versions_reclaimed,
-        arena_bytes: r.arena_bytes,
-        watermark_lag: r.watermark_lag,
-    }
-}
-
 impl<B: TimeBase> TxnEngine for Stm<B> {
     type Abort = Abort;
     type Var<T: Send + Sync + 'static> = TVar<T, B::Ts>;
@@ -73,6 +61,13 @@ impl<B: TimeBase> TxnEngine for Stm<B> {
 
     fn new_var<T: Send + Sync + 'static>(&self, value: T) -> TVar<T, B::Ts> {
         self.new_tvar(value)
+    }
+
+    fn new_var_on<T: Send + Sync + 'static>(&self, shard: usize, value: T) -> TVar<T, B::Ts> {
+        // The generic placement hint maps onto real placement: modulo-wrap
+        // so workload code can pass any index (all land on shard 0 when
+        // the base is unsharded).
+        self.new_tvar_on(shard % self.shard_count(), value)
     }
 
     fn register(&self) -> ThreadHandle<B> {
@@ -83,8 +78,19 @@ impl<B: TimeBase> TxnEngine for Stm<B> {
         format!("lsa-rt({})", self.time_base().name())
     }
 
+    fn shards(&self) -> usize {
+        self.shard_count()
+    }
+
     fn memory_stats(&self) -> MemoryStats {
-        to_memory_stats(&self.reclaim_stats())
+        let r = self.reclaim_stats();
+        MemoryStats {
+            versions_live: r.versions_live,
+            versions_retired: r.versions_retired,
+            versions_reclaimed: r.versions_reclaimed,
+            arena_bytes: r.arena_bytes,
+            watermark_lag: r.watermark_lag,
+        }
     }
 
     fn peek<T: Send + Sync + 'static>(var: &TVar<T, B::Ts>) -> Arc<T> {
@@ -142,103 +148,12 @@ impl<B: TimeBase> TxnOps for Txn<'_, B> {
     }
 }
 
-// --- The sharded runtime behind the same trait surface ---
-
-impl<B: TimeBase> TxnEngine for ShardedStm<B> {
-    type Abort = Abort;
-    type Var<T: Send + Sync + 'static> = TVar<T, B::Ts>;
-    type Handle = ShardedHandle<B>;
-
-    fn new_var<T: Send + Sync + 'static>(&self, value: T) -> TVar<T, B::Ts> {
-        self.new_tvar(value)
-    }
-
-    fn new_var_on<T: Send + Sync + 'static>(&self, shard: usize, value: T) -> TVar<T, B::Ts> {
-        // The generic placement hint maps onto the sharded runtime's real
-        // placement: modulo-wrap so workload code can pass any index.
-        self.new_tvar_on(shard % self.shard_count(), value)
-    }
-
-    fn register(&self) -> ShardedHandle<B> {
-        ShardedStm::register(self)
-    }
-
-    fn engine_name(&self) -> String {
-        format!(
-            "lsa-sharded{}x({})",
-            self.shard_count(),
-            self.time_base().inner().name()
-        )
-    }
-
-    fn shards(&self) -> usize {
-        self.shard_count()
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        to_memory_stats(&self.reclaim_stats())
-    }
-
-    fn peek<T: Send + Sync + 'static>(var: &TVar<T, B::Ts>) -> Arc<T> {
-        var.snapshot_latest()
-    }
-}
-
-impl<B: TimeBase> EngineHandle for ShardedHandle<B> {
-    type Engine = ShardedStm<B>;
-    type Txn<'t>
-        = ShardedTxn<'t, B>
-    where
-        Self: 't;
-
-    fn atomically<R, F>(&mut self, body: F) -> R
-    where
-        F: for<'t> FnMut(&mut ShardedTxn<'t, B>) -> EngineResult<R, ShardedStm<B>>,
-    {
-        ShardedHandle::atomically(self, body)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        to_engine_stats(self.stats())
-    }
-
-    fn take_engine_stats(&mut self) -> EngineStats {
-        to_engine_stats(&self.take_stats())
-    }
-}
-
-impl<B: TimeBase> TxnOps for ShardedTxn<'_, B> {
-    type Engine = ShardedStm<B>;
-
-    fn read<T: Send + Sync + 'static>(
-        &mut self,
-        var: &TVar<T, B::Ts>,
-    ) -> EngineResult<Arc<T>, ShardedStm<B>> {
-        ShardedTxn::read(self, var)
-    }
-
-    fn write<T: Send + Sync + 'static>(
-        &mut self,
-        var: &TVar<T, B::Ts>,
-        value: T,
-    ) -> EngineResult<(), ShardedStm<B>> {
-        ShardedTxn::write(self, var, value)
-    }
-
-    fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &TVar<T, B::Ts>,
-        f: impl FnOnce(&T) -> T,
-    ) -> EngineResult<(), ShardedStm<B>> {
-        ShardedTxn::modify(self, var, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
+    use lsa_time::sharded::ShardedTimeBase;
 
     /// A fully generic transaction exercised through the trait surface only.
     fn generic_double<E: TxnEngine>(engine: &E) -> i64 {
@@ -294,9 +209,9 @@ mod tests {
 
     #[test]
     fn sharded_stm_is_a_txn_engine() {
-        let stm = ShardedStm::new(SharedCounter::new(), 8);
+        let stm = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 8));
         assert_eq!(generic_double(&stm), 42);
-        assert_eq!(stm.engine_name(), "lsa-sharded8x(shared-counter)");
+        assert_eq!(stm.engine_name(), "lsa-rt(sharded8x-shared-counter)");
         assert_eq!(TxnEngine::shards(&stm), 8);
         // Unsharded engines report the default shard count of 1.
         assert_eq!(TxnEngine::shards(&Stm::new(SharedCounter::new())), 1);
@@ -304,7 +219,7 @@ mod tests {
 
     #[test]
     fn placement_hint_routes_on_sharded_and_is_ignored_elsewhere() {
-        let sharded = ShardedStm::new(SharedCounter::new(), 4);
+        let sharded = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
         for shard in 0..4 {
             let v = TxnEngine::new_var_on(&sharded, shard, 0u8);
             assert_eq!(sharded.shard_of(&v), shard);
@@ -312,10 +227,11 @@ mod tests {
         // Hints wrap modulo the shard count.
         let v = TxnEngine::new_var_on(&sharded, 7, 0u8);
         assert_eq!(sharded.shard_of(&v), 3);
-        // Unsharded engines accept (and ignore) any hint.
+        // Unsharded engines accept any hint and place on shard 0.
         let stm = Stm::new(SharedCounter::new());
         let v = TxnEngine::new_var_on(&stm, 1234, 5i32);
         assert_eq!(*<Stm<SharedCounter> as TxnEngine>::peek(&v), 5);
+        assert_eq!(stm.shard_of(&v), 0);
     }
 
     #[test]
@@ -337,7 +253,7 @@ mod tests {
 
     #[test]
     fn sharded_engine_stats_report_cross_shard_commits() {
-        let stm = ShardedStm::new(SharedCounter::new(), 4);
+        let stm = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
         let a = stm.new_tvar_on(0, 0u64);
         let b = stm.new_tvar_on(1, 0u64);
         let mut h = TxnEngine::register(&stm);

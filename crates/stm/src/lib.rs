@@ -21,9 +21,9 @@
 //!   version-node allocator (bounded-memory MVCC, DESIGN.md §11),
 //! * [`cm`] — pluggable contention managers (§2.3),
 //! * [`stm`] — the runtime: [`stm::Stm`], [`stm::ThreadHandle::atomically`],
-//! * [`sharded`] — the sharded runtime: disjoint object shards with
-//!   per-shard time-base arbitration and a cross-shard commit protocol
-//!   ([`sharded::ShardedStm`], DESIGN.md §9),
+//!   object placement; on a [`lsa_time::ShardedTimeBase`] the same runtime
+//!   is sharded, with per-shard arbitration and a cross-shard commit
+//!   protocol (DESIGN.md §9),
 //! * [`config`], [`stats`], [`error`] — tuning, accounting, abort plumbing.
 //!
 //! ## Quick start
@@ -58,7 +58,6 @@ pub mod error;
 pub mod lsa;
 pub mod object;
 pub mod reclaim;
-pub mod sharded;
 pub mod stats;
 pub mod status;
 pub mod stm;
@@ -70,7 +69,6 @@ pub use error::{Abort, AbortReason, TxResult};
 pub use lsa::Txn;
 pub use object::TVar;
 pub use reclaim::ReclaimStats;
-pub use sharded::{ShardedHandle, ShardedStm, ShardedTxn};
 pub use stats::TxnStats;
 pub use stm::{Stm, ThreadHandle};
 
@@ -81,7 +79,6 @@ pub mod prelude {
     pub use crate::error::{Abort, AbortReason, TxResult};
     pub use crate::lsa::Txn;
     pub use crate::object::TVar;
-    pub use crate::sharded::{ShardedHandle, ShardedStm, ShardedTxn};
     pub use crate::stats::TxnStats;
     pub use crate::stm::{Stm, ThreadHandle};
 }

@@ -71,7 +71,7 @@ use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason, TxResult};
 use crate::object::{AnyObject, ReadAttempt, TVar, WriteAttempt};
 use crate::status::TxnStatus;
-use crate::stm::HandleCore;
+use crate::stm::{shard_of_id, HandleCore};
 use crate::txn_shared::{CommitCtx, CtxEntry, TxnShared};
 use crate::version::VersionMeta;
 use lsa_engine::idmap::{recycle_map, recycle_vec, IdMap};
@@ -356,6 +356,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     pub(crate) fn start(&mut self) {
         debug_assert!(self.finished, "previous attempt still live");
         let core = &mut *self.core;
+        // A fresh attempt selects its shards from scratch. The failed
+        // attempt's selection stayed until here, so its abort feedback
+        // reached the clocks of the shards it touched.
+        core.clock.begin_attempt();
         let txn_id = core.next_txn_id();
         trace::txn_begin(txn_id);
         // A descriptor no object or helper references any more (every
@@ -393,10 +397,13 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     /// abort otherwise. On failure, carries the contention manager's view of
     /// the work done into the next attempt and yields under heavy
     /// oversubscription (livelock hygiene).
-    pub(crate) fn conclude<R>(&mut self, result: TxResult<R>) -> TxResult<(R, Option<B::Ts>)> {
+    pub(crate) fn conclude<R>(&mut self, result: TxResult<R>) -> TxResult<R> {
         let txn_id = self.id();
         let outcome = match result {
-            Ok(value) => self.finish_commit().map(|ct| (value, ct)),
+            Ok(value) => self.finish_commit().map(|ct| {
+                trace::txn_event(EventKind::Commit, ct.is_none() as u8, txn_id);
+                value
+            }),
             Err(abort) => {
                 // Usually a no-op: the operation that produced the abort has
                 // already ended the attempt.
@@ -404,25 +411,17 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 Err(abort)
             }
         };
-        match &outcome {
-            Ok((_, ct)) => {
-                trace::txn_event(EventKind::Commit, ct.is_none() as u8, txn_id);
-                if ct.is_some() {
-                    self.core.last_commit_time = *ct;
-                }
-            }
-            Err(abort) => {
-                trace::txn_event(EventKind::Abort, abort.reason.trace_class(), txn_id);
-                // Abort feedback to the time base: GV5-style clocks advance
-                // on aborts so the retry observes a fresh enough time to
-                // reach the versions that made this attempt fail.
-                self.core.clock.note_abort();
-                self.carried_ops = self.core.scratch.shared.cm().ops();
-                self.retries = self.retries.saturating_add(1);
-                self.core.stats.retries += 1;
-                if u64::from(self.retries) > self.cfg.yield_after_retries {
-                    std::thread::yield_now();
-                }
+        if let Err(abort) = &outcome {
+            trace::txn_event(EventKind::Abort, abort.reason.trace_class(), txn_id);
+            // Abort feedback to the time base: GV5-style clocks advance on
+            // aborts so the retry observes a fresh enough time to reach the
+            // versions that made this attempt fail.
+            self.core.clock.note_abort();
+            self.carried_ops = self.core.scratch.shared.cm().ops();
+            self.retries = self.retries.saturating_add(1);
+            self.core.stats.retries += 1;
+            if u64::from(self.retries) > self.cfg.yield_after_retries {
+                std::thread::yield_now();
             }
         }
         outcome
@@ -498,6 +497,8 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             None => {}
         }
         // A first open: the unit of `TxnStats::reads` and of Karma priority.
+        // Its shard is selected before anything can arbitrate (helping).
+        self.core.clock.mark_shard(shard_of_id(var.id()));
         self.core.stats.reads += 1;
         self.core.scratch.shared.cm().add_op();
 
@@ -653,6 +654,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         mut payload: Option<Arc<T>>,
         prior: Option<Opened>,
     ) -> TxResult<Option<Arc<T>>> {
+        self.core.clock.mark_shard(shard_of_id(var.id()));
         self.core.stats.writes += 1;
         self.core.scratch.shared.cm().add_op();
 
@@ -827,7 +829,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // requirement of §2.4 — and anchors above everything this
         // transaction has itself observed. A Shared outcome means a
         // concurrent non-conflicting committer holds the same timestamp
-        // (GV4/GV5 arbitration), which §2.3 explicitly allows.
+        // (GV4/GV5 arbitration), which §2.3 explicitly allows. On a sharded
+        // base the acquisition chains through every shard the attempt
+        // touched (DESIGN.md §9); `span` counts them.
+        let span = core.clock.arm_commit();
         let arbitrated = core.clock.acquire_commit_ts(self.observed);
         if arbitrated.is_shared() {
             core.stats.shared_cts += 1;
@@ -863,6 +868,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         let outcome = match shared.status() {
             TxnStatus::Committed => {
                 core.stats.commits += 1;
+                core.last_commit_time = Some(ct);
+                if span > 1 {
+                    core.stats.cross_shard_commits += 1;
+                }
                 self.cm.on_commit(shared.cm());
                 Ok(Some(ct))
             }

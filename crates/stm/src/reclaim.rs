@@ -228,8 +228,7 @@ impl<Ts: Timestamp> SnapshotSlot<Ts> {
 }
 
 /// The registry of [`SnapshotSlot`]s for one runtime (a transaction has one
-/// snapshot lower bound no matter how many shards of a `ShardedStm` it
-/// touches).
+/// snapshot lower bound no matter how many object shards it touches).
 #[derive(Debug)]
 pub struct SnapshotRegistry<Ts: Timestamp> {
     slots: RwLock<Vec<Arc<SnapshotSlot<Ts>>>>,
@@ -349,9 +348,10 @@ pub struct ReclaimStats {
 }
 
 /// One runtime's reclamation domain: the snapshot registry, the watermark
-/// and the gauge shards of the version arena. Both runtimes own exactly one
-/// — every shard of a `ShardedStm` shares it, since fold-time watermark
-/// reads are served from each handle's copy and never reach the domain.
+/// and the gauge shards of the version arena. A runtime owns exactly one —
+/// every object shard of a sharded `Stm` shares it, since fold-time
+/// watermark reads are served from each handle's copy and never reach the
+/// domain.
 #[derive(Debug)]
 pub struct ReclaimDomain<Ts: Timestamp> {
     registry: SnapshotRegistry<Ts>,

@@ -45,8 +45,8 @@ pub struct TxnStats {
     /// values) instead of being exclusively owned.
     pub shared_cts: u64,
     /// Committed update transactions that touched two or more object shards
-    /// and escalated to the cross-shard commit protocol. Always zero on the
-    /// unsharded [`crate::stm::Stm`] runtime.
+    /// and escalated to the cross-shard commit protocol. Always zero unless
+    /// the time base is sharded ([`lsa_time::ShardedTimeBase`]).
     pub cross_shard_commits: u64,
     /// Watermark advances this thread performed (the lazy reclamation work
     /// amortized over its commits, see [`crate::reclaim`]).

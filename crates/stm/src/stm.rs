@@ -19,6 +19,10 @@
 //! });
 //! assert_eq!(*account.snapshot_latest(), 70);
 //! ```
+//!
+//! On a [`lsa_time::ShardedTimeBase`] the same runtime is sharded: object
+//! ids carry their home shard, [`Stm::new_tvar_on`] places explicitly, and
+//! commits arbitrate on the shards they touch (DESIGN.md §9).
 
 use crate::alloc::BlockAlloc;
 use crate::cm::{ContentionManager, Polite};
@@ -33,14 +37,19 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Process-wide instance counter so object ids never collide between
-/// distinct [`Stm`] instances (ids key per-transaction hash maps). Shared
-/// with [`crate::sharded::ShardedStm`], whose ids carry the same instance
-/// prefix.
+/// distinct [`Stm`] instances (ids key per-transaction hash maps).
 static STM_INSTANCES: AtomicU32 = AtomicU32::new(1);
 
-/// Claim the next process-unique runtime instance number.
-pub(crate) fn next_instance() -> u32 {
-    STM_INSTANCES.fetch_add(1, Ordering::Relaxed)
+/// Object-id layout: `instance << 40 | shard << 34 | seq`. The shard field
+/// is 0 on an unsharded base; its 6 bits hold
+/// [`lsa_time::sharded::MAX_SHARDS`] shards.
+const SEQ_BITS: u32 = 34;
+const SHARD_BITS: u32 = 6;
+
+/// The home shard encoded in an object id.
+#[inline]
+pub(crate) fn shard_of_id(id: u64) -> usize {
+    ((id >> SEQ_BITS) & ((1 << SHARD_BITS) - 1)) as usize
 }
 
 /// Ids per thread-local refill of the object-id sequence (object creation
@@ -55,8 +64,7 @@ const HANDLE_ID_BLOCK: u64 = 8;
 /// [`crate::alloc`]).
 const BIRTH_BLOCK: u64 = 16;
 
-/// What a registered thread keeps between transactions, common to
-/// [`ThreadHandle`] and [`crate::sharded::ShardedHandle`]: its clock,
+/// What a registered thread keeps between transactions: its clock,
 /// statistics, snapshot-registration slot, transaction scratch and share of
 /// the reclamation domain.
 pub(crate) struct HandleCore<B: TimeBase> {
@@ -77,20 +85,6 @@ pub(crate) struct HandleCore<B: TimeBase> {
 }
 
 impl<B: TimeBase> HandleCore<B> {
-    pub(crate) fn new(handle_id: u64, clock: B::Clock, domain: &Arc<ReclaimDomain<B::Ts>>) -> Self {
-        HandleCore {
-            handle_id,
-            txn_seq: 0,
-            clock,
-            stats: TxnStats::default(),
-            last_commit_time: None,
-            slot: domain.registry().register(),
-            scratch: TxnScratch::new(),
-            reclaim: LocalReclaim::new(domain),
-            commits_since_advance: 0,
-        }
-    }
-
     pub(crate) fn next_txn_id(&mut self) -> u64 {
         self.txn_seq += 1;
         (self.handle_id << 40) | (self.txn_seq & ((1 << 40) - 1))
@@ -120,67 +114,23 @@ impl<B: TimeBase> Drop for HandleCore<B> {
     }
 }
 
-/// What a transaction body is handed: the LSA transaction itself, or a
-/// runtime's wrapper around it with its own per-attempt bookkeeping.
-pub(crate) trait AttemptView<'h, B: TimeBase> {
-    /// The wrapped LSA transaction.
-    fn txn(&mut self) -> &mut Txn<'h, B>;
-    /// Before an attempt starts.
-    fn before_attempt(&mut self) {}
-    /// After the body returned `Ok`, before the commit protocol runs.
-    fn before_commit(&mut self) {}
-}
-
-impl<'h, B: TimeBase> AttemptView<'h, B> for Txn<'h, B> {
-    fn txn(&mut self) -> &mut Txn<'h, B> {
-        self
-    }
-}
-
-/// The retry shell behind every `atomically` / `try_atomically`: run `body`
-/// on `view` until an attempt commits, or — when `max_attempts` is given —
-/// until that many have aborted. Returns the body's result and the commit
-/// time of an update transaction (`None` for read-only commits).
-pub(crate) fn run_attempts<'h, B: TimeBase, V: AttemptView<'h, B>, R>(
-    view: &mut V,
-    max_attempts: Option<u32>,
-    mut body: impl FnMut(&mut V) -> TxResult<R>,
-) -> TxResult<(R, Option<B::Ts>)> {
-    let mut failed = 0u32;
-    loop {
-        view.before_attempt();
-        view.txn().start();
-        let result = body(view);
-        if result.is_ok() {
-            view.before_commit();
-        }
-        match view.txn().conclude(result) {
-            Ok(done) => return Ok(done),
-            Err(abort) => {
-                failed += 1;
-                if max_attempts == Some(failed) {
-                    return Err(abort);
-                }
-            }
-        }
-    }
-}
-
 struct StmInner<B: TimeBase> {
     tb: B,
     cfg: StmConfig,
     cm: Box<dyn ContentionManager>,
     instance: u32,
     /// Object/handle/birth sequences, block-allocated per thread so none of
-    /// them is a contended RMW line ([`crate::alloc::BlockAlloc`]). The
-    /// birth sequence exists for contention managers that require one
+    /// them is a contended RMW line ([`crate::alloc::BlockAlloc`]). There is
+    /// one object sequence whatever the shard count. The birth sequence
+    /// exists for contention managers that require one
     /// ([`ContentionManager::needs_birth`]); untouched otherwise so the
     /// default configuration has no shared counter besides the time base.
     next_obj: BlockAlloc,
     next_handle: BlockAlloc,
     birth_counter: BlockAlloc,
     /// Version reclamation: the snapshot registry, the watermark and the
-    /// version arena's gauges ([`crate::reclaim`]).
+    /// version arena's gauges ([`crate::reclaim`]). One domain however many
+    /// shards: a transaction has one snapshot lower bound.
     reclaim: Arc<ReclaimDomain<B::Ts>>,
 }
 
@@ -220,6 +170,8 @@ impl<B: TimeBase> Stm<B> {
     /// bases like GV5, whose commit times run ahead of the readable
     /// counter, or GV4, whose losers commit at a value the winner already
     /// made readable, would let a later commit undercut an issued claim.
+    /// (A [`lsa_time::ShardedTimeBase`] runs its own composition checks
+    /// when it is built.)
     pub fn with_cm(tb: B, cfg: StmConfig, cm: impl ContentionManager) -> Self {
         assert!(
             tb.info().commit_monotonic,
@@ -228,13 +180,14 @@ impl<B: TimeBase> Stm<B> {
              an engine that revalidates reads, e.g. TL2)",
             tb.name()
         );
+        assert!(tb.shards() <= 1 << SHARD_BITS, "ids hold 64 shards at most");
         Stm {
             inner: Arc::new(StmInner {
                 tb,
                 cfg,
                 cm: Box::new(cm),
-                instance: next_instance(),
-                next_obj: BlockAlloc::new(1, OBJ_ID_BLOCK),
+                instance: STM_INSTANCES.fetch_add(1, Ordering::Relaxed),
+                next_obj: BlockAlloc::new(0, OBJ_ID_BLOCK),
                 next_handle: BlockAlloc::new(1, HANDLE_ID_BLOCK),
                 birth_counter: BlockAlloc::new(1, BIRTH_BLOCK),
                 reclaim: Arc::new(ReclaimDomain::new()),
@@ -279,11 +232,47 @@ impl<B: TimeBase> Stm<B> {
         self.inner.cm.name()
     }
 
-    /// Create a transactional variable holding `value`. The initial version
-    /// is valid from [`Timestamp::origin`], i.e. visible to every snapshot.
+    /// Number of object shards: the time base's ([`TimeBase::shards`]).
+    pub fn shard_count(&self) -> usize {
+        self.inner.tb.shards()
+    }
+
+    /// Create a transactional variable holding `value`, placed round-robin
+    /// across the shards. The initial version is valid from
+    /// [`Timestamp::origin`], i.e. visible to every snapshot.
     pub fn new_tvar<T: Send + Sync + 'static>(&self, value: T) -> TVar<T, B::Ts> {
         let seq = self.inner.next_obj.alloc();
-        let id = ((self.inner.instance as u64) << 40) | seq;
+        self.tvar_at(seq % self.shard_count() as u64, seq, value)
+    }
+
+    /// Create a transactional variable on a specific shard — explicit
+    /// placement for partitioned workloads that want their working set
+    /// shard-local (Helenos-style: partitioned data, occasional
+    /// cross-partition transactions).
+    ///
+    /// # Panics
+    /// Panics if `shard >= self.shard_count()`.
+    pub fn new_tvar_on<T: Send + Sync + 'static>(&self, shard: usize, value: T) -> TVar<T, B::Ts> {
+        assert!(
+            shard < self.shard_count(),
+            "shard {shard} out of range (have {})",
+            self.shard_count()
+        );
+        self.tvar_at(shard as u64, self.inner.next_obj.alloc(), value)
+    }
+
+    /// Home shard of a variable created by this runtime.
+    pub fn shard_of<T: Send + Sync + 'static>(&self, var: &TVar<T, B::Ts>) -> usize {
+        shard_of_id(var.id())
+    }
+
+    fn tvar_at<T: Send + Sync + 'static>(&self, shard: u64, seq: u64, value: T) -> TVar<T, B::Ts> {
+        // Past 2^34 the sequence would spill into the shard bits and alias
+        // another shard's ids: one compare per creation turns that into a
+        // panic.
+        assert!(seq < 1 << SEQ_BITS, "object id space exhausted");
+        let id =
+            (u64::from(self.inner.instance) << (SHARD_BITS + SEQ_BITS)) | (shard << SEQ_BITS) | seq;
         TVar::from_object(TObject::with_reclaim(
             id,
             value,
@@ -298,12 +287,19 @@ impl<B: TimeBase> Stm<B> {
     /// snapshot-registration slot, transaction scratch and share of the
     /// reclamation domain.
     pub fn register(&self) -> ThreadHandle<B> {
+        let domain = &self.inner.reclaim;
         ThreadHandle {
-            core: HandleCore::new(
-                self.inner.next_handle.alloc(),
-                self.inner.tb.register_thread(),
-                &self.inner.reclaim,
-            ),
+            core: HandleCore {
+                handle_id: self.inner.next_handle.alloc(),
+                txn_seq: 0,
+                clock: self.inner.tb.register_thread(),
+                stats: TxnStats::default(),
+                last_commit_time: None,
+                slot: domain.registry().register(),
+                scratch: TxnScratch::new(),
+                reclaim: LocalReclaim::new(domain),
+                commits_since_advance: 0,
+            },
             stm: self.clone(),
         }
     }
@@ -352,6 +348,9 @@ impl<B: TimeBase> ThreadHandle<B> {
     /// through the provided [`Txn`] and propagate [`crate::error::Abort`]
     /// errors with `?` — the loop re-executes it from scratch after an abort
     /// (any side effects outside the STM must therefore be idempotent).
+    /// On a sharded base, a body that touches one shard commits with
+    /// shard-local arbitration and one that touches several escalates to
+    /// the cross-shard protocol (DESIGN.md §9).
     pub fn atomically<R>(&mut self, body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>) -> R {
         match self.run(None, body) {
             Ok(value) => value,
@@ -371,10 +370,13 @@ impl<B: TimeBase> ThreadHandle<B> {
         self.run(Some(max_attempts), body)
     }
 
+    /// The retry shell behind `atomically` / `try_atomically`: run `body`
+    /// until an attempt commits, or — when `max_attempts` is given — until
+    /// that many have aborted.
     fn run<R>(
         &mut self,
         max_attempts: Option<u32>,
-        body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>,
+        mut body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>,
     ) -> TxResult<R> {
         let inner = &self.stm.inner;
         let mut txn = Txn::new(
@@ -383,7 +385,20 @@ impl<B: TimeBase> ThreadHandle<B> {
             &inner.birth_counter,
             &mut self.core,
         );
-        let (value, _) = run_attempts(&mut txn, max_attempts, body)?;
+        let mut failed = 0u32;
+        let value = loop {
+            txn.start();
+            let result = body(&mut txn);
+            match txn.conclude(result) {
+                Ok(value) => break value,
+                Err(abort) => {
+                    failed += 1;
+                    if max_attempts == Some(failed) {
+                        return Err(abort);
+                    }
+                }
+            }
+        };
         drop(txn);
         self.core.maintain_watermark(inner.cfg.wm_advance_interval);
         Ok(value)
@@ -654,5 +669,230 @@ mod tests {
         });
         assert_eq!(total, 9);
         assert_eq!(*n.snapshot_latest(), 9);
+    }
+
+    /// `Stm` on a [`ShardedTimeBase`]: placement, the id layout and the
+    /// cross-shard commit protocol.
+    mod sharded {
+        use super::*;
+        use lsa_time::counter::BlockCounter;
+        use lsa_time::sharded::ShardedTimeBase;
+
+        fn sharded<B: TimeBase>(tb: B, shards: usize) -> Stm<ShardedTimeBase<B>> {
+            Stm::new(ShardedTimeBase::new(tb, shards))
+        }
+
+        #[test]
+        fn round_robin_routing_covers_all_shards() {
+            let stm = sharded(SharedCounter::new(), 4);
+            let shards: Vec<usize> = (0..8).map(|i| stm.shard_of(&stm.new_tvar(i))).collect();
+            // One full rotation per 4 allocations, single-threaded.
+            assert_eq!(&shards[0..4], &[0, 1, 2, 3]);
+            assert_eq!(&shards[4..8], &[0, 1, 2, 3]);
+        }
+
+        #[test]
+        fn explicit_placement_and_id_encoding_agree() {
+            let stm = sharded(SharedCounter::new(), 8);
+            for shard in 0..8 {
+                let v = stm.new_tvar_on(shard, 0u8);
+                assert_eq!(stm.shard_of(&v), shard);
+                assert_eq!(shard_of_id(v.id()), shard);
+            }
+        }
+
+        #[test]
+        fn per_shard_id_spaces_are_disjoint() {
+            let stm = sharded(SharedCounter::new(), 8);
+            let mut ids: Vec<u64> = (0..400).map(|i| stm.new_tvar(i).id()).collect();
+            ids.extend((0..400).map(|i| stm.new_tvar_on(i % 3, i).id()));
+            let n = ids.len();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(n, ids.len(), "object ids must be unique across shards");
+        }
+
+        #[test]
+        fn single_shard_txn_commits_without_cross_shard_escalation() {
+            let stm = sharded(SharedCounter::new(), 4);
+            let x = stm.new_tvar_on(2, 1i64);
+            let mut h = stm.register();
+            let seen = h.atomically(|tx| {
+                let v = tx.read(&x)?;
+                tx.write(&x, *v + 41)?;
+                tx.read(&x).map(|v| *v)
+            });
+            assert_eq!(seen, 42);
+            assert_eq!(h.stats().commits, 1);
+            assert_eq!(h.stats().cross_shard_commits, 0);
+        }
+
+        #[test]
+        fn cross_shard_txn_is_counted_and_atomic() {
+            let stm = sharded(BlockCounter::new(8), 4);
+            let a = stm.new_tvar_on(0, 100i64);
+            let b = stm.new_tvar_on(3, 0i64);
+            let mut h = stm.register();
+            h.atomically(|tx| {
+                let va = *tx.read(&a)?;
+                let vb = *tx.read(&b)?;
+                tx.write(&a, va - 30)?;
+                tx.write(&b, vb + 30)
+            });
+            assert_eq!(h.stats().commits, 1);
+            assert_eq!(h.stats().cross_shard_commits, 1);
+            assert_eq!(*a.snapshot_latest(), 70);
+            assert_eq!(*b.snapshot_latest(), 30);
+        }
+
+        #[test]
+        fn a_read_selects_its_shard() {
+            // Reads on shard 3, writes only shard 0: the read's shard is
+            // touched too, so the commit chains through both shards' clocks
+            // and counts as cross-shard.
+            let stm = sharded(BlockCounter::new(64), 4);
+            let a = stm.new_tvar_on(0, 1u64);
+            let b = stm.new_tvar_on(3, 2u64);
+            let mut h = stm.register();
+            let before = stm.time_base().inner().refills();
+            h.atomically(|tx| {
+                let vb = *tx.read(&b)?;
+                tx.write(&a, vb)
+            });
+            assert_eq!(h.stats().commits, 1);
+            assert_eq!(h.stats().cross_shard_commits, 1);
+            // A fresh handle's shard clocks hold no block yet: each shard
+            // the commit arbitrates on reserves one.
+            assert_eq!(
+                stm.time_base().inner().refills() - before,
+                2,
+                "the commit did not arbitrate on the read's shard"
+            );
+        }
+
+        #[test]
+        fn read_only_cross_shard_txns_are_not_counted_as_commits() {
+            let stm = sharded(SharedCounter::new(), 2);
+            let a = stm.new_tvar_on(0, 1u64);
+            let b = stm.new_tvar_on(1, 2u64);
+            let mut h = stm.register();
+            let sum = h.atomically(|tx| Ok(*tx.read(&a)? + *tx.read(&b)?));
+            assert_eq!(sum, 3);
+            assert_eq!(h.stats().ro_commits, 1);
+            assert_eq!(h.stats().cross_shard_commits, 0);
+        }
+
+        #[test]
+        fn a_retry_starts_with_an_empty_shard_selection() {
+            // The first attempt reads on shards 0 and 3 and gives up; the
+            // retry touches shard 0 alone. Its commit must arbitrate on that
+            // one shard — a selection left over from the failed attempt
+            // would chain it through shard 3's clock too.
+            let stm = sharded(BlockCounter::new(64), 4);
+            let a = stm.new_tvar_on(0, 1u64);
+            let b = stm.new_tvar_on(3, 2u64);
+            let mut h = stm.register();
+            let before = stm.time_base().inner().refills();
+            let mut attempts = 0;
+            h.atomically(|tx| {
+                attempts += 1;
+                if attempts == 1 {
+                    tx.read(&a)?;
+                    tx.read(&b)?;
+                    return Err(tx.abort_retry());
+                }
+                tx.modify(&a, |v| v + 1)
+            });
+            assert_eq!(h.stats().commits, 1);
+            assert_eq!(h.stats().cross_shard_commits, 0);
+            // A fresh handle's shard clocks hold no block yet: each shard
+            // the commit arbitrates on reserves one.
+            assert_eq!(
+                stm.time_base().inner().refills() - before,
+                1,
+                "the retry's commit arbitrated on more than one shard"
+            );
+        }
+
+        #[test]
+        fn cross_shard_audits_always_see_consistent_totals() {
+            // The torn-cut hazard the one-domain composite exists to
+            // prevent: transfers span shards while auditors sum both — no
+            // audit may ever observe a half-applied cross-shard commit.
+            let stm = sharded(BlockCounter::new(8), 4);
+            let a = stm.new_tvar_on(0, 500i64);
+            let b = stm.new_tvar_on(3, 500i64);
+            std::thread::scope(|s| {
+                {
+                    let stm = stm.clone();
+                    let (a, b) = (a.clone(), b.clone());
+                    s.spawn(move || {
+                        let mut h = stm.register();
+                        for i in 0..2_000i64 {
+                            let amt = (i % 7) - 3;
+                            h.atomically(|tx| {
+                                let va = *tx.read(&a)?;
+                                let vb = *tx.read(&b)?;
+                                tx.write(&a, va - amt)?;
+                                tx.write(&b, vb + amt)
+                            });
+                        }
+                    });
+                }
+                for _ in 0..2 {
+                    let stm = stm.clone();
+                    let (a, b) = (a.clone(), b.clone());
+                    s.spawn(move || {
+                        let mut h = stm.register();
+                        for _ in 0..2_000 {
+                            let total = h.atomically(|tx| Ok(*tx.read(&a)? + *tx.read(&b)?));
+                            assert_eq!(total, 1_000, "torn cross-shard snapshot");
+                        }
+                    });
+                }
+            });
+            assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 1_000);
+        }
+
+        #[test]
+        fn concurrent_cross_shard_increments_serialize() {
+            let stm = sharded(SharedCounter::new(), 8);
+            let vars: Vec<TVar<u64, u64>> = (0..8).map(|_| stm.new_tvar(0u64)).collect();
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let stm = stm.clone();
+                    let vars = vars.clone();
+                    s.spawn(move || {
+                        let mut h = stm.register();
+                        let mut seed = t + 1;
+                        for _ in 0..500 {
+                            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            let i = (seed >> 33) as usize % vars.len();
+                            let j = (i + 1) % vars.len();
+                            let (x, y) = (vars[i].clone(), vars[j].clone());
+                            h.atomically(|tx| {
+                                tx.modify(&x, |v| v + 1)?;
+                                tx.modify(&y, |v| v + 1)
+                            });
+                        }
+                    });
+                }
+            });
+            let total: u64 = vars.iter().map(|v| *v.snapshot_latest()).sum();
+            assert_eq!(total, 4 * 500 * 2, "lost cross-shard updates");
+        }
+
+        #[test]
+        #[should_panic(expected = "commit-monotonic")]
+        fn sharded_stm_refuses_non_composable_bases() {
+            let _ = sharded(lsa_time::counter::Gv5Counter::new(), 4);
+        }
+
+        #[test]
+        #[should_panic(expected = "shard 9 out of range")]
+        fn explicit_placement_bounds_checked() {
+            let stm = sharded(SharedCounter::new(), 4);
+            let _ = stm.new_tvar_on(9, 0u8);
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! allocation-free again afterwards.
 //!
 //! Beside the allocation counts stand the reference counts (DESIGN.md §2.1,
-//! read-side ledger), on both runtimes: a first read moves the version
+//! read-side ledger), sharded and not: a first read moves the version
 //! node's count and the payload's, never the object's; a repeated read is
 //! served from the read-set entry; `Extend` takes the object's count once
 //! per attempt; and a node the arena pools has let go of its payload and of
@@ -23,8 +23,9 @@
 use lsa_baseline::{NorecStm, Tl2Stm};
 use lsa_engine::idmap::RETAIN_FLOOR;
 use lsa_stm::prelude::*;
-use lsa_stm::ShardedStm;
 use lsa_time::counter::SharedCounter;
+use lsa_time::sharded::ShardedTimeBase;
+use lsa_time::TimeBase;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -397,57 +398,51 @@ fn payload_counts(payloads: &[Arc<i64>]) -> Vec<usize> {
 
 /// A first read leaves the object's counts alone and raises the payload's by
 /// the `Arc` the caller holds; 256 of them and a commit later every count is
-/// back where it was. (A macro: the two runtimes share the calls, not a
-/// trait that names `TVar`.)
-macro_rules! first_reads_move_the_payloads_count_and_never_the_objects {
-    ($stm:expr) => {{
-        let stm = $stm;
-        let vars: Vec<_> = (0..SCAN).map(|i| stm.new_tvar(i as i64)).collect();
-        let payloads: Vec<Arc<i64>> = vars.iter().map(|v| v.snapshot_latest()).collect();
-        let (objects_before, payloads_before) = (object_counts(&vars), payload_counts(&payloads));
-        let mut h = stm.register();
-        h.atomically(|tx| {
-            let first = tx.read(&vars[0])?;
-            assert_eq!(object_counts(&vars[..1]), objects_before[..1]);
-            assert_eq!(
-                Arc::strong_count(&payloads[0]),
-                payloads_before[0] + 1,
-                "exactly the Arc the caller holds"
-            );
-            // Served from the read-set entry: the same Arc, one more count
-            // for the second handle, nothing else.
-            let again = tx.read(&vars[0])?;
-            assert!(Arc::ptr_eq(&first, &again));
-            assert_eq!(Arc::strong_count(&payloads[0]), payloads_before[0] + 2);
-            drop((first, again));
-            assert_eq!(
-                Arc::strong_count(&payloads[0]),
-                payloads_before[0],
-                "the read set holds the node, not a second Arc of the payload"
-            );
-            for v in &vars {
-                tx.read(v)?;
-            }
-            assert_eq!(object_counts(&vars), objects_before, "during the attempt");
-            assert_eq!(payload_counts(&payloads), payloads_before);
-            Ok(())
-        });
-        assert_eq!(object_counts(&vars), objects_before, "after the commit");
+/// back where it was.
+fn first_reads_move_the_payloads_count_and_never_the_objects<B: TimeBase<Ts = u64>>(stm: Stm<B>) {
+    let vars: Vec<_> = (0..SCAN).map(|i| stm.new_tvar(i as i64)).collect();
+    let payloads: Vec<Arc<i64>> = vars.iter().map(|v| v.snapshot_latest()).collect();
+    let (objects_before, payloads_before) = (object_counts(&vars), payload_counts(&payloads));
+    let mut h = stm.register();
+    h.atomically(|tx| {
+        let first = tx.read(&vars[0])?;
+        assert_eq!(object_counts(&vars[..1]), objects_before[..1]);
+        assert_eq!(
+            Arc::strong_count(&payloads[0]),
+            payloads_before[0] + 1,
+            "exactly the Arc the caller holds"
+        );
+        // Served from the read-set entry: the same Arc, one more count for
+        // the second handle, nothing else.
+        let again = tx.read(&vars[0])?;
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(Arc::strong_count(&payloads[0]), payloads_before[0] + 2);
+        drop((first, again));
+        assert_eq!(
+            Arc::strong_count(&payloads[0]),
+            payloads_before[0],
+            "the read set holds the node, not a second Arc of the payload"
+        );
+        for v in &vars {
+            tx.read(v)?;
+        }
+        assert_eq!(object_counts(&vars), objects_before, "during the attempt");
         assert_eq!(payload_counts(&payloads), payloads_before);
-    }};
+        Ok(())
+    });
+    assert_eq!(object_counts(&vars), objects_before, "after the commit");
+    assert_eq!(payload_counts(&payloads), payloads_before);
 }
 
 #[test]
 fn a_first_read_moves_two_counts_on_stm() {
-    first_reads_move_the_payloads_count_and_never_the_objects!(Stm::new(SharedCounter::new()));
+    first_reads_move_the_payloads_count_and_never_the_objects(Stm::new(SharedCounter::new()));
 }
 
 #[test]
 fn a_first_read_moves_two_counts_on_sharded_stm() {
-    first_reads_move_the_payloads_count_and_never_the_objects!(ShardedStm::new(
-        SharedCounter::new(),
-        2
-    ));
+    let tb = ShardedTimeBase::new(SharedCounter::new(), 2);
+    first_reads_move_the_payloads_count_and_never_the_objects(Stm::new(tb));
 }
 
 /// Single-version chains, a concurrent committer: the version a transaction
@@ -455,59 +450,53 @@ fn a_first_read_moves_two_counts_on_sharded_stm() {
 /// it. A repeated read returns the very `Arc` the first one did; once the
 /// last reader lets go, the payload dies, and what the arena pooled of the
 /// later retirements holds neither a payload nor a way back to the object.
-macro_rules! a_pruned_version_stays_readable_and_a_pooled_node_is_empty {
-    ($stm:expr) => {{
-        let stm = $stm;
-        let var = stm.new_tvar(7i64);
-        let object = Arc::clone(var.object_for_tests());
-        // The object's own reference to itself, and its head version's.
-        assert_eq!(Arc::weak_count(&object), 2);
-        let (mut reader, mut writer) = (stm.register(), stm.register());
-        let witness = reader.atomically(|tx| {
-            let first = tx.read(&var)?;
-            writer.atomically(|wtx| wtx.write(&var, 8));
-            assert_eq!(var.version_count(), 1, "the version read is off the chain");
-            let again = tx.read(&var)?;
-            assert!(Arc::ptr_eq(&first, &again), "same version, same Arc");
-            assert_eq!(*again, 7);
-            Ok(Arc::downgrade(&first))
-        });
-        assert!(
-            witness.upgrade().is_none(),
-            "retired while the reader held it, so the reader's drop was the last"
-        );
-        // No reader now: each commit retires its predecessor into the
-        // writer's pool, emptied on the way in.
-        let latest = Arc::downgrade(&var.snapshot_latest());
-        writer.atomically(|wtx| wtx.write(&var, 9));
-        assert!(
-            stm.reclaim_stats().versions_pooled >= 1,
-            "the node went to the pool …"
-        );
-        assert!(latest.upgrade().is_none(), "… without its payload …");
-        assert_eq!(
-            Arc::weak_count(&object),
-            2,
-            "… and without its way back: the object itself and its head version"
-        );
-        assert_eq!(*var.snapshot_latest(), 9);
-    }};
+fn a_pruned_version_stays_readable_and_a_pooled_node_is_empty<B: TimeBase>(tb: B) {
+    let stm = Stm::with_config(tb, StmConfig::single_version());
+    let var = stm.new_tvar(7i64);
+    let object = Arc::clone(var.object_for_tests());
+    // The object's own reference to itself, and its head version's.
+    assert_eq!(Arc::weak_count(&object), 2);
+    let (mut reader, mut writer) = (stm.register(), stm.register());
+    let witness = reader.atomically(|tx| {
+        let first = tx.read(&var)?;
+        writer.atomically(|wtx| wtx.write(&var, 8));
+        assert_eq!(var.version_count(), 1, "the version read is off the chain");
+        let again = tx.read(&var)?;
+        assert!(Arc::ptr_eq(&first, &again), "same version, same Arc");
+        assert_eq!(*again, 7);
+        Ok(Arc::downgrade(&first))
+    });
+    assert!(
+        witness.upgrade().is_none(),
+        "retired while the reader held it, so the reader's drop was the last"
+    );
+    // No reader now: each commit retires its predecessor into the writer's
+    // pool, emptied on the way in.
+    let latest = Arc::downgrade(&var.snapshot_latest());
+    writer.atomically(|wtx| wtx.write(&var, 9));
+    assert!(
+        stm.reclaim_stats().versions_pooled >= 1,
+        "the node went to the pool …"
+    );
+    assert!(latest.upgrade().is_none(), "… without its payload …");
+    assert_eq!(
+        Arc::weak_count(&object),
+        2,
+        "… and without its way back: the object itself and its head version"
+    );
+    assert_eq!(*var.snapshot_latest(), 9);
 }
 
 #[test]
 fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_stm() {
-    a_pruned_version_stays_readable_and_a_pooled_node_is_empty!(Stm::with_config(
-        SharedCounter::new(),
-        StmConfig::single_version()
-    ));
+    a_pruned_version_stays_readable_and_a_pooled_node_is_empty(SharedCounter::new());
 }
 
 #[test]
 fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_sharded_stm() {
-    a_pruned_version_stays_readable_and_a_pooled_node_is_empty!(ShardedStm::with_config(
+    a_pruned_version_stays_readable_and_a_pooled_node_is_empty(ShardedTimeBase::new(
         SharedCounter::new(),
         2,
-        StmConfig::single_version()
     ));
 }
 

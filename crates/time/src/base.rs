@@ -192,6 +192,14 @@ pub trait TimeBase: Send + Sync + 'static {
     fn name(&self) -> &'static str {
         self.info().name
     }
+
+    /// Number of object shards this base arbitrates for: 1 (the default)
+    /// for every base but the composite [`crate::sharded::ShardedTimeBase`],
+    /// whose clocks take a shard selection through
+    /// [`ThreadClock::mark_shard`].
+    fn shards(&self) -> usize {
+        1
+    }
 }
 
 /// A per-thread clock handle implementing the paper's `getTime`/`getNewTS`
@@ -293,6 +301,34 @@ pub trait ThreadClock: Send + 'static {
     /// failed, and leaking such a timestamp into readable time would hand
     /// readers a snapshot time at an in-flight committer's commit time.
     fn note_abort(&mut self) {}
+
+    /// Shard-selection hook: the engine opened an object homed on `shard`.
+    /// A sharded clock ([`crate::sharded::ShardedClock`]) arbitrates the
+    /// attempt's commit across the shards marked since
+    /// [`begin_attempt`](Self::begin_attempt); every other clock ignores it
+    /// (the default), so an unsharded engine pays nothing for the call.
+    #[inline]
+    fn mark_shard(&mut self, shard: usize) {
+        let _ = shard;
+    }
+
+    /// Shard-selection hook: a transaction attempt starts, with no shard
+    /// marked and no commit armed. The failed attempt's selection stays in
+    /// place until here, so its [`note_abort`](Self::note_abort) reaches
+    /// the shards it touched. No-op by default.
+    #[inline]
+    fn begin_attempt(&mut self) {}
+
+    /// Shard-selection hook: the next
+    /// [`acquire_commit_ts`](Self::acquire_commit_ts) is an update
+    /// transaction's commit and must cover every marked shard (other
+    /// acquisitions — helpers, `getPrelimUB` resolution — need one sound
+    /// timestamp and stay on one shard). Returns the number of shards the
+    /// commit will span: 1 by default.
+    #[inline]
+    fn arm_commit(&mut self) -> u32 {
+        1
+    }
 }
 
 /// Start of the process-wide monotonic epoch. All real-time-flavoured time
@@ -387,6 +423,7 @@ mod tests {
         // A clock that only implements the mandatory methods inherits a
         // sound (if trick-free) arbitration protocol: fresh timestamps,
         // but no exclusivity claim an engine could build a fast path on.
+        // It ignores shard selection.
         struct Seq(u64);
         impl ThreadClock for Seq {
             type Ts = u64;
@@ -403,6 +440,9 @@ mod tests {
         assert_eq!(ct, CommitTs::Shared(11));
         assert_eq!(c.get_ts_block(3), vec![12, 13, 14]);
         c.note_abort(); // default: no-op
+        c.mark_shard(3); // so are the shard-selection hooks
+        c.begin_attempt();
+        assert_eq!(c.arm_commit(), 1, "an unsharded commit spans one shard");
         assert_eq!(c.get_time(), 14);
     }
 }

@@ -451,7 +451,6 @@ pub fn sharded_multi_shard_thread_contract<B: TimeBase>(
     let name = tb.info().name;
     let shards = tb.shards();
     let mut clock = tb.register_thread();
-    let touch = clock.touch_set();
     let mut rng = Lcg(seed);
     let mut seen: Option<B::Ts> = None;
     let strict = |t: B::Ts, seen: &mut Option<B::Ts>, what: &str| {
@@ -468,10 +467,10 @@ pub fn sharded_multi_shard_thread_contract<B: TimeBase>(
         });
     };
     for _ in 0..ops {
-        touch.clear();
-        touch.touch(rng.next() as usize % shards);
+        clock.begin_attempt();
+        clock.mark_shard(rng.next() as usize % shards);
         if rng.next().is_multiple_of(2) {
-            touch.touch(rng.next() as usize % shards);
+            clock.mark_shard(rng.next() as usize % shards);
         }
         match rng.next() % 4 {
             0 => {
@@ -486,7 +485,7 @@ pub fn sharded_multi_shard_thread_contract<B: TimeBase>(
             }
             2 => {
                 // Armed: the chained cross-shard commit acquisition.
-                touch.arm_commit();
+                clock.arm_commit();
                 let observed = clock.get_time();
                 let ct = clock.acquire_commit_ts(observed);
                 assert!(

@@ -25,8 +25,9 @@
 //! * [`numa::NumaCounter`] / [`numa::NumaModel`] — a ccNUMA interconnect cost
 //!   model used to reproduce the paper's SGI-Altix contention behaviour on a
 //!   small host (see DESIGN.md §3),
-//! * [`sharded::ShardedTimeBase`] — the composite base for sharded STMs:
-//!   per-shard clock instances over one arbitration-comparable domain, with
+//! * [`sharded::ShardedTimeBase`] — the composite base that shards an STM:
+//!   per-shard clock instances over one arbitration-comparable domain, a
+//!   shard selection the engine makes through [`ThreadClock`]'s hooks,
 //!   disjoint per-shard `get_ts_block` domains and a capability check that
 //!   rejects inner bases whose guarantees do not survive composition
 //!   (see DESIGN.md §9).
@@ -71,7 +72,7 @@ pub mod timestamp;
 
 pub use base::{CommitTs, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness};
 pub use range::ValidityRange;
-pub use sharded::{ShardedClock, ShardedTimeBase, TouchSet};
+pub use sharded::{ShardedClock, ShardedTimeBase};
 pub use timestamp::{Timestamp, TsCell};
 
 /// Convenient re-exports of every concrete time base.
@@ -83,6 +84,6 @@ pub mod prelude {
     pub use crate::numa::{NumaCounter, NumaModel};
     pub use crate::perfect::PerfectClock;
     pub use crate::range::ValidityRange;
-    pub use crate::sharded::{ShardedTimeBase, TouchSet};
+    pub use crate::sharded::ShardedTimeBase;
     pub use crate::timestamp::Timestamp;
 }

@@ -1,14 +1,18 @@
-//! Composite time base for sharded STMs: per-shard clock instances over one
+//! Composite time base for sharding: per-shard clock instances over one
 //! arbitration-comparable time domain.
 //!
 //! The §6 scalable time bases break the single-counter bottleneck at the
-//! *clock* level; a sharded STM breaks it at the *system* level by splitting
+//! *clock* level; sharding breaks it at the *system* level by splitting
 //! the object table into disjoint shards, each arbitrating commits on its own
 //! time base. [`ShardedTimeBase`] is the composite that makes the second
 //! step sound: it wraps one inner [`TimeBase`] and hands out *per-shard*
 //! [`ThreadClock`] instances, so every shard has its own arbitration state
 //! (its own reserved timestamp blocks, its own modeled NUMA cache line, its
 //! own adoption history) while all timestamps remain mutually comparable.
+//! An STM runs on it like on any base: it reports its shard count through
+//! [`TimeBase::shards`] and marks the shards a transaction touches through
+//! the [`ThreadClock`] shard-selection hooks, which only [`ShardedClock`]
+//! overrides (DESIGN.md §9).
 //!
 //! ## Why one domain, not one counter per shard
 //!
@@ -59,7 +63,6 @@
 use crate::base::{CommitTs, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness};
 use crate::timestamp::Timestamp;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Upper bound on the shard count: shard sets are tracked as a 64-bit mask.
@@ -78,66 +81,6 @@ fn intern_name(s: String) -> &'static str {
     let leaked: &'static str = Box::leak(s.clone().into_boxed_str());
     pool.insert(s, leaked);
     leaked
-}
-
-/// The set of shards a transaction has touched, shared between the STM
-/// runtime (which marks shards as objects are opened) and the
-/// [`ShardedClock`] (which arbitrates the commit across exactly those
-/// shards). Cloning shares the underlying mask.
-///
-/// Arbitration requests come in two flavours, and the runtime signals which
-/// with [`TouchSet::arm_commit`]: the *commit* acquisition of an update
-/// transaction chains through every touched shard (pushing each frontier),
-/// while every other acquisition — helper commit-time races, `getPrelimUB`
-/// resolution mid-read — needs just one sound timestamp and arbitrates on a
-/// single touched shard, since fanning those out would multiply exactly the
-/// shared-line traffic sharding removes. The armed flag is consumed by the
-/// next arbitration and reset by [`TouchSet::clear`].
-#[derive(Clone, Debug, Default)]
-pub struct TouchSet {
-    bits: Arc<AtomicU64>,
-    commit_armed: Arc<AtomicBool>,
-}
-
-impl TouchSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        TouchSet::default()
-    }
-
-    /// Remove every shard and disarm the commit flag (start of a
-    /// transaction attempt).
-    pub fn clear(&self) {
-        self.bits.store(0, Ordering::Relaxed);
-        self.commit_armed.store(false, Ordering::Relaxed);
-    }
-
-    /// Mark `shard` as touched.
-    pub fn touch(&self, shard: usize) {
-        debug_assert!(shard < MAX_SHARDS);
-        self.bits.fetch_or(1u64 << shard, Ordering::Relaxed);
-    }
-
-    /// The raw bit mask (bit `i` = shard `i` touched).
-    pub fn mask(&self) -> u64 {
-        self.bits.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct shards touched.
-    pub fn count(&self) -> u32 {
-        self.mask().count_ones()
-    }
-
-    /// Declare the next arbitration to be an update transaction's commit
-    /// acquisition: it will chain through every touched shard instead of
-    /// arbitrating on one.
-    pub fn arm_commit(&self) {
-        self.commit_armed.store(true, Ordering::Relaxed);
-    }
-
-    fn take_commit_armed(&self) -> bool {
-        self.commit_armed.swap(false, Ordering::Relaxed)
-    }
 }
 
 /// A composite time base carving one inner [`TimeBase`] into per-shard clock
@@ -196,20 +139,15 @@ impl<B: TimeBase> ShardedTimeBase<B> {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The wrapped base.
     pub fn inner(&self) -> &B {
         &self.inner
     }
 
-    /// A composite clock pinned to one shard: its [`TouchSet`] permanently
-    /// selects `shard`, so commit arbitration, `get_ts_block` allocation and
-    /// abort feedback all route through that shard's internal clock — the
-    /// same path a single-shard transaction takes inside the sharded STM.
+    /// A composite clock pinned to one shard: `shard` is marked and stays
+    /// selected until [`ThreadClock::begin_attempt`], so commit arbitration,
+    /// `get_ts_block` allocation and abort feedback all route through that
+    /// shard's internal clock — the path a single-shard transaction takes.
     /// `get_ts_block` domains of clocks pinned to different shards are
     /// disjoint (guaranteed by the inner base's `Unique` block class,
     /// asserted at construction and by `conformance::sharded_suite`).
@@ -218,8 +156,8 @@ impl<B: TimeBase> ShardedTimeBase<B> {
     /// Panics if `shard >= self.shards()`.
     pub fn shard_clock(&self, shard: usize) -> ShardedClock<B> {
         assert!(shard < self.shards, "shard {shard} out of range");
-        let clock = self.register_thread();
-        clock.touch.touch(shard);
+        let mut clock = self.register_thread();
+        clock.mark_shard(shard);
         clock
     }
 }
@@ -233,7 +171,8 @@ impl<B: TimeBase> TimeBase for ShardedTimeBase<B> {
             clocks: (0..self.shards)
                 .map(|_| self.inner.register_thread())
                 .collect(),
-            touch: TouchSet::new(),
+            marked: 0,
+            commit_armed: false,
             seen: None,
         }
     }
@@ -248,14 +187,22 @@ impl<B: TimeBase> TimeBase for ShardedTimeBase<B> {
             ..self.inner.info()
         }
     }
+
+    fn shards(&self) -> usize {
+        self.shards
+    }
 }
 
 /// Per-thread handle to a [`ShardedTimeBase`]: one inner clock per shard
-/// plus the [`TouchSet`] that selects which shards the next commit
-/// arbitration must cover.
+/// plus the shard selection the owning transaction has made through the
+/// [`ThreadClock`] hooks.
 pub struct ShardedClock<B: TimeBase> {
     clocks: Vec<B::Clock>,
-    touch: TouchSet,
+    /// Bit `i` set: the attempt has opened an object on shard `i`.
+    marked: u64,
+    /// The next arbitration is an update's commit: consumed by it, reset by
+    /// [`ThreadClock::begin_attempt`].
+    commit_armed: bool,
     /// Join of every timestamp this composite handle has returned, across
     /// all shard clocks — the freshness floor that keeps the per-thread
     /// `get_new_ts` contract intact when arbitration alternates shards.
@@ -263,17 +210,12 @@ pub struct ShardedClock<B: TimeBase> {
 }
 
 impl<B: TimeBase> ShardedClock<B> {
-    /// The shard-selection mask shared with the owning STM runtime: the
-    /// runtime marks shards as the transaction opens objects, and the next
-    /// [`ThreadClock::acquire_commit_ts`] arbitrates across exactly those
-    /// shards (shard 0 when none are marked).
-    pub fn touch_set(&self) -> TouchSet {
-        self.touch.clone()
-    }
-
-    /// Number of shards this clock spans.
-    pub fn shards(&self) -> usize {
-        self.clocks.len()
+    /// The marked shards, or shard 0 alone when none is marked.
+    fn selected(&self) -> u64 {
+        match self.marked & mask_for(self.clocks.len()) {
+            0 => 1,
+            mask => mask,
+        }
     }
 
     fn fold_seen(&mut self, t: B::Ts) {
@@ -294,8 +236,8 @@ impl<B: TimeBase> ShardedClock<B> {
         }
     }
 
-    /// The arbitration dispatcher. When the [`TouchSet`] was armed for a
-    /// commit ([`TouchSet::arm_commit`] — consumed here), acquire a commit
+    /// The arbitration dispatcher. When the clock was armed for a commit
+    /// ([`ThreadClock::arm_commit`] — consumed here), acquire a commit
     /// timestamp from every selected shard's clock in ascending shard
     /// order, chaining each result into the next acquisition's floor: the
     /// final acquisition dominates all earlier ones and every selected
@@ -310,11 +252,8 @@ impl<B: TimeBase> ShardedClock<B> {
     /// push per shard — they arbitrate on the lowest selected shard alone,
     /// keeping mid-transaction resolutions to a single shared-line RMW.
     fn arbitrate(&mut self, observed: B::Ts) -> CommitTs<B::Ts> {
-        let mut mask = self.touch.mask() & mask_for(self.clocks.len());
-        if mask == 0 {
-            mask = 1; // no selection: arbitrate on shard 0
-        }
-        if !self.touch.take_commit_armed() {
+        let mut mask = self.selected();
+        if !std::mem::take(&mut self.commit_armed) {
             mask = mask & mask.wrapping_neg(); // lowest selected shard only
         }
         let mut floor = observed;
@@ -366,8 +305,7 @@ impl<B: TimeBase> ThreadClock for ShardedClock<B> {
         // Allocation goes to the first selected shard's clock (shard 0 by
         // default): inner `Unique` blocks keep composite blocks disjoint
         // across threads and shards alike.
-        let shard = self.touch.mask().trailing_zeros() as usize;
-        let shard = if shard < self.clocks.len() { shard } else { 0 };
+        let shard = self.selected().trailing_zeros() as usize;
         let block = self.clocks[shard].get_ts_block(n);
         if let Some(&last) = block.last() {
             self.fold_seen(last);
@@ -387,15 +325,27 @@ impl<B: TimeBase> ThreadClock for ShardedClock<B> {
         // Feed the abort back to the shards the failed attempt touched —
         // those are the clocks whose lag made it fail (shard 0 when the
         // attempt recorded nothing).
-        let mut mask = self.touch.mask() & mask_for(self.clocks.len());
-        if mask == 0 {
-            mask = 1;
-        }
+        let mask = self.selected();
         for shard in 0..self.clocks.len() {
             if mask & (1u64 << shard) != 0 {
                 self.clocks[shard].note_abort();
             }
         }
+    }
+
+    #[inline]
+    fn mark_shard(&mut self, shard: usize) {
+        self.marked |= 1 << shard;
+    }
+
+    fn begin_attempt(&mut self) {
+        self.marked = 0;
+        self.commit_armed = false;
+    }
+
+    fn arm_commit(&mut self) -> u32 {
+        self.commit_armed = true;
+        self.selected().count_ones()
     }
 }
 
@@ -441,30 +391,31 @@ mod tests {
 
     #[test]
     fn touch_set_selects_arbitration_shards() {
+        // The selection is the clock's own: marks accumulate, an armed
+        // commit spans them, and a new attempt starts from none.
         let tb = ShardedTimeBase::new(SharedCounter::new(), 4);
         let mut clock = tb.register_thread();
-        let touch = clock.touch_set();
-        touch.touch(1);
-        touch.touch(3);
-        assert_eq!(touch.count(), 2);
+        clock.mark_shard(1);
+        clock.mark_shard(3);
+        clock.mark_shard(3);
+        assert_eq!(clock.arm_commit(), 2);
         let t0 = clock.get_time();
         let ct = clock.acquire_commit_ts(t0);
         assert!(ct.ts() > t0, "commit must clear the observation");
-        touch.clear();
-        assert_eq!(touch.count(), 0);
+        clock.begin_attempt();
+        assert_eq!(clock.arm_commit(), 1, "no selection: shard 0 alone");
     }
 
     #[test]
     fn cross_shard_arbitration_is_strictly_increasing() {
         let tb = ShardedTimeBase::new(BlockCounter::new(8), 4);
         let mut clock = tb.register_thread();
-        let touch = clock.touch_set();
         let mut last = clock.get_time();
         for round in 0..200 {
-            touch.clear();
-            touch.touch(round % 4);
-            touch.touch((round + 1) % 4);
-            touch.arm_commit(); // commit acquisitions chain across shards
+            clock.begin_attempt();
+            clock.mark_shard(round % 4);
+            clock.mark_shard((round + 1) % 4);
+            clock.arm_commit(); // commit acquisitions chain across shards
             let ct = clock.acquire_commit_ts(last);
             assert!(ct.ts() > last, "round {round}: {:?} !> {last:?}", ct.ts());
             last = ct.ts();
@@ -479,9 +430,8 @@ mod tests {
         let tb = ShardedTimeBase::new(BlockCounter::new(4), 4);
         let inner = tb.inner().clone();
         let mut clock = tb.register_thread();
-        let touch = clock.touch_set();
-        touch.touch(1);
-        touch.touch(3);
+        clock.mark_shard(1);
+        clock.mark_shard(3);
         let before = inner.refills();
         let t0 = clock.get_time();
         let mut prev = t0;

@@ -328,12 +328,12 @@ fn live_stats_scrape_during_load_sweep() {
 }
 
 /// Shard hints flow end to end on a genuinely sharded engine: run the same
-/// transfer mix against `ShardedStm` and let the post-drain audit prove the
+/// transfer mix against a sharded `Stm` and let the post-drain audit prove the
 /// cross-shard commit protocol held up under wire-fed concurrency.
 #[test]
 fn sharded_engine_serves_the_wire() {
-    use lsa_stm::sharded::ShardedStm;
-    let engine: ShardedStm<SharedCounter> = ShardedStm::new(SharedCounter::new(), 4);
+    use lsa_time::sharded::ShardedTimeBase;
+    let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
     let server = WireServer::start(engine, "127.0.0.1:0", small_cfg()).unwrap();
     let client = WireClient::connect(server.local_addr(), 2).unwrap();
 

@@ -270,13 +270,13 @@ mod tests {
 
     #[test]
     fn partitioned_placement_keeps_transfers_single_shard() {
-        use lsa_stm::ShardedStm;
+        use lsa_time::sharded::ShardedTimeBase;
         let cfg = BankConfig {
             accounts: 32,
             initial: 100,
             audit_percent: 0, // transfers only — audits always cross shards
         };
-        let engine = ShardedStm::new(SharedCounter::new(), 4);
+        let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
         let wl = BankWorkload::with_placement(engine, cfg, crate::PlacementHint::Partitioned);
         assert_eq!(wl.groups(), 4);
         assert_eq!(wl.group_bounds(0), (0, 8));
@@ -294,7 +294,7 @@ mod tests {
         assert_eq!(wl.quiescent_total(), wl.expected_total());
 
         // The spread baseline on the same engine does cross shards.
-        let engine = ShardedStm::new(SharedCounter::new(), 4);
+        let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
         let wl = BankWorkload::with_placement(engine, cfg, crate::PlacementHint::Spread);
         assert_eq!(wl.groups(), 1);
         let mut w = wl.worker(0);
@@ -309,8 +309,8 @@ mod tests {
 
     #[test]
     fn partitioned_disjoint_is_single_shard() {
-        use lsa_stm::ShardedStm;
-        let engine = ShardedStm::new(SharedCounter::new(), 4);
+        use lsa_time::sharded::ShardedTimeBase;
+        let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
         let wl = crate::DisjointWorkload::with_placement(
             engine,
             2,

@@ -15,7 +15,6 @@
 //! * [`snapshot`] — snapshot analytics: long read-only range scans racing a
 //!   zero-sum update stream — the multi-version vs single-version
 //!   separation workload (and the service bench's "analytics" request),
-//! * [`skiplist`] — skip-list set: O(log n) traversals, medium read sets,
 //! * [`hashset`] — bucketed hash set: short transactions, tunable contention,
 //! * [`placement`] — the [`PlacementHint`] shard-affinity axis: bank and
 //!   disjoint can pin their natural partitions shard-locally
@@ -36,7 +35,6 @@ pub mod intset_list;
 pub mod placement;
 pub mod rng;
 pub mod scan;
-pub mod skiplist;
 pub mod snapshot;
 
 pub use bank::{BankConfig, BankWorker, BankWorkload};
@@ -46,5 +44,4 @@ pub use intset_list::{IntSetList, IntsetConfig, IntsetWorker, IntsetWorkload};
 pub use placement::PlacementHint;
 pub use rng::FastRng;
 pub use scan::{ScanConfig, ScanWorker, ScanWorkload};
-pub use skiplist::SkipListSet;
 pub use snapshot::{SnapshotConfig, SnapshotWorker, SnapshotWorkload};

@@ -24,7 +24,7 @@
 //! * [`baseline`] ([`lsa_baseline`]) — TL2-style and validation-based
 //!   comparator STMs (§1.2), engines behind the same `TxnEngine` surface,
 //! * [`workloads`] ([`lsa_workloads`]) — the §4.2 disjoint-update workload,
-//!   bank, linked-list/skip-list/hash-set structures — all engine-generic,
+//!   bank, linked-list and hash-set structures — all engine-generic,
 //! * [`harness`] ([`lsa_harness`]) — figure-regenerating experiment binaries,
 //!   the engine registry driving the `matrix` sweep, the open-loop
 //!   `service_bench` load generator, and the Altix discrete-event model,

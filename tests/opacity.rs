@@ -119,8 +119,8 @@ fn conformance_suite_passes_on_every_registry_engine() {
     }
 }
 
-/// The LSA-specific commit-time serializability check, on the sharded
-/// runtime: every transaction increments TWO adjacent objects, which the
+/// The LSA-specific commit-time serializability check, on a sharded time
+/// base: every transaction increments TWO adjacent objects, which the
 /// round-robin routing places on different shards, so every committed
 /// update exercised the cross-shard protocol — and the committed history
 /// must still equal the sequential history at commit-time order, per
@@ -132,12 +132,12 @@ fn run_and_check_sharded<B: TimeBase<Ts = u64>>(
     increments: usize,
 ) {
     const OBJECTS: usize = 8;
-    let stm = ShardedStm::new(tb, shards);
+    let stm = Stm::new(ShardedTimeBase::new(tb, shards));
     let vars: Vec<TVar<u64, u64>> = (0..OBJECTS).map(|_| stm.new_tvar(0u64)).collect();
     // Round-robin routing: adjacent objects live on different shards.
     for (i, var) in vars.iter().enumerate() {
         assert_eq!(
-            lsa_rt::stm::sharded::shard_of_id(var.id()),
+            stm.shard_of(var),
             i % shards,
             "routing must spread adjacent objects across shards"
         );
