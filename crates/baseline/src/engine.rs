@@ -6,34 +6,11 @@
 //! delegations to the engines' native APIs.
 
 use crate::norec::{NorecAbort, NorecStm, NorecThread, NorecTxn, NorecVar};
-use crate::stats::BaselineStats;
 use crate::tl2::{Tl2Abort, Tl2Result, Tl2Stm, Tl2Thread, Tl2Txn, Tl2Var};
 use crate::validation::{ValAbort, ValThread, ValTxn, ValVar, ValidationMode, ValidationStm};
-use lsa_engine::{EngineHandle, EngineResult, EngineStats, TxnEngine, TxnOps};
+use lsa_engine::{EngineHandle, EngineResult, StatsShard, TxnEngine, TxnOps};
 use lsa_time::TimeBase;
 use std::sync::Arc;
-
-fn to_engine_stats(s: &BaselineStats) -> EngineStats {
-    EngineStats {
-        commits: s.commits,
-        ro_commits: s.ro_commits,
-        aborts: s.aborts,
-        // The engines record every abort with its taxonomy class at the
-        // abort site, so the breakdown passes through unchanged.
-        abort_reasons: s.reasons,
-        retries: s.retries,
-        reads: s.reads,
-        writes: s.writes,
-        validations: s.validations,
-        revalidation_failures: s.revalidation_failures,
-        validated_entries: s.validated_entries,
-        shared_commit_ts: s.shared_cts,
-        // The baseline engines keep one global object table: no sharding.
-        cross_shard_commits: 0,
-        // Single-version engines: no managed version store to report on.
-        memory: Default::default(),
-    }
-}
 
 // --- TL2 ---
 
@@ -73,12 +50,8 @@ impl<B: TimeBase<Ts = u64>> EngineHandle for Tl2Thread<B> {
         Tl2Thread::atomically(self, body)
     }
 
-    fn engine_stats(&self) -> EngineStats {
-        to_engine_stats(self.stats())
-    }
-
-    fn take_engine_stats(&mut self) -> EngineStats {
-        to_engine_stats(&self.take_stats())
+    fn stats_shard(&self) -> &Arc<StatsShard> {
+        &self.stats
     }
 }
 
@@ -143,12 +116,8 @@ impl EngineHandle for ValThread {
         ValThread::atomically(self, body)
     }
 
-    fn engine_stats(&self) -> EngineStats {
-        to_engine_stats(self.stats())
-    }
-
-    fn take_engine_stats(&mut self) -> EngineStats {
-        to_engine_stats(&self.take_stats())
+    fn stats_shard(&self) -> &Arc<StatsShard> {
+        &self.stats
     }
 }
 
@@ -214,12 +183,8 @@ impl EngineHandle for NorecThread {
         NorecThread::atomically(self, body)
     }
 
-    fn engine_stats(&self) -> EngineStats {
-        to_engine_stats(self.stats())
-    }
-
-    fn take_engine_stats(&mut self) -> EngineStats {
-        to_engine_stats(&self.take_stats())
+    fn stats_shard(&self) -> &Arc<StatsShard> {
+        &self.stats
     }
 }
 
@@ -340,7 +305,12 @@ mod tests {
         let s = h.engine_stats();
         assert_eq!(s.commits, 3);
         assert_eq!(s.aborts, 0);
-        assert_eq!(h.take_engine_stats(), s);
-        assert_eq!(h.engine_stats(), EngineStats::default());
+        assert_eq!(
+            s,
+            h.stats.engine_stats(),
+            "the handle's stats are its shard"
+        );
+        let fresh = TxnEngine::register(&stm);
+        assert_eq!(fresh.engine_stats(), lsa_engine::EngineStats::default());
     }
 }

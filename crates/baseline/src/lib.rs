@@ -24,11 +24,9 @@
 pub mod engine;
 pub mod norec;
 mod scratch;
-pub mod stats;
 pub mod tl2;
 pub mod validation;
 
 pub use norec::{NorecStm, NorecThread, NorecTxn, NorecVar};
-pub use stats::BaselineStats;
 pub use tl2::{Tl2Stm, Tl2Thread, Tl2Txn, Tl2Var};
 pub use validation::{ValThread, ValTxn, ValVar, ValidationMode, ValidationStm};

@@ -31,9 +31,8 @@
 //! unsound commit).
 
 use crate::scratch::Scratch;
-use crate::stats::BaselineStats;
 use crossbeam_utils::CachePadded;
-use lsa_engine::AbortClass;
+use lsa_engine::{AbortClass, Stat, StatsShard};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,7 +131,7 @@ impl NorecStm {
     pub fn register(&self) -> NorecThread {
         NorecThread {
             inner: Arc::clone(&self.inner),
-            stats: BaselineStats::default(),
+            stats: Arc::default(),
             scratch: Scratch::default(),
         }
     }
@@ -174,7 +173,7 @@ impl<T: Send + Sync + 'static> RedoEntry for TypedRedo<T> {
 /// An executing NOrec transaction.
 pub struct NorecTxn<'h> {
     seqlock: &'h CachePadded<AtomicU64>,
-    stats: &'h mut BaselineStats,
+    stats: &'h StatsShard,
     /// Even sequence-lock value this transaction is currently consistent
     /// with.
     snapshot: u64,
@@ -223,10 +222,11 @@ impl NorecTxn<'_> {
     fn validate(&mut self) -> NorecResult<u64> {
         loop {
             let t = wait_even(self.seqlock);
-            self.stats.validations += 1;
-            self.stats.validated_entries += self.scratch.reads.len() as u64;
+            self.stats.inc(Stat::Validations);
+            self.stats
+                .add(Stat::ValidatedEntries, self.scratch.reads.len() as u64);
             if !self.scratch.reads.iter().all(|r| r.still_same()) {
-                self.stats.revalidation_failures += 1;
+                self.stats.inc(Stat::RevalidationFailures);
                 return Err(NorecAbort::Invalidated);
             }
             // A committer may have slipped in mid-validation; only a stable
@@ -240,7 +240,7 @@ impl NorecTxn<'_> {
     /// Transactional read: value from the redo log if written, else from
     /// memory, revalidating the read set whenever the global clock moved.
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &NorecVar<T>) -> NorecResult<Arc<T>> {
-        self.stats.reads += 1;
+        self.stats.inc(Stat::Reads);
         if let Some(known) = self.scratch.known(var.id) {
             return Ok(known);
         }
@@ -267,7 +267,7 @@ impl NorecTxn<'_> {
         var: &NorecVar<T>,
         value: T,
     ) -> NorecResult<()> {
-        self.stats.writes += 1;
+        self.stats.inc(Stat::Writes);
         let pending = Arc::new(value);
         let entry = Box::new(TypedRedo {
             inner: Arc::clone(&var.inner),
@@ -293,7 +293,7 @@ impl NorecTxn<'_> {
             // read time, so the read set is a consistent snapshot already —
             // commit without touching shared state (NOrec's headline
             // read-only path).
-            self.stats.ro_commits += 1;
+            self.stats.inc(Stat::RoCommits);
             return Ok(());
         }
         // Acquire the global sequence lock at our snapshot. Every CAS
@@ -312,7 +312,7 @@ impl NorecTxn<'_> {
             match self.validate() {
                 Ok(t) => self.snapshot = t,
                 Err(e) => {
-                    self.stats.record_abort(AbortClass::Validation);
+                    self.stats.abort(AbortClass::Validation);
                     return Err(e);
                 }
             }
@@ -323,7 +323,7 @@ impl NorecTxn<'_> {
             w.write_back();
         }
         self.seqlock.store(self.snapshot + 2, Ordering::Release);
-        self.stats.commits += 1;
+        self.stats.inc(Stat::Commits);
         Ok(())
     }
 }
@@ -331,21 +331,12 @@ impl NorecTxn<'_> {
 /// A registered thread of the NOrec engine.
 pub struct NorecThread {
     inner: Arc<NorecInner>,
-    stats: BaselineStats,
+    /// The shard this thread counts into (`EngineHandle::stats_shard`).
+    pub(crate) stats: Arc<StatsShard>,
     scratch: NorecScratch,
 }
 
 impl NorecThread {
-    /// Statistics accumulated by this thread.
-    pub fn stats(&self) -> &BaselineStats {
-        &self.stats
-    }
-
-    /// Take (and reset) the statistics.
-    pub fn take_stats(&mut self) -> BaselineStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Run `body` with retry-on-abort until it commits.
     pub fn atomically<R>(
         &mut self,
@@ -356,7 +347,7 @@ impl NorecThread {
             let snapshot = wait_even(&self.inner.seqlock);
             let mut txn = NorecTxn {
                 seqlock: &self.inner.seqlock,
-                stats: &mut self.stats,
+                stats: &self.stats,
                 snapshot,
                 scratch: &mut self.scratch,
             };
@@ -366,10 +357,9 @@ impl NorecThread {
                         return value;
                     }
                 }
-                Err(NorecAbort::Invalidated) => txn.stats.record_abort(AbortClass::Validation),
+                Err(NorecAbort::Invalidated) => txn.stats.abort(AbortClass::Validation),
             }
             drop(txn);
-            self.stats.retries += 1;
             for _ in 0..(1u64 << backoff.min(10)) {
                 std::hint::spin_loop();
             }
@@ -384,6 +374,7 @@ impl NorecThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsa_engine::EngineHandle;
 
     #[test]
     fn single_thread_roundtrip() {
@@ -409,7 +400,7 @@ mod tests {
             let v = h.atomically(|tx| tx.read(&x).map(|v| *v));
             assert_eq!(v, 1);
         }
-        assert_eq!(h.stats().ro_commits, 10);
+        assert_eq!(h.engine_stats().ro_commits, 10);
         assert_eq!(
             stm.sequence(),
             0,
@@ -442,10 +433,10 @@ mod tests {
         });
         assert_eq!((va, vb), (1, 1), "retry observed the writer's state");
         assert!(
-            h.stats().revalidation_failures >= 1,
+            h.engine_stats().revalidation_failures >= 1,
             "value check must fire"
         );
-        assert!(h.stats().retries >= 1);
+        assert!(h.engine_stats().aborts >= 1);
     }
 
     #[test]
@@ -470,9 +461,9 @@ mod tests {
             // the transaction commits first try.
             tx.read(&mine2)
         });
-        assert!(h.stats().validations >= 1);
-        assert_eq!(h.stats().revalidation_failures, 0);
-        assert_eq!(h.stats().aborts, 0);
+        assert!(h.engine_stats().validations >= 1);
+        assert_eq!(h.engine_stats().revalidation_failures, 0);
+        assert_eq!(h.engine_stats().aborts, 0);
     }
 
     /// Satellite regression test: the torn-snapshot window. A committer

@@ -38,9 +38,8 @@
 //! (shared counter, batched blocks), where it is sound.
 
 use crate::scratch::Scratch;
-use crate::stats::BaselineStats;
 use lsa_engine::idmap::recycle_vec;
-use lsa_engine::AbortClass;
+use lsa_engine::{AbortClass, Stat, StatsShard};
 use lsa_time::{CommitTs, ThreadClock, TimeBase};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,7 +203,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Stm<B> {
     pub fn register(&self) -> Tl2Thread<B> {
         Tl2Thread {
             clock: self.inner.tb.register_thread(),
-            stats: BaselineStats::default(),
+            stats: Arc::default(),
             scratch: Scratch::default(),
             locked: Vec::new(),
         }
@@ -264,7 +263,7 @@ struct ReadEntry {
 /// An executing TL2 transaction.
 pub struct Tl2Txn<'h, B: TimeBase<Ts = u64>> {
     clock: &'h mut B::Clock,
-    stats: &'h mut BaselineStats,
+    stats: &'h StatsShard,
     rv: u64,
     /// The thread's read / write sets, emptied when the attempt ends.
     scratch: &'h mut Tl2Scratch,
@@ -290,7 +289,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
 
     /// Transactional read.
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>) -> Tl2Result<Arc<T>> {
-        self.stats.reads += 1;
+        self.stats.inc(Stat::Reads);
         // Read-own-write, or a repeated read.
         if let Some(known) = self.scratch.known(var.id) {
             return Ok(known);
@@ -327,7 +326,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
 
     /// Transactional (buffered) write.
     pub fn write<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>, value: T) -> Tl2Result<()> {
-        self.stats.writes += 1;
+        self.stats.inc(Stat::Writes);
         let pending = Arc::new(value);
         let entry = Box::new(TypedWrite {
             inner: Arc::clone(&var.inner),
@@ -357,7 +356,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
         } = &mut *self.scratch;
         if writes.is_empty() {
             // Read-only transactions need no commit-time work at all.
-            self.stats.ro_commits += 1;
+            self.stats.inc(Stat::RoCommits);
             return Ok(());
         }
         // Deterministic lock order (by id) for deadlock avoidance.
@@ -370,7 +369,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
                     for &(j, old) in locked.iter() {
                         writes[j].revert(old);
                     }
-                    self.stats.record_abort(AbortClass::Contention);
+                    self.stats.abort(AbortClass::Contention);
                     return Err(Tl2Abort::LockBusy);
                 }
             }
@@ -378,9 +377,6 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
         // Acquire the write version *after* locking (TL2 ordering) through
         // the commit-arbitration protocol, anchored at our read version.
         let arbitrated = self.clock.acquire_commit_ts(self.rv);
-        if arbitrated.is_shared() {
-            self.stats.shared_cts += 1;
-        }
         let wv = arbitrated.ts();
         // TL2's fast path: an *exclusively owned* `wv == rv + 1` proves no
         // transaction committed between our start and our locks, so the
@@ -391,12 +387,12 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
         // would have caught (see CommitTs::Exclusive and the conformance
         // suite's exclusivity-collision check).
         if matches!(arbitrated, CommitTs::Exclusive(v) if v == self.rv + 1) {
-            self.stats.fastpath_commits += 1;
+            self.stats.inc(Stat::FastpathCommits);
         } else {
             // General path: validate the read set — still unlocked-by-others
             // and not newer than rv.
-            self.stats.validations += 1;
-            self.stats.validated_entries += reads.len() as u64;
+            self.stats.inc(Stat::Validations);
+            self.stats.add(Stat::ValidatedEntries, reads.len() as u64);
             for r in reads.iter() {
                 let w = (r.sample)();
                 // The version check applies to every read entry — including
@@ -412,8 +408,8 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
                     for &(j, old) in locked.iter() {
                         writes[j].revert(old);
                     }
-                    self.stats.revalidation_failures += 1;
-                    self.stats.record_abort(AbortClass::Validation);
+                    self.stats.inc(Stat::RevalidationFailures);
+                    self.stats.abort(AbortClass::Validation);
                     return Err(Tl2Abort::Validation);
                 }
             }
@@ -421,7 +417,12 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
         for w in writes.iter() {
             w.publish_and_unlock(wv);
         }
-        self.stats.commits += 1;
+        // The commit timestamp's class is counted with the commit it served,
+        // so `shared_commit_ts <= commits` always holds.
+        self.stats.inc(Stat::Commits);
+        if arbitrated.is_shared() {
+            self.stats.inc(Stat::SharedCommitTs);
+        }
         Ok(())
     }
 }
@@ -429,22 +430,13 @@ impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
 /// A registered TL2 thread.
 pub struct Tl2Thread<B: TimeBase<Ts = u64>> {
     clock: B::Clock,
-    stats: BaselineStats,
+    /// The shard this thread counts into (`EngineHandle::stats_shard`).
+    pub(crate) stats: Arc<StatsShard>,
     scratch: Tl2Scratch,
     locked: Vec<(usize, u64)>,
 }
 
 impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
-    /// Statistics accumulated by this thread.
-    pub fn stats(&self) -> &BaselineStats {
-        &self.stats
-    }
-
-    /// Take (and reset) the statistics.
-    pub fn take_stats(&mut self) -> BaselineStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Run `body` with retry-on-abort until it commits.
     pub fn atomically<R>(&mut self, mut body: impl FnMut(&mut Tl2Txn<'_, B>) -> Tl2Result<R>) -> R {
         let mut backoff = 0u32;
@@ -452,7 +444,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
             let rv = self.clock.get_time();
             let mut txn = Tl2Txn::<B> {
                 clock: &mut self.clock,
-                stats: &mut self.stats,
+                stats: &self.stats,
                 rv,
                 scratch: &mut self.scratch,
                 locked: &mut self.locked,
@@ -463,13 +455,12 @@ impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
                         return value;
                     }
                 }
-                Err(e) => txn.stats.record_abort(abort_class(e)),
+                Err(e) => txn.stats.abort(abort_class(e)),
             }
             drop(txn);
             // Abort feedback: GV5-style bases advance the clock on aborts so
             // the retry's rv can reach the versions that caused the abort.
             self.clock.note_abort();
-            self.stats.retries += 1;
             for _ in 0..(1u64 << backoff.min(10)) {
                 std::hint::spin_loop();
             }
@@ -484,6 +475,7 @@ impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsa_engine::EngineHandle;
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
 
@@ -508,7 +500,7 @@ mod tests {
         let mut h = stm.register();
         let v = h.atomically(|tx| tx.read(&x).map(|v| *v));
         assert_eq!(v, 1);
-        assert_eq!(h.stats().ro_commits, 1);
+        assert_eq!(h.engine_stats().ro_commits, 1);
     }
 
     #[test]
@@ -550,9 +542,9 @@ mod tests {
             h.atomically(|tx| tx.modify(&x, |v| v + 1));
         }
         assert_eq!(*x.snapshot_latest(), 100);
-        assert_eq!(h.stats().fastpath_commits, 100);
-        assert_eq!(h.stats().validations, 0);
-        assert_eq!(h.stats().shared_cts, 0);
+        assert_eq!(h.engine_stats().fastpath_commits, 100);
+        assert_eq!(h.engine_stats().validations, 0);
+        assert_eq!(h.engine_stats().shared_commit_ts, 0);
     }
 
     #[test]
@@ -568,12 +560,15 @@ mod tests {
             h.atomically(|tx| tx.modify(&x, |v| v + 1));
         }
         assert_eq!(*x.snapshot_latest(), 50);
-        let s = h.stats();
+        let s = h.engine_stats();
         assert_eq!(
             s.fastpath_commits, 0,
             "shared wv must never skip validation"
         );
-        assert_eq!(s.shared_cts, s.commits, "every GV4 wv is shared-class");
+        assert_eq!(
+            s.shared_commit_ts, s.commits,
+            "every GV4 wv is shared-class"
+        );
         assert_eq!(s.validations, s.commits);
     }
 
@@ -591,8 +586,8 @@ mod tests {
             h.atomically(|tx| tx.modify(&x, |v| v + 1));
         }
         assert_eq!(*x.snapshot_latest(), 100);
-        assert_eq!(h.stats().fastpath_commits, 100);
-        assert_eq!(h.stats().shared_cts, 0);
+        assert_eq!(h.engine_stats().fastpath_commits, 100);
+        assert_eq!(h.engine_stats().shared_commit_ts, 0);
     }
 
     #[test]
@@ -614,15 +609,56 @@ mod tests {
             tb.abort_bumps() >= 1,
             "catch-up must have gone through abort feedback"
         );
-        let ws = w.stats();
+        let ws = w.engine_stats();
         assert_eq!(
-            ws.shared_cts, ws.commits,
+            ws.shared_commit_ts, ws.commits,
             "every GV5 commit timestamp is shared-class"
         );
         assert_eq!(
             ws.fastpath_commits, 0,
             "shared wv must never skip validation"
         );
+    }
+
+    #[test]
+    fn shared_commit_ts_are_counted_only_when_the_attempt_commits() {
+        use lsa_time::counter::Gv4Counter;
+        let stm = Tl2Stm::new(Gv4Counter::new());
+        let (x, y) = (stm.new_var(0u64), stm.new_var(0u64));
+        let (mut h, mut other) = (stm.register(), stm.register());
+        // Read `x`, let `other` commit over it, write `y`: the first
+        // attempt acquires its timestamp, then fails validation.
+        let mut first = true;
+        h.atomically(|tx| {
+            let vx = *tx.read(&x)?;
+            if std::mem::replace(&mut first, false) {
+                other.atomically(|otx| otx.modify(&x, |v| v + 1));
+            }
+            tx.write(&y, vx)
+        });
+        let s = h.engine_stats();
+        assert_eq!((s.revalidation_failures, s.commits), (1, 1));
+        assert_eq!(s.shared_commit_ts, s.commits, "the doomed attempt's ts");
+
+        // Contended: two threads read one shared variable, update another.
+        let vars: Vec<_> = (0..4).map(|_| stm.new_var(0u64)).collect();
+        std::thread::scope(|sc| {
+            for t in 0..2 {
+                let (stm, vars) = (&stm, &vars);
+                sc.spawn(move || {
+                    let mut h = stm.register();
+                    for i in 0..2_000 {
+                        let (a, b) = (&vars[(i + t) % 4], &vars[i % 3]);
+                        h.atomically(|tx| {
+                            let va = *tx.read(a)?;
+                            tx.modify(b, |v| v + va % 2)
+                        });
+                    }
+                    let s = h.engine_stats();
+                    assert_eq!((s.commits, s.shared_commit_ts), (2_000, 2_000));
+                });
+            }
+        });
     }
 
     fn concurrent_transfers_preserve_total<B: TimeBase<Ts = u64>>(stm: Tl2Stm<B>) {
@@ -696,7 +732,7 @@ mod tests {
         });
         assert_eq!(v, 1);
         assert!(
-            reader.stats().retries >= 1,
+            reader.engine_stats().aborts >= 1,
             "first attempt must have aborted"
         );
     }

@@ -18,9 +18,8 @@
 //! engine and LSA-RT.
 
 use crate::scratch::Scratch;
-use crate::stats::BaselineStats;
 use crossbeam_utils::CachePadded;
-use lsa_engine::AbortClass;
+use lsa_engine::{AbortClass, Stat, StatsShard};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,7 +138,7 @@ impl ValidationStm {
         ValThread {
             mode: self.inner.mode,
             commit_counter: Arc::clone(&self.inner.commit_counter),
-            stats: BaselineStats::default(),
+            stats: Arc::default(),
             scratch: Scratch::default(),
         }
     }
@@ -199,13 +198,11 @@ impl<T: Send + Sync + 'static> WriteApply for TypedApply<T> {
 pub struct ValTxn<'h> {
     mode: ValidationMode,
     commit_counter: &'h CachePadded<AtomicU64>,
-    stats: &'h mut BaselineStats,
+    stats: &'h StatsShard,
     /// Commit-counter value at the last successful validation.
     seen_cc: u64,
     /// The thread's read / write sets, emptied when the attempt ends.
     scratch: &'h mut ValScratch,
-    /// Number of full read-set validations performed (the experiment metric).
-    validations: u64,
 }
 
 type ValScratch = Scratch<Box<dyn ReadCheck>, Box<dyn WriteApply>>;
@@ -218,18 +215,13 @@ impl Drop for ValTxn<'_> {
 }
 
 impl ValTxn<'_> {
-    /// Number of full read-set validations this transaction has performed.
-    pub fn validations(&self) -> u64 {
-        self.validations
-    }
-
     fn validate_read_set(&mut self) -> bool {
-        self.validations += 1;
-        self.stats.validations += 1;
-        self.stats.validated_entries += self.scratch.reads.len() as u64;
+        self.stats.inc(Stat::Validations);
+        self.stats
+            .add(Stat::ValidatedEntries, self.scratch.reads.len() as u64);
         let ok = self.scratch.reads.iter().all(|r| r.still_valid());
         if !ok {
-            self.stats.revalidation_failures += 1;
+            self.stats.inc(Stat::RevalidationFailures);
         }
         ok
     }
@@ -261,7 +253,7 @@ impl ValTxn<'_> {
     /// Transactional read: read the current committed value, then make the
     /// whole read set consistent again (validation-on-access).
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &ValVar<T>) -> ValResult<Arc<T>> {
-        self.stats.reads += 1;
+        self.stats.inc(Stat::Reads);
         if let Some(known) = self.scratch.known(var.id) {
             return Ok(known);
         }
@@ -305,7 +297,7 @@ impl ValTxn<'_> {
 
     /// Transactional buffered write.
     pub fn write<T: Send + Sync + 'static>(&mut self, var: &ValVar<T>, value: T) -> ValResult<()> {
-        self.stats.writes += 1;
+        self.stats.inc(Stat::Writes);
         let pending = Arc::new(value);
         let entry = Box::new(TypedApply {
             inner: Arc::clone(&var.inner),
@@ -331,10 +323,10 @@ impl ValTxn<'_> {
             // Read-only: the read set was kept valid throughout; one final
             // validation closes the linearization window.
             if !self.validate_read_set() {
-                self.stats.record_abort(AbortClass::Validation);
+                self.stats.abort(AbortClass::Validation);
                 return Err(ValAbort::Invalidated);
             }
-            self.stats.ro_commits += 1;
+            self.stats.inc(Stat::RoCommits);
             return Ok(());
         }
         // RSTM heuristic: announce progress so concurrent readers revalidate.
@@ -354,7 +346,7 @@ impl ValTxn<'_> {
                 for w in &self.scratch.writes[..i] {
                     w.unlock();
                 }
-                self.stats.record_abort(AbortClass::Contention);
+                self.stats.abort(AbortClass::Contention);
                 return Err(ValAbort::LockBusy);
             }
             locked = i + 1;
@@ -364,7 +356,7 @@ impl ValTxn<'_> {
             for w in &self.scratch.writes[..locked] {
                 w.unlock();
             }
-            self.stats.record_abort(AbortClass::Validation);
+            self.stats.abort(AbortClass::Validation);
             return Err(ValAbort::Invalidated);
         }
         for w in &self.scratch.writes {
@@ -373,7 +365,7 @@ impl ValTxn<'_> {
         for w in &self.scratch.writes {
             w.unlock();
         }
-        self.stats.commits += 1;
+        self.stats.inc(Stat::Commits);
         Ok(())
     }
 }
@@ -382,21 +374,12 @@ impl ValTxn<'_> {
 pub struct ValThread {
     mode: ValidationMode,
     commit_counter: Arc<CachePadded<AtomicU64>>,
-    stats: BaselineStats,
+    /// The shard this thread counts into (`EngineHandle::stats_shard`).
+    pub(crate) stats: Arc<StatsShard>,
     scratch: ValScratch,
 }
 
 impl ValThread {
-    /// Statistics accumulated by this thread.
-    pub fn stats(&self) -> &BaselineStats {
-        &self.stats
-    }
-
-    /// Take (and reset) the statistics.
-    pub fn take_stats(&mut self) -> BaselineStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Run `body` with retry-on-abort until it commits.
     pub fn atomically<R>(&mut self, mut body: impl FnMut(&mut ValTxn<'_>) -> ValResult<R>) -> R {
         let mut backoff = 0u32;
@@ -405,10 +388,9 @@ impl ValThread {
             let mut txn = ValTxn {
                 mode: self.mode,
                 commit_counter: &self.commit_counter,
-                stats: &mut self.stats,
+                stats: &self.stats,
                 seen_cc,
                 scratch: &mut self.scratch,
-                validations: 0,
             };
             match body(&mut txn) {
                 Ok(value) => {
@@ -416,13 +398,12 @@ impl ValThread {
                         return value;
                     }
                 }
-                Err(e) => txn.stats.record_abort(match e {
+                Err(e) => txn.stats.abort(match e {
                     ValAbort::Invalidated => AbortClass::Validation,
                     ValAbort::LockBusy => AbortClass::Contention,
                 }),
             }
             drop(txn);
-            self.stats.retries += 1;
             for _ in 0..(1u64 << backoff.min(10)) {
                 std::hint::spin_loop();
             }
@@ -437,6 +418,7 @@ impl ValThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsa_engine::EngineHandle;
 
     #[test]
     fn roundtrip_both_modes() {
@@ -468,8 +450,8 @@ mod tests {
         // n reads, each triggering a validation of the current read set:
         // 1 + 2 + ... + n entries validated, plus the commit validation.
         let n = 10u64;
-        assert_eq!(h.stats().validations, n + 1);
-        assert_eq!(h.stats().validated_entries, n * (n + 1) / 2 + n);
+        assert_eq!(h.engine_stats().validations, n + 1);
+        assert_eq!(h.engine_stats().validated_entries, n * (n + 1) / 2 + n);
     }
 
     #[test]
@@ -484,7 +466,7 @@ mod tests {
             Ok(())
         });
         // No concurrent committers: only the final commit validation runs.
-        assert_eq!(h.stats().validations, 1);
+        assert_eq!(h.engine_stats().validations, 1);
     }
 
     #[test]
@@ -507,7 +489,7 @@ mod tests {
             tx.read(&b)
         });
         assert!(
-            h.stats().validations >= 2,
+            h.engine_stats().validations >= 2,
             "disjoint progress must trigger revalidation (the paper's point)"
         );
     }
@@ -531,7 +513,7 @@ mod tests {
             Ok((va, vb))
         });
         assert_eq!((va, vb), (1, 0), "retry observed the new value of a");
-        assert!(h.stats().aborts >= 1);
+        assert!(h.engine_stats().aborts >= 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! **obs_bench** — microbenchmarks for the `lsa-obs` instrumentation the
 //! serving path now carries by default: the sharded counter vs the naive
 //! alternatives it replaces, flight-recorder event cost at each sampling
-//! mode, sharded histogram recording, and the scrape-side snapshot.
+//! mode, sharded histogram recording, and the scrape-side snapshot of a
+//! running service's registry.
 //!
 //! ```sh
 //! cargo bench -p lsa-bench --bench obs_bench
@@ -22,6 +23,9 @@
 use criterion::black_box;
 use lsa_obs::registry::MetricsRegistry;
 use lsa_obs::trace::{self, EventKind, Sampling};
+use lsa_service::{ServiceConfig, TxnService};
+use lsa_stm::Stm;
+use lsa_time::counter::SharedCounter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -125,24 +129,24 @@ fn bench_hist_record() -> f64 {
 
 /// Full registry snapshot → JSON with a serving-path-sized instrument
 /// population: the cost a live Stats scrape pays, amortized over nothing —
-/// it must simply be cheap enough at scrape rate (Hz, not MHz).
+/// it must simply be cheap enough at scrape rate (Hz, not MHz). The
+/// registry is a running two-worker service's, so the `engine.*` and
+/// `time.commit_ts.*` names are what a scrape really reads: sums over the
+/// workers' statistics shards.
 fn bench_snapshot_json() -> f64 {
     const SCRAPES: u64 = 64;
-    let reg = MetricsRegistry::new();
+    let cfg = ServiceConfig {
+        workers: 2,
+        queue_depth: 64,
+    };
+    let svc = TxnService::start(Stm::new(SharedCounter::new()), cfg);
+    // Round-robin: one request per worker, so both have handed over their
+    // shard before the first scrape.
+    for _ in 0..2 {
+        svc.submit(|_| ()).unwrap().wait().unwrap();
+    }
+    let reg = svc.metrics();
     for name in [
-        "service.submitted",
-        "service.shed",
-        "engine.commits",
-        "engine.ro_commits",
-        "engine.retries",
-        "engine.reads",
-        "engine.writes",
-        "engine.validations",
-        "engine.aborts.validation",
-        "engine.aborts.no_version",
-        "engine.aborts.contention",
-        "time.commit_ts.shared",
-        "time.commit_ts.exclusive",
         "wire.accepted",
         "wire.frames_in",
         "wire.frames_out",
@@ -153,12 +157,12 @@ fn bench_snapshot_json() -> f64 {
     ] {
         reg.counter(name).add(12_345);
     }
-    reg.gauge("service.queue_depth").set(7);
     reg.gauge_fn("wire.window_in_flight", || 42);
     let h = reg.histogram("service.latency_ns");
     for i in 0..10_000u64 {
         h.record_ns(i * 97 + 500);
     }
+    assert_eq!(reg.snapshot().counter("engine.commits"), Some(0));
     median_ns_per_op(budget(), || {
         let start = Instant::now();
         for _ in 0..SCRAPES {

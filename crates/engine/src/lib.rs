@@ -48,15 +48,18 @@
 //!
 //! [`IdMap`] ([`idmap`]) is the table every engine's transaction path and
 //! the wire client key by runtime-allocated ids, with the retention rule
-//! their per-handle scratch is recycled under.
+//! their per-handle scratch is recycled under. [`StatsShard`] ([`stats`]) is
+//! where every handle counts: [`EngineStats`] is the one statistics struct.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod conformance;
 pub mod idmap;
+pub mod stats;
 
 pub use idmap::{IdHasher, IdMap};
+pub use stats::{Stat, StatsDomain, StatsShard};
 
 use std::fmt;
 use std::sync::Arc;
@@ -125,10 +128,10 @@ pub trait TxnEngine: Clone + Send + Sync + 'static {
 
     /// Point-in-time sample of the engine's **global** version-store memory
     /// gauges (live/retired/reclaimed version counts, arena bytes, watermark
-    /// lag). Unlike [`EngineHandle::engine_stats`] these are not per-thread
-    /// counters to be summed — the harness samples this once per run and
-    /// attaches it to the aggregated [`EngineStats`]. Engines without a
-    /// managed version store report all zeros (the default).
+    /// lag). Unlike [`EngineHandle::engine_stats`] these are engine-wide —
+    /// dropped handles' counts included — and the harness samples them once
+    /// per run and attaches them to the aggregated [`EngineStats`]. Engines
+    /// without a managed version store report all zeros (the default).
     fn memory_stats(&self) -> MemoryStats {
         MemoryStats::default()
     }
@@ -155,12 +158,15 @@ pub trait EngineHandle: Send + 'static {
     where
         F: for<'t> FnMut(&mut Self::Txn<'t>) -> EngineResult<R, Self::Engine>;
 
-    /// Snapshot of the statistics this thread accumulated so far, on the
-    /// engine-shared surface.
-    fn engine_stats(&self) -> EngineStats;
+    /// The [`StatsShard`] this handle counts into — written by the handle
+    /// alone, readable from any thread for as long as the `Arc` is held.
+    fn stats_shard(&self) -> &Arc<StatsShard>;
 
-    /// Take (and reset) the accumulated statistics.
-    fn take_engine_stats(&mut self) -> EngineStats;
+    /// Snapshot of the statistics this handle has counted since it was
+    /// registered.
+    fn engine_stats(&self) -> EngineStats {
+        self.stats_shard().engine_stats()
+    }
 }
 
 /// Operations available inside a transaction body, shared by every engine.
@@ -259,30 +265,6 @@ pub struct AbortReasons {
 }
 
 impl AbortReasons {
-    /// Record one abort of the given class.
-    pub fn record(&mut self, class: AbortClass) {
-        *self.slot(class) += 1;
-    }
-
-    /// Count recorded for one class.
-    pub fn get(&self, class: AbortClass) -> u64 {
-        match class {
-            AbortClass::Validation => self.validation,
-            AbortClass::NoVersion => self.no_version,
-            AbortClass::Contention => self.contention,
-            AbortClass::Overload => self.overload,
-        }
-    }
-
-    fn slot(&mut self, class: AbortClass) -> &mut u64 {
-        match class {
-            AbortClass::Validation => &mut self.validation,
-            AbortClass::NoVersion => &mut self.no_version,
-            AbortClass::Contention => &mut self.contention,
-            AbortClass::Overload => &mut self.overload,
-        }
-    }
-
     /// Total classified aborts (overload sheds included).
     pub fn total(&self) -> u64 {
         self.validation + self.no_version + self.contention + self.overload
@@ -329,6 +311,10 @@ pub struct MemoryStats {
     /// through the arena. `retired - reclaimed` versions sit in thread-local
     /// arena pools awaiting reuse.
     pub versions_reclaimed: u64,
+    /// Retired nodes sitting in per-handle pools right now.
+    pub versions_pooled: u64,
+    /// Retired nodes the arena handed out again.
+    pub versions_recycled: u64,
     /// Approximate bytes of version metadata held by live versions plus
     /// pooled arena nodes (a lower bound: payload bytes are workload-owned).
     pub arena_bytes: u64,
@@ -345,6 +331,8 @@ impl MemoryStats {
         self.versions_live = self.versions_live.max(other.versions_live);
         self.versions_retired = self.versions_retired.max(other.versions_retired);
         self.versions_reclaimed = self.versions_reclaimed.max(other.versions_reclaimed);
+        self.versions_pooled = self.versions_pooled.max(other.versions_pooled);
+        self.versions_recycled = self.versions_recycled.max(other.versions_recycled);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.watermark_lag = self.watermark_lag.max(other.watermark_lag);
     }
@@ -354,26 +342,30 @@ impl fmt::Display for MemoryStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "live={} retired={} reclaimed={} arena-bytes={} wm-lag={}",
+            "live={} retired={} reclaimed={} pooled={} recycled={} arena-bytes={} wm-lag={}",
             self.versions_live,
             self.versions_retired,
             self.versions_reclaimed,
+            self.versions_pooled,
+            self.versions_recycled,
             self.arena_bytes,
             self.watermark_lag
         )
     }
 }
 
-/// The statistics surface shared by every engine. Engine-specific detail
-/// (fine-grained abort reasons, helping) stays on the engines' native stats
-/// types; this is the common denominator the harness aggregates.
+/// The statistics of every engine: the one struct a handle's
+/// [`StatsShard`] reads out as. A counter only one engine has reads 0 on
+/// the others (`helps` and `wm_advances` are LSA's, `fastpath_commits`
+/// TL2's, `cross_shard_commits` a sharded LSA's).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Committed update transactions.
     pub commits: u64,
     /// Committed read-only transactions.
     pub ro_commits: u64,
-    /// Aborted transaction attempts (all causes).
+    /// Aborted transaction attempts (all causes). Every engine re-runs the
+    /// body once per aborted attempt, so this is also the retry count.
     pub aborts: u64,
     /// Aborts broken down by the cross-engine [`AbortClass`] taxonomy. For
     /// engine-produced stats `validation + no_version + contention ==
@@ -381,20 +373,18 @@ pub struct EngineStats {
     /// under `overload` (those are rejected requests, not transaction
     /// attempts, so they do not count into `aborts`).
     pub abort_reasons: AbortReasons,
-    /// Transaction-body re-executions after an abort.
-    pub retries: u64,
     /// Transactional object reads.
     pub reads: u64,
     /// Transactional object writes.
     pub writes: u64,
     /// Full read-set (re)validations performed. For value-based engines
     /// (NOrec, the validation STM) this is the dominant consistency cost;
-    /// for time-based engines it counts snapshot extensions / commit-time
-    /// read-set checks. Zero means consistency was established by
-    /// timestamps alone.
+    /// for TL2 it counts commit-time read-set checks and for LSA snapshot
+    /// extensions (Algorithm 3 lines 1–6). Zero means consistency was
+    /// established by timestamps alone.
     pub validations: u64,
     /// Revalidations that failed and doomed the attempt — the conflicts the
-    /// validation work actually caught.
+    /// validation work actually caught (on LSA: commit-time validations).
     pub revalidation_failures: u64,
     /// Read-set entries examined across all validations — the linear factor
     /// in validation cost ("the validation overhead grows linearly with the
@@ -404,13 +394,25 @@ pub struct EngineStats {
     /// (GV4 pass-on-failed-CAS — winners included, since losers adopt
     /// their values — and GV5 read-derived values) instead of exclusively
     /// owned ones. Zero on bases whose commit times are globally unique
-    /// (shared counter, block) and on value-based engines.
+    /// (shared counter, block) and on value-based engines. Counted when the
+    /// attempt commits, so it never exceeds `commits`.
     pub shared_commit_ts: u64,
     /// Committed update transactions that touched objects on two or more
     /// shards and therefore escalated to the cross-shard commit protocol
     /// (per-shard commit-timestamp acquisition before the atomic
     /// status-word publish). Always zero on unsharded engines.
     pub cross_shard_commits: u64,
+    /// Commits completed on behalf of other transactions (LSA's helping,
+    /// Algorithm 3 line 13).
+    pub helps: u64,
+    /// Write-write conflicts submitted to the contention manager (LSA).
+    pub conflicts: u64,
+    /// Watermark advances installed by this handle (LSA's lazy
+    /// reclamation, amortized over its commits).
+    pub wm_advances: u64,
+    /// Commits that skipped read-set validation because the arbitration
+    /// proved exclusivity (TL2's `wv == rv + 1` fast path).
+    pub fastpath_commits: u64,
     /// Version-store memory gauges sampled from the engine after the run
     /// (see [`MemoryStats`]); all zeros for per-thread snapshots and for
     /// engines without a managed version store.
@@ -425,44 +427,26 @@ impl EngineStats {
 
     /// Aborts per commit (0 when nothing committed).
     pub fn abort_ratio(&self) -> f64 {
-        let c = self.total_commits();
-        if c == 0 {
-            0.0
-        } else {
-            self.aborts as f64 / c as f64
-        }
+        ratio(self.aborts, self.total_commits())
     }
 
     /// Full read-set validations per commit (0 when nothing committed) —
     /// the value-validation cost metric the harness reports per engine.
     pub fn validations_per_commit(&self) -> f64 {
-        let c = self.total_commits();
-        if c == 0 {
-            0.0
-        } else {
-            self.validations as f64 / c as f64
-        }
+        ratio(self.validations, self.total_commits())
     }
 
     /// Shared (adopted) commit timestamps per update commit — how often the
     /// base's arbitration tricks actually fired (0 when nothing committed).
     pub fn shared_ts_per_commit(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.shared_commit_ts as f64 / self.commits as f64
-        }
+        ratio(self.shared_commit_ts, self.commits)
     }
 
     /// Cross-shard commits per update commit — how often transactions
     /// actually spanned shards and escalated to the cross-shard protocol
     /// (0 when nothing committed, and on unsharded engines).
     pub fn cross_shard_per_commit(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.cross_shard_commits as f64 / self.commits as f64
-        }
+        ratio(self.cross_shard_commits, self.commits)
     }
 
     /// Merge another thread's counters into this one.
@@ -471,7 +455,6 @@ impl EngineStats {
         self.ro_commits += other.ro_commits;
         self.aborts += other.aborts;
         self.abort_reasons.merge(&other.abort_reasons);
-        self.retries += other.retries;
         self.reads += other.reads;
         self.writes += other.writes;
         self.validations += other.validations;
@@ -479,7 +462,20 @@ impl EngineStats {
         self.validated_entries += other.validated_entries;
         self.shared_commit_ts += other.shared_commit_ts;
         self.cross_shard_commits += other.cross_shard_commits;
+        self.helps += other.helps;
+        self.conflicts += other.conflicts;
+        self.wm_advances += other.wm_advances;
+        self.fastpath_commits += other.fastpath_commits;
         self.memory.merge(&other.memory);
+    }
+}
+
+/// `n / d`, or 0 when `d` is.
+fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
     }
 }
 
@@ -487,13 +483,13 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "commits={} (ro={}) aborts={} [{}] retries={} reads={} writes={} \
-             validations={} (failed={}, entries={}) shared-ts={} xshard={} mem[{}]",
+            "commits={} (ro={}) aborts={} [{}] reads={} writes={} \
+             validations={} (failed={}, entries={}) shared-ts={} xshard={} \
+             helps={} conflicts={} wm-adv={} fastpath={} mem[{}]",
             self.total_commits(),
             self.ro_commits,
             self.aborts,
             self.abort_reasons,
-            self.retries,
             self.reads,
             self.writes,
             self.validations,
@@ -501,6 +497,10 @@ impl fmt::Display for EngineStats {
             self.validated_entries,
             self.shared_commit_ts,
             self.cross_shard_commits,
+            self.helps,
+            self.conflicts,
+            self.wm_advances,
+            self.fastpath_commits,
             self.memory
         )
     }
@@ -556,15 +556,17 @@ mod tests {
 
     #[test]
     fn abort_reasons_record_and_render() {
-        let mut r = AbortReasons::default();
-        r.record(AbortClass::Validation);
-        r.record(AbortClass::Validation);
-        r.record(AbortClass::NoVersion);
-        r.record(AbortClass::Overload);
-        assert_eq!(r.get(AbortClass::Validation), 2);
-        assert_eq!(r.get(AbortClass::NoVersion), 1);
-        assert_eq!(r.get(AbortClass::Contention), 0);
-        assert_eq!(r.get(AbortClass::Overload), 1);
+        let shard = StatsShard::default();
+        for class in [AbortClass::Validation, AbortClass::Validation] {
+            shard.abort(class);
+        }
+        shard.abort(AbortClass::NoVersion);
+        shard.abort(AbortClass::Overload);
+        let r = shard.engine_stats().abort_reasons;
+        assert_eq!(
+            (r.validation, r.no_version, r.contention, r.overload),
+            (2, 1, 0, 1)
+        );
         assert_eq!(r.total(), 4);
         assert_eq!(r.to_string(), "2/1/0/1");
         let mut labels: Vec<_> = AbortClass::ALL.iter().map(|c| c.label()).collect();
@@ -581,6 +583,7 @@ mod tests {
             versions_reclaimed: 3,
             arena_bytes: 640,
             watermark_lag: 2,
+            ..Default::default()
         };
         let b = MemoryStats {
             versions_live: 4,
@@ -588,6 +591,7 @@ mod tests {
             versions_reclaimed: 9,
             arena_bytes: 128,
             watermark_lag: 7,
+            ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.versions_live, 10, "gauges merge by max, not sum");

@@ -27,7 +27,7 @@ fn run_policy(cm: impl ContentionManager, threads: usize) -> (f64, f64) {
         wl.expected_total(),
         "invariant broken!"
     );
-    (out.tx_per_sec(), out.abort_ratio())
+    (out.tx_per_sec(), out.stats.abort_ratio())
 }
 
 fn main() {

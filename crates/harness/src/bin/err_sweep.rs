@@ -58,7 +58,7 @@ fn main() {
                 f2(dev as f64 / 1_000.0),
                 entry.label(),
                 format!("{:.0}", out.tx_per_sec()),
-                f3(out.abort_ratio()),
+                f3(out.stats.abort_ratio()),
                 f3(out.stats.validations_per_commit()),
                 out.stats.abort_reasons.validation.to_string(),
                 out.stats.abort_reasons.no_version.to_string(),

@@ -179,7 +179,7 @@ fn main() {
                 threads.to_string(),
                 args.placement.to_string(),
                 format!("{:.0}", out.tx_per_sec()),
-                f3(out.abort_ratio()),
+                f3(out.stats.abort_ratio()),
                 out.stats.abort_reasons.to_string(),
                 f3(out.stats.validations_per_commit()),
                 out.stats.revalidation_failures.to_string(),

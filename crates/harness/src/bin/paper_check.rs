@@ -98,11 +98,11 @@ fn main() {
         let counter2 = run_for(2, window, |i| wl.worker(i));
         c.check(
             "Real threads: disjoint workload commits without conflicts",
-            counter2.aborts() == 0 && counter2.commits() > 0,
+            counter2.stats.aborts == 0 && counter2.commits() > 0,
             format!(
                 "{} commits, {} aborts",
                 counter2.commits(),
-                counter2.aborts()
+                counter2.stats.aborts
             ),
         );
     }
@@ -120,7 +120,7 @@ fn main() {
         );
         let out = run_for(2, window, |i| wl.worker(i));
         let consistent = wl.quiescent_total() == wl.expected_total();
-        (out.abort_ratio(), consistent)
+        (out.stats.abort_ratio(), consistent)
     };
     let (a0, ok0) = run_dev(0);
     let (a10, ok10) = run_dev(10_000);

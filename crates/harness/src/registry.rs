@@ -122,67 +122,63 @@ pub fn run_workload_pinned<E: TxnEngine>(
     window: Duration,
     pin: bool,
 ) -> RunOutcome {
-    match workload {
+    let memory = engine.clone();
+    let mut out = match workload {
         Workload::Bank(cfg) => {
             let wl = BankWorkload::with_placement(engine, *cfg, placement);
-            let mut out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
+            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
             assert_eq!(
                 wl.quiescent_total(),
                 wl.expected_total(),
                 "bank invariant broken on {}",
                 wl.engine().engine_name()
             );
-            out.stats.memory = wl.engine().memory_stats();
             out
         }
         Workload::Disjoint(cfg) => {
             let wl = DisjointWorkload::with_placement(engine, threads, *cfg, placement);
-            let mut out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
+            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
             assert_eq!(
                 wl.total(),
                 out.commits() * cfg.accesses_per_tx as u64,
                 "disjoint accounting broken on {}",
                 wl.engine().engine_name()
             );
-            out.stats.memory = wl.engine().memory_stats();
             out
         }
         Workload::Scan(cfg) => {
             // Every scan asserts its invariant sum inside the worker.
             let wl = ScanWorkload::new(engine, *cfg);
-            let mut out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
-            out.stats.memory = wl.engine().memory_stats();
-            out
+            run_for_pinned(threads, window, pin, |i| wl.worker(i))
         }
         Workload::Intset(cfg) => {
             let wl = IntsetWorkload::new(engine, *cfg);
-            let mut out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
+            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
             // Structural invariant: sorted, duplicate-free list.
             wl.assert_sorted_unique();
-            out.stats.memory = wl.engine().memory_stats();
             out
         }
         Workload::Hashset(cfg) => {
             let wl = HashsetWorkload::new(engine, *cfg);
-            let mut out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
+            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
             // Structural invariant: right bucket, no duplicates.
             wl.assert_placement();
-            out.stats.memory = wl.engine().memory_stats();
             out
         }
         Workload::Snapshot(cfg) => {
             let wl = SnapshotWorkload::new(engine, *cfg);
-            let mut out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
+            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
             assert_eq!(
                 wl.quiescent_sum(),
                 0,
                 "snapshot zero-sum invariant broken on {}",
                 wl.engine().engine_name()
             );
-            out.stats.memory = wl.engine().memory_stats();
             out
         }
-    }
+    };
+    out.stats.memory = memory.memory_stats();
+    out
 }
 
 /// A type-erased worker factory for one workload instance: the shared
@@ -542,7 +538,7 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                out.aborts(),
+                out.stats.aborts,
                 0,
                 "{} aborted on disjoint work",
                 entry.label()

@@ -39,11 +39,6 @@ impl RunOutcome {
         self.stats.total_commits()
     }
 
-    /// Total aborted attempts.
-    pub fn aborts(&self) -> u64 {
-        self.stats.aborts
-    }
-
     /// Committed transactions per second.
     pub fn tx_per_sec(&self) -> f64 {
         self.commits() as f64 / self.elapsed.as_secs_f64()
@@ -53,15 +48,6 @@ impl RunOutcome {
     /// y-axis unit).
     pub fn mtx_per_sec(&self) -> f64 {
         self.tx_per_sec() / 1e6
-    }
-
-    /// Aborts per commit.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.commits() == 0 {
-            0.0
-        } else {
-            self.aborts() as f64 / self.commits() as f64
-        }
     }
 }
 
@@ -191,65 +177,28 @@ pub fn measure_window(default_ms: u64) -> Duration {
 // ANY engine, thanks to the `TxnEngine` abstraction.
 use lsa_engine::TxnEngine;
 
-impl<E: TxnEngine> BenchWorker for lsa_workloads::DisjointWorker<E> {
-    fn step(&mut self) {
-        lsa_workloads::DisjointWorker::step(self);
-    }
+macro_rules! bench_workers {
+    ($($worker:ident),*) => {$(
+        impl<E: TxnEngine> BenchWorker for lsa_workloads::$worker<E> {
+            fn step(&mut self) {
+                lsa_workloads::$worker::step(self);
+            }
 
-    fn worker_stats(&self) -> EngineStats {
-        self.stats()
-    }
+            fn worker_stats(&self) -> EngineStats {
+                self.stats()
+            }
+        }
+    )*};
 }
 
-impl<E: TxnEngine> BenchWorker for lsa_workloads::BankWorker<E> {
-    fn step(&mut self) {
-        lsa_workloads::BankWorker::step(self);
-    }
-
-    fn worker_stats(&self) -> EngineStats {
-        self.stats()
-    }
-}
-
-impl<E: TxnEngine> BenchWorker for lsa_workloads::ScanWorker<E> {
-    fn step(&mut self) {
-        lsa_workloads::ScanWorker::step(self);
-    }
-
-    fn worker_stats(&self) -> EngineStats {
-        self.stats()
-    }
-}
-
-impl<E: TxnEngine> BenchWorker for lsa_workloads::IntsetWorker<E> {
-    fn step(&mut self) {
-        lsa_workloads::IntsetWorker::step(self);
-    }
-
-    fn worker_stats(&self) -> EngineStats {
-        self.stats()
-    }
-}
-
-impl<E: TxnEngine> BenchWorker for lsa_workloads::HashsetWorker<E> {
-    fn step(&mut self) {
-        lsa_workloads::HashsetWorker::step(self);
-    }
-
-    fn worker_stats(&self) -> EngineStats {
-        self.stats()
-    }
-}
-
-impl<E: TxnEngine> BenchWorker for lsa_workloads::SnapshotWorker<E> {
-    fn step(&mut self) {
-        lsa_workloads::SnapshotWorker::step(self);
-    }
-
-    fn worker_stats(&self) -> EngineStats {
-        self.stats()
-    }
-}
+bench_workers!(
+    DisjointWorker,
+    BankWorker,
+    ScanWorker,
+    IntsetWorker,
+    HashsetWorker,
+    SnapshotWorker
+);
 
 impl BenchWorker for Box<dyn BenchWorker> {
     fn step(&mut self) {
@@ -281,7 +230,7 @@ mod tests {
         let out = run_steps(2, 100, |i| wl.worker(i));
         assert_eq!(out.steps, 200);
         assert_eq!(out.commits(), 200);
-        assert_eq!(out.aborts(), 0);
+        assert_eq!(out.stats.aborts, 0);
         assert_eq!(wl.total(), 200 * 4);
     }
 

@@ -449,10 +449,23 @@ impl<E: TxnEngine> Mix<E> {
 /// wire server uses — and the outcome's [`PoolStats`] gauge proves the
 /// recycling actually happened.
 pub fn run_service_bench<E: TxnEngine>(engine: E, spec: &ServiceSpec) -> ServiceOutcome {
+    run_rounds(engine, spec, 1, 0x0af1_5e7e, true).0
+}
+
+/// `rounds` successive open-loop submission windows of `spec.duration` on
+/// one service, sampling the engine's global memory gauges after each; with
+/// `scrape`, one registry snapshot at the halfway point, mid-load.
+fn run_rounds<E: TxnEngine>(
+    engine: E,
+    spec: &ServiceSpec,
+    rounds: u32,
+    seed: u64,
+    scrape: bool,
+) -> (ServiceOutcome, Vec<MemoryStats>) {
     assert!(spec.rate > 0.0, "rate must be positive");
     let mix = Mix::build(&engine, spec.kind, spec.placement);
     // Engines are cheap shared handles: keep one to sample the global
-    // memory gauges after the drain.
+    // memory gauges.
     let mem_engine = engine.clone();
     let svc = TxnService::start(
         engine,
@@ -462,20 +475,25 @@ pub fn run_service_bench<E: TxnEngine>(engine: E, spec: &ServiceSpec) -> Service
         },
     );
     let pool = job_pool::<E>(spec.workers, spec.queue_depth);
-    let mut rng = FastRng::new(0x0af1_5e7e);
+    let mut rng = FastRng::new(seed);
 
     let start = Instant::now();
     let mut offered = 0u64;
     let mut mid_scrape = None;
-    while start.elapsed() < spec.duration {
-        crate::wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
-        mix.submit_one(&svc, &mut rng, &pool);
-        offered += 1;
-        // Scrape the registry once at halftime, mid-load: proves the
-        // sharded counters are readable while every worker is writing them.
-        if mid_scrape.is_none() && start.elapsed() >= spec.duration / 2 {
-            mid_scrape = Some(svc.metrics().snapshot_json());
+    let mut samples = Vec::with_capacity(rounds as usize);
+    for round in 1..=rounds {
+        while start.elapsed() < spec.duration * round {
+            crate::wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
+            mix.submit_one(&svc, &mut rng, &pool);
+            offered += 1;
+            // Scrape the registry once at halftime, mid-load: proves the
+            // engine counters are readable while every worker is writing
+            // its shard.
+            if scrape && mid_scrape.is_none() && start.elapsed() >= spec.duration * rounds / 2 {
+                mid_scrape = Some(svc.metrics().snapshot_json());
+            }
         }
+        samples.push(mem_engine.memory_stats());
     }
 
     // Drain: shutdown closes admission and the workers finish every
@@ -483,14 +501,13 @@ pub fn run_service_bench<E: TxnEngine>(engine: E, spec: &ServiceSpec) -> Service
     let report = svc.shutdown();
     let elapsed = start.elapsed();
     mix.assert_quiescent();
-
     assert_eq!(
         report.completed, report.submitted,
         "close-then-drain must finish every accepted request"
     );
     let mut engine_stats = report.engine;
     engine_stats.memory = mem_engine.memory_stats();
-    ServiceOutcome {
+    let outcome = ServiceOutcome {
         offered,
         completed: report.completed,
         shed: report.shed,
@@ -499,7 +516,8 @@ pub fn run_service_bench<E: TxnEngine>(engine: E, spec: &ServiceSpec) -> Service
         engine: engine_stats,
         pool: pool.stats(),
         mid_scrape,
-    }
+    };
+    (outcome, samples)
 }
 
 /// Outcome of a [`run_memory_ceiling`] run: the per-round memory-gauge
@@ -543,53 +561,9 @@ pub fn run_memory_ceiling<E: TxnEngine>(
     spec: &ServiceSpec,
     rounds: usize,
 ) -> MemoryCeilingReport {
-    assert!(spec.rate > 0.0, "rate must be positive");
     assert!(rounds >= 2, "a plateau needs at least two rounds");
-    let mix = Mix::build(&engine, spec.kind, spec.placement);
-    let mem_engine = engine.clone();
-    let svc = TxnService::start(
-        engine,
-        ServiceConfig {
-            workers: spec.workers,
-            queue_depth: spec.queue_depth,
-        },
-    );
-    let pool = job_pool::<E>(spec.workers, spec.queue_depth);
-    let mut rng = FastRng::new(0x5eed_c0de);
-
-    let start = Instant::now();
-    let mut offered = 0u64;
-    let mut samples = Vec::with_capacity(rounds);
-    for round in 1..=rounds {
-        let round_end = spec.duration * round as u32;
-        while start.elapsed() < round_end {
-            crate::wait_until(start + Duration::from_secs_f64(offered as f64 / spec.rate));
-            mix.submit_one(&svc, &mut rng, &pool);
-            offered += 1;
-        }
-        samples.push(mem_engine.memory_stats());
-    }
-
-    let report = svc.shutdown();
-    let elapsed = start.elapsed();
-    mix.assert_quiescent();
-    assert_eq!(report.completed, report.submitted);
-
-    let mut engine_stats = report.engine;
-    engine_stats.memory = mem_engine.memory_stats();
-    MemoryCeilingReport {
-        samples,
-        outcome: ServiceOutcome {
-            offered,
-            completed: report.completed,
-            shed: report.shed,
-            elapsed,
-            latency: report.latency,
-            engine: engine_stats,
-            pool: pool.stats(),
-            mid_scrape: None,
-        },
-    }
+    let (outcome, samples) = run_rounds(engine, spec, rounds as u32, 0x5eed_c0de, false);
+    MemoryCeilingReport { samples, outcome }
 }
 
 #[cfg(test)]

@@ -37,6 +37,9 @@
 //! Closures must therefore capture [`Weak`] references to the structures
 //! they sample, both to avoid keeping torn-down services alive and to
 //! break the `Arc` cycle registry ↔ owner; a dead sampler reports 0.
+//! Sampled counters ([`MetricsRegistry::counter_fn`]) are the same idea for
+//! monotone counts kept elsewhere — the engine handles' statistics shards —
+//! and appear among the counters.
 
 use crate::histogram::LatencyHistogram;
 use crossbeam_utils::CachePadded;
@@ -215,16 +218,30 @@ impl Histogram {
     }
 }
 
-struct Sampler {
+struct Sampler<V> {
     name: Arc<str>,
-    f: Box<dyn Fn() -> i64 + Send + Sync>,
+    f: Box<dyn Fn() -> V + Send + Sync>,
+}
+
+/// Register or replace the sampler `name` in `v`.
+fn put_sampler<V>(v: &Mutex<Vec<Sampler<V>>>, name: &str, f: Box<dyn Fn() -> V + Send + Sync>) {
+    let mut v = v.lock().expect("registry poisoned");
+    let s = Sampler {
+        name: name.into(),
+        f,
+    };
+    match v.iter_mut().find(|s| &*s.name == name) {
+        Some(slot) => *slot = s,
+        None => v.push(s),
+    }
 }
 
 #[derive(Default)]
 struct RegistryInner {
     counters: Mutex<Vec<Counter>>,
+    counter_samplers: Mutex<Vec<Sampler<u64>>>,
     gauges: Mutex<Vec<Gauge>>,
-    samplers: Mutex<Vec<Sampler>>,
+    samplers: Mutex<Vec<Sampler<i64>>>,
     hists: Mutex<Vec<Histogram>>,
 }
 
@@ -270,15 +287,15 @@ impl MetricsRegistry {
     /// to whatever it samples and report 0 when the owner is gone — a
     /// sampler must never keep a torn-down service alive.
     pub fn gauge_fn(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
-        let mut v = self.inner.samplers.lock().expect("registry poisoned");
-        let s = Sampler {
-            name: name.into(),
-            f: Box::new(f),
-        };
-        match v.iter_mut().find(|s| &*s.name == name) {
-            Some(slot) => *slot = s,
-            None => v.push(s),
-        }
+        put_sampler(&self.inner.samplers, name, Box::new(f));
+    }
+
+    /// Register (or replace) a sampled counter: `f` reads a monotone count
+    /// kept elsewhere, only when a snapshot is taken, and the value is
+    /// reported among the counters. Use a name no [`counter`](Self::counter)
+    /// has.
+    pub fn counter_fn(&self, name: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
+        put_sampler(&self.inner.counter_samplers, name, Box::new(f));
     }
 
     /// Get or create the sharded histogram `name` (idempotent).
@@ -303,6 +320,14 @@ impl MetricsRegistry {
             .iter()
             .map(|c| (c.name().to_string(), c.value()))
             .collect();
+        counters.extend(
+            self.inner
+                .counter_samplers
+                .lock()
+                .expect("registry poisoned")
+                .iter()
+                .map(|s| (s.name.to_string(), (s.f)())),
+        );
         let mut gauges: Vec<(String, i64)> = self
             .inner
             .gauges
@@ -501,6 +526,18 @@ mod tests {
         assert_eq!(reg.snapshot().gauge("live.depth"), Some(23));
         drop(owner);
         assert_eq!(reg.snapshot().gauge("live.depth"), Some(0));
+    }
+
+    #[test]
+    fn sampled_counters_are_counters() {
+        let reg = MetricsRegistry::new();
+        let kept = Arc::new(AtomicU64::new(5));
+        let src = Arc::clone(&kept);
+        reg.counter_fn("kept.count", move || src.load(Ordering::Relaxed));
+        kept.store(8, Ordering::Relaxed);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("kept.count"), Some(8));
+        assert_eq!(snap.gauge("kept.count"), None);
     }
 
     #[test]

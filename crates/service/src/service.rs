@@ -23,7 +23,7 @@
 use crate::oneshot;
 use crate::queue::{BoundedQueue, PushError};
 use crossbeam_utils::CachePadded;
-use lsa_engine::{EngineHandle, EngineStats, TxnEngine};
+use lsa_engine::{EngineHandle, EngineStats, StatsDomain, TxnEngine};
 use lsa_obs::registry::{Counter, MetricsRegistry};
 use lsa_obs::trace::{self, EventKind};
 use lsa_obs::LatencyHistogram;
@@ -162,77 +162,29 @@ struct Job<E: TxnEngine> {
     run: Box<dyn RunRequest<E>>,
 }
 
-/// Registry handles for the per-batch engine-stat fold: workers diff their
-/// handle's cheap local [`EngineStats`] once per drained batch and add the
-/// deltas to these sharded counters, so a mid-run scrape sees live engine
-/// and time-base numbers without any per-transaction shared write.
-struct EngineCounters {
-    commits: Counter,
-    ro_commits: Counter,
-    aborts_validation: Counter,
-    aborts_no_version: Counter,
-    aborts_contention: Counter,
-    retries: Counter,
-    reads: Counter,
-    writes: Counter,
-    validations: Counter,
-    cts_shared: Counter,
-    cts_exclusive: Counter,
-    cross_shard_commits: Counter,
-}
+/// Reads one counter out of an [`EngineStats`].
+type Field = fn(&EngineStats) -> u64;
 
-impl EngineCounters {
-    fn new(metrics: &MetricsRegistry) -> Self {
-        EngineCounters {
-            commits: metrics.counter("engine.commits"),
-            ro_commits: metrics.counter("engine.ro_commits"),
-            aborts_validation: metrics.counter("engine.aborts.validation"),
-            aborts_no_version: metrics.counter("engine.aborts.no_version"),
-            aborts_contention: metrics.counter("engine.aborts.contention"),
-            retries: metrics.counter("engine.retries"),
-            reads: metrics.counter("engine.reads"),
-            writes: metrics.counter("engine.writes"),
-            validations: metrics.counter("engine.validations"),
-            cts_shared: metrics.counter("time.commit_ts.shared"),
-            cts_exclusive: metrics.counter("time.commit_ts.exclusive"),
-            cross_shard_commits: metrics.counter("engine.cross_shard_commits"),
-        }
-    }
-
-    /// Add `now - prev` to every counter. Exclusive commit timestamps are
-    /// derived: every update commit acquired one commit timestamp from the
-    /// time base, and the engine counts the shared-class arbitrations
-    /// ([`EngineStats::shared_commit_ts`]), so exclusive = commits − shared.
-    fn fold_delta(&self, prev: &EngineStats, now: &EngineStats) {
-        let d = |n: u64, p: u64| n.saturating_sub(p);
-        self.commits.add(d(now.commits, prev.commits));
-        self.ro_commits.add(d(now.ro_commits, prev.ro_commits));
-        self.aborts_validation.add(d(
-            now.abort_reasons.validation,
-            prev.abort_reasons.validation,
-        ));
-        self.aborts_no_version.add(d(
-            now.abort_reasons.no_version,
-            prev.abort_reasons.no_version,
-        ));
-        self.aborts_contention.add(d(
-            now.abort_reasons.contention,
-            prev.abort_reasons.contention,
-        ));
-        self.retries.add(d(now.retries, prev.retries));
-        self.reads.add(d(now.reads, prev.reads));
-        self.writes.add(d(now.writes, prev.writes));
-        self.validations.add(d(now.validations, prev.validations));
-        self.cts_shared
-            .add(d(now.shared_commit_ts, prev.shared_commit_ts));
-        self.cts_exclusive.add(
-            d(now.commits, prev.commits)
-                .saturating_sub(d(now.shared_commit_ts, prev.shared_commit_ts)),
-        );
-        self.cross_shard_commits
-            .add(d(now.cross_shard_commits, prev.cross_shard_commits));
-    }
-}
+/// The engine counters a scrape reads from the workers' statistics shards.
+/// Every update commit acquired one commit timestamp and the engines count
+/// the shared-class ones, so exclusive = commits − shared.
+const ENGINE_COUNTERS: [(&str, Field); 12] = [
+    ("engine.commits", |e| e.commits),
+    ("engine.ro_commits", |e| e.ro_commits),
+    ("engine.aborts.validation", |e| e.abort_reasons.validation),
+    ("engine.aborts.no_version", |e| e.abort_reasons.no_version),
+    ("engine.aborts.contention", |e| e.abort_reasons.contention),
+    // Every engine re-runs the body once per aborted attempt.
+    ("engine.retries", |e| e.aborts),
+    ("engine.reads", |e| e.reads),
+    ("engine.writes", |e| e.writes),
+    ("engine.validations", |e| e.validations),
+    ("engine.cross_shard_commits", |e| e.cross_shard_commits),
+    ("time.commit_ts.shared", |e| e.shared_commit_ts),
+    ("time.commit_ts.exclusive", |e| {
+        e.commits.saturating_sub(e.shared_commit_ts)
+    }),
+];
 
 struct Shared<E: TxnEngine> {
     queues: Vec<BoundedQueue<Job<E>>>,
@@ -362,14 +314,6 @@ impl<E: TxnEngine> ServiceHandle<E> {
     }
 }
 
-/// What each worker thread hands back at shutdown. (Latency lives in the
-/// metrics registry's sharded `service.latency_ns` histogram, recorded by
-/// each worker into its own shard and merged only at scrape/shutdown.)
-struct WorkerReport {
-    completed: u64,
-    stats: EngineStats,
-}
-
 /// Aggregated outcome of a service's lifetime, produced by
 /// [`TxnService::shutdown`].
 #[derive(Debug)]
@@ -383,7 +327,7 @@ pub struct ServiceReport {
     pub shed: u64,
     /// Submission-to-completion latency over all completed requests.
     pub latency: LatencyHistogram,
-    /// Merged engine statistics of all workers; sheds appear as
+    /// Engine statistics summed over the workers' shards; sheds appear as
     /// `abort_reasons.overload` (they are rejected requests, not
     /// transaction attempts, so `aborts` does not include them).
     pub engine: EngineStats,
@@ -392,7 +336,12 @@ pub struct ServiceReport {
 /// A transaction-service front-end over any [`TxnEngine`].
 pub struct TxnService<E: TxnEngine> {
     shared: Arc<Shared<E>>,
-    workers: Vec<JoinHandle<WorkerReport>>,
+    /// Each worker thread returns the number of requests it completed.
+    /// (Latency lives in the registry's sharded `service.latency_ns`
+    /// histogram.)
+    workers: Vec<JoinHandle<u64>>,
+    /// The workers' statistics shards, handed over once at start.
+    engine_shards: Arc<StatsDomain>,
 }
 
 impl<E: TxnEngine> TxnService<E> {
@@ -424,18 +373,27 @@ impl<E: TxnEngine> TxnService<E> {
                 .map(|s| s.queues.iter().map(|q| q.len()).sum::<usize>() as i64)
                 .unwrap_or(0)
         });
+        // Engine counters are read from the workers' own statistics shards
+        // at scrape time: nothing on the transaction path writes a shared
+        // line for them. The shards outlive the workers, so the registry
+        // still reports them after shutdown.
+        let engine_shards = Arc::new(StatsDomain::default());
+        for (name, read) in ENGINE_COUNTERS {
+            let shards = Arc::clone(&engine_shards);
+            metrics.counter_fn(name, move || read(&shards.totals().engine_stats()));
+        }
         let workers = (0..cfg.workers)
             .map(|w| {
                 let queue = shared.queues[w].clone();
                 let engine = engine.clone();
                 let latency = metrics.histogram("service.latency_ns");
-                let engine_counters = EngineCounters::new(&metrics);
+                let engine_shards = Arc::clone(&engine_shards);
                 std::thread::spawn(move || {
                     // One long-lived registered handle per worker: requests
                     // from many clients multiplex onto few STM threads.
                     let mut handle = engine.register();
+                    engine_shards.adopt(Arc::clone(handle.stats_shard()));
                     let mut completed = 0u64;
-                    let mut folded = EngineStats::default();
                     // Batched run loop: drain a burst per wakeup instead of
                     // one job per park/unpark cycle — under backlog the
                     // queue lock and condvar are touched once per
@@ -470,20 +428,16 @@ impl<E: TxnEngine> TxnService<E> {
                             latency.record(submitted.elapsed());
                             completed += 1;
                         }
-                        // Per-batch fold of the handle's cheap local stats
-                        // into the registry, so mid-run scrapes see live
-                        // engine/time-base counters.
-                        let now = handle.engine_stats();
-                        engine_counters.fold_delta(&folded, &now);
-                        folded = now;
                     }
-                    let stats = handle.engine_stats();
-                    engine_counters.fold_delta(&folded, &stats);
-                    WorkerReport { completed, stats }
+                    completed
                 })
             })
             .collect();
-        TxnService { shared, workers }
+        TxnService {
+            shared,
+            workers,
+            engine_shards,
+        }
     }
 
     /// Submit `body` for execution on some worker's engine handle.
@@ -551,8 +505,9 @@ impl<E: TxnEngine> TxnService<E> {
 
     /// The service's metrics registry: admission counters, live queue
     /// depth, the sharded latency histogram, and the engine/time-base
-    /// counters the workers fold per batch. Scrape it any time with
-    /// [`MetricsRegistry::snapshot`] — mid-run scrapes are the point.
+    /// counters read from the workers' statistics shards. Scrape it any
+    /// time with [`MetricsRegistry::snapshot`] — mid-run scrapes are the
+    /// point.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.shared.metrics
     }
@@ -568,29 +523,29 @@ impl<E: TxnEngine> TxnService<E> {
         for q in &self.shared.queues {
             q.close();
         }
-        let mut report = ServiceReport {
-            submitted: self.shared.submitted.value(),
-            completed: 0,
-            shed: self.shared.shed.value(),
-            latency: LatencyHistogram::new(),
-            engine: EngineStats::default(),
-        };
-        for w in self.workers.drain(..) {
-            let wr = w.join().expect("service worker panicked");
-            report.completed += wr.completed;
-            report.engine.merge(&wr.stats);
-        }
-        // The workers have quiesced: the registry histogram now holds
-        // exactly the completed requests' latencies.
-        report.latency = self.shared.metrics.histogram("service.latency_ns").merged();
+        let completed = self
+            .workers
+            .drain(..)
+            .map(|w| w.join().expect("service worker panicked"))
+            .sum();
+        let shed = self.shared.shed.value();
+        // The workers have quiesced: their shards and the registry
+        // histogram now hold exactly the completed requests.
+        let mut engine = self.engine_shards.totals().engine_stats();
         // Shed accounting on the shared taxonomy: admission-control drops
         // are overload "aborts" of the serving layer.
-        report.engine.abort_reasons.overload += report.shed;
-        if report.shed > 0 {
+        engine.abort_reasons.overload += shed;
+        if shed > 0 {
             // A run that shed is exactly what the flight recorder is for.
             trace::anomaly("service shutdown with sheds", 256);
         }
-        report
+        ServiceReport {
+            submitted: self.shared.submitted.value(),
+            completed,
+            shed,
+            latency: self.shared.metrics.histogram("service.latency_ns").merged(),
+            engine,
+        }
     }
 }
 

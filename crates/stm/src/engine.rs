@@ -10,49 +10,10 @@
 use crate::error::Abort;
 use crate::lsa::Txn;
 use crate::object::TVar;
-use crate::stats::TxnStats;
 use crate::stm::{Stm, ThreadHandle};
-use lsa_engine::{
-    AbortReasons, EngineHandle, EngineResult, EngineStats, MemoryStats, TxnEngine, TxnOps,
-};
+use lsa_engine::{EngineHandle, EngineResult, MemoryStats, StatsShard, TxnEngine, TxnOps};
 use lsa_time::TimeBase;
 use std::sync::Arc;
-
-fn to_engine_stats(s: &TxnStats) -> EngineStats {
-    use crate::error::AbortReason;
-    EngineStats {
-        commits: s.commits,
-        ro_commits: s.ro_commits,
-        aborts: s.total_aborts(),
-        // LSA-RT's native reasons folded onto the cross-engine taxonomy:
-        // consistency failures (commit-time validation + snapshot collapse)
-        // are `validation`, the multi-version "no version overlaps the
-        // validity range" case stays its own class (the §4.3 split), and
-        // everything the contention manager decided is `contention`.
-        abort_reasons: AbortReasons {
-            validation: s.aborts_for(AbortReason::Validation) + s.aborts_for(AbortReason::Snapshot),
-            no_version: s.aborts_for(AbortReason::NoVersion),
-            contention: s.aborts_for(AbortReason::ContentionLoser)
-                + s.aborts_for(AbortReason::Killed)
-                + s.aborts_for(AbortReason::Explicit),
-            overload: 0,
-        },
-        retries: s.retries,
-        reads: s.reads,
-        writes: s.writes,
-        // LSA-RT's equivalent of a read-set revalidation is a validity-range
-        // extension (Algorithm 3 lines 1–6); a commit-time validation that
-        // fails surfaces as a `Validation` abort.
-        validations: s.extensions,
-        revalidation_failures: s.aborts_for(crate::error::AbortReason::Validation),
-        validated_entries: s.validated_entries,
-        shared_commit_ts: s.shared_cts,
-        cross_shard_commits: s.cross_shard_commits,
-        // Memory gauges are engine-global, not per-thread: the harness
-        // samples them once per run through `TxnEngine::memory_stats`.
-        memory: MemoryStats::default(),
-    }
-}
 
 impl<B: TimeBase> TxnEngine for Stm<B> {
     type Abort = Abort;
@@ -83,14 +44,7 @@ impl<B: TimeBase> TxnEngine for Stm<B> {
     }
 
     fn memory_stats(&self) -> MemoryStats {
-        let r = self.reclaim_stats();
-        MemoryStats {
-            versions_live: r.versions_live,
-            versions_retired: r.versions_retired,
-            versions_reclaimed: r.versions_reclaimed,
-            arena_bytes: r.arena_bytes,
-            watermark_lag: r.watermark_lag,
-        }
+        self.reclaim_stats()
     }
 
     fn peek<T: Send + Sync + 'static>(var: &TVar<T, B::Ts>) -> Arc<T> {
@@ -112,12 +66,8 @@ impl<B: TimeBase> EngineHandle for ThreadHandle<B> {
         ThreadHandle::atomically(self, body)
     }
 
-    fn engine_stats(&self) -> EngineStats {
-        to_engine_stats(self.stats())
-    }
-
-    fn take_engine_stats(&mut self) -> EngineStats {
-        to_engine_stats(&self.take_stats())
+    fn stats_shard(&self) -> &Arc<StatsShard> {
+        &self.core.reclaim.stats
     }
 }
 
@@ -151,6 +101,7 @@ impl<B: TimeBase> TxnOps for Txn<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsa_engine::EngineStats;
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
     use lsa_time::sharded::ShardedTimeBase;
@@ -179,25 +130,20 @@ mod tests {
 
     #[test]
     fn engine_stats_mirror_native_stats() {
+        // The handle's statistics are its shard, read out: a fresh handle
+        // reads zero, and each transaction moves the shard it owns.
         let stm = Stm::new(SharedCounter::new());
         let v = stm.new_tvar(0u64);
         let mut h = Stm::register(&stm);
+        assert_eq!(h.engine_stats(), EngineStats::default());
         for _ in 0..5 {
             ThreadHandle::atomically(&mut h, |tx| tx.modify(&v, |x| x + 1));
         }
         let _ = ThreadHandle::atomically(&mut h, |tx| tx.read(&v).map(|x| *x));
         let es = h.engine_stats();
-        let native = *h.stats();
-        assert_eq!(es.commits, native.commits);
-        assert_eq!(es.ro_commits, native.ro_commits);
-        assert_eq!(es.aborts, native.total_aborts());
-        assert_eq!(es.reads, native.reads);
-        assert_eq!(es.writes, native.writes);
-        assert_eq!(es.commits, 5);
-        assert_eq!(es.ro_commits, 1);
-        let taken = h.take_engine_stats();
-        assert_eq!(taken, es);
-        assert_eq!(h.engine_stats(), EngineStats::default());
+        assert_eq!(es, h.stats_shard().engine_stats());
+        assert_eq!((es.commits, es.ro_commits, es.aborts), (5, 1, 0));
+        assert_eq!((es.reads, es.writes), (6, 5));
     }
 
     #[test]
@@ -236,19 +182,15 @@ mod tests {
 
     #[test]
     fn engine_stats_carry_the_abort_taxonomy() {
-        use crate::error::AbortReason;
-        let mut native = TxnStats::default();
-        native.record_abort(AbortReason::Validation);
-        native.record_abort(AbortReason::Snapshot);
-        native.record_abort(AbortReason::NoVersion);
-        native.record_abort(AbortReason::ContentionLoser);
-        native.record_abort(AbortReason::Killed);
-        let es = to_engine_stats(&native);
-        assert_eq!(es.abort_reasons.validation, 2);
-        assert_eq!(es.abort_reasons.no_version, 1);
+        // Each native reason is counted under its class at the abort site:
+        // an explicit retry is contention, and nothing else fired.
+        let stm = Stm::new(SharedCounter::new());
+        let mut h = Stm::register(&stm);
+        let _ = h.try_atomically(2, |tx| Err::<(), _>(tx.abort_retry()));
+        let es = h.engine_stats();
         assert_eq!(es.abort_reasons.contention, 2);
-        assert_eq!(es.abort_reasons.overload, 0);
         assert_eq!(es.abort_reasons.total(), es.aborts);
+        assert_eq!(es.revalidation_failures, 0);
     }
 
     #[test]

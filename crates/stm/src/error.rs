@@ -6,11 +6,13 @@
 //! [`crate::stm::ThreadHandle::atomically`] retry loop catches it and re-runs
 //! the transaction body.
 
+use lsa_engine::AbortClass;
 use std::fmt;
 
-/// Why a transaction aborted. Recorded in [`crate::stats::TxnStats`] so the
-/// experiments can attribute aborts to their causes (§4.3 discusses how
-/// synchronization errors change the abort profile).
+/// Why a transaction aborted. Counted by its [`class`](AbortReason::class)
+/// in the handle's `lsa_engine::StatsShard`, and recorded whole with the
+/// flight recorder's `Abort` events (§4.3 discusses how synchronization
+/// errors change the abort profile).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// No object version overlapped the transaction's validity range
@@ -43,13 +45,27 @@ impl AbortReason {
         AbortReason::Explicit,
     ];
 
-    /// Index of this reason in [`AbortReason::ALL`] — the class byte the
-    /// flight-recorder tracer records with `Abort` events.
+    /// Index of this reason in [`AbortReason::ALL`], which lists them in
+    /// declaration order — the class byte the flight-recorder tracer
+    /// records with `Abort` events.
     pub fn trace_class(self) -> u8 {
-        AbortReason::ALL
-            .iter()
-            .position(|r| *r == self)
-            .expect("reason in ALL") as u8
+        self as u8
+    }
+
+    /// The cross-engine class this reason is counted under: consistency
+    /// failures (commit-time validation, snapshot collapse) are
+    /// `Validation`, the multi-version "no version overlaps the validity
+    /// range" case stays its own class (the §4.3 split), and everything the
+    /// contention manager decided — or the body asked for — is
+    /// `Contention`.
+    pub fn class(self) -> AbortClass {
+        match self {
+            AbortReason::Validation | AbortReason::Snapshot => AbortClass::Validation,
+            AbortReason::NoVersion => AbortClass::NoVersion,
+            AbortReason::ContentionLoser | AbortReason::Killed | AbortReason::Explicit => {
+                AbortClass::Contention
+            }
+        }
     }
 
     /// Short label used in experiment output.
@@ -115,5 +131,21 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), AbortReason::ALL.len());
+    }
+
+    #[test]
+    fn reasons_fold_onto_the_engine_classes() {
+        let of = |class| {
+            AbortReason::ALL
+                .iter()
+                .filter(|r| r.class() == class)
+                .count()
+        };
+        assert_eq!(of(AbortClass::Validation), 2);
+        assert_eq!(of(AbortClass::NoVersion), 1);
+        assert_eq!(of(AbortClass::Contention), 3);
+        assert_eq!(of(AbortClass::Overload), 0, "sheds are the service's");
+        let ix = AbortReason::ALL.iter().map(|r| r.trace_class() as usize);
+        assert!(ix.eq(0..AbortReason::ALL.len()), "ALL is declaration order");
     }
 }

@@ -24,7 +24,8 @@
 //!   object placement; on a [`lsa_time::ShardedTimeBase`] the same runtime
 //!   is sharded, with per-shard arbitration and a cross-shard commit
 //!   protocol (DESIGN.md §9),
-//! * [`config`], [`stats`], [`error`] — tuning, accounting, abort plumbing.
+//! * [`config`], [`error`] — tuning and abort plumbing (statistics are
+//!   `lsa_engine::StatsShard`s, read through `lsa_engine::EngineHandle`).
 //!
 //! ## Quick start
 //!
@@ -58,7 +59,6 @@ pub mod error;
 pub mod lsa;
 pub mod object;
 pub mod reclaim;
-pub mod stats;
 pub mod status;
 pub mod stm;
 pub mod txn_shared;
@@ -68,8 +68,6 @@ pub use config::StmConfig;
 pub use error::{Abort, AbortReason, TxResult};
 pub use lsa::Txn;
 pub use object::TVar;
-pub use reclaim::ReclaimStats;
-pub use stats::TxnStats;
 pub use stm::{Stm, ThreadHandle};
 
 /// Convenient re-exports for typical users.
@@ -79,6 +77,6 @@ pub mod prelude {
     pub use crate::error::{Abort, AbortReason, TxResult};
     pub use crate::lsa::Txn;
     pub use crate::object::TVar;
-    pub use crate::stats::TxnStats;
     pub use crate::stm::{Stm, ThreadHandle};
+    pub use lsa_engine::EngineHandle;
 }

@@ -75,6 +75,7 @@ use crate::stm::{shard_of_id, HandleCore};
 use crate::txn_shared::{CommitCtx, CtxEntry, TxnShared};
 use crate::version::VersionMeta;
 use lsa_engine::idmap::{recycle_map, recycle_vec, IdMap};
+use lsa_engine::Stat;
 use lsa_obs::trace::{self, EventKind};
 use lsa_time::{ThreadClock, TimeBase, Timestamp, ValidityRange};
 use std::collections::hash_map::Entry;
@@ -419,7 +420,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             self.core.clock.note_abort();
             self.carried_ops = self.core.scratch.shared.cm().ops();
             self.retries = self.retries.saturating_add(1);
-            self.core.stats.retries += 1;
             if u64::from(self.retries) > self.cfg.yield_after_retries {
                 std::thread::yield_now();
             }
@@ -496,10 +496,11 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             Some(Opened::Read { entry }) => return Ok(self.value_read(entry)),
             None => {}
         }
-        // A first open: the unit of `TxnStats::reads` and of Karma priority.
-        // Its shard is selected before anything can arbitrate (helping).
+        // A first open: the unit of `EngineStats::reads` and of Karma
+        // priority. Its shard is selected before anything can arbitrate
+        // (helping).
         self.core.clock.mark_shard(shard_of_id(var.id()));
-        self.core.stats.reads += 1;
+        self.core.reclaim.stats.inc(Stat::Reads);
         self.core.scratch.shared.cm().add_op();
 
         let mut extended = false;
@@ -594,7 +595,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         match prior {
             None => {
                 // A first open for reading and for writing at once.
-                self.core.stats.reads += 1;
+                self.core.reclaim.stats.inc(Stat::Reads);
                 self.core.scratch.shared.cm().add_op();
                 let vc = self
                     .open_write(var, None, None)?
@@ -655,7 +656,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         prior: Option<Opened>,
     ) -> TxResult<Option<Arc<T>>> {
         self.core.clock.mark_shard(shard_of_id(var.id()));
-        self.core.stats.writes += 1;
+        self.core.reclaim.stats.inc(Stat::Writes);
         self.core.scratch.shared.cm().add_op();
 
         let mut cm_attempt = 0u32;
@@ -706,7 +707,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 }
                 WriteAttempt::NeedHelp(w) => self.help_commit(&w),
                 WriteAttempt::Conflict(other) => {
-                    self.core.stats.conflicts += 1;
+                    self.core.reclaim.stats.inc(Stat::Conflicts);
                     let me = self.core.scratch.shared.cm();
                     match self.cm.resolve(me, other.cm(), cm_attempt) {
                         Resolution::AbortOther => {
@@ -757,7 +758,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             let ub = prelim_resolved(&mut core.clock, &e.meta, object, now);
             self.range.restrict_upper(ub);
         }
-        core.stats.extensions += 1;
+        core.reclaim.stats.inc(Stat::Validations);
         trace::txn_event(EventKind::Extend, 0, core.scratch.shared.id());
     }
 
@@ -789,7 +790,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
         if w.is_snapshot_isolation() || validate(clock, &ctx.entries, ct) {
             if w.transition(TxnStatus::Committing, TxnStatus::Committed) {
-                self.core.stats.helps += 1;
+                self.core.reclaim.stats.inc(Stat::Helps);
             }
         } else {
             w.transition(TxnStatus::Committing, TxnStatus::Aborted);
@@ -807,7 +808,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             // validation is unnecessary (lines 36–37).
             let shared = &core.scratch.shared;
             if shared.transition(TxnStatus::Active, TxnStatus::Committed) {
-                core.stats.ro_commits += 1;
+                core.reclaim.stats.inc(Stat::RoCommits);
                 self.cm.on_commit(shared.cm());
                 self.finalize_cleanup();
                 return Ok(None);
@@ -834,9 +835,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // touched (DESIGN.md §9); `span` counts them.
         let span = core.clock.arm_commit();
         let arbitrated = core.clock.acquire_commit_ts(self.observed);
-        if arbitrated.is_shared() {
-            core.stats.shared_cts += 1;
-        }
         trace::txn_event(
             if arbitrated.is_shared() {
                 EventKind::CtsShared
@@ -853,7 +851,9 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // writes already exclude write-write conflicts. Serializable mode
         // runs Algorithm 2 lines 43–48.
         if !self.cfg.snapshot_isolation {
-            core.stats.validated_entries += read_set.len() as u64;
+            core.reclaim
+                .stats
+                .add(Stat::ValidatedEntries, read_set.len() as u64);
             trace::txn_event(EventKind::Validate, 0, shared.id());
         }
         let valid = self.cfg.snapshot_isolation || validate(&mut core.clock, read_set, ct);
@@ -867,16 +867,24 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // is now final either way.
         let outcome = match shared.status() {
             TxnStatus::Committed => {
-                core.stats.commits += 1;
-                core.last_commit_time = Some(ct);
-                if span > 1 {
-                    core.stats.cross_shard_commits += 1;
+                // The commit timestamp's class is counted with the commit
+                // it served, so `shared_commit_ts <= commits` always holds.
+                let stats = &core.reclaim.stats;
+                stats.inc(Stat::Commits);
+                if arbitrated.is_shared() {
+                    stats.inc(Stat::SharedCommitTs);
                 }
+                if span > 1 {
+                    stats.inc(Stat::CrossShardCommits);
+                }
+                core.last_commit_time = Some(ct);
                 self.cm.on_commit(shared.cm());
                 Ok(Some(ct))
             }
             TxnStatus::Aborted => {
-                core.stats.record_abort(AbortReason::Validation);
+                let stats = &core.reclaim.stats;
+                stats.abort(AbortReason::Validation.class());
+                stats.inc(Stat::RevalidationFailures);
                 self.cm.on_abort(shared.cm());
                 Err(Abort::new(AbortReason::Validation))
             }
@@ -896,7 +904,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             // itself before returning.)
             debug_assert!(shared.status().is_final());
             self.cm.on_abort(shared.cm());
-            self.core.stats.record_abort(reason);
+            self.core.reclaim.stats.abort(reason.class());
             self.finalize_cleanup();
         }
         Abort::new(reason)

@@ -69,10 +69,12 @@
 //!
 //! Everything a fold needs from this module comes out of the folding
 //! thread's own [`LocalReclaim`] — its share of the domain, owned by its
-//! handle: a gauge shard only it writes, the version-node pool, and a copy
-//! of the watermark. The one domain word a commit *reads* is the `epoch`,
-//! on a cache line of its own that is written only by an advance (once per
-//! `wm_advance_interval` commits per thread). Two disjoint commits therefore
+//! handle: the handle's statistics shard (`lsa_engine::StatsShard`, which
+//! carries the version gauges beside the engine counters), the
+//! version-node pool, and a copy of the watermark. The one domain word a
+//! commit *reads* is the `epoch`, on a cache line of its own that is
+//! written only by an advance (once per `wm_advance_interval` commits per
+//! thread). Two disjoint commits therefore
 //! write no common line in here; the time base stays the only one they
 //! share, which is the paper's premise.
 //!
@@ -83,12 +85,12 @@
 //! returned. (A copy that lags is harmless in any case: watermarks only
 //! grow, an older one prunes less.)
 //!
-//! Gauges are sharded the way `lsa-obs` counters are: written privately,
-//! merged only by [`ReclaimDomain::stats`]. A shard outlives its owner and
-//! is handed to the next registrant, so totals are exact once writers have
-//! stopped and every monotone counter is monotone while they run; `live`
-//! is a sum of per-shard deltas read one after the other and may be off by
-//! the folds in flight during the scan.
+//! Gauges live in the handles' statistics shards: written privately,
+//! summed only by [`ReclaimDomain::stats`] over the domain's
+//! `lsa_engine::StatsDomain`, which keeps a dropped handle's counts. Totals
+//! are exact once writers have stopped and every monotone counter is
+//! monotone while they run; `live` is a sum of per-shard deltas read one
+//! after the other and may be off by the folds in flight during the scan.
 //!
 //! ## Why pruning is safe, and what reuse needs
 //!
@@ -111,10 +113,11 @@
 //! *timing* of reuse is tied to snapshot progress. See DESIGN.md §11.
 
 use crate::version::VersionMeta;
+use lsa_engine::{MemoryStats, Stat, StatsDomain, StatsShard};
 use lsa_time::{Timestamp, TsCell};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Maximum recycled version nodes cached per [`LocalReclaim`]. A node waits
@@ -285,73 +288,17 @@ impl<Ts: Timestamp> SnapshotRegistry<Ts> {
     }
 }
 
-/// One owner's share of a domain's version counters, on cache lines of its
-/// own. Only the owner — the [`LocalReclaim`] that claimed it — writes, so
-/// an update is a plain load and store; [`ReclaimDomain::stats`] sums the
-/// shards. Counts stay when the owner goes and the next claimant adds to
-/// them.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct GaugeShard {
-    /// Held by a live [`LocalReclaim`]. Release on drop, acquire on claim:
-    /// the hand-over that lets successive owners use plain stores.
-    claimed: AtomicBool,
-    /// Versions linked into chains minus versions unlinked, by this owner.
-    /// Signed: one owner may unlink what another linked.
-    live: AtomicI64,
-    /// Versions unlinked from chains.
-    retired: AtomicI64,
-    /// Retired versions released (dropped) or recycled; the difference
-    /// `retired - reclaimed` is sitting in the owner's pool.
-    reclaimed: AtomicI64,
-    /// Nodes currently in the owner's pool.
-    pooled: AtomicI64,
-    /// Retired nodes that were later handed out again (diagnostic).
-    recycled: AtomicI64,
-}
-
-/// `counter += delta`, by the shard's one writer.
-#[inline]
-fn bump(counter: &AtomicI64, delta: i64) {
-    counter.store(counter.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
-}
-
 /// The reuse epoch, alone on its line: every commit reads it, only an
 /// advance writes it.
 #[derive(Debug)]
 #[repr(align(128))]
 struct Epoch(AtomicU64);
 
-/// A snapshot of a [`ReclaimDomain`]'s gauges and counters — the native
-/// (engine-internal) form of `lsa_engine::MemoryStats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReclaimStats {
-    /// Committed versions currently linked into object chains.
-    pub versions_live: u64,
-    /// Versions unlinked from chains over the domain's lifetime.
-    pub versions_retired: u64,
-    /// Retired versions released or recycled (`retired - reclaimed` nodes
-    /// sit in per-handle pools).
-    pub versions_reclaimed: u64,
-    /// Nodes cached in per-handle pools right now.
-    pub versions_pooled: u64,
-    /// Retired nodes handed out again by the arena.
-    pub versions_recycled: u64,
-    /// Approximate bytes of version nodes held live or pooled. A lower
-    /// bound: counts the node (validity bounds, payload and object
-    /// references, refcounts), not the workload-owned payload behind it.
-    pub arena_bytes: u64,
-    /// `now - watermark` in raw time-base units at the last advance.
-    pub watermark_lag: u64,
-    /// Watermark advances performed on this domain.
-    pub advances: u64,
-}
-
 /// One runtime's reclamation domain: the snapshot registry, the watermark
-/// and the gauge shards of the version arena. A runtime owns exactly one —
-/// every object shard of a sharded `Stm` shares it, since fold-time
-/// watermark reads are served from each handle's copy and never reach the
-/// domain.
+/// and the statistics shards the version gauges are summed over. A runtime
+/// owns exactly one — every object shard of a sharded `Stm` shares it,
+/// since fold-time watermark reads are served from each handle's copy and
+/// never reach the domain.
 #[derive(Debug)]
 pub struct ReclaimDomain<Ts: Timestamp> {
     registry: SnapshotRegistry<Ts>,
@@ -364,13 +311,11 @@ pub struct ReclaimDomain<Ts: Timestamp> {
     /// maximally conservative).
     watermark: Mutex<Option<Ts>>,
     lag_raw: AtomicU64,
-    advances: AtomicU64,
     /// Initial versions of the objects created on this domain (object
     /// creation has no handle, so these are counted here).
     seeded: AtomicU64,
-    /// Every gauge shard ever claimed; bounded by the peak number of
-    /// concurrently live [`LocalReclaim`]s.
-    shards: Mutex<Vec<Arc<GaugeShard>>>,
+    /// The live handles' statistics shards and what dropped ones counted.
+    pub(crate) shards: StatsDomain,
 }
 
 impl<Ts: Timestamp> ReclaimDomain<Ts> {
@@ -381,9 +326,8 @@ impl<Ts: Timestamp> ReclaimDomain<Ts> {
             epoch: Epoch(AtomicU64::new(1)),
             watermark: Mutex::new(None),
             lag_raw: AtomicU64::new(0),
-            advances: AtomicU64::new(0),
             seeded: AtomicU64::new(0),
-            shards: Mutex::new(Vec::new()),
+            shards: StatsDomain::default(),
         }
     }
 
@@ -408,7 +352,6 @@ impl<Ts: Timestamp> ReclaimDomain<Ts> {
         *self.watermark.lock() = Some(wm);
         let lag = (now.raw_value() - wm.raw_value()).clamp(0, u64::MAX as i128) as u64;
         self.lag_raw.store(lag, Ordering::Relaxed);
-        self.advances.fetch_add(1, Ordering::Relaxed);
         self.epoch.0.fetch_add(1, Ordering::AcqRel);
         true
     }
@@ -418,58 +361,30 @@ impl<Ts: Timestamp> ReclaimDomain<Ts> {
         self.seeded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A gauge shard nobody holds: a released one when there is one.
-    fn claim_shard(&self) -> Arc<GaugeShard> {
-        let mut shards = self.shards.lock();
-        let free = shards
-            .iter()
-            .find(|s| !s.claimed.swap(true, Ordering::Acquire));
-        if let Some(shard) = free {
-            return Arc::clone(shard);
-        }
-        let shard = Arc::new(GaugeShard::default());
-        shard.claimed.store(true, Ordering::Relaxed);
-        shards.push(Arc::clone(&shard));
-        shard
-    }
-
-    /// Point-in-time snapshot of the domain's counters, merged over the
-    /// gauge shards.
-    pub fn stats(&self) -> ReclaimStats {
-        let (mut live, mut pooled) = (self.seeded.load(Ordering::Relaxed) as i64, 0);
-        let (mut retired, mut reclaimed, mut recycled) = (0, 0, 0);
-        for s in self.shards.lock().iter() {
-            live += s.live.load(Ordering::Relaxed);
-            retired += s.retired.load(Ordering::Relaxed);
-            reclaimed += s.reclaimed.load(Ordering::Relaxed);
-            pooled += s.pooled.load(Ordering::Relaxed);
-            recycled += s.recycled.load(Ordering::Relaxed);
-        }
-        let (live, pooled) = (live.max(0) as u64, pooled.max(0) as u64);
+    /// Point-in-time snapshot of the version gauges, summed over the
+    /// handles' shards (dropped ones included).
+    pub fn stats(&self) -> MemoryStats {
+        let totals = self.shards.totals();
+        totals.add(Stat::VersionsLive, self.seeded.load(Ordering::Relaxed));
+        let mut m = totals.memory();
         // The node + the Arc's strong/weak counts that precede it.
         let node_bytes =
             (std::mem::size_of::<VersionMeta<Ts>>() + 2 * std::mem::size_of::<usize>()) as u64;
-        ReclaimStats {
-            versions_live: live,
-            versions_retired: retired as u64,
-            versions_reclaimed: reclaimed as u64,
-            versions_pooled: pooled,
-            versions_recycled: recycled as u64,
-            arena_bytes: (live + pooled) * node_bytes,
-            watermark_lag: self.lag_raw.load(Ordering::Relaxed),
-            advances: self.advances.load(Ordering::Relaxed),
-        }
+        m.arena_bytes = (m.versions_live + m.versions_pooled) * node_bytes;
+        m.watermark_lag = self.lag_raw.load(Ordering::Relaxed);
+        m
     }
 }
 
-/// One thread's share of a [`ReclaimDomain`], owned by its handle: the gauge
-/// shard it alone writes, its pool of recycled version nodes, and its copy
-/// of the watermark — everything a fold needs, so that folding touches no
+/// One thread's share of a [`ReclaimDomain`], owned by its handle: the
+/// statistics shard it alone writes, its pool of recycled version nodes,
+/// and its copy of the watermark — everything a fold needs, so that folding touches no
 /// domain line another thread writes (see the module docs).
 #[derive(Debug)]
 pub struct LocalReclaim<Ts: Timestamp> {
     domain: Arc<ReclaimDomain<Ts>>,
-    gauges: Arc<GaugeShard>,
+    /// The handle's statistics shard: engine counters and version gauges.
+    pub(crate) stats: Arc<StatsShard>,
     /// Retired nodes awaiting reuse, `(retirement epoch, node)`, oldest
     /// first.
     pool: VecDeque<(u64, Arc<VersionMeta<Ts>>)>,
@@ -483,7 +398,7 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
     pub(crate) fn new(domain: &Arc<ReclaimDomain<Ts>>) -> Self {
         let mut share = LocalReclaim {
             domain: Arc::clone(domain),
-            gauges: domain.claim_shard(),
+            stats: domain.shards.claim(),
             pool: VecDeque::new(),
             epoch: 0, // behind every real epoch
             watermark: None,
@@ -513,10 +428,12 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
     }
 
     /// Advance the domain's watermark ([`ReclaimDomain::advance`]); `true`
-    /// when one was installed, which this copy then reflects.
+    /// when one was installed, which this copy then reflects and the shard
+    /// counts.
     pub(crate) fn advance(&mut self, now: Ts) -> bool {
         let installed = self.domain.advance(now);
         if installed {
+            self.stats.inc(Stat::WmAdvances);
             self.sync();
         }
         installed
@@ -532,15 +449,15 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
             return Arc::new(VersionMeta::speculative());
         }
         let (_, meta) = self.pool.pop_front().expect("front() was Some");
-        bump(&self.gauges.pooled, -1);
-        bump(&self.gauges.reclaimed, 1);
-        bump(&self.gauges.recycled, 1);
+        self.stats.sub(Stat::VersionsPooled, 1);
+        self.stats.inc(Stat::VersionsReclaimed);
+        self.stats.inc(Stat::VersionsRecycled);
         meta
     }
 
     /// A version was linked into a chain.
     pub(crate) fn note_live(&self) {
-        bump(&self.gauges.live, 1);
+        self.stats.inc(Stat::VersionsLive);
     }
 
     /// A version was unlinked from its chain. Pools the node for reuse when
@@ -550,8 +467,8 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
     /// handed out, so the pool holds empty nodes only. Otherwise the
     /// surviving readers' `Arc` frees node and payload.
     pub(crate) fn retire(&mut self, mut meta: Arc<VersionMeta<Ts>>) {
-        bump(&self.gauges.live, -1);
-        bump(&self.gauges.retired, 1);
+        self.stats.sub(Stat::VersionsLive, 1);
+        self.stats.inc(Stat::VersionsRetired);
         // A node shared with a read set is never pooled: the last reader
         // drops it. Like a node the full pool turns away, it counts as
         // reclaimed — the arena releases its claim.
@@ -559,9 +476,9 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
             Some(node) if self.pool.len() < POOL_CAP => {
                 node.reset();
                 self.pool.push_back((self.epoch, meta));
-                bump(&self.gauges.pooled, 1);
+                self.stats.inc(Stat::VersionsPooled);
             }
-            _ => bump(&self.gauges.reclaimed, 1),
+            _ => self.stats.inc(Stat::VersionsReclaimed),
         }
     }
 }
@@ -569,11 +486,12 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
 impl<Ts: Timestamp> Drop for LocalReclaim<Ts> {
     fn drop(&mut self) {
         // The pooled nodes are freed with the pool: account them released,
-        // so `retired == reclaimed` once every handle is gone.
-        let n = self.pool.len() as i64;
-        bump(&self.gauges.pooled, -n);
-        bump(&self.gauges.reclaimed, n);
-        self.gauges.claimed.store(false, Ordering::Release);
+        // so `retired == reclaimed` once every handle is gone, then hand the
+        // counts to the domain.
+        let n = self.pool.len() as u64;
+        self.stats.sub(Stat::VersionsPooled, n);
+        self.stats.add(Stat::VersionsReclaimed, n);
+        self.domain.shards.release(&self.stats);
     }
 }
 
@@ -609,7 +527,7 @@ mod tests {
         assert_eq!(dom.registry().min_active_or(50), None, "pending blocks");
         assert!(!local.advance(50));
         assert_eq!(dom.watermark(), None, "blocked advance installs nothing");
-        assert_eq!(dom.stats().advances, 0);
+        assert_eq!(local.stats.get(Stat::WmAdvances), 0);
         a.activate(42);
         assert!(local.advance(50));
         assert_eq!(dom.watermark(), Some(42));
@@ -794,10 +712,16 @@ mod tests {
         drop(b);
         assert_eq!(dom.stats().versions_live, 2, "counts stay when owners go");
         assert_eq!(dom.stats().versions_retired, 1);
-        // The next registrants take over the released shards.
+        // The list holds the live shares' shards only; the next registrants
+        // start from zero.
         let mut c = LocalReclaim::new(&dom);
         let _d = LocalReclaim::new(&dom);
-        assert_eq!(dom.shards.lock().len(), 2, "released shards are reclaimed");
+        assert_eq!(
+            dom.shards.shard_count(),
+            2,
+            "released shards leave the list"
+        );
+        assert_eq!(c.stats.get(Stat::VersionsRetired), 0);
         c.retire(m2);
         assert_eq!(dom.stats().versions_live, 1);
         assert_eq!(dom.stats().versions_retired, 2);
@@ -812,7 +736,7 @@ mod tests {
         let s = dom.stats();
         assert_eq!(dom.watermark(), Some(3));
         assert_eq!(s.watermark_lag, 7);
-        assert_eq!(s.advances, 1);
+        assert_eq!(local.stats.get(Stat::WmAdvances), 1);
         a.clear();
         assert!(local.advance(20));
         assert_eq!(dom.watermark(), Some(20));

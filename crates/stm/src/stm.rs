@@ -30,8 +30,8 @@ use crate::config::StmConfig;
 use crate::error::TxResult;
 use crate::lsa::{Txn, TxnScratch};
 use crate::object::{TObject, TVar};
-use crate::reclaim::{LocalReclaim, ReclaimDomain, ReclaimStats, SnapshotSlot};
-use crate::stats::TxnStats;
+use crate::reclaim::{LocalReclaim, ReclaimDomain, SnapshotSlot};
+use lsa_engine::MemoryStats;
 use lsa_time::{ThreadClock, TimeBase, Timestamp};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -65,20 +65,19 @@ const HANDLE_ID_BLOCK: u64 = 8;
 const BIRTH_BLOCK: u64 = 16;
 
 /// What a registered thread keeps between transactions: its clock,
-/// statistics, snapshot-registration slot, transaction scratch and share of
-/// the reclamation domain.
+/// snapshot-registration slot, transaction scratch and share of the
+/// reclamation domain (which holds its statistics shard).
 pub(crate) struct HandleCore<B: TimeBase> {
     handle_id: u64,
     txn_seq: u64,
     pub(crate) clock: B::Clock,
-    pub(crate) stats: TxnStats,
     pub(crate) last_commit_time: Option<B::Ts>,
     /// This thread's snapshot-registration slot ([`crate::reclaim`]).
     pub(crate) slot: Arc<SnapshotSlot<B::Ts>>,
     pub(crate) scratch: TxnScratch<B::Ts>,
-    /// This thread's gauge shard, version-node pool and watermark copy
-    /// ([`crate::reclaim`]); dropped with the handle, which releases and
-    /// accounts the pooled nodes.
+    /// This thread's statistics shard, version-node pool and watermark
+    /// copy ([`crate::reclaim`]); dropped with the handle, which releases
+    /// and accounts the pooled nodes and hands the counts to the domain.
     pub(crate) reclaim: LocalReclaim<B::Ts>,
     /// Commits since the last watermark advance (the lazy amortization).
     commits_since_advance: u64,
@@ -93,16 +92,15 @@ impl<B: TimeBase> HandleCore<B> {
     /// Amortized watermark maintenance, after every completed transaction:
     /// each `interval`-th one owes a registry rescan — the lazy advance of
     /// DESIGN.md §11, no dedicated reclamation thread. Only an advance that
-    /// installed a watermark (no pending slot blocked it) is counted.
+    /// installed a watermark (no pending slot blocked it) is counted, by
+    /// [`LocalReclaim::advance`].
     pub(crate) fn maintain_watermark(&mut self, interval: u64) {
         self.commits_since_advance += 1;
         if self.commits_since_advance < interval {
             return;
         }
         self.commits_since_advance = 0;
-        if self.reclaim.advance(self.clock.get_time()) {
-            self.stats.wm_advances += 1;
-        }
+        self.reclaim.advance(self.clock.get_time());
     }
 }
 
@@ -195,9 +193,10 @@ impl<B: TimeBase> Stm<B> {
         }
     }
 
-    /// Point-in-time snapshot of the version-store gauges: live/retired/
-    /// reclaimed versions, arena bytes, watermark lag (DESIGN.md §11).
-    pub fn reclaim_stats(&self) -> ReclaimStats {
+    /// Point-in-time snapshot of the version-store gauges: live, retired,
+    /// reclaimed, pooled and recycled versions, arena bytes, watermark lag
+    /// (DESIGN.md §11). Dropped handles' counts are included.
+    pub fn reclaim_stats(&self) -> MemoryStats {
         self.inner.reclaim.stats()
     }
 
@@ -283,8 +282,8 @@ impl<B: TimeBase> Stm<B> {
         ))
     }
 
-    /// Register the calling thread: allocates its clock handle, stats,
-    /// snapshot-registration slot, transaction scratch and share of the
+    /// Register the calling thread: allocates its clock handle, statistics
+    /// shard, snapshot-registration slot, transaction scratch and share of the
     /// reclamation domain.
     pub fn register(&self) -> ThreadHandle<B> {
         let domain = &self.inner.reclaim;
@@ -293,7 +292,6 @@ impl<B: TimeBase> Stm<B> {
                 handle_id: self.inner.next_handle.alloc(),
                 txn_seq: 0,
                 clock: self.inner.tb.register_thread(),
-                stats: TxnStats::default(),
                 last_commit_time: None,
                 slot: domain.registry().register(),
                 scratch: TxnScratch::new(),
@@ -308,23 +306,13 @@ impl<B: TimeBase> Stm<B> {
 /// A registered thread's gateway to running transactions.
 pub struct ThreadHandle<B: TimeBase> {
     stm: Stm<B>,
-    core: HandleCore<B>,
+    pub(crate) core: HandleCore<B>,
 }
 
 impl<B: TimeBase> ThreadHandle<B> {
     /// The owning runtime.
     pub fn stm(&self) -> &Stm<B> {
         &self.stm
-    }
-
-    /// Statistics accumulated by this thread so far.
-    pub fn stats(&self) -> &TxnStats {
-        &self.core.stats
-    }
-
-    /// Take (and reset) the accumulated statistics.
-    pub fn take_stats(&mut self) -> TxnStats {
-        std::mem::take(&mut self.core.stats)
     }
 
     /// Commit time of this thread's most recent committed *update*
@@ -408,8 +396,8 @@ impl<B: TimeBase> ThreadHandle<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::AbortReason;
     use crate::object::AnyObject;
+    use lsa_engine::EngineHandle;
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
     use lsa_time::perfect::PerfectClock;
@@ -426,8 +414,8 @@ mod tests {
         });
         assert_eq!(seen, 42, "read-own-write");
         assert_eq!(*x.snapshot_latest(), 42);
-        assert_eq!(h.stats().commits, 1);
-        assert_eq!(h.stats().total_aborts(), 0);
+        assert_eq!(h.engine_stats().commits, 1);
+        assert_eq!(h.engine_stats().aborts, 0);
     }
 
     #[test]
@@ -437,8 +425,8 @@ mod tests {
         let mut h = stm.register();
         let v = h.atomically(|tx| tx.read(&x).map(|v| *v));
         assert_eq!(v, 7);
-        assert_eq!(h.stats().ro_commits, 1);
-        assert_eq!(h.stats().commits, 0);
+        assert_eq!(h.engine_stats().ro_commits, 1);
+        assert_eq!(h.engine_stats().commits, 0);
     }
 
     #[test]
@@ -464,7 +452,7 @@ mod tests {
             h.atomically(|tx| tx.modify(&x, |v| v + 1));
             assert_eq!(*x.snapshot_latest(), i);
         }
-        assert_eq!(h.stats().commits, 10);
+        assert_eq!(h.engine_stats().commits, 10);
     }
 
     #[test]
@@ -482,8 +470,11 @@ mod tests {
         });
         assert_eq!(attempts, 3);
         assert_eq!(*x.snapshot_latest(), 3);
-        assert_eq!(h.stats().aborts_for(AbortReason::Explicit), 2);
-        assert_eq!(h.stats().retries, 2);
+        // Explicit retries count as contention; one handle alone submits no
+        // conflict and cannot be killed, so both are the body's.
+        let es = h.engine_stats();
+        assert_eq!((es.abort_reasons.contention, es.aborts), (2, 2));
+        assert_eq!(es.conflicts, 0);
     }
 
     #[test]
@@ -492,7 +483,10 @@ mod tests {
         let mut h = stm.register();
         let r: TxResult<()> = h.try_atomically(3, |tx| Err(tx.abort_retry()));
         assert!(r.is_err());
-        assert_eq!(h.stats().aborts_for(AbortReason::Explicit), 3);
+        // Contention class, all explicit: a lone handle has no conflicts.
+        let es = h.engine_stats();
+        assert_eq!((es.abort_reasons.contention, es.aborts), (3, 3));
+        assert_eq!(es.conflicts, 0);
     }
 
     #[test]
@@ -518,7 +512,7 @@ mod tests {
         let birth = seen[0].0;
         assert_ne!(birth, 0, "the policy needs a birth and must get one");
         assert_eq!(seen, [(birth, 1, 0), (birth, 2, 1), (birth, 3, 2)]);
-        assert_eq!(h.stats().retries, 3);
+        assert_eq!(h.engine_stats().aborts, 3);
     }
 
     #[test]
@@ -535,17 +529,17 @@ mod tests {
             Ok(x.object().current_writer().expect("registered").cm().ops())
         });
         assert_eq!(*x.snapshot_latest(), 3);
-        assert_eq!((h.stats().reads, h.stats().writes), (1, 1));
+        assert_eq!((h.engine_stats().reads, h.engine_stats().writes), (1, 1));
         assert_eq!(ops, 2, "Karma's currency counts the same opens");
         assert_eq!(
-            h.stats().validated_entries,
+            h.engine_stats().validated_entries,
             1,
             "the version read; the write is in the write set alone"
         );
 
         // `modify` as the first open is both at once, and validates nothing.
         let y = stm.new_tvar(1u64);
-        let before = *h.stats();
+        let before = h.engine_stats();
         let (ops, opened) = h.atomically(|tx| {
             tx.modify(&y, |v| v + 1)?;
             tx.modify(&y, |v| v + 1)?; // a re-write
@@ -554,7 +548,7 @@ mod tests {
             Ok((ops, tx.opened()))
         });
         assert_eq!(*y.snapshot_latest(), 3);
-        let after = *h.stats();
+        let after = h.engine_stats();
         assert_eq!(
             (after.reads, after.writes),
             (before.reads + 1, before.writes + 1)
@@ -582,7 +576,7 @@ mod tests {
             Ok((*tx.read(&x)?, *tx.read(&y)?))
         });
         assert_eq!(seen, (10, 20));
-        assert_eq!(h.stats().ro_commits, 1, "the retry wrote nothing");
+        assert_eq!(h.engine_stats().ro_commits, 1, "the retry wrote nothing");
         assert_eq!(*x.snapshot_latest(), 10);
     }
 
@@ -599,14 +593,52 @@ mod tests {
         let beginner = stm.inner.reclaim.registry().register();
         beginner.mark_pending();
         h.atomically(|tx| tx.write(&x, 1));
-        assert_eq!(h.stats().wm_advances, 0, "the advance was due, not done");
-        assert_eq!(stm.reclaim_stats().advances, 0);
+        assert_eq!(
+            h.engine_stats().wm_advances,
+            0,
+            "the advance was due, not done"
+        );
+        assert_eq!(stm.reclaim_watermark(), None);
         assert_eq!(h.core.reclaim.watermark(), None);
         beginner.clear();
         h.atomically(|tx| tx.write(&x, 2));
-        assert_eq!(h.stats().wm_advances, 1);
-        assert_eq!(stm.reclaim_stats().advances, 1);
+        assert_eq!(h.engine_stats().wm_advances, 1);
         assert!(h.core.reclaim.watermark().is_some(), "the copy follows");
+    }
+
+    #[test]
+    fn a_dropped_handles_counts_stay_and_its_successor_starts_from_zero() {
+        let stm = Stm::new(SharedCounter::new());
+        let x = stm.new_tvar(0u64);
+        let mut h = stm.register();
+        for _ in 0..20 {
+            h.atomically(|tx| tx.modify(&x, |v| v + 1));
+        }
+        let retired = stm.reclaim_stats().versions_retired;
+        assert!(retired > 0, "the chain was pruned");
+        drop(h);
+        let m = stm.reclaim_stats();
+        assert_eq!(
+            m.versions_retired, retired,
+            "the dropped handle's retirements"
+        );
+        assert_eq!(m.versions_reclaimed, retired, "its pool was released");
+        assert_eq!(m.versions_pooled, 0);
+
+        let next = stm.register();
+        assert_eq!(next.engine_stats(), lsa_engine::EngineStats::default());
+        let domain = &stm.inner.reclaim.shards;
+        for _ in 0..1_000 {
+            let mut h = stm.register();
+            h.atomically(|tx| tx.modify(&x, |v| v + 1));
+        }
+        assert_eq!(
+            domain.shard_count(),
+            1,
+            "the list holds the live handle's shard"
+        );
+        assert_eq!(domain.totals().engine_stats().commits, 1_020);
+        assert_eq!(*x.snapshot_latest(), 1_020);
     }
 
     #[test]
@@ -641,7 +673,7 @@ mod tests {
             h.atomically(|tx| tx.modify(&x, |v| v + 1));
         }
         assert_eq!(*x.snapshot_latest(), 10);
-        assert_eq!(h.stats().commits, 10);
+        assert_eq!(h.engine_stats().commits, 10);
     }
 
     #[test]
@@ -723,8 +755,8 @@ mod tests {
                 tx.read(&x).map(|v| *v)
             });
             assert_eq!(seen, 42);
-            assert_eq!(h.stats().commits, 1);
-            assert_eq!(h.stats().cross_shard_commits, 0);
+            assert_eq!(h.engine_stats().commits, 1);
+            assert_eq!(h.engine_stats().cross_shard_commits, 0);
         }
 
         #[test]
@@ -739,8 +771,8 @@ mod tests {
                 tx.write(&a, va - 30)?;
                 tx.write(&b, vb + 30)
             });
-            assert_eq!(h.stats().commits, 1);
-            assert_eq!(h.stats().cross_shard_commits, 1);
+            assert_eq!(h.engine_stats().commits, 1);
+            assert_eq!(h.engine_stats().cross_shard_commits, 1);
             assert_eq!(*a.snapshot_latest(), 70);
             assert_eq!(*b.snapshot_latest(), 30);
         }
@@ -759,8 +791,8 @@ mod tests {
                 let vb = *tx.read(&b)?;
                 tx.write(&a, vb)
             });
-            assert_eq!(h.stats().commits, 1);
-            assert_eq!(h.stats().cross_shard_commits, 1);
+            assert_eq!(h.engine_stats().commits, 1);
+            assert_eq!(h.engine_stats().cross_shard_commits, 1);
             // A fresh handle's shard clocks hold no block yet: each shard
             // the commit arbitrates on reserves one.
             assert_eq!(
@@ -778,8 +810,8 @@ mod tests {
             let mut h = stm.register();
             let sum = h.atomically(|tx| Ok(*tx.read(&a)? + *tx.read(&b)?));
             assert_eq!(sum, 3);
-            assert_eq!(h.stats().ro_commits, 1);
-            assert_eq!(h.stats().cross_shard_commits, 0);
+            assert_eq!(h.engine_stats().ro_commits, 1);
+            assert_eq!(h.engine_stats().cross_shard_commits, 0);
         }
 
         #[test]
@@ -803,8 +835,8 @@ mod tests {
                 }
                 tx.modify(&a, |v| v + 1)
             });
-            assert_eq!(h.stats().commits, 1);
-            assert_eq!(h.stats().cross_shard_commits, 0);
+            assert_eq!(h.engine_stats().commits, 1);
+            assert_eq!(h.engine_stats().cross_shard_commits, 0);
             // A fresh handle's shard clocks hold no block yet: each shard
             // the commit arbitrates on reserves one.
             assert_eq!(

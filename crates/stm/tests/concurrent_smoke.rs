@@ -131,7 +131,7 @@ fn disjoint_counters_all_increments_survive() {
                     let v = mine[i % PER].clone();
                     h.atomically(|tx| tx.modify(&v, |x| x + 1));
                 }
-                assert_eq!(h.stats().commits, INCS as u64);
+                assert_eq!(h.engine_stats().commits, INCS as u64);
             });
         }
     });

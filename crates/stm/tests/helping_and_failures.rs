@@ -51,7 +51,7 @@ fn reader_helps_stuck_committer_and_sees_its_write() {
         writer.ct().is_some(),
         "a helper set the commit time from its clock"
     );
-    assert!(h.stats().helps >= 1, "the help must be accounted");
+    assert!(h.engine_stats().helps >= 1, "the help must be accounted");
 }
 
 #[test]
@@ -110,8 +110,13 @@ fn killed_writer_mid_transaction_retries_cleanly() {
         1,
         "retry applied the increment once"
     );
-    assert_eq!(h.stats().aborts_for(AbortReason::Killed), 1);
-    assert_eq!(h.stats().commits, 1);
+    // The kill is the attempt's one contention-class abort: the victim
+    // submitted no conflict (not a contention-manager loss) and the body
+    // never asks for a retry (not explicit).
+    let es = h.engine_stats();
+    assert_eq!((es.abort_reasons.contention, es.aborts), (1, 1));
+    assert_eq!(es.conflicts, 0);
+    assert_eq!(es.commits, 1);
 }
 
 #[test]
@@ -278,7 +283,7 @@ fn a_read_lost_to_another_committer_fails_validation_despite_the_own_mark() {
         tx.write(&var, seen + 100)
     });
     assert_eq!(*var.snapshot_latest(), 108, "the retry read the winner's 8");
-    assert_eq!(loser.stats().total_aborts(), 1);
+    assert_eq!(loser.engine_stats().aborts, 1);
 }
 
 #[test]
@@ -325,7 +330,7 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
     ));
     h.atomically(|tx| tx.write(&var, Arc::clone(&payload)));
     assert_eq!(active.status(), TxnStatus::Aborted);
-    assert_eq!(h.stats().conflicts, 1);
+    assert_eq!(h.engine_stats().conflicts, 1);
 
     assert!(Arc::ptr_eq(&*var.snapshot_latest(), &payload));
     // Ours, plus one per committed version holding it: the helped 1, then
@@ -362,7 +367,7 @@ fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() 
         "the unwind folded the mark away"
     );
     other.atomically(|tx| tx.modify(&var, |v| v + 1));
-    assert_eq!(other.stats().conflicts, 0);
+    assert_eq!(other.engine_stats().conflicts, 0);
     assert_eq!(*var.snapshot_latest(), 11);
 
     // Killed inside the closure: the install finds the mark gone, the
@@ -382,7 +387,11 @@ fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() 
         assert_eq!(tx.opened(), 1);
         Ok(())
     });
-    assert_eq!(h.stats().aborts_for(AbortReason::Killed), 1);
+    // Killed, counted as contention: the victim submitted no conflict and
+    // its body asks for no retry.
+    let es = h.engine_stats();
+    assert_eq!((es.abort_reasons.contention, es.aborts), (1, 1));
+    assert_eq!(es.conflicts, 0);
     assert_eq!(
         *var.snapshot_latest(),
         21,
@@ -394,5 +403,5 @@ fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() 
         4,
         "10, 11, 20, 21 — nothing half-written"
     );
-    assert_eq!(h.stats().validated_entries, 0);
+    assert_eq!(h.engine_stats().validated_entries, 0);
 }

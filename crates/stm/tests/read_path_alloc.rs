@@ -105,8 +105,8 @@ fn steady_state_read_only_transactions_do_not_allocate() {
         }
     });
     assert_eq!(n, 0, "1000 read-only 256-read transactions allocated");
-    assert_eq!(h.stats().ro_commits, 1_100);
-    assert_eq!(h.stats().reads, 1_100 * SCAN as u64);
+    assert_eq!(h.engine_stats().ro_commits, 1_100);
+    assert_eq!(h.engine_stats().reads, 1_100 * SCAN as u64);
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn update_transactions_allocate_only_the_values_they_write() {
         transfer(&mut h);
     }
     const TXNS: u64 = 1_000;
-    let before = *h.stats();
+    let before = h.engine_stats();
     let n = allocs_during(|| {
         for _ in 0..TXNS {
             transfer(&mut h);
@@ -137,7 +137,7 @@ fn update_transactions_allocate_only_the_values_they_write() {
     // Opened by writing, the two objects are in the write set alone: each
     // counts as a read and a write, and commit validates nothing — what was
     // written over is covered by the write marks.
-    let after = *h.stats();
+    let after = h.engine_stats();
     assert_eq!(after.reads - before.reads, 2 * TXNS);
     assert_eq!(after.writes - before.writes, 2 * TXNS);
     assert_eq!(after.validated_entries, before.validated_entries);
@@ -173,16 +173,16 @@ fn read_then_write_still_validates_what_it_read() {
         transfer(&mut h);
     }
     const TXNS: u64 = 1_000;
-    let before = *h.stats();
+    let before = h.engine_stats();
     let n = allocs_during(|| {
         for _ in 0..TXNS {
             transfer(&mut h);
         }
     });
     assert_eq!(n, 2 * TXNS, "the two values written");
-    let after = *h.stats();
+    let after = h.engine_stats();
     assert_eq!(after.validated_entries - before.validated_entries, 2 * TXNS);
-    assert_eq!(after.total_aborts(), 0);
+    assert_eq!(after.aborts, 0);
     assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
 }
 
@@ -360,8 +360,8 @@ fn a_panicking_body_hands_back_a_clean_scratch() {
             tx.write(&y, 200 + i)
         });
     }
-    assert_eq!(other.stats().total_aborts(), 0);
-    assert_eq!(other.stats().conflicts, 0);
+    assert_eq!(other.engine_stats().aborts, 0);
+    assert_eq!(other.engine_stats().conflicts, 0);
     assert!(
         x.version_count() <= 2 && y.version_count() <= 2,
         "the unwound transaction still pins the watermark: {} / {} versions",
@@ -373,11 +373,11 @@ fn a_panicking_body_hands_back_a_clean_scratch() {
     // read from the object (not the stale cached 1), `y` is not taken for
     // an own write (which would abort as Killed), and nothing is validated
     // or folded for it.
-    let before = *h.stats();
+    let before = h.engine_stats();
     let (sx, sy) = h.atomically(|tx| Ok((*tx.read(&x)?, *tx.read(&y)?)));
     assert_eq!((sx, sy), (119, 219));
-    let after = *h.stats();
-    assert_eq!(after.total_aborts(), before.total_aborts());
+    let after = h.engine_stats();
+    assert_eq!(after.aborts, before.aborts);
     assert_eq!(after.ro_commits, before.ro_commits + 1);
     assert_eq!(after.reads, before.reads + 2, "both were first opens");
     assert_eq!(after.validated_entries, before.validated_entries);
@@ -543,6 +543,6 @@ fn extend_takes_the_objects_count_once_per_attempt() {
         tx.modify(&target, |v| v + seen)
     });
     assert_eq!(*target.snapshot_latest(), 4);
-    assert_eq!(h.stats().total_aborts(), 0);
-    assert_eq!(h.stats().validated_entries, 1);
+    assert_eq!(h.engine_stats().aborts, 0);
+    assert_eq!(h.engine_stats().validated_entries, 1);
 }

@@ -21,8 +21,8 @@
 //!    (and commits abort-free) under watermark retention, while memory stays
 //!    bounded by what that one snapshot actually pins.
 
+use lsa_engine::MemoryStats;
 use lsa_stm::prelude::*;
-use lsa_stm::ReclaimStats;
 use lsa_time::counter::SharedCounter;
 use lsa_time::sharded::ShardedTimeBase;
 use lsa_time::{TimeBase, Timestamp};
@@ -124,7 +124,7 @@ fn pinned_reader_keeps_its_snapshot<B: TimeBase>(
         Ok((va, *tx.read(&b)?))
     });
     prop_assert_eq!(pair, (0, 0));
-    prop_assert_eq!(reader.stats().total_aborts(), 0);
+    prop_assert_eq!(reader.engine_stats().aborts, 0);
     // Writers saw no interference either.
     prop_assert_eq!(*a.snapshot_latest(), updates as u64);
     Ok(())
@@ -267,7 +267,7 @@ fn no_installed_watermark_passes_a_live_snapshot() {
         }
         advancer.join().expect("advancer panicked")
     });
-    assert!(advances > 0 && stm.reclaim_stats().advances > 0);
+    assert!(advances > 0 && stm.reclaim_watermark().is_some());
     let total: i64 = vars.iter().map(|v| *v.snapshot_latest()).sum();
     assert_eq!(total, 0);
 }
@@ -296,7 +296,7 @@ fn gauge_witness<B: TimeBase>(stm: Stm<B>) {
             let mut prev = stm.reclaim_stats();
             let mut samples = 0u64;
             while !done.load(Ordering::Acquire) {
-                let now: ReclaimStats = stm.reclaim_stats();
+                let now: MemoryStats = stm.reclaim_stats();
                 assert!(now.versions_retired >= prev.versions_retired);
                 assert!(now.versions_reclaimed >= prev.versions_reclaimed);
                 assert!(now.versions_recycled >= prev.versions_recycled);
@@ -398,7 +398,7 @@ fn watermark_retention_beats_fixed_depth_for_long_readers() {
             }
             Ok((va, *tx.read(&b)?))
         });
-        reader.stats().aborts_for(AbortReason::NoVersion)
+        reader.engine_stats().abort_reasons.no_version
     }
 
     let fixed = no_version_aborts(StmConfig::multi_version(8));

@@ -39,7 +39,7 @@ fn long_reader_survives_pruning_of_its_version() {
     });
     assert_eq!((va, vb), (1, 100), "consistent snapshot from the past");
     assert_eq!(
-        reader.stats().total_aborts(),
+        reader.engine_stats().aborts,
         0,
         "no abort needed: the old snapshot stayed completable"
     );
@@ -80,7 +80,7 @@ fn reader_aborts_when_snapshot_needs_pruned_history_of_read_object() {
         "retry must land on the post-update snapshot"
     );
     assert!(
-        reader.stats().total_aborts() >= 1,
+        reader.engine_stats().aborts >= 1,
         "first attempt had to abort"
     );
 }
@@ -107,7 +107,7 @@ fn deep_chains_serve_readers_across_many_generations() {
         Ok((va, *tx.read(&b)?))
     });
     assert_eq!((va, vb), (0, 0));
-    assert_eq!(reader.stats().total_aborts(), 0);
+    assert_eq!(reader.engine_stats().aborts, 0);
     assert!(a.version_count() <= depth);
 }
 
@@ -158,7 +158,11 @@ fn repeated_read_returns_the_same_arc_after_its_version_was_pruned() {
         Ok(())
     });
     assert_eq!(attempts, 1, "a read-only snapshot of the past commits");
-    assert_eq!(reader.stats().reads, 1, "the repeated read is not an open");
+    assert_eq!(
+        reader.engine_stats().reads,
+        1,
+        "the repeated read is not an open"
+    );
 }
 
 #[test]
@@ -187,6 +191,6 @@ fn a_fold_prunes_against_the_newest_installed_watermark() {
         assert_eq!(x.version_count(), 2, "round {round}");
     }
     assert_eq!(y.version_count(), 5, "`busy` folds four times per advance");
-    assert_eq!(hot.stats().wm_advances, 10);
-    assert_eq!(busy.stats().wm_advances, 40);
+    assert_eq!(hot.engine_stats().wm_advances, 10);
+    assert_eq!(busy.engine_stats().wm_advances, 40);
 }

@@ -194,17 +194,6 @@ impl<E: TxnEngine> BankWorker<E> {
     pub fn stats(&self) -> EngineStats {
         self.handle.engine_stats()
     }
-
-    /// Take (and reset) statistics.
-    pub fn take_stats(&mut self) -> EngineStats {
-        self.handle.take_engine_stats()
-    }
-
-    /// The underlying engine handle, for engine-specific introspection
-    /// (e.g. LSA-RT abort-reason breakdowns).
-    pub fn handle(&self) -> &E::Handle {
-        &self.handle
-    }
 }
 
 #[cfg(test)]

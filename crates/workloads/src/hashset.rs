@@ -250,11 +250,6 @@ impl<E: TxnEngine> HashsetWorker<E> {
     pub fn stats(&self) -> EngineStats {
         self.handle.engine_stats()
     }
-
-    /// Take (and reset) statistics.
-    pub fn take_stats(&mut self) -> EngineStats {
-        self.handle.take_engine_stats()
-    }
 }
 
 #[cfg(test)]

@@ -323,11 +323,6 @@ impl<E: TxnEngine> IntsetWorker<E> {
     pub fn stats(&self) -> EngineStats {
         self.handle.engine_stats()
     }
-
-    /// Take (and reset) statistics.
-    pub fn take_stats(&mut self) -> EngineStats {
-        self.handle.take_engine_stats()
-    }
 }
 
 #[cfg(test)]

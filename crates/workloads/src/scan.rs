@@ -86,16 +86,6 @@ impl<E: TxnEngine> ScanWorker<E> {
     pub fn stats(&self) -> EngineStats {
         self.handle.engine_stats()
     }
-
-    /// Take (and reset) statistics.
-    pub fn take_stats(&mut self) -> EngineStats {
-        self.handle.take_engine_stats()
-    }
-
-    /// The underlying engine handle, for engine-specific introspection.
-    pub fn handle(&self) -> &E::Handle {
-        &self.handle
-    }
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ fn main() {
                     let c = counters[(t * 7 + i) % counters.len()].clone();
                     th.atomically(|tx| tx.modify(&c, |v| v + 1));
                 }
-                println!("thread {t}: {}", th.stats());
+                println!("thread {t}: {}", th.engine_stats());
             });
         }
     });

@@ -40,7 +40,7 @@ fn list_run(cm_label: &str, stm: Stm<PerfectClock>) {
                             }
                         }
                     }
-                    (ops as u64, h.stats().total_aborts())
+                    (ops as u64, h.engine_stats().aborts)
                 })
             })
             .collect();

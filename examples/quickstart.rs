@@ -43,7 +43,7 @@ fn main() {
                         Ok(())
                     });
                 }
-                println!("transfer thread {t}: {}", thread.stats());
+                println!("transfer thread {t}: {}", thread.engine_stats());
             });
         }
         // One auditor thread: consistent snapshots, no validation cost.
@@ -65,7 +65,10 @@ fn main() {
                     "audit {i} saw a torn state!"
                 );
             }
-            println!("auditor: 2000 consistent snapshots, {}", thread.stats());
+            println!(
+                "auditor: 2000 consistent snapshots, {}",
+                thread.engine_stats()
+            );
         });
     });
 

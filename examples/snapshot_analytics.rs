@@ -63,12 +63,12 @@ fn run(label: &str, max_versions: usize) {
                 scans += 1;
             }
             stop.store(true, Ordering::Relaxed);
-            let st = th.stats();
+            let st = th.engine_stats();
             println!(
-                "{label:>18}: 200 scans, {} aborts ({:.2} aborts/scan), {} extensions",
-                st.total_aborts(),
-                st.total_aborts() as f64 / 200.0,
-                st.extensions,
+                "{label:>18}: 200 scans, {} aborts ({:.2} aborts/scan), {} validations",
+                st.aborts,
+                st.aborts as f64 / 200.0,
+                st.validations,
             );
         });
     });

@@ -92,19 +92,25 @@ fn stats_agree_with_run_outcome<E: TxnEngine>(engine: E) {
         expected,
         "{name}: RunOutcome commits != steps"
     );
-    assert_eq!(out.aborts(), 0, "{name}: disjoint work aborted");
+    assert_eq!(out.stats.aborts, 0, "{name}: disjoint work aborted");
     assert_eq!(
         wl.total(),
         out.commits() * K as u64,
         "{name}: committed increments don't match RunOutcome commits"
     );
 
-    // Per-worker stats surface agrees with a hand-counted run.
+    // Per-worker stats surface agrees with a hand-counted run: a fresh
+    // handle starts from zero, whatever the run's handles counted.
     let mut w = wl.worker(0);
+    assert_eq!(
+        w.stats(),
+        EngineStats::default(),
+        "{name}: a fresh handle inherited counts"
+    );
     for _ in 0..25 {
         w.step();
     }
-    let s = w.take_stats();
+    let s = w.stats();
     assert_eq!(
         s.commits, 25,
         "{name}: commits miscounted on the stats surface"
@@ -116,11 +122,6 @@ fn stats_agree_with_run_outcome<E: TxnEngine>(engine: E) {
     assert_eq!(s.aborts, 0, "{name}: phantom aborts");
     assert!(s.reads >= 25 * K as u64, "{name}: reads under-counted");
     assert!(s.writes >= 25 * K as u64, "{name}: writes under-counted");
-    assert_eq!(
-        w.stats(),
-        EngineStats::default(),
-        "{name}: take_stats did not reset"
-    );
 }
 
 #[test]

@@ -181,7 +181,7 @@ fn run_and_check_sharded<B: TimeBase<Ts = u64>>(
                         wrote: rb + 1,
                     });
                 }
-                *cross_total.lock().unwrap() += h.stats().cross_shard_commits;
+                *cross_total.lock().unwrap() += h.engine_stats().cross_shard_commits;
                 log.lock().unwrap().extend(local);
             });
         }
