@@ -1,9 +1,9 @@
 //! Minimal JSON document builder for bench artifacts (std-only — the repo
 //! carries no serde).
 //!
-//! Three binaries used to hand-roll their JSON with `format!` string
-//! surgery (`service_bench --mem-json`, `net_bench --json`, `queue_bench`'s
-//! `LSA_BENCH_JSON`); this module is the one emitter they all share, so
+//! The bench artifacts (`open_loop --json`, `queue_bench`'s
+//! `LSA_BENCH_JSON`) used to hand-roll their JSON with `format!` string
+//! surgery; this module is the one emitter they all share, so
 //! escaping, number formatting and file writing are decided in exactly one
 //! place. The output is a single-line document with a trailing newline —
 //! what the CI artifact steps grep and upload.

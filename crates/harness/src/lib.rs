@@ -12,16 +12,14 @@
 //! | `cm_ablation` | §2.3 contention-manager ablation (EXP-CM) |
 //! | `paper_check` | one PASS/FAIL line per qualitative claim (CI smoke test) |
 //! | `matrix` | workload × engine × time-base sweep from the [`registry`] |
-//! | `service_bench` | open-loop request-rate sweep through the `lsa-service` front-end |
-//! | `net_bench` | open-loop saturation sweep over the `lsa-wire` TCP serving path |
+//! | `open_loop` | open-loop request-rate sweep of the serving path, in process (`lsa-service`) and over loopback TCP (`lsa-wire`), with the saturation-knee locator |
 //!
 //! Shared infrastructure: [`runner`] (thread orchestration and throughput),
 //! [`registry`] (the engine × time-base matrix, engine-generic via
-//! [`lsa_engine::TxnEngine`]), [`service_bench`] (open-loop load generation
-//! against the async transaction service: arrival-rate scheduling, latency
-//! percentiles, shed accounting), [`net_bench`] (the same open-loop lens
-//! over a real loopback socket through `lsa-wire`, plus the saturation-knee
-//! locator), [`args`] (the shared `N`/`A..B` sweep-range syntax),
+//! [`lsa_engine::TxnEngine`]), [`open_loop`] (open-loop load generation of
+//! `lsa_wire::Request`s over either transport: arrival-rate scheduling,
+//! latency percentiles, shed and audit accounting, the knee locator),
+//! [`args`] (the shared `N`/`A..B` sweep-range syntax),
 //! [`table`] (text/CSV output), [`json`] (the one JSON emitter behind every
 //! `BENCH_*.json` artifact), [`altix_sim`]
 //! (the discrete-event model of the paper's 16-CPU ccNUMA testbed — the
@@ -36,37 +34,15 @@
 pub mod altix_sim;
 pub mod args;
 pub mod json;
-pub mod net_bench;
+pub mod open_loop;
 pub mod registry;
 pub mod runner;
-pub mod service_bench;
 pub mod table;
 
 pub use altix_sim::{simulate, AltixParams, SimPoint, SimTimeBase};
 pub use args::RangeSpec;
 pub use json::Json;
-pub use net_bench::{knee_index, run_net_bench, KneePoint, NetKind, NetOutcome, NetSpec};
+pub use open_loop::{knee_index, run_open_loop, Kind, KneePoint, Outcome, Spec, Transport};
 pub use registry::{default_registry, run_workload, EngineEntry, Workload};
 pub use runner::{measure_window, run_for, run_steps, BenchWorker, RunOutcome};
-pub use service_bench::{run_service_bench, RequestKind, ServiceOutcome, ServiceSpec};
 pub use table::{f2, f3, Table};
-
-use std::time::{Duration, Instant};
-
-/// Sleep-then-spin until `deadline`: coarse sleeps stop short of the target
-/// so an open-loop arrival schedule ([`service_bench`], [`net_bench`]) keeps
-/// microsecond-ish precision at rates far above the OS timer granularity.
-pub(crate) fn wait_until(deadline: Instant) {
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return;
-        }
-        let remaining = deadline - now;
-        if remaining > Duration::from_micros(300) {
-            std::thread::sleep(remaining - Duration::from_micros(200));
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}

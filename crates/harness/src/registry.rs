@@ -18,6 +18,7 @@
 //! `lsa_stm::Stm::with_cm`); the block counter never adopts, stays
 //! commit-monotonic, and runs under both engines.
 
+use crate::open_loop::{run_open_loop, Outcome, Spec};
 use crate::runner::{run_for_pinned, BenchWorker, RunOutcome};
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::TxnEngine;
@@ -220,13 +221,7 @@ fn make_rig<E: TxnEngine>(engine: E, workload: &Workload, threads: usize) -> Wor
 type EntryRunner =
     Box<dyn Fn(&Workload, PlacementHint, usize, Duration, bool) -> RunOutcome + Send + Sync>;
 type EntryRig = Box<dyn Fn(&Workload, usize) -> WorkerRig + Send + Sync>;
-type EntryServe = Box<
-    dyn Fn(&crate::service_bench::ServiceSpec) -> crate::service_bench::ServiceOutcome
-        + Send
-        + Sync,
->;
-type EntryServeWire =
-    Box<dyn Fn(&crate::net_bench::NetSpec) -> crate::net_bench::NetOutcome + Send + Sync>;
+type EntryServe = Box<dyn Fn(&Spec) -> Outcome + Send + Sync>;
 
 /// One engine × time-base combination, ready to run any [`Workload`].
 pub struct EngineEntry {
@@ -246,7 +241,6 @@ pub struct EngineEntry {
     run: EntryRunner,
     rig: EntryRig,
     serve: EntryServe,
-    serve_wire: EntryServeWire,
     conformance: Box<dyn Fn() + Send + Sync>,
     service_conformance: Box<dyn Fn() + Send + Sync>,
 }
@@ -264,7 +258,6 @@ impl EngineEntry {
         let run_factory = std::sync::Arc::clone(&factory);
         let rig_factory = std::sync::Arc::clone(&factory);
         let serve_factory = std::sync::Arc::clone(&factory);
-        let wire_factory = std::sync::Arc::clone(&factory);
         let service_conf_factory = std::sync::Arc::clone(&factory);
         let shards = factory().shards();
         EngineEntry {
@@ -276,10 +269,7 @@ impl EngineEntry {
                 run_workload_pinned(run_factory(), wl, placement, threads, window, pin)
             }),
             rig: Box::new(move |wl, threads| make_rig(rig_factory(), wl, threads)),
-            serve: Box::new(move |spec| {
-                crate::service_bench::run_service_bench(serve_factory(), spec)
-            }),
-            serve_wire: Box::new(move |spec| crate::net_bench::run_net_bench(wire_factory(), spec)),
+            serve: Box::new(move |spec| run_open_loop(serve_factory(), spec)),
             conformance: Box::new(move || lsa_engine::conformance::full_suite(&factory())),
             service_conformance: Box::new(move || {
                 lsa_service::conformance::service_suite(&service_conf_factory())
@@ -318,22 +308,11 @@ impl EngineEntry {
         (self.run)(workload, placement, threads, window, self.pin)
     }
 
-    /// Run an open-loop service benchmark
-    /// ([`crate::service_bench::run_service_bench`]) on a freshly
-    /// constructed engine.
-    pub fn serve(
-        &self,
-        spec: &crate::service_bench::ServiceSpec,
-    ) -> crate::service_bench::ServiceOutcome {
+    /// Run an open-loop serving benchmark ([`run_open_loop`]) on a freshly
+    /// constructed engine, in process or over loopback TCP per
+    /// `spec.transport`.
+    pub fn serve(&self, spec: &Spec) -> Outcome {
         (self.serve)(spec)
-    }
-
-    /// Run an open-loop wire benchmark over a loopback TCP socket
-    /// ([`crate::net_bench::run_net_bench`]) on a freshly constructed
-    /// engine: the full `lsa-wire` serving path, framing and in-flight
-    /// windows included.
-    pub fn serve_wire(&self, spec: &crate::net_bench::NetSpec) -> crate::net_bench::NetOutcome {
-        (self.serve_wire)(spec)
     }
 
     /// Build a fresh engine + workload instance and return its type-erased
@@ -698,46 +677,38 @@ mod tests {
         );
     }
 
-    #[test]
-    fn entries_serve_open_loop_requests() {
-        use crate::service_bench::{RequestKind, ServiceSpec};
+    /// The `serve` hook runs a bank mix over `transport` on an LSA row and
+    /// a sharded row without losing a request.
+    fn entries_serve_bank_over(transport: crate::open_loop::Transport) {
         let reg = default_registry();
         for (engine, tb) in [("lsa-rt", "shared-counter"), ("lsa-sharded", "block64")] {
             let entry = find_entry(&reg, engine, tb).unwrap();
-            let out = entry.serve(&ServiceSpec {
-                kind: RequestKind::Bank,
+            let out = entry.serve(&Spec {
+                transport,
+                kind: crate::open_loop::Kind::Bank,
                 rate: 1_000.0,
                 duration: Duration::from_millis(60),
-                workers: 2,
-                queue_depth: 64,
-                placement: PlacementHint::Partitioned,
-            });
-            assert!(out.completed > 0, "{engine}({tb}) served nothing");
-            assert_eq!(out.completed + out.shed, out.offered);
-        }
-    }
-
-    #[test]
-    fn entries_serve_requests_over_the_wire() {
-        use crate::net_bench::{NetKind, NetSpec};
-        let reg = default_registry();
-        for (engine, tb) in [("lsa-rt", "shared-counter"), ("lsa-sharded", "block64")] {
-            let entry = find_entry(&reg, engine, tb).unwrap();
-            let out = entry.serve_wire(&NetSpec {
-                kind: NetKind::Bank,
-                rate: 1_000.0,
-                duration: Duration::from_millis(60),
+                rounds: 1,
                 workers: 2,
                 queue_depth: 64,
                 window: 32,
                 conns: 2,
             });
-            assert!(
-                out.completed > 0,
-                "{engine}({tb}) served nothing over the wire"
-            );
+            let cell = format!("{engine}({tb}) over {}", transport.name());
+            assert!(out.completed > 0, "{cell} served nothing");
+            assert_eq!(out.errors, 0, "{cell} lost requests");
             assert_eq!(out.completed + out.shed + out.errors, out.offered);
         }
+    }
+
+    #[test]
+    fn entries_serve_open_loop_requests() {
+        entries_serve_bank_over(crate::open_loop::Transport::Service);
+    }
+
+    #[test]
+    fn entries_serve_requests_over_the_wire() {
+        entries_serve_bank_over(crate::open_loop::Transport::Wire);
     }
 
     #[test]

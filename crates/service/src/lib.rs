@@ -24,14 +24,15 @@
 //!   ordering argument in DESIGN.md §13),
 //! * [`pool`] — the lock-free object [`Pool`] behind the allocation-free
 //!   request lifecycle (request records, oneshots, reply buffers), with
-//!   the hit/miss gauge `service_bench` prints,
+//!   the hit/miss gauge `open_loop` prints,
 //! * [`conformance`] — the engine-generic correctness suite re-expressed as
 //!   concurrent request submissions *through* the service.
 //!
 //! Latency lands in [`LatencyHistogram`] (re-exported from `lsa-obs`). Why
 //! open-loop latency is the right lens for the paper's claims, and the
 //! backpressure policy, are written up in `DESIGN.md` §10; the harness's
-//! `service_bench` binary drives this crate across the engine registry.
+//! `open_loop` binary (`--transport service`) drives this crate across the
+//! engine registry.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

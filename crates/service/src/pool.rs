@@ -13,8 +13,8 @@
 //! overflowing `put` simply drops the object. Both sides stay lock-free —
 //! the pool is a [`BoundedQueue`] ring used in its non-blocking mode — and
 //! the hit/miss counters are cache-line padded so the gauge itself does not
-//! become the contention point it is meant to expose. `service_bench`
-//! prints the resulting hit rate, which is how the "no per-request heap
+//! become the contention point it is meant to expose. The harness's
+//! `open_loop` prints the resulting hit rate, which is how the "no per-request heap
 //! allocation at steady state" claim is demonstrated rather than asserted.
 
 use crate::queue::BoundedQueue;

@@ -14,8 +14,8 @@
 //!   never a panic,
 //! * [`tables`] — the request/reply vocabulary ([`Request`], [`Reply`]) and
 //!   the server-hosted transactional [`Tables`] they execute against (bank,
-//!   sorted-list set, hash set — the same workloads the in-process
-//!   benchmarks use, so numbers are comparable),
+//!   sorted-list set, hash set; the harness's `open_loop` load generator
+//!   submits the same requests in process, so the two are comparable),
 //! * [`conn`] — per-connection plumbing: the outbound frame queue and the
 //!   bounded in-flight [`Window`](conn::Window) that propagates
 //!   backpressure to TCP,
@@ -28,9 +28,9 @@
 //!   [`PendingReply`].
 //!
 //! The frame layout, threading model and backpressure policy are written up
-//! in `DESIGN.md` §12; the harness's `net_bench` binary drives this crate
-//! across the engine registry and locates each configuration's saturation
-//! knee.
+//! in `DESIGN.md` §12; the harness's `open_loop` binary
+//! (`--transport wire`) drives this crate across the engine registry and
+//! locates each configuration's saturation knee.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

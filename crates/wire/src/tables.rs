@@ -6,9 +6,9 @@
 //! accounts), a sorted-list integer set, and a bucketed hash set. The
 //! server builds these on its engine at startup ([`Tables::build`]); each
 //! decoded [`Request`] becomes one transaction against them, executed on an
-//! `lsa-service` worker. This is the same workload vocabulary the in-process
-//! benchmarks use, so wire-served numbers are directly comparable to
-//! `service_bench` rows.
+//! `lsa-service` worker. The harness's `open_loop` load generator submits
+//! these same requests in process and over the socket, so its two
+//! transports' rows differ only by the wire.
 
 use crate::frame::{ErrorCode, Frame, FrameError, Opcode};
 use lsa_engine::{EngineHandle, EngineVar, TxnEngine, TxnOps};
@@ -262,6 +262,14 @@ impl Default for TablesConfig {
     }
 }
 
+impl TablesConfig {
+    /// The bank total every [`Request::BankAudit`] must observe — what a
+    /// client checks audit replies against.
+    pub fn expected_total(&self) -> i64 {
+        self.accounts as i64 * self.initial
+    }
+}
+
 /// The transactional tables a wire server serves, plus the request
 /// interpreter. Cheap to clone (engine vars are shared handles) — each
 /// connection reader holds a clone to build request closures from.
@@ -300,7 +308,7 @@ impl<E: TxnEngine> Tables<E> {
         }
         Tables {
             accounts,
-            expected_total: cfg.accounts as i64 * cfg.initial,
+            expected_total: cfg.expected_total(),
             intset,
             hashset,
         }
@@ -360,8 +368,9 @@ impl<E: TxnEngine> Tables<E> {
         }
     }
 
-    /// Post-drain invariant audit with a fresh handle: bank conservation and
-    /// intset structure. Called by the server after shutdown drains.
+    /// Post-drain invariant audit with a fresh handle: bank conservation,
+    /// intset order and hash-set placement. Called by the server after
+    /// shutdown drains.
     pub fn assert_quiescent(&self, engine: &E) {
         let mut h = engine.register();
         let total: i64 = {
@@ -383,6 +392,7 @@ impl<E: TxnEngine> Tables<E> {
             keys.windows(2).all(|w| w[0] < w[1]),
             "intset lost sortedness/uniqueness over the wire"
         );
+        self.hashset.assert_placement();
     }
 }
 
@@ -500,16 +510,23 @@ mod tests {
             ),
             Reply::Flag(true)
         );
-        assert_eq!(
-            tables.apply(
-                &mut h,
-                &Request::Hashset {
-                    op: SetOp::Insert,
-                    key: 3
-                }
-            ),
-            Reply::Flag(true)
-        );
+        let hashset = |op, key| Request::Hashset { op, key };
+        for (op, key, flag) in [
+            (SetOp::Insert, 3, true),
+            (SetOp::Insert, 3, false),
+            (SetOp::Member, 3, true),
+            (SetOp::Remove, 3, true),
+            (SetOp::Remove, 3, false),
+            (SetOp::Remove, 2, true),
+            (SetOp::Member, 2, false),
+            (SetOp::Insert, -7, true),
+        ] {
+            assert_eq!(
+                tables.apply(&mut h, &hashset(op, key)),
+                Reply::Flag(flag),
+                "{op:?} {key}"
+            );
+        }
         // Out-of-range account: request-level error, no panic.
         assert_eq!(
             tables.apply(

@@ -120,6 +120,31 @@ impl<E: TxnEngine> HashSetT<E> {
             Ok(out)
         })
     }
+
+    /// Assert the structural invariant with a fresh handle: every key sits
+    /// in exactly the bucket it hashes to, with no duplicates anywhere.
+    /// Call when no transaction runs on the set; returns the key count.
+    pub fn assert_placement(&self) -> usize {
+        let mut h = self.engine.register();
+        let buckets = self.buckets_snapshot(&mut h);
+        let mut seen = std::collections::BTreeSet::new();
+        for (ix, bucket) in buckets.iter().enumerate() {
+            for &key in bucket {
+                assert_eq!(
+                    self.bucket_index(key),
+                    ix,
+                    "key {key} landed in bucket {ix} on {}",
+                    self.engine.engine_name()
+                );
+                assert!(
+                    seen.insert(key),
+                    "duplicate key {key} on {}",
+                    self.engine.engine_name()
+                );
+            }
+        }
+        seen.len()
+    }
 }
 
 /// Parameters of the hashset benchmark workload.
@@ -188,29 +213,10 @@ impl<E: TxnEngine> HashsetWorkload<E> {
         &self.set
     }
 
-    /// Assert the structural invariant with a fresh handle: every key sits
-    /// in exactly the bucket it hashes to, with no duplicates anywhere.
-    /// Call when no workers run; returns the key count.
+    /// [`HashSetT::assert_placement`] on the shared set. Call when no
+    /// workers run; returns the key count.
     pub fn assert_placement(&self) -> usize {
-        let mut h = self.set.engine().register();
-        let buckets = self.set.buckets_snapshot(&mut h);
-        let mut seen = std::collections::BTreeSet::new();
-        for (ix, bucket) in buckets.iter().enumerate() {
-            for &key in bucket {
-                assert_eq!(
-                    self.set.bucket_index(key),
-                    ix,
-                    "key {key} landed in bucket {ix} on {}",
-                    self.set.engine().engine_name()
-                );
-                assert!(
-                    seen.insert(key),
-                    "duplicate key {key} on {}",
-                    self.set.engine().engine_name()
-                );
-            }
-        }
-        seen.len()
+        self.set.assert_placement()
     }
 
     /// Build the worker for thread `tid`.
@@ -346,6 +352,17 @@ mod tests {
             }
         });
         wl.assert_placement();
+    }
+
+    #[test]
+    #[should_panic(expected = "landed in bucket")]
+    fn assert_placement_flags_a_misplaced_key() {
+        let engine = Stm::new(SharedCounter::new());
+        let set = HashSetT::new(engine.clone(), 4);
+        let key = (0..).find(|&k| set.bucket_index(k) != 0).unwrap();
+        let mut h = engine.register();
+        h.atomically(|tx| tx.write(&set.buckets[0], vec![key]));
+        set.assert_placement();
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! * [`workloads`] ([`lsa_workloads`]) — the §4.2 disjoint-update workload,
 //!   bank, linked-list and hash-set structures — all engine-generic,
 //! * [`harness`] ([`lsa_harness`]) — figure-regenerating experiment binaries,
-//!   the engine registry driving the `matrix` sweep, the open-loop
-//!   `service_bench` load generator, and the Altix discrete-event model,
+//!   the engine registry driving the `matrix` sweep, the `open_loop`
+//!   load generator (in process or over the wire), and the Altix
+//!   discrete-event model,
 //! * [`service`] ([`lsa_service`]) — the async transaction-service
 //!   front-end: a worker pool over any engine with bounded submission
 //!   queues, futures-based completions, admission-control shedding and
