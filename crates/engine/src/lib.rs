@@ -190,7 +190,9 @@ pub trait TxnOps {
     ) -> EngineResult<(), Self::Engine>;
 
     /// Read-modify-write convenience: applies `f` to the current value (the
-    /// transaction's own pending write if any) and writes the result.
+    /// transaction's own pending write if any) and writes the result. Keep
+    /// `f` a pure function of its argument: an engine may run it under the
+    /// variable's lock (LSA does), where touching any variable deadlocks.
     fn modify<T: Send + Sync + 'static>(
         &mut self,
         var: &EngineVar<Self::Engine, T>,

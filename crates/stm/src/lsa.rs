@@ -59,17 +59,19 @@
 //! An object opened by writing it is recorded in the write set only. The
 //! version written over, `vc`, is the latest for as long as the write mark
 //! is held, so `getPrelimUB` for it is the self case wherever it is asked:
-//! at open (`T.R` is intersected with `[⌊vc.R⌋, t]` like a read's), at
-//! commit (a transaction that reaches validation was never killed, so it
-//! never lost a mark) and at extend, where the one thing that could have
-//! ended it — a kill — is checked once, after the clock read
-//! ([`Txn::extend`]).
+//! at open (the registration intersects `T.R` with `[⌊vc.R⌋, t]` like a
+//! read's, and refuses a `vc` the snapshot cannot admit before anything
+//! sees it), at commit (a transaction that reaches validation was never
+//! killed, so it never lost a mark) and at extend, where the one thing that
+//! could have ended it — a kill — is checked once, after the clock read
+//! ([`Txn::extend`]). A transaction that read nothing therefore has nothing
+//! to validate, and publishes no context for helpers at all.
 
 use crate::alloc::BlockAlloc;
 use crate::cm::{ContentionManager, Resolution};
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason, TxResult};
-use crate::object::{AnyObject, ReadAttempt, TVar, WriteAttempt};
+use crate::object::{narrow, AnyObject, ReadAttempt, TVar, WriteAttempt};
 use crate::status::TxnStatus;
 use crate::stm::{shard_of_id, HandleCore};
 use crate::txn_shared::{CommitCtx, CtxEntry, TxnShared};
@@ -226,8 +228,10 @@ pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// by writing it has no entry here.
     read_set: Vec<CtxEntry<Ts>>,
     /// The shell `read_set` is published to helpers in. Between a commit's
-    /// publication and the attempt's `clear` it holds the read set; at all
-    /// other times it is empty and this is the only reference.
+    /// publication and the attempt's `clear` it holds the read set, which
+    /// is never empty there — an update that read nothing publishes no
+    /// context; at all other times it is empty and this is the only
+    /// reference.
     ctx: Arc<CommitCtx<Ts>>,
     /// The objects of read-set entries, by entry index, as far as an
     /// `Extend` needed them for `o.writer`: upgraded once, kept for the
@@ -255,14 +259,16 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
         }
     }
 
-    /// Publish the read set for helpers by handing the vector itself over:
-    /// from here to `clear`, `T.O` is `ctx.entries` and nobody mutates it.
+    /// Publish the (non-empty) read set for helpers by handing the vector
+    /// itself over: from here to `clear`, `T.O` is `ctx.entries` and nobody
+    /// mutates it.
     fn publish_read_set(&mut self) {
+        debug_assert!(!self.read_set.is_empty(), "nothing to validate");
         match Arc::get_mut(&mut self.ctx) {
             Some(ctx) => std::mem::swap(&mut ctx.entries, &mut self.read_set),
-            // A helper of an earlier commit still holds the shell — one
-            // that published an empty read set leaves `clear` no sign of
-            // it. The helper keeps that one.
+            // A helper still holds the shell. `clear` replaces a shell it
+            // cannot take back, so this is a guard, not a path: the helper
+            // keeps that one.
             None => {
                 self.ctx = Arc::new(CommitCtx {
                     entries: std::mem::take(&mut self.read_set),
@@ -465,12 +471,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         Ok(())
     }
 
-    /// The sound fallback timestamp for `getPrelimUB` at open time: a value
-    /// known to be in the past of "now".
-    fn fallback_ts(&self, lower: B::Ts) -> B::Ts {
-        lower.join(self.observed)
-    }
-
     /// `Open(T, o, read)` — Algorithm 2 lines 25–33 plus the `getVersion`
     /// retry loop of Algorithm 3.
     pub fn read<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<Arc<T>> {
@@ -511,9 +511,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     // Tentatively intersect T.R with the version's range
                     // (Alg. 2 lines 28–29); `upper` is getPrelimUB's
                     // evidence, sampled with the selection.
-                    let mut nr = self.range;
-                    nr.restrict_lower(lower);
-                    nr.restrict_upper(upper.unwrap_or_else(|| self.fallback_ts(nr.lower)));
+                    let nr = narrow(self.range, lower, upper, self.observed);
                     if !nr.is_consistent() {
                         // Possibly inconsistent (line 30): try one extension,
                         // which may move ⌈T.R⌉ forward far enough (§2.2:
@@ -574,17 +572,29 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         let payload = Arc::new(value);
         match prior {
             Some(Opened::Written) => self.install(var, payload),
-            _ => self.open_write(var, Some(payload), prior).map(drop),
+            _ => self.open_write(var, move |_: &T| payload, prior),
         }
     }
 
     /// Read-modify-write: applies `f` to the current value (the
     /// transaction's own pending write if it has one, the snapshot value
-    /// otherwise) and writes the result. On an object the attempt has not
-    /// opened yet this is `Open(T, o, write)` as the paper has it: one
-    /// critical section registers the writer and takes the value of `vc`,
-    /// `f` runs outside the lock, and the object is recorded in the write
-    /// set alone — `vc` is covered by the write mark, not by `T.O`.
+    /// otherwise) and writes the result.
+    ///
+    /// On an object the attempt has not opened yet this is
+    /// `Open(T, o, write)` as the paper has it, one critical section under
+    /// the object's write lock: the snapshot is checked to admit `vc`, the
+    /// latest committed version, then `f` runs on `vc`'s value and the
+    /// writer registers with the result installed. The object is recorded
+    /// in the write set alone — `vc` is covered by the write mark, not by
+    /// `T.O`. A re-`modify` of an object the attempt already wrote runs `f`
+    /// on its own pending value, likewise in one section.
+    ///
+    /// So `f` may run under the object's lock, and it never sees a version
+    /// the attempt would abort on: on an unopened object it runs only once
+    /// the registration has admitted `vc`, exactly once per call that
+    /// returns `Ok`. It must not touch any `TVar` — this one's
+    /// [`snapshot_latest`](TVar::snapshot_latest) included — or it
+    /// deadlocks: keep it a pure function of its argument.
     pub fn modify<T: Send + Sync + 'static>(
         &mut self,
         var: &TVar<T, B::Ts>,
@@ -597,19 +607,20 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 // A first open for reading and for writing at once.
                 self.core.reclaim.stats.inc(Stat::Reads);
                 self.core.scratch.shared.cm().add_op();
-                let vc = self
-                    .open_write(var, None, None)?
-                    .expect("a payload-less registration hands back vc's value");
-                self.install(var, Arc::new(f(&vc)))
+                self.open_write(var, |vc: &T| Arc::new(f(vc)), None)
             }
             Some(Opened::Read { entry }) => {
-                let current = self.value_read::<T>(entry);
-                self.open_write(var, Some(Arc::new(f(&current))), prior)
-                    .map(drop)
+                let current = self.core.scratch.read_set[entry].meta.value_ref();
+                let payload = Arc::new(f(current));
+                self.open_write(var, move |_: &T| payload, prior)
             }
             Some(Opened::Written) => {
-                let current = self.own_write(var)?;
-                self.install(var, Arc::new(f(&current)))
+                if var.object().modify_spec(self.id(), |own| Arc::new(f(own))) {
+                    Ok(())
+                } else {
+                    // Killed, and the speculative version already discarded.
+                    Err(self.do_abort(AbortReason::Killed))
+                }
             }
         }
     }
@@ -631,7 +642,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     }
 
     /// Install `payload` as the speculative value of an object this attempt
-    /// is registered on.
+    /// is registered on (a re-`write`).
     fn install<T: Send + Sync + 'static>(
         &mut self,
         var: &TVar<T, B::Ts>,
@@ -647,29 +658,38 @@ impl<'h, B: TimeBase> Txn<'h, B> {
 
     /// The registration loop of `Open(T, o, write)` on an object this
     /// attempt is not registered on yet (`prior` says whether it has read
-    /// it). With a `payload` the registration installs it; without one it
-    /// returns the value of `vc` for the caller to derive and install one.
+    /// it). `derive` is offered to every registration attempt and run by the
+    /// one that succeeds, on `vc`'s value, to make the speculative payload.
     fn open_write<T: Send + Sync + 'static>(
         &mut self,
         var: &TVar<T, B::Ts>,
-        mut payload: Option<Arc<T>>,
+        derive: impl FnOnce(&T) -> Arc<T>,
         prior: Option<Opened>,
-    ) -> TxResult<Option<Arc<T>>> {
+    ) -> TxResult<()> {
         self.core.clock.mark_shard(shard_of_id(var.id()));
         self.core.reclaim.stats.inc(Stat::Writes);
         self.core.scratch.shared.cm().add_op();
 
+        let mut derive = Some(derive);
+        let mut extended = false;
         let mut cm_attempt = 0u32;
         let mut spins = 0u32;
         loop {
             let core = &mut *self.core;
-            // The payload is offered to every registration attempt and taken
-            // by the one that succeeds.
-            let attempt =
-                var.object()
-                    .try_write(&core.scratch.shared, &mut payload, Some(&mut core.reclaim));
+            // Lines 28–29 against vc are the registration's own: it admits
+            // vc under the lock, as the latest version, so everything this
+            // attempt has observed bounds it — and it stays the latest while
+            // we hold the mark.
+            let attempt = var.object().try_write(
+                &core.scratch.shared,
+                self.range,
+                self.observed,
+                &mut derive,
+                Some(&mut core.reclaim),
+            );
             match attempt {
-                WriteAttempt::Registered { base_lower, base } => {
+                WriteAttempt::Registered { range } => {
+                    self.range = range;
                     self.is_update = true;
                     // The object's one record in this attempt: the write
                     // set, folded at its end.
@@ -680,28 +700,15 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     if let Some(Opened::Read { entry }) = prior {
                         self.core.scratch.read_set[entry].own = true;
                     }
-
-                    // Alg. 2 lines 22–24: "Is the version too recent?" —
-                    // extend so the snapshot can reach the version we are
-                    // about to base our write on.
-                    if matches!(self.range.upper, Some(u) if base_lower.possibly_later(u)) {
-                        self.extend();
-                    }
-                    // Lines 28–29 against the base version vc. We registered
-                    // under the lock with vc the latest version and it stays
-                    // the latest while we hold the mark, so everything this
-                    // attempt has observed so far bounds it — a clock
-                    // reading by the extension above included, which only
-                    // counts if the mark was still held after it.
-                    let mut nr = self.range;
-                    nr.restrict_lower(base_lower);
-                    nr.restrict_upper(self.fallback_ts(nr.lower));
-                    if !nr.is_consistent() {
-                        return Err(self.do_abort(AbortReason::Snapshot));
-                    }
-                    self.range = nr;
-                    return Ok(base);
+                    return Ok(());
                 }
+                // Alg. 2 lines 22–24: "Is the version too recent?" — extend
+                // once so the snapshot can reach it, then give up.
+                WriteAttempt::TooRecent if !extended => {
+                    extended = true;
+                    self.extend();
+                }
+                WriteAttempt::TooRecent => return Err(self.do_abort(AbortReason::Snapshot)),
                 WriteAttempt::AlreadyWriter => {
                     unreachable!("`opened` knows every object this attempt is registered on")
                 }
@@ -782,13 +789,21 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 w.set_ct(t)
             }
         };
-        let Some(ctx) = w.ctx() else {
-            return; // already finalized and cleaned up
-        };
+        // Taken after `Committing` was seen: an owner publishes its read set
+        // before that transition, and clears it only after the status is
+        // final. So no context behind a status that still reads
+        // `Committing` means none was published — the read set is empty,
+        // and validates vacuously.
+        let ctx = w.ctx();
         if w.status() != TxnStatus::Committing {
             return;
         }
-        if w.is_snapshot_isolation() || validate(clock, &ctx.entries, ct) {
+        let valid = w.is_snapshot_isolation()
+            || match &ctx {
+                Some(ctx) => validate(clock, &ctx.entries, ct),
+                None => true,
+            };
+        if valid {
             if w.transition(TxnStatus::Committing, TxnStatus::Committed) {
                 self.core.reclaim.stats.inc(Stat::Helps);
             }
@@ -818,8 +833,11 @@ impl<'h, B: TimeBase> Txn<'h, B> {
 
         // Publish the read set for helpers *before* becoming visible as
         // committing: any thread that observes `Committing` finds the
-        // context.
-        core.scratch.publish_read_set();
+        // context. An empty one is not published, and `ctx.entries` is then
+        // empty too: a helper finding none validates vacuously, as we do.
+        if !core.scratch.read_set.is_empty() {
+            core.scratch.publish_read_set();
+        }
         let (shared, read_set) = (&core.scratch.shared, &core.scratch.ctx.entries);
         if !shared.transition(TxnStatus::Active, TxnStatus::Committing) {
             return Err(self.do_abort(AbortReason::Killed));
@@ -925,7 +943,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             for obj in &core.scratch.write_set {
                 obj.fold_resolved(Some(&mut core.reclaim));
             }
-            core.scratch.shared.clear_ctx();
+            // Published exactly when the shell holds the read set.
+            if !core.scratch.ctx.entries.is_empty() {
+                core.scratch.shared.clear_ctx();
+            }
         }
         core.scratch.clear();
         self.finished = true;
@@ -1017,25 +1038,20 @@ mod tests {
 
     #[test]
     fn a_helper_still_holding_an_empty_context_forces_a_fresh_one_too() {
-        // A write-only commit publishes an empty read set, so `clear` finds
-        // nothing to take back and cannot tell that the shell went out. The
-        // next publication must notice the helper instead of insisting on
-        // an unshared shell.
+        // A write-only commit publishes nothing, so the shell never leaves
+        // the scratch empty, and `clear` replaces one it cannot take back.
+        // Publication still does not insist on an unshared shell: one held
+        // while empty (here by hand) is left to its holder.
         let obj = TObject::new(1, 0u64, 0, 4);
         let mut scratch = TxnScratch::new();
-        scratch.publish_read_set();
-        let helper = scratch.shared.ctx().expect("published");
-        assert!(helper.entries.is_empty());
-
+        let shell = Arc::as_ptr(&scratch.ctx);
         scratch
             .shared
             .transition(TxnStatus::Active, TxnStatus::Aborted);
-        scratch.shared.clear_ctx();
         scratch.clear();
-        assert!(
-            Arc::ptr_eq(&helper, &scratch.ctx),
-            "clear saw no sign of it"
-        );
+        assert!(scratch.shared.ctx().is_none(), "nothing was published");
+        assert_eq!(Arc::as_ptr(&scratch.ctx), shell, "the shell never left");
+        let helper = Arc::clone(&scratch.ctx);
 
         scratch.read_set.extend([entry(&obj), entry(&obj)]);
         scratch.publish_read_set();

@@ -13,21 +13,23 @@
 //! Lock discipline: every object has its own short-critical-section
 //! [`RwLock`]; no thread ever holds two object locks, and no lock is held
 //! while consulting the contention manager, helping a commit, or touching a
-//! time base. Global coordination happens **only** through the time base —
-//! preserving the phenomenon the paper measures. That covers the version
-//! store too: registering a write and folding it draw their version node,
-//! their gauges and the pruning watermark from the calling thread's own
-//! [`LocalReclaim`], so a commit writes its objects, its descriptor, its
-//! snapshot slot and its gauge shard, and of the shared reclamation state
-//! only *reads* the epoch word ([`crate::reclaim`]).
+//! time base. The one piece of user code that runs under a lock is a
+//! `modify` closure, and its contract is to touch no `TVar`. Global
+//! coordination happens **only** through the time base — preserving the
+//! phenomenon the paper measures. That covers the version store too: a fold
+//! draws its version node, its gauges and the pruning watermark from the
+//! calling thread's own [`LocalReclaim`], so a commit writes its objects,
+//! its descriptor, its snapshot slot and its gauge shard, and of the shared
+//! reclamation state only *reads* the epoch word ([`crate::reclaim`]).
 //!
 //! Opening an object for writing is one critical section,
-//! [`TObject::try_write`] (Algorithm 2 lines 9–24): it registers the writer
-//! and either installs the payload the caller brought (`Txn::write`) or hands
-//! back the value of `vc`, the latest committed version, for the caller to
-//! derive one from (`Txn::modify`, which installs it with
-//! [`TObject::set_spec_value`] once its closure has run, outside the lock).
-//! The fold at commit is the only other acquisition.
+//! [`TObject::try_write`] (Algorithm 2 lines 9–24): it checks that the
+//! caller's snapshot admits `vc`, the latest committed version, runs the
+//! caller's derivation on `vc`'s value by reference, and registers the
+//! writer with the result installed — `Txn::modify`'s closure, or
+//! `Txn::write`'s payload, which ignores `vc`. The fold at commit is the only
+//! other acquisition, and it draws the version node: the node of the version
+//! the same fold prunes when nobody else holds it, else one from the pool.
 //!
 //! A first read takes the object's lock **once**: [`TObject::try_read`]
 //! selects the version and, in the same critical section, samples what
@@ -98,21 +100,22 @@ pub enum ReadAttempt<Ts: Timestamp> {
     NeedHelp(Arc<TxnShared<Ts>>),
 }
 
-/// Outcome of a write-registration attempt (Algorithm 2 lines 11–21).
-pub enum WriteAttempt<T, Ts: Timestamp> {
-    /// We are now the registered writer.
+/// Outcome of a write-registration attempt (Algorithm 2 lines 11–24).
+pub enum WriteAttempt<Ts: Timestamp> {
+    /// We are now the registered writer, with the derived payload installed.
     Registered {
-        /// `⌊vc.R⌋` of `vc`, the latest committed version (Algorithm 2
-        /// line 12). While the caller holds the write mark `vc` stays the
-        /// latest, so its upper bound needs no evidence beyond that.
-        base_lower: Ts,
-        /// `vc`'s value, for a caller that registered without a payload and
-        /// owes one ([`TObject::set_spec_value`]); `None` when the payload
-        /// it brought was installed.
-        base: Option<Arc<T>>,
+        /// `T.R ∩ [⌊vc.R⌋, t]` (Algorithm 2 lines 28–29 against `vc`, the
+        /// latest committed version): the snapshot's new range. While the
+        /// caller holds the write mark `vc` stays the latest, so its upper
+        /// bound needs no evidence beyond that.
+        range: ValidityRange<Ts>,
     },
-    /// This transaction was already the registered writer; a payload, if
-    /// one was brought, replaced its earlier one.
+    /// `vc` is too recent for the snapshot (Algorithm 2 lines 22–24):
+    /// nothing was registered and the derivation did not run. Extend and
+    /// retry, or abort.
+    TooRecent,
+    /// This transaction was already the registered writer; nothing was
+    /// installed.
     AlreadyWriter,
     /// Another *active* transaction holds the write mark: consult the
     /// contention manager (Algorithm 2 lines 16–17).
@@ -122,14 +125,32 @@ pub enum WriteAttempt<T, Ts: Timestamp> {
 }
 
 struct Spec<T, Ts: Timestamp> {
-    /// `None` between a payload-less registration and the writer's
-    /// `set_spec_value`; a writer only starts committing with it installed.
-    /// The fold moves it into the node.
-    value: Option<Arc<T>>,
-    /// The node the version will be. Nobody else holds it until the fold
-    /// has linked it: a speculative node has one reference.
-    meta: Arc<VersionMeta<Ts>>,
+    /// Derived at registration, replaced by re-writes; the fold moves it
+    /// into the version node it draws.
+    value: Arc<T>,
     writer: Arc<TxnShared<Ts>>,
+}
+
+/// "Only superseded versions sit behind the head" — pruning never erases
+/// live range information.
+const SUPERSEDED: &str = "a version behind the head has a fixed upper bound";
+
+/// `T.R ∩ [⌊v.R⌋, u]` (Algorithm 2 lines 28–29) for a version with lower
+/// bound `lower` and `getPrelimUB` evidence `upper`: its fixed upper bound,
+/// or `None` for a version that was the latest, with no committing writer,
+/// when the caller sampled it after obtaining `observed`. Then `u` is the
+/// fallback `t`, the join of the narrowed lower bound and `observed` — a time
+/// in the caller's past, so every superseder commits after it.
+pub(crate) fn narrow<Ts: Timestamp>(
+    range: ValidityRange<Ts>,
+    lower: Ts,
+    upper: Option<Ts>,
+    observed: Ts,
+) -> ValidityRange<Ts> {
+    let mut nr = range;
+    nr.restrict_lower(lower);
+    nr.restrict_upper(upper.unwrap_or_else(|| nr.lower.join(observed)));
+    nr
 }
 
 struct ObjInner<T, Ts: Timestamp> {
@@ -296,20 +317,26 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         Some(share)
     }
 
-    /// Attempt to register `me` as the writer (Algorithm 2 lines 11–21).
-    /// With a `payload`, registration and installation are one critical
-    /// section, and the payload is taken exactly when the call leaves `me`
-    /// registered (`Registered`, `AlreadyWriter`); on `Conflict` and
-    /// `NeedHelp` it stays with the caller for the retry. Without one, a
-    /// successful registration returns `vc`'s value from the same critical
-    /// section and leaves the speculative version empty until the caller
-    /// installs what it derives.
-    pub fn try_write(
+    /// `Open(T, o, write)` for `me` (Algorithm 2 lines 9–24), in one
+    /// critical section: fold a resolved writer; unless a live one holds the
+    /// mark, check that the snapshot admits `vc`, the latest committed
+    /// version — `snapshot ∩ [⌊vc.R⌋, t]` non-empty, `t` the join of its
+    /// lower bound and `observed` ([`narrow`]) — and only then take `derive`,
+    /// run it on `vc`'s value by reference and register `me` with the result
+    /// installed.
+    ///
+    /// `derive` runs under this object's write lock, exactly when the call
+    /// returns `Registered`; on every other outcome it stays with the caller
+    /// for the retry. It must not touch any `TObject`: this one's lock is
+    /// held, and no thread may hold two.
+    pub fn try_write<F: FnOnce(&T) -> Arc<T>>(
         &self,
         me: &Arc<TxnShared<Ts>>,
-        payload: &mut Option<Arc<T>>,
+        snapshot: ValidityRange<Ts>,
+        observed: Ts,
+        derive: &mut Option<F>,
         local: Option<&mut LocalReclaim<Ts>>,
-    ) -> WriteAttempt<T, Ts> {
+    ) -> WriteAttempt<Ts> {
         let mut detached = None;
         let mut reclaim = self.reclaimer(local, &mut detached);
         let mut inner = self.inner.write();
@@ -319,13 +346,10 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         // fold happens).
         loop {
             self.fold_locked(&mut inner, reclaim.as_deref_mut());
-            match &mut inner.spec {
+            match &inner.spec {
                 None => break,
                 Some(spec) => match spec.writer.status() {
                     TxnStatus::Active | TxnStatus::Committing if spec.writer.id() == me.id() => {
-                        if payload.is_some() {
-                            spec.value = payload.take();
-                        }
                         return WriteAttempt::AlreadyWriter;
                     }
                     TxnStatus::Active => return WriteAttempt::Conflict(Arc::clone(&spec.writer)),
@@ -338,31 +362,39 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
             }
         }
         let vc = &inner.head;
-        let base_lower = vc.lower().expect("committed version has lower");
-        let base = payload.is_none().then(|| vc.value());
-        let meta = match reclaim {
-            // Arena path: recycle an epoch-expired node instead of a fresh
-            // heap allocation on the write/commit hot path.
-            Some(r) => r.alloc_meta(),
-            None => Arc::new(VersionMeta::speculative()),
-        };
+        let range = narrow(snapshot, vc.lower().expect("committed"), None, observed);
+        if !range.is_consistent() {
+            return WriteAttempt::TooRecent;
+        }
+        let derive = derive.take().expect("offered to every registration");
+        let value = derive(vc.value_ref());
         inner.spec = Some(Spec {
-            value: payload.take(),
-            meta,
+            value,
             writer: Arc::clone(me),
         });
-        WriteAttempt::Registered { base_lower, base }
+        WriteAttempt::Registered { range }
     }
 
-    /// Install or replace the speculative payload (after a payload-less
-    /// registration, or a re-write of an object the transaction already
-    /// registered on). Returns `false` if `me` is no longer the registered
-    /// writer (it was killed and its speculative version discarded).
+    /// Replace the speculative payload (a re-write of an object the
+    /// transaction already registered on). Returns `false` if `me` is no
+    /// longer the registered writer (it was killed and its speculative
+    /// version discarded).
     pub fn set_spec_value(&self, me_id: u64, value: Arc<T>) -> bool {
+        self.modify_spec(me_id, |_| value)
+    }
+
+    /// Replace the speculative payload with `f` of it, in one critical
+    /// section (a `modify` of an object the transaction already registered
+    /// on). `f` runs under the write lock, with [`try_write`]'s contract.
+    /// Returns `false`, without running `f`, if `me` is no longer the
+    /// registered writer.
+    ///
+    /// [`try_write`]: Self::try_write
+    pub fn modify_spec(&self, me_id: u64, f: impl FnOnce(&Arc<T>) -> Arc<T>) -> bool {
         let mut inner = self.inner.write();
         match &mut inner.spec {
             Some(spec) if spec.writer.id() == me_id => {
-                spec.value = Some(value);
+                spec.value = f(&spec.value);
                 true
             }
             _ => false,
@@ -374,33 +406,44 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     pub fn read_spec_value(&self, me_id: u64) -> Option<Arc<T>> {
         let inner = self.inner.read();
         match &inner.spec {
-            Some(spec) if spec.writer.id() == me_id => spec.value.clone(),
+            Some(spec) if spec.writer.id() == me_id => Some(Arc::clone(&spec.value)),
             _ => None,
         }
     }
 
+    /// Whether a fold prunes the tail of a chain that keeps `retained`
+    /// superseded versions, the tail included, when the tail's upper bound
+    /// is `upper`. Two policies prune:
+    ///
+    /// * the `max_versions` hard ceiling (always), and
+    /// * the minimum-active-snapshot watermark (when enabled, `Some`): a
+    ///   tail version whose fixed upper bound `u` satisfies `w ≿ u` is
+    ///   unreadable by every registered snapshot (each active lower bound
+    ///   `s` has `s ≽ w`, so `u ≽ s` would give `u ≽ w` by transitivity,
+    ///   contradicting `w ≿ u`).
+    fn prunes(&self, retained: usize, upper: Ts, watermark: Option<Ts>) -> bool {
+        retained >= self.max_versions || watermark.is_some_and(|w| w.possibly_later(upper))
+    }
+
     /// Fold a resolved speculative version while holding the write lock:
     ///
-    /// * committed writer → make the speculative node the version: lower
+    /// * committed writer → link a version node as the new head — lower
     ///   bound the writer's commit time `CT`, the payload, the way back to
-    ///   this object, bound in one exclusive access to the still-unshared
-    ///   node; fix the previous newest version's upper bound to `CT.prior()`
+    ///   this object — fix the previous head's upper bound to `CT.prior()`
     ///   (Algorithm 3 line 29's "valid at least until then" becomes exact
-    ///   here), push the node as the new head, prune the tail;
+    ///   here), prune the tail;
     /// * aborted writer → discard.
+    ///
+    /// The node is the one of the version this fold prunes first, when that
+    /// one goes and `Arc::get_mut` proves nobody else holds it: rebound in
+    /// place ([`VersionMeta::recommit`]), its way back kept. Otherwise it is
+    /// drawn from the pool and bound in the one exclusive access it takes.
     ///
     /// Tail pruning retires **eagerly at commit** — the committer folds its
     /// own write (`finalize_cleanup` → `fold_resolved`), so reclamation does
     /// not depend on a future accessor happening to touch this object. The
     /// folding thread's (synced) share of the domain supplies the watermark
-    /// and takes the retired nodes. Two policies prune:
-    ///
-    /// * the `max_versions` hard ceiling (always), and
-    /// * the minimum-active-snapshot watermark (when enabled): a tail
-    ///   version whose fixed upper bound `u` satisfies `w ≿ u` is unreadable
-    ///   by every registered snapshot (each active lower bound `s` has
-    ///   `s ≽ w`, so `u ≽ s` would give `u ≽ w` by transitivity,
-    ///   contradicting `w ≿ u`) and is retired into the arena.
+    /// and takes the retired nodes ([`prunes`](Self::prunes) says which).
     fn fold_locked(&self, inner: &mut ObjInner<T, Ts>, mut reclaim: Option<&mut LocalReclaim<Ts>>) {
         let resolved = match &inner.spec {
             Some(spec) => spec.writer.status().is_final(),
@@ -409,57 +452,81 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         if !resolved {
             return;
         }
-        let mut spec = inner.spec.take().expect("checked above");
+        let spec = inner.spec.take().expect("checked above");
         match spec.writer.status() {
-            TxnStatus::Committed => {
-                let ct = spec.writer.ct().expect("committed writer has a CT");
-                let payload: Arc<dyn Any + Send + Sync> = spec
-                    .value
-                    .expect("a committing writer has installed its payload");
-                Arc::get_mut(&mut spec.meta)
-                    .expect("a speculative node has one reference")
+            TxnStatus::Committed => {}
+            TxnStatus::Aborted => return,
+            _ => unreachable!("resolved checked above"),
+        }
+        let ct = spec.writer.ct().expect("committed writer has a CT");
+        let payload: Arc<dyn Any + Send + Sync> = spec.value;
+        debug_assert!(
+            ct.possibly_later(inner.head.lower().expect("committed")),
+            "commit-time order inverted within one object's chain: new {:?} after {:?}",
+            ct,
+            inner.head.lower()
+        );
+        let watermark = match &reclaim {
+            Some(r) if self.wm_prune => r.watermark(),
+            _ => None,
+        };
+        // The version pruned first is the tail of `older` once the head has
+        // joined it — the head itself, superseded at `CT.prior()`, when
+        // `older` is empty.
+        let head_is_tail = inner.older.is_empty();
+        let retained = inner.older.len() + 1;
+        let (first, upper) = match inner.older.back_mut() {
+            Some(tail) => {
+                let upper = tail.upper().expect(SUPERSEDED);
+                (tail, upper)
+            }
+            None => (&mut inner.head, ct.prior()),
+        };
+        let unshared = if self.prunes(retained, upper, watermark) {
+            Arc::get_mut(first)
+        } else {
+            None
+        };
+        let node = match unshared {
+            Some(node) => {
+                node.recommit(ct, payload);
+                if let Some(r) = &reclaim {
+                    r.note_recycled();
+                }
+                if head_is_tail {
+                    return;
+                }
+                inner.older.pop_back().expect("the tail was recommitted")
+            }
+            None => {
+                let mut node = match reclaim.as_deref_mut() {
+                    Some(r) => r.alloc_meta(),
+                    None => Arc::new(VersionMeta::speculative()),
+                };
+                Arc::get_mut(&mut node)
+                    .expect("a node from the pool has one reference")
                     .commit(ct, payload, self.me.clone());
-                let prev = std::mem::replace(&mut inner.head, spec.meta);
-                debug_assert!(
-                    ct.possibly_later(prev.lower().expect("committed")),
-                    "commit-time order inverted within one object's chain: \
-                     new {:?} after {:?}",
-                    ct,
-                    prev.lower()
-                );
-                prev.set_upper(ct.prior());
-                inner.older.push_front(prev);
                 if let Some(r) = &reclaim {
                     r.note_live();
                 }
-                while inner.older.len() >= self.max_versions {
-                    // Only superseded versions (fixed upper) can sit behind
-                    // the head, so pruning never erases live range info —
-                    // readers that still hold the node keep range and value.
-                    let pruned = inner.older.pop_back().expect("len checked");
-                    debug_assert!(pruned.upper().is_some());
-                    if let Some(r) = &mut reclaim {
-                        r.retire(pruned);
-                    }
-                }
-                let watermark = reclaim.as_ref().and_then(|r| r.watermark());
-                if let (true, Some(r), Some(w)) = (self.wm_prune, reclaim, watermark) {
-                    while let Some(tail) = inner.older.back() {
-                        match tail.upper() {
-                            Some(u) if w.possibly_later(u) => {
-                                let pruned = inner.older.pop_back().expect("back() was Some");
-                                r.retire(pruned);
-                            }
-                            // The tail still overlaps `[w, ∞)`: some
-                            // registered snapshot may read it (and
-                            // everything newer), stop.
-                            _ => break,
-                        }
-                    }
-                }
+                node
             }
-            TxnStatus::Aborted => drop(spec),
-            _ => unreachable!("resolved checked above"),
+        };
+        let prev = std::mem::replace(&mut inner.head, node);
+        prev.set_upper(ct.prior());
+        inner.older.push_front(prev);
+        // Readers that still hold a pruned node keep its range and value.
+        while let Some(tail) = inner.older.back() {
+            let upper = tail.upper().expect(SUPERSEDED);
+            if !self.prunes(inner.older.len(), upper, watermark) {
+                // Some registered snapshot may read the tail (and
+                // everything newer): stop.
+                break;
+            }
+            let pruned = inner.older.pop_back().expect("back() was Some");
+            if let Some(r) = &mut reclaim {
+                r.retire(pruned);
+            }
         }
     }
 }
@@ -568,9 +635,20 @@ mod tests {
         Arc::new(TxnShared::new(id))
     }
 
+    /// What `Txn::write` offers a registration: `value`, whatever `vc` is.
+    fn payload(value: i64) -> Option<impl FnOnce(&i64) -> Arc<i64>> {
+        let value = Arc::new(value);
+        Some(move |_: &i64| value)
+    }
+
+    /// A snapshot that admits every version.
+    fn any_time() -> ValidityRange<u64> {
+        ValidityRange::from(0u64)
+    }
+
     /// Register `t` on `o` with `value` as its payload, outside any handle.
-    fn write(o: &TObject<i64, u64>, t: &Arc<TxnShared<u64>>, value: i64) -> WriteAttempt<i64, u64> {
-        o.try_write(t, &mut Some(Arc::new(value)), None)
+    fn write(o: &TObject<i64, u64>, t: &Arc<TxnShared<u64>>, value: i64) -> WriteAttempt<u64> {
+        o.try_write(t, any_time(), 0, &mut payload(value), None)
     }
 
     #[test]
@@ -590,9 +668,8 @@ mod tests {
         let o = obj(4);
         let t = txn(100);
         match write(&o, &t, 42) {
-            WriteAttempt::Registered { base_lower, base } => {
-                assert_eq!(base_lower, 0);
-                assert!(base.is_none(), "the payload was brought along");
+            WriteAttempt::Registered { range } => {
+                assert_eq!((range.lower, range.upper), (0, Some(0)), "T.R ∩ vc's range");
             }
             _ => panic!("expected Registered"),
         }
@@ -650,9 +727,9 @@ mod tests {
     fn the_payload_is_taken_exactly_when_the_writer_ends_up_registered() {
         let o = obj(4);
         let (t1, t2) = (txn(1), txn(2));
-        let mut first = Some(Arc::new(11));
+        let mut first = payload(11);
         assert!(matches!(
-            o.try_write(&t1, &mut first, None),
+            o.try_write(&t1, any_time(), 0, &mut first, None),
             WriteAttempt::Registered { .. }
         ));
         assert!(first.is_none());
@@ -660,23 +737,23 @@ mod tests {
 
         // Turned away by an active writer, then by a committing one: the
         // payload stays with the caller for its retry.
-        let mut blocked = Some(Arc::new(22));
+        let mut blocked = payload(22);
         assert!(matches!(
-            o.try_write(&t2, &mut blocked, None),
+            o.try_write(&t2, any_time(), 0, &mut blocked, None),
             WriteAttempt::Conflict(_)
         ));
         t1.transition(TxnStatus::Active, TxnStatus::Committing);
         assert!(matches!(
-            o.try_write(&t2, &mut blocked, None),
+            o.try_write(&t2, any_time(), 0, &mut blocked, None),
             WriteAttempt::NeedHelp(_)
         ));
-        assert_eq!(blocked.as_deref(), Some(&22));
+        assert!(blocked.is_some());
         assert_eq!(*o.read_spec_value(t1.id()).unwrap(), 11, "untouched");
 
         t1.set_ct(7);
         t1.transition(TxnStatus::Committing, TxnStatus::Committed);
         assert!(matches!(
-            o.try_write(&t2, &mut blocked, None),
+            o.try_write(&t2, any_time(), 0, &mut blocked, None),
             WriteAttempt::Registered { .. }
         ));
         assert!(blocked.is_none());
@@ -686,47 +763,85 @@ mod tests {
 
     #[test]
     fn a_payload_less_registration_hands_back_vc_and_owes_the_payload() {
+        // The derive path (`Txn::modify`): the registration hands `vc`'s
+        // value to the closure by reference, runs it once, and installs what
+        // it returns — nothing is owed afterwards.
         let o = obj(4);
         let (t1, t2) = (txn(1), txn(2));
-        match o.try_write(&t1, &mut None, None) {
-            WriteAttempt::Registered { base_lower, base } => {
-                assert_eq!((base_lower, base.as_deref()), (0, Some(&10)));
+        let runs = std::cell::Cell::new(0);
+        let mut derive = Some(|vc: &i64| {
+            runs.set(runs.get() + 1);
+            Arc::new(vc + 1)
+        });
+        assert!(matches!(
+            o.try_write(&t1, any_time(), 0, &mut derive, None),
+            WriteAttempt::Registered { .. }
+        ));
+        assert!(derive.is_none(), "taken by the registration");
+        assert_eq!(runs.get(), 1);
+        assert_eq!(*o.read_spec_value(t1.id()).unwrap(), 11, "f(vc) installed");
+
+        // Registered: another writer conflicts without its closure running,
+        // readers look past the mark.
+        let mut refused = Some(|_: &i64| -> Arc<i64> { panic!("turned away, yet run") });
+        assert!(matches!(
+            o.try_write(&t2, any_time(), 0, &mut refused, None),
+            WriteAttempt::Conflict(_)
+        ));
+        assert!(refused.is_some());
+        match o.try_read(&any_time()) {
+            ReadAttempt::Found { meta, .. } => assert_eq!(*meta.value::<i64>(), 10),
+            _ => panic!("an active writer is invisible to readers"),
+        }
+        // Asking again neither re-registers nor runs anything; a re-modify
+        // derives from the speculative payload in one section.
+        let mut again = Some(|_: &i64| -> Arc<i64> { panic!("already the writer") });
+        assert!(matches!(
+            o.try_write(&t1, any_time(), 0, &mut again, None),
+            WriteAttempt::AlreadyWriter
+        ));
+        assert!(o.modify_spec(t1.id(), |v| Arc::new(**v * 2)));
+        assert!(!o.modify_spec(t2.id(), |_| panic!("not t2's payload")));
+        assert_eq!(runs.get(), 1);
+
+        t1.transition(TxnStatus::Active, TxnStatus::Committing);
+        t1.set_ct(7);
+        t1.transition(TxnStatus::Committing, TxnStatus::Committed);
+        o.fold_resolved(None);
+        assert_eq!(*o.snapshot_latest(), 22, "the derived value is the version");
+        assert_eq!(o.version_count(), 2);
+    }
+
+    #[test]
+    fn a_registration_the_snapshot_cannot_admit_runs_nothing() {
+        let o = obj(4);
+        let t1 = txn(1);
+        assert!(matches!(
+            write(&o, &t1, 11),
+            WriteAttempt::Registered { .. }
+        ));
+        t1.transition(TxnStatus::Active, TxnStatus::Committing);
+        t1.set_ct(7);
+        t1.transition(TxnStatus::Committing, TxnStatus::Committed);
+
+        // A snapshot that ends at 5 cannot hold `vc`, valid from 7: no
+        // registration, no closure run, the caller keeps it for the retry.
+        let t2 = txn(2);
+        let mut derive = Some(|_: &i64| -> Arc<i64> { panic!("ran on an inadmissible vc") });
+        assert!(matches!(
+            o.try_write(&t2, ValidityRange::bounded(0u64, 5), 5, &mut derive, None),
+            WriteAttempt::TooRecent
+        ));
+        assert!(derive.is_some());
+        assert!(o.current_writer().is_none(), "t1 folded, t2 not registered");
+
+        // Extended past it, the snapshot is narrowed to `[7, 9]`.
+        match o.try_write(&t2, ValidityRange::from(0u64), 9, &mut payload(12), None) {
+            WriteAttempt::Registered { range } => {
+                assert_eq!((range.lower, range.upper), (7, Some(9)));
             }
             _ => panic!("expected Registered"),
         }
-        assert!(
-            o.read_spec_value(t1.id()).is_none(),
-            "nothing installed yet"
-        );
-        // Registered all the same: others conflict, readers look past it.
-        assert!(matches!(write(&o, &t2, 0), WriteAttempt::Conflict(_)));
-        assert!(matches!(
-            o.try_read(&ValidityRange::from(0u64)),
-            ReadAttempt::Found { .. }
-        ));
-        // Asking again neither re-registers nor wipes what is there.
-        assert!(o.set_spec_value(t1.id(), Arc::new(11)));
-        assert!(matches!(
-            o.try_write(&t1, &mut None, None),
-            WriteAttempt::AlreadyWriter
-        ));
-        assert_eq!(*o.read_spec_value(t1.id()).unwrap(), 11);
-
-        // Killed before it installed anything: the empty speculative
-        // version goes with the next fold, the object is writable again.
-        let o = obj(4);
-        assert!(matches!(
-            o.try_write(&t1, &mut None, None),
-            WriteAttempt::Registered { .. }
-        ));
-        t1.transition(TxnStatus::Active, TxnStatus::Aborted);
-        assert!(
-            !o.set_spec_value(t2.id(), Arc::new(0)),
-            "not t2's to install"
-        );
-        assert!(matches!(write(&o, &t2, 5), WriteAttempt::Registered { .. }));
-        assert!(!o.set_spec_value(t1.id(), Arc::new(12)), "t1 lost the slot");
-        assert_eq!(o.version_count(), 1);
     }
 
     #[test]
@@ -921,6 +1036,59 @@ mod tests {
             s.versions_reclaimed + s.versions_pooled,
             2,
             "every retired node is accounted released-or-pooled"
+        );
+    }
+
+    #[test]
+    fn a_fold_links_the_node_it_prunes_as_the_new_version() {
+        let (dom, o) = reclaimed_obj(2, false);
+        let node_at = |range: ValidityRange<u64>| match o.try_read(&range) {
+            ReadAttempt::Found { meta, .. } => meta,
+            _ => panic!("a version serves {range:?}"),
+        };
+        commit_write(&o, 1, 1, 10);
+        let tail = Arc::as_ptr(&node_at(ValidityRange::bounded(0, 5)));
+        // The ceiling prunes `[0, 9]`, and nobody holds it: its node is the
+        // new version, the way back kept, nothing pooled.
+        commit_write(&o, 2, 2, 20);
+        let head = node_at(ValidityRange::from(20));
+        assert!(std::ptr::eq(Arc::as_ptr(&head), tail));
+        assert_eq!((head.lower(), *head.value::<i64>()), (Some(20), 2));
+        assert_eq!(head.object().expect("alive").id(), o.id());
+        drop(head);
+        assert_eq!(o.debug_chain(), [(Some(20), None), (Some(10), Some(19))]);
+        let s = dom.stats();
+        assert_eq!(
+            (
+                s.versions_retired,
+                s.versions_reclaimed,
+                s.versions_recycled
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!((s.versions_pooled, s.versions_live), (0, 2));
+
+        // A reader holds the version the next fold prunes: it keeps all of
+        // it, and the fold takes another node.
+        let held = node_at(ValidityRange::bounded(10, 15));
+        commit_write(&o, 3, 3, 30);
+        assert_eq!(
+            (held.range(), *held.value::<i64>()),
+            (ValidityRange::bounded(10, 19), 1)
+        );
+        let s = dom.stats();
+        assert_eq!(
+            (
+                s.versions_retired,
+                s.versions_reclaimed,
+                s.versions_recycled
+            ),
+            (2, 2, 1)
+        );
+        assert_eq!(
+            Arc::weak_count(&o),
+            4,
+            "itself, two chain versions, the held one"
         );
     }
 

@@ -110,7 +110,10 @@
 //! forever), and that exclusive access also empties it, so no pooled node
 //! keeps a payload or an object alive; (2) pooled nodes are epoch-stamped at retirement and handed out
 //! again only after the watermark has advanced past that epoch, so even the
-//! *timing* of reuse is tied to snapshot progress. See DESIGN.md §11.
+//! *timing* of reuse is tied to snapshot progress. A fold that links the
+//! node it prunes again, as the same object's next version, never pools it:
+//! guard (1) and the object's write lock, held across both, are the whole
+//! argument, and the node skips the epoch wait. See DESIGN.md §11.
 
 use crate::version::VersionMeta;
 use lsa_engine::{MemoryStats, Stat, StatsDomain, StatsShard};
@@ -439,8 +442,9 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
         installed
     }
 
-    /// The node for a new speculative version, recycled from the pool when
-    /// one retired before the current epoch is available. Pooled nodes were
+    /// The node for a fold's new version when it recycles none of its own
+    /// ([`note_recycled`](Self::note_recycled)): from the pool when one
+    /// retired before the current epoch is available. Pooled nodes were
     /// reset when they were retired, so this is a pop.
     pub(crate) fn alloc_meta(&mut self) -> Arc<VersionMeta<Ts>> {
         // Oldest stamp first: if even the front is too fresh, so is the
@@ -458,6 +462,18 @@ impl<Ts: Timestamp> LocalReclaim<Ts> {
     /// A version was linked into a chain.
     pub(crate) fn note_live(&self) {
         self.stats.inc(Stat::VersionsLive);
+    }
+
+    /// A fold pruned a version and linked its node again as the same
+    /// object's new version ([`VersionMeta::recommit`]): retired, reclaimed
+    /// and recycled at once, never pooled, and `live` stays — one version
+    /// left the chain, one joined it. The fold's `Arc::get_mut` under the
+    /// object's write lock is all such a reuse needs (guard 1 of the module
+    /// docs), so it does not wait out an epoch.
+    pub(crate) fn note_recycled(&self) {
+        self.stats.inc(Stat::VersionsRetired);
+        self.stats.inc(Stat::VersionsReclaimed);
+        self.stats.inc(Stat::VersionsRecycled);
     }
 
     /// A version was unlinked from its chain. Pools the node for reuse when

@@ -37,10 +37,11 @@ pub struct CtxEntry<Ts: Timestamp> {
 /// The owner hands over the very vector it built — it does not touch it
 /// again until no helper holds the context.
 pub struct CommitCtx<Ts: Timestamp> {
-    /// `T.O`: the versions the transaction read. Objects it opened by writing them are not here — what it wrote
-    /// over is covered by its write mark (Algorithm 3 line 27's self case)
-    /// and needs no validation — so a write-only transaction publishes an
-    /// empty set, which a helper validates vacuously.
+    /// `T.O`: the versions the transaction read. Objects it opened by
+    /// writing them are not here — what it wrote over is covered by its
+    /// write mark (Algorithm 3 line 27's self case) and needs no validation
+    /// — so a write-only transaction has nothing to publish and publishes
+    /// nothing; a helper finding no context validates vacuously.
     pub entries: Vec<CtxEntry<Ts>>,
 }
 
@@ -128,7 +129,8 @@ impl<Ts: Timestamp> TxnShared<Ts> {
 
     /// Publish the read set helpers need. Must be called *before*
     /// transitioning to `Committing` so that any thread observing the
-    /// `Committing` state is guaranteed to find the context.
+    /// `Committing` state is guaranteed to find the context; an empty read
+    /// set is not published at all.
     pub fn publish_ctx(&self, ctx: Arc<CommitCtx<Ts>>) {
         *self.ctx.lock() = Some(ctx);
     }

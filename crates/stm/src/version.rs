@@ -24,10 +24,11 @@
 //! last reader lets go of the node.
 //!
 //! Payload and back-reference are plain fields, written only through
-//! `&mut`: by the fold that commits the node, which still holds its only
-//! reference, and by the arena when it takes a retired node nobody else
-//! holds ([`VersionMeta::reset`]). In between — for as long as the node is
-//! shared — they do not change.
+//! `&mut`: by the fold that commits the node, which holds its only
+//! reference — a fresh or pooled node, or the version the same fold prunes
+//! ([`VersionMeta::recommit`]) — and by the arena when it takes a retired
+//! node nobody else holds ([`VersionMeta::reset`]). In between — for as
+//! long as the node is shared — they do not change.
 
 use crate::object::AnyObject;
 use lsa_time::{Timestamp, TsCell};
@@ -40,8 +41,7 @@ use std::sync::{Arc, Weak};
 pub struct VersionMeta<Ts: Timestamp> {
     lower: Ts::Cell,
     upper: Ts::Cell,
-    /// `None` while the version is speculative (its writer's payload is in
-    /// the object's write mark) and once the node is pooled.
+    /// `None` until a fold commits the node, and once it is pooled.
     payload: Option<Arc<dyn Any + Send + Sync>>,
     /// The object this is a version of, for `o.writer` (`getPrelimUB`).
     /// Weak: the object owns its versions. Same lifetime as `payload`.
@@ -58,7 +58,8 @@ fn fix<Ts: Timestamp>(bound: &Ts::Cell, ts: Ts) {
 }
 
 impl<Ts: Timestamp> VersionMeta<Ts> {
-    /// A speculative version: both bounds unknown, nothing bound yet.
+    /// A node no fold has committed yet: both bounds unknown, nothing
+    /// bound.
     pub fn speculative() -> Self {
         VersionMeta {
             lower: Ts::Cell::default(),
@@ -80,7 +81,7 @@ impl<Ts: Timestamp> VersionMeta<Ts> {
         node
     }
 
-    /// Make a speculative node the version of `object` valid from `lower`
+    /// Make an unbound node the version of `object` valid from `lower`
     /// with `payload` — everything a fold binds, in the one exclusive
     /// access it takes.
     pub(crate) fn commit(
@@ -93,6 +94,18 @@ impl<Ts: Timestamp> VersionMeta<Ts> {
         self.lower.put(Some(lower));
         self.payload = Some(payload);
         self.object = Some(object);
+    }
+
+    /// Make a version its object's chain is pruning that object's next
+    /// version, valid from `lower` with `payload`: the bounds start over,
+    /// the old payload is released, and the way back — already the right
+    /// one — stays. The fold that prunes the node proves with `Arc::get_mut`
+    /// that nobody else holds it, under the object's write lock.
+    pub(crate) fn recommit(&mut self, lower: Ts, payload: Arc<dyn Any + Send + Sync>) {
+        debug_assert!(self.object.is_some() && self.lower().is_some());
+        self.lower.put(Some(lower));
+        self.upper.put(None);
+        self.payload = Some(payload);
     }
 
     /// `⌊v.R⌋`, if the version has been committed.
@@ -130,6 +143,17 @@ impl<Ts: Timestamp> VersionMeta<Ts> {
     pub fn value<T: Send + Sync + 'static>(&self) -> Arc<T> {
         Arc::clone(self.payload.as_ref().expect("a committed version"))
             .downcast::<T>()
+            .expect("object payload type is stable")
+    }
+
+    /// The version's payload by reference — no count moves. Panics like
+    /// [`value`](Self::value).
+    #[inline]
+    pub fn value_ref<T: Send + Sync + 'static>(&self) -> &T {
+        self.payload
+            .as_deref()
+            .expect("a committed version")
+            .downcast_ref::<T>()
             .expect("object payload type is stable")
     }
 
@@ -262,5 +286,21 @@ mod tests {
         m.reset();
         assert!(m.is_unbound());
         assert_eq!((m.lower(), m.upper()), (None, None));
+    }
+
+    #[test]
+    fn a_recommitted_node_keeps_its_way_back_and_nothing_else() {
+        let obj = TObject::new(1, 0u64, 0, 4);
+        let back = Arc::downgrade(&obj) as Weak<dyn AnyObject<u64>>;
+        let (old, new) = (Arc::new(5u64), Arc::new(6u64));
+        let mut m = VersionMeta::committed_at(7, old.clone(), back);
+        m.set_upper(19);
+        m.recommit(20, new.clone());
+        assert_eq!((m.lower(), m.upper()), (Some(20), None));
+        assert_eq!(*m.value_ref::<u64>(), 6);
+        assert_eq!(Arc::strong_count(&old), 1, "the old payload is released");
+        assert_eq!(Arc::strong_count(&new), 2);
+        assert_eq!(m.object().expect("alive").id(), obj.id());
+        assert_eq!(Arc::weak_count(&obj), 3, "itself, its head, this node");
     }
 }

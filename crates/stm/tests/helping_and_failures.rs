@@ -15,22 +15,38 @@ use lsa_time::ValidityRange;
 use std::sync::Arc;
 
 /// Build a "stuck" committing writer on a fresh object: registered, value
-/// installed, context published, status = Committing, **no commit time** —
-/// as if the owner thread was preempted right after the status CAS. It
-/// opened the object by writing it, so its read set is empty: what it wrote
-/// over is covered by its write mark.
+/// installed, status = Committing, **no commit time** — as if the owner
+/// thread was preempted right after the status CAS. It opened the object by
+/// writing it, so its read set is empty — what it wrote over is covered by
+/// its write mark — and, like its owner would, it published no context.
 fn stuck_committing_writer(var: &TVar<u64, u64>, value: u64) -> Arc<TxnShared<u64>> {
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xDEAD));
-    let mut payload = Some(Arc::new(value));
     assert!(matches!(
-        var.object_for_tests()
-            .try_write(&writer, &mut payload, None),
-        WriteAttempt::Registered { base: None, .. }
+        register(var, &writer, value),
+        WriteAttempt::Registered { .. }
     ));
-    assert!(payload.is_none(), "the registration installed the payload");
-    writer.publish_ctx(Arc::default());
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
     writer
+}
+
+/// Register `writer` on `var`'s object with `value` installed, as
+/// `Txn::write` does, from a snapshot that admits every version.
+fn register<T: Send + Sync + 'static>(
+    var: &TVar<T, u64>,
+    writer: &Arc<TxnShared<u64>>,
+    value: T,
+) -> WriteAttempt<u64> {
+    let value = Arc::new(value);
+    let mut payload = Some(move |_: &T| value);
+    let attempt =
+        var.object_for_tests()
+            .try_write(writer, ValidityRange::from(0), 0, &mut payload, None);
+    assert_eq!(
+        payload.is_none(),
+        matches!(attempt, WriteAttempt::Registered { .. }),
+        "the payload is taken exactly by a registration"
+    );
+    attempt
 }
 
 #[test]
@@ -127,8 +143,7 @@ fn aborted_stuck_writer_is_discarded_by_next_accessor() {
     let var = stm.new_tvar(9u64);
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xBEEF));
     assert!(matches!(
-        var.object_for_tests()
-            .try_write(&writer, &mut Some(Arc::new(666)), None),
+        register(&var, &writer, 666),
         WriteAttempt::Registered { .. }
     ));
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Aborted));
@@ -184,7 +199,7 @@ fn stuck_read_modify_writer(
     interloper();
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xFEED));
     assert!(matches!(
-        obj.try_write(&writer, &mut Some(Arc::new(42)), None),
+        register(var, &writer, 42),
         WriteAttempt::Registered { .. }
     ));
     writer.publish_ctx(Arc::new(CommitCtx {
@@ -237,8 +252,7 @@ fn helper_validates_a_version_whose_object_was_dropped_by_the_callers_bound() {
 
     let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xD0A));
     assert!(matches!(
-        var.object_for_tests()
-            .try_write(&writer, &mut Some(Arc::new(42)), None),
+        register(&var, &writer, 42),
         WriteAttempt::Registered { .. }
     ));
     writer.publish_ctx(Arc::new(CommitCtx {
@@ -299,12 +313,10 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
     );
     let var = stm.new_tvar(Arc::new(0u64));
     let committing: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xC0));
-    let obj = var.object_for_tests();
     assert!(matches!(
-        obj.try_write(&committing, &mut Some(Arc::new(Arc::new(1))), None),
+        register(&var, &committing, Arc::new(1)),
         WriteAttempt::Registered { .. }
     ));
-    committing.publish_ctx(Arc::default());
     assert!(committing.transition(TxnStatus::Active, TxnStatus::Committing));
 
     let payload = Arc::new(5u64);
@@ -325,7 +337,7 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
     // same payload registers on the next turn of the loop.
     let active: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xAC));
     assert!(matches!(
-        obj.try_write(&active, &mut Some(Arc::new(Arc::new(2))), None),
+        register(&var, &active, Arc::new(2)),
         WriteAttempt::Registered { .. }
     ));
     h.atomically(|tx| tx.write(&var, Arc::clone(&payload)));
@@ -341,57 +353,61 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
 
 #[test]
 fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() {
-    // `modify` on an unopened object registers first and installs after its
-    // closure has run. Whatever ends the attempt in between — the closure
-    // panicking, a contention manager killing the writer — must leave no
-    // payload-less speculative version behind, the object writable by
-    // others, and the handle's scratch clean.
-    let stm = Stm::new(SharedCounter::new());
+    // `modify` on an unopened object derives its payload inside the
+    // registration, so nothing ends the attempt between the two: a closure
+    // that panics does so before anything is registered, and a contention
+    // manager can only kill a writer whose payload is in. Either way no
+    // writer stays registered, the object is writable by others, and the
+    // handle's scratch comes back clean.
+    let stm = Stm::with_cm(SharedCounter::new(), StmConfig::default(), Aggressive);
     let var = stm.new_tvar(10u64);
     let obj = var.object_for_tests();
     let mut h = stm.register();
     let mut other = stm.register();
 
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        h.atomically(|tx| {
-            tx.modify(&var, |_| {
-                let me = obj.current_writer().expect("registered before f runs");
-                assert_eq!(me.status(), TxnStatus::Active);
-                panic!("closure failed between registration and install")
-            })
-        })
+        h.atomically(|tx| tx.modify(&var, |_| -> u64 { panic!("closure failed") }))
     }));
     assert!(unwound.is_err());
-    assert!(
-        obj.current_writer().is_none(),
-        "the unwind folded the mark away"
-    );
+    assert!(obj.current_writer().is_none(), "nothing was registered");
     other.atomically(|tx| tx.modify(&var, |v| v + 1));
     assert_eq!(other.engine_stats().conflicts, 0);
     assert_eq!(*var.snapshot_latest(), 11);
+    // The handle's next transaction starts from an empty scratch: a first
+    // open, read from the object, nothing to validate.
+    let before = h.engine_stats();
+    let seen = h.atomically(|tx| {
+        let v = *tx.read(&var)?;
+        assert_eq!(tx.opened(), 1);
+        Ok(v)
+    });
+    assert_eq!(seen, 11);
+    let after = h.engine_stats();
+    assert_eq!(after.ro_commits, before.ro_commits + 1);
+    assert_eq!(after.aborts, before.aborts);
 
-    // Killed inside the closure: the install finds the mark gone, the
-    // attempt aborts as `Killed` and the retry goes through.
+    // Killed after registration: `other` meets the mark of an active writer
+    // and Aggressive aborts it. The victim's commit finds itself `Killed`,
+    // and the retry derives from the enemy's 20.
     let mut injected = false;
     h.atomically(|tx| {
-        tx.modify(&var, |v| {
-            if !std::mem::replace(&mut injected, true) {
-                let me = obj.current_writer().expect("registered before f runs");
-                assert!(me.transition(TxnStatus::Active, TxnStatus::Aborted));
-                // An enemy takes the object over and commits meanwhile.
-                other.atomically(|otx| otx.write(&var, 20));
-            }
-            v + 1
-        })?;
+        tx.modify(&var, |v| v + 1)?;
         // Opened once, by writing: the write set's, not `T.O`'s.
         assert_eq!(tx.opened(), 1);
+        if !std::mem::replace(&mut injected, true) {
+            other.atomically(|otx| otx.write(&var, 20));
+        }
         Ok(())
     });
+    assert_eq!(other.engine_stats().conflicts, 1);
     // Killed, counted as contention: the victim submitted no conflict and
     // its body asks for no retry.
     let es = h.engine_stats();
-    assert_eq!((es.abort_reasons.contention, es.aborts), (1, 1));
-    assert_eq!(es.conflicts, 0);
+    assert_eq!(
+        es.abort_reasons.contention - after.abort_reasons.contention,
+        1
+    );
+    assert_eq!((es.aborts - after.aborts, es.conflicts), (1, 0));
     assert_eq!(
         *var.snapshot_latest(),
         21,
@@ -403,5 +419,112 @@ fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() 
         4,
         "10, 11, 20, 21 — nothing half-written"
     );
-    assert_eq!(h.engine_stats().validated_entries, 0);
+    assert_eq!(es.validated_entries, 0);
+}
+
+#[test]
+fn modify_never_runs_its_closure_on_a_version_the_snapshot_cannot_admit() {
+    // X and Y are always equal: one transaction commits both. A snapshot
+    // that read X before that commit cannot hold Y's new version, so a
+    // `modify` of Y must abort (`Snapshot`) without its closure seeing that
+    // version — the registration admits `vc` before it runs the closure —
+    // and the retry's closure sees the Y of the X it read.
+    let stm = Stm::new(SharedCounter::new());
+    let (x, y) = (stm.new_tvar(0u64), stm.new_tvar(0u64));
+    let (mut h, mut other) = (stm.register(), stm.register());
+    // Closure runs, per attempt.
+    let mut runs = Vec::new();
+    h.atomically(|tx| {
+        runs.push(0);
+        let seen_x = *tx.read(&x)?;
+        if runs.len() == 1 {
+            other.atomically(|otx| {
+                otx.write(&x, 1)?;
+                otx.write(&y, 1)
+            });
+        }
+        let count = runs.last_mut().expect("pushed above");
+        tx.modify(&y, |vy| {
+            *count += 1;
+            assert_eq!(*vy, seen_x, "the closure saw Y beside an older X");
+            vy + 10
+        })
+    });
+    assert_eq!(runs, [0, 1]);
+    let es = h.engine_stats();
+    assert_eq!((es.aborts, es.abort_reasons.validation), (1, 1));
+    assert_eq!((*x.snapshot_latest(), *y.snapshot_latest()), (1, 11));
+}
+
+#[test]
+fn modify_runs_its_closure_once_per_registration_across_conflict_and_help_retries() {
+    // Two registrations that are turned away first — by a committing writer
+    // that needs help, by an active one the contention manager kills — and
+    // then succeed: each closure runs exactly once, on the value the
+    // registration finally wrote over.
+    let stm = Stm::with_cm(SharedCounter::new(), StmConfig::default(), Aggressive);
+    let (stuck, held) = (stm.new_tvar(1u64), stm.new_tvar(2u64));
+    let committing = stuck_committing_writer(&stuck, 7);
+    let active: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xAC));
+    assert!(matches!(
+        register(&held, &active, 3),
+        WriteAttempt::Registered { .. }
+    ));
+
+    let mut h = stm.register();
+    let (mut on_stuck, mut on_held) = (0, 0);
+    h.atomically(|tx| {
+        // NeedHelp: the registration helps `committing` finish, then retries.
+        tx.modify(&stuck, |v| {
+            on_stuck += 1;
+            v * 10
+        })?;
+        // Conflict: Aggressive kills `active`, the registration retries.
+        tx.modify(&held, |v| {
+            on_held += 1;
+            v * 10
+        })
+    });
+    assert_eq!((on_stuck, on_held), (1, 1));
+    assert_eq!(
+        (committing.status(), active.status()),
+        (TxnStatus::Committed, TxnStatus::Aborted)
+    );
+    assert_eq!(
+        (*stuck.snapshot_latest(), *held.snapshot_latest()),
+        (70, 20)
+    );
+    let es = h.engine_stats();
+    assert_eq!(
+        (es.commits, es.aborts, es.conflicts, es.helps),
+        (1, 0, 1, 1)
+    );
+}
+
+#[test]
+fn a_helper_commits_a_write_only_committer_that_published_no_context() {
+    // An update that read nothing publishes no context. A helper takes the
+    // context only after it has seen `Committing`, and the owner would have
+    // published before that transition: none there, with the status still
+    // `Committing`, means an empty read set, which validates vacuously.
+    let stm = Stm::new(SharedCounter::new());
+    let (a, b) = (stm.new_tvar(1u64), stm.new_tvar(2u64));
+    let writer: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xB0B));
+    for (var, value) in [(&a, 10), (&b, 20)] {
+        assert!(matches!(
+            register(var, &writer, value),
+            WriteAttempt::Registered { .. }
+        ));
+    }
+    assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
+    assert!(writer.ctx().is_none(), "nothing published");
+
+    let mut h = stm.register();
+    assert_eq!(h.atomically(|tx| Ok(*tx.read(&a)? + *tx.read(&b)?)), 30);
+    assert_eq!(writer.status(), TxnStatus::Committed);
+    let ct = writer.ct().expect("the helper set it");
+    for var in [&a, &b] {
+        assert_eq!(var.object_for_tests().debug_chain()[0], (Some(ct), None));
+    }
+    assert_eq!(h.engine_stats().helps, 1);
 }

@@ -17,8 +17,9 @@
 //! read-side ledger), sharded and not: a first read moves the version
 //! node's count and the payload's, never the object's; a repeated read is
 //! served from the read-set entry; `Extend` takes the object's count once
-//! per attempt; and a node the arena pools has let go of its payload and of
-//! its object.
+//! per attempt; a node the arena pools has let go of its payload and of its
+//! object; and a steady-state update reuses the node of every version it
+//! prunes, moving no object's count.
 
 use lsa_baseline::{NorecStm, Tl2Stm};
 use lsa_engine::idmap::RETAIN_FLOOR;
@@ -150,6 +151,48 @@ fn update_transactions_allocate_only_the_values_they_write() {
         "allocations in {TXNS} two-variable update transactions"
     );
     assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 0);
+}
+
+#[test]
+fn steady_state_two_modify_updates_recycle_the_nodes_they_prune() {
+    // Default retention prunes at every fold in steady state — by the depth
+    // ceiling, or by the watermark after an advance — and the node a fold
+    // links is the one it pruned, rebound in place with its way back, or
+    // one from the handle's pool. So an update allocates its two values and
+    // nothing else, and leaves every object's counts where they were.
+    let cfg = StmConfig::default();
+    let stm = Stm::with_config(SharedCounter::new(), cfg);
+    let vars = [stm.new_tvar(0i64), stm.new_tvar(0i64)];
+    let mut h = stm.register();
+    let transfer = |h: &mut ThreadHandle<SharedCounter>| {
+        h.atomically(|tx| {
+            tx.modify(&vars[0], |v| v - 1)?;
+            tx.modify(&vars[1], |v| v + 1)
+        })
+    };
+    // Whole advance intervals: both ends of the window sit at the same
+    // phase of the watermark's epoch.
+    let interval = cfg.wm_advance_interval;
+    for _ in 0..8 * interval {
+        transfer(&mut h);
+    }
+    let (counts, before) = (object_counts(&vars), stm.reclaim_stats());
+    let txns = 32 * interval;
+    let n = allocs_during(|| {
+        for _ in 0..txns {
+            transfer(&mut h);
+        }
+    });
+    assert_eq!(n, 2 * txns, "the two values written");
+    assert_eq!(object_counts(&vars), counts, "strong and weak");
+    let after = stm.reclaim_stats();
+    assert_eq!(
+        after.versions_recycled - before.versions_recycled,
+        2 * txns,
+        "every fold reused a node"
+    );
+    assert_eq!(after.versions_pooled, before.versions_pooled);
+    assert_eq!(*vars[0].snapshot_latest() + *vars[1].snapshot_latest(), 0);
 }
 
 #[test]
@@ -448,10 +491,12 @@ fn a_first_read_moves_two_counts_on_sharded_stm() {
 /// Single-version chains, a concurrent committer: the version a transaction
 /// read is pruned — and its node retired — while the read set still holds
 /// it. A repeated read returns the very `Arc` the first one did; once the
-/// last reader lets go, the payload dies, and what the arena pooled of the
-/// later retirements holds neither a payload nor a way back to the object.
-fn a_pruned_version_stays_readable_and_a_pooled_node_is_empty<B: TimeBase>(tb: B) {
-    let stm = Stm::with_config(tb, StmConfig::single_version());
+/// last reader lets go, the payload dies. Then a fold that prunes three
+/// versions nobody holds: the first one's node is linked again as the new
+/// version, and what the arena pooled of the other two holds neither a
+/// payload nor a way back to the object.
+fn a_pruned_version_stays_readable_and_a_pooled_node_is_empty<B: TimeBase>(mk: impl Fn() -> B) {
+    let stm = Stm::with_config(mk(), StmConfig::single_version());
     let var = stm.new_tvar(7i64);
     let object = Arc::clone(var.object_for_tests());
     // The object's own reference to itself, and its head version's.
@@ -470,34 +515,59 @@ fn a_pruned_version_stays_readable_and_a_pooled_node_is_empty<B: TimeBase>(tb: B
         witness.upgrade().is_none(),
         "retired while the reader held it, so the reader's drop was the last"
     );
-    // No reader now: each commit retires its predecessor into the writer's
-    // pool, emptied on the way in.
-    let latest = Arc::downgrade(&var.snapshot_latest());
-    writer.atomically(|wtx| wtx.write(&var, 9));
-    assert!(
-        stm.reclaim_stats().versions_pooled >= 1,
-        "the node went to the pool …"
+    assert_eq!(Arc::weak_count(&object), 2);
+
+    // Watermark retention, advancing after every transaction: a reader pins
+    // three superseded versions, then lets go, and the next fold prunes all
+    // three.
+    let cfg = StmConfig {
+        wm_advance_interval: 1,
+        ..StmConfig::watermark_retention()
+    };
+    let stm = Stm::with_config(mk(), cfg);
+    let var = stm.new_tvar(0i64);
+    let object = Arc::clone(var.object_for_tests());
+    let (mut reader, mut writer) = (stm.register(), stm.register());
+    let superseded = reader.atomically(|tx| {
+        tx.read(&var)?;
+        let mut payloads = Vec::new();
+        for v in 1..=3 {
+            payloads.push(Arc::downgrade(&var.snapshot_latest()));
+            writer.atomically(|wtx| wtx.write(&var, v));
+        }
+        Ok(payloads)
+    });
+    assert_eq!(var.version_count(), 4, "pinned by the reader");
+    writer.atomically(|wtx| wtx.write(&var, 4));
+    assert_eq!(var.version_count(), 2);
+    let s = stm.reclaim_stats();
+    assert_eq!(
+        (s.versions_recycled, s.versions_pooled),
+        (1, 2),
+        "the first pruned node is the new version, two went to the pool …"
     );
-    assert!(latest.upgrade().is_none(), "… without its payload …");
+    assert!(
+        superseded.iter().all(|p| p.upgrade().is_none()),
+        "… without their payloads …"
+    );
     assert_eq!(
         Arc::weak_count(&object),
-        2,
-        "… and without its way back: the object itself and its head version"
+        3,
+        "… and without their way back: the object itself and its two versions"
     );
-    assert_eq!(*var.snapshot_latest(), 9);
+    assert_eq!(*var.snapshot_latest(), 4);
 }
 
 #[test]
 fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_stm() {
-    a_pruned_version_stays_readable_and_a_pooled_node_is_empty(SharedCounter::new());
+    a_pruned_version_stays_readable_and_a_pooled_node_is_empty(SharedCounter::new);
 }
 
 #[test]
 fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_sharded_stm() {
-    a_pruned_version_stays_readable_and_a_pooled_node_is_empty(ShardedTimeBase::new(
-        SharedCounter::new(),
-        2,
-    ));
+    a_pruned_version_stays_readable_and_a_pooled_node_is_empty(|| {
+        ShardedTimeBase::new(SharedCounter::new(), 2)
+    });
 }
 
 #[test]
