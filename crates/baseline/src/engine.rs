@@ -1,186 +1,505 @@
-//! [`lsa_engine::TxnEngine`] implementations for the baseline engines.
+//! The one runtime of the three baseline engines.
 //!
-//! With these impls, TL2 and the validation STM plug into every
-//! engine-generic workload and experiment exactly like LSA-RT — the
-//! cross-engine matrix the paper's §1.2 survey motivates. The impls are thin
-//! delegations to the engines' native APIs.
+//! TL2, the validation STM and NOrec differ only in how a transaction proves
+//! its reads consistent — the rule Kuznetsov and Ravi characterise such TMs
+//! by. Everything else is written here once: the variable ([`Var`]: an id
+//! and a shared cell holding the payload and the protocol's per-object
+//! metadata), the runtime ([`BaselineStm`]), the thread handle ([`Handle`]:
+//! stats shard, scratch and the protocol's thread-local state), the
+//! transaction view ([`Txn`], recycled on `Drop`), the retry loop, the
+//! [`Abort`] enum, the read loop and the write-set locking — and the
+//! `lsa-engine` traits are implemented once, for every [`Protocol`].
+//!
+//! A protocol supplies three steps: the snapshot an attempt begins at, the
+//! check after each first read, and the commit. TL2 and the validation STM
+//! keep one versioned-lock word per object ([`VLock`], `version << 1 |
+//! locked`) and share its validation rule ([`word_valid`]); NOrec keeps no
+//! per-object metadata at all (`()`).
 
-use crate::norec::{NorecAbort, NorecStm, NorecThread, NorecTxn, NorecVar};
-use crate::tl2::{Tl2Abort, Tl2Result, Tl2Stm, Tl2Thread, Tl2Txn, Tl2Var};
-use crate::validation::{ValAbort, ValThread, ValTxn, ValVar, ValidationMode, ValidationStm};
-use lsa_engine::{EngineHandle, EngineResult, StatsShard, TxnEngine, TxnOps};
-use lsa_time::TimeBase;
+use lsa_engine::idmap::{recycle_map, recycle_vec};
+use lsa_engine::{
+    AbortClass, EngineHandle, EngineResult, IdMap, Stat, StatsShard, TxnEngine, TxnOps,
+};
+use parking_lot::RwLock;
+use std::any::Any;
+use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// --- TL2 ---
+/// Abort error of the baseline engines.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Abort {
+    /// A read observed a version newer than the snapshot (TL2).
+    ReadTooNew,
+    /// Read-set validation failed.
+    Validation,
+    /// The commit could not lock its write set.
+    LockBusy,
+}
 
-impl<B: TimeBase<Ts = u64>> TxnEngine for Tl2Stm<B> {
-    type Abort = Tl2Abort;
-    type Var<T: Send + Sync + 'static> = Tl2Var<T>;
-    type Handle = Tl2Thread<B>;
-
-    fn new_var<T: Send + Sync + 'static>(&self, value: T) -> Tl2Var<T> {
-        Tl2Stm::new_var(self, value)
-    }
-
-    fn register(&self) -> Tl2Thread<B> {
-        Tl2Stm::register(self)
-    }
-
-    fn engine_name(&self) -> String {
-        format!("tl2({})", self.time_base().name())
-    }
-
-    fn peek<T: Send + Sync + 'static>(var: &Tl2Var<T>) -> Arc<T> {
-        var.snapshot_latest()
+impl Abort {
+    /// The abort's class in the cross-engine taxonomy: stale snapshots and
+    /// failed validations are consistency failures, a busy write lock is
+    /// lost contention.
+    pub fn class(self) -> AbortClass {
+        match self {
+            Abort::ReadTooNew | Abort::Validation => AbortClass::Validation,
+            Abort::LockBusy => AbortClass::Contention,
+        }
     }
 }
 
-impl<B: TimeBase<Ts = u64>> EngineHandle for Tl2Thread<B> {
-    type Engine = Tl2Stm<B>;
-    type Txn<'t>
-        = Tl2Txn<'t, B>
-    where
-        Self: 't;
+/// How a baseline engine proves a transaction's reads consistent: the one
+/// part of the runtime that differs per engine. The trait lives in a
+/// private module, so no type outside this crate can implement or name it.
+pub trait Protocol: Send + Sync + Sized + 'static {
+    /// Per-object metadata kept beside the payload.
+    type Meta: Meta;
+    /// Thread-local state a handle owns (TL2's clock).
+    type Local: Send + 'static;
 
-    fn atomically<R, F>(&mut self, body: F) -> R
-    where
-        F: for<'t> FnMut(&mut Tl2Txn<'t, B>) -> EngineResult<R, Tl2Stm<B>>,
-    {
-        Tl2Thread::atomically(self, body)
-    }
+    /// The runtime's `engine_name()`.
+    fn name(&self) -> String;
 
-    fn stats_shard(&self) -> &Arc<StatsShard> {
-        &self.stats
+    /// The thread-local state of a newly registered handle.
+    fn register(&self) -> Self::Local;
+
+    /// The snapshot an attempt begins at; `retry` after an aborted attempt.
+    fn begin(&self, local: &mut Self::Local, retry: bool) -> u64;
+
+    /// Check a first read, already logged as the read set's last entry,
+    /// whose object carried `word`.
+    fn check_read(txn: &mut Txn<'_, Self>, word: u64) -> Result<(), Abort>;
+
+    /// Commit the attempt: make its writes, if any, visible, or fail.
+    fn commit(txn: &mut Txn<'_, Self>) -> Result<(), Abort>;
+}
+
+/// Per-object metadata a protocol keeps beside the payload.
+pub trait Meta: Default + Send + Sync + 'static {
+    /// The object's versioned-lock word, `version << 1 | locked`; always 0
+    /// without metadata.
+    fn word(&self) -> u64;
+}
+
+impl Meta for () {
+    #[inline]
+    fn word(&self) -> u64 {
+        0
     }
 }
 
-impl<B: TimeBase<Ts = u64>> TxnOps for Tl2Txn<'_, B> {
-    type Engine = Tl2Stm<B>;
+/// A versioned lock: one word, `version << 1 | locked`.
+#[derive(Debug, Default)]
+pub struct VLock(AtomicU64);
 
-    fn read<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>) -> Tl2Result<Arc<T>> {
-        Tl2Txn::read(self, var)
-    }
-
-    fn write<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>, value: T) -> Tl2Result<()> {
-        Tl2Txn::write(self, var, value)
-    }
-
-    fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &Tl2Var<T>,
-        f: impl FnOnce(&T) -> T,
-    ) -> Tl2Result<()> {
-        Tl2Txn::modify(self, var, f)
+impl Meta for VLock {
+    #[inline]
+    fn word(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
     }
 }
 
-// --- Validation STM ---
-
-impl TxnEngine for ValidationStm {
-    type Abort = ValAbort;
-    type Var<T: Send + Sync + 'static> = ValVar<T>;
-    type Handle = ValThread;
-
-    fn new_var<T: Send + Sync + 'static>(&self, value: T) -> ValVar<T> {
-        ValidationStm::new_var(self, value)
+impl VLock {
+    /// Take the lock, retrying up to 64 times while another committer holds
+    /// it; the word it replaced, or `None` (deadlock avoidance).
+    pub(crate) fn lock(&self) -> Option<u64> {
+        for _ in 0..64 {
+            let w = self.word();
+            if locked(w) {
+                std::hint::spin_loop();
+            } else if self
+                .0
+                .compare_exchange(w, w | 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return Some(w);
+            }
+        }
+        None
     }
 
-    fn register(&self) -> ValThread {
-        ValidationStm::register(self)
+    /// Release the lock, leaving `word`.
+    pub(crate) fn release(&self, word: u64) {
+        self.0.store(word, Ordering::Release);
+    }
+}
+
+#[inline]
+fn locked(word: u64) -> bool {
+    word & 1 == 1
+}
+
+/// The version in a versioned-lock word.
+#[inline]
+pub(crate) fn version(word: u64) -> u64 {
+    word >> 1
+}
+
+/// TL2's validation rule, which the validation STM shares: a read-set entry
+/// whose object now carries `word` stands while that version is at most
+/// `bound` and the lock is free or the transaction's own (`owned`, which
+/// only a commit can be).
+#[inline]
+pub(crate) fn word_valid(word: u64, bound: u64, owned: bool) -> bool {
+    version(word) <= bound && (owned || !locked(word))
+}
+
+/// Poll `ready` until it answers, spinning between polls and yielding past
+/// 64 of them: on an oversubscribed host the committer being waited for may
+/// be descheduled.
+pub(crate) fn spin_until<T>(mut ready: impl FnMut() -> Option<T>) -> T {
+    let mut spins = 0u32;
+    loop {
+        if let Some(t) = ready() {
+            return t;
+        }
+        spins += 1;
+        if spins > 64 {
+            std::thread::yield_now();
+            spins = 0;
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// A type-erased payload.
+type AnyValue = Arc<dyn Any + Send + Sync>;
+
+/// The shared cell behind a [`Var`].
+pub(crate) struct Cell<T, M> {
+    pub(crate) meta: M,
+    data: RwLock<Arc<T>>,
+}
+
+/// A cell with its payload type erased, as the read and write logs hold it.
+pub(crate) trait Object<M>: Send + Sync {
+    fn meta(&self) -> &M;
+
+    /// Whether the committed payload is still `value`. Every commit installs
+    /// a fresh `Arc`, so identity means unchanged (NOrec's value check).
+    fn holds(&self, value: &AnyValue) -> bool;
+
+    /// Install `value` as the committed payload.
+    fn install(&self, value: &AnyValue);
+}
+
+impl<T: Send + Sync + 'static, M: Meta> Object<M> for Cell<T, M> {
+    fn meta(&self) -> &M {
+        &self.meta
     }
 
-    fn engine_name(&self) -> String {
-        match self.mode() {
-            ValidationMode::Always => "validation(always)".into(),
-            ValidationMode::CommitCounter => "validation(commit-counter)".into(),
+    fn holds(&self, value: &AnyValue) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(&self.data.read()), Arc::as_ptr(value))
+    }
+
+    fn install(&self, value: &AnyValue) {
+        let value = Arc::clone(value)
+            .downcast::<T>()
+            .expect("a variable's payload type is stable");
+        *self.data.write() = value;
+    }
+}
+
+/// A transactional variable of a baseline engine.
+pub struct Var<T, M> {
+    id: u64,
+    pub(crate) cell: Arc<Cell<T, M>>,
+}
+
+impl<T, M> Clone for Var<T, M> {
+    fn clone(&self) -> Self {
+        Var {
+            id: self.id,
+            cell: Arc::clone(&self.cell),
+        }
+    }
+}
+
+impl<T: Send + Sync + 'static, M> Var<T, M> {
+    /// Latest committed value (non-transactional; seeding and audits).
+    pub fn snapshot_latest(&self) -> Arc<T> {
+        Arc::clone(&self.cell.data.read())
+    }
+
+    /// Stable id of this variable.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+}
+
+/// A read-set entry: the object, the value read and the word it carried.
+pub(crate) struct ReadEntry<M> {
+    pub(crate) id: u64,
+    pub(crate) object: Arc<dyn Object<M>>,
+    pub(crate) value: AnyValue,
+    pub(crate) word: u64,
+}
+
+/// A write-set entry: the object, the pending value and, while the commit
+/// holds the object's lock, the word the lock replaced.
+pub(crate) struct WriteEntry<M> {
+    id: u64,
+    pub(crate) object: Arc<dyn Object<M>>,
+    pub(crate) value: AnyValue,
+    old: u64,
+}
+
+/// The thread's read and write logs and the id tables over them. The handle
+/// owns one; the transaction view's `Drop` empties it under
+/// `lsa_engine::idmap`'s retention rule on every way out of an attempt, so a
+/// steady-state transaction allocates only the values it writes.
+pub(crate) struct Scratch<M> {
+    pub(crate) reads: Vec<ReadEntry<M>>,
+    pub(crate) writes: Vec<WriteEntry<M>>,
+    /// Variable id → index of its entry in `reads`.
+    read_ids: IdMap<usize>,
+    /// Variable id → index of its entry in `writes` (a membership set once
+    /// a commit has sorted `writes`).
+    write_ids: IdMap<usize>,
+}
+
+impl<M> Default for Scratch<M> {
+    fn default() -> Self {
+        Scratch {
+            reads: Vec::new(),
+            writes: Vec::new(),
+            read_ids: IdMap::default(),
+            write_ids: IdMap::default(),
+        }
+    }
+}
+
+impl<M> Scratch<M> {
+    fn recycle(&mut self) {
+        recycle_vec(&mut self.reads);
+        recycle_vec(&mut self.writes);
+        recycle_map(&mut self.read_ids);
+        recycle_map(&mut self.write_ids);
+    }
+
+    /// What the transaction already holds for variable `id`: its own
+    /// pending write, else the value it read before.
+    fn known<T: Send + Sync + 'static>(&self, id: u64) -> Option<Arc<T>> {
+        let value = match self.write_ids.get(&id) {
+            Some(&i) => &self.writes[i].value,
+            None => &self.reads[*self.read_ids.get(&id)?].value,
+        };
+        Some(
+            Arc::clone(value)
+                .downcast::<T>()
+                .expect("a variable's payload type is stable"),
+        )
+    }
+}
+
+struct Shared<P> {
+    protocol: P,
+    /// Clones of the runtime hand out ids from one sequence, so
+    /// per-transaction tables keyed by id never collide.
+    next_var: AtomicU64,
+}
+
+/// A baseline runtime: protocol `P` over the one var, handle and retry
+/// loop. Cheap to clone; clones share the protocol's state and the
+/// variable-id sequence.
+pub struct BaselineStm<P> {
+    shared: Arc<Shared<P>>,
+}
+
+impl<P> Clone for BaselineStm<P> {
+    fn clone(&self) -> Self {
+        BaselineStm {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<P: Protocol> BaselineStm<P> {
+    pub(crate) fn with_protocol(protocol: P) -> Self {
+        BaselineStm {
+            shared: Arc::new(Shared {
+                protocol,
+                next_var: AtomicU64::new(1),
+            }),
         }
     }
 
-    fn peek<T: Send + Sync + 'static>(var: &ValVar<T>) -> Arc<T> {
-        var.snapshot_latest()
+    pub(crate) fn protocol(&self) -> &P {
+        &self.shared.protocol
     }
 }
 
-impl EngineHandle for ValThread {
-    type Engine = ValidationStm;
-    type Txn<'t>
-        = ValTxn<'t>
-    where
-        Self: 't;
+/// A registered thread of a baseline runtime.
+pub struct Handle<P: Protocol> {
+    shared: Arc<Shared<P>>,
+    local: P::Local,
+    /// The shard this thread counts into (`EngineHandle::stats_shard`).
+    stats: Arc<StatsShard>,
+    scratch: Scratch<P::Meta>,
+}
 
-    fn atomically<R, F>(&mut self, body: F) -> R
-    where
-        F: for<'t> FnMut(&mut ValTxn<'t>) -> EngineResult<R, ValidationStm>,
-    {
-        ValThread::atomically(self, body)
-    }
+/// An executing attempt of a baseline engine, borrowing its handle's state.
+pub struct Txn<'h, P: Protocol> {
+    pub(crate) protocol: &'h P,
+    pub(crate) local: &'h mut P::Local,
+    pub(crate) stats: &'h StatsShard,
+    /// What the reads are consistent with: TL2's read version, the commit
+    /// counter the validation STM last validated at, NOrec's even sequence
+    /// value.
+    pub(crate) snapshot: u64,
+    pub(crate) scratch: &'h mut Scratch<P::Meta>,
+}
 
-    fn stats_shard(&self) -> &Arc<StatsShard> {
-        &self.stats
+impl<P: Protocol> Drop for Txn<'_, P> {
+    fn drop(&mut self) {
+        // On every way out of an attempt, a panicking body's unwind too.
+        self.scratch.recycle();
     }
 }
 
-impl TxnOps for ValTxn<'_> {
-    type Engine = ValidationStm;
-
-    fn read<T: Send + Sync + 'static>(&mut self, var: &ValVar<T>) -> Result<Arc<T>, ValAbort> {
-        ValTxn::read(self, var)
+impl<P: Protocol> Txn<'_, P> {
+    /// Whether the write set holds variable `id`.
+    pub(crate) fn writes_to(&self, id: u64) -> bool {
+        self.scratch.write_ids.contains_key(&id)
     }
 
-    fn write<T: Send + Sync + 'static>(
+    /// One counted read-set validation: `valid` on every entry.
+    pub(crate) fn validate(
+        &self,
+        valid: impl FnMut(&ReadEntry<P::Meta>) -> bool,
+    ) -> Result<(), Abort> {
+        let reads = &self.scratch.reads;
+        self.stats.inc(Stat::Validations);
+        self.stats.add(Stat::ValidatedEntries, reads.len() as u64);
+        if reads.iter().all(valid) {
+            Ok(())
+        } else {
+            self.stats.inc(Stat::RevalidationFailures);
+            Err(Abort::Validation)
+        }
+    }
+
+    fn commit(&mut self) -> Result<(), Abort> {
+        P::commit(self)?;
+        self.stats.inc(if self.scratch.writes.is_empty() {
+            Stat::RoCommits
+        } else {
+            Stat::Commits
+        });
+        Ok(())
+    }
+}
+
+impl<P: Protocol<Meta = VLock>> Txn<'_, P> {
+    /// Lock the write set in id order (deadlock avoidance) and run
+    /// `validate` under the locks. If a lock stays busy or `validate` fails,
+    /// every lock taken is released with the word it replaced.
+    pub(crate) fn lock_writes<R>(
         &mut self,
-        var: &ValVar<T>,
-        value: T,
-    ) -> Result<(), ValAbort> {
-        ValTxn::write(self, var, value)
+        validate: impl FnOnce(&mut Self) -> Result<R, Abort>,
+    ) -> Result<R, Abort> {
+        let writes = &mut self.scratch.writes;
+        writes.sort_unstable_by_key(|w| w.id);
+        let mut taken = 0;
+        while let Some(w) = writes.get_mut(taken) {
+            match w.object.meta().lock() {
+                Some(old) => w.old = old,
+                None => break,
+            }
+            taken += 1;
+        }
+        let outcome = if taken < writes.len() {
+            Err(Abort::LockBusy)
+        } else {
+            validate(self)
+        };
+        if outcome.is_err() {
+            for w in &self.scratch.writes[..taken] {
+                w.object.meta().release(w.old);
+            }
+        }
+        outcome
     }
 
-    fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &ValVar<T>,
-        f: impl FnOnce(&T) -> T,
-    ) -> Result<(), ValAbort> {
-        ValTxn::modify(self, var, f)
+    /// Install every pending value, releasing its object's lock at version
+    /// `stamp(replaced word)`.
+    pub(crate) fn publish(&self, stamp: impl Fn(u64) -> u64) {
+        for w in &self.scratch.writes {
+            w.object.install(&w.value);
+            w.object.meta().release(stamp(w.old) << 1);
+        }
     }
 }
 
-// --- NOrec ---
+impl<P: Protocol> TxnEngine for BaselineStm<P> {
+    type Abort = Abort;
+    type Var<T: Send + Sync + 'static> = Var<T, P::Meta>;
+    type Handle = Handle<P>;
 
-impl TxnEngine for NorecStm {
-    type Abort = NorecAbort;
-    type Var<T: Send + Sync + 'static> = NorecVar<T>;
-    type Handle = NorecThread;
-
-    fn new_var<T: Send + Sync + 'static>(&self, value: T) -> NorecVar<T> {
-        NorecStm::new_var(self, value)
+    fn new_var<T: Send + Sync + 'static>(&self, value: T) -> Var<T, P::Meta> {
+        Var {
+            id: self.shared.next_var.fetch_add(1, Ordering::Relaxed),
+            cell: Arc::new(Cell {
+                meta: P::Meta::default(),
+                data: RwLock::new(Arc::new(value)),
+            }),
+        }
     }
 
-    fn register(&self) -> NorecThread {
-        NorecStm::register(self)
+    fn register(&self) -> Handle<P> {
+        Handle {
+            local: self.shared.protocol.register(),
+            shared: Arc::clone(&self.shared),
+            stats: Arc::default(),
+            scratch: Scratch::default(),
+        }
     }
 
     fn engine_name(&self) -> String {
-        "norec(seqlock)".into()
+        self.shared.protocol.name()
     }
 
-    fn peek<T: Send + Sync + 'static>(var: &NorecVar<T>) -> Arc<T> {
+    fn peek<T: Send + Sync + 'static>(var: &Var<T, P::Meta>) -> Arc<T> {
         var.snapshot_latest()
     }
 }
 
-impl EngineHandle for NorecThread {
-    type Engine = NorecStm;
+impl<P: Protocol> EngineHandle for Handle<P> {
+    type Engine = BaselineStm<P>;
     type Txn<'t>
-        = NorecTxn<'t>
+        = Txn<'t, P>
     where
         Self: 't;
 
-    fn atomically<R, F>(&mut self, body: F) -> R
+    fn atomically<R, F>(&mut self, mut body: F) -> R
     where
-        F: for<'t> FnMut(&mut NorecTxn<'t>) -> EngineResult<R, NorecStm>,
+        F: for<'t> FnMut(&mut Txn<'t, P>) -> EngineResult<R, BaselineStm<P>>,
     {
-        NorecThread::atomically(self, body)
+        let mut backoff = 0u32;
+        loop {
+            let protocol = &self.shared.protocol;
+            let mut txn = Txn {
+                snapshot: protocol.begin(&mut self.local, backoff > 0),
+                protocol,
+                local: &mut self.local,
+                stats: &self.stats,
+                scratch: &mut self.scratch,
+            };
+            match body(&mut txn).and_then(|value| txn.commit().map(|()| value)) {
+                Ok(value) => return value,
+                Err(e) => txn.stats.abort(e.class()),
+            }
+            drop(txn);
+            for _ in 0..(1u64 << backoff.min(10)) {
+                std::hint::spin_loop();
+            }
+            backoff += 1;
+            if backoff > 10 {
+                std::thread::yield_now();
+            }
+        }
     }
 
     fn stats_shard(&self) -> &Arc<StatsShard> {
@@ -188,33 +507,76 @@ impl EngineHandle for NorecThread {
     }
 }
 
-impl TxnOps for NorecTxn<'_> {
-    type Engine = NorecStm;
+impl<P: Protocol> TxnOps for Txn<'_, P> {
+    type Engine = BaselineStm<P>;
 
-    fn read<T: Send + Sync + 'static>(&mut self, var: &NorecVar<T>) -> Result<Arc<T>, NorecAbort> {
-        NorecTxn::read(self, var)
+    fn read<T: Send + Sync + 'static>(&mut self, var: &Var<T, P::Meta>) -> Result<Arc<T>, Abort> {
+        self.stats.inc(Stat::Reads);
+        // Read-own-write, or a repeated read.
+        if let Some(known) = self.scratch.known(var.id) {
+            return Ok(known);
+        }
+        // Never sample under a committer's lock: its install and its stamp
+        // are separate writes, and a read between them would pair the new
+        // payload with the old version.
+        let cell = &var.cell;
+        let (value, word) = spin_until(|| {
+            let word = cell.meta.word();
+            if locked(word) {
+                return None;
+            }
+            let value = Arc::clone(&cell.data.read());
+            (cell.meta.word() == word).then_some((value, word))
+        });
+        let s = &mut *self.scratch;
+        s.read_ids.insert(var.id, s.reads.len());
+        s.reads.push(ReadEntry {
+            id: var.id,
+            object: Arc::clone(cell) as _,
+            value: Arc::clone(&value) as _,
+            word,
+        });
+        P::check_read(self, word)?;
+        Ok(value)
     }
 
     fn write<T: Send + Sync + 'static>(
         &mut self,
-        var: &NorecVar<T>,
+        var: &Var<T, P::Meta>,
         value: T,
-    ) -> Result<(), NorecAbort> {
-        NorecTxn::write(self, var, value)
+    ) -> Result<(), Abort> {
+        self.stats.inc(Stat::Writes);
+        let value: AnyValue = Arc::new(value);
+        let s = &mut *self.scratch;
+        match s.write_ids.entry(var.id) {
+            Entry::Occupied(slot) => s.writes[*slot.get()].value = value,
+            Entry::Vacant(slot) => {
+                slot.insert(s.writes.len());
+                s.writes.push(WriteEntry {
+                    id: var.id,
+                    object: Arc::clone(&var.cell) as _,
+                    value,
+                    old: 0,
+                });
+            }
+        }
+        Ok(())
     }
 
     fn modify<T: Send + Sync + 'static>(
         &mut self,
-        var: &NorecVar<T>,
+        var: &Var<T, P::Meta>,
         f: impl FnOnce(&T) -> T,
-    ) -> Result<(), NorecAbort> {
-        NorecTxn::modify(self, var, f)
+    ) -> Result<(), Abort> {
+        let cur = self.read(var)?;
+        self.write(var, f(&cur))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 
     /// One generic body exercised through the trait surface only.
     fn generic_transfer<E: TxnEngine>(engine: &E) -> (i64, i64) {

@@ -3,14 +3,16 @@
 //!
 //! Where LSA-RT and TL2 derive consistency from *timestamps* (per-object
 //! version metadata ordered by a time base) and the RSTM-style engine from
-//! *per-object versions*, NOrec keeps **no per-location metadata at all**.
-//! Its entire shared state is one global sequence lock:
+//! *per-object versions*, NOrec keeps **no per-location metadata at all**
+//! (its per-object metadata in the runtime is `()`). Its entire shared state
+//! is one global sequence lock:
 //!
 //! * **begin**: wait until the sequence lock is even and take it as the
 //!   snapshot.
 //! * **read**: read the location; if the global clock moved since the
-//!   snapshot, revalidate the whole read set *by value* and adopt the new
-//!   clock — so every read returns a value consistent with all earlier ones.
+//!   snapshot, revalidate the whole read set — this read included — *by
+//!   value* and adopt the new clock, so every read returns a value
+//!   consistent with all earlier ones.
 //! * **write**: append to a redo log (buffered, invisible to others).
 //! * **commit** (writers): acquire the sequence lock with
 //!   `CAS(snapshot, snapshot + 1)`, revalidating (and re-snapshotting) on
@@ -30,70 +32,20 @@
 //! abort where byte comparison would not (a benign extra abort, never an
 //! unsound commit).
 
-use crate::scratch::Scratch;
+use crate::engine::{spin_until, Abort, BaselineStm, Protocol, Txn};
 use crossbeam_utils::CachePadded;
-use lsa_engine::{AbortClass, Stat, StatsShard};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Abort error of the NOrec engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NorecAbort {
-    /// Value-based revalidation observed a concurrently overwritten read.
-    Invalidated,
-}
-
-/// Result alias for NOrec operations.
-pub type NorecResult<T> = Result<T, NorecAbort>;
-
-/// A transactional variable of the NOrec engine: payload only, **no**
-/// per-object version or lock metadata — the defining property of NOrec.
-struct VarInner<T> {
-    data: RwLock<Arc<T>>,
-}
-
-/// A NOrec transactional variable.
-pub struct NorecVar<T> {
-    id: u64,
-    inner: Arc<VarInner<T>>,
-}
-
-impl<T> Clone for NorecVar<T> {
-    fn clone(&self) -> Self {
-        NorecVar {
-            id: self.id,
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T: Send + Sync + 'static> NorecVar<T> {
-    /// Latest committed value (non-transactional; seeding/audits).
-    pub fn snapshot_latest(&self) -> Arc<T> {
-        Arc::clone(&self.inner.data.read())
-    }
-
-    /// Stable id of this variable.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
-struct NorecInner {
+/// NOrec's protocol.
+pub struct Norec {
     /// The single global sequence lock: even = quiescent, odd = a committer
     /// is writing back. Deliberately the ONLY shared metadata word.
     seqlock: CachePadded<AtomicU64>,
-    /// Shared id source so runtime clones never hand out colliding var ids.
-    next_var: AtomicU64,
 }
 
 /// The NOrec runtime. Cheap to clone; clones share the sequence lock and the
 /// variable-id sequence.
-#[derive(Clone)]
-pub struct NorecStm {
-    inner: Arc<NorecInner>,
-}
+pub type NorecStm = BaselineStm<Norec>;
 
 impl Default for NorecStm {
     fn default() -> Self {
@@ -104,277 +56,103 @@ impl Default for NorecStm {
 impl NorecStm {
     /// Create a runtime.
     pub fn new() -> Self {
-        NorecStm {
-            inner: Arc::new(NorecInner {
-                seqlock: CachePadded::new(AtomicU64::new(0)),
-                next_var: AtomicU64::new(1),
-            }),
-        }
+        BaselineStm::with_protocol(Norec {
+            seqlock: CachePadded::new(AtomicU64::new(0)),
+        })
     }
 
     /// Current value of the global sequence lock (tests/experiments).
     pub fn sequence(&self) -> u64 {
-        self.inner.seqlock.load(Ordering::Acquire)
-    }
-
-    /// Create a transactional variable.
-    pub fn new_var<T: Send + Sync + 'static>(&self, value: T) -> NorecVar<T> {
-        NorecVar {
-            id: self.inner.next_var.fetch_add(1, Ordering::Relaxed),
-            inner: Arc::new(VarInner {
-                data: RwLock::new(Arc::new(value)),
-            }),
-        }
-    }
-
-    /// Register the calling thread.
-    pub fn register(&self) -> NorecThread {
-        NorecThread {
-            inner: Arc::clone(&self.inner),
-            stats: Arc::default(),
-            scratch: Scratch::default(),
-        }
+        self.protocol().seqlock.load(Ordering::Acquire)
     }
 }
 
-/// Type-erased read-set entry: re-reads the location and compares it against
-/// the value observed at read time (NOrec's value-based validation).
-trait ReadCheck: Send {
-    fn still_same(&self) -> bool;
-}
-
-struct TypedCheck<T> {
-    inner: Arc<VarInner<T>>,
-    seen: Arc<T>,
-}
-
-impl<T: Send + Sync + 'static> ReadCheck for TypedCheck<T> {
-    fn still_same(&self) -> bool {
-        Arc::ptr_eq(&self.inner.data.read(), &self.seen)
+impl Norec {
+    /// Wait until the sequence lock is even (no write-back in progress) and
+    /// return its value.
+    fn wait_even(&self) -> u64 {
+        spin_until(|| {
+            let t = self.seqlock.load(Ordering::Acquire);
+            (t & 1 == 0).then_some(t)
+        })
     }
 }
 
-/// Type-erased redo-log entry.
-trait RedoEntry: Send {
-    fn write_back(&self);
-}
-
-struct TypedRedo<T> {
-    inner: Arc<VarInner<T>>,
-    pending: Arc<T>,
-}
-
-impl<T: Send + Sync + 'static> RedoEntry for TypedRedo<T> {
-    fn write_back(&self) {
-        *self.inner.data.write() = Arc::clone(&self.pending);
-    }
-}
-
-/// An executing NOrec transaction.
-pub struct NorecTxn<'h> {
-    seqlock: &'h CachePadded<AtomicU64>,
-    stats: &'h StatsShard,
-    /// Even sequence-lock value this transaction is currently consistent
-    /// with.
-    snapshot: u64,
-    /// The thread's read set and redo log (`writes`), emptied when the
-    /// attempt ends.
-    scratch: &'h mut NorecScratch,
-}
-
-type NorecScratch = Scratch<Box<dyn ReadCheck>, Box<dyn RedoEntry>>;
-
-impl Drop for NorecTxn<'_> {
-    fn drop(&mut self) {
-        // On every way out of an attempt, a panicking body's unwind too.
-        self.scratch.recycle();
-    }
-}
-
-/// Spin until the sequence lock is even (no write-back in progress) and
-/// return its value.
-fn wait_even(seqlock: &AtomicU64) -> u64 {
-    let mut spins = 0u32;
+/// NOrec's `Validate()`: wait for a quiescent clock, compare every read
+/// against current memory by value, and return the (even) clock value the
+/// read set is now known consistent with.
+fn revalidate(txn: &Txn<'_, Norec>) -> Result<u64, Abort> {
     loop {
-        let t = seqlock.load(Ordering::Acquire);
-        if t & 1 == 0 {
-            return t;
-        }
-        spins += 1;
-        if spins > 64 {
-            std::thread::yield_now();
-            spins = 0;
-        } else {
-            std::hint::spin_loop();
+        let t = txn.protocol.wait_even();
+        txn.validate(|r| r.object.holds(&r.value))?;
+        // A committer may have slipped in mid-validation; only a stable
+        // clock certifies the comparison.
+        if txn.protocol.seqlock.load(Ordering::Acquire) == t {
+            return Ok(t);
         }
     }
 }
 
-impl NorecTxn<'_> {
-    /// The sequence-lock value this transaction is consistent with.
-    pub fn snapshot(&self) -> u64 {
-        self.snapshot
+impl Protocol for Norec {
+    type Meta = ();
+    type Local = ();
+
+    fn name(&self) -> String {
+        "norec(seqlock)".into()
     }
 
-    /// NOrec's `Validate()`: wait for a quiescent clock, compare every read
-    /// against current memory by value, and return the (even) clock value
-    /// the read set is now known consistent with.
-    fn validate(&mut self) -> NorecResult<u64> {
-        loop {
-            let t = wait_even(self.seqlock);
-            self.stats.inc(Stat::Validations);
-            self.stats
-                .add(Stat::ValidatedEntries, self.scratch.reads.len() as u64);
-            if !self.scratch.reads.iter().all(|r| r.still_same()) {
-                self.stats.inc(Stat::RevalidationFailures);
-                return Err(NorecAbort::Invalidated);
-            }
-            // A committer may have slipped in mid-validation; only a stable
-            // clock certifies the comparison.
-            if self.seqlock.load(Ordering::Acquire) == t {
-                return Ok(t);
-            }
+    fn register(&self) {}
+
+    fn begin(&self, _: &mut (), _retry: bool) -> u64 {
+        self.wait_even()
+    }
+
+    fn check_read(txn: &mut Txn<'_, Self>, _word: u64) -> Result<(), Abort> {
+        if txn.protocol.seqlock.load(Ordering::Acquire) != txn.snapshot {
+            // A commit since the snapshot: revalidate everything read so far,
+            // this read included, and adopt the new clock.
+            txn.snapshot = revalidate(txn)?;
         }
-    }
-
-    /// Transactional read: value from the redo log if written, else from
-    /// memory, revalidating the read set whenever the global clock moved.
-    pub fn read<T: Send + Sync + 'static>(&mut self, var: &NorecVar<T>) -> NorecResult<Arc<T>> {
-        self.stats.inc(Stat::Reads);
-        if let Some(known) = self.scratch.known(var.id) {
-            return Ok(known);
-        }
-        let value = loop {
-            let value = Arc::clone(&var.inner.data.read());
-            if self.seqlock.load(Ordering::Acquire) == self.snapshot {
-                break value; // no commit since the snapshot — consistent
-            }
-            // The clock moved: revalidate everything read so far by value,
-            // adopt the new clock, and re-read this location.
-            self.snapshot = self.validate()?;
-        };
-        self.scratch.reads.push(Box::new(TypedCheck {
-            inner: Arc::clone(&var.inner),
-            seen: Arc::clone(&value),
-        }));
-        self.scratch.note_read(var.id, &value);
-        Ok(value)
-    }
-
-    /// Transactional buffered write (redo log).
-    pub fn write<T: Send + Sync + 'static>(
-        &mut self,
-        var: &NorecVar<T>,
-        value: T,
-    ) -> NorecResult<()> {
-        self.stats.inc(Stat::Writes);
-        let pending = Arc::new(value);
-        let entry = Box::new(TypedRedo {
-            inner: Arc::clone(&var.inner),
-            pending: Arc::clone(&pending),
-        });
-        self.scratch.buffer_write(var.id, &pending, entry);
         Ok(())
     }
 
-    /// Read-modify-write convenience.
-    pub fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &NorecVar<T>,
-        f: impl FnOnce(&T) -> T,
-    ) -> NorecResult<()> {
-        let cur = self.read(var)?;
-        self.write(var, f(&cur))
-    }
-
-    fn commit(&mut self) -> NorecResult<()> {
-        if self.scratch.writes.is_empty() {
+    fn commit(txn: &mut Txn<'_, Self>) -> Result<(), Abort> {
+        if txn.scratch.writes.is_empty() {
             // Read-only: every read was validated against the snapshot at
             // read time, so the read set is a consistent snapshot already —
             // commit without touching shared state (NOrec's headline
             // read-only path).
-            self.stats.inc(Stat::RoCommits);
             return Ok(());
         }
         // Acquire the global sequence lock at our snapshot. Every CAS
         // failure means some writer committed since we were last consistent:
         // revalidate by value and adopt the new clock, then try again.
-        while self
-            .seqlock
+        let seqlock = &txn.protocol.seqlock;
+        while seqlock
             .compare_exchange(
-                self.snapshot,
-                self.snapshot + 1,
+                txn.snapshot,
+                txn.snapshot + 1,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             )
             .is_err()
         {
-            match self.validate() {
-                Ok(t) => self.snapshot = t,
-                Err(e) => {
-                    self.stats.abort(AbortClass::Validation);
-                    return Err(e);
-                }
-            }
+            txn.snapshot = revalidate(txn)?;
         }
         // Sequence lock held (odd): write back the redo log, then release,
         // publishing a new even clock.
-        for w in &self.scratch.writes {
-            w.write_back();
+        for w in &txn.scratch.writes {
+            w.object.install(&w.value);
         }
-        self.seqlock.store(self.snapshot + 2, Ordering::Release);
-        self.stats.inc(Stat::Commits);
+        seqlock.store(txn.snapshot + 2, Ordering::Release);
         Ok(())
-    }
-}
-
-/// A registered thread of the NOrec engine.
-pub struct NorecThread {
-    inner: Arc<NorecInner>,
-    /// The shard this thread counts into (`EngineHandle::stats_shard`).
-    pub(crate) stats: Arc<StatsShard>,
-    scratch: NorecScratch,
-}
-
-impl NorecThread {
-    /// Run `body` with retry-on-abort until it commits.
-    pub fn atomically<R>(
-        &mut self,
-        mut body: impl FnMut(&mut NorecTxn<'_>) -> NorecResult<R>,
-    ) -> R {
-        let mut backoff = 0u32;
-        loop {
-            let snapshot = wait_even(&self.inner.seqlock);
-            let mut txn = NorecTxn {
-                seqlock: &self.inner.seqlock,
-                stats: &self.stats,
-                snapshot,
-                scratch: &mut self.scratch,
-            };
-            match body(&mut txn) {
-                Ok(value) => {
-                    if txn.commit().is_ok() {
-                        return value;
-                    }
-                }
-                Err(NorecAbort::Invalidated) => txn.stats.abort(AbortClass::Validation),
-            }
-            drop(txn);
-            for _ in 0..(1u64 << backoff.min(10)) {
-                std::hint::spin_loop();
-            }
-            backoff += 1;
-            if backoff > 10 {
-                std::thread::yield_now();
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_engine::EngineHandle;
+    use lsa_engine::{EngineHandle, TxnEngine, TxnOps};
 
     #[test]
     fn single_thread_roundtrip() {

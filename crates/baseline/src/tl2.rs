@@ -11,7 +11,8 @@
 //! the time base* too (any [`TimeBase`] with `u64` timestamps), so the
 //! benchmarks can run TL2-on-counter against TL2-on-MMTimer.
 //!
-//! Protocol (speculative read version):
+//! Protocol (speculative read version), over the runtime's versioned-lock
+//! word per object:
 //!
 //! * **start**: `rv ← getTime()`.
 //! * **read**: sample the object's versioned lock, read the payload, resample
@@ -37,445 +38,117 @@
 //! therefore only ever fires on bases with genuinely unique commit times
 //! (shared counter, batched blocks), where it is sound.
 
-use crate::scratch::Scratch;
-use lsa_engine::idmap::recycle_vec;
-use lsa_engine::{AbortClass, Stat, StatsShard};
+use crate::engine::{version, word_valid, Abort, BaselineStm, Meta, Protocol, Txn, VLock};
+use lsa_engine::Stat;
 use lsa_time::{CommitTs, ThreadClock, TimeBase};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Abort error of the TL2 engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tl2Abort {
-    /// A read observed a version newer than the snapshot (`rv`).
-    ReadTooNew,
-    /// Could not acquire a write lock (likely conflict / deadlock avoidance).
-    LockBusy,
-    /// Commit-time read-set validation failed.
-    Validation,
-}
-
-/// Result alias for TL2 operations.
-pub type Tl2Result<T> = Result<T, Tl2Abort>;
-
-/// Map a TL2 abort onto the cross-engine taxonomy: stale snapshots and
-/// failed commit validation are consistency failures, a busy write lock is
-/// lost contention.
-fn abort_class(e: Tl2Abort) -> AbortClass {
-    match e {
-        Tl2Abort::ReadTooNew | Tl2Abort::Validation => AbortClass::Validation,
-        Tl2Abort::LockBusy => AbortClass::Contention,
-    }
-}
-
-/// Versioned-lock word: `version << 1 | locked`.
-#[derive(Debug, Default)]
-struct VLock(AtomicU64);
-
-impl VLock {
-    #[inline]
-    fn sample(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn is_locked(word: u64) -> bool {
-        word & 1 == 1
-    }
-
-    #[inline]
-    fn version(word: u64) -> u64 {
-        word >> 1
-    }
-
-    /// Try to acquire the lock given an unlocked sample.
-    #[inline]
-    fn try_lock(&self, unlocked_word: u64) -> bool {
-        !Self::is_locked(unlocked_word)
-            && self
-                .0
-                .compare_exchange(
-                    unlocked_word,
-                    unlocked_word | 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-    }
-
-    /// Release, stamping a new version.
-    #[inline]
-    fn unlock_with(&self, version: u64) {
-        self.0.store(version << 1, Ordering::Release);
-    }
-
-    /// Release without changing the version (commit failed).
-    #[inline]
-    fn unlock_revert(&self, old_word: u64) {
-        self.0.store(old_word, Ordering::Release);
-    }
-}
-
-struct VarInner<T> {
-    vlock: VLock,
-    data: RwLock<Arc<T>>,
-}
-
-/// A TL2 transactional variable.
-pub struct Tl2Var<T> {
-    id: u64,
-    inner: Arc<VarInner<T>>,
-}
-
-impl<T> Clone for Tl2Var<T> {
-    fn clone(&self) -> Self {
-        Tl2Var {
-            id: self.id,
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T: Send + Sync + 'static> Tl2Var<T> {
-    /// Latest committed value (non-transactional; seeding/debug).
-    pub fn snapshot_latest(&self) -> Arc<T> {
-        Arc::clone(&self.inner.data.read())
-    }
-
-    /// Stable id of this variable.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
-struct Tl2Inner<B> {
+/// TL2's protocol over a time base with totally ordered `u64` timestamps.
+pub struct Tl2<B> {
     tb: B,
-    /// Shared id source: clones of the runtime hand out ids from the same
-    /// sequence, so per-transaction maps keyed by id never collide.
-    next_var: AtomicU64,
 }
 
 /// The TL2 runtime. Cheap to clone; clones share the time base and the
 /// variable-id sequence.
-pub struct Tl2Stm<B: TimeBase<Ts = u64>> {
-    inner: Arc<Tl2Inner<B>>,
-}
-
-impl<B: TimeBase<Ts = u64>> Clone for Tl2Stm<B> {
-    fn clone(&self) -> Self {
-        Tl2Stm {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
+pub type Tl2Stm<B> = BaselineStm<Tl2<B>>;
 
 impl<B: TimeBase<Ts = u64>> Tl2Stm<B> {
     /// Create a runtime on the given time base. TL2 requires totally ordered
     /// `u64` timestamps (it has no mechanism for masking clock uncertainty —
     /// a limitation the LSA-RT paper's Algorithm 5 removes).
     pub fn new(tb: B) -> Self {
-        Tl2Stm {
-            inner: Arc::new(Tl2Inner {
-                tb,
-                next_var: AtomicU64::new(1),
-            }),
-        }
-    }
-
-    /// The underlying time base.
-    pub fn time_base(&self) -> &B {
-        &self.inner.tb
-    }
-
-    /// Create a transactional variable.
-    pub fn new_var<T: Send + Sync + 'static>(&self, value: T) -> Tl2Var<T> {
-        Tl2Var {
-            id: self.inner.next_var.fetch_add(1, Ordering::Relaxed),
-            inner: Arc::new(VarInner {
-                vlock: VLock::default(),
-                data: RwLock::new(Arc::new(value)),
-            }),
-        }
-    }
-
-    /// Register the calling thread.
-    pub fn register(&self) -> Tl2Thread<B> {
-        Tl2Thread {
-            clock: self.inner.tb.register_thread(),
-            stats: Arc::default(),
-            scratch: Scratch::default(),
-            locked: Vec::new(),
-        }
+        BaselineStm::with_protocol(Tl2 { tb })
     }
 }
 
-/// Type-erased write-set entry operations.
-trait WriteEntry: Send {
-    fn lock(&self) -> Option<u64>;
-    fn publish_and_unlock(&self, wv: u64);
-    fn revert(&self, old_word: u64);
-    fn var_id(&self) -> u64;
-}
+impl<B: TimeBase<Ts = u64>> Protocol for Tl2<B> {
+    type Meta = VLock;
+    type Local = B::Clock;
 
-struct TypedWrite<T> {
-    inner: Arc<VarInner<T>>,
-    id: u64,
-    pending: Arc<T>,
-}
-
-impl<T: Send + Sync + 'static> WriteEntry for TypedWrite<T> {
-    fn lock(&self) -> Option<u64> {
-        for _ in 0..64 {
-            let w = self.inner.vlock.sample();
-            if !VLock::is_locked(w) {
-                if self.inner.vlock.try_lock(w) {
-                    return Some(w);
-                }
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        None
+    fn name(&self) -> String {
+        format!("tl2({})", self.tb.name())
     }
 
-    fn publish_and_unlock(&self, wv: u64) {
-        *self.inner.data.write() = Arc::clone(&self.pending);
-        self.inner.vlock.unlock_with(wv);
+    fn register(&self) -> B::Clock {
+        self.tb.register_thread()
     }
 
-    fn revert(&self, old_word: u64) {
-        self.inner.vlock.unlock_revert(old_word);
-    }
-
-    fn var_id(&self) -> u64 {
-        self.id
-    }
-}
-
-/// A read-set entry: the lock word sampled when the read was taken.
-struct ReadEntry {
-    var_id: u64,
-    /// Closure-free revalidation: sample the lock word again.
-    sample: Box<dyn Fn() -> u64 + Send>,
-}
-
-/// An executing TL2 transaction.
-pub struct Tl2Txn<'h, B: TimeBase<Ts = u64>> {
-    clock: &'h mut B::Clock,
-    stats: &'h StatsShard,
-    rv: u64,
-    /// The thread's read / write sets, emptied when the attempt ends.
-    scratch: &'h mut Tl2Scratch,
-    /// Commit's record of the locks it took: write-set index, old lock word.
-    locked: &'h mut Vec<(usize, u64)>,
-}
-
-type Tl2Scratch = Scratch<ReadEntry, Box<dyn WriteEntry>>;
-
-impl<B: TimeBase<Ts = u64>> Drop for Tl2Txn<'_, B> {
-    fn drop(&mut self) {
-        // On every way out of an attempt, a panicking body's unwind too.
-        self.scratch.recycle();
-        recycle_vec(self.locked);
-    }
-}
-
-impl<B: TimeBase<Ts = u64>> Tl2Txn<'_, B> {
-    /// Snapshot (read-version) timestamp of this transaction.
-    pub fn rv(&self) -> u64 {
-        self.rv
-    }
-
-    /// Transactional read.
-    pub fn read<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>) -> Tl2Result<Arc<T>> {
-        self.stats.inc(Stat::Reads);
-        // Read-own-write, or a repeated read.
-        if let Some(known) = self.scratch.known(var.id) {
-            return Ok(known);
-        }
-        loop {
-            let w1 = var.inner.vlock.sample();
-            if VLock::is_locked(w1) {
-                std::hint::spin_loop();
-                continue;
-            }
-            let value = Arc::clone(&var.inner.data.read());
-            let w2 = var.inner.vlock.sample();
-            if w1 != w2 {
-                continue; // concurrent writer slipped in — resample
-            }
-            if VLock::version(w1) > self.rv {
-                // §1.2: "an object can only be read if the most recent update
-                // to the object is before the start time". Feed the too-new
-                // stamp back to the clock: lazy bases (GV5) fold it into
-                // their freshness state so ONE abort catches the retry up,
-                // however far the versions ran ahead of the counter.
-                self.clock.observe_ts(VLock::version(w1));
-                return Err(Tl2Abort::ReadTooNew);
-            }
-            let inner = Arc::clone(&var.inner);
-            self.scratch.reads.push(ReadEntry {
-                var_id: var.id,
-                sample: Box::new(move || inner.vlock.sample()),
-            });
-            self.scratch.note_read(var.id, &value);
-            return Ok(value);
-        }
-    }
-
-    /// Transactional (buffered) write.
-    pub fn write<T: Send + Sync + 'static>(&mut self, var: &Tl2Var<T>, value: T) -> Tl2Result<()> {
-        self.stats.inc(Stat::Writes);
-        let pending = Arc::new(value);
-        let entry = Box::new(TypedWrite {
-            inner: Arc::clone(&var.inner),
-            id: var.id,
-            pending: Arc::clone(&pending),
-        });
-        self.scratch.buffer_write(var.id, &pending, entry);
-        Ok(())
-    }
-
-    /// Read-modify-write convenience.
-    pub fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &Tl2Var<T>,
-        f: impl FnOnce(&T) -> T,
-    ) -> Tl2Result<()> {
-        let cur = self.read(var)?;
-        self.write(var, f(&cur))
-    }
-
-    fn commit(&mut self) -> Tl2Result<()> {
-        let Scratch {
-            reads,
-            writes,
-            write_ids,
-            ..
-        } = &mut *self.scratch;
-        if writes.is_empty() {
-            // Read-only transactions need no commit-time work at all.
-            self.stats.inc(Stat::RoCommits);
-            return Ok(());
-        }
-        // Deterministic lock order (by id) for deadlock avoidance.
-        writes.sort_by_key(|w| w.var_id());
-        let locked = &mut *self.locked;
-        for (i, w) in writes.iter().enumerate() {
-            match w.lock() {
-                Some(old) => locked.push((i, old)),
-                None => {
-                    for &(j, old) in locked.iter() {
-                        writes[j].revert(old);
-                    }
-                    self.stats.abort(AbortClass::Contention);
-                    return Err(Tl2Abort::LockBusy);
-                }
-            }
-        }
-        // Acquire the write version *after* locking (TL2 ordering) through
-        // the commit-arbitration protocol, anchored at our read version.
-        let arbitrated = self.clock.acquire_commit_ts(self.rv);
-        let wv = arbitrated.ts();
-        // TL2's fast path: an *exclusively owned* `wv == rv + 1` proves no
-        // transaction committed between our start and our locks, so the
-        // read set cannot have changed — skip validation. Only Exclusive
-        // can prove that: adoption-capable bases (GV4) report every commit
-        // Shared, because a winner's value may simultaneously be handed to
-        // a concurrent loser — one that can hold locks our validation
-        // would have caught (see CommitTs::Exclusive and the conformance
-        // suite's exclusivity-collision check).
-        if matches!(arbitrated, CommitTs::Exclusive(v) if v == self.rv + 1) {
-            self.stats.inc(Stat::FastpathCommits);
-        } else {
-            // General path: validate the read set — still unlocked-by-others
-            // and not newer than rv.
-            self.stats.inc(Stat::Validations);
-            self.stats.add(Stat::ValidatedEntries, reads.len() as u64);
-            for r in reads.iter() {
-                let w = (r.sample)();
-                // The version check applies to every read entry — including
-                // objects we also wrote (we hold their lock, but a concurrent
-                // committer may have updated them between our read and our lock
-                // acquisition, which would make our pending write a lost update).
-                // The lock-freedom check applies only to locks we do not own.
-                let owned = write_ids.contains_key(&r.var_id);
-                if VLock::version(w) > self.rv || (!owned && VLock::is_locked(w)) {
-                    if VLock::version(w) > self.rv {
-                        self.clock.observe_ts(VLock::version(w));
-                    }
-                    for &(j, old) in locked.iter() {
-                        writes[j].revert(old);
-                    }
-                    self.stats.inc(Stat::RevalidationFailures);
-                    self.stats.abort(AbortClass::Validation);
-                    return Err(Tl2Abort::Validation);
-                }
-            }
-        }
-        for w in writes.iter() {
-            w.publish_and_unlock(wv);
-        }
-        // The commit timestamp's class is counted with the commit it served,
-        // so `shared_commit_ts <= commits` always holds.
-        self.stats.inc(Stat::Commits);
-        if arbitrated.is_shared() {
-            self.stats.inc(Stat::SharedCommitTs);
-        }
-        Ok(())
-    }
-}
-
-/// A registered TL2 thread.
-pub struct Tl2Thread<B: TimeBase<Ts = u64>> {
-    clock: B::Clock,
-    /// The shard this thread counts into (`EngineHandle::stats_shard`).
-    pub(crate) stats: Arc<StatsShard>,
-    scratch: Tl2Scratch,
-    locked: Vec<(usize, u64)>,
-}
-
-impl<B: TimeBase<Ts = u64>> Tl2Thread<B> {
-    /// Run `body` with retry-on-abort until it commits.
-    pub fn atomically<R>(&mut self, mut body: impl FnMut(&mut Tl2Txn<'_, B>) -> Tl2Result<R>) -> R {
-        let mut backoff = 0u32;
-        loop {
-            let rv = self.clock.get_time();
-            let mut txn = Tl2Txn::<B> {
-                clock: &mut self.clock,
-                stats: &self.stats,
-                rv,
-                scratch: &mut self.scratch,
-                locked: &mut self.locked,
-            };
-            match body(&mut txn) {
-                Ok(value) => {
-                    if txn.commit().is_ok() {
-                        return value;
-                    }
-                }
-                Err(e) => txn.stats.abort(abort_class(e)),
-            }
-            drop(txn);
+    fn begin(&self, clock: &mut B::Clock, retry: bool) -> u64 {
+        if retry {
             // Abort feedback: GV5-style bases advance the clock on aborts so
             // the retry's rv can reach the versions that caused the abort.
-            self.clock.note_abort();
-            for _ in 0..(1u64 << backoff.min(10)) {
-                std::hint::spin_loop();
-            }
-            backoff += 1;
-            if backoff > 10 {
-                std::thread::yield_now();
-            }
+            clock.note_abort();
         }
+        clock.get_time()
+    }
+
+    fn check_read(txn: &mut Txn<'_, Self>, word: u64) -> Result<(), Abort> {
+        if version(word) > txn.snapshot {
+            // §1.2: "an object can only be read if the most recent update to
+            // the object is before the start time". Feed the too-new stamp
+            // back to the clock: lazy bases (GV5) fold it into their
+            // freshness state so ONE abort catches the retry up, however far
+            // the versions ran ahead of the counter.
+            txn.local.observe_ts(version(word));
+            return Err(Abort::ReadTooNew);
+        }
+        Ok(())
+    }
+
+    fn commit(txn: &mut Txn<'_, Self>) -> Result<(), Abort> {
+        if txn.scratch.writes.is_empty() {
+            // Read-only transactions need no commit-time work at all.
+            return Ok(());
+        }
+        let rv = txn.snapshot;
+        let arbitrated = txn.lock_writes(|txn| {
+            // Acquire the write version *after* locking (TL2 ordering)
+            // through the commit-arbitration protocol, anchored at rv.
+            let arbitrated = txn.local.acquire_commit_ts(rv);
+            // TL2's fast path: an *exclusively owned* `wv == rv + 1` proves
+            // no transaction committed between our start and our locks, so
+            // the read set cannot have changed — skip validation. Only
+            // Exclusive can prove that: adoption-capable bases (GV4) report
+            // every commit Shared, because a winner's value may
+            // simultaneously be handed to a concurrent loser — one that can
+            // hold locks our validation would have caught (see
+            // CommitTs::Exclusive and the conformance suite's
+            // exclusivity-collision check).
+            if matches!(arbitrated, CommitTs::Exclusive(v) if v == rv + 1) {
+                txn.stats.inc(Stat::FastpathCommits);
+                return Ok(arbitrated);
+            }
+            // The version check covers objects we also wrote (a committer
+            // may have updated one between our read and our lock, making
+            // our write a lost update); the lock check only locks we do not
+            // own.
+            let mut too_new = None;
+            let valid = txn.validate(|r| {
+                let now = r.object.meta().word();
+                if version(now) > rv {
+                    too_new = Some(version(now));
+                }
+                word_valid(now, rv, txn.writes_to(r.id))
+            });
+            if let Some(ts) = too_new {
+                txn.local.observe_ts(ts);
+            }
+            valid.map(|()| arbitrated)
+        })?;
+        let wv = arbitrated.ts();
+        txn.publish(|_| wv);
+        // Counted with the commit it served, so `shared_commit_ts <=
+        // commits` always holds.
+        if arbitrated.is_shared() {
+            txn.stats.inc(Stat::SharedCommitTs);
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_engine::EngineHandle;
+    use lsa_engine::{EngineHandle, TxnEngine, TxnOps};
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
 
@@ -663,7 +336,7 @@ mod tests {
 
     fn concurrent_transfers_preserve_total<B: TimeBase<Ts = u64>>(stm: Tl2Stm<B>) {
         const N: usize = 8;
-        let accounts: Vec<Tl2Var<i64>> = (0..N).map(|_| stm.new_var(100)).collect();
+        let accounts: Vec<_> = (0..N).map(|_| stm.new_var(100)).collect();
         std::thread::scope(|s| {
             for t in 0..4 {
                 let stm = stm.clone();

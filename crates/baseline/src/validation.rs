@@ -12,29 +12,17 @@
 //! updates" — the commit counter is itself a contended shared line.
 //!
 //! [`ValidationStm`] implements both modes ([`ValidationMode::Always`] /
-//! [`ValidationMode::CommitCounter`]) over single-version objects with
-//! per-object write locks and buffered writes. The `validation_cost`
-//! experiment (EXP-VAL in DESIGN.md) sweeps read-set sizes across this
-//! engine and LSA-RT.
+//! [`ValidationMode::CommitCounter`]) over the runtime's versioned-lock word
+//! per object, with buffered writes: a commit stamps each object it writes
+//! `old + 1` where TL2 stamps its commit time, and a read-set entry stands
+//! under TL2's rule with the version it read as the bound — no newer
+//! version, no other committer's lock. The `validation_cost` experiment
+//! (EXP-VAL in DESIGN.md) sweeps read-set sizes across this engine and
+//! LSA-RT.
 
-use crate::scratch::Scratch;
+use crate::engine::{version, word_valid, Abort, BaselineStm, Meta, Protocol, Txn, VLock};
 use crossbeam_utils::CachePadded;
-use lsa_engine::{AbortClass, Stat, StatsShard};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Abort error of the validation engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ValAbort {
-    /// Read-set validation observed a concurrently updated object.
-    Invalidated,
-    /// Commit could not lock its write set.
-    LockBusy,
-}
-
-/// Result alias for validation-STM operations.
-pub type ValResult<T> = Result<T, ValAbort>;
 
 /// When to revalidate the read set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,379 +34,88 @@ pub enum ValidationMode {
     CommitCounter,
 }
 
-struct VarInner<T> {
-    /// Monotonic per-object version (bumped on every committed write).
-    version: AtomicU64,
-    data: RwLock<Arc<T>>,
-    /// Write mutex is folded into `data`'s write lock; a separate flag marks
-    /// a committer holding it for lock-busy detection.
-    locked: AtomicU64,
-}
-
-/// A transactional variable of the validation engine.
-pub struct ValVar<T> {
-    id: u64,
-    inner: Arc<VarInner<T>>,
-}
-
-impl<T> Clone for ValVar<T> {
-    fn clone(&self) -> Self {
-        ValVar {
-            id: self.id,
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T: Send + Sync + 'static> ValVar<T> {
-    /// Latest committed value (non-transactional).
-    pub fn snapshot_latest(&self) -> Arc<T> {
-        Arc::clone(&self.inner.data.read())
-    }
-
-    /// Stable id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
-struct ValInner {
+/// The validation STM's protocol.
+pub struct Validation {
     mode: ValidationMode,
     /// RSTM's global commit counter: incremented by every attempted update
     /// commit. Deliberately a single shared cache line — the point the paper
     /// makes about this design.
-    commit_counter: Arc<CachePadded<AtomicU64>>,
-    /// Shared id source so runtime clones never hand out colliding var ids.
-    next_var: AtomicU64,
+    commit_counter: CachePadded<AtomicU64>,
 }
 
 /// The validation-based STM runtime. Cheap to clone; clones share the commit
 /// counter and the variable-id sequence.
-#[derive(Clone)]
-pub struct ValidationStm {
-    inner: Arc<ValInner>,
-}
+pub type ValidationStm = BaselineStm<Validation>;
 
 impl ValidationStm {
     /// Runtime in the given validation mode.
     pub fn new(mode: ValidationMode) -> Self {
-        ValidationStm {
-            inner: Arc::new(ValInner {
-                mode,
-                commit_counter: Arc::new(CachePadded::new(AtomicU64::new(0))),
-                next_var: AtomicU64::new(1),
-            }),
-        }
-    }
-
-    /// The validation mode.
-    pub fn mode(&self) -> ValidationMode {
-        self.inner.mode
-    }
-
-    /// Current value of the global commit counter.
-    pub fn commit_counter(&self) -> u64 {
-        self.inner.commit_counter.load(Ordering::Acquire)
-    }
-
-    /// Create a transactional variable.
-    pub fn new_var<T: Send + Sync + 'static>(&self, value: T) -> ValVar<T> {
-        ValVar {
-            id: self.inner.next_var.fetch_add(1, Ordering::Relaxed),
-            inner: Arc::new(VarInner {
-                version: AtomicU64::new(0),
-                data: RwLock::new(Arc::new(value)),
-                locked: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Register the calling thread.
-    pub fn register(&self) -> ValThread {
-        ValThread {
-            mode: self.inner.mode,
-            commit_counter: Arc::clone(&self.inner.commit_counter),
-            stats: Arc::default(),
-            scratch: Scratch::default(),
-        }
+        BaselineStm::with_protocol(Validation {
+            mode,
+            commit_counter: CachePadded::new(AtomicU64::new(0)),
+        })
     }
 }
 
-trait ReadCheck: Send {
-    fn still_valid(&self) -> bool;
+/// Validate the read set: every object still at the version read and locked
+/// by no other committer. Only a commit holds locks, so only a
+/// `committing` transaction owns any.
+fn revalidate(txn: &Txn<'_, Validation>, committing: bool) -> Result<(), Abort> {
+    txn.validate(|r| {
+        let owned = committing && txn.writes_to(r.id);
+        word_valid(r.object.meta().word(), version(r.word), owned)
+    })
 }
 
-struct TypedCheck<T> {
-    inner: Arc<VarInner<T>>,
-    seen_version: u64,
-}
+impl Protocol for Validation {
+    type Meta = VLock;
+    type Local = ();
 
-impl<T: Send + Sync + 'static> ReadCheck for TypedCheck<T> {
-    fn still_valid(&self) -> bool {
-        self.inner.version.load(Ordering::Acquire) == self.seen_version
-    }
-}
-
-trait WriteApply: Send {
-    fn try_lock(&self) -> bool;
-    fn unlock(&self);
-    fn apply_and_bump(&self);
-    fn var_id(&self) -> u64;
-}
-
-struct TypedApply<T> {
-    inner: Arc<VarInner<T>>,
-    id: u64,
-    pending: Arc<T>,
-}
-
-impl<T: Send + Sync + 'static> WriteApply for TypedApply<T> {
-    fn try_lock(&self) -> bool {
-        self.inner
-            .locked
-            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    fn unlock(&self) {
-        self.inner.locked.store(0, Ordering::Release);
-    }
-
-    fn apply_and_bump(&self) {
-        *self.inner.data.write() = Arc::clone(&self.pending);
-        self.inner.version.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn var_id(&self) -> u64 {
-        self.id
-    }
-}
-
-/// An executing transaction of the validation engine.
-pub struct ValTxn<'h> {
-    mode: ValidationMode,
-    commit_counter: &'h CachePadded<AtomicU64>,
-    stats: &'h StatsShard,
-    /// Commit-counter value at the last successful validation.
-    seen_cc: u64,
-    /// The thread's read / write sets, emptied when the attempt ends.
-    scratch: &'h mut ValScratch,
-}
-
-type ValScratch = Scratch<Box<dyn ReadCheck>, Box<dyn WriteApply>>;
-
-impl Drop for ValTxn<'_> {
-    fn drop(&mut self) {
-        // On every way out of an attempt, a panicking body's unwind too.
-        self.scratch.recycle();
-    }
-}
-
-impl ValTxn<'_> {
-    fn validate_read_set(&mut self) -> bool {
-        self.stats.inc(Stat::Validations);
-        self.stats
-            .add(Stat::ValidatedEntries, self.scratch.reads.len() as u64);
-        let ok = self.scratch.reads.iter().all(|r| r.still_valid());
-        if !ok {
-            self.stats.inc(Stat::RevalidationFailures);
-        }
-        ok
-    }
-
-    /// Validate if the mode calls for it (on every access, or when the commit
-    /// counter indicates progress).
-    fn maybe_validate(&mut self) -> ValResult<()> {
+    fn name(&self) -> String {
         match self.mode {
-            ValidationMode::Always => {
-                if !self.validate_read_set() {
-                    return Err(ValAbort::Invalidated);
-                }
-            }
-            ValidationMode::CommitCounter => {
-                // The heuristic read: this load is the per-access shared
-                // cache-line touch the paper calls out.
-                let cc = self.commit_counter.load(Ordering::Acquire);
-                if cc != self.seen_cc {
-                    if !self.validate_read_set() {
-                        return Err(ValAbort::Invalidated);
-                    }
-                    self.seen_cc = cc;
-                }
-            }
+            ValidationMode::Always => "validation(always)".into(),
+            ValidationMode::CommitCounter => "validation(commit-counter)".into(),
         }
-        Ok(())
     }
 
-    /// Transactional read: read the current committed value, then make the
-    /// whole read set consistent again (validation-on-access).
-    pub fn read<T: Send + Sync + 'static>(&mut self, var: &ValVar<T>) -> ValResult<Arc<T>> {
-        self.stats.inc(Stat::Reads);
-        if let Some(known) = self.scratch.known(var.id) {
-            return Ok(known);
+    fn register(&self) {}
+
+    fn begin(&self, _: &mut (), _retry: bool) -> u64 {
+        self.commit_counter.load(Ordering::Acquire)
+    }
+
+    fn check_read(txn: &mut Txn<'_, Self>, _word: u64) -> Result<(), Abort> {
+        if txn.protocol.mode == ValidationMode::CommitCounter {
+            // The heuristic read: this load is the per-access shared
+            // cache-line touch the paper calls out.
+            let cc = txn.protocol.commit_counter.load(Ordering::Acquire);
+            if cc == txn.snapshot {
+                return Ok(());
+            }
+            txn.snapshot = cc;
         }
-        let mut spins = 0u32;
-        let (value, seen_version) = loop {
-            // A committer holds `locked` for the whole apply (data write +
-            // version bump). Readers must never sample while it is held:
-            // the data store and the version bump are separate writes, so a
-            // read in that window could pair a NEW value with the OLD
-            // version number — and later validations, which compare version
-            // numbers only, would wrongly certify the mixed snapshot.
-            // Bounded spinning: on oversubscribed hosts the committer may be
-            // descheduled while holding `locked`, so yield past 64 tries.
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-                spins = 0;
-            }
-            if var.inner.locked.load(Ordering::Acquire) != 0 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let v1 = var.inner.version.load(Ordering::Acquire);
-            let value = Arc::clone(&var.inner.data.read());
-            if var.inner.locked.load(Ordering::Acquire) != 0 {
-                continue; // a committer started mid-read — resample
-            }
-            let v2 = var.inner.version.load(Ordering::Acquire);
-            if v1 == v2 {
-                break (value, v1);
-            }
-        };
-        self.scratch.reads.push(Box::new(TypedCheck {
-            inner: Arc::clone(&var.inner),
-            seen_version,
-        }));
-        self.maybe_validate()?;
-        self.scratch.note_read(var.id, &value);
-        Ok(value)
+        revalidate(txn, false)
     }
 
-    /// Transactional buffered write.
-    pub fn write<T: Send + Sync + 'static>(&mut self, var: &ValVar<T>, value: T) -> ValResult<()> {
-        self.stats.inc(Stat::Writes);
-        let pending = Arc::new(value);
-        let entry = Box::new(TypedApply {
-            inner: Arc::clone(&var.inner),
-            id: var.id,
-            pending: Arc::clone(&pending),
-        });
-        self.scratch.buffer_write(var.id, &pending, entry);
-        Ok(())
-    }
-
-    /// Read-modify-write convenience.
-    pub fn modify<T: Send + Sync + 'static>(
-        &mut self,
-        var: &ValVar<T>,
-        f: impl FnOnce(&T) -> T,
-    ) -> ValResult<()> {
-        let cur = self.read(var)?;
-        self.write(var, f(&cur))
-    }
-
-    fn commit(&mut self) -> ValResult<()> {
-        if self.scratch.writes.is_empty() {
+    fn commit(txn: &mut Txn<'_, Self>) -> Result<(), Abort> {
+        if txn.scratch.writes.is_empty() {
             // Read-only: the read set was kept valid throughout; one final
             // validation closes the linearization window.
-            if !self.validate_read_set() {
-                self.stats.abort(AbortClass::Validation);
-                return Err(ValAbort::Invalidated);
-            }
-            self.stats.inc(Stat::RoCommits);
-            return Ok(());
+            return revalidate(txn, false);
         }
         // RSTM heuristic: announce progress so concurrent readers revalidate.
-        self.commit_counter.fetch_add(1, Ordering::AcqRel);
-        self.scratch.writes.sort_by_key(|w| w.var_id());
-        let mut locked = 0usize;
-        for (i, w) in self.scratch.writes.iter().enumerate() {
-            let mut ok = false;
-            for _ in 0..64 {
-                if w.try_lock() {
-                    ok = true;
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            if !ok {
-                for w in &self.scratch.writes[..i] {
-                    w.unlock();
-                }
-                self.stats.abort(AbortClass::Contention);
-                return Err(ValAbort::LockBusy);
-            }
-            locked = i + 1;
-        }
-        // Final validation under locks.
-        if !self.validate_read_set() {
-            for w in &self.scratch.writes[..locked] {
-                w.unlock();
-            }
-            self.stats.abort(AbortClass::Validation);
-            return Err(ValAbort::Invalidated);
-        }
-        for w in &self.scratch.writes {
-            w.apply_and_bump();
-        }
-        for w in &self.scratch.writes {
-            w.unlock();
-        }
-        self.stats.inc(Stat::Commits);
+        txn.protocol.commit_counter.fetch_add(1, Ordering::AcqRel);
+        txn.lock_writes(|txn| revalidate(txn, true))?;
+        txn.publish(|old| version(old) + 1);
         Ok(())
-    }
-}
-
-/// A registered thread of the validation engine.
-pub struct ValThread {
-    mode: ValidationMode,
-    commit_counter: Arc<CachePadded<AtomicU64>>,
-    /// The shard this thread counts into (`EngineHandle::stats_shard`).
-    pub(crate) stats: Arc<StatsShard>,
-    scratch: ValScratch,
-}
-
-impl ValThread {
-    /// Run `body` with retry-on-abort until it commits.
-    pub fn atomically<R>(&mut self, mut body: impl FnMut(&mut ValTxn<'_>) -> ValResult<R>) -> R {
-        let mut backoff = 0u32;
-        loop {
-            let seen_cc = self.commit_counter.load(Ordering::Acquire);
-            let mut txn = ValTxn {
-                mode: self.mode,
-                commit_counter: &self.commit_counter,
-                stats: &self.stats,
-                seen_cc,
-                scratch: &mut self.scratch,
-            };
-            match body(&mut txn) {
-                Ok(value) => {
-                    if txn.commit().is_ok() {
-                        return value;
-                    }
-                }
-                Err(e) => txn.stats.abort(match e {
-                    ValAbort::Invalidated => AbortClass::Validation,
-                    ValAbort::LockBusy => AbortClass::Contention,
-                }),
-            }
-            drop(txn);
-            for _ in 0..(1u64 << backoff.min(10)) {
-                std::hint::spin_loop();
-            }
-            backoff += 1;
-            if backoff > 10 {
-                std::thread::yield_now();
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsa_engine::EngineHandle;
+    use lsa_engine::{EngineHandle, TxnEngine, TxnOps};
+    use std::sync::Arc;
 
     #[test]
     fn roundtrip_both_modes() {
@@ -439,7 +136,7 @@ mod tests {
     #[test]
     fn always_mode_validates_on_each_access() {
         let stm = ValidationStm::new(ValidationMode::Always);
-        let vars: Vec<ValVar<u8>> = (0..10).map(|i| stm.new_var(i as u8)).collect();
+        let vars: Vec<_> = (0..10).map(|i| stm.new_var(i as u8)).collect();
         let mut h = stm.register();
         h.atomically(|tx| {
             for v in &vars {
@@ -457,7 +154,7 @@ mod tests {
     #[test]
     fn commit_counter_mode_skips_validation_when_quiescent() {
         let stm = ValidationStm::new(ValidationMode::CommitCounter);
-        let vars: Vec<ValVar<u8>> = (0..10).map(|_| stm.new_var(0)).collect();
+        let vars: Vec<_> = (0..10).map(|_| stm.new_var(0)).collect();
         let mut h = stm.register();
         h.atomically(|tx| {
             for v in &vars {
@@ -566,7 +263,7 @@ mod tests {
     fn concurrent_invariant_preserved() {
         for mode in [ValidationMode::Always, ValidationMode::CommitCounter] {
             let stm = Arc::new(ValidationStm::new(mode));
-            let accounts: Vec<ValVar<i64>> = (0..8).map(|_| stm.new_var(100)).collect();
+            let accounts: Vec<_> = (0..8).map(|_| stm.new_var(100)).collect();
             std::thread::scope(|s| {
                 for t in 0..4 {
                     let stm = Arc::clone(&stm);
@@ -596,6 +293,37 @@ mod tests {
             });
             let total: i64 = accounts.iter().map(|a| *a.snapshot_latest()).sum();
             assert_eq!(total, 800, "mode={mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_read_locked_by_another_committer_fails_commit_validation() {
+        // Write skew's window: another committer has locked `x` and
+        // validated, but not yet stamped it. A commit that read `x` must not
+        // validate through that lock.
+        for mode in [ValidationMode::Always, ValidationMode::CommitCounter] {
+            let stm = ValidationStm::new(mode);
+            let (x, y) = (stm.new_var(0u64), stm.new_var(0u64));
+            let mut h = stm.register();
+            let (mut attempt, mut held) = (0, None);
+            h.atomically(|tx| {
+                attempt += 1;
+                if let Some(word) = held.take() {
+                    x.cell.meta.release(word);
+                }
+                let vx = *tx.read(&x)?;
+                if attempt == 1 {
+                    held = x.cell.meta.lock();
+                }
+                tx.write(&y, vx + 1)
+            });
+            let s = h.engine_stats();
+            assert_eq!(
+                (s.aborts, s.abort_reasons.validation, s.commits),
+                (1, 1, 1),
+                "{mode:?}: the locked read must fail validation, the retry commit"
+            );
+            assert_eq!(*y.snapshot_latest(), 1);
         }
     }
 }

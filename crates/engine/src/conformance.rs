@@ -31,13 +31,18 @@
 //! * [`concurrent_adds_match_model`] — the concurrent differential model:
 //!   commutative per-variable additions from many threads; the final state
 //!   must equal the reference model's (order-independent) result.
+//! * [`write_skew_forbidden`] — crossed reads, disjoint writes: two
+//!   transactions each read both flags of a pair and set their own if
+//!   neither is set. Every serial order sets exactly one, so two set flags
+//!   are write skew — a history with a write set that misses the read set,
+//!   which no other checker produces.
 //!
 //! All checkers panic with the engine's name on violation — they are meant
 //! to run under `cargo test` / the registry's conformance hook.
 
 use crate::{EngineHandle, EngineVar, TxnEngine, TxnOps};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 /// One operation of a differential-model transaction body.
 #[derive(Clone, Copy, Debug)]
@@ -280,11 +285,58 @@ pub fn concurrent_adds_match_model<E: TxnEngine>(
     }
 }
 
+/// Write skew: in each of `rounds` rounds two threads race one transaction
+/// each over a fresh pair of flags, reading both and, if neither is set,
+/// setting their own. Every serial order lets exactly the first set its
+/// flag, so exactly one must be set after every round. A transaction that
+/// sets its flag also increments `padding` variables of its own, created
+/// after the flags so an engine that locks its write set in id order takes
+/// them after the flag — which widens the window between a commit's
+/// validation and its publication.
+pub fn write_skew_forbidden<E: TxnEngine>(engine: &E, rounds: usize, padding: usize) {
+    let name = engine.engine_name();
+    let flags: Vec<[EngineVar<E, u64>; 2]> = (0..rounds)
+        .map(|_| [engine.new_var(0u64), engine.new_var(0u64)])
+        .collect();
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        for me in 0..2 {
+            let (engine, flags, start) = (engine.clone(), &flags, &start);
+            s.spawn(move || {
+                let own: Vec<EngineVar<E, u64>> =
+                    (0..padding).map(|_| engine.new_var(0u64)).collect();
+                let mut h = engine.register();
+                for pair in flags {
+                    start.wait();
+                    h.atomically(|tx| {
+                        if *tx.read(&pair[0])? + *tx.read(&pair[1])? == 0 {
+                            tx.write(&pair[me], 1)?;
+                            for v in &own {
+                                tx.modify(v, |x| x + 1)?;
+                            }
+                        }
+                        Ok(())
+                    });
+                }
+            });
+        }
+    });
+    for (round, pair) in flags.iter().enumerate() {
+        let set = *E::peek(&pair[0]) + *E::peek(&pair[1]);
+        assert_eq!(
+            set, 1,
+            "{name}: round {round} ended with {set} flags set — crossed reads \
+             and disjoint writes must serialize (write skew)"
+        );
+    }
+}
+
 /// The whole conformance suite at test-friendly sizes: the value-chain
 /// serializability check, the audit-snapshot check, the sequential
-/// differential model over deterministically generated bodies, and the
-/// concurrent differential model. This is what the harness registry exposes
-/// per engine entry — one call certifies an engine.
+/// differential model over deterministically generated bodies, the
+/// concurrent differential model, and the write-skew check. This is what
+/// the harness registry exposes per engine entry — one call certifies an
+/// engine.
 pub fn full_suite<E: TxnEngine>(engine: &E) {
     counter_chain_serializable(engine, 4, 400, 6);
     audit_snapshot_consistency(engine, 2, 2, 400);
@@ -310,4 +362,5 @@ pub fn full_suite<E: TxnEngine>(engine: &E) {
         })
         .collect();
     concurrent_adds_match_model(engine, 4, &adds);
+    write_skew_forbidden(engine, 1_000, 16);
 }

@@ -159,7 +159,7 @@ mod tests {
                     .map(|i| ((i % 64 + 1) << 40) | (i / 64 + 1))
                     .collect(),
             ),
-            // TL2 / NOrec / validation pending-write aliases: id | 1 << 63.
+            // Sequential ids with the top bit set: `id | 1 << 63`.
             (
                 "alias".to_string(),
                 (1..=N).map(|s| s | (1 << 63)).collect(),
@@ -228,10 +228,10 @@ mod tests {
 
     #[test]
     fn an_alias_never_shares_its_ids_tag() {
-        // `id` and `id | 1 << 63` live side by side in one table. Their
-        // products differ exactly in the top bit, so the pair shares a
-        // bucket in any table under 2^31 buckets — and is told apart by the
-        // control tag without a key comparison.
+        // `id` and `id | 1 << 63` differ in the top bit alone, and so do
+        // their products: in one table the pair shares a bucket in any
+        // table under 2^31 buckets — and is told apart by the control tag
+        // without a key comparison.
         for id in 1..=1_000u64 {
             assert_ne!(hash(id) >> 57, hash(id | (1 << 63)) >> 57);
         }

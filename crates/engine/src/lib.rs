@@ -3,9 +3,10 @@
 //! The SPAA'07 paper's central claim is that the LSA algorithm is decoupled
 //! from its *time base*. This crate decouples the rest of the workspace from
 //! its *engine*: the [`TxnEngine`] trait family is implemented by
-//! `lsa_stm::Stm` (LSA-RT), `lsa_baseline::Tl2Stm` and
-//! `lsa_baseline::ValidationStm`, so every workload, experiment and test can
-//! run on any engine × time-base combination — the design-space matrix the
+//! `lsa_stm::Stm` (LSA-RT, sharded or not) and by the one baseline runtime
+//! behind `lsa_baseline::Tl2Stm`, `lsa_baseline::ValidationStm` and
+//! `lsa_baseline::NorecStm`, so every workload, experiment and test can run
+//! on any engine × time-base combination — the design-space matrix the
 //! paper's §1.2 surveys (validation-based vs time-based, single- vs
 //! multi-version, counter vs real-time clock).
 //!
@@ -41,8 +42,10 @@
 //! }
 //! ```
 //!
-//! A new backend costs one trait impl — not a fork of the workloads and the
-//! harness. See `DESIGN.md` §5 for the implementation notes per engine.
+//! A new backend costs one trait impl — or, for one more single-version
+//! baseline, one protocol of `lsa-baseline`'s runtime — not a fork of the
+//! workloads and the harness. See `DESIGN.md` §5 for the implementation
+//! notes per engine.
 //!
 //! ## Shared engine-layer types
 //!

@@ -5,11 +5,10 @@
 //! engine setup; adding an engine meant touching every `bin/*.rs`. Now an
 //! engine × time-base combination is one [`EngineEntry`] constructed from a
 //! factory closure, and every entry can run every [`Workload`] through the
-//! same engine-generic runner ([`run_workload`]) or hand out type-erased
-//! [`BenchWorker`]s for custom measurement loops ([`EngineEntry::bench_rig`]
-//! — what the criterion benches use). The `matrix` binary prints the full
-//! sweep (filterable with `--timebase`); tests and experiments filter the
-//! registry with [`find_entry`].
+//! same engine-generic runner ([`run_workload`]), serve the open-loop
+//! driver, and run the conformance suites. The `matrix` binary prints the
+//! full sweep (filterable with `--timebase`); tests and experiments filter
+//! the registry with [`find_entry`].
 //!
 //! The time-base axis includes the commit-arbitration variants
 //! (`gv4`, `gv5`, `block64` — see `lsa_time::counter`). The adopting GV4
@@ -19,7 +18,7 @@
 //! commit-monotonic, and runs under both engines.
 
 use crate::open_loop::{run_open_loop, Outcome, Spec};
-use crate::runner::{run_for_pinned, BenchWorker, RunOutcome};
+use crate::runner::{run_for_pinned, RunOutcome};
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::TxnEngine;
 use lsa_stm::{Stm, StmConfig};
@@ -84,38 +83,18 @@ impl Workload {
     }
 }
 
-/// Run `workload` on `engine` with `threads` workers for `window`.
+/// Run `workload` on `engine` with `threads` workers for `window`, placing
+/// partitions per `placement` (bank and disjoint pin theirs shard-locally
+/// under `Partitioned`; the other workloads have no natural partition and
+/// ignore it) and, with `pin`, pinning workers to cores (best-effort, see
+/// [`crate::runner::run_for_pinned`]).
 ///
 /// This is the single engine-generic entry point every registry entry and
 /// experiment shares: one monomorphization per engine type, zero per-engine
-/// harness code.
+/// harness code. After the run, the engine's global memory gauges
+/// ([`TxnEngine::memory_stats`]) are sampled once into the outcome — a
+/// point-in-time reading, not a per-thread sum.
 pub fn run_workload<E: TxnEngine>(
-    engine: E,
-    workload: &Workload,
-    threads: usize,
-    window: Duration,
-) -> RunOutcome {
-    run_workload_placed(engine, workload, PlacementHint::Spread, threads, window)
-}
-
-/// [`run_workload`] with an explicit [`PlacementHint`]: bank and disjoint
-/// pin their partitions shard-locally under `Partitioned` (the other
-/// workloads have no natural partition and ignore the hint).
-pub fn run_workload_placed<E: TxnEngine>(
-    engine: E,
-    workload: &Workload,
-    placement: PlacementHint,
-    threads: usize,
-    window: Duration,
-) -> RunOutcome {
-    run_workload_pinned(engine, workload, placement, threads, window, false)
-}
-
-/// [`run_workload_placed`] with optional best-effort thread pinning (see
-/// [`crate::runner::run_for_pinned`]). After the run, the engine's global
-/// memory gauges ([`TxnEngine::memory_stats`]) are sampled once into the
-/// outcome — a point-in-time reading, not a per-thread sum.
-pub fn run_workload_pinned<E: TxnEngine>(
     engine: E,
     workload: &Workload,
     placement: PlacementHint,
@@ -182,45 +161,10 @@ pub fn run_workload_pinned<E: TxnEngine>(
     out
 }
 
-/// A type-erased worker factory for one workload instance: the shared
-/// workload state lives inside the closure, `(tid)` builds worker `tid`.
-/// What the criterion benches iterate on without naming engine types.
-pub type WorkerRig = Box<dyn Fn(usize) -> Box<dyn BenchWorker> + Send + Sync>;
-
-fn make_rig<E: TxnEngine>(engine: E, workload: &Workload, threads: usize) -> WorkerRig {
-    match workload {
-        Workload::Bank(cfg) => {
-            let wl = BankWorkload::new(engine, *cfg);
-            Box::new(move |tid| Box::new(wl.worker(tid)))
-        }
-        Workload::Disjoint(cfg) => {
-            let wl = DisjointWorkload::new(engine, threads, *cfg);
-            Box::new(move |tid| Box::new(wl.worker(tid)))
-        }
-        Workload::Scan(cfg) => {
-            let wl = ScanWorkload::new(engine, *cfg);
-            Box::new(move |tid| Box::new(wl.worker(tid)))
-        }
-        Workload::Intset(cfg) => {
-            let wl = IntsetWorkload::new(engine, *cfg);
-            Box::new(move |tid| Box::new(wl.worker(tid)))
-        }
-        Workload::Hashset(cfg) => {
-            let wl = HashsetWorkload::new(engine, *cfg);
-            Box::new(move |tid| Box::new(wl.worker(tid)))
-        }
-        Workload::Snapshot(cfg) => {
-            let wl = SnapshotWorkload::new(engine, *cfg);
-            Box::new(move |tid| Box::new(wl.worker(tid)))
-        }
-    }
-}
-
 /// Type-erased runner stored in an [`EngineEntry`]. The trailing flag is
-/// thread pinning (see [`run_workload_pinned`]).
+/// thread pinning (see [`run_workload`]).
 type EntryRunner =
     Box<dyn Fn(&Workload, PlacementHint, usize, Duration, bool) -> RunOutcome + Send + Sync>;
-type EntryRig = Box<dyn Fn(&Workload, usize) -> WorkerRig + Send + Sync>;
 type EntryServe = Box<dyn Fn(&Spec) -> Outcome + Send + Sync>;
 
 /// One engine × time-base combination, ready to run any [`Workload`].
@@ -239,7 +183,6 @@ pub struct EngineEntry {
     /// on the modeled-NUMA cells via [`EngineEntry::pinned`]).
     pub pin: bool,
     run: EntryRunner,
-    rig: EntryRig,
     serve: EntryServe,
     conformance: Box<dyn Fn() + Send + Sync>,
     service_conformance: Box<dyn Fn() + Send + Sync>,
@@ -256,7 +199,6 @@ impl EngineEntry {
     {
         let factory = std::sync::Arc::new(factory);
         let run_factory = std::sync::Arc::clone(&factory);
-        let rig_factory = std::sync::Arc::clone(&factory);
         let serve_factory = std::sync::Arc::clone(&factory);
         let service_conf_factory = std::sync::Arc::clone(&factory);
         let shards = factory().shards();
@@ -266,9 +208,8 @@ impl EngineEntry {
             shards,
             pin: false,
             run: Box::new(move |wl, placement, threads, window, pin| {
-                run_workload_pinned(run_factory(), wl, placement, threads, window, pin)
+                run_workload(run_factory(), wl, placement, threads, window, pin)
             }),
-            rig: Box::new(move |wl, threads| make_rig(rig_factory(), wl, threads)),
             serve: Box::new(move |spec| run_open_loop(serve_factory(), spec)),
             conformance: Box::new(move || lsa_engine::conformance::full_suite(&factory())),
             service_conformance: Box::new(move || {
@@ -313,14 +254,6 @@ impl EngineEntry {
     /// `spec.transport`.
     pub fn serve(&self, spec: &Spec) -> Outcome {
         (self.serve)(spec)
-    }
-
-    /// Build a fresh engine + workload instance and return its type-erased
-    /// worker factory — for measurement loops the timed runner does not fit
-    /// (criterion `b.iter`, custom sweeps). Workers from one rig share the
-    /// workload's objects; `threads` sizes partitioned workloads.
-    pub fn bench_rig(&self, workload: &Workload, threads: usize) -> WorkerRig {
-        (self.rig)(workload, threads)
     }
 
     /// Run the engine-generic conformance suite
@@ -716,27 +649,6 @@ mod tests {
         let reg = default_registry();
         let entry = find_entry(&reg, "lsa-rt", "shared-counter").unwrap();
         entry.run_service_conformance();
-    }
-
-    #[test]
-    fn bench_rig_workers_share_workload_state() {
-        let reg = default_registry();
-        let entry = find_entry(&reg, "lsa-rt", "shared-counter").unwrap();
-        let rig = entry.bench_rig(
-            &Workload::Disjoint(DisjointConfig {
-                objects_per_thread: 8,
-                accesses_per_tx: 2,
-            }),
-            2,
-        );
-        let mut w0 = rig(0);
-        let mut w1 = rig(1);
-        for _ in 0..5 {
-            w0.step();
-            w1.step();
-        }
-        let total: u64 = [&w0, &w1].iter().map(|w| w.worker_stats().commits).sum();
-        assert_eq!(total, 10, "both workers ran against one workload");
     }
 
     #[test]

@@ -200,16 +200,6 @@ bench_workers!(
     SnapshotWorker
 );
 
-impl BenchWorker for Box<dyn BenchWorker> {
-    fn step(&mut self) {
-        (**self).step();
-    }
-
-    fn worker_stats(&self) -> EngineStats {
-        (**self).worker_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

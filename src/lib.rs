@@ -21,8 +21,9 @@
 //! * [`stm`] ([`lsa_stm`]) — the LSA-RT algorithm (Alg. 2/3): multi-version
 //!   objects, visible writes, lazy snapshot extension, two-phase commit with
 //!   helping, pluggable contention managers,
-//! * [`baseline`] ([`lsa_baseline`]) — TL2-style and validation-based
-//!   comparator STMs (§1.2), engines behind the same `TxnEngine` surface,
+//! * [`baseline`] ([`lsa_baseline`]) — TL2-style, validation-based and NOrec
+//!   comparator STMs (§1.2): three protocols over one runtime behind the
+//!   same `TxnEngine` surface,
 //! * [`workloads`] ([`lsa_workloads`]) — the §4.2 disjoint-update workload,
 //!   bank, linked-list and hash-set structures — all engine-generic,
 //! * [`harness`] ([`lsa_harness`]) — figure-regenerating experiment binaries,

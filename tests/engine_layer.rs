@@ -142,7 +142,8 @@ fn registry_outcomes_match_workload_accounting() {
         accesses_per_tx: 2,
     });
     for entry in lsa_rt::harness::default_registry() {
-        // run_workload itself asserts total == commits * k after the run.
+        // `EngineEntry::run` calls `lsa_harness::run_workload`, which
+        // asserts total == commits * k after the run.
         let out = entry.run(&wl, 2, Duration::from_millis(5));
         assert!(out.commits() > 0, "{} made no progress", entry.label());
     }

@@ -4,11 +4,11 @@
 //!
 //! 1. **Engine-generic** (every engine in the harness registry, NOrec
 //!    included): the conformance suite of [`lsa_engine::conformance`] —
-//!    value-chain serializability, audit-snapshot consistency and the
-//!    differential models — runs per registry entry through its
-//!    `run_conformance` hook. Commit timestamps are engine-private, so the
-//!    generic check uses the per-object *value chain* as the witness of
-//!    commit order instead.
+//!    value-chain serializability, audit-snapshot consistency, the
+//!    differential models and the write-skew check — runs per registry
+//!    entry through its `run_conformance` hook. Commit timestamps are
+//!    engine-private, so the generic check uses the per-object *value
+//!    chain* as the witness of commit order instead.
 //!
 //! 2. **LSA-specific**: every committed update transaction records
 //!    `(commit_time, per-object: value-read, value-written)`, and the log is
