@@ -279,19 +279,33 @@ impl<M> Scratch<M> {
         recycle_map(&mut self.write_ids);
     }
 
-    /// What the transaction already holds for variable `id`: its own
-    /// pending write, else the value it read before.
-    fn known<T: Send + Sync + 'static>(&self, id: u64) -> Option<Arc<T>> {
-        let value = match self.write_ids.get(&id) {
-            Some(&i) => &self.writes[i].value,
-            None => &self.reads[*self.read_ids.get(&id)?].value,
-        };
-        Some(
-            Arc::clone(value)
-                .downcast::<T>()
-                .expect("a variable's payload type is stable"),
-        )
+    /// The entry holding what the transaction already knows of variable
+    /// `id`: its own pending write, else the value it read before.
+    fn known(&self, id: u64) -> Option<Known> {
+        match self.write_ids.get(&id) {
+            Some(&i) => Some(Known::Write(i)),
+            None => self.read_ids.get(&id).map(|&i| Known::Read(i)),
+        }
     }
+
+    /// The value `known` found, lent from its entry.
+    fn lend<T: Send + Sync + 'static>(&self, known: Known) -> &T {
+        let value = match known {
+            Known::Write(i) => &self.writes[i].value,
+            Known::Read(i) => &self.reads[i].value,
+        };
+        value
+            .downcast_ref()
+            .expect("a variable's payload type is stable")
+    }
+}
+
+/// Where [`Scratch::known`] found a variable: an index into `writes` or
+/// into `reads`.
+#[derive(Clone, Copy)]
+enum Known {
+    Write(usize),
+    Read(usize),
 }
 
 struct Shared<P> {
@@ -510,11 +524,14 @@ impl<P: Protocol> EngineHandle for Handle<P> {
 impl<P: Protocol> TxnOps for Txn<'_, P> {
     type Engine = BaselineStm<P>;
 
-    fn read<T: Send + Sync + 'static>(&mut self, var: &Var<T, P::Meta>) -> Result<Arc<T>, Abort> {
+    fn read<'t, T: Send + Sync + 'static>(
+        &'t mut self,
+        var: &Var<T, P::Meta>,
+    ) -> Result<&'t T, Abort> {
         self.stats.inc(Stat::Reads);
         // Read-own-write, or a repeated read.
         if let Some(known) = self.scratch.known(var.id) {
-            return Ok(known);
+            return Ok(self.scratch.lend(known));
         }
         // Never sample under a committer's lock: its install and its stamp
         // are separate writes, and a read between them would pair the new
@@ -525,19 +542,22 @@ impl<P: Protocol> TxnOps for Txn<'_, P> {
             if locked(word) {
                 return None;
             }
-            let value = Arc::clone(&cell.data.read());
+            let value = Arc::clone(&cell.data.read()) as AnyValue;
             (cell.meta.word() == word).then_some((value, word))
         });
+        // The read entry holds the one clone of the value; the caller
+        // borrows it from there.
         let s = &mut *self.scratch;
-        s.read_ids.insert(var.id, s.reads.len());
+        let entry = s.reads.len();
+        s.read_ids.insert(var.id, entry);
         s.reads.push(ReadEntry {
             id: var.id,
             object: Arc::clone(cell) as _,
-            value: Arc::clone(&value) as _,
+            value,
             word,
         });
         P::check_read(self, word)?;
-        Ok(value)
+        Ok(self.scratch.lend(Known::Read(entry)))
     }
 
     fn write<T: Send + Sync + 'static>(
@@ -568,8 +588,8 @@ impl<P: Protocol> TxnOps for Txn<'_, P> {
         var: &Var<T, P::Meta>,
         f: impl FnOnce(&T) -> T,
     ) -> Result<(), Abort> {
-        let cur = self.read(var)?;
-        self.write(var, f(&cur))
+        let value = f(self.read(var)?);
+        self.write(var, value)
     }
 }
 
@@ -621,7 +641,7 @@ mod tests {
                 first = false;
                 w.atomically(|tx2| tx2.modify(&v, |x| x + 1));
             }
-            tx.read(&v2)
+            tx.read(&v2).copied()
         });
         let s = h.engine_stats();
         assert!(s.validations >= 1, "clock movement must trigger validation");

@@ -162,7 +162,7 @@ mod tests {
         let v = h.atomically(|tx| {
             let v = *tx.read(&x)?;
             tx.write(&x, v + 1)?;
-            tx.read(&x).map(|v| *v)
+            tx.read(&x).copied()
         });
         assert_eq!(v, 6, "read-own-write");
         assert_eq!(*x.snapshot_latest(), 6);
@@ -175,7 +175,7 @@ mod tests {
         let x = stm.new_var(1u8);
         let mut h = stm.register();
         for _ in 0..10 {
-            let v = h.atomically(|tx| tx.read(&x).map(|v| *v));
+            let v = h.atomically(|tx| tx.read(&x).copied());
             assert_eq!(v, 1);
         }
         assert_eq!(h.engine_stats().ro_commits, 10);
@@ -237,7 +237,7 @@ mod tests {
             // next fresh read (the cost NOrec pays for having no
             // per-location metadata), but the value comparison passes and
             // the transaction commits first try.
-            tx.read(&mine2)
+            tx.read(&mine2).copied()
         });
         assert!(h.engine_stats().validations >= 1);
         assert_eq!(h.engine_stats().revalidation_failures, 0);

@@ -160,7 +160,7 @@ mod tests {
         let v = h.atomically(|tx| {
             let v = *tx.read(&x)?;
             tx.write(&x, v + 1)?;
-            tx.read(&x).map(|v| *v)
+            tx.read(&x).copied()
         });
         assert_eq!(v, 6, "read-own-write");
         assert_eq!(*x.snapshot_latest(), 6);
@@ -171,7 +171,7 @@ mod tests {
         let stm = Tl2Stm::new(SharedCounter::new());
         let x = stm.new_var(1u8);
         let mut h = stm.register();
-        let v = h.atomically(|tx| tx.read(&x).map(|v| *v));
+        let v = h.atomically(|tx| tx.read(&x).copied());
         assert_eq!(v, 1);
         assert_eq!(h.engine_stats().ro_commits, 1);
     }
@@ -276,7 +276,7 @@ mod tests {
         // GV5 never advances the counter on commit; the writer's own
         // retries (and this reader's) advance it via note_abort instead.
         let mut r = stm.register();
-        let v = r.atomically(|tx| tx.read(&x).map(|v| *v));
+        let v = r.atomically(|tx| tx.read(&x).copied());
         assert_eq!(v, 5);
         assert!(
             tb.abort_bumps() >= 1,
@@ -401,7 +401,7 @@ mod tests {
                 first_attempt = false;
                 writer.atomically(|wtx| wtx.modify(&x, |v| v + 1));
             }
-            tx.read(&x).map(|v| *v)
+            tx.read(&x).copied()
         });
         assert_eq!(v, 1);
         assert!(

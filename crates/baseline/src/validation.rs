@@ -126,7 +126,7 @@ mod tests {
             let v = h.atomically(|tx| {
                 let v = *tx.read(&x)?;
                 tx.write(&x, v + 1)?;
-                tx.read(&x).map(|v| *v)
+                tx.read(&x).copied()
             });
             assert_eq!(v, 2);
             assert_eq!(*x.snapshot_latest(), 2);
@@ -183,7 +183,7 @@ mod tests {
                 w.atomically(|tx2| tx2.modify(&unrelated, |v| v + 1));
             }
             // ...forcing this (unaffected!) transaction to revalidate.
-            tx.read(&b)
+            tx.read(&b).copied()
         });
         assert!(
             h.engine_stats().validations >= 2,

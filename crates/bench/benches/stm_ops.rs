@@ -235,7 +235,7 @@ fn read_path(c: &mut Criterion) {
                     let mut i = 0;
                     b.iter(|| {
                         i = (i + 1) % vars.len();
-                        tx.read(&vars[i]).map(|v| *v)
+                        tx.read(&vars[i]).copied()
                     });
                     Ok(())
                 })

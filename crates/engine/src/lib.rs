@@ -19,9 +19,12 @@
 //!   statistics surface ([`EngineStats`]).
 //! * [`TxnOps`] — the operations available *inside* a transaction body:
 //!   [`read`](TxnOps::read), [`write`](TxnOps::write),
-//!   [`modify`](TxnOps::modify). Abort values stay engine-specific
-//!   ([`TxnEngine::Abort`]) and propagate with `?` exactly like in
-//!   engine-native code.
+//!   [`modify`](TxnOps::modify). A read *lends* its value: it returns a
+//!   `&T` borrowed from the transaction's own read (or write) set, which
+//!   lives until the transaction's next operation — copy or clone it to
+//!   keep it (`*tx.read(&v)?`). No engine clones a value for the caller.
+//!   Abort values stay engine-specific ([`TxnEngine::Abort`]) and propagate
+//!   with `?` exactly like in engine-native code.
 //!
 //! ## Writing engine-generic code
 //!
@@ -33,6 +36,7 @@
 //!     let a = e.new_var(100i64);
 //!     let b = e.new_var(0i64);
 //!     h.atomically(|tx| {
+//!         // Each read is a borrow until the next operation: copy it out.
 //!         let va = *tx.read(&a)?;
 //!         let vb = *tx.read(&b)?;
 //!         tx.write(&a, va - amount)?;
@@ -179,10 +183,15 @@ pub trait TxnOps {
 
     /// Transactional read of `var`'s value within this transaction's
     /// snapshot (read-own-write included).
-    fn read<T: Send + Sync + 'static>(
-        &mut self,
+    ///
+    /// The value is *lent*, not cloned: the borrow lives until the
+    /// transaction's next operation, which the `&mut self` receiver
+    /// enforces. Copy or clone it to keep it past that — `*tx.read(v)?` for
+    /// a `Copy` payload.
+    fn read<'t, T: Send + Sync + 'static>(
+        &'t mut self,
         var: &EngineVar<Self::Engine, T>,
-    ) -> EngineResult<Arc<T>, Self::Engine>;
+    ) -> EngineResult<&'t T, Self::Engine>;
 
     /// Transactional write of `value` to `var`, visible to this transaction
     /// immediately and to others after commit.

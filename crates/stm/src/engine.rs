@@ -74,10 +74,10 @@ impl<B: TimeBase> EngineHandle for ThreadHandle<B> {
 impl<B: TimeBase> TxnOps for Txn<'_, B> {
     type Engine = Stm<B>;
 
-    fn read<T: Send + Sync + 'static>(
-        &mut self,
+    fn read<'t, T: Send + Sync + 'static>(
+        &'t mut self,
         var: &TVar<T, B::Ts>,
-    ) -> EngineResult<Arc<T>, Stm<B>> {
+    ) -> EngineResult<&'t T, Stm<B>> {
         Txn::read(self, var)
     }
 
@@ -114,7 +114,7 @@ mod tests {
             let cur = *tx.read(&v)?;
             tx.write(&v, cur * 2)?;
             tx.modify(&v, |x| *x)?;
-            tx.read(&v).map(|x| *x)
+            tx.read(&v).copied()
         })
     }
 
@@ -139,7 +139,7 @@ mod tests {
         for _ in 0..5 {
             ThreadHandle::atomically(&mut h, |tx| tx.modify(&v, |x| x + 1));
         }
-        let _ = ThreadHandle::atomically(&mut h, |tx| tx.read(&v).map(|x| *x));
+        let _ = ThreadHandle::atomically(&mut h, |tx| tx.read(&v).copied());
         let es = h.engine_stats();
         assert_eq!(es, h.stats_shard().engine_stats());
         assert_eq!((es.commits, es.ro_commits, es.aborts), (5, 1, 0));

@@ -80,6 +80,7 @@ use lsa_engine::idmap::{recycle_map, recycle_vec, IdMap};
 use lsa_engine::Stat;
 use lsa_obs::trace::{self, EventKind};
 use lsa_time::{ThreadClock, TimeBase, Timestamp, ValidityRange};
+use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -245,6 +246,9 @@ pub(crate) struct TxnScratch<Ts: Timestamp> {
     /// Objects this attempt registered on, to fold at its end — the one
     /// place a written object is recorded.
     write_set: Vec<Arc<dyn AnyObject<Ts>>>,
+    /// The pending payloads read-own-writes lent out, held until the
+    /// attempt ends.
+    pinned: Vec<Arc<dyn Any + Send + Sync>>,
 }
 
 impl<Ts: Timestamp> TxnScratch<Ts> {
@@ -256,6 +260,7 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
             objects: Vec::new(),
             opened: IdMap::default(),
             write_set: Vec::new(),
+            pinned: Vec::new(),
         }
     }
 
@@ -293,6 +298,7 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
         recycle_vec(&mut self.objects);
         recycle_map(&mut self.opened);
         recycle_vec(&mut self.write_set);
+        recycle_vec(&mut self.pinned);
     }
 
     /// Largest capacity, in entries, any of the scratch containers holds.
@@ -303,6 +309,7 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
             .max(self.objects.capacity())
             .max(self.opened.capacity())
             .max(self.write_set.capacity())
+            .max(self.pinned.capacity())
     }
 }
 
@@ -473,7 +480,13 @@ impl<'h, B: TimeBase> Txn<'h, B> {
 
     /// `Open(T, o, read)` — Algorithm 2 lines 25–33 plus the `getVersion`
     /// retry loop of Algorithm 3.
-    pub fn read<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<Arc<T>> {
+    ///
+    /// The value is lent from `T.O`, until the transaction's next
+    /// operation: the read-set entry holds the version node, and the node
+    /// holds the payload — a fold recycles a node only once it is unique,
+    /// so nothing is cloned for the caller. A read-own-write lends from the
+    /// pending payload, pinned in the scratch until the attempt ends.
+    pub fn read<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<&T> {
         self.check_alive()?;
         // One probe: a first open claims its entry here, with the slots the
         // version will take once selected. Nothing reads the table before
@@ -493,7 +506,9 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             // Read-own-write: the speculative value is ours.
             Some(Opened::Written) => return self.own_write(var),
             // Repeated read: same version as before (snapshot stability).
-            Some(Opened::Read { entry }) => return Ok(self.value_read(entry)),
+            Some(Opened::Read { entry }) => {
+                return Ok(self.core.scratch.read_set[entry].meta.value_ref())
+            }
             None => {}
         }
         // A first open: the unit of `EngineStats::reads` and of Karma
@@ -524,15 +539,12 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                         return Err(self.do_abort(AbortReason::Snapshot));
                     }
                     self.range = nr;
-                    // The node goes to `T.O` as it came out of the chain;
-                    // the caller's `Arc` of the payload is the read's one
-                    // other count.
-                    let value = meta.value();
-                    self.core
-                        .scratch
-                        .read_set
-                        .push(CtxEntry { meta, own: false });
-                    return Ok(value);
+                    // The node goes to `T.O` as it came out of the chain,
+                    // and the payload is lent from there: the node's count
+                    // is the read's only one.
+                    let read_set = &mut self.core.scratch.read_set;
+                    read_set.push(CtxEntry { meta, own: false });
+                    return Ok(read_set[read_set.len() - 1].meta.value_ref());
                 }
                 ReadAttempt::NoOverlap => {
                     if self.cfg.extend_on_read && !extended {
@@ -625,20 +637,21 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         }
     }
 
-    /// The attempt's own pending write to `var` (read-own-write).
-    fn own_write<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<Arc<T>> {
+    /// The attempt's own pending write to `var` (read-own-write), lent from
+    /// the scratch: the pending payload lives under the object's lock, so
+    /// its `Arc` is cloned once and pinned until the attempt ends.
+    fn own_write<T: Send + Sync + 'static>(&mut self, var: &TVar<T, B::Ts>) -> TxResult<&T> {
         match var.object().read_spec_value(self.id()) {
-            Some(value) => Ok(value),
+            Some(value) => {
+                let pinned = &mut self.core.scratch.pinned;
+                pinned.push(value);
+                Ok(pinned[pinned.len() - 1]
+                    .downcast_ref()
+                    .expect("object payload type is stable"))
+            }
             // Killed, and the speculative version already discarded.
             None => Err(self.do_abort(AbortReason::Killed)),
         }
-    }
-
-    /// The payload of the version `Opened::Read { entry }` names — the very
-    /// `Arc` the first read returned, whether or not the version is still in
-    /// its object's chain.
-    fn value_read<T: Send + Sync + 'static>(&self, entry: usize) -> Arc<T> {
-        self.core.scratch.read_set[entry].meta.value()
     }
 
     /// Install `payload` as the speculative value of an object this attempt

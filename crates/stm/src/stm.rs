@@ -14,8 +14,8 @@
 //! let account = stm.new_tvar(100i64);
 //! let mut thread = stm.register();
 //! thread.atomically(|tx| {
-//!     let v = tx.read(&account)?;
-//!     tx.write(&account, *v - 30)
+//!     let v = *tx.read(&account)?; // lent until the next operation: copy it
+//!     tx.write(&account, v - 30)
 //! });
 //! assert_eq!(*account.snapshot_latest(), 70);
 //! ```
@@ -408,9 +408,9 @@ mod tests {
         let x = stm.new_tvar(1i64);
         let mut h = stm.register();
         let seen = h.atomically(|tx| {
-            let v = tx.read(&x)?;
-            tx.write(&x, *v + 41)?;
-            tx.read(&x).map(|v| *v)
+            let v = *tx.read(&x)?;
+            tx.write(&x, v + 41)?;
+            tx.read(&x).copied()
         });
         assert_eq!(seen, 42, "read-own-write");
         assert_eq!(*x.snapshot_latest(), 42);
@@ -423,7 +423,7 @@ mod tests {
         let stm = Stm::new(SharedCounter::new());
         let x = stm.new_tvar(7i64);
         let mut h = stm.register();
-        let v = h.atomically(|tx| tx.read(&x).map(|v| *v));
+        let v = h.atomically(|tx| tx.read(&x).copied());
         assert_eq!(v, 7);
         assert_eq!(h.engine_stats().ro_commits, 1);
         assert_eq!(h.engine_stats().commits, 0);
@@ -750,9 +750,9 @@ mod tests {
             let x = stm.new_tvar_on(2, 1i64);
             let mut h = stm.register();
             let seen = h.atomically(|tx| {
-                let v = tx.read(&x)?;
-                tx.write(&x, *v + 41)?;
-                tx.read(&x).map(|v| *v)
+                let v = *tx.read(&x)?;
+                tx.write(&x, v + 41)?;
+                tx.read(&x).copied()
             });
             assert_eq!(seen, 42);
             assert_eq!(h.engine_stats().commits, 1);

@@ -9,8 +9,9 @@
 //! payload (type-erased, so read sets hold heterogeneous versions) and a weak
 //! reference back to the object, and the object's chain, a transaction's read
 //! set and the version arena all hold the same `Arc` of it. A first read
-//! therefore moves two reference counts — the node's for `T.O`, the payload's
-//! for the caller — and never the object's.
+//! therefore moves one reference count — the node's, for `T.O` — and lends
+//! the caller the payload from there ([`VersionMeta::value_ref`]): never the
+//! payload's count nor the object's.
 //!
 //! Both bounds are write-once timestamp cells ([`lsa_time::TsCell`], one
 //! word each for `u64` time bases): the lower bound is fixed when the writing

@@ -60,7 +60,7 @@ fn reader_helps_stuck_committer_and_sees_its_write() {
     // line 13) — an empty read set validates vacuously — and then read the
     // committed value 42.
     let mut h = stm.register();
-    let seen = h.atomically(|tx| tx.read(&var).map(|v| *v));
+    let seen = h.atomically(|tx| tx.read(&var).copied());
     assert_eq!(seen, 42, "reader must observe the helped commit");
     assert_eq!(writer.status(), TxnStatus::Committed);
     assert!(
@@ -119,7 +119,7 @@ fn killed_writer_mid_transaction_retries_cleanly() {
             assert!(w.transition(TxnStatus::Active, TxnStatus::Aborted));
         }
         // The very next operation must notice the kill and abort.
-        tx.read(&var).map(|v| *v)
+        tx.read(&var).copied()
     });
     assert_eq!(
         *var.snapshot_latest(),
@@ -149,7 +149,7 @@ fn aborted_stuck_writer_is_discarded_by_next_accessor() {
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Aborted));
 
     let mut h = stm.register();
-    let seen = h.atomically(|tx| tx.read(&var).map(|v| *v));
+    let seen = h.atomically(|tx| tx.read(&var).copied());
     assert_eq!(seen, 9, "the aborted write must never surface");
     assert!(var.object_for_tests().current_writer().is_none());
 }
@@ -167,7 +167,7 @@ fn two_helpers_race_exactly_one_commit() {
             let var = var.clone();
             s.spawn(move || {
                 let mut h = stm.register();
-                let v = h.atomically(|tx| tx.read(&var).map(|v| *v));
+                let v = h.atomically(|tx| tx.read(&var).copied());
                 assert_eq!(v, 1234);
             });
         }
@@ -222,14 +222,14 @@ fn helper_takes_the_self_case_for_the_version_under_the_writers_own_mark() {
     let var = stm.new_tvar(1u64);
     let writer = stuck_read_modify_writer(&var, true, || {});
     let mut h = stm.register();
-    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 42);
+    assert_eq!(h.atomically(|tx| tx.read(&var).copied()), 42);
     assert_eq!(writer.status(), TxnStatus::Committed);
 
     // The same read set unflagged is judged by the registered writer's
     // commit time like anybody else's — the version ends at CT − 1 < CT.
     let var = stm.new_tvar(1u64);
     let writer = stuck_read_modify_writer(&var, false, || {});
-    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 1);
+    assert_eq!(h.atomically(|tx| tx.read(&var).copied()), 1);
     assert_eq!(writer.status(), TxnStatus::Aborted);
 }
 
@@ -264,7 +264,7 @@ fn helper_validates_a_version_whose_object_was_dropped_by_the_callers_bound() {
     assert!(writer.transition(TxnStatus::Active, TxnStatus::Committing));
 
     let mut h = stm.register();
-    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 42);
+    assert_eq!(h.atomically(|tx| tx.read(&var).copied()), 42);
     assert_eq!(writer.status(), TxnStatus::Committed);
 }
 
@@ -280,7 +280,7 @@ fn a_read_lost_to_another_committer_fails_validation_despite_the_own_mark() {
         other.atomically(|tx| tx.write(&var, 7));
     });
     let mut h = stm.register();
-    assert_eq!(h.atomically(|tx| tx.read(&var).map(|v| *v)), 7);
+    assert_eq!(h.atomically(|tx| tx.read(&var).copied()), 7);
     assert_eq!(writer.status(), TxnStatus::Aborted);
     assert_eq!(var.version_count(), 2, "initial + the interloper's");
 

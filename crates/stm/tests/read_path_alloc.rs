@@ -15,19 +15,23 @@
 //!
 //! Beside the allocation counts stand the reference counts (DESIGN.md §2.1,
 //! read-side ledger), sharded and not: a first read moves the version
-//! node's count and the payload's, never the object's; a repeated read is
-//! served from the read-set entry; `Extend` takes the object's count once
-//! per attempt; a node the arena pools has let go of its payload and of its
-//! object; and a steady-state update reuses the node of every version it
-//! prunes, moving no object's count.
+//! node's count alone, never the payload's or the object's — the value is
+//! lent from the read set; a repeated read lends the same value; a
+//! read-own-write pins the pending payload until the attempt ends, however
+//! it ends; `Extend` takes the object's count once per attempt; a node the
+//! arena pools has let go of its payload and of its object; and a
+//! steady-state update reuses the node of every version it prunes, moving
+//! no object's count. On the baseline engines a first read moves the
+//! value's count once, for its read entry.
 
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::idmap::RETAIN_FLOOR;
 use lsa_engine::{EngineHandle, TxnEngine, TxnOps};
+use lsa_stm::object::ReadAttempt;
 use lsa_stm::prelude::*;
 use lsa_time::counter::SharedCounter;
 use lsa_time::sharded::ShardedTimeBase;
-use lsa_time::TimeBase;
+use lsa_time::{TimeBase, ValidityRange};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -439,33 +443,42 @@ fn payload_counts(payloads: &[Arc<i64>]) -> Vec<usize> {
     payloads.iter().map(Arc::strong_count).collect()
 }
 
-/// A first read leaves the object's counts alone and raises the payload's by
-/// the `Arc` the caller holds; 256 of them and a commit later every count is
-/// back where it was.
-fn first_reads_move_the_payloads_count_and_never_the_objects<B: TimeBase<Ts = u64>>(stm: Stm<B>) {
+/// Strong count of the version node the object serves at the head of its
+/// chain, without the count this look-up itself holds.
+fn node_count(var: &TVar<i64, u64>) -> usize {
+    match var.object_for_tests().try_read(&ValidityRange::from(0)) {
+        ReadAttempt::Found { meta, .. } => Arc::strong_count(&meta) - 1,
+        _ => panic!("a committed object serves its head version"),
+    }
+}
+
+/// A first read leaves the payload's and the object's counts alone and
+/// raises the version node's by the one `Arc` in `T.O`; 256 of them and a
+/// commit later every count is back where it was.
+fn first_reads_move_the_nodes_count_and_never_the_payloads<B: TimeBase<Ts = u64>>(stm: Stm<B>) {
     let vars: Vec<_> = (0..SCAN).map(|i| stm.new_tvar(i as i64)).collect();
     let payloads: Vec<Arc<i64>> = vars.iter().map(|v| v.snapshot_latest()).collect();
     let (objects_before, payloads_before) = (object_counts(&vars), payload_counts(&payloads));
+    let node_before = node_count(&vars[0]);
     let mut h = stm.register();
     h.atomically(|tx| {
-        let first = tx.read(&vars[0])?;
+        let first: *const i64 = tx.read(&vars[0])?;
+        assert_eq!(first, Arc::as_ptr(&payloads[0]), "lent, not copied");
         assert_eq!(object_counts(&vars[..1]), objects_before[..1]);
         assert_eq!(
             Arc::strong_count(&payloads[0]),
-            payloads_before[0] + 1,
-            "exactly the Arc the caller holds"
-        );
-        // Served from the read-set entry: the same Arc, one more count for
-        // the second handle, nothing else.
-        let again = tx.read(&vars[0])?;
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(Arc::strong_count(&payloads[0]), payloads_before[0] + 2);
-        drop((first, again));
-        assert_eq!(
-            Arc::strong_count(&payloads[0]),
             payloads_before[0],
-            "the read set holds the node, not a second Arc of the payload"
+            "the payload is lent from the node"
         );
+        assert_eq!(node_count(&vars[0]), node_before + 1, "the T.O entry");
+        // Served from the read-set entry: the same payload, no count moves.
+        let again = tx.read(&vars[0])?;
+        assert!(
+            std::ptr::eq(first, again),
+            "a repeated read lends the same value"
+        );
+        assert_eq!(Arc::strong_count(&payloads[0]), payloads_before[0]);
+        assert_eq!(node_count(&vars[0]), node_before + 1);
         for v in &vars {
             tx.read(v)?;
         }
@@ -475,22 +488,140 @@ fn first_reads_move_the_payloads_count_and_never_the_objects<B: TimeBase<Ts = u6
     });
     assert_eq!(object_counts(&vars), objects_before, "after the commit");
     assert_eq!(payload_counts(&payloads), payloads_before);
+    assert_eq!(node_count(&vars[0]), node_before, "T.O let go");
 }
 
 #[test]
-fn a_first_read_moves_two_counts_on_stm() {
-    first_reads_move_the_payloads_count_and_never_the_objects(Stm::new(SharedCounter::new()));
+fn a_first_read_moves_one_count_on_stm() {
+    first_reads_move_the_nodes_count_and_never_the_payloads(Stm::new(SharedCounter::new()));
 }
 
 #[test]
-fn a_first_read_moves_two_counts_on_sharded_stm() {
+fn a_first_read_moves_one_count_on_sharded_stm() {
     let tb = ShardedTimeBase::new(SharedCounter::new(), 2);
-    first_reads_move_the_payloads_count_and_never_the_objects(Stm::new(tb));
+    first_reads_move_the_nodes_count_and_never_the_payloads(Stm::new(tb));
+}
+
+#[test]
+fn a_read_own_write_sees_the_pending_value() {
+    let stm = Stm::new(SharedCounter::new());
+    let (x, y) = (stm.new_tvar(7i64), stm.new_tvar(1i64));
+    let mut h = stm.register();
+    h.atomically(|tx| {
+        // Opened by `modify`, then re-modified.
+        tx.modify(&x, |v| v + 1)?;
+        assert_eq!(*tx.read(&x)?, 8);
+        tx.modify(&x, |v| v * 2)?;
+        assert_eq!(*tx.read(&x)?, 16);
+        // Read first, then modified: the read no longer sees the snapshot.
+        let seen = *tx.read(&y)?;
+        tx.modify(&y, |v| v + 10)?;
+        assert_eq!(*tx.read(&y)?, seen + 10);
+        Ok(())
+    });
+    assert_eq!((*x.snapshot_latest(), *y.snapshot_latest()), (16, 11));
+}
+
+/// A payload that holds a count of its probe for as long as it lives, so
+/// the probe's count says how many such payloads are alive, however many
+/// `Arc`s share each.
+struct Probed {
+    _probe: Arc<()>,
+}
+
+fn probed(probe: &Arc<()>) -> Probed {
+    Probed {
+        _probe: Arc::clone(probe),
+    }
+}
+
+#[test]
+fn pinned_pending_payloads_are_released_at_commit_abort_and_unwind() {
+    let stm = Stm::new(SharedCounter::new());
+    let mut h = stm.register();
+    // A fresh variable, and the probe of the payloads written to it.
+    let fresh = || (stm.new_tvar(probed(&Arc::new(()))), Arc::new(()));
+    // Every read-own-write below pins the pending payload it lends; a
+    // re-`modify` replaces the pending payload while the old one is pinned.
+    let write_read_modify_read =
+        |tx: &mut Txn<'_, SharedCounter>, var: &TVar<Probed, u64>, probe: &Arc<()>| {
+            tx.write(var, probed(probe))?;
+            tx.read(var)?;
+            tx.modify(var, |_| probed(probe))?;
+            tx.read(var)?;
+            Ok(())
+        };
+
+    // Commit: the committed version's payload is the one live copy.
+    let (var, probe) = fresh();
+    let base = Arc::strong_count(&var.snapshot_latest());
+    h.atomically(|tx| write_read_modify_read(tx, &var, &probe));
+    assert_eq!(Arc::strong_count(&probe), 2, "committed, nothing pinned");
+    assert_eq!(Arc::strong_count(&var.snapshot_latest()), base);
+
+    // Abort: no copy is left.
+    let (var, probe) = fresh();
+    let aborted = h.try_atomically(1, |tx| {
+        write_read_modify_read(tx, &var, &probe)?;
+        Err::<(), _>(tx.abort_retry())
+    });
+    assert!(aborted.is_err());
+    assert_eq!(Arc::strong_count(&probe), 1, "aborted, nothing pinned");
+
+    // A panicking body: the unwind releases them too.
+    let (var, probe) = fresh();
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        h.atomically(|tx| {
+            write_read_modify_read(tx, &var, &probe)?;
+            if Arc::strong_count(&probe) > 1 {
+                panic!("body failed after a read-own-write");
+            }
+            Ok(())
+        })
+    }));
+    assert!(unwound.is_err());
+    assert_eq!(Arc::strong_count(&probe), 1, "unwound, nothing pinned");
+}
+
+/// A first read on a baseline engine clones the value's `Arc` once, into its
+/// read entry, and lends from there: one count while the attempt runs, none
+/// after it.
+fn baseline_first_read_moves_one_value_count<E: TxnEngine>(engine: E) {
+    let var = engine.new_var(5i64);
+    let base = Arc::strong_count(&E::peek(&var));
+    let mut h = engine.register();
+    h.atomically(|tx| {
+        let first: *const i64 = tx.read(&var)?;
+        let during = Arc::strong_count(&E::peek(&var));
+        assert_eq!(during, base + 1, "{}: the read entry", engine.engine_name());
+        let again = tx.read(&var)?;
+        assert!(
+            std::ptr::eq(first, again),
+            "a repeated read lends the same value"
+        );
+        assert_eq!(Arc::strong_count(&E::peek(&var)), base + 1);
+        Ok(())
+    });
+    assert_eq!(
+        Arc::strong_count(&E::peek(&var)),
+        base,
+        "{}",
+        engine.engine_name()
+    );
+}
+
+#[test]
+fn a_first_baseline_read_moves_one_value_count() {
+    baseline_first_read_moves_one_value_count(Tl2Stm::new(SharedCounter::new()));
+    baseline_first_read_moves_one_value_count(NorecStm::new());
+    for mode in [ValidationMode::Always, ValidationMode::CommitCounter] {
+        baseline_first_read_moves_one_value_count(ValidationStm::new(mode));
+    }
 }
 
 /// Single-version chains, a concurrent committer: the version a transaction
 /// read is pruned — and its node retired — while the read set still holds
-/// it. A repeated read returns the very `Arc` the first one did; once the
+/// it. A repeated read lends the very payload the first one did; once the
 /// last reader lets go, the payload dies. Then a fold that prunes three
 /// versions nobody holds: the first one's node is linked again as the new
 /// version, and what the arena pooled of the other two holds neither a
@@ -502,18 +633,20 @@ fn a_pruned_version_stays_readable_and_a_pooled_node_is_empty<B: TimeBase>(mk: i
     // The object's own reference to itself, and its head version's.
     assert_eq!(Arc::weak_count(&object), 2);
     let (mut reader, mut writer) = (stm.register(), stm.register());
-    let witness = reader.atomically(|tx| {
-        let first = tx.read(&var)?;
+    let witness = Arc::downgrade(&var.snapshot_latest());
+    reader.atomically(|tx| {
+        let first: *const i64 = tx.read(&var)?;
         writer.atomically(|wtx| wtx.write(&var, 8));
         assert_eq!(var.version_count(), 1, "the version read is off the chain");
         let again = tx.read(&var)?;
-        assert!(Arc::ptr_eq(&first, &again), "same version, same Arc");
+        assert!(std::ptr::eq(first, again), "same version, same payload");
         assert_eq!(*again, 7);
-        Ok(Arc::downgrade(&first))
+        assert!(witness.upgrade().is_some(), "T.O keeps it alive");
+        Ok(())
     });
     assert!(
         witness.upgrade().is_none(),
-        "retired while the reader held it, so the reader's drop was the last"
+        "retired while the reader held it, so the reader's cleanup was the last"
     );
     assert_eq!(Arc::weak_count(&object), 2);
 

@@ -138,8 +138,8 @@ fn version_count_is_bounded_under_concurrency() {
 fn repeated_read_returns_the_same_arc_after_its_version_was_pruned() {
     // Single-version chains: the committer's fold prunes the version the
     // reader holds. A second read of the object must come from the
-    // transaction's own scratch — the very `Arc` it got first — and not go
-    // back to the object, which no longer has it.
+    // transaction's own scratch — lent from the very `Arc` the first read
+    // lent from — and not go back to the object, which no longer has it.
     let stm = Stm::with_config(SharedCounter::new(), StmConfig::single_version());
     let a = stm.new_tvar(String::from("first"));
     let mut reader = stm.register();
@@ -148,12 +148,12 @@ fn repeated_read_returns_the_same_arc_after_its_version_was_pruned() {
     let mut attempts = 0;
     reader.atomically(|tx| {
         attempts += 1;
-        let v1 = tx.read(&a)?;
+        let v1: *const String = tx.read(&a)?;
         writer.atomically(|wtx| wtx.write(&a, String::from("second")));
         assert_eq!(a.version_count(), 1, "the reader's version is pruned");
         assert_eq!(*a.snapshot_latest(), "second");
         let v2 = tx.read(&a)?;
-        assert!(std::sync::Arc::ptr_eq(&v1, &v2), "snapshot stability");
+        assert!(std::ptr::eq(v1, v2), "snapshot stability");
         assert_eq!(*v2, "first");
         Ok(())
     });

@@ -15,7 +15,6 @@
 
 use crate::rng::FastRng;
 use lsa_engine::{EngineAbort, EngineHandle, EngineStats, EngineVar, TxnEngine, TxnOps};
-use std::sync::Arc;
 
 /// One list node: a key and the link to the next node.
 pub struct Node<E: TxnEngine> {
@@ -67,34 +66,33 @@ impl<E: TxnEngine> IntSetList<E> {
     }
 
     /// Locate `key`: returns (node-var of the last node with a smaller key,
-    /// its value, node-var of the first node with key ≥ `key`, its value).
+    /// its key, node-var of the first node with key ≥ `key`, a copy of its
+    /// value). Reads are lent until the next one, so the traversal keeps
+    /// only what it needs of each node.
     #[allow(clippy::type_complexity)]
     fn locate<O: TxnOps<Engine = E>>(
         &self,
         tx: &mut O,
         key: i64,
-    ) -> Result<
-        (
-            EngineVar<E, Node<E>>,
-            Arc<Node<E>>,
-            EngineVar<E, Node<E>>,
-            Arc<Node<E>>,
-        ),
-        EngineAbort<E>,
-    > {
-        let mut prev_var = self.head.clone();
-        let mut prev = tx.read(&prev_var)?;
-        loop {
-            let cur_var = prev
-                .next
+    ) -> Result<(EngineVar<E, Node<E>>, i64, EngineVar<E, Node<E>>, Node<E>), EngineAbort<E>> {
+        let successor = |node: &Node<E>| {
+            node.next
                 .clone()
-                .expect("interior node always has a successor (tail sentinel)");
+                .expect("interior node always has a successor (tail sentinel)")
+        };
+        let mut prev_var = self.head.clone();
+        let head = tx.read(&prev_var)?;
+        let mut prev_key = head.key;
+        let mut cur_var = successor(head);
+        loop {
             let cur = tx.read(&cur_var)?;
             if cur.key >= key {
-                return Ok((prev_var, prev, cur_var, cur));
+                let cur = cur.clone();
+                return Ok((prev_var, prev_key, cur_var, cur));
             }
-            prev_var = cur_var;
-            prev = cur;
+            prev_key = cur.key;
+            let next = successor(cur);
+            prev_var = std::mem::replace(&mut cur_var, next);
         }
     }
 
@@ -105,7 +103,7 @@ impl<E: TxnEngine> IntSetList<E> {
             "sentinel keys are reserved"
         );
         h.atomically(|tx| {
-            let (prev_var, prev, cur_var, cur) = self.locate(tx, key)?;
+            let (prev_var, prev_key, cur_var, cur) = self.locate(tx, key)?;
             if cur.key == key {
                 return Ok(false);
             }
@@ -116,7 +114,7 @@ impl<E: TxnEngine> IntSetList<E> {
             tx.write(
                 &prev_var,
                 Node {
-                    key: prev.key,
+                    key: prev_key,
                     next: Some(new_var),
                 },
             )?;
@@ -127,7 +125,7 @@ impl<E: TxnEngine> IntSetList<E> {
     /// Remove `key`; returns `false` if it was absent.
     pub fn remove(&self, h: &mut E::Handle, key: i64) -> bool {
         h.atomically(|tx| {
-            let (prev_var, prev, cur_var, cur) = self.locate(tx, key)?;
+            let (prev_var, prev_key, cur_var, cur) = self.locate(tx, key)?;
             if cur.key != key {
                 return Ok(false);
             }
@@ -143,7 +141,7 @@ impl<E: TxnEngine> IntSetList<E> {
             tx.write(
                 &prev_var,
                 Node {
-                    key: prev.key,
+                    key: prev_key,
                     next: cur.next.clone(),
                 },
             )?;
