@@ -2,13 +2,14 @@
 //!
 //! | bench target | paper artifact |
 //! |---|---|
-//! | `fig1_sync_error` | Figure 1 (synchronization measurement round cost) |
-//! | `timebase_ops` | §4.2 raw time-base costs (EXP-TB) |
 //! | `stm_ops` | LSA-RT primitive costs (open/commit/extend ablations) |
+//! | `queue_bench` | serving-path queue, oneshot and buffer costs |
+//! | `obs_bench` | instrumentation micro-costs |
 //!
 //! The benches are deliberately small so `cargo bench --workspace` finishes
-//! on a laptop. Figure 2, EXP-ERR and EXP-VAL have one implementation
-//! each: the `fig2`, `err_sweep` and `validation_cost` harness binaries.
+//! on a laptop. Figure 1, Figure 2, EXP-TB, EXP-ERR and EXP-VAL have one
+//! implementation each: the `fig1`, `fig2`, `timebase_overhead`,
+//! `err_sweep` and `validation_cost` harness binaries.
 //!
 //! This library exposes tiny helpers shared by the bench targets.
 

@@ -23,6 +23,8 @@
 //! read. The simulator is deterministic and runs in microseconds of host
 //! time.
 
+use lsa_time::hardware::MMTIMER_READ_LATENCY_NS;
+use lsa_time::numa::NumaModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -66,19 +68,23 @@ impl AltixParams {
         }
     }
 
-    /// The counter model calibrated to the paper's plateau (~1.5 M tx/s for
-    /// short transactions on 16 CPUs ⇒ ≈ 330 ns per serialized counter
+    /// The counter line priced by the one machine model,
+    /// [`NumaModel::altix`] — calibrated to the paper's plateau (~1.5 M tx/s
+    /// for short transactions on 16 CPUs ⇒ ≈ 330 ns per serialized counter
     /// access, two accesses per transaction).
     pub fn paper_counter() -> SimTimeBase {
+        let m = NumaModel::altix();
         SimTimeBase::Counter {
-            remote_ns: 330.0,
-            local_ns: 5.0,
+            remote_ns: m.remote_ns as f64,
+            local_ns: m.local_ns as f64,
         }
     }
 
     /// The MMTimer model: 7.5 ticks at 20 MHz per read.
     pub fn paper_mmtimer() -> SimTimeBase {
-        SimTimeBase::Clock { read_ns: 375.0 }
+        SimTimeBase::Clock {
+            read_ns: MMTIMER_READ_LATENCY_NS as f64,
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Shared-integer-counter time bases (§1.2 of the paper) and their
-//! contention-avoiding commit-arbitration variants.
+//! Shared-integer-counter time bases (§1.2 of the paper): one runtime,
+//! four commit-arbitration rules.
 //!
 //! The classical time base of LSA and TL2: a single global integer counter,
 //! read at every transaction start (`getTime`) and incremented by every
@@ -8,32 +8,43 @@
 //! *all* concurrent transactions, which is precisely the bottleneck the paper
 //! sets out to remove (§4.2, Figure 2).
 //!
-//! Four variants are provided, in increasing order of arbitration trickery:
+//! Every counter is one [`Counter<A>`] over one set of shared words, handed
+//! to threads as one [`CounterClock<A>`]. What varies is how a commit
+//! arbitrates for its timestamp — the [`Rule`] the marker `A` names as an
+//! associated constant, so each branch on it is resolved at compile time.
+//! Four rules are provided, in increasing order of arbitration trickery:
 //!
-//! * [`SharedCounter`] — plain `fetch_add` counter; every commit is an
-//!   exclusive RMW ([`ContentionClass::SharedRmw`]).
-//! * [`Gv4Counter`] — TL2's **GV4** optimization: a transaction whose
-//!   timestamp-acquiring compare-and-swap fails *adopts* the timestamp
-//!   installed by the winner instead of retrying. Because a loser can be
-//!   handed exactly the value the winner installed, *every* GV4 commit
-//!   timestamp is [`CommitTs::Shared`] — winners included — and the base is
-//!   not commit-monotonic (an adopted value was readable before the loser
-//!   commits with it). The paper reports GV4 "showed no advantages on our
-//!   hardware" (§4.2); the [`Gv4Counter::shared_acquisitions`] statistic
-//!   lets the benchmarks verify both behaviours.
-//! * [`Gv5Counter`] — TL2's **GV5**: the commit time is a *plain read* of
-//!   the counter plus one; the counter is never incremented on commit, only
-//!   on abort (via [`ThreadClock::note_abort`]) so lagging readers catch up.
-//!   Commits cause no invalidation traffic at all, paid for with extra
-//!   aborts ([`ContentionClass::LoadOnly`]).
-//! * [`BlockCounter`] — batched allocation: each thread reserves blocks of
-//!   `k` timestamps with one RMW on a *reservation* counter, and publishes
-//!   the values it actually uses to a separate *commit frontier* with
-//!   `fetch_max`. Readers only touch the frontier; allocation traffic is
-//!   amortized `k`-fold. A lost `fetch_max` discards the stale value and
-//!   re-arbitrates with the next reserved value — never adopts — so every
-//!   commit timestamp is exclusively owned, globally unique, and
-//!   commit-monotonic. See the module-level soundness discussion below.
+//! * [`SharedCounter`] ([`Rule::FetchAdd`]) — plain `fetch_add` counter;
+//!   every commit is an exclusive RMW ([`ContentionClass::SharedRmw`]).
+//! * [`Gv4Counter`] ([`Rule::Gv4`]) — TL2's **GV4** optimization: a
+//!   transaction whose timestamp-acquiring compare-and-swap fails *adopts*
+//!   the timestamp installed by the winner instead of retrying. Because a
+//!   loser can be handed exactly the value the winner installed, *every*
+//!   GV4 commit timestamp is [`CommitTs::Shared`] — winners included — and
+//!   the base is not commit-monotonic (an adopted value was readable before
+//!   the loser commits with it). The paper reports GV4 "showed no
+//!   advantages on our hardware" (§4.2); the
+//!   [`Gv4Counter::shared_acquisitions`] statistic lets the benchmarks
+//!   verify both behaviours.
+//! * [`Gv5Counter`] ([`Rule::Gv5`]) — TL2's **GV5**: the commit time is a
+//!   *plain read* of the counter plus one; the counter is never incremented
+//!   on commit, only on abort (via [`ThreadClock::note_abort`]) so lagging
+//!   readers catch up. Commits cause no invalidation traffic at all, paid
+//!   for with extra aborts ([`ContentionClass::LoadOnly`]).
+//! * [`BlockCounter`] ([`Rule::Block`]) — batched allocation: each thread
+//!   reserves blocks of `k` timestamps with one RMW on a *reservation*
+//!   counter, and publishes the values it actually uses to a separate
+//!   *commit frontier* with `fetch_max`. Readers only touch the frontier;
+//!   allocation traffic is amortized `k`-fold. A lost `fetch_max` discards
+//!   the stale value and re-arbitrates with the next reserved value — never
+//!   adopts — so every commit timestamp is exclusively owned, globally
+//!   unique, and commit-monotonic. See the module-level soundness
+//!   discussion below.
+//!
+//! A marker may also set [`Arbitration::PRICED`]: every access to the
+//! readable word's cache line is then charged by the counter's
+//! [`NumaModel`], which is how [`crate::numa::NumaCounter`] models the
+//! paper's ccNUMA testbed. Unpriced counters compile the pricing out.
 //!
 //! ## Why batched timestamps still need a published frontier
 //!
@@ -57,10 +68,64 @@
 //! which is exactly the paper's skepticism about counter batching, now
 //! stated as an API-level invariant (DESIGN.md §8).
 
-use crate::base::{CommitTs, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness};
+use crate::base::{
+    spin_for_ns, CommitTs, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness,
+};
+use crate::numa::NumaModel;
 use crossbeam_utils::CachePadded;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// How a counter arbitrates commit timestamps (DESIGN.md §8).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rule {
+    /// Every commit is one `fetch_add` on the counter: globally unique,
+    /// exclusively owned timestamps.
+    FetchAdd,
+    /// TL2's GV4: CAS to increment, adopt the winner's value on failure.
+    Gv4,
+    /// TL2's GV5: commit at `read + 1`; only aborts advance the counter.
+    Gv5,
+    /// Per-thread reserved blocks, confirmed on a published frontier.
+    Block,
+}
+
+/// A counter's arbitration rule as a type: a marker whose constants select
+/// the branches of the one [`Counter`] runtime at compile time.
+pub trait Arbitration: Copy + std::fmt::Debug + Send + Sync + 'static {
+    /// How commits arbitrate for their timestamps.
+    const RULE: Rule;
+    /// Whether accesses to the readable word are charged by the counter's
+    /// [`NumaModel`] (see [`crate::numa`]).
+    const PRICED: bool = false;
+}
+
+/// Marker for [`Rule::FetchAdd`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FetchAdd;
+/// Marker for [`Rule::Gv4`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Gv4;
+/// Marker for [`Rule::Gv5`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Gv5;
+/// Marker for [`Rule::Block`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Block;
+
+impl Arbitration for FetchAdd {
+    const RULE: Rule = Rule::FetchAdd;
+}
+impl Arbitration for Gv4 {
+    const RULE: Rule = Rule::Gv4;
+}
+impl Arbitration for Gv5 {
+    const RULE: Rule = Rule::Gv5;
+}
+impl Arbitration for Block {
+    const RULE: Rule = Rule::Block;
+}
 
 /// The classical global shared integer counter time base.
 ///
@@ -69,87 +134,9 @@ use std::sync::Arc;
 /// satisfying the `getNewTS` contract trivially. The counter is cache-padded
 /// so that the *only* sharing the benchmarks observe is the true sharing of
 /// the counter itself, not false sharing with neighbouring data.
-#[derive(Clone, Debug, Default)]
-pub struct SharedCounter {
-    counter: Arc<CachePadded<AtomicU64>>,
-}
-
-impl SharedCounter {
-    /// Create a counter starting at 1 (0 is never produced, so callers can
-    /// use 0 as an "unset" sentinel as the paper does with `T.CT ← 0`).
-    pub fn new() -> Self {
-        SharedCounter {
-            counter: Arc::new(CachePadded::new(AtomicU64::new(1))),
-        }
-    }
-
-    /// Current raw value of the counter (for statistics/tests).
-    pub fn current(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
-    }
-}
-
+pub type SharedCounter = Counter<FetchAdd>;
 /// Per-thread handle to a [`SharedCounter`].
-#[derive(Clone, Debug)]
-pub struct SharedCounterClock {
-    counter: Arc<CachePadded<AtomicU64>>,
-}
-
-impl TimeBase for SharedCounter {
-    type Ts = u64;
-    type Clock = SharedCounterClock;
-
-    fn register_thread(&self) -> SharedCounterClock {
-        SharedCounterClock {
-            counter: Arc::clone(&self.counter),
-        }
-    }
-
-    fn info(&self) -> TimeBaseInfo {
-        TimeBaseInfo {
-            name: "shared-counter",
-            uniqueness: Uniqueness::Unique,
-            // `get_ts_block` reserves a disjoint range with one fetch_add.
-            block_uniqueness: Uniqueness::Unique,
-            contention: ContentionClass::SharedRmw,
-            commit_monotonic: true,
-        }
-    }
-}
-
-impl ThreadClock for SharedCounterClock {
-    type Ts = u64;
-
-    #[inline]
-    fn get_time(&mut self) -> u64 {
-        // Acquire: a transaction that observes counter value t must also
-        // observe all writes of the transactions that committed at <= t.
-        self.counter.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn get_new_ts(&mut self) -> u64 {
-        // AcqRel: the increment both publishes our commit (Release) and
-        // brings us up to date with earlier committers (Acquire).
-        self.counter.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    #[inline]
-    fn acquire_commit_ts(&mut self, observed: u64) -> CommitTs<u64> {
-        // fetch_add results are globally unique, so the arbitration outcome
-        // is always exclusive — no tricks, full cache-line contention.
-        let _ = observed; // always exceeded: the counter is >= any reading
-        CommitTs::Exclusive(self.get_new_ts())
-    }
-
-    fn get_ts_block(&mut self, n: usize) -> Vec<u64> {
-        // One RMW reserves the whole block; the values are globally unique
-        // (disjoint ranges) and strictly increasing, but NOT real-time
-        // ordered — see the trait-level contract.
-        let base = self.counter.fetch_add(n as u64, Ordering::AcqRel);
-        (1..=n as u64).map(|i| base + i).collect()
-    }
-}
+pub type SharedCounterClock = CounterClock<FetchAdd>;
 
 /// TL2's **GV4** counter: on a failed timestamp-acquiring CAS the
 /// transaction adopts the winner's timestamp instead of retrying (§1.2).
@@ -173,138 +160,9 @@ impl ThreadClock for SharedCounterClock {
 ///   Engines that issue forward validity claims (LSA's `getPrelimUB`)
 ///   must refuse this base, exactly like GV5; TL2, which re-checks every
 ///   read against `rv`, is the intended consumer.
-#[derive(Clone, Debug, Default)]
-pub struct Gv4Counter {
-    counter: Arc<CachePadded<AtomicU64>>,
-    shared: Arc<CachePadded<AtomicU64>>,
-}
-
-impl Gv4Counter {
-    /// Create a counter starting at 1.
-    pub fn new() -> Self {
-        Gv4Counter {
-            counter: Arc::new(CachePadded::new(AtomicU64::new(1))),
-            shared: Arc::new(CachePadded::new(AtomicU64::new(0))),
-        }
-    }
-
-    /// Current raw value of the counter (for statistics/tests).
-    pub fn current(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
-    }
-
-    /// How many commit-time acquisitions returned a timestamp installed by
-    /// another thread (i.e. how often the optimization actually fired).
-    pub fn shared_acquisitions(&self) -> u64 {
-        self.shared.load(Ordering::Relaxed)
-    }
-}
-
+pub type Gv4Counter = Counter<Gv4>;
 /// Per-thread handle to a [`Gv4Counter`].
-#[derive(Clone, Debug)]
-pub struct Gv4CounterClock {
-    counter: Arc<CachePadded<AtomicU64>>,
-    shared: Arc<CachePadded<AtomicU64>>,
-    /// Largest timestamp this thread has returned so far; the shared-on-failure
-    /// path may only return values strictly greater than this.
-    last_seen: u64,
-}
-
-impl TimeBase for Gv4Counter {
-    type Ts = u64;
-    type Clock = Gv4CounterClock;
-
-    fn register_thread(&self) -> Gv4CounterClock {
-        Gv4CounterClock {
-            counter: Arc::clone(&self.counter),
-            shared: Arc::clone(&self.shared),
-            last_seen: 0,
-        }
-    }
-
-    fn info(&self) -> TimeBaseInfo {
-        TimeBaseInfo {
-            name: "gv4",
-            uniqueness: Uniqueness::SharedUnderContention,
-            block_uniqueness: Uniqueness::Unique,
-            contention: ContentionClass::AdoptingRmw,
-            // An adopted value equals a counter value the winner already
-            // installed, so a reader can observe get_time at the adopted
-            // timestamp before the loser commits with it — a commit at a
-            // value <= a previously readable reading. Engines whose
-            // validity reasoning issues forward claims (LSA) reject this
-            // base at construction; see DESIGN.md §8.
-            commit_monotonic: false,
-        }
-    }
-}
-
-impl Gv4CounterClock {
-    /// The GV4 arbitration loop: CAS to increment; on failure, adopt the
-    /// observed winner value when it is fresh for this thread (strictly
-    /// above both `floor` and everything previously returned).
-    ///
-    /// Every outcome — the winner's included — is [`CommitTs::Shared`]: a
-    /// concurrent loser adopts exactly the value a winner installs, so no
-    /// GV4 timestamp can carry the [`CommitTs::Exclusive`] guarantee that
-    /// no other committer holds it.
-    #[inline]
-    fn arbitrate(&mut self, floor: u64) -> CommitTs<u64> {
-        let floor = floor.max(self.last_seen);
-        let mut cur = self.counter.load(Ordering::Acquire);
-        loop {
-            match self.counter.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.last_seen = self.last_seen.max(cur + 1);
-                    return CommitTs::Shared(cur + 1);
-                }
-                Err(observed) => {
-                    // GV4: adopt the winner's timestamp — but only if it
-                    // satisfies the strict getNewTS contract for this
-                    // thread and exceeds the caller's own observations.
-                    if observed > floor {
-                        self.shared.fetch_add(1, Ordering::Relaxed);
-                        self.last_seen = observed;
-                        return CommitTs::Shared(observed);
-                    }
-                    cur = observed;
-                }
-            }
-        }
-    }
-}
-
-impl ThreadClock for Gv4CounterClock {
-    type Ts = u64;
-
-    #[inline]
-    fn get_time(&mut self) -> u64 {
-        let t = self.counter.load(Ordering::Acquire);
-        self.last_seen = self.last_seen.max(t);
-        t
-    }
-
-    #[inline]
-    fn get_new_ts(&mut self) -> u64 {
-        self.arbitrate(self.last_seen).ts()
-    }
-
-    #[inline]
-    fn acquire_commit_ts(&mut self, observed: u64) -> CommitTs<u64> {
-        self.arbitrate(observed)
-    }
-
-    fn get_ts_block(&mut self, n: usize) -> Vec<u64> {
-        let base = self.counter.fetch_add(n as u64, Ordering::AcqRel);
-        self.last_seen = self.last_seen.max(base + n as u64);
-        (1..=n as u64).map(|i| base + i).collect()
-    }
-}
+pub type Gv4CounterClock = CounterClock<Gv4>;
 
 /// TL2's **GV5** counter: the commit time is `read + 1` and the counter is
 /// *never incremented on commit* — only [`ThreadClock::note_abort`] advances
@@ -322,177 +180,9 @@ impl ThreadClock for Gv4CounterClock {
 /// non-conflicting transactions (§2.3) and strictly exceeds every counter
 /// value readable before the commit (the load happens after the committer
 /// becomes visible — §2.4).
-#[derive(Clone, Debug, Default)]
-pub struct Gv5Counter {
-    counter: Arc<CachePadded<AtomicU64>>,
-    bumps: Arc<CachePadded<AtomicU64>>,
-}
-
-impl Gv5Counter {
-    /// Create a counter starting at 1.
-    pub fn new() -> Self {
-        Gv5Counter {
-            counter: Arc::new(CachePadded::new(AtomicU64::new(1))),
-            bumps: Arc::new(CachePadded::new(AtomicU64::new(0))),
-        }
-    }
-
-    /// Current raw value of the counter (for statistics/tests).
-    pub fn current(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
-    }
-
-    /// How many aborts advanced the counter (the GV5 catch-up rule).
-    pub fn abort_bumps(&self) -> u64 {
-        self.bumps.load(Ordering::Relaxed)
-    }
-}
-
+pub type Gv5Counter = Counter<Gv5>;
 /// Per-thread handle to a [`Gv5Counter`].
-#[derive(Clone, Debug)]
-pub struct Gv5CounterClock {
-    counter: Arc<CachePadded<AtomicU64>>,
-    bumps: Arc<CachePadded<AtomicU64>>,
-    /// Largest timestamp this thread has returned so far — including
-    /// *tentative* commit times from [`ThreadClock::acquire_commit_ts`]
-    /// whose commits may yet fail. Freshness floor for generating new
-    /// values; must never leak into the readable counter (see `published`).
-    last_seen: u64,
-    /// Largest timestamp known to back committed, readable state: the join
-    /// of this thread's `get_time` readings and `observe_ts` stamps.
-    /// [`ThreadClock::note_abort`] may advance the shared counter only to
-    /// here + 1 — tentative commit times of attempts that later fail
-    /// validation back no committed data and must stay unreadable.
-    published: u64,
-}
-
-impl TimeBase for Gv5Counter {
-    type Ts = u64;
-    type Clock = Gv5CounterClock;
-
-    fn register_thread(&self) -> Gv5CounterClock {
-        Gv5CounterClock {
-            counter: Arc::clone(&self.counter),
-            bumps: Arc::clone(&self.bumps),
-            last_seen: 0,
-            published: 0,
-        }
-    }
-
-    fn info(&self) -> TimeBaseInfo {
-        TimeBaseInfo {
-            name: "gv5",
-            uniqueness: Uniqueness::SharedUnderContention,
-            block_uniqueness: Uniqueness::Unique,
-            contention: ContentionClass::LoadOnly,
-            // Commit times deliberately run ahead of the readable counter:
-            // a commit at `read + 1` can be smaller than a version stamp
-            // another thread already holds. Engines that issue forward
-            // validity claims (LSA) must refuse this base.
-            commit_monotonic: false,
-        }
-    }
-}
-
-impl ThreadClock for Gv5CounterClock {
-    type Ts = u64;
-
-    #[inline]
-    fn get_time(&mut self) -> u64 {
-        // Readers must only observe *published* time — the counter itself.
-        // Own commit times and observed stamps (tracked in `last_seen`) are
-        // deliberately not returned: handing unpublished times to readers
-        // would let snapshots claim validity at times later commits can
-        // still undercut. Successive loads of the monotone counter keep
-        // `get_time` non-decreasing per thread.
-        let t = self.counter.load(Ordering::Acquire);
-        self.last_seen = self.last_seen.max(t);
-        self.published = self.published.max(t);
-        t
-    }
-
-    #[inline]
-    fn get_new_ts(&mut self) -> u64 {
-        self.acquire_commit_ts(self.last_seen).ts()
-    }
-
-    #[inline]
-    fn acquire_commit_ts(&mut self, observed: u64) -> CommitTs<u64> {
-        // Tentative phase: read the counter fresh (after the caller became
-        // visible as a committer); confirmed phase: nothing to win — the
-        // value is `read + 1`, shared with every committer that read the
-        // same counter value. The result goes into `last_seen` only: it is
-        // tentative until the engine's validation passes, so it must not
-        // raise the `published` floor note_abort feeds the counter from.
-        let g = self.counter.load(Ordering::Acquire);
-        self.published = self.published.max(g);
-        let v = g.max(self.last_seen).max(observed) + 1;
-        self.last_seen = v;
-        CommitTs::Shared(v)
-    }
-
-    fn get_ts_block(&mut self, n: usize) -> Vec<u64> {
-        // Blocks DO advance the counter (they are allocation, not commit) —
-        // and because GV5 commit times run ahead of the lazy counter, the
-        // reservation must start above this thread's own run-ahead frontier
-        // (`last_seen`) too. A plain fetch_add would let a later reservation
-        // by another thread overlap the skipped-ahead range, so advance by
-        // CAS from max(counter, last_seen): every reservation moves the
-        // counter past its own end, keeping reserved ranges pairwise
-        // disjoint. (Blocks may still coincide with *commit* timestamps
-        // other threads have not published — consistent with the base's
-        // `SharedUnderContention` timestamp class.)
-        let n = n as u64;
-        let mut cur = self.counter.load(Ordering::Acquire);
-        loop {
-            let base = cur.max(self.last_seen);
-            match self.counter.compare_exchange_weak(
-                cur,
-                base + n,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.last_seen = base + n;
-                    // The reservation moved the readable counter itself to
-                    // base + n, so the published floor may follow.
-                    self.published = self.published.max(base + n);
-                    return (1..=n).map(|i| base + i).collect();
-                }
-                Err(observed) => cur = observed,
-            }
-        }
-    }
-
-    #[inline]
-    fn observe_ts(&mut self, ts: u64) {
-        // A version stamp the engine read from shared state: a real commit
-        // time backing committed data, so folding it into both floors is
-        // sound and lets one abort catch this clock up however far the
-        // versions ran ahead.
-        self.last_seen = self.last_seen.max(ts);
-        self.published = self.published.max(ts);
-    }
-
-    #[inline]
-    fn note_abort(&mut self) {
-        // TL2's GV5 companion rule: an abort advances the clock so the
-        // retry observes a fresh enough time to reach the versions that
-        // made it abort (including any stamp fed in via `observe_ts`). The
-        // bump target is the *published* frontier plus one — NOT
-        // `last_seen`, which also holds tentative commit times from
-        // acquire_commit_ts. TL2 acquires `wv` before validating and calls
-        // note_abort when validation fails; bumping past such a `wv` would
-        // make get_time exceed timestamps that back no committed data and
-        // hand readers an rv at an in-flight committer's commit time.
-        let target = self.published + 1;
-        self.counter.fetch_max(target, Ordering::AcqRel);
-        self.bumps.fetch_add(1, Ordering::Relaxed);
-        // The counter itself is now readable at >= target.
-        self.published = target;
-        self.last_seen = self.last_seen.max(target);
-    }
-}
+pub type Gv5CounterClock = CounterClock<Gv5>;
 
 /// Default block size of [`BlockCounter`]: one cache line's worth of
 /// timestamps per reservation.
@@ -514,20 +204,115 @@ pub const DEFAULT_TS_BLOCK: u64 = 64;
 ///   shared: every confirmed value is [`CommitTs::Exclusive`], drawn from
 ///   this thread's disjoint reservation ([`Uniqueness::Unique`]), and
 ///   strictly exceeds everything previously readable (commit-monotonic).
-#[derive(Clone, Debug)]
-pub struct BlockCounter {
-    /// Allocation frontier: every reserved timestamp is ≤ this.
-    reserve: Arc<CachePadded<AtomicU64>>,
-    /// Commit frontier: the largest *published* timestamp; `get_time` reads
-    /// only this, so unissued block values are never observable.
-    issued: Arc<CachePadded<AtomicU64>>,
-    refills: Arc<CachePadded<AtomicU64>>,
+pub type BlockCounter = Counter<Block>;
+/// Per-thread handle to a [`BlockCounter`].
+pub type BlockCounterClock = CounterClock<Block>;
+
+/// The words every clock of one counter shares.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    /// The readable word: `get_time` loads only this. For [`Rule::Block`]
+    /// it is the commit frontier — the largest *published* timestamp, so
+    /// unissued block values are never observable.
+    word: CachePadded<AtomicU64>,
+    /// [`Rule::Block`]'s allocation frontier: every reserved timestamp is
+    /// ≤ this.
+    reserve: CachePadded<AtomicU64>,
+    /// The rule's event count: GV4 adoptions, GV5 abort bumps or block
+    /// refills.
+    events: CachePadded<AtomicU64>,
+    /// [`Rule::Block`]'s reservation size.
     block: u64,
+    /// The interconnect a priced counter charges.
+    pub(crate) model: NumaModel,
+    /// Priced: incremented on every write of the readable word; a thread
+    /// whose cached copy of this value is stale has (in the model) had its
+    /// cache line invalidated.
+    line_version: CachePadded<AtomicU64>,
+    /// Priced: registration id of the last writer (the modeled line owner).
+    owner: CachePadded<AtomicU64>,
+    /// Priced: the next registration id.
+    next_id: AtomicU64,
 }
 
-impl Default for BlockCounter {
+/// A global counter time base whose commits arbitrate by `A`'s [`Rule`].
+///
+/// Every counter of this crate is one of these; the type aliases
+/// ([`SharedCounter`], [`Gv4Counter`], [`Gv5Counter`], [`BlockCounter`],
+/// [`crate::numa::NumaCounter`]) name the rules.
+#[derive(Clone, Debug)]
+pub struct Counter<A> {
+    pub(crate) s: Arc<Shared>,
+    rule: PhantomData<A>,
+}
+
+impl<A: Arbitration> Counter<A> {
+    /// A counter starting at 1 (0 is never produced, so callers can use 0
+    /// as an "unset" sentinel as the paper does with `T.CT ← 0`).
+    pub(crate) fn with(block: u64, model: NumaModel) -> Self {
+        let padded = |v| CachePadded::new(AtomicU64::new(v));
+        let s = Shared {
+            word: padded(1),
+            reserve: padded(1),
+            events: padded(0),
+            block,
+            model,
+            line_version: padded(0),
+            owner: padded(u64::MAX),
+            next_id: AtomicU64::new(0),
+        };
+        Counter {
+            s: Arc::new(s),
+            rule: PhantomData,
+        }
+    }
+
+    /// Current raw value of the readable word — the commit frontier for
+    /// [`BlockCounter`] (for statistics/tests).
+    pub fn current(&self) -> u64 {
+        self.s.word.load(Ordering::SeqCst)
+    }
+
+    fn events(&self) -> u64 {
+        self.s.events.load(Ordering::Relaxed)
+    }
+}
+
+impl<A: Arbitration + Default> Default for Counter<A> {
     fn default() -> Self {
-        Self::new(DEFAULT_TS_BLOCK)
+        Self::with(DEFAULT_TS_BLOCK, NumaModel::free())
+    }
+}
+
+impl SharedCounter {
+    /// Create a counter starting at 1.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Gv4Counter {
+    /// Create a counter starting at 1.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// How many commit-time acquisitions returned a timestamp installed by
+    /// another thread (i.e. how often the optimization actually fired).
+    pub fn shared_acquisitions(&self) -> u64 {
+        self.events()
+    }
+}
+
+impl Gv5Counter {
+    /// Create a counter starting at 1.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// How many aborts advanced the counter (the GV5 catch-up rule).
+    pub fn abort_bumps(&self) -> u64 {
+        self.events()
     }
 }
 
@@ -538,113 +323,233 @@ impl BlockCounter {
     /// Panics if `block` is 0.
     pub fn new(block: u64) -> Self {
         assert!(block > 0, "block size must be positive");
-        BlockCounter {
-            reserve: Arc::new(CachePadded::new(AtomicU64::new(1))),
-            issued: Arc::new(CachePadded::new(AtomicU64::new(1))),
-            refills: Arc::new(CachePadded::new(AtomicU64::new(0))),
-            block,
-        }
+        Self::with(block, NumaModel::free())
     }
 
     /// The configured block size.
     pub fn block_size(&self) -> u64 {
-        self.block
-    }
-
-    /// Current commit frontier (for statistics/tests).
-    pub fn current(&self) -> u64 {
-        self.issued.load(Ordering::SeqCst)
+        self.s.block
     }
 
     /// How many block reservations were performed (allocation RMWs). With
     /// `b` the block size and `c` exclusive commits, `refills ≈ c / b` when
     /// blocks stay fresh — the amortization the batching buys.
     pub fn refills(&self) -> u64 {
-        self.refills.load(Ordering::Relaxed)
+        self.events()
     }
 }
 
-/// Per-thread handle to a [`BlockCounter`].
-#[derive(Clone, Debug)]
-pub struct BlockCounterClock {
-    reserve: Arc<CachePadded<AtomicU64>>,
-    issued: Arc<CachePadded<AtomicU64>>,
-    refills: Arc<CachePadded<AtomicU64>>,
-    block: u64,
-    /// Next unissued value of the current block (0 = no block).
-    next: u64,
-    /// One past the last value of the current block.
-    end: u64,
-    last_seen: u64,
-}
-
-impl TimeBase for BlockCounter {
+impl<A: Arbitration> TimeBase for Counter<A> {
     type Ts = u64;
-    type Clock = BlockCounterClock;
+    type Clock = CounterClock<A>;
 
-    fn register_thread(&self) -> BlockCounterClock {
-        BlockCounterClock {
-            reserve: Arc::clone(&self.reserve),
-            issued: Arc::clone(&self.issued),
-            refills: Arc::clone(&self.refills),
-            block: self.block,
+    fn register_thread(&self) -> CounterClock<A> {
+        CounterClock {
+            s: Arc::clone(&self.s),
+            last_seen: 0,
+            published: 0,
             next: 0,
             end: 0,
-            last_seen: 0,
+            id: if A::PRICED {
+                self.s.next_id.fetch_add(1, Ordering::Relaxed)
+            } else {
+                0
+            },
+            cached_line: u64::MAX, // the first priced access is always a miss
+            remote_misses: 0,
+            rule: PhantomData,
         }
     }
 
     fn info(&self) -> TimeBaseInfo {
-        TimeBaseInfo {
-            name: "block",
+        use ContentionClass::*;
+        use Uniqueness::*;
+        let (name, uniqueness, contention, commit_monotonic) = match A::RULE {
+            Rule::FetchAdd => ("shared-counter", Unique, SharedRmw, true),
+            // An adopted value equals a counter value the winner already
+            // installed, so a reader can observe get_time at the adopted
+            // timestamp before the loser commits with it — a commit at a
+            // value <= a previously readable reading. Engines whose
+            // validity reasoning issues forward claims (LSA) reject this
+            // base at construction; see DESIGN.md §8.
+            Rule::Gv4 => ("gv4", SharedUnderContention, AdoptingRmw, false),
+            // Commit times deliberately run ahead of the readable counter:
+            // a commit at `read + 1` can be smaller than a version stamp
+            // another thread already holds. Engines that issue forward
+            // validity claims (LSA) must refuse this base.
+            Rule::Gv5 => ("gv5", SharedUnderContention, LoadOnly, false),
             // Commit times come from disjoint per-thread reservations and
             // lost confirmations are discarded, never adopted — no two
-            // acquisitions ever return the same value.
-            uniqueness: Uniqueness::Unique,
-            block_uniqueness: Uniqueness::Unique,
-            contention: ContentionClass::AdoptingRmw,
-            // A commit wins its fetch_max only while the frontier is still
-            // below its value, and readers only ever see the frontier — so
-            // every confirmed commit time strictly exceeds everything
-            // previously readable. This holds precisely because lost
-            // arbitrations re-arbitrate instead of adopting.
-            commit_monotonic: true,
+            // acquisitions ever return the same value. A commit wins its
+            // fetch_max only while the frontier is still below its value,
+            // and readers only ever see the frontier — so every confirmed
+            // commit time strictly exceeds everything previously readable.
+            // This holds precisely because lost arbitrations re-arbitrate
+            // instead of adopting.
+            Rule::Block => ("block", Unique, AdoptingRmw, true),
+        };
+        TimeBaseInfo {
+            name: if A::PRICED { "numa-counter" } else { name },
+            uniqueness,
+            // Every rule reserves a disjoint range per `get_ts_block`.
+            block_uniqueness: Unique,
+            contention,
+            commit_monotonic,
         }
     }
 }
 
-impl BlockCounterClock {
-    /// Reserve a fresh block `(base, base + n]` from the allocation frontier.
-    fn refill(&mut self, n: u64) -> u64 {
-        self.refills.fetch_add(1, Ordering::Relaxed);
-        self.reserve.fetch_add(n, Ordering::AcqRel)
-    }
+/// Per-thread handle to a [`Counter`]: the rule's freshness state plus,
+/// when priced, the modeled local cache state.
+#[derive(Clone, Debug)]
+pub struct CounterClock<A> {
+    s: Arc<Shared>,
+    /// Largest timestamp this thread has returned so far — for GV5 including
+    /// *tentative* commit times from [`ThreadClock::acquire_commit_ts`]
+    /// whose commits may yet fail. Freshness floor for generating new
+    /// values (GV4's shared-on-failure path may only return values strictly
+    /// greater than this); must never leak into GV5's readable counter (see
+    /// `published`).
+    last_seen: u64,
+    /// GV5: largest timestamp known to back committed, readable state: the
+    /// join of this thread's `get_time` readings and `observe_ts` stamps.
+    /// [`ThreadClock::note_abort`] may advance the shared counter only to
+    /// here + 1 — tentative commit times of attempts that later fail
+    /// validation back no committed data and must stay unreadable.
+    published: u64,
+    /// Block: next unissued value of the current block (0 = no block).
+    next: u64,
+    /// Block: one past the last value of the current block.
+    end: u64,
+    /// Priced: this clock's registration id.
+    id: u64,
+    /// Priced: the line version this thread last observed.
+    cached_line: u64,
+    /// Priced: modeled remote misses this thread has paid.
+    remote_misses: u64,
+    rule: PhantomData<A>,
 }
 
-impl ThreadClock for BlockCounterClock {
-    type Ts = u64;
-
-    #[inline]
-    fn get_time(&mut self) -> u64 {
-        // Readers observe the published commit frontier only — raw block
-        // reservations (and commit times about to be confirmed) stay
-        // invisible until the fetch_max publication.
-        let t = self.issued.load(Ordering::Acquire);
-        self.last_seen = self.last_seen.max(t);
-        t
+impl<A: Arbitration> CounterClock<A> {
+    /// Modeled remote misses paid by this thread so far (0 unless priced).
+    pub fn remote_misses(&self) -> u64 {
+        self.remote_misses
     }
 
+    /// The runtime's one read of the counter line: a load of the readable
+    /// word. Priced, it misses when the line was invalidated by a writer on
+    /// another node since this thread last read it.
     #[inline]
-    fn get_new_ts(&mut self) -> u64 {
-        self.acquire_commit_ts(self.last_seen).ts()
+    fn load(&mut self) -> u64 {
+        if A::PRICED {
+            let miss = self.s.line_version.load(Ordering::Acquire) != self.cached_line;
+            self.charge(miss);
+            if miss {
+                self.cached_line = self.s.line_version.load(Ordering::Acquire);
+            }
+        }
+        self.s.word.load(Ordering::Acquire)
     }
 
-    fn acquire_commit_ts(&mut self, observed: u64) -> CommitTs<u64> {
-        let mut floor = self
-            .issued
-            .load(Ordering::Acquire)
-            .max(self.last_seen)
-            .max(observed);
+    /// The runtime's one write of the counter line: `op` on the readable
+    /// word. Priced, it is a read-for-ownership: if another thread owns the
+    /// line (it wrote last), fetching it exclusively costs a remote
+    /// transfer, and the write invalidates every other copy.
+    #[inline]
+    fn rmw<R>(&mut self, op: impl FnOnce(&AtomicU64) -> R) -> R {
+        if !A::PRICED {
+            return op(&self.s.word);
+        }
+        self.charge(self.s.owner.load(Ordering::Acquire) != self.id);
+        let r = op(&self.s.word);
+        self.s.owner.store(self.id, Ordering::Release);
+        // Our own write leaves the line in our cache in modified state.
+        self.cached_line = self.s.line_version.fetch_add(1, Ordering::AcqRel) + 1;
+        r
+    }
+
+    /// Spin for one modeled access: a remote transfer on a miss, a local
+    /// hit otherwise.
+    fn charge(&mut self, miss: bool) {
+        let m = self.s.model;
+        spin_for_ns(if miss { m.remote_ns } else { m.local_ns });
+        self.remote_misses += u64::from(miss);
+    }
+
+    /// The GV4 arbitration loop: CAS to increment; on failure, adopt the
+    /// observed winner value when it is fresh for this thread (strictly
+    /// above both `floor` and everything previously returned).
+    ///
+    /// Every outcome — the winner's included — is [`CommitTs::Shared`]: a
+    /// concurrent loser adopts exactly the value a winner installs, so no
+    /// GV4 timestamp can carry the [`CommitTs::Exclusive`] guarantee that
+    /// no other committer holds it.
+    #[inline]
+    fn gv4(&mut self, floor: u64) -> CommitTs<u64> {
+        let floor = floor.max(self.last_seen);
+        let mut cur = self.load();
+        loop {
+            match self
+                .rmw(|w| w.compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire))
+            {
+                Ok(_) => {
+                    self.last_seen = self.last_seen.max(cur + 1);
+                    return CommitTs::Shared(cur + 1);
+                }
+                Err(observed) => {
+                    // GV4: adopt the winner's timestamp — but only if it
+                    // satisfies the strict getNewTS contract for this
+                    // thread and exceeds the caller's own observations.
+                    if observed > floor {
+                        self.s.events.fetch_add(1, Ordering::Relaxed);
+                        self.last_seen = observed;
+                        return CommitTs::Shared(observed);
+                    }
+                    cur = observed;
+                }
+            }
+        }
+    }
+
+    /// GV5's reservation: blocks DO advance the counter (they are
+    /// allocation, not commit) — and because GV5 commit times run ahead of
+    /// the lazy counter, the reservation must start above this thread's own
+    /// run-ahead frontier (`last_seen`) too. A plain fetch_add would let a
+    /// later reservation by another thread overlap the skipped-ahead range,
+    /// so advance by CAS from max(counter, last_seen): every reservation
+    /// moves the counter past its own end, keeping reserved ranges pairwise
+    /// disjoint. (Blocks may still coincide with *commit* timestamps other
+    /// threads have not published — consistent with the base's
+    /// `SharedUnderContention` timestamp class.) Returns the block's base.
+    fn gv5_reserve(&mut self, n: u64) -> u64 {
+        let mut cur = self.load();
+        loop {
+            let base = cur.max(self.last_seen);
+            match self.rmw(|w| {
+                w.compare_exchange_weak(cur, base + n, Ordering::AcqRel, Ordering::Acquire)
+            }) {
+                Ok(_) => {
+                    // The reservation moved the readable counter itself to
+                    // base + n, so the published floor may follow.
+                    self.published = self.published.max(base + n);
+                    return base;
+                }
+                Err(observed) => cur = observed,
+            }
+        }
+    }
+
+    /// Reserve a fresh block `(base, base + n]` from the allocation
+    /// frontier.
+    fn refill(&mut self, n: u64) -> u64 {
+        self.s.events.fetch_add(1, Ordering::Relaxed);
+        self.s.reserve.fetch_add(n, Ordering::AcqRel)
+    }
+
+    /// The block arbitration loop: confirm the next fresh block value on
+    /// the published frontier, discarding stale values.
+    fn block(&mut self, observed: u64) -> CommitTs<u64> {
+        let mut floor = self.load().max(self.last_seen).max(observed);
         loop {
             // Skip block values at or below the floor: they are stale —
             // readers may already have observed the frontier past them.
@@ -658,9 +563,9 @@ impl ThreadClock for BlockCounterClock {
                 // `floor` whenever the floor came from published values;
                 // the skip-forward above handles the remaining case of a
                 // caller-supplied `observed` floor inside the new block.
-                let base = self.refill(self.block);
+                let base = self.refill(self.s.block);
                 self.next = base + 1;
-                self.end = base + self.block + 1;
+                self.end = base + self.s.block + 1;
                 if self.next <= floor {
                     self.next = floor + 1;
                 }
@@ -675,7 +580,7 @@ impl ThreadClock for BlockCounterClock {
             // before now — and v comes from this thread's disjoint
             // reservation, so no other committer ever holds it: a sound,
             // exclusively owned, commit-monotonic commit time.
-            let prev = self.issued.fetch_max(v, Ordering::AcqRel);
+            let prev = self.rmw(|w| w.fetch_max(v, Ordering::AcqRel));
             if prev < v {
                 self.last_seen = self.last_seen.max(v);
                 return CommitTs::Exclusive(v);
@@ -692,14 +597,120 @@ impl ThreadClock for BlockCounterClock {
             floor = prev.max(floor);
         }
     }
+}
+
+impl<A: Arbitration> ThreadClock for CounterClock<A> {
+    type Ts = u64;
+
+    #[inline]
+    fn get_time(&mut self) -> u64 {
+        // Acquire: a transaction that observes counter value t must also
+        // observe all writes of the transactions that committed at <= t.
+        // Under GV5 and block the word holds *published* time only: own
+        // commit times, observed stamps and raw block reservations are
+        // deliberately not returned — handing unpublished times to readers
+        // would let snapshots claim validity at times later commits can
+        // still undercut. Successive loads of the monotone word keep
+        // `get_time` non-decreasing per thread.
+        let t = self.load();
+        if !matches!(A::RULE, Rule::FetchAdd) {
+            self.last_seen = self.last_seen.max(t);
+        }
+        if matches!(A::RULE, Rule::Gv5) {
+            self.published = self.published.max(t);
+        }
+        t
+    }
+
+    #[inline]
+    fn get_new_ts(&mut self) -> u64 {
+        match A::RULE {
+            // AcqRel: the increment both publishes our commit (Release) and
+            // brings us up to date with earlier committers (Acquire).
+            Rule::FetchAdd => self.rmw(|w| w.fetch_add(1, Ordering::AcqRel)) + 1,
+            _ => self.acquire_commit_ts(self.last_seen).ts(),
+        }
+    }
+
+    #[inline]
+    fn acquire_commit_ts(&mut self, observed: u64) -> CommitTs<u64> {
+        match A::RULE {
+            // fetch_add results are globally unique, so the arbitration
+            // outcome is always exclusive — no tricks, full cache-line
+            // contention. `observed` is always exceeded: the counter is >=
+            // any reading.
+            Rule::FetchAdd => CommitTs::Exclusive(self.get_new_ts()),
+            Rule::Gv4 => self.gv4(observed),
+            Rule::Gv5 => {
+                // Tentative phase: read the counter fresh (after the caller
+                // became visible as a committer); confirmed phase: nothing
+                // to win — the value is `read + 1`, shared with every
+                // committer that read the same counter value. The result
+                // goes into `last_seen` only: it is tentative until the
+                // engine's validation passes, so it must not raise the
+                // `published` floor note_abort feeds the counter from.
+                let g = self.load();
+                self.published = self.published.max(g);
+                let v = g.max(self.last_seen).max(observed) + 1;
+                self.last_seen = v;
+                CommitTs::Shared(v)
+            }
+            Rule::Block => self.block(observed),
+        }
+    }
 
     fn get_ts_block(&mut self, n: usize) -> Vec<u64> {
-        // Raw reservation: globally unique (disjoint ranges), per-thread
-        // fresh (the reservation frontier is ≥ everything this thread ever
-        // saw), but NOT published — not usable as commit times directly.
-        let base = self.refill(n as u64).max(self.last_seen);
-        self.last_seen = base + n as u64;
-        (1..=n as u64).map(|i| base + i).collect()
+        let n = n as u64;
+        let base = match A::RULE {
+            // One RMW reserves the whole block; the values are globally
+            // unique (disjoint ranges) and strictly increasing, but NOT
+            // real-time ordered — see the trait-level contract.
+            Rule::FetchAdd | Rule::Gv4 => self.rmw(|w| w.fetch_add(n, Ordering::AcqRel)),
+            Rule::Gv5 => self.gv5_reserve(n),
+            // Raw reservation: globally unique (disjoint ranges), per-thread
+            // fresh (the reservation frontier is ≥ everything this thread
+            // ever saw), but NOT published — not usable as commit times
+            // directly.
+            Rule::Block => self.refill(n).max(self.last_seen),
+        };
+        self.last_seen = self.last_seen.max(base + n);
+        (1..=n).map(|i| base + i).collect()
+    }
+
+    #[inline]
+    fn observe_ts(&mut self, ts: u64) {
+        // GV5: a version stamp the engine read from shared state is a real
+        // commit time backing committed data, so folding it into both
+        // floors is sound and lets one abort catch this clock up however
+        // far the versions ran ahead.
+        if matches!(A::RULE, Rule::Gv5) {
+            self.last_seen = self.last_seen.max(ts);
+            self.published = self.published.max(ts);
+        }
+    }
+
+    #[inline]
+    fn note_abort(&mut self) {
+        if !matches!(A::RULE, Rule::Gv5) {
+            return;
+        }
+        // TL2's GV5 companion rule: an abort advances the clock so the
+        // retry observes a fresh enough time to reach the versions that
+        // made it abort (including any stamp fed in via `observe_ts`). The
+        // bump target is the *published* frontier plus one — NOT
+        // `last_seen`, which also holds tentative commit times from
+        // acquire_commit_ts. TL2 acquires `wv` before validating and calls
+        // note_abort when validation fails; bumping past such a `wv` would
+        // make get_time exceed timestamps that back no committed data and
+        // hand readers an rv at an in-flight committer's commit time.
+        let target = self.published + 1;
+        // Only an abort that actually moved the counter is a bump.
+        if self.rmw(|w| w.fetch_max(target, Ordering::AcqRel)) < target {
+            self.s.events.fetch_add(1, Ordering::Relaxed);
+        }
+        // The counter itself is now readable at >= target.
+        self.published = target;
+        self.last_seen = self.last_seen.max(target);
     }
 }
 
@@ -846,6 +857,20 @@ mod tests {
         // after enough bumps (one per lagging unit here).
         let mut r2 = tb.register_thread();
         assert!(r2.get_time() >= ct.saturating_sub(1));
+    }
+
+    #[test]
+    fn gv5_abort_bumps_count_only_advances() {
+        // Two clocks abort from the same reading: the first moves the
+        // counter, the second finds it already at its target — one bump.
+        let tb = Gv5Counter::new();
+        let mut a = tb.register_thread();
+        let mut b = tb.register_thread();
+        assert_eq!(a.get_time(), b.get_time());
+        a.note_abort();
+        b.note_abort();
+        assert_eq!(tb.current(), 2);
+        assert_eq!(tb.abort_bumps(), 1);
     }
 
     #[test]
@@ -1056,5 +1081,55 @@ mod tests {
             Gv5Counter::new().info().contention,
             ContentionClass::LoadOnly
         );
+        // The whole descriptor of every counter, one row per base.
+        use crate::numa::{NumaCounter, NumaModel};
+        use ContentionClass::*;
+        use Uniqueness::*;
+        let numa = NumaCounter::new(NumaModel::free());
+        let rows = [
+            (
+                SharedCounter::new().info(),
+                "shared-counter",
+                Unique,
+                Unique,
+                SharedRmw,
+                true,
+            ),
+            (
+                Gv4Counter::new().info(),
+                "gv4",
+                SharedUnderContention,
+                Unique,
+                AdoptingRmw,
+                false,
+            ),
+            (
+                Gv5Counter::new().info(),
+                "gv5",
+                SharedUnderContention,
+                Unique,
+                LoadOnly,
+                false,
+            ),
+            (
+                BlockCounter::default().info(),
+                "block",
+                Unique,
+                Unique,
+                AdoptingRmw,
+                true,
+            ),
+            (numa.info(), "numa-counter", Unique, Unique, SharedRmw, true),
+        ];
+        for (info, name, uniqueness, block_uniqueness, contention, commit_monotonic) in rows {
+            let want = TimeBaseInfo {
+                name,
+                uniqueness,
+                block_uniqueness,
+                contention,
+                commit_monotonic,
+            };
+            assert_eq!(info, want, "descriptor of {name}");
+        }
     }
 }

@@ -5,15 +5,20 @@
 //! (Riegel, Fetzer, Felber), together with every concrete time base the paper
 //! discusses:
 //!
-//! * [`counter::SharedCounter`] — the classical global shared integer counter
-//!   used by LSA and TL2 (incremented by every committing update transaction),
-//! * [`counter::Gv4Counter`] — the TL2 GV4 optimization that lets
-//!   transactions share a commit timestamp when the timestamp-acquiring CAS
-//!   fails,
-//! * [`counter::Gv5Counter`] — TL2's GV5: commit = read + 1, the counter is
-//!   never incremented on commit (aborts advance it instead),
-//! * [`counter::BlockCounter`] — batched per-thread timestamp blocks with a
-//!   separately published commit frontier,
+//! * [`counter::Counter`] — the one global-counter runtime, read at every
+//!   transaction start and arbitrated at commit by one of four rules
+//!   ([`counter::Rule`]), each a marker type whose constants are resolved
+//!   at compile time:
+//!   - [`counter::SharedCounter`] — the classical global shared integer
+//!     counter used by LSA and TL2 (one `fetch_add` per committing update
+//!     transaction),
+//!   - [`counter::Gv4Counter`] — the TL2 GV4 optimization that lets
+//!     transactions share a commit timestamp when the timestamp-acquiring
+//!     CAS fails,
+//!   - [`counter::Gv5Counter`] — TL2's GV5: commit = read + 1, the counter
+//!     is never incremented on commit (aborts advance it instead),
+//!   - [`counter::BlockCounter`] — batched per-thread timestamp blocks with
+//!     a separately published commit frontier,
 //! * [`perfect::PerfectClock`] — a perfectly synchronized real-time clock
 //!   (Algorithm 4 of the paper),
 //! * [`hardware::HardwareClock`] — a simulated *MMTimer*: a globally
@@ -22,9 +27,13 @@
 //! * [`external::ExternalClock`] — externally synchronized clocks with a
 //!   bounded deviation `dev`; timestamps are `(ts, cid, dev)` triples and
 //!   compare according to Algorithm 5 of the paper,
-//! * [`numa::NumaCounter`] / [`numa::NumaModel`] — a ccNUMA interconnect cost
-//!   model used to reproduce the paper's SGI-Altix contention behaviour on a
-//!   small host (see DESIGN.md §3),
+//! * [`numa::NumaCounter`] / [`numa::NumaModel`] — the shared counter with
+//!   its line priced: a priced marker makes the counter runtime charge
+//!   every access to the counter's cache line by a ccNUMA interconnect cost
+//!   model, used to reproduce the paper's SGI-Altix contention behaviour on
+//!   a small host. [`numa::NumaModel::altix`] is the one Altix machine
+//!   model; the discrete-event simulator prices the line from it too (see
+//!   DESIGN.md §3),
 //! * [`sharded::ShardedTimeBase`] — the composite base that shards an STM:
 //!   per-shard clock instances over one arbitration-comparable domain, a
 //!   shard selection the engine makes through [`ThreadClock`]'s hooks,

@@ -7,8 +7,10 @@
 //! transfer is tens of nanoseconds, which hides the bottleneck the paper
 //! demonstrates.
 //!
-//! [`NumaCounter`] makes the cost explicit: it wraps the shared counter and
-//! charges every access that misses in the (modeled) local cache with a
+//! [`NumaCounter`] makes the cost explicit: it is the shared counter's
+//! `fetch_add` rule with a priced marker ([`NumaFetchAdd`]), so the one
+//! counter runtime ([`crate::counter::Counter`]) charges every access to
+//! the counter's line that misses in the (modeled) local cache with a
 //! configurable remote-transfer latency, following an invalidation-based
 //! (MESI-like) protocol:
 //!
@@ -22,12 +24,10 @@
 //! stalled CPU cannot run other transactions, which is exactly the effect
 //! that limits throughput in Figure 2. See DESIGN.md §3 for the substitution
 //! argument, and `lsa_harness::altix_sim` for the discrete-event model that
-//! reproduces the 16-CPU curves exactly.
+//! reproduces the 16-CPU curves exactly; it prices the line from the same
+//! [`NumaModel::altix`].
 
-use crate::base::{spin_for_ns, ThreadClock, TimeBase};
-use crossbeam_utils::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::counter::{Arbitration, Counter, CounterClock, Rule, DEFAULT_TS_BLOCK};
 
 /// Latency parameters of the modeled ccNUMA interconnect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,10 +40,13 @@ pub struct NumaModel {
 }
 
 impl NumaModel {
-    /// Altix-3700-like parameters: ~600 ns remote transfer, ~5 ns local hit.
+    /// The paper's Altix 3700: ~330 ns per remote transfer of the counter
+    /// line, ~5 ns per local hit. 330 ns is calibrated from the paper's
+    /// plateau of ~1.5 M tx/s for short transactions on 16 CPUs, where each
+    /// transaction makes two serialized counter accesses (DESIGN.md §3).
     pub fn altix() -> Self {
         NumaModel {
-            remote_ns: 600,
+            remote_ns: 330,
             local_ns: 5,
         }
     }
@@ -58,140 +61,38 @@ impl NumaModel {
     }
 }
 
-#[derive(Debug)]
-struct NumaShared {
-    counter: CachePadded<AtomicU64>,
-    /// Incremented on every write; a thread whose cached copy of this value
-    /// is stale has (in the model) had its cache line invalidated.
-    line_version: CachePadded<AtomicU64>,
-    /// Registration id of the last writer (the modeled line owner).
-    owner: CachePadded<AtomicU64>,
-    next_id: CachePadded<AtomicU64>,
+/// Marker for [`Rule::FetchAdd`] with every access to the counter line
+/// priced by the counter's [`NumaModel`].
+#[derive(Clone, Copy, Debug)]
+pub struct NumaFetchAdd;
+
+impl Arbitration for NumaFetchAdd {
+    const RULE: Rule = Rule::FetchAdd;
+    const PRICED: bool = true;
 }
 
 /// A shared integer counter behind the [`NumaModel`] cost model.
-#[derive(Clone, Debug)]
-pub struct NumaCounter {
-    shared: Arc<NumaShared>,
-    model: NumaModel,
-}
+pub type NumaCounter = Counter<NumaFetchAdd>;
+/// Per-thread handle to a [`NumaCounter`]; tracks the modeled local cache
+/// state (which line version this thread last observed).
+pub type NumaCounterClock = CounterClock<NumaFetchAdd>;
 
 impl NumaCounter {
     /// A counter starting at 1 with the given interconnect model.
     pub fn new(model: NumaModel) -> Self {
-        NumaCounter {
-            shared: Arc::new(NumaShared {
-                counter: CachePadded::new(AtomicU64::new(1)),
-                line_version: CachePadded::new(AtomicU64::new(0)),
-                owner: CachePadded::new(AtomicU64::new(u64::MAX)),
-                next_id: CachePadded::new(AtomicU64::new(0)),
-            }),
-            model,
-        }
-    }
-
-    /// Current raw counter value (for statistics/tests).
-    pub fn current(&self) -> u64 {
-        self.shared.counter.load(Ordering::SeqCst)
+        Counter::with(DEFAULT_TS_BLOCK, model)
     }
 
     /// The interconnect model in use.
     pub fn model(&self) -> NumaModel {
-        self.model
-    }
-}
-
-/// Per-thread handle to a [`NumaCounter`]; tracks the modeled local cache
-/// state (which line version this thread last observed).
-#[derive(Debug)]
-pub struct NumaCounterClock {
-    shared: Arc<NumaShared>,
-    model: NumaModel,
-    id: u64,
-    cached_line_version: u64,
-    /// Number of modeled remote misses this thread has paid (statistics).
-    remote_misses: u64,
-}
-
-impl NumaCounterClock {
-    /// Modeled remote misses paid by this thread so far.
-    pub fn remote_misses(&self) -> u64 {
-        self.remote_misses
-    }
-}
-
-impl TimeBase for NumaCounter {
-    type Ts = u64;
-    type Clock = NumaCounterClock;
-
-    fn register_thread(&self) -> NumaCounterClock {
-        NumaCounterClock {
-            shared: Arc::clone(&self.shared),
-            model: self.model,
-            id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
-            cached_line_version: u64::MAX, // first access is always a miss
-            remote_misses: 0,
-        }
-    }
-
-    fn info(&self) -> crate::base::TimeBaseInfo {
-        crate::base::TimeBaseInfo {
-            name: "numa-counter",
-            uniqueness: crate::base::Uniqueness::Unique,
-            block_uniqueness: crate::base::Uniqueness::Unique,
-            contention: crate::base::ContentionClass::SharedRmw,
-            commit_monotonic: true,
-        }
-    }
-}
-
-impl ThreadClock for NumaCounterClock {
-    type Ts = u64;
-
-    #[inline]
-    fn get_time(&mut self) -> u64 {
-        let v = self.shared.line_version.load(Ordering::Acquire);
-        if v != self.cached_line_version {
-            // Line was invalidated by a writer on another node: read miss.
-            spin_for_ns(self.model.remote_ns);
-            self.remote_misses += 1;
-            self.cached_line_version = self.shared.line_version.load(Ordering::Acquire);
-        } else {
-            spin_for_ns(self.model.local_ns);
-        }
-        self.shared.counter.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn get_new_ts(&mut self) -> u64 {
-        // Read-for-ownership: if another thread owns the line (it wrote
-        // last), fetching it exclusively costs a remote transfer.
-        if self.shared.owner.load(Ordering::Acquire) != self.id {
-            spin_for_ns(self.model.remote_ns);
-            self.remote_misses += 1;
-        } else {
-            spin_for_ns(self.model.local_ns);
-        }
-        let t = self.shared.counter.fetch_add(1, Ordering::AcqRel) + 1;
-        self.shared.owner.store(self.id, Ordering::Release);
-        let lv = self.shared.line_version.fetch_add(1, Ordering::AcqRel) + 1;
-        // Our own write leaves the line in our cache in modified state.
-        self.cached_line_version = lv;
-        t
-    }
-
-    #[inline]
-    fn acquire_commit_ts(&mut self, observed: u64) -> crate::base::CommitTs<u64> {
-        // fetch_add results are globally unique: exclusive, no adoption —
-        // this base models exactly the contended baseline of §4.2.
-        let _ = observed;
-        crate::base::CommitTs::Exclusive(self.get_new_ts())
+        self.s.model
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::{ThreadClock, TimeBase};
     use std::time::Instant;
 
     #[test]
