@@ -2,38 +2,38 @@
 //!
 //! The paper delegates write-write conflict resolution to a "configurable
 //! module" (the DSTM contention-manager design). This ablation quantifies the
-//! policy choice on a deliberately conflict-heavy workload: a small bank with
-//! no read-only transactions, so nearly every pair of transactions collides.
+//! policy choice on a deliberately conflict-heavy workload: the served bank
+//! mix on a bank of five accounts, so nearly every pair of transfers
+//! collides and every audit races them.
 
-use lsa_harness::{f3, measure_window, run_for, Table};
+use lsa_harness::{f3, measure_window, run_for, Kind, Table, TablesWorker};
 use lsa_stm::cm::{Aggressive, ContentionManager, Karma, Polite, Suicide, TimestampCm};
 use lsa_stm::{Stm, StmConfig};
 use lsa_time::perfect::PerfectClock;
-use lsa_workloads::{BankConfig, BankWorkload};
+use lsa_wire::{Tables, TablesConfig};
+
+const ACCOUNTS: u32 = 5;
 
 fn run_policy(cm: impl ContentionManager, threads: usize) -> (f64, f64) {
     let window = measure_window(250);
-    let wl = BankWorkload::new(
-        Stm::with_cm(PerfectClock::new(), StmConfig::default(), cm),
-        BankConfig {
-            accounts: 8,
-            initial: 1_000,
-            audit_percent: 0,
-        },
-    );
-    let out = run_for(threads, window, |i| wl.worker(i));
-    assert_eq!(
-        wl.quiescent_total(),
-        wl.expected_total(),
-        "invariant broken!"
-    );
+    let engine = Stm::with_cm(PerfectClock::new(), StmConfig::default(), cm);
+    let cfg = TablesConfig {
+        accounts: ACCOUNTS,
+        ..TablesConfig::default()
+    };
+    let tables = Tables::build(&engine, &cfg);
+    // Every audit reply is checked by the workers, the total after the run.
+    let out = run_for(threads, window, |i| {
+        TablesWorker::new(&engine, &tables, Kind::Bank, i)
+    });
+    tables.assert_quiescent(&engine);
     (out.tx_per_sec(), out.stats.abort_ratio())
 }
 
 fn main() {
     let threads = 4usize;
     let mut t = Table::new(
-        format!("EXP-CM: high-conflict bank (8 accounts, 0% audits, {threads} threads)"),
+        format!("EXP-CM: high-conflict bank ({ACCOUNTS} accounts, 20% audits, {threads} threads)"),
         &["policy", "tx/s", "aborts/commit"],
     );
     let rows: Vec<(&str, (f64, f64))> = vec![

@@ -6,8 +6,8 @@
 //! of object versions." For multi-version STMs both ends of every range
 //! shrink; for single-version STMs only the beginnings do.
 //!
-//! This sweep runs the bank workload (transfers + long read-only audits) on
-//! externally synchronized clocks, sweeping the deviation bound `dev`, in
+//! This sweep runs the served bank mix (transfers + long read-only audits
+//! of all 64 accounts, 20 % of requests) on externally synchronized clocks, sweeping the deviation bound `dev`, in
 //! both multi-version (8) and single-version (1) configurations. Every cell
 //! is a parameterized registry entry
 //! ([`lsa_harness::registry::lsa_external_entry`]) driven through the same
@@ -19,8 +19,7 @@
 //! the taxonomy reports the same columns.
 
 use lsa_harness::registry::{lsa_external_entry, Workload};
-use lsa_harness::{f2, f3, measure_window, Table};
-use lsa_workloads::BankConfig;
+use lsa_harness::{f2, f3, measure_window, Kind, Table};
 
 fn main() {
     let window = measure_window(250);
@@ -45,15 +44,10 @@ fn main() {
             ],
         );
         for &dev in &devs_ns {
-            // One parameterized registry entry per cell; the bank invariant
-            // is asserted inside the generic runner after every run.
+            // One parameterized registry entry per cell; every audit reply
+            // and the quiescent bank total are checked by the generic runner.
             let entry = lsa_external_entry(dev, versions);
-            let wl = Workload::Bank(BankConfig {
-                accounts: 48,
-                initial: 1_000,
-                audit_percent: 30,
-            });
-            let out = entry.run(&wl, threads, window);
+            let out = entry.run(&Workload::Tables(Kind::Bank), threads, window);
             t.row(vec![
                 f2(dev as f64 / 1_000.0),
                 entry.label(),

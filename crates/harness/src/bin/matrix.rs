@@ -20,14 +20,19 @@
 //! `--threads A..B` sweeps every cell over the inclusive thread range and
 //! prints one row per (cell, thread count) — the Figure-2-shaped scaling
 //! view, with per-cell thread columns instead of per-base curves.
-//! `--placement partitioned` pins bank account groups / disjoint thread
-//! partitions shard-locally (`TxnEngine::new_var_on`) instead of the
-//! default round-robin spreading — contrast the `xshard/commit` column
-//! across the two placements on the `lsa-sharded` rows.
+//! `--placement partitioned` pins bank account groups (the `bank` and
+//! `snapshot` rows) / disjoint thread partitions shard-locally
+//! (`TxnEngine::new_var_on`) instead of the default round-robin spreading
+//! — contrast the `xshard/commit` column across the two placements on the
+//! `lsa-sharded` rows.
 //! Honours `LSA_MEASURE_MS` (per-point window) and `LSA_CSV=1` like every
-//! harness binary. Workload invariants (bank total, intset sortedness,
-//! snapshot zero-sum) are asserted after every cell, so this doubles as a
-//! cross-engine consistency smoke test. The `xshard/commit` column reports
+//! harness binary. `bank`, `snapshot`, `intset` and `hashset` are the
+//! served request mixes (`lsa_harness::Kind`), each step one
+//! `lsa_wire::Request` run with `Tables::apply`: every reply is checked (a
+//! torn audit total or a typed error panics the run) and the tables are
+//! audited after every cell (bank total, intset order, hash-set
+//! placement), as are the disjoint and scan invariants, so this doubles as
+//! a cross-engine consistency smoke test. The `xshard/commit` column reports
 //! how often transactions spanned object shards and escalated to the
 //! sharded engine's cross-shard commit protocol (0 everywhere on unsharded
 //! engines); `aborts v/nv/ct/ov` is the cross-engine abort-reason taxonomy
@@ -36,11 +41,8 @@
 //! gauges sampled after each run.
 
 use lsa_harness::registry::{default_registry, Workload};
-use lsa_harness::{f3, measure_window, RangeSpec, Table};
-use lsa_workloads::{
-    BankConfig, DisjointConfig, HashsetConfig, IntsetConfig, PlacementHint, ScanConfig,
-    SnapshotConfig,
-};
+use lsa_harness::{f3, measure_window, Kind, RangeSpec, Table};
+use lsa_workloads::{DisjointConfig, PlacementHint, ScanConfig};
 
 struct Args {
     workload: Workload,
@@ -65,7 +67,7 @@ fn parse_args() -> Args {
         .unwrap_or(2)
         .max(1);
     let mut args = Args {
-        workload: Workload::Bank(BankConfig::default()),
+        workload: Workload::Tables(Kind::Bank),
         threads: vec![default_threads],
         placement: PlacementHint::Spread,
         timebase_filter: None,
@@ -73,12 +75,8 @@ fn parse_args() -> Args {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "bank" => args.workload = Workload::Bank(BankConfig::default()),
             "disjoint" => args.workload = Workload::Disjoint(DisjointConfig::default()),
             "scan" => args.workload = Workload::Scan(ScanConfig::default()),
-            "intset" => args.workload = Workload::Intset(IntsetConfig::default()),
-            "hashset" => args.workload = Workload::Hashset(HashsetConfig::default()),
-            "snapshot" => args.workload = Workload::Snapshot(SnapshotConfig::default()),
             "--placement" => {
                 i += 1;
                 args.placement = match argv.get(i).and_then(|v| PlacementHint::parse(v)) {
@@ -100,7 +98,10 @@ fn parse_args() -> Args {
                     None => usage_exit("--timebase needs a substring"),
                 };
             }
-            other => usage_exit(&format!("got {other:?}")),
+            other => match Kind::parse(other) {
+                Some(kind) => args.workload = Workload::Tables(kind),
+                None => usage_exit(&format!("got {other:?}")),
+            },
         }
         i += 1;
     }
@@ -193,15 +194,15 @@ fn main() {
     }
     t.print();
     println!(
-        "every cell ran the SAME engine-generic workload code; invariants were \
-         asserted after each run (a new engine is one TxnEngine impl away). \
+        "every cell ran the SAME engine-generic workload code; every served \
+         reply was checked and invariants were asserted after each run (a new engine is one TxnEngine impl away). \
          shared-ts/commit > 0 marks cells whose time base hands out \
          shared-class commit timestamps (GV4/GV5 sharing; block never \
          shares — lost confirmations re-arbitrate). xshard/commit > 0 marks \
          cells whose transactions spanned object shards and escalated to the \
          sharded engine's cross-shard commit protocol; --placement \
-         partitioned pins bank/disjoint partitions shard-locally and drives \
-         it to 0. the abort column is the cross-engine taxonomy \
+         partitioned pins the bank accounts (bank, snapshot) and disjoint \
+         partitions shard-locally and drives it to 0. the abort column is the cross-engine taxonomy \
          (validation/no-version/contention/overload). live-vers/arena-b are \
          the post-run version-store gauges (live version nodes and arena \
          bytes backing them; 0 on single-version engines) and wm-lag is the \

@@ -16,7 +16,8 @@
 //!
 //! Shared infrastructure: [`runner`] (thread orchestration and throughput),
 //! [`registry`] (the engine × time-base matrix, engine-generic via
-//! [`lsa_engine::TxnEngine`]), [`open_loop`] (open-loop load generation of
+//! [`lsa_engine::TxnEngine`], and [`TablesWorker`], which runs the served
+//! request mixes closed-loop in process), [`open_loop`] (open-loop load generation of
 //! `lsa_wire::Request`s over either transport: arrival-rate scheduling,
 //! latency percentiles, shed and audit accounting, the knee locator),
 //! [`args`] (the shared `N`/`A..B` sweep-range syntax),
@@ -39,10 +40,24 @@ pub mod registry;
 pub mod runner;
 pub mod table;
 
+// Closed-loop tests of the four served kinds, one module per kind.
+#[cfg(test)]
+#[path = "kind_tests/bank.rs"]
+mod bank;
+#[cfg(test)]
+#[path = "kind_tests/hashset.rs"]
+mod hashset;
+#[cfg(test)]
+#[path = "kind_tests/intset_list.rs"]
+mod intset_list;
+#[cfg(test)]
+#[path = "kind_tests/snapshot.rs"]
+mod snapshot;
+
 pub use altix_sim::{simulate, AltixParams, SimPoint, SimTimeBase};
 pub use args::RangeSpec;
 pub use json::Json;
 pub use open_loop::{knee_index, run_open_loop, Kind, KneePoint, Outcome, Spec, Transport};
-pub use registry::{default_registry, run_workload, EngineEntry, Workload};
+pub use registry::{default_registry, run_workload, EngineEntry, TablesWorker, Workload};
 pub use runner::{measure_window, run_for, run_steps, BenchWorker, RunOutcome};
 pub use table::{f2, f3, Table};

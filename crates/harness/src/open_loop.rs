@@ -81,8 +81,10 @@ impl Kind {
     }
 
     /// Draw one request. Account and key ranges come from the tables'
-    /// sizing, so no request is ever out of range.
-    fn draw(self, rng: &mut FastRng, cfg: &TablesConfig) -> Request {
+    /// sizing, so no request is ever out of range; with `groups > 1` (the
+    /// tables' [`Tables::groups`]) a transfer stays inside one account
+    /// group. One group draws exactly what the whole table does.
+    pub fn draw(self, rng: &mut FastRng, cfg: &TablesConfig, groups: usize) -> Request {
         let set_op = |rng: &mut FastRng| match rng.below(10) {
             0..=5 => SetOp::Member,
             6 | 7 => SetOp::Insert,
@@ -94,12 +96,19 @@ impl Kind {
                 if rng.percent(audit_percent) {
                     return Request::BankAudit;
                 }
-                let accounts = cfg.accounts as usize;
-                let from = rng.below(accounts);
-                let to = (from + 1 + rng.below(accounts - 1)) % accounts;
+                let n = cfg.accounts as usize;
+                let (lo, hi) = if groups > 1 {
+                    let g = rng.below(groups);
+                    (g * n / groups, (g + 1) * n / groups)
+                } else {
+                    (0, n)
+                };
+                let span = hi - lo;
+                let from = rng.below(span);
+                let to = (from + 1 + rng.below(span - 1)) % span;
                 Request::BankTransfer {
-                    from: from as u32,
-                    to: to as u32,
+                    from: (lo + from) as u32,
+                    to: (lo + to) as u32,
                     amount: rng.range(1, 100),
                 }
             }
@@ -343,7 +352,7 @@ fn drive<E: TxnEngine>(mut path: impl ServingPath, engine: &E, spec: &Spec) -> O
                 path.scrape();
                 scraped = true;
             }
-            path.offer(spec.kind.draw(&mut rng, &cfg));
+            path.offer(spec.kind.draw(&mut rng, &cfg, 1));
             offered += 1;
         }
         samples.push(engine.memory_stats());
@@ -369,7 +378,7 @@ fn wait_until(deadline: Instant) {
 /// Whether `reply` completes its request. A typed error or a shed does
 /// not, and neither does an audit that saw a total other than
 /// `expected_total` — a torn snapshot.
-fn completes(reply: &Reply, expected_total: i64) -> bool {
+pub(crate) fn completes(reply: &Reply, expected_total: i64) -> bool {
     match *reply {
         Reply::Overloaded | Reply::Error(_) => false,
         Reply::Total(total) => total == expected_total,

@@ -17,10 +17,10 @@
 //! `lsa_stm::Stm::with_cm`); the block counter never adopts, stays
 //! commit-monotonic, and runs under both engines.
 
-use crate::open_loop::{run_open_loop, Outcome, Spec};
-use crate::runner::{run_for_pinned, RunOutcome};
+use crate::open_loop::{completes, run_open_loop, Kind, Outcome, Spec};
+use crate::runner::{run_for_pinned, BenchWorker, RunOutcome};
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
-use lsa_engine::TxnEngine;
+use lsa_engine::{EngineHandle, EngineStats, TxnEngine};
 use lsa_stm::{Stm, StmConfig};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
 use lsa_time::external::{ExternalClock, OffsetPolicy};
@@ -28,10 +28,9 @@ use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
 use lsa_time::sharded::ShardedTimeBase;
+use lsa_wire::{Tables, TablesConfig};
 use lsa_workloads::{
-    BankConfig, BankWorkload, DisjointConfig, DisjointWorkload, HashsetConfig, HashsetWorkload,
-    IntsetConfig, IntsetWorkload, PlacementHint, ScanConfig, ScanWorkload, SnapshotConfig,
-    SnapshotWorkload,
+    DisjointConfig, DisjointWorkload, FastRng, PlacementHint, ScanConfig, ScanWorkload,
 };
 use std::time::Duration;
 
@@ -43,51 +42,76 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// A workload selection with its parameters.
 #[derive(Clone, Copy, Debug)]
 pub enum Workload {
-    /// Transfers + read-only audits ([`lsa_workloads::bank`]). The runner
-    /// asserts the invariant total after every run.
-    Bank(BankConfig),
+    /// One served request mix ([`Kind`]: bank, snapshot, intset or hashset)
+    /// over the default [`Tables`], run closed-loop by [`TablesWorker`]s —
+    /// the requests `open_loop` and the wire server run. Every reply is
+    /// checked (a torn audit or a typed error panics the run), and the
+    /// runner audits the tables after every run.
+    Tables(Kind),
     /// The §4.2 disjoint-update workload ([`lsa_workloads::disjoint`]).
     Disjoint(DisjointConfig),
     /// Read-only scans ([`lsa_workloads::scan`]) — the §1 validation-cost
     /// shape; every scan asserts the invariant sum.
     Scan(ScanConfig),
-    /// Sorted linked-list integer set with a member/insert/remove mix
-    /// ([`lsa_workloads::intset_list`]) — the data-structure workload whose
-    /// traversals cross shard boundaries, exercising cross-shard commits.
-    /// The runner asserts sortedness/uniqueness after every run.
-    Intset(IntsetConfig),
-    /// Bucketed hash set with the same member/insert/remove mix
-    /// ([`lsa_workloads::hashset`]) — single-bucket transactions with small
-    /// read sets, where per-transaction fixed costs (time-base access,
-    /// commit arbitration) dominate instead of per-access validation. The
-    /// runner asserts key placement and uniqueness after every run.
-    Hashset(HashsetConfig),
-    /// Snapshot analytics ([`lsa_workloads::snapshot`]): read-mostly
-    /// full-table scans racing zero-sum updates — the multi-version vs
-    /// single-version separation workload. The runner asserts the zero-sum
-    /// invariant after every run.
-    Snapshot(SnapshotConfig),
 }
 
 impl Workload {
     /// Short name for tables and CLI parsing.
     pub fn name(&self) -> &'static str {
         match self {
-            Workload::Bank(_) => "bank",
+            Workload::Tables(kind) => kind.name(),
             Workload::Disjoint(_) => "disjoint",
             Workload::Scan(_) => "scan",
-            Workload::Intset(_) => "intset",
-            Workload::Hashset(_) => "hashset",
-            Workload::Snapshot(_) => "snapshot",
         }
     }
 }
 
+/// A closed-loop worker of one served [`Kind`]: each step draws one
+/// request from the kind's mix ([`Kind::draw`]) and runs it with
+/// [`Tables::apply`]. A reply that does not complete its request — a torn
+/// audit total or a typed error — panics the step.
+pub struct TablesWorker<E: TxnEngine> {
+    handle: E::Handle,
+    tables: Tables<E>,
+    kind: Kind,
+    rng: FastRng,
+}
+
+impl<E: TxnEngine> TablesWorker<E> {
+    /// Worker `tid` of `kind` on `tables`, with a fresh handle on `engine`.
+    pub fn new(engine: &E, tables: &Tables<E>, kind: Kind, tid: usize) -> Self {
+        TablesWorker {
+            handle: engine.register(),
+            tables: tables.clone(),
+            kind,
+            rng: FastRng::new(0x7AB1E5 + tid as u64),
+        }
+    }
+}
+
+impl<E: TxnEngine> BenchWorker for TablesWorker<E> {
+    fn step(&mut self) {
+        let tables = &self.tables;
+        let req = self
+            .kind
+            .draw(&mut self.rng, tables.config(), tables.groups());
+        let reply = tables.apply(&mut self.handle, &req);
+        assert!(
+            completes(&reply, tables.expected_total()),
+            "{req:?} answered {reply:?}"
+        );
+    }
+
+    fn worker_stats(&self) -> EngineStats {
+        self.handle.engine_stats()
+    }
+}
+
 /// Run `workload` on `engine` with `threads` workers for `window`, placing
-/// partitions per `placement` (bank and disjoint pin theirs shard-locally
-/// under `Partitioned`; the other workloads have no natural partition and
-/// ignore it) and, with `pin`, pinning workers to cores (best-effort, see
-/// [`crate::runner::run_for_pinned`]).
+/// partitions per `placement` (the bank accounts and disjoint partitions
+/// are pinned shard-locally under `Partitioned`; scans have no natural
+/// partition and ignore it) and, with `pin`, pinning workers to cores
+/// (best-effort, see [`crate::runner::run_for_pinned`]).
 ///
 /// This is the single engine-generic entry point every registry entry and
 /// experiment shares: one monomorphization per engine type, zero per-engine
@@ -102,62 +126,33 @@ pub fn run_workload<E: TxnEngine>(
     window: Duration,
     pin: bool,
 ) -> RunOutcome {
-    let memory = engine.clone();
     let mut out = match workload {
-        Workload::Bank(cfg) => {
-            let wl = BankWorkload::with_placement(engine, *cfg, placement);
-            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
-            assert_eq!(
-                wl.quiescent_total(),
-                wl.expected_total(),
-                "bank invariant broken on {}",
-                wl.engine().engine_name()
-            );
+        Workload::Tables(kind) => {
+            let tables = Tables::with_placement(&engine, &TablesConfig::default(), placement);
+            let out = run_for_pinned(threads, window, pin, |i| {
+                TablesWorker::new(&engine, &tables, *kind, i)
+            });
+            tables.assert_quiescent(&engine);
             out
         }
         Workload::Disjoint(cfg) => {
-            let wl = DisjointWorkload::with_placement(engine, threads, *cfg, placement);
+            let wl = DisjointWorkload::with_placement(engine.clone(), threads, *cfg, placement);
             let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
             assert_eq!(
                 wl.total(),
                 out.commits() * cfg.accesses_per_tx as u64,
                 "disjoint accounting broken on {}",
-                wl.engine().engine_name()
+                engine.engine_name()
             );
             out
         }
         Workload::Scan(cfg) => {
             // Every scan asserts its invariant sum inside the worker.
-            let wl = ScanWorkload::new(engine, *cfg);
+            let wl = ScanWorkload::new(engine.clone(), *cfg);
             run_for_pinned(threads, window, pin, |i| wl.worker(i))
         }
-        Workload::Intset(cfg) => {
-            let wl = IntsetWorkload::new(engine, *cfg);
-            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
-            // Structural invariant: sorted, duplicate-free list.
-            wl.assert_sorted_unique();
-            out
-        }
-        Workload::Hashset(cfg) => {
-            let wl = HashsetWorkload::new(engine, *cfg);
-            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
-            // Structural invariant: right bucket, no duplicates.
-            wl.assert_placement();
-            out
-        }
-        Workload::Snapshot(cfg) => {
-            let wl = SnapshotWorkload::new(engine, *cfg);
-            let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
-            assert_eq!(
-                wl.quiescent_sum(),
-                0,
-                "snapshot zero-sum invariant broken on {}",
-                wl.engine().engine_name()
-            );
-            out
-        }
     };
-    out.stats.memory = memory.memory_stats();
+    out.stats.memory = engine.memory_stats();
     out
 }
 
@@ -371,8 +366,44 @@ pub fn default_registry() -> Vec<EngineEntry> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::runner::run_steps;
+    use lsa_wire::Request;
+
+    /// `threads` workers of `kind` run `steps` each on tables sized by
+    /// `cfg`, then the tables are audited.
+    pub(crate) fn run_kind<E: TxnEngine>(
+        engine: E,
+        kind: Kind,
+        cfg: &TablesConfig,
+        threads: usize,
+        steps: u64,
+    ) -> RunOutcome {
+        let tables = Tables::build(&engine, cfg);
+        let out = run_steps(threads, steps, |i| {
+            TablesWorker::new(&engine, &tables, kind, i)
+        });
+        tables.assert_quiescent(&engine);
+        out
+    }
+
+    /// `n` copies of `req` on one fresh handle, each reply checked; returns
+    /// the handle's stats.
+    pub(crate) fn apply_n<E: TxnEngine>(
+        engine: E,
+        cfg: &TablesConfig,
+        req: Request,
+        n: usize,
+    ) -> EngineStats {
+        let tables = Tables::build(&engine, cfg);
+        let mut h = engine.register();
+        for _ in 0..n {
+            let reply = tables.apply(&mut h, &req);
+            assert!(completes(&reply, tables.expected_total()), "{reply:?}");
+        }
+        h.engine_stats()
+    }
 
     #[test]
     fn registry_spans_four_engines_and_multiple_time_bases() {
@@ -419,11 +450,7 @@ mod tests {
 
     #[test]
     fn every_entry_runs_the_bank_workload() {
-        let wl = Workload::Bank(BankConfig {
-            accounts: 8,
-            initial: 100,
-            audit_percent: 25,
-        });
+        let wl = Workload::Tables(Kind::Bank);
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(10));
             assert!(
@@ -480,15 +507,7 @@ mod tests {
         // The bank workload spreads accounts round-robin across shards, so
         // transfers span shards and the cross-shard protocol must fire.
         let entry = find_entry(&reg, "lsa-sharded", "shared-counter").unwrap();
-        let out = entry.run(
-            &Workload::Bank(BankConfig {
-                accounts: 16,
-                initial: 100,
-                audit_percent: 10,
-            }),
-            2,
-            Duration::from_millis(20),
-        );
+        let out = entry.run(&Workload::Tables(Kind::Bank), 2, Duration::from_millis(20));
         assert!(out.commits() > 0);
         assert!(
             out.stats.cross_shard_commits > 0,
@@ -508,15 +527,7 @@ mod tests {
         // Any LSA run must surface the version-store gauges in its outcome:
         // the bank's account objects alone hold live versions.
         let entry = find_entry(&reg, "lsa-rt", "shared-counter").unwrap();
-        let out = entry.run(
-            &Workload::Bank(BankConfig {
-                accounts: 8,
-                initial: 100,
-                audit_percent: 25,
-            }),
-            2,
-            Duration::from_millis(10),
-        );
+        let out = entry.run(&Workload::Tables(Kind::Bank), 2, Duration::from_millis(10));
         assert!(
             out.stats.memory.versions_live >= 8,
             "live-version gauge not sampled: {:?}",
@@ -526,11 +537,7 @@ mod tests {
 
     #[test]
     fn every_entry_runs_the_intset_workload() {
-        let wl = Workload::Intset(IntsetConfig {
-            key_range: 32,
-            initial: 16,
-            member_percent: 50,
-        });
+        let wl = Workload::Tables(Kind::Intset);
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(5));
             assert!(out.commits() > 0, "{} committed nothing", entry.label());
@@ -539,12 +546,7 @@ mod tests {
 
     #[test]
     fn every_entry_runs_the_hashset_workload() {
-        let wl = Workload::Hashset(HashsetConfig {
-            key_range: 128,
-            initial: 64,
-            member_percent: 50,
-            buckets: 16,
-        });
+        let wl = Workload::Tables(Kind::Hashset);
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(5));
             assert!(out.commits() > 0, "{} committed nothing", entry.label());
@@ -568,11 +570,7 @@ mod tests {
 
     #[test]
     fn every_entry_runs_the_snapshot_workload() {
-        let wl = Workload::Snapshot(SnapshotConfig {
-            keys: 24,
-            scan_percent: 80,
-            scan_window: 24,
-        });
+        let wl = Workload::Tables(Kind::Snapshot);
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(5));
             assert!(out.commits() > 0, "{} committed nothing", entry.label());
@@ -588,11 +586,7 @@ mod tests {
     fn placement_contrast_on_the_sharded_row() {
         let reg = default_registry();
         let entry = find_entry(&reg, "lsa-sharded", "shared-counter").unwrap();
-        let wl = Workload::Bank(BankConfig {
-            accounts: 32,
-            initial: 100,
-            audit_percent: 0,
-        });
+        let wl = Workload::Tables(Kind::Bank);
         let spread = entry.run_placed(&wl, PlacementHint::Spread, 2, Duration::from_millis(15));
         let part = entry.run_placed(
             &wl,
@@ -655,15 +649,7 @@ mod tests {
     fn parameterized_external_entries_label_and_run() {
         let entry = lsa_external_entry(10_000, 8);
         assert_eq!(entry.label(), "lsa-rt(external-10us-mv8)");
-        let out = entry.run(
-            &Workload::Bank(BankConfig {
-                accounts: 8,
-                initial: 50,
-                audit_percent: 20,
-            }),
-            2,
-            Duration::from_millis(5),
-        );
+        let out = entry.run(&Workload::Tables(Kind::Bank), 2, Duration::from_millis(5));
         assert!(out.commits() > 0);
     }
 }

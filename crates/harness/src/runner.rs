@@ -191,14 +191,7 @@ macro_rules! bench_workers {
     )*};
 }
 
-bench_workers!(
-    DisjointWorker,
-    BankWorker,
-    ScanWorker,
-    IntsetWorker,
-    HashsetWorker,
-    SnapshotWorker
-);
+bench_workers!(DisjointWorker, ScanWorker);
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 
 use crate::frame::{ErrorCode, Frame, FrameError, Opcode};
 use lsa_engine::{EngineHandle, EngineVar, TxnEngine, TxnOps};
-use lsa_workloads::{HashSetT, IntSetList};
+use lsa_workloads::{HashSetT, IntSetList, PlacementHint};
 
 /// A set operation discriminant shared by the intset and hashset opcodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,8 +274,11 @@ impl TablesConfig {
 /// interpreter. Cheap to clone (engine vars are shared handles) — each
 /// connection reader holds a clone to build request closures from.
 pub struct Tables<E: TxnEngine> {
+    cfg: TablesConfig,
+    /// Shard-affinity groups of the accounts (1 = spread). Account `i`
+    /// belongs to group `i * groups / accounts`.
+    groups: usize,
     accounts: Vec<EngineVar<E, i64>>,
-    expected_total: i64,
     intset: IntSetList<E>,
     hashset: HashSetT<E>,
 }
@@ -283,8 +286,9 @@ pub struct Tables<E: TxnEngine> {
 impl<E: TxnEngine> Clone for Tables<E> {
     fn clone(&self) -> Self {
         Tables {
+            cfg: self.cfg,
+            groups: self.groups,
             accounts: self.accounts.clone(),
-            expected_total: self.expected_total,
             intset: self.intset.clone(),
             hashset: self.hashset.clone(),
         }
@@ -292,12 +296,30 @@ impl<E: TxnEngine> Clone for Tables<E> {
 }
 
 impl<E: TxnEngine> Tables<E> {
-    /// Build and seed the tables on `engine`.
+    /// Build and seed the tables on `engine` with engine-default (spread)
+    /// placement.
     pub fn build(engine: &E, cfg: &TablesConfig) -> Self {
+        Self::with_placement(engine, cfg, PlacementHint::Spread)
+    }
+
+    /// Build and seed the tables with an explicit [`PlacementHint`].
+    /// Partitioned placement pins contiguous account groups — one per
+    /// engine shard — via [`TxnEngine::new_var_on`], clamped so every group
+    /// keeps at least two accounts (a transfer needs a pair). The sets are
+    /// always spread.
+    pub fn with_placement(engine: &E, cfg: &TablesConfig, placement: PlacementHint) -> Self {
         assert!(cfg.accounts >= 2, "a transfer needs two accounts");
         assert!(cfg.set_key_range >= 2);
-        let accounts = (0..cfg.accounts)
-            .map(|_| engine.new_var(cfg.initial))
+        let n = cfg.accounts as usize;
+        let groups = match placement {
+            PlacementHint::Spread => 1,
+            PlacementHint::Partitioned => engine.shards().clamp(1, n / 2),
+        };
+        let accounts = (0..n)
+            .map(|i| match placement {
+                PlacementHint::Spread => engine.new_var(cfg.initial),
+                PlacementHint::Partitioned => engine.new_var_on(i * groups / n, cfg.initial),
+            })
             .collect();
         let intset = IntSetList::new(engine.clone());
         let hashset = HashSetT::new(engine.clone(), cfg.hash_buckets);
@@ -307,21 +329,48 @@ impl<E: TxnEngine> Tables<E> {
             hashset.insert(&mut h, k);
         }
         Tables {
+            cfg: *cfg,
+            groups,
             accounts,
-            expected_total: cfg.expected_total(),
             intset,
             hashset,
         }
     }
 
-    /// The invariant audit total (what [`Request::BankAudit`] must observe).
-    pub fn expected_total(&self) -> i64 {
-        self.expected_total
+    /// The sizing the tables were built with.
+    pub fn config(&self) -> &TablesConfig {
+        &self.cfg
     }
 
-    /// Execute one request as a transaction on `handle`. Out-of-range
-    /// account indices are a request-level error, not a panic — the wire
-    /// accepts arbitrary peers.
+    /// Shard-affinity groups of the accounts: 1 unless partitioned on a
+    /// sharded engine.
+    pub fn groups(&self) -> usize {
+        self.groups
+    }
+
+    /// The invariant audit total (what [`Request::BankAudit`] must observe).
+    pub fn expected_total(&self) -> i64 {
+        self.cfg.expected_total()
+    }
+
+    /// The bank total in one transaction. The running sum wraps: transfers
+    /// conserve `accounts * initial`, so the wrapped sum of a consistent
+    /// snapshot is exact however far a peer spreads the balances.
+    fn sum(&self, h: &mut E::Handle) -> i64 {
+        h.atomically(|tx| {
+            let mut sum = 0i64;
+            for a in &self.accounts {
+                sum = sum.wrapping_add(*tx.read(a)?);
+            }
+            Ok(sum)
+        })
+    }
+
+    /// Execute one request as a transaction on `handle`. A well-formed but
+    /// invalid request — an out-of-range or repeated account, a transfer
+    /// that would overflow a balance, an intset key on a sentinel
+    /// (`i64::MIN`, `i64::MAX`) — is a request-level error, not a panic:
+    /// the wire accepts arbitrary peers.
     pub fn apply(&self, h: &mut E::Handle, req: &Request) -> Reply {
         match *req {
             Request::Ping => Reply::Ok,
@@ -330,27 +379,30 @@ impl<E: TxnEngine> Tables<E> {
                 if from >= n || to >= n || from == to {
                     return Reply::Error(ErrorCode::BadPayload);
                 }
-                let a = self.accounts[from as usize].clone();
-                let b = self.accounts[to as usize].clone();
-                h.atomically(|tx| {
-                    let va = *tx.read(&a)?;
-                    let vb = *tx.read(&b)?;
-                    tx.write(&a, va - amount)?;
-                    tx.write(&b, vb + amount)?;
-                    Ok(())
+                let a = &self.accounts[from as usize];
+                let b = &self.accounts[to as usize];
+                let moved = h.atomically(|tx| {
+                    let va = *tx.read(a)?;
+                    let vb = *tx.read(b)?;
+                    let (Some(va), Some(vb)) = (va.checked_sub(amount), vb.checked_add(amount))
+                    else {
+                        return Ok(false);
+                    };
+                    tx.write(a, va)?;
+                    tx.write(b, vb)?;
+                    Ok(true)
                 });
-                Reply::Ok
+                if moved {
+                    Reply::Ok
+                } else {
+                    Reply::Error(ErrorCode::BadPayload)
+                }
             }
-            Request::BankAudit => {
-                let total = h.atomically(|tx| {
-                    let mut sum = 0i64;
-                    for a in &self.accounts {
-                        sum += *tx.read(a)?;
-                    }
-                    Ok(sum)
-                });
-                Reply::Total(total)
-            }
+            Request::BankAudit => Reply::Total(self.sum(h)),
+            Request::Intset {
+                key: i64::MIN | i64::MAX,
+                ..
+            } => Reply::Error(ErrorCode::BadPayload),
             Request::Intset { op, key } => Reply::Flag(match op {
                 SetOp::Member => self.intset.contains(h, key),
                 SetOp::Insert => self.intset.insert(h, key),
@@ -370,27 +422,20 @@ impl<E: TxnEngine> Tables<E> {
 
     /// Post-drain invariant audit with a fresh handle: bank conservation,
     /// intset order and hash-set placement. Called by the server after
-    /// shutdown drains.
+    /// shutdown drains and by the harness after a closed-loop run.
     pub fn assert_quiescent(&self, engine: &E) {
         let mut h = engine.register();
-        let total: i64 = {
-            let accounts = self.accounts.clone();
-            h.atomically(|tx| {
-                let mut sum = 0i64;
-                for a in &accounts {
-                    sum += *tx.read(a)?;
-                }
-                Ok(sum)
-            })
-        };
         assert_eq!(
-            total, self.expected_total,
-            "bank invariant broken over the wire"
+            self.sum(&mut h),
+            self.expected_total(),
+            "bank invariant broken on {}",
+            engine.engine_name()
         );
         let keys = self.intset.to_vec(&mut h);
         assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
-            "intset lost sortedness/uniqueness over the wire"
+            "intset lost sortedness/uniqueness on {}",
+            engine.engine_name()
         );
         self.hashset.assert_placement();
     }
@@ -538,6 +583,33 @@ mod tests {
                 }
             ),
             Reply::Error(ErrorCode::BadPayload)
+        );
+        // Sentinel intset keys: a typed error, nothing applied.
+        for op in [SetOp::Member, SetOp::Insert, SetOp::Remove] {
+            for key in [i64::MIN, i64::MAX] {
+                assert_eq!(
+                    tables.apply(&mut h, &Request::Intset { op, key }),
+                    Reply::Error(ErrorCode::BadPayload),
+                    "{op:?} {key}"
+                );
+            }
+        }
+        // A transfer that would overflow a balance writes nothing.
+        let transfer = |from, to, amount| Request::BankTransfer { from, to, amount };
+        for amount in [i64::MIN, i64::MAX] {
+            assert_eq!(
+                tables.apply(&mut h, &transfer(0, 1, amount)),
+                Reply::Error(ErrorCode::BadPayload),
+                "amount {amount}"
+            );
+        }
+        // Balances spread until a plain running sum would overflow: the
+        // audit still reads the invariant total.
+        assert_eq!(tables.apply(&mut h, &transfer(2, 0, 1 << 62)), Reply::Ok);
+        assert_eq!(tables.apply(&mut h, &transfer(3, 1, 1 << 62)), Reply::Ok);
+        assert_eq!(
+            tables.apply(&mut h, &Request::BankAudit),
+            Reply::Total(tables.expected_total())
         );
         tables.assert_quiescent(&engine);
     }

@@ -219,6 +219,31 @@ mod tests {
     }
 
     #[test]
+    fn partitioned_disjoint_is_single_shard() {
+        use lsa_time::sharded::ShardedTimeBase;
+        let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
+        let wl = DisjointWorkload::with_placement(
+            engine,
+            2,
+            DisjointConfig {
+                objects_per_thread: 16,
+                accesses_per_tx: 8,
+            },
+            PlacementHint::Partitioned,
+        );
+        let mut w = wl.worker(1);
+        for _ in 0..50 {
+            w.step();
+        }
+        assert_eq!(w.stats().commits, 50);
+        assert_eq!(
+            w.stats().cross_shard_commits,
+            0,
+            "pinned partitions must commit shard-locally"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "objects_per_thread")]
     fn rejects_k_larger_than_partition() {
         let _ = DisjointWorkload::new(

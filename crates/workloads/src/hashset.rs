@@ -6,8 +6,7 @@
 //! overhead dominates; with few buckets it turns into a contention benchmark.
 //! Generic over the [`TxnEngine`] like every workload here.
 
-use crate::rng::FastRng;
-use lsa_engine::{EngineHandle, EngineStats, EngineVar, TxnEngine, TxnOps};
+use lsa_engine::{EngineHandle, EngineVar, TxnEngine, TxnOps};
 
 /// A fixed-bucket transactional hash set of `i64` keys.
 pub struct HashSetT<E: TxnEngine> {
@@ -147,117 +146,6 @@ impl<E: TxnEngine> HashSetT<E> {
     }
 }
 
-/// Parameters of the hashset benchmark workload.
-#[derive(Clone, Copy, Debug)]
-pub struct HashsetConfig {
-    /// Keys are drawn uniformly from `0..key_range`.
-    pub key_range: i64,
-    /// Number of keys pre-inserted (spread evenly over the range).
-    pub initial: usize,
-    /// Percentage (0–100) of operations that are read-only membership
-    /// tests; the rest split evenly between inserts and removes.
-    pub member_percent: u32,
-    /// Bucket count. Many buckets ≈ the paper's disjoint-update regime
-    /// (time-base overhead dominates); few buckets make it a contention
-    /// benchmark.
-    pub buckets: usize,
-}
-
-impl Default for HashsetConfig {
-    fn default() -> Self {
-        HashsetConfig {
-            key_range: 4096,
-            initial: 2048,
-            member_percent: 60,
-            buckets: 64,
-        }
-    }
-}
-
-/// The hashset benchmark: the same member/insert/remove mix as the intset
-/// workload, but over single-bucket transactions — short, small read sets,
-/// low structural contention. The counterpoint to the linked list: here
-/// per-transaction *fixed* costs (time-base access, commit arbitration)
-/// dominate instead of per-access validation, so the two workloads bracket
-/// the design space the paper argues over.
-pub struct HashsetWorkload<E: TxnEngine> {
-    set: HashSetT<E>,
-    cfg: HashsetConfig,
-}
-
-impl<E: TxnEngine> HashsetWorkload<E> {
-    /// Create and pre-populate the set on `engine`.
-    pub fn new(engine: E, cfg: HashsetConfig) -> Self {
-        assert!(cfg.key_range >= 2, "need a non-trivial key range");
-        assert!(
-            cfg.initial as i64 <= cfg.key_range,
-            "cannot seed more keys than the range holds"
-        );
-        assert!(cfg.member_percent <= 100);
-        let set = HashSetT::new(engine, cfg.buckets);
-        let mut h = set.engine().register();
-        for i in 0..cfg.initial as i64 {
-            let key = i * cfg.key_range / cfg.initial.max(1) as i64;
-            set.insert(&mut h, key);
-        }
-        HashsetWorkload { set, cfg }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &E {
-        self.set.engine()
-    }
-
-    /// The shared set (post-run audits).
-    pub fn set(&self) -> &HashSetT<E> {
-        &self.set
-    }
-
-    /// [`HashSetT::assert_placement`] on the shared set. Call when no
-    /// workers run; returns the key count.
-    pub fn assert_placement(&self) -> usize {
-        self.set.assert_placement()
-    }
-
-    /// Build the worker for thread `tid`.
-    pub fn worker(&self, tid: usize) -> HashsetWorker<E> {
-        HashsetWorker {
-            handle: self.set.engine().register(),
-            set: self.set.clone(),
-            cfg: self.cfg,
-            rng: FastRng::new(0x4A5_4E7 + tid as u64),
-        }
-    }
-}
-
-/// Per-thread hashset worker.
-pub struct HashsetWorker<E: TxnEngine> {
-    handle: E::Handle,
-    set: HashSetT<E>,
-    cfg: HashsetConfig,
-    rng: FastRng,
-}
-
-impl<E: TxnEngine> HashsetWorker<E> {
-    /// Run one operation: member with probability `member_percent`,
-    /// otherwise insert or remove with equal probability.
-    pub fn step(&mut self) {
-        let key = self.rng.range(0, self.cfg.key_range);
-        if self.rng.percent(self.cfg.member_percent) {
-            self.set.contains(&mut self.handle, key);
-        } else if self.rng.percent(50) {
-            self.set.insert(&mut self.handle, key);
-        } else {
-            self.set.remove(&mut self.handle, key);
-        }
-    }
-
-    /// Accumulated statistics on the engine-shared surface.
-    pub fn stats(&self) -> EngineStats {
-        self.handle.engine_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,32 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn hashset_workload_preserves_placement_under_concurrency() {
-        let wl = HashsetWorkload::new(
-            Stm::new(SharedCounter::new()),
-            HashsetConfig {
-                key_range: 256,
-                initial: 128,
-                member_percent: 40,
-                buckets: 16,
-            },
-        );
-        assert_eq!(wl.assert_placement(), 128, "seeding is deterministic");
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let mut w = wl.worker(t);
-                s.spawn(move || {
-                    for _ in 0..300 {
-                        w.step();
-                    }
-                    assert!(w.stats().total_commits() >= 300);
-                });
-            }
-        });
-        wl.assert_placement();
-    }
-
-    #[test]
     #[should_panic(expected = "landed in bucket")]
     fn assert_placement_flags_a_misplaced_key() {
         let engine = Stm::new(SharedCounter::new());
@@ -363,25 +225,6 @@ mod tests {
         let mut h = engine.register();
         h.atomically(|tx| tx.write(&set.buckets[0], vec![key]));
         set.assert_placement();
-    }
-
-    #[test]
-    fn hashset_workload_all_member_mix_is_read_only() {
-        let wl = HashsetWorkload::new(
-            Stm::new(SharedCounter::new()),
-            HashsetConfig {
-                key_range: 64,
-                initial: 32,
-                member_percent: 100,
-                buckets: 8,
-            },
-        );
-        let mut w = wl.worker(0);
-        for _ in 0..50 {
-            w.step();
-        }
-        assert_eq!(w.stats().ro_commits, 50);
-        assert_eq!(w.stats().commits, 0);
     }
 
     #[test]

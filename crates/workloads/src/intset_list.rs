@@ -13,8 +13,7 @@
 //! [`TxnEngine`], which is exactly what makes the validation-cost comparison
 //! (EXP-VAL) an apples-to-apples sweep.
 
-use crate::rng::FastRng;
-use lsa_engine::{EngineAbort, EngineHandle, EngineStats, EngineVar, TxnEngine, TxnOps};
+use lsa_engine::{EngineAbort, EngineHandle, EngineVar, TxnEngine, TxnOps};
 
 /// One list node: a key and the link to the next node.
 pub struct Node<E: TxnEngine> {
@@ -203,126 +202,6 @@ impl<E: TxnEngine> IntSetList<E> {
     }
 }
 
-/// Parameters of the intset benchmark workload.
-#[derive(Clone, Copy, Debug)]
-pub struct IntsetConfig {
-    /// Keys are drawn uniformly from `0..key_range`.
-    pub key_range: i64,
-    /// Number of keys pre-inserted (spread evenly over the range) so
-    /// lookups traverse a list of stable expected length.
-    pub initial: usize,
-    /// Percentage (0–100) of operations that are read-only membership
-    /// tests; the rest split evenly between inserts and removes, keeping
-    /// the set size stationary.
-    pub member_percent: u32,
-}
-
-impl Default for IntsetConfig {
-    fn default() -> Self {
-        IntsetConfig {
-            key_range: 256,
-            initial: 128,
-            member_percent: 60,
-        }
-    }
-}
-
-/// The intset benchmark: the classic member/insert/remove mix over a shared
-/// [`IntSetList`]. Every operation traverses the list transactionally, so
-/// read sets grow with the traversal length — and on a sharded engine the
-/// traversal crosses shard boundaries node after node, which makes this the
-/// workload that exercises cross-shard transactions hardest (every update
-/// is a multi-shard commit once nodes are spread round-robin).
-pub struct IntsetWorkload<E: TxnEngine> {
-    set: IntSetList<E>,
-    cfg: IntsetConfig,
-}
-
-impl<E: TxnEngine> IntsetWorkload<E> {
-    /// Create and pre-populate the set on `engine`.
-    pub fn new(engine: E, cfg: IntsetConfig) -> Self {
-        assert!(cfg.key_range >= 2, "need a non-trivial key range");
-        assert!(
-            cfg.initial as i64 <= cfg.key_range,
-            "cannot seed more keys than the range holds"
-        );
-        assert!(cfg.member_percent <= 100);
-        let set = IntSetList::new(engine);
-        let mut h = set.engine().register();
-        // Evenly spread seed keys so inserts and removes both find work.
-        for i in 0..cfg.initial as i64 {
-            let key = i * cfg.key_range / cfg.initial.max(1) as i64;
-            set.insert(&mut h, key);
-        }
-        IntsetWorkload { set, cfg }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &E {
-        self.set.engine()
-    }
-
-    /// The shared set (post-run audits).
-    pub fn set(&self) -> &IntSetList<E> {
-        &self.set
-    }
-
-    /// Assert the structural invariant with a fresh handle: keys sorted and
-    /// duplicate-free. Call when no workers run; returns the key count.
-    pub fn assert_sorted_unique(&self) -> usize {
-        let mut h = self.set.engine().register();
-        let keys = self.set.to_vec(&mut h);
-        for w in keys.windows(2) {
-            assert!(
-                w[0] < w[1],
-                "intset invariant broken on {}: {:?} !< {:?}",
-                self.set.engine().engine_name(),
-                w[0],
-                w[1]
-            );
-        }
-        keys.len()
-    }
-
-    /// Build the worker for thread `tid`.
-    pub fn worker(&self, tid: usize) -> IntsetWorker<E> {
-        IntsetWorker {
-            handle: self.set.engine().register(),
-            set: self.set.clone(),
-            cfg: self.cfg,
-            rng: FastRng::new(0x1275E7 + tid as u64),
-        }
-    }
-}
-
-/// Per-thread intset worker.
-pub struct IntsetWorker<E: TxnEngine> {
-    handle: E::Handle,
-    set: IntSetList<E>,
-    cfg: IntsetConfig,
-    rng: FastRng,
-}
-
-impl<E: TxnEngine> IntsetWorker<E> {
-    /// Run one operation: member with probability `member_percent`,
-    /// otherwise insert or remove with equal probability.
-    pub fn step(&mut self) {
-        let key = self.rng.range(0, self.cfg.key_range);
-        if self.rng.percent(self.cfg.member_percent) {
-            self.set.contains(&mut self.handle, key);
-        } else if self.rng.percent(50) {
-            self.set.insert(&mut self.handle, key);
-        } else {
-            self.set.remove(&mut self.handle, key);
-        }
-    }
-
-    /// Accumulated statistics on the engine-shared surface.
-    pub fn stats(&self) -> EngineStats {
-        self.handle.engine_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,49 +306,6 @@ mod tests {
         });
         let mut h = set.engine().register();
         assert_eq!(set.len(&mut h), 160);
-    }
-
-    #[test]
-    fn intset_workload_preserves_invariants_under_concurrency() {
-        let wl = IntsetWorkload::new(
-            Stm::new(SharedCounter::new()),
-            IntsetConfig {
-                key_range: 64,
-                initial: 32,
-                member_percent: 50,
-            },
-        );
-        assert_eq!(wl.assert_sorted_unique(), 32, "seeding is deterministic");
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let mut w = wl.worker(t);
-                s.spawn(move || {
-                    for _ in 0..300 {
-                        w.step();
-                    }
-                    assert!(w.stats().total_commits() >= 300);
-                });
-            }
-        });
-        wl.assert_sorted_unique();
-    }
-
-    #[test]
-    fn intset_workload_all_member_mix_is_read_only() {
-        let wl = IntsetWorkload::new(
-            Stm::new(SharedCounter::new()),
-            IntsetConfig {
-                key_range: 32,
-                initial: 16,
-                member_percent: 100,
-            },
-        );
-        let mut w = wl.worker(0);
-        for _ in 0..50 {
-            w.step();
-        }
-        assert_eq!(w.stats().ro_commits, 50);
-        assert_eq!(w.stats().commits, 0);
     }
 
     #[test]

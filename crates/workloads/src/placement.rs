@@ -5,8 +5,9 @@
 //! transactions cross shards (escalating to the cross-shard commit
 //! protocol). [`PlacementHint::Partitioned`] asks the workload to pin its
 //! natural partitions shard-locally through
-//! [`lsa_engine::TxnEngine::new_var_on`] instead — bank account groups and
-//! disjoint per-thread partitions each live on one shard, transactions stay
+//! [`lsa_engine::TxnEngine::new_var_on`] instead — the served bank's
+//! account groups (`lsa_wire::Tables::with_placement`) and disjoint
+//! per-thread partitions each live on one shard, transactions stay
 //! single-shard, and the matrix can contrast `partitioned` vs `spread`
 //! routing (the ROADMAP's shard-affine placement item). On unsharded
 //! engines the hint is inert: `new_var_on` degenerates to `new_var`.

@@ -24,8 +24,9 @@
 //! * [`baseline`] ([`lsa_baseline`]) — TL2-style, validation-based and NOrec
 //!   comparator STMs (§1.2): three protocols over one runtime behind the
 //!   same `TxnEngine` surface,
-//! * [`workloads`] ([`lsa_workloads`]) — the §4.2 disjoint-update workload,
-//!   bank, linked-list and hash-set structures — all engine-generic,
+//! * [`workloads`] ([`lsa_workloads`]) — the §4.2 disjoint-update and §1
+//!   scan workloads, the linked-list and hash-set structures — all
+//!   engine-generic,
 //! * [`harness`] ([`lsa_harness`]) — figure-regenerating experiment binaries,
 //!   the engine registry driving the `matrix` sweep, the `open_loop`
 //!   load generator (in process or over the wire), and the Altix

@@ -4,46 +4,28 @@
 //! totals.
 
 use lsa_rt::baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
-use lsa_rt::harness::{run_steps, RunOutcome, Workload};
+use lsa_rt::harness::{run_steps, Kind, RunOutcome, TablesWorker, Workload};
 use lsa_rt::prelude::*;
 use lsa_rt::time::counter::SharedCounter;
-use lsa_rt::workloads::{BankConfig, BankWorkload, DisjointConfig, DisjointWorkload};
+use lsa_rt::workloads::{DisjointConfig, DisjointWorkload};
+use lsa_wire::{Tables, TablesConfig};
 
 /// Multithreaded bank with concurrent read-only auditors: on every engine,
-/// no audit may ever observe a broken total, and the quiescent total must be
-/// conserved exactly.
+/// no audit may ever observe a broken total (each worker checks every
+/// reply), and the quiescent total must be conserved exactly.
 fn bank_audit_invariant<E: TxnEngine>(engine: E) {
     const THREADS: usize = 4;
     const STEPS: u64 = 600;
-    let name = engine.engine_name();
-    let wl = BankWorkload::new(
-        engine,
-        BankConfig {
-            accounts: 24,
-            initial: 250,
-            audit_percent: 30,
-        },
-    );
-    let failures: u64 = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let mut w = wl.worker(t);
-                s.spawn(move || {
-                    for _ in 0..STEPS {
-                        w.step();
-                    }
-                    w.audit_failures()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    let cfg = TablesConfig {
+        accounts: 24,
+        initial: 250,
+        ..TablesConfig::default()
+    };
+    let tables = Tables::build(&engine, &cfg);
+    run_steps(THREADS, STEPS, |i| {
+        TablesWorker::new(&engine, &tables, Kind::Bank, i)
     });
-    assert_eq!(failures, 0, "{name}: an audit observed a broken invariant");
-    assert_eq!(
-        wl.quiescent_total(),
-        wl.expected_total(),
-        "{name}: total not conserved"
-    );
+    tables.assert_quiescent(&engine);
 }
 
 #[test]
