@@ -15,7 +15,7 @@
 //! count down (`LSA_FIG1_ROUNDS` overrides, default 40).
 
 use lsa_harness::{f2, Table};
-use lsa_time::external::{ExternalClock, OffsetPolicy};
+use lsa_time::external::ExternalClock;
 use lsa_time::hardware::HardwareClock;
 use lsa_time::sync_measure::{measure, summarize, SyncMeasureConfig};
 use lsa_time::sync_sim::{simulate, SyncSimConfig};
@@ -73,7 +73,7 @@ fn main() {
 
     // --- Run 2: externally synchronized clocks with injected offsets. ---
     let dev_ns = 50_000; // 50 µs
-    let tb = ExternalClock::with_policy(dev_ns, OffsetPolicy::Alternating);
+    let tb = ExternalClock::new(dev_ns);
     let rounds = measure(&tb, &cfg);
     let s = summarize(&rounds);
     let mut t = Table::new(

@@ -11,7 +11,7 @@ use lsa_harness::altix_sim::{simulate, AltixParams};
 use lsa_harness::{measure_window, run_for, run_workload, Kind, Workload};
 use lsa_stm::{Stm, StmConfig};
 use lsa_time::counter::SharedCounter;
-use lsa_time::external::{ExternalClock, OffsetPolicy};
+use lsa_time::external::ExternalClock;
 use lsa_time::hardware::HardwareClock;
 use lsa_time::sync_measure::{measure, summarize, SyncMeasureConfig};
 use lsa_workloads::{DisjointConfig, DisjointWorkload, PlacementHint};
@@ -112,7 +112,7 @@ fn main() {
     // The runner panics on a torn audit or a broken quiescent total; the
     // panic is caught so the claim prints FAIL instead of aborting.
     let run_dev = |dev: u64| {
-        let tb = ExternalClock::with_policy(dev, OffsetPolicy::Alternating);
+        let tb = ExternalClock::new(dev);
         let engine = Stm::with_config(tb, StmConfig::multi_version(8));
         let bank = Workload::Tables(Kind::Bank);
         let run = || run_workload(engine, &bank, PlacementHint::Spread, 2, window, false);

@@ -7,7 +7,7 @@ mod tests {
     use lsa_baseline::{Tl2Stm, ValidationMode, ValidationStm};
     use lsa_stm::{Stm, StmConfig};
     use lsa_time::counter::SharedCounter;
-    use lsa_time::external::{ExternalClock, OffsetPolicy};
+    use lsa_time::external::ExternalClock;
     use lsa_time::sharded::ShardedTimeBase;
     use lsa_wire::{Request, Tables, TablesConfig};
     use lsa_workloads::PlacementHint;
@@ -40,7 +40,7 @@ mod tests {
     fn invariant_survives_clock_uncertainty() {
         // Large injected deviation: validity gaps of 2·dev shrink snapshots
         // (more aborts) but must never break consistency.
-        let tb = ExternalClock::with_policy(100_000, OffsetPolicy::Alternating);
+        let tb = ExternalClock::new(100_000);
         let engine = Stm::with_config(tb, StmConfig::multi_version(8));
         run_kind(engine, Kind::Bank, &bank(16, 500), 4, 500);
     }

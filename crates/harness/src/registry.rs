@@ -23,7 +23,7 @@ use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::{EngineHandle, EngineStats, TxnEngine};
 use lsa_stm::{Stm, StmConfig};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
-use lsa_time::external::{ExternalClock, OffsetPolicy};
+use lsa_time::external::ExternalClock;
 use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
@@ -287,11 +287,9 @@ pub fn lsa_external_entry(dev_ns: u64, versions: usize) -> EngineEntry {
         "lsa-rt",
         format!("external-{}us-mv{}", dev_ns / 1_000, versions),
         move || {
-            let mut cfg = StmConfig::multi_version(versions);
-            cfg.extend_on_read = true;
             Stm::with_config(
-                ExternalClock::with_policy(dev_ns, OffsetPolicy::Alternating),
-                cfg,
+                ExternalClock::new(dev_ns),
+                StmConfig::multi_version(versions),
             )
         },
     )
@@ -321,10 +319,7 @@ pub fn default_registry() -> Vec<EngineEntry> {
         })
         .pinned(),
         EngineEntry::new("lsa-rt", "external-10us", || {
-            Stm::with_config(
-                ExternalClock::with_policy(10_000, OffsetPolicy::Alternating),
-                StmConfig::multi_version(8),
-            )
+            Stm::with_config(ExternalClock::new(10_000), StmConfig::multi_version(8))
         }),
         // LSA-RT on the sharded composite base: disjoint object shards,
         // per-shard arbitration, cross-shard two-phase commits (DESIGN.md

@@ -9,11 +9,10 @@
 //!   latency histograms. Counters and histograms are backed by cache-padded
 //!   per-thread shards; writers touch only their own shard (one relaxed
 //!   `fetch_add`, or one uncontended mutex for histograms) and shards are
-//!   merged only at scrape time ([`MetricsRegistry::snapshot`]). Gauges come
-//!   in two flavours: set-style atomics and *sampled* gauges
-//!   ([`MetricsRegistry::gauge_fn`]) whose closure runs only when a snapshot
-//!   is taken — queue depths and pool occupancy cost nothing between
-//!   scrapes.
+//!   merged only at scrape time ([`MetricsRegistry::snapshot`]). Gauges are
+//!   *sampled* ([`MetricsRegistry::gauge_fn`]): the closure runs only when a
+//!   snapshot is taken — queue depths and pool occupancy cost nothing
+//!   between scrapes.
 //! - [`trace`]: a process-wide flight recorder — fixed-size per-thread rings
 //!   of compact transaction lifecycle events (begin, extend/validate, abort
 //!   with its [`AbortClass`]-style reason, commit, commit-ts arbitration
@@ -37,4 +36,4 @@ pub mod registry;
 pub mod trace;
 
 pub use histogram::LatencyHistogram;
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
+pub use registry::{Counter, Histogram, MetricsRegistry, Snapshot};

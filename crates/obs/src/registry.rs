@@ -29,11 +29,10 @@
 //!
 //! # Gauges
 //!
-//! Set-style [`Gauge`]s are single atomics (they are written rarely —
-//! per-connection, per-round — not per-request). Sampled gauges
-//! ([`MetricsRegistry::gauge_fn`]) invert the cost entirely: nothing is
+//! Every gauge is sampled ([`MetricsRegistry::gauge_fn`]): nothing is
 //! maintained between scrapes, the closure reads live structures (queue
-//! depth, pool occupancy, in-flight windows) only when a snapshot runs.
+//! depth, pool occupancy, in-flight windows) only when a snapshot runs, so
+//! a gauge costs the hot path nothing at all.
 //! Closures must therefore capture [`Weak`] references to the structures
 //! they sample, both to avoid keeping torn-down services alive and to
 //! break the `Arc` cycle registry ↔ owner; a dead sampler reports 0.
@@ -43,7 +42,7 @@
 
 use crate::histogram::LatencyHistogram;
 use crossbeam_utils::CachePadded;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -115,48 +114,6 @@ impl Counter {
             .iter()
             .map(|s| s.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &str {
-        &self.0.name
-    }
-}
-
-struct GaugeInner {
-    name: Arc<str>,
-    value: AtomicI64,
-}
-
-/// Handle to a named set-style gauge (single atomic — gauges are written
-/// per-connection or per-round, not per-request; use
-/// [`MetricsRegistry::gauge_fn`] for anything sampled from live state).
-#[derive(Clone)]
-pub struct Gauge(Arc<GaugeInner>);
-
-impl Gauge {
-    fn new(name: &str) -> Self {
-        Gauge(Arc::new(GaugeInner {
-            name: name.into(),
-            value: AtomicI64::new(0),
-        }))
-    }
-
-    /// Overwrite the gauge.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust the gauge by `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.value.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> i64 {
-        self.0.value.load(Ordering::Relaxed)
     }
 
     /// The registered name.
@@ -240,7 +197,6 @@ fn put_sampler<V>(v: &Mutex<Vec<Sampler<V>>>, name: &str, f: Box<dyn Fn() -> V +
 struct RegistryInner {
     counters: Mutex<Vec<Counter>>,
     counter_samplers: Mutex<Vec<Sampler<u64>>>,
-    gauges: Mutex<Vec<Gauge>>,
     samplers: Mutex<Vec<Sampler<i64>>>,
     hists: Mutex<Vec<Histogram>>,
 }
@@ -269,17 +225,6 @@ impl MetricsRegistry {
         let c = Counter::new(name);
         v.push(c.clone());
         c
-    }
-
-    /// Get or create the set-style gauge `name` (idempotent).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut v = self.inner.gauges.lock().expect("registry poisoned");
-        if let Some(g) = v.iter().find(|g| g.name() == name) {
-            return g.clone();
-        }
-        let g = Gauge::new(name);
-        v.push(g.clone());
-        g
     }
 
     /// Register (or replace) a sampled gauge: `f` runs only when a
@@ -330,20 +275,12 @@ impl MetricsRegistry {
         );
         let mut gauges: Vec<(String, i64)> = self
             .inner
-            .gauges
+            .samplers
             .lock()
             .expect("registry poisoned")
             .iter()
-            .map(|g| (g.name().to_string(), g.value()))
+            .map(|s| (s.name.to_string(), (s.f)()))
             .collect();
-        gauges.extend(
-            self.inner
-                .samplers
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|s| (s.name.to_string(), (s.f)())),
-        );
         let mut histograms: Vec<(String, LatencyHistogram)> = self
             .inner
             .hists
@@ -373,7 +310,7 @@ impl MetricsRegistry {
 pub struct Snapshot {
     /// `(name, summed value)` for every counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge, set-style and sampled alike.
+    /// `(name, value)` for every sampled gauge.
     pub gauges: Vec<(String, i64)>,
     /// `(name, merged histogram)` for every histogram.
     pub histograms: Vec<(String, LatencyHistogram)>,
@@ -479,6 +416,7 @@ fn esc(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicI64;
 
     #[test]
     fn counters_shard_and_sum() {
@@ -504,8 +442,9 @@ mod tests {
         reg.counter("a").add(3);
         reg.counter("a").add(4);
         assert_eq!(reg.counter("a").value(), 7);
-        reg.gauge("g").set(9);
-        assert_eq!(reg.gauge("g").value(), 9);
+        reg.gauge_fn("g", || 8);
+        reg.gauge_fn("g", || 9);
+        assert_eq!(reg.snapshot().gauge("g"), Some(9));
         reg.histogram("h").record_ns(5);
         reg.histogram("h").record_ns(6);
         assert_eq!(reg.histogram("h").merged().count(), 2);
@@ -564,7 +503,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("b.count").add(2);
         reg.counter("a.count").add(1);
-        reg.gauge("z.gauge").set(-5);
+        reg.gauge_fn("z.gauge", || -5);
         reg.histogram("lat").record_ns(100);
         let json = reg.snapshot_json();
         assert!(json.starts_with("{\"counters\":{"));

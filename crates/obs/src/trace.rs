@@ -158,15 +158,6 @@ fn mode() -> u32 {
     MODE.load(Ordering::Relaxed)
 }
 
-/// Current sampling mode (initializing from `LSA_TRACE` on first use).
-pub fn sampling() -> Sampling {
-    match mode() {
-        0 => Sampling::Off,
-        1 => Sampling::All,
-        n => Sampling::OneIn(n),
-    }
-}
-
 /// Override the sampling mode process-wide (benches, tests, ops).
 pub fn set_sampling(s: Sampling) {
     let m = match s {

@@ -498,11 +498,6 @@ impl<E: TxnEngine> TxnService<E> {
         self.shared.shed.value()
     }
 
-    /// Requests admitted so far.
-    pub fn submitted_count(&self) -> u64 {
-        self.shared.submitted.value()
-    }
-
     /// The service's metrics registry: admission counters, live queue
     /// depth, the sharded latency histogram, and the engine/time-base
     /// counters read from the workers' statistics shards. Scrape it any

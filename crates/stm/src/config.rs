@@ -15,9 +15,6 @@ pub struct StmConfig {
     /// suitable object version is available" (§2.2). LSA-STM enables this;
     /// disabling it approximates TL2's no-extension policy.
     pub extend_on_read: bool,
-    /// Upper bound on commit-retry loops in `atomically` before backing off
-    /// with a thread yield (livelock hygiene under heavy oversubscription).
-    pub yield_after_retries: u64,
     /// Commit update transactions under **snapshot isolation** instead of
     /// full serializability: the commit-time read-set validation (Algorithm 2
     /// lines 43–48) is skipped — the snapshot was consistent by construction,
@@ -45,7 +42,6 @@ impl Default for StmConfig {
         StmConfig {
             max_versions: 8,
             extend_on_read: true,
-            yield_after_retries: 64,
             snapshot_isolation: false,
             watermark_pruning: true,
             wm_advance_interval: 32,

@@ -84,6 +84,10 @@ use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
+/// Failed attempts in a row after which each further abort yields the thread
+/// (livelock hygiene under heavy oversubscription).
+const YIELD_AFTER_RETRIES: u32 = 64;
+
 /// Outcome of one `getPrelimUB` attempt.
 enum Prelim<Ts: Timestamp> {
     /// A sound conservative estimate of `⌈v.R⌉`.
@@ -433,7 +437,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             self.core.clock.note_abort();
             self.carried_ops = self.core.scratch.shared.cm().ops();
             self.retries = self.retries.saturating_add(1);
-            if u64::from(self.retries) > self.cfg.yield_after_retries {
+            if self.retries > YIELD_AFTER_RETRIES {
                 std::thread::yield_now();
             }
         }

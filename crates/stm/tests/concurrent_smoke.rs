@@ -4,7 +4,7 @@
 
 use lsa_stm::prelude::*;
 use lsa_time::counter::{BlockCounter, SharedCounter};
-use lsa_time::external::{ExternalClock, OffsetPolicy};
+use lsa_time::external::ExternalClock;
 use lsa_time::hardware::HardwareClock;
 use lsa_time::perfect::PerfectClock;
 use lsa_time::TimeBase;
@@ -103,11 +103,7 @@ fn bank_invariant_mmtimer() {
 fn bank_invariant_external_clock_with_offsets() {
     // 50 µs deviation with alternating extreme offsets: plenty of genuine
     // cross-thread clock disagreement.
-    bank_invariant_holds(
-        ExternalClock::with_policy(50_000, OffsetPolicy::Alternating),
-        4,
-        1_000,
-    );
+    bank_invariant_holds(ExternalClock::new(50_000), 4, 1_000);
 }
 
 #[test]

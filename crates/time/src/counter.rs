@@ -135,8 +135,6 @@ impl Arbitration for Block {
 /// so that the *only* sharing the benchmarks observe is the true sharing of
 /// the counter itself, not false sharing with neighbouring data.
 pub type SharedCounter = Counter<FetchAdd>;
-/// Per-thread handle to a [`SharedCounter`].
-pub type SharedCounterClock = CounterClock<FetchAdd>;
 
 /// TL2's **GV4** counter: on a failed timestamp-acquiring CAS the
 /// transaction adopts the winner's timestamp instead of retrying (§1.2).
@@ -161,8 +159,6 @@ pub type SharedCounterClock = CounterClock<FetchAdd>;
 ///   must refuse this base, exactly like GV5; TL2, which re-checks every
 ///   read against `rv`, is the intended consumer.
 pub type Gv4Counter = Counter<Gv4>;
-/// Per-thread handle to a [`Gv4Counter`].
-pub type Gv4CounterClock = CounterClock<Gv4>;
 
 /// TL2's **GV5** counter: the commit time is `read + 1` and the counter is
 /// *never incremented on commit* — only [`ThreadClock::note_abort`] advances
@@ -181,8 +177,6 @@ pub type Gv4CounterClock = CounterClock<Gv4>;
 /// value readable before the commit (the load happens after the committer
 /// becomes visible — §2.4).
 pub type Gv5Counter = Counter<Gv5>;
-/// Per-thread handle to a [`Gv5Counter`].
-pub type Gv5CounterClock = CounterClock<Gv5>;
 
 /// Default block size of [`BlockCounter`]: one cache line's worth of
 /// timestamps per reservation.
@@ -205,8 +199,6 @@ pub const DEFAULT_TS_BLOCK: u64 = 64;
 ///   this thread's disjoint reservation ([`Uniqueness::Unique`]), and
 ///   strictly exceeds everything previously readable (commit-monotonic).
 pub type BlockCounter = Counter<Block>;
-/// Per-thread handle to a [`BlockCounter`].
-pub type BlockCounterClock = CounterClock<Block>;
 
 /// The words every clock of one counter shares.
 #[derive(Debug)]
@@ -324,11 +316,6 @@ impl BlockCounter {
     pub fn new(block: u64) -> Self {
         assert!(block > 0, "block size must be positive");
         Self::with(block, NumaModel::free())
-    }
-
-    /// The configured block size.
-    pub fn block_size(&self) -> u64 {
-        self.s.block
     }
 
     /// How many block reservations were performed (allocation RMWs). With

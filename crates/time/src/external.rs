@@ -14,12 +14,14 @@
 //! (§3.2) — the effect quantified by the `err_sweep` experiment (EXP-ERR in
 //! DESIGN.md).
 //!
-//! [`ExternalClock`] *injects* per-thread offsets (bounded by `dev`) on top
-//! of the globally coherent monotonic clock, so the uncertainty handling is
-//! exercised for real: two threads genuinely disagree about the current time,
-//! by up to `2·dev`.
+//! [`ExternalClock`] *injects* per-thread offsets of `±dev` on top of the
+//! globally coherent monotonic clock — each thread's clock is a
+//! [`SyncClock`] whose [`Deviation`] stamp adds the clock id and bound — so
+//! the uncertainty handling is exercised for real: two threads genuinely
+//! disagree about the current time, by `2·dev`.
 
-use crate::base::{monotonic_ns, ThreadClock, TimeBase};
+use crate::base::TimeBase;
+use crate::perfect::{Stamp, SyncClock};
 use crate::timestamp::{Timestamp, TsCell};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -248,144 +250,66 @@ impl TsCell<ExtTimestamp> for ExtCell {
     }
 }
 
-/// How per-thread clock offsets are assigned by an [`ExternalClock`].
-#[derive(Clone, Debug)]
-pub enum OffsetPolicy {
-    /// All local clocks agree with real time exactly (offset 0); the
-    /// *comparisons* still apply the full deviation slack. Useful to isolate
-    /// the algorithmic cost of uncertainty from actual disagreement.
-    Zero,
-    /// Deterministic hash-spread of offsets over `[-dev, +dev]`.
-    Spread,
-    /// Alternate the extremes: clock 0 gets `-dev`, clock 1 gets `+dev`,
-    /// clock 2 gets `-dev`, … — the worst case for cross-clock gaps.
-    Alternating,
-    /// Explicit offsets (nanoseconds) per registration order; registrations
-    /// beyond the list wrap around. Every value must satisfy `|o| ≤ dev`.
-    Explicit(Vec<i64>),
-}
-
 /// An externally synchronized clock ensemble with deviation bound `dev`
-/// (§3.2). Every registered thread gets its own [`ClockId`] and a bounded
-/// offset from real time chosen by the [`OffsetPolicy`].
+/// (§3.2). Every registered thread gets its own [`ClockId`] and a
+/// [`SyncClock`] offset from real time by `-dev` (even registrations) or
+/// `+dev` (odd ones) — the worst case for cross-clock gaps.
 #[derive(Clone, Debug)]
 pub struct ExternalClock {
     dev_ns: u64,
-    policy: OffsetPolicy,
     next_cid: Arc<AtomicU32>,
 }
 
 impl ExternalClock {
-    /// Ensemble with hash-spread offsets in `[-dev_ns, +dev_ns]`.
+    /// Ensemble with alternating `-dev_ns`, `+dev_ns` offsets.
     pub fn new(dev_ns: u64) -> Self {
-        Self::with_policy(dev_ns, OffsetPolicy::Spread)
-    }
-
-    /// Ensemble with an explicit offset assignment policy.
-    ///
-    /// # Panics
-    /// Panics if an [`OffsetPolicy::Explicit`] offset exceeds the deviation
-    /// bound.
-    pub fn with_policy(dev_ns: u64, policy: OffsetPolicy) -> Self {
-        if let OffsetPolicy::Explicit(offsets) = &policy {
-            for &o in offsets {
-                assert!(
-                    o.unsigned_abs() <= dev_ns,
-                    "explicit offset {o} exceeds deviation bound {dev_ns}"
-                );
-            }
-        }
         ExternalClock {
             dev_ns,
-            policy,
             next_cid: Arc::new(AtomicU32::new(0)),
         }
     }
-
-    /// The deviation bound `dev` (nanoseconds).
-    pub fn dev_ns(&self) -> u64 {
-        self.dev_ns
-    }
-
-    fn offset_for(&self, index: u32) -> i64 {
-        let dev = self.dev_ns as i64;
-        match &self.policy {
-            OffsetPolicy::Zero => 0,
-            OffsetPolicy::Spread => {
-                if dev == 0 {
-                    0
-                } else {
-                    // Deterministic multiplicative hash spread over [-dev, dev].
-                    let h = (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
-                    (h % (2 * dev as u64 + 1)) as i64 - dev
-                }
-            }
-            OffsetPolicy::Alternating => {
-                if index.is_multiple_of(2) {
-                    -dev
-                } else {
-                    dev
-                }
-            }
-            OffsetPolicy::Explicit(offsets) => {
-                if offsets.is_empty() {
-                    0
-                } else {
-                    offsets[index as usize % offsets.len()]
-                }
-            }
-        }
-    }
 }
 
-/// Per-thread handle to an [`ExternalClock`]: the thread's local clock `ECp`.
-#[derive(Clone, Debug)]
-pub struct ExternalClockHandle {
+/// The [`Stamp`] of an externally synchronized clock: readings become
+/// `(ts, cid, dev)` triples.
+#[derive(Clone, Copy, Debug)]
+pub struct Deviation {
     cid: ClockId,
-    offset_ns: i64,
     dev_ns: u64,
-    last_ts: u64,
 }
 
-impl ExternalClockHandle {
-    /// The clock id of this handle.
-    pub fn clock_id(&self) -> ClockId {
-        self.cid
-    }
-
-    /// The injected offset of this local clock from real time (nanoseconds).
-    pub fn offset_ns(&self) -> i64 {
-        self.offset_ns
-    }
+impl Stamp for Deviation {
+    type Ts = ExtTimestamp;
 
     #[inline]
-    fn read_local(&self) -> u64 {
-        // ECp(t) = t + offset, with |offset| <= dev: the paper's bounded
-        // deviation model. Saturating add keeps the reading a valid u64 even
-        // for extreme negative offsets near the epoch (EPOCH_OFFSET_NS makes
-        // this unreachable in practice).
-        let t = monotonic_ns();
-        if self.offset_ns >= 0 {
-            t.saturating_add(self.offset_ns as u64)
-        } else {
-            t.saturating_sub(self.offset_ns.unsigned_abs())
-        }
+    fn stamp(&self, reading: u64) -> ExtTimestamp {
+        ExtTimestamp::new(reading, self.cid, self.dev_ns)
+    }
+
+    /// With `dev > 0` every cross-clock comparison keeps `2·dev` of slack,
+    /// so a version is never valid exactly at its commit time. With
+    /// `dev == 0` the ensemble is a perfectly synchronized clock and needs
+    /// Algorithm 4's loop.
+    #[inline]
+    fn masks_commit(&self) -> bool {
+        self.dev_ns > 0
     }
 }
 
 impl TimeBase for ExternalClock {
     type Ts = ExtTimestamp;
-    type Clock = ExternalClockHandle;
+    type Clock = SyncClock<Deviation>;
 
-    fn register_thread(&self) -> ExternalClockHandle {
+    fn register_thread(&self) -> SyncClock<Deviation> {
         let index = self.next_cid.fetch_add(1, Ordering::Relaxed);
         assert!(index < u32::MAX - 1, "too many clock registrations");
-        ExternalClockHandle {
+        let dev = self.dev_ns as i64;
+        let offset = if index.is_multiple_of(2) { -dev } else { dev };
+        let stamp = Deviation {
             cid: ClockId(index),
-            offset_ns: self.offset_for(index),
             dev_ns: self.dev_ns,
-            last_ts: 0,
-        }
+        };
+        SyncClock::new(1, 0, offset, stamp)
     }
 
     fn info(&self) -> crate::base::TimeBaseInfo {
@@ -403,40 +327,10 @@ impl TimeBase for ExternalClock {
     }
 }
 
-impl ThreadClock for ExternalClockHandle {
-    type Ts = ExtTimestamp;
-
-    #[inline]
-    fn get_time(&mut self) -> ExtTimestamp {
-        let ts = self.read_local().max(self.last_ts);
-        self.last_ts = ts;
-        ExtTimestamp::new(ts, self.cid, self.dev_ns)
-    }
-
-    #[inline]
-    fn get_new_ts(&mut self) -> ExtTimestamp {
-        // §3.2: with dev > 0 the uncertainty masking already guarantees that
-        // versions are never valid exactly at their commit time, so getNewTS
-        // is just getTime. With dev == 0 the ensemble degenerates to a
-        // perfectly synchronized clock and we need Algorithm 4's loop.
-        if self.dev_ns > 0 {
-            self.get_time()
-        } else {
-            loop {
-                let ts = self.read_local();
-                if ts > self.last_ts {
-                    self.last_ts = ts;
-                    return ExtTimestamp::new(ts, self.cid, 0);
-                }
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::{monotonic_ns, ThreadClock};
 
     fn ts(v: u64, cid: u32, dev: u64) -> ExtTimestamp {
         ExtTimestamp::new(v, ClockId(cid), dev)
@@ -510,22 +404,17 @@ mod tests {
 
     #[test]
     fn handles_get_bounded_offsets() {
-        for policy in [
-            OffsetPolicy::Spread,
-            OffsetPolicy::Alternating,
-            OffsetPolicy::Zero,
-        ] {
-            let tb = ExternalClock::with_policy(1000, policy);
-            for _ in 0..16 {
-                let h = tb.register_thread();
-                assert!(h.offset_ns().unsigned_abs() <= 1000);
-            }
+        let tb = ExternalClock::new(1000);
+        for i in 0..16 {
+            let h = tb.register_thread();
+            let expected = if i % 2 == 0 { -1000 } else { 1000 };
+            assert_eq!(h.offset_ns(), expected, "registration {i}");
         }
     }
 
     #[test]
     fn readings_stay_within_dev_of_real_time() {
-        let tb = ExternalClock::with_policy(5_000, OffsetPolicy::Alternating);
+        let tb = ExternalClock::new(5_000);
         let mut h = tb.register_thread();
         for _ in 0..100 {
             let before = monotonic_ns();
@@ -538,7 +427,7 @@ mod tests {
 
     #[test]
     fn per_thread_monotonic_despite_offsets() {
-        let tb = ExternalClock::with_policy(1_000_000, OffsetPolicy::Alternating);
+        let tb = ExternalClock::new(1_000_000);
         let mut h = tb.register_thread();
         let mut last = h.get_time();
         for _ in 0..100 {
@@ -550,7 +439,7 @@ mod tests {
 
     #[test]
     fn two_handles_disagree_when_offsets_differ() {
-        let tb = ExternalClock::with_policy(1_000_000_000, OffsetPolicy::Alternating);
+        let tb = ExternalClock::new(1_000_000_000);
         let mut a = tb.register_thread(); // -1 s
         let mut b = tb.register_thread(); // +1 s
         let ta = a.get_time();
@@ -562,15 +451,21 @@ mod tests {
 
     #[test]
     fn explicit_offsets_are_validated() {
-        let result = std::panic::catch_unwind(|| {
-            ExternalClock::with_policy(10, OffsetPolicy::Explicit(vec![50]))
-        });
-        assert!(result.is_err(), "offset beyond dev must panic");
+        for dev in [0, 10, 1_000_000_000] {
+            let tb = ExternalClock::new(dev);
+            for _ in 0..8 {
+                let h = tb.register_thread();
+                assert!(
+                    h.offset_ns().unsigned_abs() <= dev,
+                    "offset beyond dev {dev}"
+                );
+            }
+        }
     }
 
     #[test]
     fn dev_zero_get_new_ts_is_strict() {
-        let tb = ExternalClock::with_policy(0, OffsetPolicy::Zero);
+        let tb = ExternalClock::new(0);
         let mut h = tb.register_thread();
         let a = h.get_new_ts();
         let b = h.get_new_ts();

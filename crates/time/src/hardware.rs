@@ -9,16 +9,15 @@
 //! clock-distribution network, i.e. it behaves as a linearizable perfectly
 //! synchronized clock.
 //!
-//! [`HardwareClock`] reproduces those properties on a commodity host:
-//! readings are the globally coherent monotonic clock quantized to a
-//! configurable tick frequency, and each read optionally *pays* the modeled
-//! read latency by spinning (the CPU of the modeled machine is stalled on an
-//! uncached register read for that long — see DESIGN.md §3 for the
-//! substitution argument).
+//! [`HardwareClock`] reproduces those properties on a commodity host with the
+//! one real-time runtime, [`SyncClock`]: readings are the globally coherent
+//! monotonic clock quantized to a configurable tick frequency, and each read
+//! optionally *pays* the modeled read latency by spinning (the CPU of the
+//! modeled machine is stalled on an uncached register read for that long —
+//! see DESIGN.md §3 for the substitution argument).
 
-use crate::base::{
-    monotonic_ns, spin_for_ns, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness,
-};
+use crate::base::{ContentionClass, TimeBase, TimeBaseInfo, Uniqueness};
+use crate::perfect::SyncClock;
 
 /// Nominal MMTimer frequency on the SGI Altix 3700: 20 MHz.
 pub const MMTIMER_FREQ_HZ: u64 = 20_000_000;
@@ -27,7 +26,8 @@ pub const MMTIMER_FREQ_HZ: u64 = 20_000_000;
 /// reports "7 to 8 ticks").
 pub const MMTIMER_READ_LATENCY_NS: u64 = 375;
 
-/// A simulated synchronized hardware clock (MMTimer-like).
+/// A simulated synchronized hardware clock (MMTimer-like): each thread gets
+/// a [`SyncClock`] with this tick period and read latency.
 #[derive(Clone, Copy, Debug)]
 pub struct HardwareClock {
     /// Tick period in nanoseconds (`1e9 / frequency`).
@@ -60,39 +60,14 @@ impl HardwareClock {
     pub fn mmtimer_free() -> Self {
         Self::new(MMTIMER_FREQ_HZ, 0)
     }
-
-    /// Tick period in nanoseconds.
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
-    }
-
-    /// Modeled read latency in nanoseconds.
-    pub fn read_latency_ns(&self) -> u64 {
-        self.read_latency_ns
-    }
-
-    #[inline]
-    fn read_register(&self) -> u64 {
-        monotonic_ns() / self.period_ns
-    }
-}
-
-/// Per-thread handle to a [`HardwareClock`].
-#[derive(Clone, Copy, Debug)]
-pub struct HardwareClockHandle {
-    clock: HardwareClock,
-    last: u64,
 }
 
 impl TimeBase for HardwareClock {
     type Ts = u64;
-    type Clock = HardwareClockHandle;
+    type Clock = SyncClock;
 
-    fn register_thread(&self) -> HardwareClockHandle {
-        HardwareClockHandle {
-            clock: *self,
-            last: 0,
-        }
+    fn register_thread(&self) -> SyncClock {
+        SyncClock::new(self.period_ns, self.read_latency_ns, 0, ())
     }
 
     fn info(&self) -> TimeBaseInfo {
@@ -107,50 +82,10 @@ impl TimeBase for HardwareClock {
     }
 }
 
-impl ThreadClock for HardwareClockHandle {
-    type Ts = u64;
-
-    #[inline]
-    fn get_time(&mut self) -> u64 {
-        // Pay the register read cost, then sample. With latency >= one tick
-        // the sample is strictly greater than the previous one, matching the
-        // MMTimer's strict monotonicity (§4.1).
-        spin_for_ns(self.clock.read_latency_ns);
-        let t = self.read_and_clamp();
-        self.last = t;
-        t
-    }
-
-    #[inline]
-    fn get_new_ts(&mut self) -> u64 {
-        // §4.1: "both GetTime and GetNewTS just return the value of MMTimer"
-        // because reading takes longer than a tick — the post-latency reading
-        // is strictly greater than the register value at invocation time, as
-        // §2.4 requires. The loop below only spins when the clock is
-        // configured with free reads or a sub-tick latency.
-        let entry = self.clock.read_register().max(self.last);
-        loop {
-            spin_for_ns(self.clock.read_latency_ns);
-            let t = self.read_and_clamp();
-            if t > entry {
-                self.last = t;
-                return t;
-            }
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl HardwareClockHandle {
-    #[inline]
-    fn read_and_clamp(&self) -> u64 {
-        self.clock.read_register().max(self.last)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::{spin_for_ns, ThreadClock};
     use std::time::Instant;
 
     #[test]

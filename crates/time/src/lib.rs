@@ -19,14 +19,19 @@
 //!     is never incremented on commit (aborts advance it instead),
 //!   - [`counter::BlockCounter`] — batched per-thread timestamp blocks with
 //!     a separately published commit frontier,
-//! * [`perfect::PerfectClock`] — a perfectly synchronized real-time clock
-//!   (Algorithm 4 of the paper),
-//! * [`hardware::HardwareClock`] — a simulated *MMTimer*: a globally
-//!   synchronized hardware clock with a configurable tick frequency
-//!   (20 MHz in the paper) and a read latency larger than one tick,
-//! * [`external::ExternalClock`] — externally synchronized clocks with a
-//!   bounded deviation `dev`; timestamps are `(ts, cid, dev)` triples and
-//!   compare according to Algorithm 5 of the paper,
+//! * [`perfect::SyncClock`] — the one synchronized-clock runtime, a
+//!   thread's real-time clock (Algorithm 4) with a tick, a read latency, an
+//!   offset from real time and a [`perfect::Stamp`]; three bases register
+//!   it:
+//!   - [`perfect::PerfectClock`] — a perfectly synchronized real-time clock
+//!     at nanosecond resolution (Algorithm 4 of the paper),
+//!   - [`hardware::HardwareClock`] — a simulated *MMTimer*: a `SyncClock`
+//!     with a configurable tick frequency (20 MHz in the paper) and a read
+//!     latency larger than one tick,
+//!   - [`external::ExternalClock`] — externally synchronized clocks with a
+//!     bounded deviation `dev`: `SyncClock`s offset by `±dev` whose
+//!     timestamps are `(ts, cid, dev)` triples and compare according to
+//!     Algorithm 5 of the paper,
 //! * [`numa::NumaCounter`] / [`numa::NumaModel`] — the shared counter with
 //!   its line priced: a priced marker makes the counter runtime charge
 //!   every access to the counter's cache line by a ccNUMA interconnect cost

@@ -27,7 +27,7 @@
 //! reproduces the 16-CPU curves exactly; it prices the line from the same
 //! [`NumaModel::altix`].
 
-use crate::counter::{Arbitration, Counter, CounterClock, Rule, DEFAULT_TS_BLOCK};
+use crate::counter::{Arbitration, Counter, Rule, DEFAULT_TS_BLOCK};
 
 /// Latency parameters of the modeled ccNUMA interconnect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,9 +73,6 @@ impl Arbitration for NumaFetchAdd {
 
 /// A shared integer counter behind the [`NumaModel`] cost model.
 pub type NumaCounter = Counter<NumaFetchAdd>;
-/// Per-thread handle to a [`NumaCounter`]; tracks the modeled local cache
-/// state (which line version this thread last observed).
-pub type NumaCounterClock = CounterClock<NumaFetchAdd>;
 
 impl NumaCounter {
     /// A counter starting at 1 with the given interconnect model.

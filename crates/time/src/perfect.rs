@@ -10,8 +10,19 @@
 //! across CPUs, so it *is* a perfectly synchronized clock for our purposes:
 //! if thread A's read happens-before thread B's read, B observes a value
 //! `≥` A's. [`PerfectClock`] exposes it at full nanosecond resolution.
+//!
+//! [`SyncClock`] is the crate's one real-time runtime: Algorithm 4's
+//! `getTime`/`getNewTS` over a tick, a read latency, an offset from real
+//! time and a [`Stamp`] that shapes the timestamp. The three real-time bases
+//! only say which clock a thread gets: [`PerfectClock`] a 1 ns tick with free
+//! reads, [`crate::hardware::HardwareClock`] the MMTimer's 50 ns tick and
+//! 375 ns read (§4.1), and [`crate::external::ExternalClock`] a 1 ns tick
+//! offset by `±dev` and stamped `(ts, cid, dev)` (§3.2, Algorithm 5).
 
-use crate::base::{monotonic_ns, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness};
+use crate::base::{
+    monotonic_ns, spin_for_ns, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness,
+};
+use crate::timestamp::Timestamp;
 
 /// A perfectly synchronized real-time clock at nanosecond resolution
 /// (Algorithm 4 of the paper).
@@ -25,22 +36,12 @@ impl PerfectClock {
     }
 }
 
-/// Per-thread handle to a [`PerfectClock`].
-///
-/// Carries the thread's high-water mark so that `get_time` is monotonic and
-/// `get_new_ts` is strictly increasing even if the underlying clock were to
-/// tick slower than the read rate (Algorithm 4's busy-waiting loop).
-#[derive(Clone, Copy, Debug)]
-pub struct PerfectClockHandle {
-    last: u64,
-}
-
 impl TimeBase for PerfectClock {
     type Ts = u64;
-    type Clock = PerfectClockHandle;
+    type Clock = SyncClock;
 
-    fn register_thread(&self) -> PerfectClockHandle {
-        PerfectClockHandle { last: 0 }
+    fn register_thread(&self) -> SyncClock {
+        SyncClock::new(1, 0, 0, ())
     }
 
     fn info(&self) -> TimeBaseInfo {
@@ -55,32 +56,123 @@ impl TimeBase for PerfectClock {
     }
 }
 
-impl ThreadClock for PerfectClockHandle {
+/// How a [`SyncClock`] turns a reading into a timestamp: the bare `u64` for
+/// the perfect clock and the MMTimer (`()`), the `(ts, cid, dev)` triple for
+/// an externally synchronized clock
+/// ([`crate::external::Deviation`]).
+pub trait Stamp: Clone + Send + 'static {
+    /// The timestamp type handed out.
+    type Ts: Timestamp;
+    /// The timestamp of clock reading `reading`.
+    fn stamp(&self, reading: u64) -> Self::Ts;
+    /// Whether the timestamp algebra already keeps a commit time apart from
+    /// every earlier reading (deviation slack, §3.2), so `getNewTS` need not
+    /// wait for the clock to pass its entry reading.
+    fn masks_commit(&self) -> bool;
+}
+
+impl Stamp for () {
     type Ts = u64;
 
     #[inline]
-    fn get_time(&mut self) -> u64 {
-        // Algorithm 4: getTime simply reads Cp. The max() keeps the reading
-        // monotonic per thread even on platforms with coarse clocks.
-        let t = monotonic_ns().max(self.last);
-        self.last = t;
-        t
+    fn stamp(&self, reading: u64) -> u64 {
+        reading
     }
 
     #[inline]
-    fn get_new_ts(&mut self) -> u64 {
+    fn masks_commit(&self) -> bool {
+        false
+    }
+}
+
+/// A thread's synchronized clock `Cp`: the globally coherent monotonic
+/// clock shifted by `offset_ns`, quantized to `tick_ns` and paying
+/// `read_latency_ns` per read. The perfect clock, the MMTimer and every
+/// member of an externally synchronized ensemble are this one handle.
+///
+/// Carries the thread's high-water mark so that `get_time` is monotonic and
+/// `get_new_ts` is strictly increasing even if the underlying clock ticks
+/// slower than the read rate (Algorithm 4's busy-waiting loop).
+#[derive(Clone, Copy, Debug)]
+pub struct SyncClock<S: Stamp = ()> {
+    tick_ns: u64,
+    read_latency_ns: u64,
+    offset_ns: i64,
+    last: u64,
+    stamp: S,
+}
+
+impl<S: Stamp> SyncClock<S> {
+    /// A clock ticking every `tick_ns` nanoseconds (at least 1), each read
+    /// costing `read_latency_ns`, `offset_ns` away from real time.
+    pub(crate) fn new(tick_ns: u64, read_latency_ns: u64, offset_ns: i64, stamp: S) -> Self {
+        SyncClock {
+            tick_ns,
+            read_latency_ns,
+            offset_ns,
+            last: 0,
+            stamp,
+        }
+    }
+
+    /// The offset of this clock from real time (nanoseconds).
+    pub fn offset_ns(&self) -> i64 {
+        self.offset_ns
+    }
+
+    #[inline]
+    fn read(&self) -> u64 {
+        // Cp(t) = t + offset: the bounded-deviation model of §3.2 (offset 0
+        // is a perfectly synchronized clock). Saturating keeps the reading a
+        // valid u64 for extreme negative offsets near the epoch
+        // (EPOCH_OFFSET_NS makes this unreachable in practice).
+        let t = monotonic_ns().saturating_add_signed(self.offset_ns);
+        if self.tick_ns == 1 {
+            t
+        } else {
+            t / self.tick_ns
+        }
+    }
+}
+
+impl<S: Stamp> ThreadClock for SyncClock<S> {
+    type Ts = S::Ts;
+
+    #[inline]
+    fn get_time(&mut self) -> S::Ts {
+        // Algorithm 4: getTime simply reads Cp, after paying the read cost.
+        // With latency >= one tick the sample is strictly greater than the
+        // previous one, matching the MMTimer's strict monotonicity (§4.1);
+        // the max() keeps it monotonic per thread on coarse clocks.
+        spin_for_ns(self.read_latency_ns);
+        self.last = self.read().max(self.last);
+        self.stamp.stamp(self.last)
+    }
+
+    #[inline]
+    fn get_new_ts(&mut self) -> S::Ts {
+        // §3.2: with dev > 0 the uncertainty masking already guarantees that
+        // versions are never valid exactly at their commit time, so getNewTS
+        // is just getTime.
+        if self.stamp.masks_commit() {
+            return self.get_time();
+        }
         // Algorithm 4 lines 5–11: read the clock at entry, then busy-wait
         // until it has advanced *past the entry reading* (§2.4: getNewTS must
         // return a timestamp strictly larger than the time at which it was
         // invoked — this is what guarantees that a later committer's commit
         // time strictly exceeds any commit time validated earlier). At
-        // nanosecond resolution the loop almost never iterates.
-        let entry = monotonic_ns().max(self.last);
+        // nanosecond resolution the loop almost never iterates. §4.1: the
+        // MMTimer's getNewTS "just returns the value of MMTimer" because a
+        // read takes longer than a tick, so its post-latency reading passes
+        // the entry at once; the loop only spins for free or sub-tick reads.
+        let entry = self.read().max(self.last);
         loop {
-            let t = monotonic_ns();
+            spin_for_ns(self.read_latency_ns);
+            let t = self.read();
             if t > entry {
                 self.last = t;
-                return t;
+                return self.stamp.stamp(t);
             }
             std::hint::spin_loop();
         }

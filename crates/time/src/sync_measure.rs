@@ -194,7 +194,7 @@ pub fn summarize(rounds: &[RoundResult]) -> MeasureSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::external::{ExternalClock, OffsetPolicy};
+    use crate::external::ExternalClock;
     use crate::hardware::HardwareClock;
     use crate::perfect::PerfectClock;
 
@@ -240,7 +240,7 @@ mod tests {
         // probes at +10/−10 ms, so the worst measured offset is ≈ 20 ms —
         // far above the µs-scale measurement error.
         let dev = 10_000_000; // 10 ms
-        let tb = ExternalClock::with_policy(dev, OffsetPolicy::Alternating);
+        let tb = ExternalClock::new(dev);
         let rounds = measure(&tb, &small_cfg());
         let s = summarize(&rounds);
         assert!(

@@ -3,7 +3,7 @@
 //! over all implementations.
 
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
-use lsa_time::external::{ExternalClock, OffsetPolicy};
+use lsa_time::external::ExternalClock;
 use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
@@ -104,14 +104,14 @@ proptest! {
         dev in 0u64..100_000,
     ) {
         check_thread_contract(
-            &ExternalClock::with_policy(dev, OffsetPolicy::Spread),
+            &ExternalClock::new(dev),
             &pattern,
         );
     }
 
     #[test]
     fn external_offsets_always_bounded(dev in 0u64..1_000_000, n in 1usize..32) {
-        let tb = ExternalClock::with_policy(dev, OffsetPolicy::Spread);
+        let tb = ExternalClock::new(dev);
         for _ in 0..n {
             let h = tb.register_thread();
             prop_assert!(h.offset_ns().unsigned_abs() <= dev);
@@ -155,29 +155,25 @@ fn get_new_ts_exceeds_invocation_time() {
     check(&NumaCounter::new(NumaModel::free()));
     check(&PerfectClock::new());
     check(&HardwareClock::mmtimer_free());
-    check(&ExternalClock::with_policy(
-        50_000,
-        OffsetPolicy::Alternating,
-    ));
+    check(&ExternalClock::new(50_000));
 
-    // Strong form for u64 bases: strictly greater.
-    let tb = PerfectClock::new();
-    let mut a = tb.register_thread();
-    let mut b = tb.register_thread();
-    for _ in 0..200 {
-        let before = a.get_time();
-        let fresh = b.get_new_ts();
-        assert!(
-            fresh > before,
-            "getNewTS {fresh} must exceed prior reading {before}"
-        );
+    // Strong form: strictly greater, on every base whose readings are plain
+    // numbers on one axis (the external ensemble at dev = 0 by its `.ts`).
+    fn strict<B: TimeBase>(tb: &B, value: fn(B::Ts) -> u64) {
+        let mut a = tb.register_thread();
+        let mut b = tb.register_thread();
+        for _ in 0..200 {
+            let before = value(a.get_time());
+            let fresh = value(b.get_new_ts());
+            assert!(
+                fresh > before,
+                "{}: getNewTS {fresh} must exceed prior reading {before}",
+                tb.name()
+            );
+        }
     }
-    let tb = SharedCounter::new();
-    let mut a = tb.register_thread();
-    let mut b = tb.register_thread();
-    for _ in 0..200 {
-        let before = a.get_time();
-        let fresh = b.get_new_ts();
-        assert!(fresh > before);
-    }
+    strict(&PerfectClock::new(), |t| t);
+    strict(&SharedCounter::new(), |t| t);
+    strict(&HardwareClock::mmtimer_free(), |t| t);
+    strict(&ExternalClock::new(0), |t| t.ts);
 }

@@ -13,7 +13,7 @@
 
 use lsa_time::conformance::{self, ClockOp};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
-use lsa_time::external::{ClockId, ExtTimestamp, ExternalClock, OffsetPolicy};
+use lsa_time::external::{ClockId, ExtTimestamp, ExternalClock};
 use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
@@ -33,7 +33,7 @@ macro_rules! for_each_base {
         $f(&PerfectClock::new());
         $f(&HardwareClock::mmtimer_free());
         $f(&NumaCounter::new(NumaModel::free()));
-        $f(&ExternalClock::with_policy(10_000, OffsetPolicy::Spread));
+        $f(&ExternalClock::new(10_000));
     };
 }
 
@@ -248,7 +248,7 @@ proptest! {
         dev in 0u64..100_000,
     ) {
         conformance::thread_contract(
-            &ExternalClock::with_policy(dev, OffsetPolicy::Spread),
+            &ExternalClock::new(dev),
             &ops_from_bytes(&bytes),
         );
     }

@@ -36,11 +36,6 @@ impl<E: TxnEngine> HashSetT<E> {
         &self.engine
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// The bucket index `key` hashes to — exposed so audits (and shard-hint
     /// policies) can check key placement from outside.
     #[inline]
@@ -102,11 +97,6 @@ impl<E: TxnEngine> HashSetT<E> {
             }
             Ok(n)
         })
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self, h: &mut E::Handle) -> bool {
-        self.len(h) == 0
     }
 
     /// Snapshot every bucket's contents in one read-only transaction.

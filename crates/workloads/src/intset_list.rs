@@ -176,11 +176,6 @@ impl<E: TxnEngine> IntSetList<E> {
         })
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self, h: &mut E::Handle) -> bool {
-        self.len(h) == 0
-    }
-
     /// Collect all keys in order (read-only snapshot).
     pub fn to_vec(&self, h: &mut E::Handle) -> Vec<i64> {
         h.atomically(|tx| {

@@ -11,7 +11,6 @@
 //! Run with: `cargo run --release --example clock_sync`
 
 use lsa_rt::prelude::*;
-use lsa_rt::time::external::OffsetPolicy;
 use lsa_rt::time::sync_measure::{measure, summarize, SyncMeasureConfig};
 use lsa_rt::time::sync_sim::{achievable_dev, SyncSimConfig};
 use std::time::Duration;
@@ -30,7 +29,7 @@ fn main() {
     );
 
     // 2-3. Build the ensemble and measure it like Figure 1.
-    let tb = ExternalClock::with_policy(dev_ns, OffsetPolicy::Alternating);
+    let tb = ExternalClock::new(dev_ns);
     let rounds = measure(
         &tb,
         &SyncMeasureConfig {

@@ -118,7 +118,7 @@ fn concurrent_engines_preserve_invariants() {
 /// generic increment loop, driven through the engine surface.
 #[test]
 fn all_time_bases_agree_on_disjoint_work() {
-    use lsa_rt::time::external::{ExternalClock, OffsetPolicy};
+    use lsa_rt::time::external::ExternalClock;
     use lsa_rt::time::numa::{NumaCounter, NumaModel};
 
     fn run<E: TxnEngine>(engine: E) -> u64 {
@@ -146,13 +146,7 @@ fn all_time_bases_agree_on_disjoint_work() {
     assert_eq!(run(Stm::new(PerfectClock::new())), 2_000);
     assert_eq!(run(Stm::new(HardwareClock::mmtimer_free())), 2_000);
     assert_eq!(run(Stm::new(NumaCounter::new(NumaModel::free()))), 2_000);
-    assert_eq!(
-        run(Stm::new(ExternalClock::with_policy(
-            10_000,
-            OffsetPolicy::Alternating
-        ))),
-        2_000
-    );
+    assert_eq!(run(Stm::new(ExternalClock::new(10_000))), 2_000);
     // The same loop also runs unchanged on the other engine families —
     // including TL2 on the arbitration bases LSA cannot use (the adopting
     // GV4 and the lazy GV5, both non-commit-monotonic).

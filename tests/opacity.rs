@@ -252,11 +252,11 @@ fn committed_history_is_serializable_mmtimer() {
 /// uncertainty), and values must chain.
 #[test]
 fn committed_history_is_serializable_external_clock() {
-    use lsa_rt::time::external::{ExtTimestamp, ExternalClock, OffsetPolicy};
+    use lsa_rt::time::external::{ExtTimestamp, ExternalClock};
     use lsa_rt::time::Timestamp as _;
 
     const OBJECTS: usize = 4;
-    let tb = ExternalClock::with_policy(20_000, OffsetPolicy::Alternating);
+    let tb = ExternalClock::new(20_000);
     let stm = Stm::new(tb);
     let vars: Vec<TVar<u64, ExtTimestamp>> = (0..OBJECTS).map(|_| stm.new_tvar(0u64)).collect();
     let log: Mutex<Vec<(ExtTimestamp, usize, u64, u64)>> = Mutex::new(Vec::new());
