@@ -16,8 +16,8 @@
 //! per object, with buffered writes: a commit stamps each object it writes
 //! `old + 1` where TL2 stamps its commit time, and a read-set entry stands
 //! under TL2's rule with the version it read as the bound — no newer
-//! version, no other committer's lock. The `validation_cost` experiment
-//! (EXP-VAL in DESIGN.md) sweeps read-set sizes across this engine and
+//! version, no other committer's lock. The EXP-VAL experiment (`matrix scan
+//! --size`, DESIGN.md §4) sweeps read-set sizes across this engine and
 //! LSA-RT.
 
 use crate::engine::{version, word_valid, Abort, BaselineStm, Meta, Protocol, Txn, VLock};

@@ -8,8 +8,8 @@
 //!
 //! The benches are deliberately small so `cargo bench --workspace` finishes
 //! on a laptop. Figure 1, Figure 2, EXP-TB, EXP-ERR and EXP-VAL have one
-//! implementation each: the `fig1`, `fig2`, `timebase_overhead`,
-//! `err_sweep` and `validation_cost` harness binaries.
+//! implementation each: the `fig1`, `fig2` and `timebase_overhead` harness
+//! binaries, and `matrix --dev` and `matrix scan --size`.
 //!
 //! This library exposes tiny helpers shared by the bench targets.
 

@@ -1,5 +1,12 @@
 //! Shared CLI argument helpers: the `N` / `A..B` range syntax every sweep
-//! flag (`--threads`, `--rate`) speaks, parsed in exactly one place.
+//! flag (`--threads`, `--rate`) speaks, parsed in exactly one place, and
+//! the `matrix` command line ([`MatrixArgs`]).
+
+use crate::open_loop::Kind;
+use crate::registry::{default_registry, lsa_cm_entry, lsa_external_entry};
+use crate::registry::{CmPolicy, EngineEntry, Workload};
+use lsa_wire::TablesConfig;
+use lsa_workloads::{DisjointConfig, PlacementHint, ScanConfig};
 
 /// A parsed `N` or `A..B` argument. A single value is a degenerate range
 /// (`lo == hi`), so callers sweep unconditionally and single-point runs
@@ -57,6 +64,140 @@ impl RangeSpec {
                 }
             })
             .collect()
+    }
+}
+
+/// The `matrix` command line: one workload, swept over rows (registry
+/// cells), sizes and thread counts. Every value is checked here, so a bad
+/// flag is a usage error before anything runs.
+#[derive(Debug)]
+pub struct MatrixArgs {
+    /// One workload per `--size` value (one workload without `--size`),
+    /// with `--accounts` applied to the served mixes.
+    pub workloads: Vec<Workload>,
+    /// `--threads N | A..B`; defaults to the host's parallelism, at most 4.
+    pub threads: Vec<usize>,
+    /// `--placement spread|partitioned`.
+    pub placement: PlacementHint,
+    /// `--timebase A,B,…`: keep rows whose time base contains any of these.
+    pub timebase: Vec<String>,
+    /// `--dev LIST`, given in µs and held in ns: external-clock rows,
+    /// multi- and single-version.
+    pub dev_ns: Vec<u64>,
+    /// `--cm LIST`: one perfect-clock LSA-RT row per policy.
+    pub cm: Vec<CmPolicy>,
+}
+
+/// A non-empty comma list, every item parsed by `item`.
+fn list<T>(arg: Option<&String>, item: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
+    arg?.split(',').map(item).collect()
+}
+
+impl MatrixArgs {
+    /// Parse `matrix`'s arguments (program name excluded). `Err` names the
+    /// offending flag.
+    pub fn parse(argv: &[String]) -> Result<MatrixArgs, String> {
+        let mut workload = Workload::Tables(Kind::Bank, TablesConfig::default());
+        let (mut sizes, mut accounts) = (None, None);
+        let mut args = MatrixArgs {
+            workloads: Vec::new(),
+            threads: vec![std::thread::available_parallelism().map_or(2, |n| n.get().min(4))],
+            placement: PlacementHint::Spread,
+            timebase: Vec::new(),
+            dev_ns: Vec::new(),
+            cm: Vec::new(),
+        };
+        let mut argv = argv.iter();
+        while let Some(flag) = argv.next() {
+            let value = argv.clone().next();
+            let bad = |what: &str| format!("{flag} needs {what}");
+            match flag.as_str() {
+                "disjoint" => workload = Workload::Disjoint(DisjointConfig::default()),
+                "scan" => workload = Workload::Scan(ScanConfig::default()),
+                "--placement" => {
+                    args.placement = value
+                        .and_then(|v| PlacementHint::parse(v))
+                        .ok_or_else(|| bad("spread or partitioned"))?;
+                }
+                "--threads" => {
+                    args.threads = value
+                        .and_then(|v| RangeSpec::parse(v))
+                        .ok_or_else(|| bad("N or A..B (A >= 1, B >= A)"))?
+                        .usize_values();
+                }
+                "--timebase" => {
+                    args.timebase = list(value, |s| (!s.is_empty()).then(|| s.to_string()))
+                        .ok_or_else(|| bad("a comma list of substrings"))?;
+                }
+                "--dev" => {
+                    args.dev_ns = list(value, |s| s.parse::<u64>().ok()?.checked_mul(1_000))
+                        .ok_or_else(|| bad("a comma list of deviations in whole us"))?;
+                }
+                "--cm" => {
+                    args.cm = list(value, CmPolicy::parse).ok_or_else(|| {
+                        bad("a comma list of polite,aggressive,suicide,karma,timestamp")
+                    })?;
+                }
+                "--size" => {
+                    sizes = Some(
+                        list(value, |s| s.parse::<usize>().ok().filter(|&n| n >= 1))
+                            .ok_or_else(|| bad("a comma list of object counts >= 1"))?,
+                    );
+                }
+                "--accounts" => {
+                    accounts = Some(
+                        value
+                            .and_then(|v| v.parse::<u32>().ok())
+                            .filter(|&n| n >= 2)
+                            .ok_or_else(|| bad("an account count >= 2"))?,
+                    );
+                }
+                other => match Kind::parse(other) {
+                    Some(kind) => workload = Workload::Tables(kind, TablesConfig::default()),
+                    None => return Err(format!("got {other:?}")),
+                },
+            }
+            if flag.starts_with("--") {
+                argv.next();
+            }
+        }
+        match (&mut workload, accounts) {
+            (Workload::Tables(_, cfg), Some(n)) => cfg.accounts = n,
+            (_, Some(_)) => return Err("--accounts applies to the served mixes only".into()),
+            _ => {}
+        }
+        args.workloads = match sizes {
+            None => vec![workload],
+            Some(sizes) => sizes
+                .into_iter()
+                .map(|n| workload.sized(n))
+                .collect::<Option<_>>()
+                .ok_or("--size applies to scan and disjoint only")?,
+        };
+        Ok(args)
+    }
+
+    /// The rows to run: the `--dev` and `--cm` cells when either is given,
+    /// else the default registry; then only those whose time base contains
+    /// one of the `--timebase` substrings.
+    pub fn rows(&self) -> Vec<EngineEntry> {
+        let mut rows: Vec<EngineEntry> = self
+            .dev_ns
+            .iter()
+            .flat_map(|&dev| [8, 1].map(|versions| lsa_external_entry(dev, versions)))
+            .chain(self.cm.iter().map(|&policy| lsa_cm_entry(policy)))
+            .collect();
+        if rows.is_empty() {
+            rows = default_registry();
+        }
+        rows.retain(|e| {
+            self.timebase.is_empty()
+                || self
+                    .timebase
+                    .iter()
+                    .any(|f| e.time_base.contains(f.as_str()))
+        });
+        rows
     }
 }
 
@@ -120,5 +261,88 @@ mod tests {
             RangeSpec::parse("1000..2000").unwrap().geometric(1),
             vec![1000.0]
         );
+    }
+
+    fn matrix(line: &str) -> Result<MatrixArgs, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        MatrixArgs::parse(&argv)
+    }
+
+    fn labels(args: &MatrixArgs) -> Vec<String> {
+        args.rows().iter().map(EngineEntry::label).collect()
+    }
+
+    #[test]
+    fn matrix_defaults_are_the_bank_over_the_registry() {
+        let args = matrix("").unwrap();
+        assert!(
+            matches!(args.workloads[..], [Workload::Tables(Kind::Bank, cfg)] if cfg.accounts == 64)
+        );
+        assert_eq!(args.threads.len(), 1);
+        assert_eq!(args.rows().len(), default_registry().len());
+    }
+
+    #[test]
+    fn matrix_list_flags_parse() {
+        let args =
+            matrix("bank --dev 0,10 --cm karma,timestamp --accounts 5 --threads 1..2").unwrap();
+        assert_eq!(args.dev_ns, [0, 10_000]);
+        assert_eq!(args.cm, [CmPolicy::Karma, CmPolicy::Timestamp]);
+        assert_eq!(args.threads, [1, 2]);
+        assert!(
+            matches!(args.workloads[..], [Workload::Tables(Kind::Bank, cfg)] if cfg.accounts == 5)
+        );
+        assert_eq!(
+            labels(&args),
+            [
+                "lsa-rt(external-0us-mv8)",
+                "lsa-rt(external-0us-mv1)",
+                "lsa-rt(external-10us-mv8)",
+                "lsa-rt(external-10us-mv1)",
+                "lsa-rt(perfect-cm-karma)",
+                "lsa-rt(perfect-cm-timestamp)",
+            ]
+        );
+        let mv1 = matrix("--dev 1 --timebase mv1").unwrap();
+        assert_eq!(labels(&mv1), ["lsa-rt(external-1us-mv1)"]);
+
+        let scan = matrix("scan --size 10,400").unwrap();
+        let objects: Vec<_> = scan.workloads.iter().map(Workload::size).collect();
+        assert_eq!(objects, [10, 400]);
+        let disjoint = matrix("disjoint --size 10,100").unwrap();
+        assert!(matches!(
+            disjoint.workloads[..],
+            [Workload::Disjoint(a), Workload::Disjoint(b)]
+                if (a.accesses_per_tx, a.objects_per_thread) == (10, 64)
+                    && (b.accesses_per_tx, b.objects_per_thread) == (100, 400)
+        ));
+    }
+
+    #[test]
+    fn matrix_timebase_union_keeps_rows_matching_any() {
+        let args = matrix("--timebase gv4,seqlock").unwrap();
+        assert_eq!(args.timebase, ["gv4", "seqlock"]);
+        assert_eq!(labels(&args), ["tl2(gv4)", "norec(seqlock)"]);
+        assert!(matrix("--timebase no-such-base").unwrap().rows().is_empty());
+    }
+
+    #[test]
+    fn matrix_bad_values_are_usage_errors() {
+        for bad in [
+            "--dev x",
+            "--dev 1,,2",
+            "--size 0",
+            "scan --size 0",
+            "--cm greedy",
+            "--accounts 1",
+            "--accounts",
+            "--timebase a,",
+            "--threads 0",
+            "bank --size 10",
+            "scan --accounts 5",
+            "banks",
+        ] {
+            assert!(matrix(bad).is_err(), "{bad:?} must be a usage error");
+        }
     }
 }

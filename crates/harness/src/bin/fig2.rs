@@ -2,25 +2,26 @@
 //! different size": throughput (10⁶ tx/s) vs thread count for the shared
 //! integer counter vs the MMTimer, panels at 10/50/100 accesses.
 //!
-//! Two modes:
-//! * the **modeled Altix** (default): the discrete-event model of the paper's
-//!   16-CPU ccNUMA testbed (see DESIGN.md §3 — the documented substitution
-//!   for hardware this host does not have), which reproduces the full curves;
-//! * `--real`: the actual LSA-RT implementation on real threads of this host
-//!   with the [`lsa_time::numa::NumaCounter`] latency model vs the simulated
-//!   MMTimer — a sanity check limited by the host's core count.
+//! This is the **modeled Altix**: the discrete-event model of the paper's
+//! 16-CPU ccNUMA testbed (see DESIGN.md §3 — the documented substitution
+//! for hardware this host does not have), which reproduces the full curves.
+//! The real LSA-RT implementation on this host's threads, with the
+//! [`lsa_time::numa::NumaCounter`] latency model vs the simulated MMTimer,
+//! is a `matrix` sweep — a sanity check limited by the host's core count:
+//!
+//! ```sh
+//! cargo run --release -p lsa-harness --bin matrix -- disjoint --size 10,50,100 --threads 1..4 --timebase numa-altix,mmtimer
+//! ```
 //!
 //! Output: one table per panel with the same series the paper plots.
 
 use lsa_harness::altix_sim::{simulate, AltixParams};
-use lsa_harness::registry::{default_registry, find_entry, Workload};
-use lsa_harness::{f3, measure_window, Table};
-use lsa_workloads::DisjointConfig;
+use lsa_harness::{f3, Table};
 
 const THREADS: [usize; 7] = [1, 2, 4, 6, 8, 12, 16];
 const PANELS: [usize; 3] = [10, 50, 100];
 
-fn modeled_altix() {
+fn main() {
     println!("FIG2 (modeled Altix 3700, discrete-event; DESIGN.md S3 substitution)\n");
     let params = AltixParams::paper_calibrated();
     for &accesses in &PANELS {
@@ -39,59 +40,5 @@ fn modeled_altix() {
             ]);
         }
         t.print();
-    }
-}
-
-fn real_threads() {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "FIG2 (real threads on this host: {host} hardware threads; \
-         points beyond {host} threads are oversubscribed)\n"
-    );
-    let window = measure_window(300);
-    let threads: Vec<usize> = THREADS
-        .iter()
-        .copied()
-        .filter(|&t| t <= host.max(2) * 2)
-        .collect();
-    // The figure's two series, straight from the engine registry — the same
-    // cells the matrix sweeps, no hand-wired engine setup.
-    let registry = default_registry();
-    let counter = find_entry(&registry, "lsa-rt", "numa-altix")
-        .expect("registry lost the lsa-rt(numa-altix) cell");
-    let mmtimer =
-        find_entry(&registry, "lsa-rt", "mmtimer").expect("registry lost the lsa-rt(mmtimer) cell");
-    for &accesses in &PANELS {
-        let mut t = Table::new(
-            format!("Figure 2 (real) panel: {accesses} accesses — 10^6 tx/s"),
-            &["threads", "numa-counter", "mmtimer", "mmtimer/counter"],
-        );
-        for &n in &threads {
-            let wl = Workload::Disjoint(DisjointConfig {
-                objects_per_thread: (accesses * 4).max(64),
-                accesses_per_tx: accesses,
-            });
-            let c = counter.run(&wl, n, window);
-            let m = mmtimer.run(&wl, n, window);
-            t.row(vec![
-                n.to_string(),
-                f3(c.mtx_per_sec()),
-                f3(m.mtx_per_sec()),
-                f3(m.mtx_per_sec() / c.mtx_per_sec().max(1e-12)),
-            ]);
-        }
-        t.print();
-    }
-}
-
-fn main() {
-    let real = std::env::args().any(|a| a == "--real");
-    if real {
-        real_threads();
-    } else {
-        modeled_altix();
-        println!("(run with --real for the real-thread sanity check on this host)");
     }
 }

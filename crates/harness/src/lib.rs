@@ -1,17 +1,14 @@
 //! # lsa-harness — experiment harness reproducing the SPAA'07 evaluation
 //!
-//! One binary per paper artifact (DESIGN.md §4 experiment index):
+//! Six binaries (DESIGN.md §4 experiment index):
 //!
 //! | binary | artifact |
 //! |---|---|
 //! | `fig1` | Figure 1 — clock synchronization errors and offsets |
-//! | `fig2` | Figure 2 — throughput vs threads, counter vs MMTimer (10/50/100 accesses) |
+//! | `fig2` | Figure 2 on the modeled Altix — throughput vs threads, counter vs MMTimer (10/50/100 accesses) |
 //! | `timebase_overhead` | §4.2 raw time-base costs (EXP-TB) |
-//! | `err_sweep` | §4.3 synchronization-error sweep (EXP-ERR) |
-//! | `validation_cost` | §1 validation-vs-time-based cost (EXP-VAL) |
-//! | `cm_ablation` | §2.3 contention-manager ablation (EXP-CM) |
 //! | `paper_check` | one PASS/FAIL line per qualitative claim (CI smoke test) |
-//! | `matrix` | workload × engine × time-base sweep from the [`registry`] |
+//! | `matrix` | every registry-cell sweep: workload × engine × time base × size × threads from the [`registry`] ([`args::MatrixArgs`]); `--dev` is §4.3's sync-error sweep (EXP-ERR), `--cm` §2.3's contention-manager ablation (EXP-CM), `scan --size` §1's validation cost (EXP-VAL) and `disjoint --size` Figure 2 on real threads |
 //! | `open_loop` | open-loop request-rate sweep of the serving path, in process (`lsa-service`) and over loopback TCP (`lsa-wire`), with the saturation-knee locator |
 //!
 //! Shared infrastructure: [`runner`] (thread orchestration and throughput),
@@ -20,7 +17,8 @@
 //! request mixes closed-loop in process), [`open_loop`] (open-loop load generation of
 //! `lsa_wire::Request`s over either transport: arrival-rate scheduling,
 //! latency percentiles, shed and audit accounting, the knee locator),
-//! [`args`] (the shared `N`/`A..B` sweep-range syntax),
+//! [`args`] (the shared `N`/`A..B` sweep-range syntax and the `matrix`
+//! command line),
 //! [`table`] (text/CSV output), [`json`] (the one JSON emitter behind every
 //! `BENCH_*.json` artifact), [`altix_sim`]
 //! (the discrete-event model of the paper's 16-CPU ccNUMA testbed — the

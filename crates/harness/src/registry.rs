@@ -7,8 +7,8 @@
 //! factory closure, and every entry can run every [`Workload`] through the
 //! same engine-generic runner ([`run_workload`]), serve the open-loop
 //! driver, and run the conformance suites. The `matrix` binary prints the
-//! full sweep (filterable with `--timebase`); tests and experiments filter
-//! the registry with [`find_entry`].
+//! full sweep (filterable with `--timebase`) and builds its parameterized
+//! rows from [`lsa_external_entry`] and [`lsa_cm_entry`].
 //!
 //! The time-base axis includes the commit-arbitration variants
 //! (`gv4`, `gv5`, `block64` — see `lsa_time::counter`). The adopting GV4
@@ -21,6 +21,7 @@ use crate::open_loop::{completes, run_open_loop, Kind, Outcome, Spec};
 use crate::runner::{run_for_pinned, BenchWorker, RunOutcome};
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::{EngineHandle, EngineStats, TxnEngine};
+use lsa_stm::cm::{Aggressive, Karma, Polite, Suicide, TimestampCm};
 use lsa_stm::{Stm, StmConfig};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
 use lsa_time::external::ExternalClock;
@@ -43,11 +44,11 @@ pub const DEFAULT_SHARDS: usize = 8;
 #[derive(Clone, Copy, Debug)]
 pub enum Workload {
     /// One served request mix ([`Kind`]: bank, snapshot, intset or hashset)
-    /// over the default [`Tables`], run closed-loop by [`TablesWorker`]s —
-    /// the requests `open_loop` and the wire server run. Every reply is
-    /// checked (a torn audit or a typed error panics the run), and the
-    /// runner audits the tables after every run.
-    Tables(Kind),
+    /// over [`Tables`] of the given sizing, run closed-loop by
+    /// [`TablesWorker`]s — the requests `open_loop` and the wire server run.
+    /// Every reply is checked (a torn audit or a typed error panics the
+    /// run), and the runner audits the tables after every run.
+    Tables(Kind, TablesConfig),
     /// The §4.2 disjoint-update workload ([`lsa_workloads::disjoint`]).
     Disjoint(DisjointConfig),
     /// Read-only scans ([`lsa_workloads::scan`]) — the §1 validation-cost
@@ -59,9 +60,34 @@ impl Workload {
     /// Short name for tables and CLI parsing.
     pub fn name(&self) -> &'static str {
         match self {
-            Workload::Tables(kind) => kind.name(),
+            Workload::Tables(kind, _) => kind.name(),
             Workload::Disjoint(_) => "disjoint",
             Workload::Scan(_) => "scan",
+        }
+    }
+
+    /// The workload's size: objects per scan, accesses per disjoint
+    /// transaction, or the served mixes' bank account count.
+    pub fn size(&self) -> usize {
+        match self {
+            Workload::Tables(_, cfg) => cfg.accounts as usize,
+            Workload::Disjoint(cfg) => cfg.accesses_per_tx,
+            Workload::Scan(cfg) => cfg.objects,
+        }
+    }
+
+    /// This workload with `n` objects per transaction: a scan reads `n`
+    /// objects, a disjoint transaction makes `n` accesses over
+    /// `max(4n, 64)` objects per thread (Figure 2's panel sizing). `None`
+    /// for the served mixes, whose requests have fixed shapes.
+    pub fn sized(self, n: usize) -> Option<Workload> {
+        match self {
+            Workload::Tables(..) => None,
+            Workload::Disjoint(_) => Some(Workload::Disjoint(DisjointConfig {
+                objects_per_thread: (4 * n).max(64),
+                accesses_per_tx: n,
+            })),
+            Workload::Scan(_) => Some(Workload::Scan(ScanConfig { objects: n })),
         }
     }
 }
@@ -127,8 +153,8 @@ pub fn run_workload<E: TxnEngine>(
     pin: bool,
 ) -> RunOutcome {
     let mut out = match workload {
-        Workload::Tables(kind) => {
-            let tables = Tables::with_placement(&engine, &TablesConfig::default(), placement);
+        Workload::Tables(kind, cfg) => {
+            let tables = Tables::with_placement(&engine, cfg, placement);
             let out = run_for_pinned(threads, window, pin, |i| {
                 TablesWorker::new(&engine, &tables, *kind, i)
             });
@@ -268,20 +294,9 @@ impl EngineEntry {
     }
 }
 
-/// Find a registry entry by engine family and time-base name.
-pub fn find_entry<'r>(
-    registry: &'r [EngineEntry],
-    engine: &str,
-    time_base: &str,
-) -> Option<&'r EngineEntry> {
-    registry
-        .iter()
-        .find(|e| e.engine == engine && e.time_base == time_base)
-}
-
 /// An LSA-RT entry on an externally synchronized clock with deviation bound
 /// `dev_ns` and `versions` retained versions — the parameterized constructor
-/// the EXP-ERR sweep builds its cells from.
+/// `matrix --dev` (the EXP-ERR sweep) builds its cells from.
 pub fn lsa_external_entry(dev_ns: u64, versions: usize) -> EngineEntry {
     EngineEntry::new(
         "lsa-rt",
@@ -291,6 +306,70 @@ pub fn lsa_external_entry(dev_ns: u64, versions: usize) -> EngineEntry {
                 ExternalClock::new(dev_ns),
                 StmConfig::multi_version(versions),
             )
+        },
+    )
+}
+
+/// A contention-management policy of the LSA runtime (`lsa_stm::cm`), as
+/// a registry parameter: [`lsa_cm_entry`] builds one cell per policy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CmPolicy {
+    /// [`Polite`], the runtime's default: back off, then abort the other.
+    Polite,
+    /// [`Aggressive`]: always abort the other transaction.
+    Aggressive,
+    /// [`Suicide`]: always abort yourself.
+    Suicide,
+    /// [`Karma`]: more accumulated work wins.
+    Karma,
+    /// [`TimestampCm`]: the older transaction wins (needs birth stamps).
+    Timestamp,
+}
+
+impl CmPolicy {
+    /// Every policy, in table order.
+    pub const ALL: [CmPolicy; 5] = [
+        CmPolicy::Polite,
+        CmPolicy::Aggressive,
+        CmPolicy::Suicide,
+        CmPolicy::Karma,
+        CmPolicy::Timestamp,
+    ];
+
+    /// The policy's name, as `ContentionManager::name` reports it.
+    pub fn name(self) -> &'static str {
+        match self {
+            CmPolicy::Polite => "polite",
+            CmPolicy::Aggressive => "aggressive",
+            CmPolicy::Suicide => "suicide",
+            CmPolicy::Karma => "karma",
+            CmPolicy::Timestamp => "timestamp",
+        }
+    }
+
+    /// Parse a policy name.
+    pub fn parse(s: &str) -> Option<CmPolicy> {
+        CmPolicy::ALL.into_iter().find(|p| p.name() == s)
+    }
+}
+
+/// An LSA-RT entry on the perfect clock with the default configuration and
+/// contention manager `policy` — the cells of `matrix --cm` (the §2.3
+/// EXP-CM ablation). The time-base label names the policy, e.g.
+/// `perfect-cm-karma`.
+pub fn lsa_cm_entry(policy: CmPolicy) -> EngineEntry {
+    EngineEntry::new(
+        "lsa-rt",
+        format!("perfect-cm-{}", policy.name()),
+        move || {
+            let (tb, cfg) = (PerfectClock::new(), StmConfig::default());
+            match policy {
+                CmPolicy::Polite => Stm::with_cm(tb, cfg, Polite::default()),
+                CmPolicy::Aggressive => Stm::with_cm(tb, cfg, Aggressive),
+                CmPolicy::Suicide => Stm::with_cm(tb, cfg, Suicide),
+                CmPolicy::Karma => Stm::with_cm(tb, cfg, Karma),
+                CmPolicy::Timestamp => Stm::with_cm(tb, cfg, TimestampCm::default()),
+            }
         },
     )
 }
@@ -365,6 +444,17 @@ pub(crate) mod tests {
     use super::*;
     use crate::runner::run_steps;
     use lsa_wire::Request;
+
+    /// Find a registry entry by engine family and time-base name.
+    fn find_entry<'r>(
+        registry: &'r [EngineEntry],
+        engine: &str,
+        time_base: &str,
+    ) -> Option<&'r EngineEntry> {
+        registry
+            .iter()
+            .find(|e| e.engine == engine && e.time_base == time_base)
+    }
 
     /// `threads` workers of `kind` run `steps` each on tables sized by
     /// `cfg`, then the tables are audited.
@@ -445,7 +535,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_entry_runs_the_bank_workload() {
-        let wl = Workload::Tables(Kind::Bank);
+        let wl = Workload::Tables(Kind::Bank, TablesConfig::default());
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(10));
             assert!(
@@ -502,7 +592,11 @@ pub(crate) mod tests {
         // The bank workload spreads accounts round-robin across shards, so
         // transfers span shards and the cross-shard protocol must fire.
         let entry = find_entry(&reg, "lsa-sharded", "shared-counter").unwrap();
-        let out = entry.run(&Workload::Tables(Kind::Bank), 2, Duration::from_millis(20));
+        let out = entry.run(
+            &Workload::Tables(Kind::Bank, TablesConfig::default()),
+            2,
+            Duration::from_millis(20),
+        );
         assert!(out.commits() > 0);
         assert!(
             out.stats.cross_shard_commits > 0,
@@ -522,7 +616,11 @@ pub(crate) mod tests {
         // Any LSA run must surface the version-store gauges in its outcome:
         // the bank's account objects alone hold live versions.
         let entry = find_entry(&reg, "lsa-rt", "shared-counter").unwrap();
-        let out = entry.run(&Workload::Tables(Kind::Bank), 2, Duration::from_millis(10));
+        let out = entry.run(
+            &Workload::Tables(Kind::Bank, TablesConfig::default()),
+            2,
+            Duration::from_millis(10),
+        );
         assert!(
             out.stats.memory.versions_live >= 8,
             "live-version gauge not sampled: {:?}",
@@ -532,7 +630,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_entry_runs_the_intset_workload() {
-        let wl = Workload::Tables(Kind::Intset);
+        let wl = Workload::Tables(Kind::Intset, TablesConfig::default());
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(5));
             assert!(out.commits() > 0, "{} committed nothing", entry.label());
@@ -541,7 +639,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_entry_runs_the_hashset_workload() {
-        let wl = Workload::Tables(Kind::Hashset);
+        let wl = Workload::Tables(Kind::Hashset, TablesConfig::default());
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(5));
             assert!(out.commits() > 0, "{} committed nothing", entry.label());
@@ -565,7 +663,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_entry_runs_the_snapshot_workload() {
-        let wl = Workload::Tables(Kind::Snapshot);
+        let wl = Workload::Tables(Kind::Snapshot, TablesConfig::default());
         for entry in default_registry() {
             let out = entry.run(&wl, 2, Duration::from_millis(5));
             assert!(out.commits() > 0, "{} committed nothing", entry.label());
@@ -581,7 +679,7 @@ pub(crate) mod tests {
     fn placement_contrast_on_the_sharded_row() {
         let reg = default_registry();
         let entry = find_entry(&reg, "lsa-sharded", "shared-counter").unwrap();
-        let wl = Workload::Tables(Kind::Bank);
+        let wl = Workload::Tables(Kind::Bank, TablesConfig::default());
         let spread = entry.run_placed(&wl, PlacementHint::Spread, 2, Duration::from_millis(15));
         let part = entry.run_placed(
             &wl,
@@ -644,7 +742,34 @@ pub(crate) mod tests {
     fn parameterized_external_entries_label_and_run() {
         let entry = lsa_external_entry(10_000, 8);
         assert_eq!(entry.label(), "lsa-rt(external-10us-mv8)");
-        let out = entry.run(&Workload::Tables(Kind::Bank), 2, Duration::from_millis(5));
+        let out = entry.run(
+            &Workload::Tables(Kind::Bank, TablesConfig::default()),
+            2,
+            Duration::from_millis(5),
+        );
         assert!(out.commits() > 0);
+    }
+
+    /// Every contention-manager cell passes the engine-generic conformance
+    /// suite (`write_skew_forbidden` included); a failure names its cell.
+    #[test]
+    fn every_cm_policy_passes_the_conformance_suite() {
+        for policy in CmPolicy::ALL {
+            let entry = lsa_cm_entry(policy);
+            assert_eq!(
+                entry.label(),
+                format!("lsa-rt(perfect-cm-{})", policy.name())
+            );
+            let run =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry.run_conformance()));
+            if let Err(payload) = run {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic");
+                panic!("{} failed the conformance suite: {msg}", entry.label());
+            }
+        }
     }
 }

@@ -43,12 +43,6 @@ impl RunOutcome {
     pub fn tx_per_sec(&self) -> f64 {
         self.commits() as f64 / self.elapsed.as_secs_f64()
     }
-
-    /// Committed transactions per second, in millions (the paper's Figure 2
-    /// y-axis unit).
-    pub fn mtx_per_sec(&self) -> f64 {
-        self.tx_per_sec() / 1e6
-    }
 }
 
 /// Run `threads` workers for `duration`; `make(i)` builds worker `i`.

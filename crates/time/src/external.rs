@@ -11,8 +11,8 @@
 //!
 //! Masking uncertainty this way virtually shrinks every version's validity
 //! range by `dev` on each side, creating gaps of `2·dev` between versions
-//! (§3.2) — the effect quantified by the `err_sweep` experiment (EXP-ERR in
-//! DESIGN.md).
+//! (§3.2) — the effect quantified by the EXP-ERR experiment (`matrix --dev`,
+//! DESIGN.md §4).
 //!
 //! [`ExternalClock`] *injects* per-thread offsets of `±dev` on top of the
 //! globally coherent monotonic clock — each thread's clock is a
