@@ -33,7 +33,7 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// control tag from its *top* bits. A Fibonacci multiply puts its mixing in
 /// the high half (bit `k` of a product depends only on bits `0..=k` of the
 /// id), so the high half is folded into the low one: buckets then depend on
-/// every id bit — including the shard / instance / handle tags that sit
+/// every id bit — including the instance / handle tags that sit
 /// *above* the sequence number — while the tag keeps the product's best
 /// bits.
 #[derive(Clone, Copy, Debug, Default)]
@@ -125,19 +125,18 @@ mod tests {
     /// 2^16 ids per family: 4 per bucket at 14 bits, 512 per tag.
     const N: u64 = 1 << 16;
 
-    /// An object id as `lsa_stm::Stm` lays it out:
-    /// `instance << 40 | shard << 34 | seq`, shard 0 when unsharded.
-    fn stm_id(instance: u64, shard: u64, seq: u64) -> u64 {
-        (instance << 40) | (shard << 34) | seq
+    /// An object id as `lsa_stm::Stm` lays it out: `instance << 40 | seq`.
+    fn stm_id(instance: u64, seq: u64) -> u64 {
+        (instance << 40) | seq
     }
 
     /// Every id family the workspace produces, by name.
     fn families() -> Vec<(String, Vec<u64>)> {
-        let mut out = vec![
-            // `Stm::new_tvar` on an unsharded base.
+        vec![
+            // `Stm::new_tvar`.
             (
                 "sequential".to_string(),
-                (1..=N).map(|s| stm_id(3, 0, s)).collect(),
+                (1..=N).map(|s| stm_id(3, s)).collect(),
             ),
             // One thread's ids when many threads draw from one `BlockAlloc`
             // (block 64) in turn: runs of 64 every 64 × threads.
@@ -164,43 +163,20 @@ mod tests {
                 "alias".to_string(),
                 (1..=N).map(|s| s | (1 << 63)).collect(),
             ),
-        ];
-        // `Stm` on a sharded base draws one sequence per runtime. Placed
-        // round-robin, the shard bits repeat the sequence's low bits;
-        // placed by partition (`new_tvar_on`, one contiguous run per
-        // shard), its high bits.
-        for shards in [2u64, 4, 8, 16, 32, 64] {
-            out.push((
-                format!("shard-tagged/{shards}"),
-                (0..N).map(|s| stm_id(5, s % shards, s)).collect(),
-            ));
-            out.push((
-                format!("shard-placed/{shards}"),
-                (0..N).map(|s| stm_id(5, s * shards / N, s)).collect(),
-            ));
-        }
-        out
+        ]
     }
 
     #[test]
     fn every_id_family_spreads_over_buckets_and_tags() {
         // Stated factors of uniform, for 65 536 ids over 2^7 / 2^10 / 2^14
-        // buckets (512 / 64 / 4 per bucket). Measured worst over the
-        // unsharded families: 1.38× (handle-tagged) / 1.98× (sequential) /
-        // 4.25× (alias); over the sharded ones: 1.14× / 2.48×
-        // (shard-tagged/16) / 6.75× (shard-tagged/64); tags 1.06×. A random
-        // function's fullest bucket would hold ~1.1× / ~1.4× / ~4×: the
-        // fold is about as good as random on the unsharded families and up
-        // to ~1.7× worse on the sharded ones, but bounded on *every*
+        // buckets (512 / 64 / 4 per bucket). Measured worst: 1.38×
+        // (handle-tagged) / 1.98× (sequential) / 4.25× (alias); tags 1.06×.
+        // A random function's fullest bucket would hold ~1.1× / ~1.4× /
+        // ~4×: the fold is about as good as random and bounded on *every*
         // family, where the bare multiply spreads sequential ids perfectly
         // and piles strided or tag-only-differing ones 8–64× deep.
         for (name, ids) in families() {
-            let factors = if name.starts_with("shard-") {
-                [(7, 1.5), (10, 2.5), (14, 7.0)]
-            } else {
-                [(7, 1.5), (10, 2.25), (14, 4.5)]
-            };
-            for (bits, factor) in factors {
+            for (bits, factor) in [(7, 1.5), (10, 2.25), (14, 4.5)] {
                 let skew = bucket_skew(&ids, bits);
                 assert!(
                     skew <= factor,
@@ -217,11 +193,11 @@ mod tests {
         // The failure a bare multiply would have: ids equal in their low 34
         // bits must not share their low hash bits.
         let buckets: std::collections::BTreeSet<u64> = (0..64u64)
-            .map(|shard| hash(7 | (shard << 34)) & 1023)
+            .map(|high| hash(7 | (high << 34)) & 1023)
             .collect();
         assert!(
             buckets.len() >= 48,
-            "64 shards hit {} buckets",
+            "64 high-bit patterns hit {} buckets",
             buckets.len()
         );
     }

@@ -3,7 +3,7 @@
 //! The SPAA'07 paper's central claim is that the LSA algorithm is decoupled
 //! from its *time base*. This crate decouples the rest of the workspace from
 //! its *engine*: the [`TxnEngine`] trait family is implemented by
-//! `lsa_stm::Stm` (LSA-RT, sharded or not) and by the one baseline runtime
+//! `lsa_stm::Stm` (LSA-RT) and by the one baseline runtime
 //! behind `lsa_baseline::Tl2Stm`, `lsa_baseline::ValidationStm` and
 //! `lsa_baseline::NorecStm`, so every workload, experiment and test can run
 //! on any engine × time-base combination — the design-space matrix the
@@ -101,32 +101,12 @@ pub trait TxnEngine: Clone + Send + Sync + 'static {
     /// Create a transactional variable initialized to `value`.
     fn new_var<T: Send + Sync + 'static>(&self, value: T) -> Self::Var<T>;
 
-    /// Create a transactional variable with a *placement hint*: ask the
-    /// engine to home the object on shard `shard % shards()`. Unsharded
-    /// engines ignore the hint (the default), so workload code can pin its
-    /// partitions unconditionally — on `lsa-sharded` the hint routes the
-    /// object shard-locally (`Stm::new_tvar_on`), everywhere else it
-    /// degenerates to [`new_var`](TxnEngine::new_var).
-    fn new_var_on<T: Send + Sync + 'static>(&self, shard: usize, value: T) -> Self::Var<T> {
-        let _ = shard;
-        self.new_var(value)
-    }
-
     /// Register the calling thread, allocating its clock/stats state.
     fn register(&self) -> Self::Handle;
 
     /// Human-readable engine identifier for experiment output, including the
     /// time base or mode, e.g. `"lsa-rt(mmtimer)"` or `"validation(always)"`.
     fn engine_name(&self) -> String;
-
-    /// Number of disjoint object shards this engine instance routes objects
-    /// across. Unsharded engines report 1 (the default); sharded engines
-    /// report the shard count they were constructed with, which is how the
-    /// harness surfaces the construction-time shard axis without widening
-    /// every constructor signature.
-    fn shards(&self) -> usize {
-        1
-    }
 
     /// The latest committed value of `var`, read non-transactionally. Only
     /// meaningful while no update transactions are in flight (seeding,
@@ -371,7 +351,7 @@ impl fmt::Display for MemoryStats {
 /// The statistics of every engine: the one struct a handle's
 /// [`StatsShard`] reads out as. A counter only one engine has reads 0 on
 /// the others (`helps` and `wm_advances` are LSA's, `fastpath_commits`
-/// TL2's, `cross_shard_commits` a sharded LSA's).
+/// TL2's).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Committed update transactions.
@@ -411,11 +391,6 @@ pub struct EngineStats {
     /// (shared counter, block) and on value-based engines. Counted when the
     /// attempt commits, so it never exceeds `commits`.
     pub shared_commit_ts: u64,
-    /// Committed update transactions that touched objects on two or more
-    /// shards and therefore escalated to the cross-shard commit protocol
-    /// (per-shard commit-timestamp acquisition before the atomic
-    /// status-word publish). Always zero on unsharded engines.
-    pub cross_shard_commits: u64,
     /// Commits completed on behalf of other transactions (LSA's helping,
     /// Algorithm 3 line 13).
     pub helps: u64,
@@ -456,13 +431,6 @@ impl EngineStats {
         ratio(self.shared_commit_ts, self.commits)
     }
 
-    /// Cross-shard commits per update commit — how often transactions
-    /// actually spanned shards and escalated to the cross-shard protocol
-    /// (0 when nothing committed, and on unsharded engines).
-    pub fn cross_shard_per_commit(&self) -> f64 {
-        ratio(self.cross_shard_commits, self.commits)
-    }
-
     /// Merge another thread's counters into this one.
     pub fn merge(&mut self, other: &EngineStats) {
         self.commits += other.commits;
@@ -475,7 +443,6 @@ impl EngineStats {
         self.revalidation_failures += other.revalidation_failures;
         self.validated_entries += other.validated_entries;
         self.shared_commit_ts += other.shared_commit_ts;
-        self.cross_shard_commits += other.cross_shard_commits;
         self.helps += other.helps;
         self.conflicts += other.conflicts;
         self.wm_advances += other.wm_advances;
@@ -498,7 +465,7 @@ impl fmt::Display for EngineStats {
         write!(
             f,
             "commits={} (ro={}) aborts={} [{}] reads={} writes={} \
-             validations={} (failed={}, entries={}) shared-ts={} xshard={} \
+             validations={} (failed={}, entries={}) shared-ts={} \
              helps={} conflicts={} wm-adv={} fastpath={} mem[{}]",
             self.total_commits(),
             self.ro_commits,
@@ -510,7 +477,6 @@ impl fmt::Display for EngineStats {
             self.revalidation_failures,
             self.validated_entries,
             self.shared_commit_ts,
-            self.cross_shard_commits,
             self.helps,
             self.conflicts,
             self.wm_advances,
@@ -544,7 +510,6 @@ mod tests {
             revalidation_failures: 2,
             validated_entries: 18,
             shared_commit_ts: 2,
-            cross_shard_commits: 3,
             ..Default::default()
         };
         a.merge(&b);
@@ -558,10 +523,8 @@ mod tests {
         assert_eq!(a.revalidation_failures, 2);
         assert_eq!(a.validated_entries, 18);
         assert_eq!(a.shared_commit_ts, 2);
-        assert_eq!(a.cross_shard_commits, 3);
         assert_eq!(a.validations_per_commit(), 0.75);
         assert_eq!(a.shared_ts_per_commit(), 0.5);
-        assert_eq!(a.cross_shard_per_commit(), 0.75);
         assert!(a.to_string().contains("commits=8"));
         assert!(a
             .to_string()

@@ -42,7 +42,6 @@ pub enum Stat {
     RevalidationFailures,
     ValidatedEntries,
     SharedCommitTs,
-    CrossShardCommits,
     Helps,
     Conflicts,
     WmAdvances,
@@ -139,7 +138,6 @@ impl StatsShard {
             revalidation_failures: self.get(Stat::RevalidationFailures),
             validated_entries: self.get(Stat::ValidatedEntries),
             shared_commit_ts: self.get(Stat::SharedCommitTs),
-            cross_shard_commits: self.get(Stat::CrossShardCommits),
             helps: self.get(Stat::Helps),
             conflicts: self.get(Stat::Conflicts),
             wm_advances: self.get(Stat::WmAdvances),

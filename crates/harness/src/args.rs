@@ -6,7 +6,7 @@ use crate::open_loop::Kind;
 use crate::registry::{default_registry, lsa_cm_entry, lsa_external_entry};
 use crate::registry::{CmPolicy, EngineEntry, Workload};
 use lsa_wire::TablesConfig;
-use lsa_workloads::{DisjointConfig, PlacementHint, ScanConfig};
+use lsa_workloads::{DisjointConfig, ScanConfig};
 
 /// A parsed `N` or `A..B` argument. A single value is a degenerate range
 /// (`lo == hi`), so callers sweep unconditionally and single-point runs
@@ -77,8 +77,6 @@ pub struct MatrixArgs {
     pub workloads: Vec<Workload>,
     /// `--threads N | A..B`; defaults to the host's parallelism, at most 4.
     pub threads: Vec<usize>,
-    /// `--placement spread|partitioned`.
-    pub placement: PlacementHint,
     /// `--timebase A,B,…`: keep rows whose time base contains any of these.
     pub timebase: Vec<String>,
     /// `--dev LIST`, given in µs and held in ns: external-clock rows,
@@ -102,7 +100,6 @@ impl MatrixArgs {
         let mut args = MatrixArgs {
             workloads: Vec::new(),
             threads: vec![std::thread::available_parallelism().map_or(2, |n| n.get().min(4))],
-            placement: PlacementHint::Spread,
             timebase: Vec::new(),
             dev_ns: Vec::new(),
             cm: Vec::new(),
@@ -114,11 +111,6 @@ impl MatrixArgs {
             match flag.as_str() {
                 "disjoint" => workload = Workload::Disjoint(DisjointConfig::default()),
                 "scan" => workload = Workload::Scan(ScanConfig::default()),
-                "--placement" => {
-                    args.placement = value
-                        .and_then(|v| PlacementHint::parse(v))
-                        .ok_or_else(|| bad("spread or partitioned"))?;
-                }
                 "--threads" => {
                     args.threads = value
                         .and_then(|v| RangeSpec::parse(v))

@@ -9,7 +9,6 @@
 //! cargo run --release -p lsa-harness --bin matrix -- intset
 //! cargo run --release -p lsa-harness --bin matrix -- hashset
 //! cargo run --release -p lsa-harness --bin matrix -- snapshot
-//! cargo run --release -p lsa-harness --bin matrix -- bank --placement partitioned
 //! cargo run --release -p lsa-harness --bin matrix -- bank --threads 1..8
 //! cargo run --release -p lsa-harness --bin matrix -- bank --timebase gv4,seqlock
 //! # EXP-ERR (§4.3): external clocks, multi- (mv8) and single-version (mv1)
@@ -33,11 +32,7 @@
 //! objects per thread); `--accounts N` sizes the served mixes' bank.
 //! `--threads A..B` sweeps every cell over the inclusive thread range and
 //! prints one row per (cell, size, thread count) — the Figure-2-shaped
-//! scaling view. `--placement partitioned` pins bank account groups (the
-//! `bank` and `snapshot` rows) / disjoint thread partitions shard-locally
-//! (`TxnEngine::new_var_on`) instead of the default round-robin spreading
-//! — contrast the `xshard/commit` column across the two placements on the
-//! `lsa-sharded` rows.
+//! scaling view.
 //! Honours `LSA_MEASURE_MS` (per-point window) and `LSA_CSV=1` like every
 //! harness binary. `bank`, `snapshot`, `intset` and `hashset` are the
 //! served request mixes (`lsa_harness::Kind`), each step one
@@ -59,7 +54,7 @@ use lsa_harness::{f2, f3, measure_window, Table};
 fn usage_exit(context: &str) -> ! {
     eprintln!(
         "usage: matrix [bank|disjoint|scan|intset|hashset|snapshot] \
-         [--threads N | --threads A..B] [--placement spread|partitioned] \
+         [--threads N | --threads A..B] \
          [--timebase SUBSTR,...] [--dev US,...] [--cm POLICY,...] \
          [--size N,...] [--accounts N]   ({context})"
     );
@@ -97,9 +92,7 @@ fn main() {
         &[
             "engine",
             "time base",
-            "shards",
             "threads",
-            "placement",
             "size",
             "tx/s",
             "aborts/commit",
@@ -109,7 +102,6 @@ fn main() {
             "ns/read",
             "reval failures",
             "shared-ts/commit",
-            "xshard/commit",
             "live-vers",
             "arena-b",
             "wm-lag",
@@ -118,15 +110,13 @@ fn main() {
     for entry in &rows {
         for workload in &args.workloads {
             for &threads in &args.threads {
-                let out = entry.run_placed(workload, args.placement, threads, window);
+                let out = entry.run(workload, threads, window);
                 let s = &out.stats;
                 let thread_ns = out.elapsed.as_nanos() as f64 * threads as f64;
                 t.row(vec![
                     entry.engine.clone(),
                     entry.time_base.clone(),
-                    entry.shards.to_string(),
                     threads.to_string(),
-                    args.placement.to_string(),
                     workload.size().to_string(),
                     format!("{:.0}", out.tx_per_sec()),
                     f3(s.abort_ratio()),
@@ -136,7 +126,6 @@ fn main() {
                     f2(thread_ns / s.reads.max(1) as f64),
                     s.revalidation_failures.to_string(),
                     f3(s.shared_ts_per_commit()),
-                    f3(s.cross_shard_per_commit()),
                     s.memory.versions_live.to_string(),
                     s.memory.arena_bytes.to_string(),
                     s.memory.watermark_lag.to_string(),
@@ -155,11 +144,7 @@ fn main() {
          ns/read is thread-time per read (per scanned object on scan). \
          shared-ts/commit > 0 marks cells whose time base hands out \
          shared-class commit timestamps (GV4/GV5 sharing; block never \
-         shares — lost confirmations re-arbitrate). xshard/commit > 0 marks \
-         cells whose transactions spanned object shards and escalated to the \
-         sharded engine's cross-shard commit protocol; --placement \
-         partitioned pins the bank accounts (bank, snapshot) and disjoint \
-         partitions shard-locally and drives it to 0. the abort column is the cross-engine taxonomy \
+         shares — lost confirmations re-arbitrate). the abort column is the cross-engine taxonomy \
          (validation/no-version/contention/overload). live-vers/arena-b are \
          the post-run version-store gauges (live version nodes and arena \
          bytes backing them; 0 on single-version engines) and wm-lag is the \

@@ -22,7 +22,7 @@
 //! spaced rates per cell and marks the first saturated point `<-- knee`.
 //!
 //! By default one representative cell per engine family runs (`lsa-rt`,
-//! `lsa-sharded`, `tl2`, `norec`, `validation`); `--all-cells` sweeps the
+//! `tl2`, `norec`, `validation`); `--all-cells` sweeps the
 //! whole registry, `--engine`/`--timebase` filter by substring. Honours
 //! `LSA_MEASURE_MS` (per-point submission window) and `LSA_CSV=1`.
 //!
@@ -132,9 +132,8 @@ fn parse_args() -> Args {
 
 /// One representative cell per engine family — the default sweep stays
 /// seconds-not-minutes while still contrasting every engine class.
-const DEFAULT_CELLS: [(&str, &str); 5] = [
+const DEFAULT_CELLS: [(&str, &str); 4] = [
     ("lsa-rt", "shared-counter"),
-    ("lsa-sharded", "shared-counter"),
     ("tl2", "shared-counter"),
     ("norec", "seqlock"),
     ("validation", "commit-counter"),
@@ -257,7 +256,6 @@ fn main() {
             "transport",
             "engine",
             "time base",
-            "shards",
             "offered/s",
             "done/s",
             "p50 us",
@@ -328,7 +326,6 @@ fn main() {
                         transport.name().into(),
                         entry.engine.clone(),
                         entry.time_base.clone(),
-                        entry.shards.to_string(),
                         format!("{:.0}", spec.rate),
                         format!("{:.0}", out.throughput()),
                         us(out.latency.p50()),

@@ -15,7 +15,7 @@ use lsa_time::external::ExternalClock;
 use lsa_time::hardware::HardwareClock;
 use lsa_time::sync_measure::{measure, summarize, SyncMeasureConfig};
 use lsa_wire::TablesConfig;
-use lsa_workloads::{DisjointConfig, DisjointWorkload, PlacementHint};
+use lsa_workloads::{DisjointConfig, DisjointWorkload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -116,7 +116,7 @@ fn main() {
         let tb = ExternalClock::new(dev);
         let engine = Stm::with_config(tb, StmConfig::multi_version(8));
         let bank = Workload::Tables(Kind::Bank, TablesConfig::default());
-        let run = || run_workload(engine, &bank, PlacementHint::Spread, 2, window, false);
+        let run = || run_workload(engine, &bank, 2, window, false);
         match catch_unwind(AssertUnwindSafe(run)) {
             Ok(out) => (out.stats.abort_ratio(), true),
             Err(_) => (f64::NAN, false),

@@ -2,15 +2,11 @@
 mod tests {
     use crate::open_loop::Kind;
     use crate::registry::tests::{apply_n, run_kind};
-    use crate::registry::TablesWorker;
-    use crate::runner::BenchWorker;
     use lsa_baseline::{Tl2Stm, ValidationMode, ValidationStm};
     use lsa_stm::{Stm, StmConfig};
     use lsa_time::counter::SharedCounter;
     use lsa_time::external::ExternalClock;
-    use lsa_time::sharded::ShardedTimeBase;
-    use lsa_wire::{Request, Tables, TablesConfig};
-    use lsa_workloads::PlacementHint;
+    use lsa_wire::{Request, TablesConfig};
 
     fn bank(accounts: u32, initial: i64) -> TablesConfig {
         TablesConfig {
@@ -43,37 +39,6 @@ mod tests {
         let tb = ExternalClock::new(100_000);
         let engine = Stm::with_config(tb, StmConfig::multi_version(8));
         run_kind(engine, Kind::Bank, &bank(16, 500), 4, 500);
-    }
-
-    #[test]
-    fn partitioned_placement_keeps_transfers_single_shard() {
-        // Audits read every account and cross shards, but a read-only
-        // commit is never a cross-shard commit.
-        let run = |placement| {
-            let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
-            let tables = Tables::with_placement(&engine, &bank(32, 100), placement);
-            let mut w = TablesWorker::new(&engine, &tables, Kind::Bank, 0);
-            for _ in 0..100 {
-                w.step();
-            }
-            tables.assert_quiescent(&engine);
-            (tables.groups(), w.worker_stats())
-        };
-        let (groups, s) = run(PlacementHint::Partitioned);
-        assert_eq!(groups, 4);
-        assert_eq!(s.total_commits(), 100);
-        assert_eq!(
-            s.cross_shard_commits, 0,
-            "partitioned transfers must stay shard-local"
-        );
-
-        // The spread baseline on the same engine does cross shards.
-        let (groups, s) = run(PlacementHint::Spread);
-        assert_eq!(groups, 1);
-        assert!(
-            s.cross_shard_commits > 0,
-            "round-robin spreading must produce cross-shard transfers"
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! [`Transport`] decides only how it gets there:
 //!
 //! * [`Transport::Service`] submits a pooled [`RunRequest`] record straight
-//!   to a [`TxnService`], routed by [`shard_hint`];
+//!   to a [`TxnService`];
 //! * [`Transport::Wire`] sends it through a pipelined [`WireClient`] to a
 //!   loopback [`WireServer`].
 //!
@@ -34,8 +34,7 @@ use lsa_service::{
     LatencyHistogram, Pool, PoolStats, RunRequest, ServiceConfig, SubmitError, TxnService,
 };
 use lsa_wire::{
-    shard_hint, PendingReply, Reply, Request, ServerConfig, SetOp, Tables, TablesConfig,
-    WireClient, WireServer,
+    PendingReply, Reply, Request, ServerConfig, SetOp, Tables, TablesConfig, WireClient, WireServer,
 };
 use lsa_workloads::FastRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,10 +80,8 @@ impl Kind {
     }
 
     /// Draw one request. Account and key ranges come from the tables'
-    /// sizing, so no request is ever out of range; with `groups > 1` (the
-    /// tables' [`Tables::groups`]) a transfer stays inside one account
-    /// group. One group draws exactly what the whole table does.
-    pub fn draw(self, rng: &mut FastRng, cfg: &TablesConfig, groups: usize) -> Request {
+    /// sizing, so no request is ever out of range.
+    pub fn draw(self, rng: &mut FastRng, cfg: &TablesConfig) -> Request {
         let set_op = |rng: &mut FastRng| match rng.below(10) {
             0..=5 => SetOp::Member,
             6 | 7 => SetOp::Insert,
@@ -97,18 +94,11 @@ impl Kind {
                     return Request::BankAudit;
                 }
                 let n = cfg.accounts as usize;
-                let (lo, hi) = if groups > 1 {
-                    let g = rng.below(groups);
-                    (g * n / groups, (g + 1) * n / groups)
-                } else {
-                    (0, n)
-                };
-                let span = hi - lo;
-                let from = rng.below(span);
-                let to = (from + 1 + rng.below(span - 1)) % span;
+                let from = rng.below(n);
+                let to = (from + 1 + rng.below(n - 1)) % n;
                 Request::BankTransfer {
-                    from: (lo + from) as u32,
-                    to: (lo + to) as u32,
+                    from: from as u32,
+                    to: to as u32,
                     amount: rng.range(1, 100),
                 }
             }
@@ -352,7 +342,7 @@ fn drive<E: TxnEngine>(mut path: impl ServingPath, engine: &E, spec: &Spec) -> O
                 path.scrape();
                 scraped = true;
             }
-            path.offer(spec.kind.draw(&mut rng, &cfg, 1));
+            path.offer(spec.kind.draw(&mut rng, &cfg));
             offered += 1;
         }
         samples.push(engine.memory_stats());
@@ -459,8 +449,7 @@ impl<E: TxnEngine> ServingPath for ServicePath<E> {
             })
         });
         record.req = req;
-        let shard = shard_hint(&req).map(|s| s as usize);
-        match self.svc.submit_record(shard, record) {
+        match self.svc.submit_record(record) {
             Ok(()) => self.audits += u64::from(req == Request::BankAudit),
             Err((SubmitError::Overloaded, record)) => record.recycle(),
             Err((SubmitError::Closed, _)) => {
@@ -636,8 +625,7 @@ impl<E: TxnEngine> ServingPath for WirePath<E> {
 mod tests {
     use super::*;
     use lsa_stm::{Stm, StmConfig};
-    use lsa_time::counter::SharedCounter;
-    use lsa_time::sharded::ShardedTimeBase;
+    use lsa_time::counter::{BlockCounter, SharedCounter};
 
     fn quick_spec(transport: Transport, kind: Kind) -> Spec {
         Spec {
@@ -753,12 +741,12 @@ mod tests {
         assert!(service.contains(&Request::BankAudit));
     }
 
-    /// Every kind serves, accounts and checks its audits on a sharded LSA
-    /// engine.
-    fn every_kind_on_sharded_lsa(transport: Transport) {
+    /// Every kind serves, accounts and checks its audits on LSA-RT over the
+    /// block counter.
+    fn every_kind_on_block_lsa(transport: Transport) {
         for kind in Kind::ALL {
             let out = run_open_loop(
-                Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)),
+                Stm::new(BlockCounter::new(64)),
                 &Spec {
                     duration: Duration::from_millis(80),
                     ..quick_spec(transport, kind)
@@ -775,12 +763,12 @@ mod tests {
 
     #[test]
     fn all_request_kinds_run_on_sharded_lsa() {
-        every_kind_on_sharded_lsa(Transport::Service);
+        every_kind_on_block_lsa(Transport::Service);
     }
 
     #[test]
     fn every_kind_runs_on_the_sharded_engine() {
-        every_kind_on_sharded_lsa(Transport::Wire);
+        every_kind_on_block_lsa(Transport::Wire);
     }
 
     #[test]

@@ -28,17 +28,9 @@ use lsa_time::external::ExternalClock;
 use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
-use lsa_time::sharded::ShardedTimeBase;
 use lsa_wire::{Tables, TablesConfig};
-use lsa_workloads::{
-    DisjointConfig, DisjointWorkload, FastRng, PlacementHint, ScanConfig, ScanWorkload,
-};
+use lsa_workloads::{DisjointConfig, DisjointWorkload, FastRng, ScanConfig, ScanWorkload};
 use std::time::Duration;
-
-/// Shard count of the `lsa-sharded` registry rows. Eight shards on the
-/// default round-robin routing gives the bank/intset workloads plenty of
-/// cross-shard transactions while keeping per-shard tables non-trivial.
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// A workload selection with its parameters.
 #[derive(Clone, Copy, Debug)]
@@ -118,9 +110,7 @@ impl<E: TxnEngine> TablesWorker<E> {
 impl<E: TxnEngine> BenchWorker for TablesWorker<E> {
     fn step(&mut self) {
         let tables = &self.tables;
-        let req = self
-            .kind
-            .draw(&mut self.rng, tables.config(), tables.groups());
+        let req = self.kind.draw(&mut self.rng, tables.config());
         let reply = tables.apply(&mut self.handle, &req);
         assert!(
             completes(&reply, tables.expected_total()),
@@ -133,11 +123,9 @@ impl<E: TxnEngine> BenchWorker for TablesWorker<E> {
     }
 }
 
-/// Run `workload` on `engine` with `threads` workers for `window`, placing
-/// partitions per `placement` (the bank accounts and disjoint partitions
-/// are pinned shard-locally under `Partitioned`; scans have no natural
-/// partition and ignore it) and, with `pin`, pinning workers to cores
-/// (best-effort, see [`crate::runner::run_for_pinned`]).
+/// Run `workload` on `engine` with `threads` workers for `window` and, with
+/// `pin`, pinning workers to cores (best-effort, see
+/// [`crate::runner::run_for_pinned`]).
 ///
 /// This is the single engine-generic entry point every registry entry and
 /// experiment shares: one monomorphization per engine type, zero per-engine
@@ -147,14 +135,13 @@ impl<E: TxnEngine> BenchWorker for TablesWorker<E> {
 pub fn run_workload<E: TxnEngine>(
     engine: E,
     workload: &Workload,
-    placement: PlacementHint,
     threads: usize,
     window: Duration,
     pin: bool,
 ) -> RunOutcome {
     let mut out = match workload {
         Workload::Tables(kind, cfg) => {
-            let tables = Tables::with_placement(&engine, cfg, placement);
+            let tables = Tables::build(&engine, cfg);
             let out = run_for_pinned(threads, window, pin, |i| {
                 TablesWorker::new(&engine, &tables, *kind, i)
             });
@@ -162,7 +149,7 @@ pub fn run_workload<E: TxnEngine>(
             out
         }
         Workload::Disjoint(cfg) => {
-            let wl = DisjointWorkload::with_placement(engine.clone(), threads, *cfg, placement);
+            let wl = DisjointWorkload::new(engine.clone(), threads, *cfg);
             let out = run_for_pinned(threads, window, pin, |i| wl.worker(i));
             assert_eq!(
                 wl.total(),
@@ -184,8 +171,7 @@ pub fn run_workload<E: TxnEngine>(
 
 /// Type-erased runner stored in an [`EngineEntry`]. The trailing flag is
 /// thread pinning (see [`run_workload`]).
-type EntryRunner =
-    Box<dyn Fn(&Workload, PlacementHint, usize, Duration, bool) -> RunOutcome + Send + Sync>;
+type EntryRunner = Box<dyn Fn(&Workload, usize, Duration, bool) -> RunOutcome + Send + Sync>;
 type EntryServe = Box<dyn Fn(&Spec) -> Outcome + Send + Sync>;
 
 /// One engine × time-base combination, ready to run any [`Workload`].
@@ -196,10 +182,6 @@ pub struct EngineEntry {
     /// Parameterized entries (external-clock sweeps) carry their parameters
     /// here, e.g. `"external-10us-mv8"`.
     pub time_base: String,
-    /// Object-shard count this entry's engine is constructed with
-    /// ([`TxnEngine::shards`]; 1 for unsharded engines) — the matrix prints
-    /// it as the `shards` column.
-    pub shards: usize,
     /// Pin worker threads to cores for this entry's runs (best-effort; set
     /// on the modeled-NUMA cells via [`EngineEntry::pinned`]).
     pub pin: bool,
@@ -211,8 +193,7 @@ pub struct EngineEntry {
 
 impl EngineEntry {
     /// Build an entry from an engine factory. A fresh engine is constructed
-    /// per run so successive runs never share state (one throwaway instance
-    /// is constructed here to read the static [`TxnEngine::shards`] axis).
+    /// per run so successive runs never share state.
     pub fn new<E, F>(engine: impl Into<String>, time_base: impl Into<String>, factory: F) -> Self
     where
         E: TxnEngine,
@@ -222,14 +203,12 @@ impl EngineEntry {
         let run_factory = std::sync::Arc::clone(&factory);
         let serve_factory = std::sync::Arc::clone(&factory);
         let service_conf_factory = std::sync::Arc::clone(&factory);
-        let shards = factory().shards();
         EngineEntry {
             engine: engine.into(),
             time_base: time_base.into(),
-            shards,
             pin: false,
-            run: Box::new(move |wl, placement, threads, window, pin| {
-                run_workload(run_factory(), wl, placement, threads, window, pin)
+            run: Box::new(move |wl, threads, window, pin| {
+                run_workload(run_factory(), wl, threads, window, pin)
             }),
             serve: Box::new(move |spec| run_open_loop(serve_factory(), spec)),
             conformance: Box::new(move || lsa_engine::conformance::full_suite(&factory())),
@@ -255,19 +234,7 @@ impl EngineEntry {
 
     /// Run `workload` on a freshly constructed engine.
     pub fn run(&self, workload: &Workload, threads: usize, window: Duration) -> RunOutcome {
-        (self.run)(workload, PlacementHint::Spread, threads, window, self.pin)
-    }
-
-    /// [`run`](EngineEntry::run) with an explicit [`PlacementHint`] — the
-    /// matrix's `partitioned` vs `spread` contrast.
-    pub fn run_placed(
-        &self,
-        workload: &Workload,
-        placement: PlacementHint,
-        threads: usize,
-        window: Duration,
-    ) -> RunOutcome {
-        (self.run)(workload, placement, threads, window, self.pin)
+        (self.run)(workload, threads, window, self.pin)
     }
 
     /// Run an open-loop serving benchmark ([`run_open_loop`]) on a freshly
@@ -400,23 +367,6 @@ pub fn default_registry() -> Vec<EngineEntry> {
         EngineEntry::new("lsa-rt", "external-10us", || {
             Stm::with_config(ExternalClock::new(10_000), StmConfig::multi_version(8))
         }),
-        // LSA-RT on the sharded composite base: disjoint object shards,
-        // per-shard arbitration, cross-shard two-phase commits (DESIGN.md
-        // §9). Only composable bases appear — the composite rejects gv4/gv5
-        // (not commit-monotonic) and real-time bases (best-effort blocks).
-        EngineEntry::new("lsa-sharded", "shared-counter", || {
-            Stm::new(ShardedTimeBase::new(SharedCounter::new(), DEFAULT_SHARDS))
-        }),
-        EngineEntry::new("lsa-sharded", "block64", || {
-            Stm::new(ShardedTimeBase::new(BlockCounter::new(64), DEFAULT_SHARDS))
-        }),
-        EngineEntry::new("lsa-sharded", "numa-altix", || {
-            Stm::new(ShardedTimeBase::new(
-                NumaCounter::new(NumaModel::altix()),
-                DEFAULT_SHARDS,
-            ))
-        })
-        .pinned(),
         EngineEntry::new(
             "tl2",
             "shared-counter",
@@ -571,44 +521,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sharded_rows_are_registered_and_report_cross_shard_commits() {
-        let reg = default_registry();
-        let sharded: Vec<_> = reg.iter().filter(|e| e.engine == "lsa-sharded").collect();
-        assert!(
-            sharded.len() >= 3,
-            "need >= 3 lsa-sharded cells, got {}",
-            sharded.len()
-        );
-        for tb in ["shared-counter", "block64", "numa-altix"] {
-            let entry = find_entry(&reg, "lsa-sharded", tb)
-                .unwrap_or_else(|| panic!("missing lsa-sharded({tb}) row"));
-            assert_eq!(entry.shards, DEFAULT_SHARDS, "shard axis not surfaced");
-        }
-        assert_eq!(
-            find_entry(&reg, "lsa-rt", "shared-counter").unwrap().shards,
-            1,
-            "unsharded engines report one shard"
-        );
-        // The bank workload spreads accounts round-robin across shards, so
-        // transfers span shards and the cross-shard protocol must fire.
-        let entry = find_entry(&reg, "lsa-sharded", "shared-counter").unwrap();
-        let out = entry.run(
-            &Workload::Tables(Kind::Bank, TablesConfig::default()),
-            2,
-            Duration::from_millis(20),
-        );
-        assert!(out.commits() > 0);
-        assert!(
-            out.stats.cross_shard_commits > 0,
-            "bank transfers on 8 shards must escalate to cross-shard commits"
-        );
-    }
-
-    #[test]
     fn numa_rows_are_pinned_and_memory_gauges_flow() {
         let reg = default_registry();
         assert!(find_entry(&reg, "lsa-rt", "numa-altix").unwrap().pin);
-        assert!(find_entry(&reg, "lsa-sharded", "numa-altix").unwrap().pin);
         assert!(
             !find_entry(&reg, "lsa-rt", "shared-counter").unwrap().pin,
             "only the modeled-NUMA cells pin by default"
@@ -675,33 +590,11 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn placement_contrast_on_the_sharded_row() {
-        let reg = default_registry();
-        let entry = find_entry(&reg, "lsa-sharded", "shared-counter").unwrap();
-        let wl = Workload::Tables(Kind::Bank, TablesConfig::default());
-        let spread = entry.run_placed(&wl, PlacementHint::Spread, 2, Duration::from_millis(15));
-        let part = entry.run_placed(
-            &wl,
-            PlacementHint::Partitioned,
-            2,
-            Duration::from_millis(15),
-        );
-        assert!(
-            spread.stats.cross_shard_commits > 0,
-            "spread transfers must cross shards"
-        );
-        assert_eq!(
-            part.stats.cross_shard_commits, 0,
-            "partitioned transfers must stay shard-local"
-        );
-    }
-
-    /// The `serve` hook runs a bank mix over `transport` on an LSA row and
-    /// a sharded row without losing a request.
+    /// The `serve` hook runs a bank mix over `transport` on two LSA rows
+    /// without losing a request.
     fn entries_serve_bank_over(transport: crate::open_loop::Transport) {
         let reg = default_registry();
-        for (engine, tb) in [("lsa-rt", "shared-counter"), ("lsa-sharded", "block64")] {
+        for (engine, tb) in [("lsa-rt", "shared-counter"), ("lsa-rt", "block64")] {
             let entry = find_entry(&reg, engine, tb).unwrap();
             let out = entry.serve(&Spec {
                 transport,

@@ -11,11 +11,6 @@
 //! commit a serializable history, the audit check that no request observes
 //! a torn snapshot, and both assert the service's own accounting
 //! (`completed == submitted`, nothing lost in the queues).
-//!
-//! Objects are placed with [`TxnEngine::new_var_on`] and requests routed
-//! with the matching shard hint, so on sharded engines the suite exercises
-//! the shard-affine path; on unsharded engines the hints are inert and the
-//! same code certifies round-robin routing.
 
 use crate::service::{ServiceConfig, SubmitError, TxnService};
 use crate::Completion;
@@ -40,14 +35,14 @@ impl Lcg {
 /// Submit with retry-on-shed: conformance clients are closed-loop, so a
 /// shed just means "try again" (the load generator, by contrast, *counts*
 /// sheds — that is the open-loop difference).
-fn submit_retrying<E, R, F>(svc: &TxnService<E>, shard: Option<usize>, body: F) -> Completion<R>
+fn submit_retrying<E, R, F>(svc: &TxnService<E>, body: F) -> Completion<R>
 where
     E: TxnEngine,
     R: Send + 'static,
     F: Fn(&mut E::Handle) -> R + Send + Clone + 'static,
 {
     loop {
-        match svc.submit_to(shard, body.clone()) {
+        match svc.submit(body.clone()) {
             Ok(c) => return c,
             Err(SubmitError::Overloaded) => std::thread::yield_now(),
             Err(SubmitError::Closed) => panic!("service closed during conformance"),
@@ -67,10 +62,7 @@ pub fn service_counter_chain<E: TxnEngine>(
     objects: usize,
 ) {
     let name = engine.engine_name();
-    let shards = engine.shards();
-    let vars: Vec<EngineVar<E, u64>> = (0..objects)
-        .map(|i| engine.new_var_on(i % shards.max(1), 0u64))
-        .collect();
+    let vars: Vec<EngineVar<E, u64>> = (0..objects).map(|_| engine.new_var(0u64)).collect();
     let svc = Arc::new(TxnService::start(
         engine.clone(),
         ServiceConfig {
@@ -90,18 +82,14 @@ pub fn service_counter_chain<E: TxnEngine>(
                     for _ in 0..per_client {
                         let object = rng.below(vars.len());
                         let var = vars[object].clone();
-                        let completion = submit_retrying(
-                            &svc,
-                            Some(object % shards.max(1)),
-                            move |h: &mut E::Handle| {
-                                let var = var.clone();
-                                h.atomically(move |tx| {
-                                    let read = *tx.read(&var)?;
-                                    tx.write(&var, read + 1)?;
-                                    Ok(read)
-                                })
-                            },
-                        );
+                        let completion = submit_retrying(&svc, move |h: &mut E::Handle| {
+                            let var = var.clone();
+                            h.atomically(move |tx| {
+                                let read = *tx.read(&var)?;
+                                tx.write(&var, read + 1)?;
+                                Ok(read)
+                            })
+                        });
                         let read = completion.wait().expect("service canceled a request").value;
                         local.push((object, read));
                     }
@@ -167,10 +155,7 @@ pub fn service_audit_snapshot<E: TxnEngine>(
     const ACCOUNTS: usize = 6;
     const INITIAL: i64 = 200;
     let name = engine.engine_name();
-    let shards = engine.shards();
-    let vars: Vec<EngineVar<E, i64>> = (0..ACCOUNTS)
-        .map(|i| engine.new_var_on(i % shards.max(1), INITIAL))
-        .collect();
+    let vars: Vec<EngineVar<E, i64>> = (0..ACCOUNTS).map(|_| engine.new_var(INITIAL)).collect();
     let expected = ACCOUNTS as i64 * INITIAL;
     let svc = Arc::new(TxnService::start(
         engine.clone(),
@@ -191,7 +176,7 @@ pub fn service_audit_snapshot<E: TxnEngine>(
                     let to = (from + 1 + rng.below(ACCOUNTS - 1)) % ACCOUNTS;
                     let amount = (rng.next() % 7) as i64 - 3;
                     let (a, b) = (vars[from].clone(), vars[to].clone());
-                    let c = submit_retrying(&svc, None, move |h: &mut E::Handle| {
+                    let c = submit_retrying(&svc, move |h: &mut E::Handle| {
                         let (a, b) = (a.clone(), b.clone());
                         h.atomically(move |tx| {
                             let va = *tx.read(&a)?;
@@ -212,7 +197,7 @@ pub fn service_audit_snapshot<E: TxnEngine>(
             s.spawn(move || {
                 for _ in 0..steps {
                     let vars2 = vars.clone();
-                    let c = submit_retrying(&svc, None, move |h: &mut E::Handle| {
+                    let c = submit_retrying(&svc, move |h: &mut E::Handle| {
                         let vars = vars2.clone();
                         h.atomically(move |tx| {
                             let mut sum = 0i64;
@@ -256,16 +241,10 @@ mod tests {
     use lsa_baseline::{NorecStm, Tl2Stm};
     use lsa_stm::Stm;
     use lsa_time::counter::SharedCounter;
-    use lsa_time::sharded::ShardedTimeBase;
 
     #[test]
     fn lsa_passes_the_service_suite() {
         service_suite(&Stm::new(SharedCounter::new()));
-    }
-
-    #[test]
-    fn sharded_lsa_passes_the_service_suite_shard_affinely() {
-        service_suite(&Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! * [`service`] — [`TxnService`]: worker pool, bounded per-worker
 //!   submission queues with admission control (typed
-//!   [`SubmitError::Overloaded`] sheds past the depth limit), shard-affine
-//!   routing on sharded engines, per-request latency capture, and a merged
+//!   [`SubmitError::Overloaded`] sheds past the depth limit), round-robin
+//!   routing, per-request latency capture, and a merged
 //!   [`ServiceReport`] whose shed accounting lands in the cross-engine
 //!   [`AbortClass::Overload`](lsa_engine::AbortClass) taxonomy,
 //! * [`oneshot`] — the completion channel: a blocking receiver, poolable

@@ -15,10 +15,7 @@
 //! not a latency curve that grows with the backlog. Sheds are accounted as
 //! [`lsa_engine::AbortClass::Overload`] in the service's merged statistics.
 //!
-//! Requests are routed round-robin, or *shard-affinely* when the engine is
-//! sharded ([`TxnEngine::shards`] > 1) and the client passes a shard hint:
-//! all requests for one shard land on one worker, so single-shard
-//! transactions from different clients stop colliding across the pool.
+//! Requests are routed to the workers round-robin.
 
 use crate::oneshot;
 use crate::queue::{BoundedQueue, PushError};
@@ -168,7 +165,7 @@ type Field = fn(&EngineStats) -> u64;
 /// The engine counters a scrape reads from the workers' statistics shards.
 /// Every update commit acquired one commit timestamp and the engines count
 /// the shared-class ones, so exclusive = commits − shared.
-const ENGINE_COUNTERS: [(&str, Field); 12] = [
+const ENGINE_COUNTERS: [(&str, Field); 11] = [
     ("engine.commits", |e| e.commits),
     ("engine.ro_commits", |e| e.ro_commits),
     ("engine.aborts.validation", |e| e.abort_reasons.validation),
@@ -179,7 +176,6 @@ const ENGINE_COUNTERS: [(&str, Field); 12] = [
     ("engine.reads", |e| e.reads),
     ("engine.writes", |e| e.writes),
     ("engine.validations", |e| e.validations),
-    ("engine.cross_shard_commits", |e| e.cross_shard_commits),
     ("time.commit_ts.shared", |e| e.shared_commit_ts),
     ("time.commit_ts.exclusive", |e| {
         e.commits.saturating_sub(e.shared_commit_ts)
@@ -197,22 +193,10 @@ struct Shared<E: TxnEngine> {
     submitted: Counter,
     shed: Counter,
     metrics: MetricsRegistry,
-    /// Shard-affine routing enabled (engine reports > 1 shard).
-    shard_affine: bool,
 }
 
 impl<E: TxnEngine> Shared<E> {
-    /// Worker a request is routed to: shard-affine when the engine is
-    /// sharded and the client hinted a shard, round-robin otherwise.
-    fn route(&self, shard: Option<usize>) -> usize {
-        let n = self.queues.len();
-        match shard {
-            Some(s) if self.shard_affine => s % n,
-            _ => self.rr.fetch_add(1, Ordering::Relaxed) % n,
-        }
-    }
-
-    fn submit_to<R, F>(&self, shard: Option<usize>, body: F) -> Result<Completion<R>, SubmitError>
+    fn submit<R, F>(&self, body: F) -> Result<Completion<R>, SubmitError>
     where
         R: Send + 'static,
         F: FnOnce(&mut E::Handle) -> R + Send + 'static,
@@ -223,7 +207,7 @@ impl<E: TxnEngine> Shared<E> {
             submitted: Instant::now(),
         };
         // A refused adapter drops here, and its sender with it.
-        self.submit_record(shard, Box::new(request))
+        self.submit_record(Box::new(request))
             .map(|()| Completion { rx })
             .map_err(|(e, _)| e)
     }
@@ -233,14 +217,13 @@ impl<E: TxnEngine> Shared<E> {
     /// not cost the allocation the pool exists to avoid.
     fn submit_record(
         &self,
-        shard: Option<usize>,
         record: Box<dyn RunRequest<E>>,
     ) -> Result<(), (SubmitError, Box<dyn RunRequest<E>>)> {
         let job = Job {
             submitted: Instant::now(),
             run: record,
         };
-        let qix = self.route(shard);
+        let qix = self.rr.fetch_add(1, Ordering::Relaxed) % self.queues.len();
         match self.queues[qix].try_push(job) {
             Ok(()) => {
                 self.submitted.inc();
@@ -282,29 +265,15 @@ impl<E: TxnEngine> ServiceHandle<E> {
         R: Send + 'static,
         F: FnOnce(&mut E::Handle) -> R + Send + 'static,
     {
-        self.shared.submit_to(None, body)
-    }
-
-    /// [`TxnService::submit_to`] through the handle.
-    pub fn submit_to<R, F>(
-        &self,
-        shard: Option<usize>,
-        body: F,
-    ) -> Result<Completion<R>, SubmitError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut E::Handle) -> R + Send + 'static,
-    {
-        self.shared.submit_to(shard, body)
+        self.shared.submit(body)
     }
 
     /// [`TxnService::submit_record`] through the handle.
     pub fn submit_record(
         &self,
-        shard: Option<usize>,
         record: Box<dyn RunRequest<E>>,
     ) -> Result<(), (SubmitError, Box<dyn RunRequest<E>>)> {
-        self.shared.submit_record(shard, record)
+        self.shared.submit_record(record)
     }
 
     /// [`TxnService::metrics`] through the handle — front-ends scrape (and
@@ -351,7 +320,6 @@ impl<E: TxnEngine> TxnService<E> {
     pub fn start(engine: E, cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         let metrics = MetricsRegistry::new();
-        let shard_affine = engine.shards() > 1;
         let queues: Vec<BoundedQueue<Job<E>>> = (0..cfg.workers)
             .map(|_| BoundedQueue::new(cfg.queue_depth))
             .collect();
@@ -361,7 +329,6 @@ impl<E: TxnEngine> TxnService<E> {
             submitted: metrics.counter("service.submitted"),
             shed: metrics.counter("service.shed"),
             metrics: metrics.clone(),
-            shard_affine,
         });
         // Queue depth is a sampled gauge: nothing is maintained between
         // scrapes, and the Weak capture means a torn-down service costs
@@ -450,22 +417,7 @@ impl<E: TxnEngine> TxnService<E> {
         R: Send + 'static,
         F: FnOnce(&mut E::Handle) -> R + Send + 'static,
     {
-        self.shared.submit_to(None, body)
-    }
-
-    /// [`submit`](TxnService::submit) with a shard-affinity hint: on sharded
-    /// engines all requests hinting the same shard execute on the same
-    /// worker. Unsharded engines ignore the hint.
-    pub fn submit_to<R, F>(
-        &self,
-        shard: Option<usize>,
-        body: F,
-    ) -> Result<Completion<R>, SubmitError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut E::Handle) -> R + Send + 'static,
-    {
-        self.shared.submit_to(shard, body)
+        self.shared.submit(body)
     }
 
     /// Submit a request record (see [`RunRequest`]); [`submit`] wraps its
@@ -477,10 +429,9 @@ impl<E: TxnEngine> TxnService<E> {
     /// [`submit`]: TxnService::submit
     pub fn submit_record(
         &self,
-        shard: Option<usize>,
         record: Box<dyn RunRequest<E>>,
     ) -> Result<(), (SubmitError, Box<dyn RunRequest<E>>)> {
-        self.shared.submit_record(shard, record)
+        self.shared.submit_record(record)
     }
 
     /// A cloneable [`ServiceHandle`] sharing this service's queues — the
@@ -560,7 +511,6 @@ mod tests {
     use super::*;
     use lsa_stm::Stm;
     use lsa_time::counter::SharedCounter;
-    use lsa_time::sharded::ShardedTimeBase;
     use std::sync::atomic::AtomicU64;
     use std::sync::{Condvar, Mutex};
 
@@ -715,28 +665,43 @@ mod tests {
         assert!(joined.is_err(), "shutdown must propagate the worker panic");
     }
 
+    /// Submissions rotate over the workers: with both workers wedged on a
+    /// gate, the next two requests land one in each queue.
     #[test]
-    fn shard_hints_pin_to_workers_on_sharded_engines() {
-        let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
-        let svc = TxnService::start(engine, small_cfg(3, 64));
-        // Same hint → same worker, always.
-        for shard in 0..4usize {
-            let first = svc.shared.route(Some(shard));
-            for _ in 0..10 {
-                assert_eq!(svc.shared.route(Some(shard)), first);
-            }
+    fn submissions_rotate_over_the_workers() {
+        let svc = TxnService::start(Stm::new(SharedCounter::new()), small_cfg(2, 8));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let blockers: Vec<_> = (0..2)
+            .map(|_| {
+                let g = Arc::clone(&gate);
+                svc.submit(move |_h| {
+                    let (lock, cv) = &*g;
+                    let mut open = lock.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                })
+                .unwrap()
+            })
+            .collect();
+        while svc.shared.queues.iter().any(|q| !q.is_empty()) {
+            std::thread::yield_now();
         }
-        // Distinct hints spread over workers modulo the pool size.
-        assert_ne!(svc.shared.route(Some(0)), svc.shared.route(Some(1)));
-        drop(svc);
-
-        // Unsharded engines round-robin even with hints.
-        let engine = Stm::new(SharedCounter::new());
-        let svc = TxnService::start(engine, small_cfg(2, 8));
-        let a = svc.shared.route(Some(3));
-        let b = svc.shared.route(Some(3));
-        assert_ne!(a, b, "round-robin must rotate");
-        drop(svc);
+        let queued = [svc.submit(|_h| 1).unwrap(), svc.submit(|_h| 2).unwrap()];
+        let lens: Vec<usize> = svc.shared.queues.iter().map(|q| q.len()).collect();
+        assert_eq!(lens, [1, 1], "round-robin must rotate");
+        {
+            let (lock, cv) = &*gate;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        for b in blockers {
+            b.wait().unwrap();
+        }
+        for q in queued {
+            q.wait().unwrap();
+        }
+        svc.shutdown();
     }
 
     /// The cloneable handle is a full submission surface: it routes through
@@ -755,9 +720,7 @@ mod tests {
             .unwrap();
         let v = var.clone();
         let b = h2
-            .submit_to(Some(0), move |h| {
-                h.atomically(|tx| tx.modify(&v, |x| x + 1))
-            })
+            .submit(move |h| h.atomically(|tx| tx.modify(&v, |x| x + 1)))
             .unwrap();
         a.wait().unwrap();
         b.wait().unwrap();
@@ -830,7 +793,7 @@ mod tests {
         let mut closures = Vec::new();
         for i in 0..10u64 {
             closures.push(svc.submit(move |_h| i).unwrap());
-            if svc.submit_record(None, Probe::new(&c)).is_err() {
+            if svc.submit_record(Probe::new(&c)).is_err() {
                 panic!("a 64-deep queue admits record {i}");
             }
         }
@@ -869,10 +832,10 @@ mod tests {
         while !svc.shared.queues[0].is_empty() {
             std::thread::yield_now();
         }
-        if svc.submit_record(None, Probe::new(&c)).is_err() {
+        if svc.submit_record(Probe::new(&c)).is_err() {
             panic!("the depth-1 queue has room for one record");
         }
-        match svc.submit_record(None, Probe::new(&c)) {
+        match svc.submit_record(Probe::new(&c)) {
             Err((SubmitError::Overloaded, _record)) => {}
             Err((e, _)) => panic!("expected Overloaded, got {e:?}"),
             Ok(()) => panic!("a full depth-1 queue must shed"),
@@ -885,7 +848,7 @@ mod tests {
         blocker.wait().unwrap();
         let report = svc.shutdown();
         assert_eq!((report.submitted, report.shed), (2, 1));
-        match handle.submit_record(None, Probe::new(&c)) {
+        match handle.submit_record(Probe::new(&c)) {
             Err((SubmitError::Closed, _record)) => {}
             Err((e, _)) => panic!("expected Closed, got {e:?}"),
             Ok(()) => panic!("a shut-down service must refuse"),

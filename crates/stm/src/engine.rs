@@ -24,23 +24,12 @@ impl<B: TimeBase> TxnEngine for Stm<B> {
         self.new_tvar(value)
     }
 
-    fn new_var_on<T: Send + Sync + 'static>(&self, shard: usize, value: T) -> TVar<T, B::Ts> {
-        // The generic placement hint maps onto real placement: modulo-wrap
-        // so workload code can pass any index (all land on shard 0 when
-        // the base is unsharded).
-        self.new_tvar_on(shard % self.shard_count(), value)
-    }
-
     fn register(&self) -> ThreadHandle<B> {
         Stm::register(self)
     }
 
     fn engine_name(&self) -> String {
         format!("lsa-rt({})", self.time_base().name())
-    }
-
-    fn shards(&self) -> usize {
-        self.shard_count()
     }
 
     fn memory_stats(&self) -> MemoryStats {
@@ -104,7 +93,6 @@ mod tests {
     use lsa_engine::EngineStats;
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
-    use lsa_time::sharded::ShardedTimeBase;
 
     /// A fully generic transaction exercised through the trait surface only.
     fn generic_double<E: TxnEngine>(engine: &E) -> i64 {
@@ -154,33 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stm_is_a_txn_engine() {
-        let stm = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 8));
-        assert_eq!(generic_double(&stm), 42);
-        assert_eq!(stm.engine_name(), "lsa-rt(sharded8x-shared-counter)");
-        assert_eq!(TxnEngine::shards(&stm), 8);
-        // Unsharded engines report the default shard count of 1.
-        assert_eq!(TxnEngine::shards(&Stm::new(SharedCounter::new())), 1);
-    }
-
-    #[test]
-    fn placement_hint_routes_on_sharded_and_is_ignored_elsewhere() {
-        let sharded = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
-        for shard in 0..4 {
-            let v = TxnEngine::new_var_on(&sharded, shard, 0u8);
-            assert_eq!(sharded.shard_of(&v), shard);
-        }
-        // Hints wrap modulo the shard count.
-        let v = TxnEngine::new_var_on(&sharded, 7, 0u8);
-        assert_eq!(sharded.shard_of(&v), 3);
-        // Unsharded engines accept any hint and place on shard 0.
-        let stm = Stm::new(SharedCounter::new());
-        let v = TxnEngine::new_var_on(&stm, 1234, 5i32);
-        assert_eq!(*<Stm<SharedCounter> as TxnEngine>::peek(&v), 5);
-        assert_eq!(stm.shard_of(&v), 0);
-    }
-
-    #[test]
     fn engine_stats_carry_the_abort_taxonomy() {
         // Each native reason is counted under its class at the abort site:
         // an explicit retry is contention, and nothing else fired.
@@ -191,24 +152,5 @@ mod tests {
         assert_eq!(es.abort_reasons.contention, 2);
         assert_eq!(es.abort_reasons.total(), es.aborts);
         assert_eq!(es.revalidation_failures, 0);
-    }
-
-    #[test]
-    fn sharded_engine_stats_report_cross_shard_commits() {
-        let stm = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
-        let a = stm.new_tvar_on(0, 0u64);
-        let b = stm.new_tvar_on(1, 0u64);
-        let mut h = TxnEngine::register(&stm);
-        for _ in 0..3 {
-            EngineHandle::atomically(&mut h, |tx| {
-                tx.modify(&a, |v| v + 1)?;
-                tx.modify(&b, |v| v + 1)
-            });
-        }
-        EngineHandle::atomically(&mut h, |tx| tx.modify(&a, |v| v + 1));
-        let es = h.engine_stats();
-        assert_eq!(es.commits, 4);
-        assert_eq!(es.cross_shard_commits, 3);
-        assert_eq!(es.cross_shard_per_commit(), 0.75);
     }
 }

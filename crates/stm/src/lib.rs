@@ -21,9 +21,6 @@
 //!   version-node allocator (bounded-memory MVCC, DESIGN.md §11),
 //! * [`cm`] — pluggable contention managers (§2.3),
 //! * [`stm`] — the runtime: [`stm::Stm`], [`stm::ThreadHandle::atomically`],
-//!   object placement; on a [`lsa_time::ShardedTimeBase`] the same runtime
-//!   is sharded, with per-shard arbitration and a cross-shard commit
-//!   protocol (DESIGN.md §9),
 //! * [`config`], [`error`] — tuning and abort plumbing (statistics are
 //!   `lsa_engine::StatsShard`s, read through `lsa_engine::EngineHandle`).
 //!

@@ -73,7 +73,7 @@ use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason, TxResult};
 use crate::object::{narrow, AnyObject, ReadAttempt, TVar, WriteAttempt};
 use crate::status::TxnStatus;
-use crate::stm::{shard_of_id, HandleCore};
+use crate::stm::HandleCore;
 use crate::txn_shared::{CommitCtx, CtxEntry, TxnShared};
 use crate::version::VersionMeta;
 use lsa_engine::idmap::{recycle_map, recycle_vec, IdMap};
@@ -374,10 +374,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     pub(crate) fn start(&mut self) {
         debug_assert!(self.finished, "previous attempt still live");
         let core = &mut *self.core;
-        // A fresh attempt selects its shards from scratch. The failed
-        // attempt's selection stayed until here, so its abort feedback
-        // reached the clocks of the shards it touched.
-        core.clock.begin_attempt();
         let txn_id = core.next_txn_id();
         trace::txn_begin(txn_id);
         // A descriptor no object or helper references any more (every
@@ -516,9 +512,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             None => {}
         }
         // A first open: the unit of `EngineStats::reads` and of Karma
-        // priority. Its shard is selected before anything can arbitrate
-        // (helping).
-        self.core.clock.mark_shard(shard_of_id(var.id()));
+        // priority.
         self.core.reclaim.stats.inc(Stat::Reads);
         self.core.scratch.shared.cm().add_op();
 
@@ -683,7 +677,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         derive: impl FnOnce(&T) -> Arc<T>,
         prior: Option<Opened>,
     ) -> TxResult<()> {
-        self.core.clock.mark_shard(shard_of_id(var.id()));
         self.core.reclaim.stats.inc(Stat::Writes);
         self.core.scratch.shared.cm().add_op();
 
@@ -865,10 +858,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         // requirement of §2.4 — and anchors above everything this
         // transaction has itself observed. A Shared outcome means a
         // concurrent non-conflicting committer holds the same timestamp
-        // (GV4/GV5 arbitration), which §2.3 explicitly allows. On a sharded
-        // base the acquisition chains through every shard the attempt
-        // touched (DESIGN.md §9); `span` counts them.
-        let span = core.clock.arm_commit();
+        // (GV4/GV5 arbitration), which §2.3 explicitly allows.
         let arbitrated = core.clock.acquire_commit_ts(self.observed);
         trace::txn_event(
             if arbitrated.is_shared() {
@@ -908,9 +898,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 stats.inc(Stat::Commits);
                 if arbitrated.is_shared() {
                     stats.inc(Stat::SharedCommitTs);
-                }
-                if span > 1 {
-                    stats.inc(Stat::CrossShardCommits);
                 }
                 core.last_commit_time = Some(ct);
                 self.cm.on_commit(shared.cm());

@@ -233,8 +233,7 @@ impl<Ts: Timestamp> SnapshotSlot<Ts> {
     }
 }
 
-/// The registry of [`SnapshotSlot`]s for one runtime (a transaction has one
-/// snapshot lower bound no matter how many object shards it touches).
+/// The registry of [`SnapshotSlot`]s for one runtime.
 #[derive(Debug)]
 pub struct SnapshotRegistry<Ts: Timestamp> {
     slots: RwLock<Vec<Arc<SnapshotSlot<Ts>>>>,
@@ -299,9 +298,8 @@ struct Epoch(AtomicU64);
 
 /// One runtime's reclamation domain: the snapshot registry, the watermark
 /// and the statistics shards the version gauges are summed over. A runtime
-/// owns exactly one — every object shard of a sharded `Stm` shares it,
-/// since fold-time watermark reads are served from each handle's copy and
-/// never reach the domain.
+/// owns exactly one; fold-time watermark reads are served from each
+/// handle's copy and never reach the domain.
 #[derive(Debug)]
 pub struct ReclaimDomain<Ts: Timestamp> {
     registry: SnapshotRegistry<Ts>,

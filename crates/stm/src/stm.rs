@@ -19,10 +19,6 @@
 //! });
 //! assert_eq!(*account.snapshot_latest(), 70);
 //! ```
-//!
-//! On a [`lsa_time::ShardedTimeBase`] the same runtime is sharded: object
-//! ids carry their home shard, [`Stm::new_tvar_on`] places explicitly, and
-//! commits arbitrate on the shards they touch (DESIGN.md §9).
 
 use crate::alloc::BlockAlloc;
 use crate::cm::{ContentionManager, Polite};
@@ -40,17 +36,8 @@ use std::sync::Arc;
 /// distinct [`Stm`] instances (ids key per-transaction hash maps).
 static STM_INSTANCES: AtomicU32 = AtomicU32::new(1);
 
-/// Object-id layout: `instance << 40 | shard << 34 | seq`. The shard field
-/// is 0 on an unsharded base; its 6 bits hold
-/// [`lsa_time::sharded::MAX_SHARDS`] shards.
-const SEQ_BITS: u32 = 34;
-const SHARD_BITS: u32 = 6;
-
-/// The home shard encoded in an object id.
-#[inline]
-pub(crate) fn shard_of_id(id: u64) -> usize {
-    ((id >> SEQ_BITS) & ((1 << SHARD_BITS) - 1)) as usize
-}
+/// Object-id layout: `instance << 40 | seq`.
+const SEQ_BITS: u32 = 40;
 
 /// Ids per thread-local refill of the object-id sequence (object creation
 /// can sit inside transactions — linked-structure inserts — so it deserves
@@ -118,8 +105,7 @@ struct StmInner<B: TimeBase> {
     cm: Box<dyn ContentionManager>,
     instance: u32,
     /// Object/handle/birth sequences, block-allocated per thread so none of
-    /// them is a contended RMW line ([`crate::alloc::BlockAlloc`]). There is
-    /// one object sequence whatever the shard count. The birth sequence
+    /// them is a contended RMW line ([`crate::alloc::BlockAlloc`]). The birth sequence
     /// exists for contention managers that require one
     /// ([`ContentionManager::needs_birth`]); untouched otherwise so the
     /// default configuration has no shared counter besides the time base.
@@ -127,8 +113,7 @@ struct StmInner<B: TimeBase> {
     next_handle: BlockAlloc,
     birth_counter: BlockAlloc,
     /// Version reclamation: the snapshot registry, the watermark and the
-    /// version arena's gauges ([`crate::reclaim`]). One domain however many
-    /// shards: a transaction has one snapshot lower bound.
+    /// version arena's gauges ([`crate::reclaim`]).
     reclaim: Arc<ReclaimDomain<B::Ts>>,
 }
 
@@ -168,8 +153,6 @@ impl<B: TimeBase> Stm<B> {
     /// bases like GV5, whose commit times run ahead of the readable
     /// counter, or GV4, whose losers commit at a value the winner already
     /// made readable, would let a later commit undercut an issued claim.
-    /// (A [`lsa_time::ShardedTimeBase`] runs its own composition checks
-    /// when it is built.)
     pub fn with_cm(tb: B, cfg: StmConfig, cm: impl ContentionManager) -> Self {
         assert!(
             tb.info().commit_monotonic,
@@ -178,7 +161,6 @@ impl<B: TimeBase> Stm<B> {
              an engine that revalidates reads, e.g. TL2)",
             tb.name()
         );
-        assert!(tb.shards() <= 1 << SHARD_BITS, "ids hold 64 shards at most");
         Stm {
             inner: Arc::new(StmInner {
                 tb,
@@ -231,47 +213,15 @@ impl<B: TimeBase> Stm<B> {
         self.inner.cm.name()
     }
 
-    /// Number of object shards: the time base's ([`TimeBase::shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.inner.tb.shards()
-    }
-
-    /// Create a transactional variable holding `value`, placed round-robin
-    /// across the shards. The initial version is valid from
-    /// [`Timestamp::origin`], i.e. visible to every snapshot.
+    /// Create a transactional variable holding `value`. The initial version
+    /// is valid from [`Timestamp::origin`], i.e. visible to every snapshot.
     pub fn new_tvar<T: Send + Sync + 'static>(&self, value: T) -> TVar<T, B::Ts> {
         let seq = self.inner.next_obj.alloc();
-        self.tvar_at(seq % self.shard_count() as u64, seq, value)
-    }
-
-    /// Create a transactional variable on a specific shard — explicit
-    /// placement for partitioned workloads that want their working set
-    /// shard-local (Helenos-style: partitioned data, occasional
-    /// cross-partition transactions).
-    ///
-    /// # Panics
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn new_tvar_on<T: Send + Sync + 'static>(&self, shard: usize, value: T) -> TVar<T, B::Ts> {
-        assert!(
-            shard < self.shard_count(),
-            "shard {shard} out of range (have {})",
-            self.shard_count()
-        );
-        self.tvar_at(shard as u64, self.inner.next_obj.alloc(), value)
-    }
-
-    /// Home shard of a variable created by this runtime.
-    pub fn shard_of<T: Send + Sync + 'static>(&self, var: &TVar<T, B::Ts>) -> usize {
-        shard_of_id(var.id())
-    }
-
-    fn tvar_at<T: Send + Sync + 'static>(&self, shard: u64, seq: u64, value: T) -> TVar<T, B::Ts> {
-        // Past 2^34 the sequence would spill into the shard bits and alias
-        // another shard's ids: one compare per creation turns that into a
-        // panic.
+        // Past 2^40 the sequence would spill into the instance bits and
+        // alias another runtime's ids: one compare per creation turns that
+        // into a panic.
         assert!(seq < 1 << SEQ_BITS, "object id space exhausted");
-        let id =
-            (u64::from(self.inner.instance) << (SHARD_BITS + SEQ_BITS)) | (shard << SEQ_BITS) | seq;
+        let id = (u64::from(self.inner.instance) << SEQ_BITS) | seq;
         TVar::from_object(TObject::with_reclaim(
             id,
             value,
@@ -336,9 +286,6 @@ impl<B: TimeBase> ThreadHandle<B> {
     /// through the provided [`Txn`] and propagate [`crate::error::Abort`]
     /// errors with `?` — the loop re-executes it from scratch after an abort
     /// (any side effects outside the STM must therefore be idempotent).
-    /// On a sharded base, a body that touches one shard commits with
-    /// shard-local arbitration and one that touches several escalates to
-    /// the cross-shard protocol (DESIGN.md §9).
     pub fn atomically<R>(&mut self, body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>) -> R {
         match self.run(None, body) {
             Ok(value) => value,
@@ -701,230 +648,5 @@ mod tests {
         });
         assert_eq!(total, 9);
         assert_eq!(*n.snapshot_latest(), 9);
-    }
-
-    /// `Stm` on a [`ShardedTimeBase`]: placement, the id layout and the
-    /// cross-shard commit protocol.
-    mod sharded {
-        use super::*;
-        use lsa_time::counter::BlockCounter;
-        use lsa_time::sharded::ShardedTimeBase;
-
-        fn sharded<B: TimeBase>(tb: B, shards: usize) -> Stm<ShardedTimeBase<B>> {
-            Stm::new(ShardedTimeBase::new(tb, shards))
-        }
-
-        #[test]
-        fn round_robin_routing_covers_all_shards() {
-            let stm = sharded(SharedCounter::new(), 4);
-            let shards: Vec<usize> = (0..8).map(|i| stm.shard_of(&stm.new_tvar(i))).collect();
-            // One full rotation per 4 allocations, single-threaded.
-            assert_eq!(&shards[0..4], &[0, 1, 2, 3]);
-            assert_eq!(&shards[4..8], &[0, 1, 2, 3]);
-        }
-
-        #[test]
-        fn explicit_placement_and_id_encoding_agree() {
-            let stm = sharded(SharedCounter::new(), 8);
-            for shard in 0..8 {
-                let v = stm.new_tvar_on(shard, 0u8);
-                assert_eq!(stm.shard_of(&v), shard);
-                assert_eq!(shard_of_id(v.id()), shard);
-            }
-        }
-
-        #[test]
-        fn per_shard_id_spaces_are_disjoint() {
-            let stm = sharded(SharedCounter::new(), 8);
-            let mut ids: Vec<u64> = (0..400).map(|i| stm.new_tvar(i).id()).collect();
-            ids.extend((0..400).map(|i| stm.new_tvar_on(i % 3, i).id()));
-            let n = ids.len();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(n, ids.len(), "object ids must be unique across shards");
-        }
-
-        #[test]
-        fn single_shard_txn_commits_without_cross_shard_escalation() {
-            let stm = sharded(SharedCounter::new(), 4);
-            let x = stm.new_tvar_on(2, 1i64);
-            let mut h = stm.register();
-            let seen = h.atomically(|tx| {
-                let v = *tx.read(&x)?;
-                tx.write(&x, v + 41)?;
-                tx.read(&x).copied()
-            });
-            assert_eq!(seen, 42);
-            assert_eq!(h.engine_stats().commits, 1);
-            assert_eq!(h.engine_stats().cross_shard_commits, 0);
-        }
-
-        #[test]
-        fn cross_shard_txn_is_counted_and_atomic() {
-            let stm = sharded(BlockCounter::new(8), 4);
-            let a = stm.new_tvar_on(0, 100i64);
-            let b = stm.new_tvar_on(3, 0i64);
-            let mut h = stm.register();
-            h.atomically(|tx| {
-                let va = *tx.read(&a)?;
-                let vb = *tx.read(&b)?;
-                tx.write(&a, va - 30)?;
-                tx.write(&b, vb + 30)
-            });
-            assert_eq!(h.engine_stats().commits, 1);
-            assert_eq!(h.engine_stats().cross_shard_commits, 1);
-            assert_eq!(*a.snapshot_latest(), 70);
-            assert_eq!(*b.snapshot_latest(), 30);
-        }
-
-        #[test]
-        fn a_read_selects_its_shard() {
-            // Reads on shard 3, writes only shard 0: the read's shard is
-            // touched too, so the commit chains through both shards' clocks
-            // and counts as cross-shard.
-            let stm = sharded(BlockCounter::new(64), 4);
-            let a = stm.new_tvar_on(0, 1u64);
-            let b = stm.new_tvar_on(3, 2u64);
-            let mut h = stm.register();
-            let before = stm.time_base().inner().refills();
-            h.atomically(|tx| {
-                let vb = *tx.read(&b)?;
-                tx.write(&a, vb)
-            });
-            assert_eq!(h.engine_stats().commits, 1);
-            assert_eq!(h.engine_stats().cross_shard_commits, 1);
-            // A fresh handle's shard clocks hold no block yet: each shard
-            // the commit arbitrates on reserves one.
-            assert_eq!(
-                stm.time_base().inner().refills() - before,
-                2,
-                "the commit did not arbitrate on the read's shard"
-            );
-        }
-
-        #[test]
-        fn read_only_cross_shard_txns_are_not_counted_as_commits() {
-            let stm = sharded(SharedCounter::new(), 2);
-            let a = stm.new_tvar_on(0, 1u64);
-            let b = stm.new_tvar_on(1, 2u64);
-            let mut h = stm.register();
-            let sum = h.atomically(|tx| Ok(*tx.read(&a)? + *tx.read(&b)?));
-            assert_eq!(sum, 3);
-            assert_eq!(h.engine_stats().ro_commits, 1);
-            assert_eq!(h.engine_stats().cross_shard_commits, 0);
-        }
-
-        #[test]
-        fn a_retry_starts_with_an_empty_shard_selection() {
-            // The first attempt reads on shards 0 and 3 and gives up; the
-            // retry touches shard 0 alone. Its commit must arbitrate on that
-            // one shard — a selection left over from the failed attempt
-            // would chain it through shard 3's clock too.
-            let stm = sharded(BlockCounter::new(64), 4);
-            let a = stm.new_tvar_on(0, 1u64);
-            let b = stm.new_tvar_on(3, 2u64);
-            let mut h = stm.register();
-            let before = stm.time_base().inner().refills();
-            let mut attempts = 0;
-            h.atomically(|tx| {
-                attempts += 1;
-                if attempts == 1 {
-                    tx.read(&a)?;
-                    tx.read(&b)?;
-                    return Err(tx.abort_retry());
-                }
-                tx.modify(&a, |v| v + 1)
-            });
-            assert_eq!(h.engine_stats().commits, 1);
-            assert_eq!(h.engine_stats().cross_shard_commits, 0);
-            // A fresh handle's shard clocks hold no block yet: each shard
-            // the commit arbitrates on reserves one.
-            assert_eq!(
-                stm.time_base().inner().refills() - before,
-                1,
-                "the retry's commit arbitrated on more than one shard"
-            );
-        }
-
-        #[test]
-        fn cross_shard_audits_always_see_consistent_totals() {
-            // The torn-cut hazard the one-domain composite exists to
-            // prevent: transfers span shards while auditors sum both — no
-            // audit may ever observe a half-applied cross-shard commit.
-            let stm = sharded(BlockCounter::new(8), 4);
-            let a = stm.new_tvar_on(0, 500i64);
-            let b = stm.new_tvar_on(3, 500i64);
-            std::thread::scope(|s| {
-                {
-                    let stm = stm.clone();
-                    let (a, b) = (a.clone(), b.clone());
-                    s.spawn(move || {
-                        let mut h = stm.register();
-                        for i in 0..2_000i64 {
-                            let amt = (i % 7) - 3;
-                            h.atomically(|tx| {
-                                let va = *tx.read(&a)?;
-                                let vb = *tx.read(&b)?;
-                                tx.write(&a, va - amt)?;
-                                tx.write(&b, vb + amt)
-                            });
-                        }
-                    });
-                }
-                for _ in 0..2 {
-                    let stm = stm.clone();
-                    let (a, b) = (a.clone(), b.clone());
-                    s.spawn(move || {
-                        let mut h = stm.register();
-                        for _ in 0..2_000 {
-                            let total = h.atomically(|tx| Ok(*tx.read(&a)? + *tx.read(&b)?));
-                            assert_eq!(total, 1_000, "torn cross-shard snapshot");
-                        }
-                    });
-                }
-            });
-            assert_eq!(*a.snapshot_latest() + *b.snapshot_latest(), 1_000);
-        }
-
-        #[test]
-        fn concurrent_cross_shard_increments_serialize() {
-            let stm = sharded(SharedCounter::new(), 8);
-            let vars: Vec<TVar<u64, u64>> = (0..8).map(|_| stm.new_tvar(0u64)).collect();
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let stm = stm.clone();
-                    let vars = vars.clone();
-                    s.spawn(move || {
-                        let mut h = stm.register();
-                        let mut seed = t + 1;
-                        for _ in 0..500 {
-                            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            let i = (seed >> 33) as usize % vars.len();
-                            let j = (i + 1) % vars.len();
-                            let (x, y) = (vars[i].clone(), vars[j].clone());
-                            h.atomically(|tx| {
-                                tx.modify(&x, |v| v + 1)?;
-                                tx.modify(&y, |v| v + 1)
-                            });
-                        }
-                    });
-                }
-            });
-            let total: u64 = vars.iter().map(|v| *v.snapshot_latest()).sum();
-            assert_eq!(total, 4 * 500 * 2, "lost cross-shard updates");
-        }
-
-        #[test]
-        #[should_panic(expected = "commit-monotonic")]
-        fn sharded_stm_refuses_non_composable_bases() {
-            let _ = sharded(lsa_time::counter::Gv5Counter::new(), 4);
-        }
-
-        #[test]
-        #[should_panic(expected = "shard 9 out of range")]
-        fn explicit_placement_bounds_checked() {
-            let stm = sharded(SharedCounter::new(), 4);
-            let _ = stm.new_tvar_on(9, 0u8);
-        }
     }
 }

@@ -14,7 +14,7 @@
 //! allocation-free again afterwards.
 //!
 //! Beside the allocation counts stand the reference counts (DESIGN.md §2.1,
-//! read-side ledger), sharded and not: a first read moves the version
+//! read-side ledger): a first read moves the version
 //! node's count alone, never the payload's or the object's — the value is
 //! lent from the read set; a repeated read lends the same value; a
 //! read-own-write pins the pending payload until the attempt ends, however
@@ -30,7 +30,6 @@ use lsa_engine::{EngineHandle, TxnEngine, TxnOps};
 use lsa_stm::object::ReadAttempt;
 use lsa_stm::prelude::*;
 use lsa_time::counter::SharedCounter;
-use lsa_time::sharded::ShardedTimeBase;
 use lsa_time::{TimeBase, ValidityRange};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -497,12 +496,6 @@ fn a_first_read_moves_one_count_on_stm() {
 }
 
 #[test]
-fn a_first_read_moves_one_count_on_sharded_stm() {
-    let tb = ShardedTimeBase::new(SharedCounter::new(), 2);
-    first_reads_move_the_nodes_count_and_never_the_payloads(Stm::new(tb));
-}
-
-#[test]
 fn a_read_own_write_sees_the_pending_value() {
     let stm = Stm::new(SharedCounter::new());
     let (x, y) = (stm.new_tvar(7i64), stm.new_tvar(1i64));
@@ -694,13 +687,6 @@ fn a_pruned_version_stays_readable_and_a_pooled_node_is_empty<B: TimeBase>(mk: i
 #[test]
 fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_stm() {
     a_pruned_version_stays_readable_and_a_pooled_node_is_empty(SharedCounter::new);
-}
-
-#[test]
-fn a_pruned_version_stays_readable_and_pooled_nodes_are_empty_on_sharded_stm() {
-    a_pruned_version_stays_readable_and_a_pooled_node_is_empty(|| {
-        ShardedTimeBase::new(SharedCounter::new(), 2)
-    });
 }
 
 #[test]

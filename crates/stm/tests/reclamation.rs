@@ -6,7 +6,7 @@
 //!    snapshot is ever pruned or recycled out from under it. Witness: a
 //!    reader that pins a snapshot and then watches an arbitrary number of
 //!    watermark advances still commits its original consistent view, with
-//!    zero aborts, on both the single-shard and the sharded engine.
+//!    zero aborts.
 //! 2. **No leaks, exact gauges** — every retired version is eventually
 //!    released or recycled: once the handles are dropped — no quiesce call,
 //!    a handle accounts its own pool — `versions_retired ==
@@ -24,7 +24,6 @@
 use lsa_engine::MemoryStats;
 use lsa_stm::prelude::*;
 use lsa_time::counter::SharedCounter;
-use lsa_time::sharded::ShardedTimeBase;
 use lsa_time::{TimeBase, Timestamp};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +32,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    /// Safety witness, single shard: a pinned snapshot survives any number
+    /// Safety witness: a pinned snapshot survives any number
     /// of concurrent updates and watermark advances — the slot protocol must
     /// hold the watermark below the reader's lower bound, so the versions it
     /// needs are never pruned and never recycled into garbage values.
@@ -42,18 +41,6 @@ proptest! {
         interval in 1u64..6,
     ) {
         pinned_reader_keeps_its_snapshot(SharedCounter::new(), updates, interval)?;
-    }
-
-    #[test]
-    /// Safety witness, sharded: same property through the cross-shard commit
-    /// protocol, with `a` and `b` on different shards — the reader's one
-    /// slot must hold back the one watermark for both.
-    fn sharded_pinned_reader_snapshot_survives_reclamation(
-        updates in 1usize..48,
-        interval in 1u64..6,
-    ) {
-        let tb = ShardedTimeBase::new(SharedCounter::new(), 4);
-        pinned_reader_keeps_its_snapshot(tb, updates, interval)?;
     }
 
     #[test]
@@ -90,7 +77,7 @@ proptest! {
 
 /// The pinned-reader witness: the reader opens `a`, `updates` write-both
 /// commits land behind its back, and its read of `b` must still see the
-/// initial pair, abort-free. `a` and `b` sit on the first and the last shard.
+/// initial pair, abort-free.
 fn pinned_reader_keeps_its_snapshot<B: TimeBase>(
     tb: B,
     updates: usize,
@@ -101,8 +88,8 @@ fn pinned_reader_keeps_its_snapshot<B: TimeBase>(
         ..StmConfig::watermark_retention()
     };
     let stm = Stm::with_config(tb, cfg);
-    let a = stm.new_tvar_on(0, 0u64);
-    let b = stm.new_tvar_on(stm.shard_count() - 1, 0u64);
+    let a = stm.new_tvar(0u64);
+    let b = stm.new_tvar(0u64);
     let mut reader = stm.register();
     let mut writer = stm.register();
 
@@ -363,11 +350,6 @@ fn gauge_witness<B: TimeBase>(stm: Stm<B>) {
 #[test]
 fn gauges_stay_exact_on_stm() {
     gauge_witness(Stm::new(SharedCounter::new()));
-}
-
-#[test]
-fn gauges_stay_exact_on_sharded_stm() {
-    gauge_witness(Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)));
 }
 
 /// Acceptance demo: the workload the watermark exists for. A long reader

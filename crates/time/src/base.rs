@@ -23,7 +23,6 @@
 //! forms a *tentative* commit time (phase one), arbitrates it against
 //! concurrent committers (phase two — a CAS, a `fetch_max`, or nothing for
 //! real-time clocks), and reports the outcome as a [`CommitTs`].
-//! [`ThreadClock::get_ts_block`] exposes batched allocation, and
 //! [`ThreadClock::note_abort`] closes the feedback loop GV5-style bases need
 //! to keep lagging readers live. Per-base guarantees (uniqueness classes,
 //! contention behaviour) are described by [`TimeBaseInfo`], which replaces
@@ -144,10 +143,6 @@ pub struct TimeBaseInfo {
     /// loser may adopt it) must report that value as [`CommitTs::Shared`];
     /// [`crate::conformance`] asserts this.
     pub uniqueness: Uniqueness,
-    /// Cross-thread uniqueness of [`ThreadClock::get_ts_block`] values.
-    /// Counter-backed bases reserve disjoint ranges ([`Uniqueness::Unique`]);
-    /// real-time bases can only promise what `get_new_ts` promises.
-    pub block_uniqueness: Uniqueness,
     /// Commit hot-path behaviour under contention.
     pub contention: ContentionClass,
     /// Whether every commit timestamp strictly exceeds every value any
@@ -192,19 +187,11 @@ pub trait TimeBase: Send + Sync + 'static {
     fn name(&self) -> &'static str {
         self.info().name
     }
-
-    /// Number of object shards this base arbitrates for: 1 (the default)
-    /// for every base but the composite [`crate::sharded::ShardedTimeBase`],
-    /// whose clocks take a shard selection through
-    /// [`ThreadClock::mark_shard`].
-    fn shards(&self) -> usize {
-        1
-    }
 }
 
 /// A per-thread clock handle implementing the paper's `getTime`/`getNewTS`
-/// plus the commit-arbitration extensions (GV4/GV5 adoption, batched
-/// timestamp blocks, abort feedback).
+/// plus the commit-arbitration extensions (GV4/GV5 adoption, abort
+/// feedback).
 pub trait ThreadClock: Send + 'static {
     /// The timestamp type produced by this clock.
     type Ts: Timestamp;
@@ -252,25 +239,6 @@ pub trait ThreadClock: Send + 'static {
         CommitTs::Shared(self.get_new_ts())
     }
 
-    /// Reserve `n` timestamps for this thread in one arbitration round.
-    ///
-    /// Contract: the returned values are strictly increasing, each strictly
-    /// greater than any timestamp previously returned to this thread, and
-    /// their cross-thread uniqueness is [`TimeBaseInfo::block_uniqueness`].
-    /// **Blocks are not real-time ordered**: a reserved value may be smaller
-    /// than a `get_time` reading another thread takes before the value is
-    /// used. Blocks are therefore suitable for id/epoch allocation and for
-    /// pre-partitioned (sharded) time domains, but must NOT be used directly
-    /// as commit timestamps — commit times go through
-    /// [`acquire_commit_ts`](Self::acquire_commit_ts), which re-arbitrates
-    /// block values against the published commit frontier (see
-    /// `BlockCounter` in [`crate::counter`]).
-    ///
-    /// The default implementation draws `n` successive `get_new_ts` values.
-    fn get_ts_block(&mut self, n: usize) -> Vec<Self::Ts> {
-        (0..n).map(|_| self.get_new_ts()).collect()
-    }
-
     /// Out-of-band timestamp feedback: the engine learned `ts` from shared
     /// state (typically a version stamp read from an object) rather than
     /// from this clock.
@@ -301,34 +269,6 @@ pub trait ThreadClock: Send + 'static {
     /// failed, and leaking such a timestamp into readable time would hand
     /// readers a snapshot time at an in-flight committer's commit time.
     fn note_abort(&mut self) {}
-
-    /// Shard-selection hook: the engine opened an object homed on `shard`.
-    /// A sharded clock ([`crate::sharded::ShardedClock`]) arbitrates the
-    /// attempt's commit across the shards marked since
-    /// [`begin_attempt`](Self::begin_attempt); every other clock ignores it
-    /// (the default), so an unsharded engine pays nothing for the call.
-    #[inline]
-    fn mark_shard(&mut self, shard: usize) {
-        let _ = shard;
-    }
-
-    /// Shard-selection hook: a transaction attempt starts, with no shard
-    /// marked and no commit armed. The failed attempt's selection stays in
-    /// place until here, so its [`note_abort`](Self::note_abort) reaches
-    /// the shards it touched. No-op by default.
-    #[inline]
-    fn begin_attempt(&mut self) {}
-
-    /// Shard-selection hook: the next
-    /// [`acquire_commit_ts`](Self::acquire_commit_ts) is an update
-    /// transaction's commit and must cover every marked shard (other
-    /// acquisitions — helpers, `getPrelimUB` resolution — need one sound
-    /// timestamp and stay on one shard). Returns the number of shards the
-    /// commit will span: 1 by default.
-    #[inline]
-    fn arm_commit(&mut self) -> u32 {
-        1
-    }
 }
 
 /// Start of the process-wide monotonic epoch. All real-time-flavoured time
@@ -423,7 +363,6 @@ mod tests {
         // A clock that only implements the mandatory methods inherits a
         // sound (if trick-free) arbitration protocol: fresh timestamps,
         // but no exclusivity claim an engine could build a fast path on.
-        // It ignores shard selection.
         struct Seq(u64);
         impl ThreadClock for Seq {
             type Ts = u64;
@@ -438,11 +377,7 @@ mod tests {
         let mut c = Seq(10);
         let ct = c.acquire_commit_ts(10);
         assert_eq!(ct, CommitTs::Shared(11));
-        assert_eq!(c.get_ts_block(3), vec![12, 13, 14]);
         c.note_abort(); // default: no-op
-        c.mark_shard(3); // so are the shard-selection hooks
-        c.begin_attempt();
-        assert_eq!(c.arm_commit(), 1, "an unsharded commit spans one shard");
-        assert_eq!(c.get_time(), 14);
+        assert_eq!(c.get_time(), 11);
     }
 }

@@ -185,8 +185,8 @@ pub const DEFAULT_TS_BLOCK: u64 = 64;
 /// Batched-allocation counter: per-thread blocks of `k` timestamps from a
 /// *reservation* counter, published to a separate *commit frontier* on use.
 ///
-/// * [`ThreadClock::get_ts_block`] / allocation: one `fetch_add(k)` on the
-///   reservation counter per `k` timestamps — the amortized path.
+/// * refill: one `fetch_add(k)` on the reservation counter per `k`
+///   commit timestamps — the amortized path.
 /// * [`ThreadClock::get_time`]: a load of the commit *frontier* (only
 ///   published timestamps are readable, which is what makes block
 ///   reservation sound — see the module docs).
@@ -378,8 +378,6 @@ impl<A: Arbitration> TimeBase for Counter<A> {
         TimeBaseInfo {
             name: if A::PRICED { "numa-counter" } else { name },
             uniqueness,
-            // Every rule reserves a disjoint range per `get_ts_block`.
-            block_uniqueness: Unique,
             contention,
             commit_monotonic,
         }
@@ -498,39 +496,11 @@ impl<A: Arbitration> CounterClock<A> {
         }
     }
 
-    /// GV5's reservation: blocks DO advance the counter (they are
-    /// allocation, not commit) — and because GV5 commit times run ahead of
-    /// the lazy counter, the reservation must start above this thread's own
-    /// run-ahead frontier (`last_seen`) too. A plain fetch_add would let a
-    /// later reservation by another thread overlap the skipped-ahead range,
-    /// so advance by CAS from max(counter, last_seen): every reservation
-    /// moves the counter past its own end, keeping reserved ranges pairwise
-    /// disjoint. (Blocks may still coincide with *commit* timestamps other
-    /// threads have not published — consistent with the base's
-    /// `SharedUnderContention` timestamp class.) Returns the block's base.
-    fn gv5_reserve(&mut self, n: u64) -> u64 {
-        let mut cur = self.load();
-        loop {
-            let base = cur.max(self.last_seen);
-            match self.rmw(|w| {
-                w.compare_exchange_weak(cur, base + n, Ordering::AcqRel, Ordering::Acquire)
-            }) {
-                Ok(_) => {
-                    // The reservation moved the readable counter itself to
-                    // base + n, so the published floor may follow.
-                    self.published = self.published.max(base + n);
-                    return base;
-                }
-                Err(observed) => cur = observed,
-            }
-        }
-    }
-
-    /// Reserve a fresh block `(base, base + n]` from the allocation
+    /// Reserve a fresh block `(base, base + block]` from the allocation
     /// frontier.
-    fn refill(&mut self, n: u64) -> u64 {
+    fn refill(&mut self) -> u64 {
         self.s.events.fetch_add(1, Ordering::Relaxed);
-        self.s.reserve.fetch_add(n, Ordering::AcqRel)
+        self.s.reserve.fetch_add(self.s.block, Ordering::AcqRel)
     }
 
     /// The block arbitration loop: confirm the next fresh block value on
@@ -550,7 +520,7 @@ impl<A: Arbitration> CounterClock<A> {
                 // `floor` whenever the floor came from published values;
                 // the skip-forward above handles the remaining case of a
                 // caller-supplied `observed` floor inside the new block.
-                let base = self.refill(self.s.block);
+                let base = self.refill();
                 self.next = base + 1;
                 self.end = base + self.s.block + 1;
                 if self.next <= floor {
@@ -644,24 +614,6 @@ impl<A: Arbitration> ThreadClock for CounterClock<A> {
             }
             Rule::Block => self.block(observed),
         }
-    }
-
-    fn get_ts_block(&mut self, n: usize) -> Vec<u64> {
-        let n = n as u64;
-        let base = match A::RULE {
-            // One RMW reserves the whole block; the values are globally
-            // unique (disjoint ranges) and strictly increasing, but NOT
-            // real-time ordered — see the trait-level contract.
-            Rule::FetchAdd | Rule::Gv4 => self.rmw(|w| w.fetch_add(n, Ordering::AcqRel)),
-            Rule::Gv5 => self.gv5_reserve(n),
-            // Raw reservation: globally unique (disjoint ranges), per-thread
-            // fresh (the reservation frontier is ≥ everything this thread
-            // ever saw), but NOT published — not usable as commit times
-            // directly.
-            Rule::Block => self.refill(n).max(self.last_seen),
-        };
-        self.last_seen = self.last_seen.max(base + n);
-        (1..=n).map(|i| base + i).collect()
     }
 
     #[inline]
@@ -905,30 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn gv5_blocks_stay_disjoint_after_run_ahead_commits() {
-        // Regression: GV5 commits run ahead of the lazy counter
-        // (last_seen > counter). A reservation by the run-ahead thread must
-        // advance the counter past its skipped-ahead range, or another
-        // thread's later reservation overlaps it.
-        let tb = Gv5Counter::new();
-        let mut a = tb.register_thread();
-        let mut b = tb.register_thread();
-        for _ in 0..5 {
-            let t = a.get_time();
-            a.acquire_commit_ts(t); // counter never advances; a.last_seen does
-        }
-        let block_a = a.get_ts_block(4);
-        let block_b = b.get_ts_block(8);
-        for v in &block_a {
-            assert!(
-                !block_b.contains(v),
-                "blocks overlap: {block_a:?} vs {block_b:?}"
-            );
-        }
-        assert!(block_b[0] > *block_a.last().unwrap());
-    }
-
-    #[test]
     fn block_counter_commit_ts_are_exclusive_and_unique() {
         // Lost confirmations are discarded, never adopted: every
         // acquisition is Exclusive and no value is ever handed out twice.
@@ -1005,47 +933,15 @@ mod tests {
         let tb = BlockCounter::new(16);
         let mut w = tb.register_thread();
         let mut r = tb.register_thread();
-        // Reserving a raw block moves the allocation frontier but must not
-        // move what readers observe.
+        // A commit reserves a whole block of 16 but publishes only the
+        // value it uses: readers observe that value, never the rest of the
+        // reservation.
         let before = r.get_time();
-        let blk = w.get_ts_block(16);
-        assert_eq!(r.get_time(), before, "raw reservation is unobservable");
-        // Publishing a commit moves the observable frontier.
         let w1 = w.get_time();
         let ct = w.acquire_commit_ts(w1).ts();
-        assert!(
-            ct > *blk.last().unwrap(),
-            "commit re-arbitrates past blocks"
-        );
-        assert!(r.get_time() >= ct);
-    }
-
-    #[test]
-    fn raw_blocks_are_disjoint_across_threads() {
-        let tb = BlockCounter::new(8);
-        let mut all: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let mut clk = tb.register_thread();
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for _ in 0..500 {
-                            out.extend(clk.get_ts_block(8));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        let n = all.len();
-        assert_eq!(n, 4 * 500 * 8);
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(n, all.len(), "reserved blocks must be disjoint");
+        assert_eq!(tb.refills(), 1, "the commit reserved one block");
+        assert!(ct > before);
+        assert_eq!(r.get_time(), ct, "the unused reservation is unobservable");
     }
 
     #[test]
@@ -1078,7 +974,6 @@ mod tests {
                 SharedCounter::new().info(),
                 "shared-counter",
                 Unique,
-                Unique,
                 SharedRmw,
                 true,
             ),
@@ -1086,7 +981,6 @@ mod tests {
                 Gv4Counter::new().info(),
                 "gv4",
                 SharedUnderContention,
-                Unique,
                 AdoptingRmw,
                 false,
             ),
@@ -1094,7 +988,6 @@ mod tests {
                 Gv5Counter::new().info(),
                 "gv5",
                 SharedUnderContention,
-                Unique,
                 LoadOnly,
                 false,
             ),
@@ -1102,17 +995,15 @@ mod tests {
                 BlockCounter::default().info(),
                 "block",
                 Unique,
-                Unique,
                 AdoptingRmw,
                 true,
             ),
-            (numa.info(), "numa-counter", Unique, Unique, SharedRmw, true),
+            (numa.info(), "numa-counter", Unique, SharedRmw, true),
         ];
-        for (info, name, uniqueness, block_uniqueness, contention, commit_monotonic) in rows {
+        for (info, name, uniqueness, contention, commit_monotonic) in rows {
             let want = TimeBaseInfo {
                 name,
                 uniqueness,
-                block_uniqueness,
                 contention,
                 commit_monotonic,
             };

@@ -318,7 +318,6 @@ impl TimeBase for ExternalClock {
             // Distinct clocks can draw overlapping (ts, cid, dev) readings;
             // only the uncertainty algebra orders them.
             uniqueness: crate::base::Uniqueness::BestEffort,
-            block_uniqueness: crate::base::Uniqueness::BestEffort,
             contention: crate::base::ContentionClass::LocalRead,
             // The uncertainty algebra (Algorithm 5) masks deviations, so
             // guaranteed comparisons never contradict commit order.

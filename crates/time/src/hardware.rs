@@ -75,7 +75,6 @@ impl TimeBase for HardwareClock {
             name: "mmtimer",
             // Ticks are coarse (50 ns at 20 MHz): concurrent reads collide.
             uniqueness: Uniqueness::BestEffort,
-            block_uniqueness: Uniqueness::BestEffort,
             contention: ContentionClass::LocalRead,
             commit_monotonic: true,
         }

@@ -38,13 +38,7 @@
 //!   model, used to reproduce the paper's SGI-Altix contention behaviour on
 //!   a small host. [`numa::NumaModel::altix`] is the one Altix machine
 //!   model; the discrete-event simulator prices the line from it too (see
-//!   DESIGN.md §3),
-//! * [`sharded::ShardedTimeBase`] — the composite base that shards an STM:
-//!   per-shard clock instances over one arbitration-comparable domain, a
-//!   shard selection the engine makes through [`ThreadClock`]'s hooks,
-//!   disjoint per-shard `get_ts_block` domains and a capability check that
-//!   rejects inner bases whose guarantees do not survive composition
-//!   (see DESIGN.md §9).
+//!   DESIGN.md §3).
 //!
 //! The abstraction is split in two traits:
 //!
@@ -57,8 +51,7 @@
 //!   [`ThreadClock::get_time`] and [`ThreadClock::get_new_ts`] implement the
 //!   paper's `getTime`/`getNewTS` utility functions. On top of those,
 //!   [`ThreadClock::acquire_commit_ts`] is the commit-arbitration protocol
-//!   (GV4/GV5 timestamp sharing as [`CommitTs`]),
-//!   [`ThreadClock::get_ts_block`] batched allocation, and every base
+//!   (GV4/GV5 timestamp sharing as [`CommitTs`]), and every base
 //!   describes its guarantees through a [`TimeBaseInfo`] descriptor whose
 //!   claims the [`conformance`] suite asserts.
 //!
@@ -79,14 +72,12 @@ pub mod hardware;
 pub mod numa;
 pub mod perfect;
 pub mod range;
-pub mod sharded;
 pub mod sync_measure;
 pub mod sync_sim;
 pub mod timestamp;
 
 pub use base::{CommitTs, ContentionClass, ThreadClock, TimeBase, TimeBaseInfo, Uniqueness};
 pub use range::ValidityRange;
-pub use sharded::{ShardedClock, ShardedTimeBase};
 pub use timestamp::{Timestamp, TsCell};
 
 /// Convenient re-exports of every concrete time base.
@@ -98,6 +89,5 @@ pub mod prelude {
     pub use crate::numa::{NumaCounter, NumaModel};
     pub use crate::perfect::PerfectClock;
     pub use crate::range::ValidityRange;
-    pub use crate::sharded::ShardedTimeBase;
     pub use crate::timestamp::Timestamp;
 }

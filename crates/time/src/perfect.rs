@@ -49,7 +49,6 @@ impl TimeBase for PerfectClock {
             name: "perfect-clock",
             // Two threads reading in the same nanosecond draw equal values.
             uniqueness: Uniqueness::BestEffort,
-            block_uniqueness: Uniqueness::BestEffort,
             contention: ContentionClass::LocalRead,
             commit_monotonic: true,
         }

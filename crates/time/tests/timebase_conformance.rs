@@ -5,11 +5,11 @@
 //! Two layers:
 //!
 //! * [`conformance::full_suite`] per base — deterministic patterns plus the
-//!   cross-thread uniqueness / block-disjointness checks selected by each
-//!   base's advertised [`TimeBaseInfo`] classes;
+//!   cross-thread uniqueness checks selected by each base's advertised
+//!   [`TimeBaseInfo`] classes;
 //! * proptest-driven [`conformance::thread_contract`] — randomized
-//!   interleavings of `get_time` / `get_new_ts` / `acquire_commit_ts` /
-//!   `get_ts_block` per base.
+//!   interleavings of `get_time` / `get_new_ts` / `acquire_commit_ts` per
+//!   base.
 
 use lsa_time::conformance::{self, ClockOp};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
@@ -17,7 +17,6 @@ use lsa_time::external::{ClockId, ExtTimestamp, ExternalClock};
 use lsa_time::hardware::HardwareClock;
 use lsa_time::numa::{NumaCounter, NumaModel};
 use lsa_time::perfect::PerfectClock;
-use lsa_time::sharded::ShardedTimeBase;
 use lsa_time::{TimeBase, Timestamp, TsCell, Uniqueness};
 use proptest::prelude::*;
 
@@ -70,61 +69,6 @@ fn advertised_uniqueness_classes_are_as_documented() {
         PerfectClock::new().info().uniqueness,
         Uniqueness::BestEffort
     );
-    // Counter-backed bases reserve disjoint ranges.
-    for block_unique in [
-        SharedCounter::new().info().block_uniqueness,
-        Gv4Counter::new().info().block_uniqueness,
-        Gv5Counter::new().info().block_uniqueness,
-        BlockCounter::default().info().block_uniqueness,
-        NumaCounter::new(NumaModel::free()).info().block_uniqueness,
-    ] {
-        assert_eq!(block_unique, Uniqueness::Unique);
-    }
-}
-
-/// Every composable inner base behind the sharded composite, at several
-/// shard counts. The composite is itself a `TimeBase`, so it passes the
-/// full standard suite, plus the sharding-specific properties (per-shard
-/// block-domain disjointness, cross-shard commit monotonicity, no
-/// cross-shard `Exclusive` collision).
-#[test]
-fn sharded_composites_pass_the_sharded_suite() {
-    fn check<B: TimeBase>(tb: &ShardedTimeBase<B>) {
-        println!("sharded timebase conformance: {}", tb.name());
-        conformance::sharded_suite(tb);
-    }
-    check(&ShardedTimeBase::new(SharedCounter::new(), 2));
-    check(&ShardedTimeBase::new(SharedCounter::new(), 8));
-    check(&ShardedTimeBase::new(BlockCounter::new(4), 4));
-    check(&ShardedTimeBase::new(BlockCounter::new(64), 8));
-    check(&ShardedTimeBase::new(
-        NumaCounter::new(NumaModel::free()),
-        4,
-    ));
-}
-
-#[test]
-#[should_panic(expected = "commit-monotonic")]
-fn sharded_composite_rejects_gv5() {
-    // Lazy (run-ahead) arbitration state does not survive composition
-    // across shard clocks; the composite must fail loudly, exactly like
-    // LSA's constructor rejecting non-commit-monotonic bases.
-    let _ = ShardedTimeBase::new(Gv5Counter::new(), 4);
-}
-
-#[test]
-#[should_panic(expected = "commit-monotonic")]
-fn sharded_composite_rejects_gv4() {
-    // GV4 adoption is not commit-monotonic either: a loser commits at a
-    // value the winner already made readable.
-    let _ = ShardedTimeBase::new(Gv4Counter::new(), 4);
-}
-
-#[test]
-#[should_panic(expected = "block domains")]
-fn sharded_composite_rejects_best_effort_blocks() {
-    // Real-time bases cannot carve disjoint per-shard block domains.
-    let _ = ShardedTimeBase::new(PerfectClock::new(), 4);
 }
 
 /// Map proptest-generated bytes onto clock operations.
@@ -160,11 +104,10 @@ fn u64_cell_refuses_to_put_the_unset_marker() {
 fn ops_from_bytes(bytes: &[u8]) -> Vec<ClockOp> {
     bytes
         .iter()
-        .map(|&b| match b % 4 {
+        .map(|&b| match b % 3 {
             0 => ClockOp::Time,
             1 => ClockOp::NewTs,
-            2 => ClockOp::Commit,
-            _ => ClockOp::Block(1 + (b / 4) as usize % 5),
+            _ => ClockOp::Commit,
         })
         .collect()
 }
@@ -210,35 +153,6 @@ proptest! {
         conformance::thread_contract(
             &NumaCounter::new(NumaModel::free()),
             &ops_from_bytes(&bytes),
-        );
-    }
-
-    #[test]
-    fn sharded_composite_thread_contract(
-        bytes in prop::collection::vec(any::<u8>(), 1..40),
-        shards in 1usize..9,
-        block in 1u64..16,
-    ) {
-        conformance::thread_contract(
-            &ShardedTimeBase::new(BlockCounter::new(block), shards),
-            &ops_from_bytes(&bytes),
-        );
-    }
-
-    /// The multi-shard variant: shard selections vary per operation and
-    /// commits alternate between single-shard and chained arbitration —
-    /// the routing the plain thread contract (no selection → shard 0)
-    /// cannot reach.
-    #[test]
-    fn sharded_multi_shard_selection_contract(
-        seed in any::<u64>(),
-        shards in 2usize..9,
-        block in 1u64..16,
-    ) {
-        conformance::sharded_multi_shard_thread_contract(
-            &ShardedTimeBase::new(BlockCounter::new(block), shards),
-            seed,
-            80,
         );
     }
 

@@ -108,9 +108,11 @@ pub struct WireClient {
     replies: OneshotPool<Reply>,
 }
 
-/// The shard hint a request travels with: derived from the data it touches
-/// so shard-affine engines route co-located keys to the same worker. Pings
-/// and whole-table audits have no affinity.
+/// The shard hint a request travels with in its frame header: the key or
+/// source account it touches, none for pings and whole-table audits. No
+/// server reads it (the service routes round-robin); the header field and
+/// this function stay because the benchmark's wire-codec probe encodes
+/// frames with them.
 pub fn shard_hint(req: &Request) -> Option<u32> {
     match *req {
         Request::Ping | Request::BankAudit | Request::Stats => None,

@@ -11,7 +11,7 @@
 //! 5       1     opcode
 //! 6       2     flags (reserved, must be zero)
 //! 8       8     request id (u64 LE) — client-assigned, echoed by responses
-//! 16      4     shard hint (u32 LE; NO_SHARD_HINT = none)
+//! 16      4     shard hint (u32 LE; NO_SHARD_HINT = none; no server reads it)
 //! 20      N-16  payload
 //! ```
 //!
@@ -178,7 +178,8 @@ pub struct FrameHeader {
     pub opcode: Opcode,
     /// Client-assigned request id, echoed verbatim by the response.
     pub req_id: u64,
-    /// Optional shard-affinity hint.
+    /// Optional shard hint ([`crate::shard_hint`]): carried and decoded,
+    /// read by no server.
     pub shard: Option<u32>,
 }
 

@@ -463,7 +463,6 @@ fn reader_loop<E: TxnEngine>(
                 Ok(Some((frame, consumed))) => {
                     shared.frames_in.inc();
                     let req_id = frame.header.req_id;
-                    let shard = frame.header.shard.map(|s| s as usize);
                     match Request::decode(&frame) {
                         Ok(Request::Stats) => {
                             // Answered inline from the registry, off the
@@ -477,7 +476,7 @@ fn reader_loop<E: TxnEngine>(
                         Ok(req) => {
                             shared.ops.for_req(&req).inc();
                             rb.consume(consumed);
-                            if !submit_request(&ctx, &service, &job_pool, req_id, shard, req) {
+                            if !submit_request(&ctx, &service, &job_pool, req_id, req) {
                                 break 'conn; // service closed / window closed
                             }
                         }
@@ -528,7 +527,6 @@ fn submit_request<E: TxnEngine>(
     service: &ServiceHandle<E>,
     job_pool: &Pool<Box<WireJob<E>>>,
     req_id: u64,
-    shard: Option<usize>,
     req: Request,
 ) -> bool {
     // Bounded in-flight window: block the reader (and thereby the socket)
@@ -550,7 +548,7 @@ fn submit_request<E: TxnEngine>(
     job.ctx = Some(Arc::clone(ctx));
     job.req = req;
     job.req_id = req_id;
-    match service.submit_record(shard, job) {
+    match service.submit_record(job) {
         Ok(()) => true, // the record itself writes the response
         Err((SubmitError::Overloaded, record)) => {
             // Shed by admission control: the typed overload response IS the

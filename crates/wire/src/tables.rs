@@ -12,7 +12,7 @@
 
 use crate::frame::{ErrorCode, Frame, FrameError, Opcode};
 use lsa_engine::{EngineHandle, EngineVar, TxnEngine, TxnOps};
-use lsa_workloads::{HashSetT, IntSetList, PlacementHint};
+use lsa_workloads::{HashSetT, IntSetList};
 
 /// A set operation discriminant shared by the intset and hashset opcodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -275,9 +275,6 @@ impl TablesConfig {
 /// connection reader holds a clone to build request closures from.
 pub struct Tables<E: TxnEngine> {
     cfg: TablesConfig,
-    /// Shard-affinity groups of the accounts (1 = spread). Account `i`
-    /// belongs to group `i * groups / accounts`.
-    groups: usize,
     accounts: Vec<EngineVar<E, i64>>,
     intset: IntSetList<E>,
     hashset: HashSetT<E>,
@@ -287,7 +284,6 @@ impl<E: TxnEngine> Clone for Tables<E> {
     fn clone(&self) -> Self {
         Tables {
             cfg: self.cfg,
-            groups: self.groups,
             accounts: self.accounts.clone(),
             intset: self.intset.clone(),
             hashset: self.hashset.clone(),
@@ -296,30 +292,12 @@ impl<E: TxnEngine> Clone for Tables<E> {
 }
 
 impl<E: TxnEngine> Tables<E> {
-    /// Build and seed the tables on `engine` with engine-default (spread)
-    /// placement.
+    /// Build and seed the tables on `engine`.
     pub fn build(engine: &E, cfg: &TablesConfig) -> Self {
-        Self::with_placement(engine, cfg, PlacementHint::Spread)
-    }
-
-    /// Build and seed the tables with an explicit [`PlacementHint`].
-    /// Partitioned placement pins contiguous account groups — one per
-    /// engine shard — via [`TxnEngine::new_var_on`], clamped so every group
-    /// keeps at least two accounts (a transfer needs a pair). The sets are
-    /// always spread.
-    pub fn with_placement(engine: &E, cfg: &TablesConfig, placement: PlacementHint) -> Self {
         assert!(cfg.accounts >= 2, "a transfer needs two accounts");
         assert!(cfg.set_key_range >= 2);
-        let n = cfg.accounts as usize;
-        let groups = match placement {
-            PlacementHint::Spread => 1,
-            PlacementHint::Partitioned => engine.shards().clamp(1, n / 2),
-        };
-        let accounts = (0..n)
-            .map(|i| match placement {
-                PlacementHint::Spread => engine.new_var(cfg.initial),
-                PlacementHint::Partitioned => engine.new_var_on(i * groups / n, cfg.initial),
-            })
+        let accounts = (0..cfg.accounts)
+            .map(|_| engine.new_var(cfg.initial))
             .collect();
         let intset = IntSetList::new(engine.clone());
         let hashset = HashSetT::new(engine.clone(), cfg.hash_buckets);
@@ -330,7 +308,6 @@ impl<E: TxnEngine> Tables<E> {
         }
         Tables {
             cfg: *cfg,
-            groups,
             accounts,
             intset,
             hashset,
@@ -340,12 +317,6 @@ impl<E: TxnEngine> Tables<E> {
     /// The sizing the tables were built with.
     pub fn config(&self) -> &TablesConfig {
         &self.cfg
-    }
-
-    /// Shard-affinity groups of the accounts: 1 unless partitioned on a
-    /// sharded engine.
-    pub fn groups(&self) -> usize {
-        self.groups
     }
 
     /// The invariant audit total (what [`Request::BankAudit`] must observe).

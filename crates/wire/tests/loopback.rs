@@ -326,37 +326,3 @@ fn live_stats_scrape_during_load_sweep() {
     assert_eq!(report.frames_in, report.frames_out);
     assert!(report.frames_in >= 900 + 5);
 }
-
-/// Shard hints flow end to end on a genuinely sharded engine: run the same
-/// transfer mix against a sharded `Stm` and let the post-drain audit prove the
-/// cross-shard commit protocol held up under wire-fed concurrency.
-#[test]
-fn sharded_engine_serves_the_wire() {
-    use lsa_time::sharded::ShardedTimeBase;
-    let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
-    let server = WireServer::start(engine, "127.0.0.1:0", small_cfg()).unwrap();
-    let client = WireClient::connect(server.local_addr(), 2).unwrap();
-
-    std::thread::scope(|s| {
-        for t in 0..3usize {
-            let client = &client;
-            s.spawn(move || {
-                for i in 0..150usize {
-                    let from = ((t * 17 + i) % 64) as u32;
-                    let to = (from + 7) % 64;
-                    let r = client
-                        .call(&Request::BankTransfer {
-                            from,
-                            to,
-                            amount: 2,
-                        })
-                        .expect("call");
-                    assert!(matches!(r, Reply::Ok | Reply::Overloaded));
-                }
-            });
-        }
-    });
-
-    drop(client);
-    server.shutdown(); // asserts the bank invariant across shards
-}

@@ -11,7 +11,6 @@
 //! Generic over the [`TxnEngine`], so fixed costs can be compared *across
 //! engines* as well as across time bases.
 
-use crate::placement::PlacementHint;
 use crate::rng::FastRng;
 use lsa_engine::{EngineHandle, EngineStats, EngineVar, TxnEngine, TxnOps};
 
@@ -42,32 +41,14 @@ pub struct DisjointWorkload<E: TxnEngine> {
 }
 
 impl<E: TxnEngine> DisjointWorkload<E> {
-    /// Allocate `threads` partitions on `engine` with engine-default
-    /// (spread) placement.
+    /// Allocate `threads` partitions on `engine`.
     pub fn new(engine: E, threads: usize, cfg: DisjointConfig) -> Self {
-        Self::with_placement(engine, threads, cfg, PlacementHint::Spread)
-    }
-
-    /// Allocate with an explicit [`PlacementHint`]: partitioned placement
-    /// pins thread `t`'s whole partition to shard `t % shards` via
-    /// [`TxnEngine::new_var_on`], so every transaction is single-shard —
-    /// the shard-local contrast to round-robin spreading, under which a
-    /// `k`-access transaction touches up to `k` shards.
-    pub fn with_placement(
-        engine: E,
-        threads: usize,
-        cfg: DisjointConfig,
-        placement: PlacementHint,
-    ) -> Self {
         assert!(cfg.accesses_per_tx >= 1);
         assert!(cfg.objects_per_thread >= cfg.accesses_per_tx);
         let partitions = (0..threads)
-            .map(|t| {
+            .map(|_| {
                 (0..cfg.objects_per_thread)
-                    .map(|_| match placement {
-                        PlacementHint::Spread => engine.new_var(0u64),
-                        PlacementHint::Partitioned => engine.new_var_on(t, 0u64),
-                    })
+                    .map(|_| engine.new_var(0u64))
                     .collect()
             })
             .collect();
@@ -216,31 +197,6 @@ mod tests {
         // (the paper's point), and in Always mode every access validates, but
         // disjoint read sets always stay valid — still zero aborts.
         concurrent_accounting(ValidationStm::new(ValidationMode::CommitCounter));
-    }
-
-    #[test]
-    fn partitioned_disjoint_is_single_shard() {
-        use lsa_time::sharded::ShardedTimeBase;
-        let engine = Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4));
-        let wl = DisjointWorkload::with_placement(
-            engine,
-            2,
-            DisjointConfig {
-                objects_per_thread: 16,
-                accesses_per_tx: 8,
-            },
-            PlacementHint::Partitioned,
-        );
-        let mut w = wl.worker(1);
-        for _ in 0..50 {
-            w.step();
-        }
-        assert_eq!(w.stats().commits, 50);
-        assert_eq!(
-            w.stats().cross_shard_commits,
-            0,
-            "pinned partitions must commit shard-locally"
-        );
     }
 
     #[test]

@@ -36,8 +36,8 @@ impl<E: TxnEngine> HashSetT<E> {
         &self.engine
     }
 
-    /// The bucket index `key` hashes to — exposed so audits (and shard-hint
-    /// policies) can check key placement from outside.
+    /// The bucket index `key` hashes to — exposed so audits can check key
+    /// placement from outside.
     #[inline]
     pub fn bucket_index(&self, key: i64) -> usize {
         // Fibonacci hashing of the key into a bucket index.

@@ -10,9 +10,6 @@
 //! * [`intset_list`] — sorted linked-list set: long traversals, growing read
 //!   sets (the validation-cost experiment, EXP-VAL),
 //! * [`hashset`] — bucketed hash set: short transactions, tunable contention,
-//! * [`placement`] — the [`PlacementHint`] shard-affinity axis: a workload
-//!   can pin its natural partitions shard-locally
-//!   (`TxnEngine::new_var_on`) instead of round-robin spreading,
 //! * [`rng`] — cheap deterministic randomness for workload threads.
 //!
 //! The bank, snapshot, intset and hashset request mixes are not here: they
@@ -30,13 +27,11 @@
 pub mod disjoint;
 pub mod hashset;
 pub mod intset_list;
-pub mod placement;
 pub mod rng;
 pub mod scan;
 
 pub use disjoint::{DisjointConfig, DisjointWorker, DisjointWorkload};
 pub use hashset::HashSetT;
 pub use intset_list::IntSetList;
-pub use placement::PlacementHint;
 pub use rng::FastRng;
 pub use scan::{ScanConfig, ScanWorker, ScanWorkload};

@@ -4,7 +4,7 @@
 //!
 //! This is the serving-layer counterpart of `tests/opacity.rs`: requests
 //! from many client threads cross bounded queues, multiplex onto few
-//! long-lived worker handles (shard-affinely on the sharded cells), and the
+//! long-lived worker handles, and the
 //! value-chain / audit-snapshot witnesses plus the service's own accounting
 //! (`completed == submitted`) are asserted end to end. The registry's
 //! engine counters, read from the workers' statistics shards, are checked
@@ -26,25 +26,11 @@ fn every_registry_cell_passes_service_conformance() {
     }
 }
 
-/// The sharded cells again, explicitly: shard-affine routing must not
-/// change the serializability verdict (requests hinting one shard all land
-/// on one worker; cross-shard audits interleave with them).
-#[test]
-fn sharded_cells_pass_service_conformance_shard_affinely() {
-    let reg = default_registry();
-    let sharded: Vec<_> = reg.iter().filter(|e| e.engine == "lsa-sharded").collect();
-    assert!(sharded.len() >= 3, "sharded rows missing from the registry");
-    for entry in sharded {
-        println!("service conformance (sharded): {}", entry.label());
-        entry.run_service_conformance();
-    }
-}
-
 /// Reads one counter out of an [`EngineStats`].
 type Field = fn(&EngineStats) -> u64;
 
 /// Every engine counter a scrape exports, and the report field it mirrors.
-const ENGINE_COUNTERS: [(&str, Field); 12] = [
+const ENGINE_COUNTERS: [(&str, Field); 11] = [
     ("engine.commits", |e| e.commits),
     ("engine.ro_commits", |e| e.ro_commits),
     ("engine.aborts.validation", |e| e.abort_reasons.validation),
@@ -54,7 +40,6 @@ const ENGINE_COUNTERS: [(&str, Field); 12] = [
     ("engine.reads", |e| e.reads),
     ("engine.writes", |e| e.writes),
     ("engine.validations", |e| e.validations),
-    ("engine.cross_shard_commits", |e| e.cross_shard_commits),
     ("time.commit_ts.shared", |e| e.shared_commit_ts),
     ("time.commit_ts.exclusive", |e| {
         e.commits - e.shared_commit_ts

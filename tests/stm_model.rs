@@ -34,13 +34,6 @@ fn op_strategy(n_vars: usize) -> impl Strategy<Value = ModelOp> {
 fn sequential_on_all_engines(txns: &[Vec<ModelOp>]) {
     sequential_ops_match_model(&Stm::new(SharedCounter::new()), N_VARS, txns);
     sequential_ops_match_model(&Stm::new(HardwareClock::mmtimer_free()), N_VARS, txns);
-    // Four shards over six variables: every generated transaction that
-    // touches two variables is a cross-shard transaction.
-    sequential_ops_match_model(
-        &Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)),
-        N_VARS,
-        txns,
-    );
     sequential_ops_match_model(&Tl2Stm::new(SharedCounter::new()), N_VARS, txns);
     sequential_ops_match_model(&ValidationStm::new(ValidationMode::Always), N_VARS, txns);
     sequential_ops_match_model(
@@ -75,7 +68,6 @@ proptest! {
         )
     ) {
         concurrent_adds_match_model(&Stm::new(SharedCounter::new()), 4, &adds);
-        concurrent_adds_match_model(&Stm::new(ShardedTimeBase::new(SharedCounter::new(), 4)), 4, &adds);
         concurrent_adds_match_model(&Tl2Stm::new(SharedCounter::new()), 4, &adds);
         concurrent_adds_match_model(
             &ValidationStm::new(ValidationMode::CommitCounter), 4, &adds,
@@ -181,9 +173,6 @@ fn deterministic_mixed_run_on<E: TxnEngine>(engine: &E) {
 #[test]
 fn deterministic_mixed_run_every_engine() {
     deterministic_mixed_run_on(&Stm::new(SharedCounter::new()));
-    // `a` and `b` land on different shards (round-robin), so the mixed run
-    // drives the cross-shard commit path deterministically.
-    deterministic_mixed_run_on(&Stm::new(ShardedTimeBase::new(SharedCounter::new(), 2)));
     deterministic_mixed_run_on(&Tl2Stm::new(SharedCounter::new()));
     deterministic_mixed_run_on(&ValidationStm::new(ValidationMode::Always));
     deterministic_mixed_run_on(&ValidationStm::new(ValidationMode::CommitCounter));
