@@ -199,7 +199,7 @@ pub trait TxnOps {
 /// Each engine maps its internal abort causes onto these classes in its
 /// `TxnEngine` glue: LSA-RT folds `Validation`/`Snapshot` aborts into
 /// [`Validation`](AbortClass::Validation) and keeps `NoVersion` separate
-/// (the §4.3 split); lock-acquisition failures and contention-manager kills
+/// (the §4.3 split); lock-acquisition failures and conflicting writers' kills
 /// land in [`Contention`](AbortClass::Contention);
 /// [`Overload`](AbortClass::Overload) is never produced by an engine — it
 /// counts admission-control sheds recorded by the `lsa-service` front-end.
@@ -211,7 +211,7 @@ pub enum AbortClass {
     /// No object version overlapped the transaction's validity range
     /// (multi-version engines only).
     NoVersion,
-    /// Lost a conflict: lock busy, contention-manager loser, killed.
+    /// Lost a conflict: lock busy, killed by a conflicting writer.
     Contention,
     /// Shed by admission control before execution (service front-end only).
     Overload,
@@ -394,7 +394,8 @@ pub struct EngineStats {
     /// Commits completed on behalf of other transactions (LSA's helping,
     /// Algorithm 3 line 13).
     pub helps: u64,
-    /// Write-write conflicts submitted to the contention manager (LSA).
+    /// Write-write conflicts met at a registration (LSA; each kills the
+    /// registered writer).
     pub conflicts: u64,
     /// Watermark advances installed by this handle (LSA's lazy
     /// reclamation, amortized over its commits).

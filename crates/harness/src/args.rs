@@ -3,8 +3,7 @@
 //! the `matrix` command line ([`MatrixArgs`]).
 
 use crate::open_loop::Kind;
-use crate::registry::{default_registry, lsa_cm_entry, lsa_external_entry};
-use crate::registry::{CmPolicy, EngineEntry, Workload};
+use crate::registry::{default_registry, lsa_external_entry, EngineEntry, Workload};
 use lsa_wire::TablesConfig;
 use lsa_workloads::{DisjointConfig, ScanConfig};
 
@@ -82,8 +81,6 @@ pub struct MatrixArgs {
     /// `--dev LIST`, given in µs and held in ns: external-clock rows,
     /// multi- and single-version.
     pub dev_ns: Vec<u64>,
-    /// `--cm LIST`: one perfect-clock LSA-RT row per policy.
-    pub cm: Vec<CmPolicy>,
 }
 
 /// A non-empty comma list, every item parsed by `item`.
@@ -102,7 +99,6 @@ impl MatrixArgs {
             threads: vec![std::thread::available_parallelism().map_or(2, |n| n.get().min(4))],
             timebase: Vec::new(),
             dev_ns: Vec::new(),
-            cm: Vec::new(),
         };
         let mut argv = argv.iter();
         while let Some(flag) = argv.next() {
@@ -124,11 +120,6 @@ impl MatrixArgs {
                 "--dev" => {
                     args.dev_ns = list(value, |s| s.parse::<u64>().ok()?.checked_mul(1_000))
                         .ok_or_else(|| bad("a comma list of deviations in whole us"))?;
-                }
-                "--cm" => {
-                    args.cm = list(value, CmPolicy::parse).ok_or_else(|| {
-                        bad("a comma list of polite,aggressive,suicide,karma,timestamp")
-                    })?;
                 }
                 "--size" => {
                     sizes = Some(
@@ -169,15 +160,14 @@ impl MatrixArgs {
         Ok(args)
     }
 
-    /// The rows to run: the `--dev` and `--cm` cells when either is given,
-    /// else the default registry; then only those whose time base contains
+    /// The rows to run: the `--dev` cells when given, else the default
+    /// registry; then only those whose time base contains
     /// one of the `--timebase` substrings.
     pub fn rows(&self) -> Vec<EngineEntry> {
         let mut rows: Vec<EngineEntry> = self
             .dev_ns
             .iter()
             .flat_map(|&dev| [8, 1].map(|versions| lsa_external_entry(dev, versions)))
-            .chain(self.cm.iter().map(|&policy| lsa_cm_entry(policy)))
             .collect();
         if rows.is_empty() {
             rows = default_registry();
@@ -276,10 +266,8 @@ mod tests {
 
     #[test]
     fn matrix_list_flags_parse() {
-        let args =
-            matrix("bank --dev 0,10 --cm karma,timestamp --accounts 5 --threads 1..2").unwrap();
+        let args = matrix("bank --dev 0,10 --accounts 5 --threads 1..2").unwrap();
         assert_eq!(args.dev_ns, [0, 10_000]);
-        assert_eq!(args.cm, [CmPolicy::Karma, CmPolicy::Timestamp]);
         assert_eq!(args.threads, [1, 2]);
         assert!(
             matches!(args.workloads[..], [Workload::Tables(Kind::Bank, cfg)] if cfg.accounts == 5)
@@ -291,8 +279,6 @@ mod tests {
                 "lsa-rt(external-0us-mv1)",
                 "lsa-rt(external-10us-mv8)",
                 "lsa-rt(external-10us-mv1)",
-                "lsa-rt(perfect-cm-karma)",
-                "lsa-rt(perfect-cm-timestamp)",
             ]
         );
         let mv1 = matrix("--dev 1 --timebase mv1").unwrap();
@@ -325,7 +311,8 @@ mod tests {
             "--dev 1,,2",
             "--size 0",
             "scan --size 0",
-            "--cm greedy",
+            // One conflict policy: there is no `--cm` axis.
+            "--cm aggressive",
             "--accounts 1",
             "--accounts",
             "--timebase a,",

@@ -13,8 +13,6 @@
 //! cargo run --release -p lsa-harness --bin matrix -- bank --timebase gv4,seqlock
 //! # EXP-ERR (§4.3): external clocks, multi- (mv8) and single-version (mv1)
 //! cargo run --release -p lsa-harness --bin matrix -- bank --dev 0,1,10,100,1000 --threads 4
-//! # EXP-CM (§2.3): one row per contention manager on a 5-account bank
-//! cargo run --release -p lsa-harness --bin matrix -- bank --cm polite,aggressive,suicide,karma,timestamp --accounts 5 --threads 4
 //! # EXP-VAL (§1): ns per scanned object and entries validated per scan
 //! cargo run --release -p lsa-harness --bin matrix -- scan --threads 1 --size 10,50,100,200,400 --timebase shared-counter,always,commit-counter,seqlock
 //! # Figure 2 on real threads: the NUMA-priced counter vs the MMTimer
@@ -23,8 +21,7 @@
 //!
 //! Rows: the default registry, or — with `--dev US,...` — LSA-RT on an
 //! external clock of each deviation bound in 8- and 1-version
-//! configurations (`lsa_external_entry`), and with `--cm POLICY,...` LSA-RT
-//! on the perfect clock under each contention manager (`lsa_cm_entry`).
+//! configurations (`lsa_external_entry`).
 //! `--timebase A,B,...` keeps only rows whose time-base name contains any of
 //! the substrings (e.g. `gv` selects the GV4 and GV5 arbitration rows, `mv1`
 //! the single-version external cells). `--size N,...` runs scans of N
@@ -55,7 +52,7 @@ fn usage_exit(context: &str) -> ! {
     eprintln!(
         "usage: matrix [bank|disjoint|scan|intset|hashset|snapshot] \
          [--threads N | --threads A..B] \
-         [--timebase SUBSTR,...] [--dev US,...] [--cm POLICY,...] \
+         [--timebase SUBSTR,...] [--dev US,...] \
          [--size N,...] [--accounts N]   ({context})"
     );
     std::process::exit(2);

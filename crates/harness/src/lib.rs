@@ -8,7 +8,7 @@
 //! | `fig2` | Figure 2 on the modeled Altix — throughput vs threads, counter vs MMTimer (10/50/100 accesses) |
 //! | `timebase_overhead` | §4.2 raw time-base costs (EXP-TB) |
 //! | `paper_check` | one PASS/FAIL line per qualitative claim (CI smoke test) |
-//! | `matrix` | every registry-cell sweep: workload × engine × time base × size × threads from the [`registry`] ([`args::MatrixArgs`]); `--dev` is §4.3's sync-error sweep (EXP-ERR), `--cm` §2.3's contention-manager ablation (EXP-CM), `scan --size` §1's validation cost (EXP-VAL) and `disjoint --size` Figure 2 on real threads |
+//! | `matrix` | every registry-cell sweep: workload × engine × time base × size × threads from the [`registry`] ([`args::MatrixArgs`]); `--dev` is §4.3's sync-error sweep (EXP-ERR), `scan --size` §1's validation cost (EXP-VAL) and `disjoint --size` Figure 2 on real threads |
 //! | `open_loop` | open-loop request-rate sweep of the serving path, in process (`lsa-service`) and over loopback TCP (`lsa-wire`), with the saturation-knee locator |
 //!
 //! Shared infrastructure: [`runner`] (thread orchestration and throughput),

@@ -8,20 +8,19 @@
 //! same engine-generic runner ([`run_workload`]), serve the open-loop
 //! driver, and run the conformance suites. The `matrix` binary prints the
 //! full sweep (filterable with `--timebase`) and builds its parameterized
-//! rows from [`lsa_external_entry`] and [`lsa_cm_entry`].
+//! rows from [`lsa_external_entry`].
 //!
 //! The time-base axis includes the commit-arbitration variants
 //! (`gv4`, `gv5`, `block64` — see `lsa_time::counter`). The adopting GV4
 //! and the lazy GV5 appear only under TL2 because LSA requires a
 //! commit-monotonic base (its constructor enforces this — see
-//! `lsa_stm::Stm::with_cm`); the block counter never adopts, stays
+//! `lsa_stm::Stm::with_config`); the block counter never adopts, stays
 //! commit-monotonic, and runs under both engines.
 
 use crate::open_loop::{completes, run_open_loop, Kind, Outcome, Spec};
 use crate::runner::{run_for_pinned, BenchWorker, RunOutcome};
 use lsa_baseline::{NorecStm, Tl2Stm, ValidationMode, ValidationStm};
 use lsa_engine::{EngineHandle, EngineStats, TxnEngine};
-use lsa_stm::cm::{Aggressive, Karma, Polite, Suicide, TimestampCm};
 use lsa_stm::{Stm, StmConfig};
 use lsa_time::counter::{BlockCounter, Gv4Counter, Gv5Counter, SharedCounter};
 use lsa_time::external::ExternalClock;
@@ -277,70 +276,6 @@ pub fn lsa_external_entry(dev_ns: u64, versions: usize) -> EngineEntry {
     )
 }
 
-/// A contention-management policy of the LSA runtime (`lsa_stm::cm`), as
-/// a registry parameter: [`lsa_cm_entry`] builds one cell per policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmPolicy {
-    /// [`Polite`], the runtime's default: back off, then abort the other.
-    Polite,
-    /// [`Aggressive`]: always abort the other transaction.
-    Aggressive,
-    /// [`Suicide`]: always abort yourself.
-    Suicide,
-    /// [`Karma`]: more accumulated work wins.
-    Karma,
-    /// [`TimestampCm`]: the older transaction wins (needs birth stamps).
-    Timestamp,
-}
-
-impl CmPolicy {
-    /// Every policy, in table order.
-    pub const ALL: [CmPolicy; 5] = [
-        CmPolicy::Polite,
-        CmPolicy::Aggressive,
-        CmPolicy::Suicide,
-        CmPolicy::Karma,
-        CmPolicy::Timestamp,
-    ];
-
-    /// The policy's name, as `ContentionManager::name` reports it.
-    pub fn name(self) -> &'static str {
-        match self {
-            CmPolicy::Polite => "polite",
-            CmPolicy::Aggressive => "aggressive",
-            CmPolicy::Suicide => "suicide",
-            CmPolicy::Karma => "karma",
-            CmPolicy::Timestamp => "timestamp",
-        }
-    }
-
-    /// Parse a policy name.
-    pub fn parse(s: &str) -> Option<CmPolicy> {
-        CmPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-/// An LSA-RT entry on the perfect clock with the default configuration and
-/// contention manager `policy` — the cells of `matrix --cm` (the §2.3
-/// EXP-CM ablation). The time-base label names the policy, e.g.
-/// `perfect-cm-karma`.
-pub fn lsa_cm_entry(policy: CmPolicy) -> EngineEntry {
-    EngineEntry::new(
-        "lsa-rt",
-        format!("perfect-cm-{}", policy.name()),
-        move || {
-            let (tb, cfg) = (PerfectClock::new(), StmConfig::default());
-            match policy {
-                CmPolicy::Polite => Stm::with_cm(tb, cfg, Polite::default()),
-                CmPolicy::Aggressive => Stm::with_cm(tb, cfg, Aggressive),
-                CmPolicy::Suicide => Stm::with_cm(tb, cfg, Suicide),
-                CmPolicy::Karma => Stm::with_cm(tb, cfg, Karma),
-                CmPolicy::Timestamp => Stm::with_cm(tb, cfg, TimestampCm::default()),
-            }
-        },
-    )
-}
-
 /// The default registry: LSA-RT, TL2, the validation STM and NOrec, each on
 /// every time base (or mode) it supports — the cross-engine design-space
 /// matrix of the paper's §1.2, commit-arbitration variants included. GV4
@@ -476,7 +411,7 @@ pub(crate) mod tests {
             );
         }
         // GV4 and GV5 must NOT be paired with LSA: the engine rejects
-        // non-commit-monotonic bases (see lsa_stm::Stm::with_cm) — GV4
+        // non-commit-monotonic bases (see lsa_stm::Stm::with_config) — GV4
         // adoption commits at previously readable values, GV5 commit times
         // run ahead of the readable counter.
         assert!(find_entry(&reg, "lsa-rt", "gv4").is_none());
@@ -641,28 +576,5 @@ pub(crate) mod tests {
             Duration::from_millis(5),
         );
         assert!(out.commits() > 0);
-    }
-
-    /// Every contention-manager cell passes the engine-generic conformance
-    /// suite (`write_skew_forbidden` included); a failure names its cell.
-    #[test]
-    fn every_cm_policy_passes_the_conformance_suite() {
-        for policy in CmPolicy::ALL {
-            let entry = lsa_cm_entry(policy);
-            assert_eq!(
-                entry.label(),
-                format!("lsa-rt(perfect-cm-{})", policy.name())
-            );
-            let run =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry.run_conformance()));
-            if let Err(payload) = run {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic");
-                panic!("{} failed the conformance suite: {msg}", entry.label());
-            }
-        }
     }
 }

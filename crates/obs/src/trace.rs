@@ -58,7 +58,7 @@ pub enum EventKind {
     Extend = 3,
     /// The attempt aborted (class: the engine's abort-reason index — for
     /// the lsa engines, `AbortReason::ALL` order: 0 no-version, 1 snapshot,
-    /// 2 validation, 3 cm-loser, 4 killed, 5 explicit; payload: txn id).
+    /// 2 validation, 3 killed, 4 explicit; payload: txn id).
     /// Admission-control sheds are [`EventKind::Shed`], not aborts.
     Abort = 4,
     /// The attempt committed (class: 1 if read-only; payload: txn id).

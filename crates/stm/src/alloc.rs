@@ -1,9 +1,8 @@
 //! Thread-cached block allocation for the runtime's id sequences.
 //!
-//! The runtime used to draw object ids, handle ids and contention-manager
-//! birth numbers from plain `fetch_add(1)` counters — three shared
-//! read-modify-write lines that every allocation bounced between cores,
-//! exactly the access pattern the time-base work removes from the commit
+//! The runtime used to draw object ids and handle ids from plain
+//! `fetch_add(1)` counters — shared read-modify-write lines that every
+//! allocation bounced between cores, exactly the access pattern the time-base work removes from the commit
 //! path. [`BlockAlloc`] amortizes them the same way the
 //! `lsa_time::counter::BlockCounter` amortizes timestamp reservation: each
 //! thread reserves a whole block of ids with one RMW and then hands values
@@ -14,11 +13,7 @@
 //! strictly increasing *per thread*, but are **not** allocation-order
 //! comparable across threads — a thread's cached block may be older than
 //! another thread's freshly reserved one. Object and handle ids only need
-//! uniqueness, so nothing changes for them; contention-manager *birth*
-//! numbers use block allocation too, which coarsens the "older transaction
-//! wins" order to block granularity (bounded unfairness of at most one
-//! block per thread — the priority signal the timestamp/karma managers
-//! consume is heuristic to begin with).
+//! uniqueness, so nothing changes for them.
 
 use lsa_engine::IdMap;
 use std::cell::RefCell;

@@ -1,4 +1,13 @@
 //! Runtime configuration.
+//!
+//! LSA-RT has one configuration shape: every update commits serializably
+//! (Algorithm 2 lines 43–48 always run), every object of a runtime prunes
+//! below the minimum-active-snapshot watermark as well as at the
+//! `max_versions` ceiling ([`crate::reclaim`]), and write-write conflicts
+//! go to the one built-in policy — kill the registered writer and retry the
+//! registration ([`crate::lsa::Txn::write`]). What is left to tune is how
+//! many versions an object keeps, whether a read may extend the snapshot,
+//! and how often the watermark moves.
 
 /// Tunables of the LSA-RT runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,22 +24,6 @@ pub struct StmConfig {
     /// suitable object version is available" (§2.2). LSA-STM enables this;
     /// disabling it approximates TL2's no-extension policy.
     pub extend_on_read: bool,
-    /// Commit update transactions under **snapshot isolation** instead of
-    /// full serializability: the commit-time read-set validation (Algorithm 2
-    /// lines 43–48) is skipped — the snapshot was consistent by construction,
-    /// and write-write conflicts are still excluded by the visible-write
-    /// registration (first-writer-wins, a strict form of SI's
-    /// first-committer-wins). This is the authors' earlier "Snapshot
-    /// isolation for software transactional memory" (TRANSACT'06, cited as
-    /// \[10\] in §1): cheaper commits, but write-skew anomalies become
-    /// possible (see the `snapshot_isolation` integration tests).
-    pub snapshot_isolation: bool,
-    /// Prune versions below the minimum-active-snapshot watermark
-    /// ([`crate::reclaim`]) in addition to the `max_versions` ceiling.
-    /// Retention becomes demand-driven: "keep exactly what some active
-    /// snapshot can still read". Disabling it restores the pure fixed-depth
-    /// policy of earlier revisions.
-    pub watermark_pruning: bool,
     /// Recompute the watermark every this many commits per thread (the lazy,
     /// amortized advance — no dedicated reclamation thread). Smaller values
     /// prune sooner at the cost of more registry scans.
@@ -42,8 +35,6 @@ impl Default for StmConfig {
         StmConfig {
             max_versions: 8,
             extend_on_read: true,
-            snapshot_isolation: false,
-            watermark_pruning: true,
             wm_advance_interval: 32,
         }
     }
@@ -63,15 +54,6 @@ impl StmConfig {
     pub fn multi_version(n: usize) -> Self {
         StmConfig {
             max_versions: n.max(1),
-            ..Default::default()
-        }
-    }
-
-    /// Snapshot-isolation mode (TRANSACT'06 extension): multi-version with
-    /// commit-time read validation disabled.
-    pub fn snapshot_isolation() -> Self {
-        StmConfig {
-            snapshot_isolation: true,
             ..Default::default()
         }
     }
@@ -117,12 +99,6 @@ mod tests {
     fn watermark_retention_removes_the_depth_ceiling() {
         let c = StmConfig::watermark_retention();
         assert_eq!(c.max_versions, usize::MAX);
-        assert!(c.watermark_pruning);
         assert!(c.wm_advance_interval >= 1);
-    }
-
-    #[test]
-    fn default_enables_watermark_pruning() {
-        assert!(StmConfig::default().watermark_pruning);
     }
 }

@@ -24,11 +24,9 @@ pub enum AbortReason {
     /// Commit-time validation failed: some read version is not guaranteed
     /// valid at the commit time (Algorithm 2 lines 43–47).
     Validation,
-    /// The contention manager decided this transaction loses a write-write
-    /// conflict.
-    ContentionLoser,
-    /// Another transaction (via its contention manager) forcibly aborted us
-    /// while we were active.
+    /// Another transaction, opening for writing an object we had
+    /// registered on, forcibly aborted us while we were active (§2.3's one
+    /// built-in conflict policy: the asking writer wins).
     Killed,
     /// The user requested an explicit abort/retry.
     Explicit,
@@ -36,11 +34,10 @@ pub enum AbortReason {
 
 impl AbortReason {
     /// All reasons, for stats tables.
-    pub const ALL: [AbortReason; 6] = [
+    pub const ALL: [AbortReason; 5] = [
         AbortReason::NoVersion,
         AbortReason::Snapshot,
         AbortReason::Validation,
-        AbortReason::ContentionLoser,
         AbortReason::Killed,
         AbortReason::Explicit,
     ];
@@ -55,16 +52,14 @@ impl AbortReason {
     /// The cross-engine class this reason is counted under: consistency
     /// failures (commit-time validation, snapshot collapse) are
     /// `Validation`, the multi-version "no version overlaps the validity
-    /// range" case stays its own class (the §4.3 split), and everything the
-    /// contention manager decided — or the body asked for — is
+    /// range" case stays its own class (the §4.3 split), and a kill by a
+    /// conflicting writer — or an abort the body asked for — is
     /// `Contention`.
     pub fn class(self) -> AbortClass {
         match self {
             AbortReason::Validation | AbortReason::Snapshot => AbortClass::Validation,
             AbortReason::NoVersion => AbortClass::NoVersion,
-            AbortReason::ContentionLoser | AbortReason::Killed | AbortReason::Explicit => {
-                AbortClass::Contention
-            }
+            AbortReason::Killed | AbortReason::Explicit => AbortClass::Contention,
         }
     }
 
@@ -74,7 +69,6 @@ impl AbortReason {
             AbortReason::NoVersion => "no-version",
             AbortReason::Snapshot => "snapshot",
             AbortReason::Validation => "validation",
-            AbortReason::ContentionLoser => "cm-loser",
             AbortReason::Killed => "killed",
             AbortReason::Explicit => "explicit",
         }
@@ -143,7 +137,7 @@ mod tests {
         };
         assert_eq!(of(AbortClass::Validation), 2);
         assert_eq!(of(AbortClass::NoVersion), 1);
-        assert_eq!(of(AbortClass::Contention), 3);
+        assert_eq!(of(AbortClass::Contention), 2);
         assert_eq!(of(AbortClass::Overload), 0, "sheds are the service's");
         let ix = AbortReason::ALL.iter().map(|r| r.trace_class() as usize);
         assert!(ix.eq(0..AbortReason::ALL.len()), "ALL is declaration order");

@@ -19,7 +19,6 @@
 //! * [`version`] — write-once validity-range metadata per version,
 //! * [`reclaim`] — minimum-active-snapshot watermarks and the arena-backed
 //!   version-node allocator (bounded-memory MVCC, DESIGN.md §11),
-//! * [`cm`] — pluggable contention managers (§2.3),
 //! * [`stm`] — the runtime: [`stm::Stm`], [`stm::ThreadHandle::atomically`],
 //! * [`config`], [`error`] — tuning and abort plumbing (statistics are
 //!   `lsa_engine::StatsShard`s, read through `lsa_engine::EngineHandle`).
@@ -49,7 +48,6 @@
 #![deny(unsafe_code)]
 
 mod alloc;
-pub mod cm;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -69,7 +67,6 @@ pub use stm::{Stm, ThreadHandle};
 
 /// Convenient re-exports for typical users.
 pub mod prelude {
-    pub use crate::cm::{Aggressive, ContentionManager, Karma, Polite, Suicide, TimestampCm};
     pub use crate::config::StmConfig;
     pub use crate::error::{Abort, AbortReason, TxResult};
     pub use crate::lsa::Txn;

@@ -67,8 +67,6 @@
 //! ([`Txn::extend`]). A transaction that read nothing therefore has nothing
 //! to validate, and publishes no context for helpers at all.
 
-use crate::alloc::BlockAlloc;
-use crate::cm::{ContentionManager, Resolution};
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason, TxResult};
 use crate::object::{narrow, AnyObject, ReadAttempt, TVar, WriteAttempt};
@@ -323,12 +321,9 @@ impl<Ts: Timestamp> TxnScratch<Ts> {
 /// [`Txn::modify`] operations, propagating [`Abort`] errors with `?`.
 ///
 /// One `Txn` serves every attempt of a logical transaction: `start` begins
-/// an attempt, `conclude` ends it and keeps what the contention manager
-/// carries into the retry.
+/// an attempt, `conclude` ends it and counts the failed ones.
 pub struct Txn<'h, B: TimeBase> {
     cfg: &'h StmConfig,
-    cm: &'h dyn ContentionManager,
-    births: &'h BlockAlloc,
     /// The handle's clock, statistics, snapshot slot and scratch.
     core: &'h mut HandleCore<B>,
     /// `T.R` — the snapshot's validity range.
@@ -339,33 +334,21 @@ pub struct Txn<'h, B: TimeBase> {
     is_update: bool,
     /// No attempt is live (before the first `start`, after `conclude`).
     finished: bool,
-    /// Contention-manager continuity across attempts: first-start order
-    /// (0 = not drawn yet), work carried over, attempts failed so far.
-    birth: u64,
-    carried_ops: u64,
+    /// Attempts failed so far (livelock hygiene, `YIELD_AFTER_RETRIES`).
     retries: u32,
 }
 
 impl<'h, B: TimeBase> Txn<'h, B> {
     /// A logical transaction on `core`, with no attempt started yet.
-    pub(crate) fn new(
-        cfg: &'h StmConfig,
-        cm: &'h dyn ContentionManager,
-        births: &'h BlockAlloc,
-        core: &'h mut HandleCore<B>,
-    ) -> Self {
+    pub(crate) fn new(cfg: &'h StmConfig, core: &'h mut HandleCore<B>) -> Self {
         let origin = <B::Ts as Timestamp>::origin();
         Txn {
             cfg,
-            cm,
-            births,
             core,
             range: ValidityRange::from(origin),
             observed: origin,
             is_update: false,
             finished: true,
-            birth: 0,
-            carried_ops: 0,
             retries: 0,
         }
     }
@@ -383,17 +366,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             Some(shared) => *shared = TxnShared::new(txn_id),
             None => core.scratch.shared = Arc::new(TxnShared::new(txn_id)),
         }
-        let shared = &core.scratch.shared;
-        if self.cfg.snapshot_isolation {
-            shared.mark_snapshot_isolation();
-        }
-        shared.cm().seed(self.carried_ops, self.retries);
-        if self.cm.needs_birth() {
-            if self.birth == 0 {
-                self.birth = self.births.alloc();
-            }
-            shared.cm().set_birth(self.birth);
-        }
         // Two-phase slot publication: mark the slot *before* reading the
         // clock so a concurrent watermark advance cannot slip past a start
         // time that has been read but not yet published (see the pending
@@ -408,8 +380,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
     }
 
     /// End the attempt `start` began: commit if the body returned `Ok`,
-    /// abort otherwise. On failure, carries the contention manager's view of
-    /// the work done into the next attempt and yields under heavy
+    /// abort otherwise. On failure, counts the retry and yields under heavy
     /// oversubscription (livelock hygiene).
     pub(crate) fn conclude<R>(&mut self, result: TxResult<R>) -> TxResult<R> {
         let txn_id = self.id();
@@ -431,7 +402,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             // aborts so the retry observes a fresh enough time to reach the
             // versions that made this attempt fail.
             self.core.clock.note_abort();
-            self.carried_ops = self.core.scratch.shared.cm().ops();
             self.retries = self.retries.saturating_add(1);
             if self.retries > YIELD_AFTER_RETRIES {
                 std::thread::yield_now();
@@ -472,7 +442,7 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             return Err(Abort::new(AbortReason::Explicit));
         }
         if self.core.scratch.shared.status() == TxnStatus::Aborted {
-            // A contention manager killed us (Algorithm 2 lines 16–18).
+            // A conflicting writer killed us (Algorithm 2 lines 16–18).
             return Err(self.do_abort(AbortReason::Killed));
         }
         Ok(())
@@ -511,10 +481,8 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             }
             None => {}
         }
-        // A first open: the unit of `EngineStats::reads` and of Karma
-        // priority.
+        // A first open: the unit of `EngineStats::reads`.
         self.core.reclaim.stats.inc(Stat::Reads);
-        self.core.scratch.shared.cm().add_op();
 
         let mut extended = false;
         let mut spins = 0u32;
@@ -616,7 +584,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             None => {
                 // A first open for reading and for writing at once.
                 self.core.reclaim.stats.inc(Stat::Reads);
-                self.core.scratch.shared.cm().add_op();
                 self.open_write(var, |vc: &T| Arc::new(f(vc)), None)
             }
             Some(Opened::Read { entry }) => {
@@ -678,11 +645,9 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         prior: Option<Opened>,
     ) -> TxResult<()> {
         self.core.reclaim.stats.inc(Stat::Writes);
-        self.core.scratch.shared.cm().add_op();
 
         let mut derive = Some(derive);
         let mut extended = false;
-        let mut cm_attempt = 0u32;
         let mut spins = 0u32;
         loop {
             let core = &mut *self.core;
@@ -724,21 +689,13 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                 }
                 WriteAttempt::NeedHelp(w) => self.help_commit(&w),
                 WriteAttempt::Conflict(other) => {
+                    // The one conflict policy (§2.3; DESIGN §2 "Why one
+                    // conflict policy"): kill the registered writer
+                    // (Alg. 2 l.16–18) and retry the registration; if the
+                    // CAS fails the writer moved on — loop.
                     self.core.reclaim.stats.inc(Stat::Conflicts);
-                    let me = self.core.scratch.shared.cm();
-                    match self.cm.resolve(me, other.cm(), cm_attempt) {
-                        Resolution::AbortOther => {
-                            // Kill the registered writer (Alg. 2 l.16–18);
-                            // if the CAS fails the writer moved on — loop.
-                            other.transition(TxnStatus::Active, TxnStatus::Aborted);
-                        }
-                        Resolution::AbortSelf => {
-                            return Err(self.do_abort(AbortReason::ContentionLoser));
-                        }
-                        Resolution::Wait => {}
-                    }
-                    cm_attempt += 1;
-                    // We may have been killed while waiting.
+                    other.transition(TxnStatus::Active, TxnStatus::Aborted);
+                    // Another writer may have killed us meanwhile.
                     self.check_alive()?;
                 }
             }
@@ -808,11 +765,10 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         if w.status() != TxnStatus::Committing {
             return;
         }
-        let valid = w.is_snapshot_isolation()
-            || match &ctx {
-                Some(ctx) => validate(clock, &ctx.entries, ct),
-                None => true,
-            };
+        let valid = match &ctx {
+            Some(ctx) => validate(clock, &ctx.entries, ct),
+            None => true,
+        };
         if valid {
             if w.transition(TxnStatus::Committing, TxnStatus::Committed) {
                 self.core.reclaim.stats.inc(Stat::Helps);
@@ -834,7 +790,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             let shared = &core.scratch.shared;
             if shared.transition(TxnStatus::Active, TxnStatus::Committed) {
                 core.reclaim.stats.inc(Stat::RoCommits);
-                self.cm.on_commit(shared.cm());
                 self.finalize_cleanup();
                 return Ok(None);
             }
@@ -871,17 +826,12 @@ impl<'h, B: TimeBase> Txn<'h, B> {
         );
         let ct = shared.set_ct(arbitrated.ts());
 
-        // Snapshot-isolation mode (TRANSACT'06 extension): skip the read-set
-        // validation — the snapshot was consistent when read, and visible
-        // writes already exclude write-write conflicts. Serializable mode
-        // runs Algorithm 2 lines 43–48.
-        if !self.cfg.snapshot_isolation {
-            core.reclaim
-                .stats
-                .add(Stat::ValidatedEntries, read_set.len() as u64);
-            trace::txn_event(EventKind::Validate, 0, shared.id());
-        }
-        let valid = self.cfg.snapshot_isolation || validate(&mut core.clock, read_set, ct);
+        // Algorithm 2 lines 43–48: every update validates its read set.
+        core.reclaim
+            .stats
+            .add(Stat::ValidatedEntries, read_set.len() as u64);
+        trace::txn_event(EventKind::Validate, 0, shared.id());
+        let valid = validate(&mut core.clock, read_set, ct);
         let to = if valid {
             TxnStatus::Committed
         } else {
@@ -900,14 +850,12 @@ impl<'h, B: TimeBase> Txn<'h, B> {
                     stats.inc(Stat::SharedCommitTs);
                 }
                 core.last_commit_time = Some(ct);
-                self.cm.on_commit(shared.cm());
                 Ok(Some(ct))
             }
             TxnStatus::Aborted => {
                 let stats = &core.reclaim.stats;
                 stats.abort(AbortReason::Validation.class());
                 stats.inc(Stat::RevalidationFailures);
-                self.cm.on_abort(shared.cm());
                 Err(Abort::new(AbortReason::Validation))
             }
             _ => unreachable!("status must be final after commit"),
@@ -925,7 +873,6 @@ impl<'h, B: TimeBase> Txn<'h, B> {
             // (Committing is never current here: the commit path finalizes
             // itself before returning.)
             debug_assert!(shared.status().is_final());
-            self.cm.on_abort(shared.cm());
             self.core.reclaim.stats.abort(reason.class());
             self.finalize_cleanup();
         }

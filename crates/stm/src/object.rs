@@ -12,7 +12,7 @@
 //!
 //! Lock discipline: every object has its own short-critical-section
 //! [`RwLock`]; no thread ever holds two object locks, and no lock is held
-//! while consulting the contention manager, helping a commit, or touching a
+//! while resolving a write-write conflict, helping a commit, or touching a
 //! time base. The one piece of user code that runs under a lock is a
 //! `modify` closure, and its contract is to touch no `TVar`. Global
 //! coordination happens **only** through the time base — preserving the
@@ -117,8 +117,8 @@ pub enum WriteAttempt<Ts: Timestamp> {
     /// This transaction was already the registered writer; nothing was
     /// installed.
     AlreadyWriter,
-    /// Another *active* transaction holds the write mark: consult the
-    /// contention manager (Algorithm 2 lines 16–17).
+    /// Another *active* transaction holds the write mark: the caller's
+    /// built-in conflict policy, which kills it (Algorithm 2 lines 16–17).
     Conflict(Arc<TxnShared<Ts>>),
     /// The registered writer is committing; help it and retry.
     NeedHelp(Arc<TxnShared<Ts>>),
@@ -174,11 +174,10 @@ pub struct TObject<T, Ts: Timestamp> {
     max_versions: usize,
     /// The runtime's reclamation domain, when the object participates in
     /// watermark pruning and arena recycling (`None` for free-standing
-    /// objects built with [`TObject::new`], e.g. in unit tests).
+    /// objects built with [`TObject::new`], e.g. in unit tests). An object
+    /// with a domain prunes below its watermark as well as at the
+    /// `max_versions` ceiling; one without prunes at the ceiling alone.
     reclaim: Option<Arc<ReclaimDomain<Ts>>>,
-    /// Prune below the watermark in addition to the `max_versions` ceiling
-    /// (`StmConfig::watermark_pruning`).
-    wm_prune: bool,
     /// This object, for the back-reference of the versions it commits.
     me: Weak<Self>,
     inner: RwLock<ObjInner<T, Ts>>,
@@ -195,7 +194,7 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     /// Create an object whose initial version is valid from `lower`
     /// (normally [`Timestamp::origin`], so every snapshot can see it).
     pub fn new(id: u64, initial: T, lower: Ts, max_versions: usize) -> Arc<Self> {
-        Self::build(id, initial, lower, max_versions, None, false)
+        Self::build(id, initial, lower, max_versions, None)
     }
 
     fn build(
@@ -204,7 +203,6 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
         lower: Ts,
         max_versions: usize,
         reclaim: Option<Arc<ReclaimDomain<Ts>>>,
-        wm_prune: bool,
     ) -> Arc<Self> {
         assert!(max_versions >= 1, "need at least one committed version");
         Arc::new_cyclic(|me: &Weak<Self>| {
@@ -217,7 +215,6 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
                 id,
                 max_versions,
                 reclaim,
-                wm_prune,
                 me: me.clone(),
                 inner: RwLock::new(ObjInner {
                     head,
@@ -230,19 +227,17 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
 
     /// Like [`TObject::new`], but attached to a reclamation domain: version
     /// metadata is drawn from the domain's arena, retired versions return to
-    /// it, and (when `wm_prune` is set) the chain prunes below the domain's
-    /// minimum-active-snapshot watermark instead of relying on the
-    /// `max_versions` ceiling alone.
+    /// it, and the chain prunes below the domain's minimum-active-snapshot
+    /// watermark instead of relying on the `max_versions` ceiling alone.
     pub(crate) fn with_reclaim(
         id: u64,
         initial: T,
         lower: Ts,
         max_versions: usize,
         reclaim: Arc<ReclaimDomain<Ts>>,
-        wm_prune: bool,
     ) -> Arc<Self> {
         reclaim.note_seeded(); // the initial version
-        Self::build(id, initial, lower, max_versions, Some(reclaim), wm_prune)
+        Self::build(id, initial, lower, max_versions, Some(reclaim))
     }
 
     /// The latest committed value, ignoring transactions (for seeding and
@@ -416,7 +411,7 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
     /// is `upper`. Two policies prune:
     ///
     /// * the `max_versions` hard ceiling (always), and
-    /// * the minimum-active-snapshot watermark (when enabled, `Some`): a
+    /// * the minimum-active-snapshot watermark (when installed, `Some`): a
     ///   tail version whose fixed upper bound `u` satisfies `w ≿ u` is
     ///   unreadable by every registered snapshot (each active lower bound
     ///   `s` has `s ≽ w`, so `u ≽ s` would give `u ≽ w` by transitivity,
@@ -466,10 +461,10 @@ impl<T: Send + Sync + 'static, Ts: Timestamp> TObject<T, Ts> {
             ct,
             inner.head.lower()
         );
-        let watermark = match &reclaim {
-            Some(r) if self.wm_prune => r.watermark(),
-            _ => None,
-        };
+        // `reclaim` is `Some` exactly when the object has a domain, so every
+        // runtime object prunes below the watermark; free-standing ones
+        // prune at the ceiling alone.
+        let watermark = reclaim.as_ref().and_then(|r| r.watermark());
         // The version pruned first is the tail of `older` once the head has
         // joined it — the head itself, superseded at `CT.prior()`, when
         // `older` is empty.
@@ -969,12 +964,9 @@ mod tests {
         );
     }
 
-    fn reclaimed_obj(
-        max_versions: usize,
-        wm_prune: bool,
-    ) -> (Arc<ReclaimDomain<u64>>, Arc<TObject<i64, u64>>) {
+    fn reclaimed_obj(max_versions: usize) -> (Arc<ReclaimDomain<u64>>, Arc<TObject<i64, u64>>) {
         let dom = Arc::new(ReclaimDomain::new());
-        let o = TObject::with_reclaim(1, 10, 0, max_versions, Arc::clone(&dom), wm_prune);
+        let o = TObject::with_reclaim(1, 10, 0, max_versions, Arc::clone(&dom));
         (dom, o)
     }
 
@@ -989,7 +981,7 @@ mod tests {
 
     #[test]
     fn watermark_prunes_exactly_below_min_active_snapshot() {
-        let (dom, o) = reclaimed_obj(usize::MAX, true);
+        let (dom, o) = reclaimed_obj(usize::MAX);
         let slot = dom.registry().register();
         slot.activate(25); // a long reader pinned at 25
         dom.advance(100); // watermark = 25
@@ -1014,19 +1006,9 @@ mod tests {
     }
 
     #[test]
-    fn watermark_pruning_can_be_disabled() {
-        let (dom, o) = reclaimed_obj(usize::MAX, false);
-        let _idle = dom.registry().register();
-        dom.advance(1_000);
-        for (i, ct) in [(1u64, 10u64), (2, 20), (3, 30)] {
-            commit_write(&o, i, i as i64, ct);
-        }
-        assert_eq!(o.version_count(), 4, "ceiling-only mode keeps everything");
-    }
-
-    #[test]
     fn commit_path_retires_eagerly_into_the_arena() {
-        let (dom, o) = reclaimed_obj(1, false);
+        // No watermark is installed: the ceiling alone prunes.
+        let (dom, o) = reclaimed_obj(1);
         commit_write(&o, 1, 1, 10);
         commit_write(&o, 2, 2, 20);
         let s = dom.stats();
@@ -1041,7 +1023,8 @@ mod tests {
 
     #[test]
     fn a_fold_links_the_node_it_prunes_as_the_new_version() {
-        let (dom, o) = reclaimed_obj(2, false);
+        // No watermark is installed: the ceiling alone prunes.
+        let (dom, o) = reclaimed_obj(2);
         let node_at = |range: ValidityRange<u64>| match o.try_read(&range) {
             ReadAttempt::Found { meta, .. } => meta,
             _ => panic!("a version serves {range:?}"),
@@ -1097,7 +1080,7 @@ mod tests {
         let o = obj(4);
         let t1 = txn(1);
         assert!(matches!(write(&o, &t1, 0), WriteAttempt::Registered { .. }));
-        // t1 gets killed by a contention manager.
+        // t1 gets killed by a conflicting writer.
         t1.transition(TxnStatus::Active, TxnStatus::Aborted);
         // Another writer takes over (fold happens inside try_write).
         let t2 = txn(2);

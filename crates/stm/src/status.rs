@@ -3,7 +3,7 @@
 //! The paper drives the whole commit protocol through compare-and-swap
 //! transitions on `T.status` (Algorithm 2): entering the two-phase commit
 //! (`active → committing`), finalizing (`committing → committed/aborted`),
-//! and contention-manager kills (`active → aborted`). "Setting the
+//! and a conflicting writer's kill (`active → aborted`). "Setting the
 //! transaction's state atomically commits — or discards in case of an abort —
 //! all object versions written by the transaction" (§2.3): object versions
 //! installed by a writer are interpreted through this one atomic word.

@@ -1,10 +1,10 @@
 //! The LSA-RT runtime: object factory, thread registration, retry loop.
 //!
-//! An [`Stm`] owns the time base, the configuration and the contention
-//! manager. Threads register once ([`Stm::register`]) to obtain a
-//! [`ThreadHandle`] carrying their per-thread clock ([`lsa_time::ThreadClock`])
-//! and statistics; [`ThreadHandle::atomically`] runs a transaction body with
-//! automatic retry on abort:
+//! An [`Stm`] owns the time base and the configuration. Threads register
+//! once ([`Stm::register`]) to obtain a [`ThreadHandle`] carrying their
+//! per-thread clock ([`lsa_time::ThreadClock`]) and statistics;
+//! [`ThreadHandle::atomically`] runs a transaction body with automatic
+//! retry on abort:
 //!
 //! ```
 //! use lsa_stm::stm::Stm;
@@ -21,7 +21,6 @@
 //! ```
 
 use crate::alloc::BlockAlloc;
-use crate::cm::{ContentionManager, Polite};
 use crate::config::StmConfig;
 use crate::error::TxResult;
 use crate::lsa::{Txn, TxnScratch};
@@ -46,10 +45,6 @@ const OBJ_ID_BLOCK: u64 = 64;
 /// Handle ids are claimed once per registered thread; a small block still
 /// removes the shared line from registration storms.
 const HANDLE_ID_BLOCK: u64 = 8;
-/// Birth numbers feed contention-manager priority; small blocks bound the
-/// cross-thread unfairness of the block-granular birth order (see
-/// [`crate::alloc`]).
-const BIRTH_BLOCK: u64 = 16;
 
 /// What a registered thread keeps between transactions: its clock,
 /// snapshot-registration slot, transaction scratch and share of the
@@ -102,16 +97,12 @@ impl<B: TimeBase> Drop for HandleCore<B> {
 struct StmInner<B: TimeBase> {
     tb: B,
     cfg: StmConfig,
-    cm: Box<dyn ContentionManager>,
     instance: u32,
-    /// Object/handle/birth sequences, block-allocated per thread so none of
-    /// them is a contended RMW line ([`crate::alloc::BlockAlloc`]). The birth sequence
-    /// exists for contention managers that require one
-    /// ([`ContentionManager::needs_birth`]); untouched otherwise so the
-    /// default configuration has no shared counter besides the time base.
+    /// Object/handle sequences, block-allocated per thread so neither is a
+    /// contended RMW line ([`crate::alloc::BlockAlloc`]): the runtime has no
+    /// shared counter besides the time base.
     next_obj: BlockAlloc,
     next_handle: BlockAlloc,
-    birth_counter: BlockAlloc,
     /// Version reclamation: the snapshot registry, the watermark and the
     /// version arena's gauges ([`crate::reclaim`]).
     reclaim: Arc<ReclaimDomain<B::Ts>>,
@@ -131,18 +122,18 @@ impl<B: TimeBase> Clone for Stm<B> {
 }
 
 impl<B: TimeBase> Stm<B> {
-    /// Runtime with the default configuration and the [`Polite`] contention
-    /// manager.
+    /// Runtime with the default configuration ([`StmConfig::default`]).
+    /// Every update commits serializably, and a write-write conflict kills
+    /// the registered writer (§2.3's one built-in policy, see
+    /// [`crate::config`]).
+    ///
+    /// # Panics
+    /// As [`Stm::with_config`].
     pub fn new(tb: B) -> Self {
-        Self::with_cm(tb, StmConfig::default(), Polite::default())
+        Self::with_config(tb, StmConfig::default())
     }
 
     /// Runtime with a custom configuration.
-    pub fn with_config(tb: B, cfg: StmConfig) -> Self {
-        Self::with_cm(tb, cfg, Polite::default())
-    }
-
-    /// Runtime with custom configuration and contention manager.
     ///
     /// # Panics
     /// Panics if the time base is not commit-monotonic
@@ -153,7 +144,7 @@ impl<B: TimeBase> Stm<B> {
     /// bases like GV5, whose commit times run ahead of the readable
     /// counter, or GV4, whose losers commit at a value the winner already
     /// made readable, would let a later commit undercut an issued claim.
-    pub fn with_cm(tb: B, cfg: StmConfig, cm: impl ContentionManager) -> Self {
+    pub fn with_config(tb: B, cfg: StmConfig) -> Self {
         assert!(
             tb.info().commit_monotonic,
             "LSA requires a commit-monotonic time base; {} hands out commit \
@@ -165,11 +156,9 @@ impl<B: TimeBase> Stm<B> {
             inner: Arc::new(StmInner {
                 tb,
                 cfg,
-                cm: Box::new(cm),
                 instance: STM_INSTANCES.fetch_add(1, Ordering::Relaxed),
                 next_obj: BlockAlloc::new(0, OBJ_ID_BLOCK),
                 next_handle: BlockAlloc::new(1, HANDLE_ID_BLOCK),
-                birth_counter: BlockAlloc::new(1, BIRTH_BLOCK),
                 reclaim: Arc::new(ReclaimDomain::new()),
             }),
         }
@@ -208,11 +197,6 @@ impl<B: TimeBase> Stm<B> {
         &self.inner.tb
     }
 
-    /// Name of the contention-management policy in use.
-    pub fn cm_name(&self) -> &'static str {
-        self.inner.cm.name()
-    }
-
     /// Create a transactional variable holding `value`. The initial version
     /// is valid from [`Timestamp::origin`], i.e. visible to every snapshot.
     pub fn new_tvar<T: Send + Sync + 'static>(&self, value: T) -> TVar<T, B::Ts> {
@@ -228,7 +212,6 @@ impl<B: TimeBase> Stm<B> {
             <B::Ts as Timestamp>::origin(),
             self.inner.cfg.max_versions,
             Arc::clone(&self.inner.reclaim),
-            self.inner.cfg.watermark_pruning,
         ))
     }
 
@@ -314,12 +297,7 @@ impl<B: TimeBase> ThreadHandle<B> {
         mut body: impl FnMut(&mut Txn<'_, B>) -> TxResult<R>,
     ) -> TxResult<R> {
         let inner = &self.stm.inner;
-        let mut txn = Txn::new(
-            &inner.cfg,
-            inner.cm.as_ref(),
-            &inner.birth_counter,
-            &mut self.core,
-        );
+        let mut txn = Txn::new(&inner.cfg, &mut self.core);
         let mut failed = 0u32;
         let value = loop {
             txn.start();
@@ -343,7 +321,6 @@ impl<B: TimeBase> ThreadHandle<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::AnyObject;
     use lsa_engine::EngineHandle;
     use lsa_time::counter::SharedCounter;
     use lsa_time::hardware::HardwareClock;
@@ -437,47 +414,19 @@ mod tests {
     }
 
     #[test]
-    fn try_atomically_keeps_contention_manager_continuity() {
-        // Bounded attempts are attempts of one logical transaction like any
-        // other: the birth is drawn once and kept, opens and retries carry
-        // over — what TimestampCm and Karma rank by.
-        let stm = Stm::with_cm(
-            SharedCounter::new(),
-            StmConfig::default(),
-            crate::cm::TimestampCm::default(),
-        );
-        let x = stm.new_tvar(0u64);
-        let mut h = stm.register();
-        let mut seen = Vec::new();
-        let r: TxResult<()> = h.try_atomically(3, |tx| {
-            tx.write(&x, 1)?;
-            let me = x.object().current_writer().expect("registered");
-            seen.push((me.cm().birth(), me.cm().ops(), me.cm().retries()));
-            Err(tx.abort_retry())
-        });
-        assert!(r.is_err());
-        let birth = seen[0].0;
-        assert_ne!(birth, 0, "the policy needs a birth and must get one");
-        assert_eq!(seen, [(birth, 1, 0), (birth, 2, 1), (birth, 3, 2)]);
-        assert_eq!(h.engine_stats().aborts, 3);
-    }
-
-    #[test]
     fn only_first_opens_count() {
         let stm = Stm::new(SharedCounter::new());
         let x = stm.new_tvar(1u64);
         let mut h = stm.register();
-        let ops = h.atomically(|tx| {
+        h.atomically(|tx| {
             tx.read(&x)?;
             tx.read(&x)?; // repeated read
             tx.write(&x, 2)?;
             tx.read(&x)?; // read-own-write
-            tx.modify(&x, |v| v + 1)?; // neither a new read nor a new write
-            Ok(x.object().current_writer().expect("registered").cm().ops())
+            tx.modify(&x, |v| v + 1) // neither a new read nor a new write
         });
         assert_eq!(*x.snapshot_latest(), 3);
         assert_eq!((h.engine_stats().reads, h.engine_stats().writes), (1, 1));
-        assert_eq!(ops, 2, "Karma's currency counts the same opens");
         assert_eq!(
             h.engine_stats().validated_entries,
             1,
@@ -487,12 +436,11 @@ mod tests {
         // `modify` as the first open is both at once, and validates nothing.
         let y = stm.new_tvar(1u64);
         let before = h.engine_stats();
-        let (ops, opened) = h.atomically(|tx| {
+        let opened = h.atomically(|tx| {
             tx.modify(&y, |v| v + 1)?;
             tx.modify(&y, |v| v + 1)?; // a re-write
             tx.read(&y)?; // read-own-write
-            let ops = y.object().current_writer().expect("registered").cm().ops();
-            Ok((ops, tx.opened()))
+            Ok(tx.opened())
         });
         assert_eq!(*y.snapshot_latest(), 3);
         let after = h.engine_stats();
@@ -500,7 +448,7 @@ mod tests {
             (after.reads, after.writes),
             (before.reads + 1, before.writes + 1)
         );
-        assert_eq!((ops, opened), (2, 1), "one object, opened for both");
+        assert_eq!(opened, 1, "one object, opened for both");
         assert_eq!(after.validated_entries, before.validated_entries);
     }
 

@@ -1,8 +1,8 @@
 //! The shared transaction descriptor.
 //!
 //! Other threads interact with a transaction through this descriptor: they
-//! observe and CAS its status (contention-manager kills, Algorithm 2
-//! lines 53–59), read its commit time (`getPrelimUB`, Algorithm 3), race to
+//! observe and CAS its status (a conflicting writer's kill, Algorithm 2
+//! lines 16–18), read its commit time (`getPrelimUB`, Algorithm 3), race to
 //! *set* the commit time and *help* the commit complete (Algorithm 3
 //! line 13, §2.3: "another thread can help the transaction to commit or force
 //! it to abort").
@@ -11,7 +11,6 @@
 //! result — is the timestamp cell's [`TsCell::set_once`]: one CAS on a `u64`
 //! time base, and `get` is the read.
 
-use crate::cm::CmState;
 use crate::status::{AtomicStatus, TxnStatus};
 use crate::version::VersionMeta;
 use lsa_time::{Timestamp, TsCell};
@@ -58,36 +57,18 @@ pub struct TxnShared<Ts: Timestamp> {
     id: u64,
     status: AtomicStatus,
     ct: Ts::Cell,
-    cm: CmState,
     ctx: Mutex<Option<Arc<CommitCtx<Ts>>>>,
-    /// Whether this transaction commits under snapshot isolation (helpers
-    /// must skip read validation for it, like the owner does).
-    si: std::sync::atomic::AtomicBool,
 }
 
 impl<Ts: Timestamp> TxnShared<Ts> {
-    /// Fresh descriptor in the `Active` state (serializable mode).
+    /// Fresh descriptor in the `Active` state.
     pub fn new(id: u64) -> Self {
         TxnShared {
             id,
             status: AtomicStatus::new(),
             ct: Ts::Cell::default(),
-            cm: CmState::new(id),
             ctx: Mutex::new(None),
-            si: std::sync::atomic::AtomicBool::new(false),
         }
-    }
-
-    /// Mark this transaction as committing under snapshot isolation. Must be
-    /// called before the transaction becomes visible to other threads
-    /// (i.e. right after creation).
-    pub fn mark_snapshot_isolation(&self) {
-        self.si.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Whether this transaction commits under snapshot isolation.
-    pub fn is_snapshot_isolation(&self) -> bool {
-        self.si.load(std::sync::atomic::Ordering::Acquire)
     }
 
     /// Unique id of this transaction attempt (process-wide).
@@ -119,12 +100,6 @@ impl<Ts: Timestamp> TxnShared<Ts> {
     #[inline]
     pub fn set_ct(&self, t: Ts) -> Ts {
         self.ct.set_once(t)
-    }
-
-    /// Contention-manager bookkeeping attached to this transaction.
-    #[inline]
-    pub fn cm(&self) -> &CmState {
-        &self.cm
     }
 
     /// Publish the read set helpers need. Must be called *before*

@@ -82,7 +82,7 @@ fn bank_invariant_shared_counter() {
 }
 
 // No GV4/GV5 variants here: LSA rejects non-commit-monotonic bases at
-// construction (see `lsa_stm::Stm::with_cm`); TL2 covers them instead.
+// construction (see `lsa_stm::Stm::with_config`); TL2 covers them instead.
 
 #[test]
 fn bank_invariant_block_counter() {
@@ -139,7 +139,7 @@ fn disjoint_counters_all_increments_survive() {
 
 #[test]
 fn write_write_conflicts_never_lose_updates() {
-    // All threads increment the SAME counter: contention managers fight, but
+    // All threads increment the SAME counter: writers kill each other, but
     // the final value must equal the number of committed increments.
     let stm = Stm::new(PerfectClock::new());
     let shared = stm.new_tvar(0u64);
@@ -160,34 +160,26 @@ fn write_write_conflicts_never_lose_updates() {
     assert_eq!(*shared.snapshot_latest(), THREADS as u64 * INCS);
 }
 
+/// The built-in conflict policy — the asking writer kills the registered
+/// one (Aggressive) — loses no increment when three writers keep killing
+/// each other on one object.
 #[test]
 fn aggressive_and_suicide_cms_still_correct() {
-    for cm_name in ["aggressive", "suicide", "karma", "timestamp"] {
-        let stm = match cm_name {
-            "aggressive" => Stm::with_cm(PerfectClock::new(), StmConfig::default(), Aggressive),
-            "suicide" => Stm::with_cm(PerfectClock::new(), StmConfig::default(), Suicide),
-            "karma" => Stm::with_cm(PerfectClock::new(), StmConfig::default(), Karma),
-            _ => Stm::with_cm(
-                PerfectClock::new(),
-                StmConfig::default(),
-                TimestampCm::default(),
-            ),
-        };
-        let v = stm.new_tvar(0u64);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let stm = stm.clone();
-                let v = v.clone();
-                s.spawn(move || {
-                    let mut h = stm.register();
-                    for _ in 0..300 {
-                        h.atomically(|tx| tx.modify(&v, |x| x + 1));
-                    }
-                });
-            }
-        });
-        assert_eq!(*v.snapshot_latest(), 900, "cm={cm_name}");
-    }
+    let stm = Stm::new(PerfectClock::new());
+    let v = stm.new_tvar(0u64);
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            let stm = stm.clone();
+            let v = v.clone();
+            s.spawn(move || {
+                let mut h = stm.register();
+                for _ in 0..300 {
+                    h.atomically(|tx| tx.modify(&v, |x| x + 1));
+                }
+            });
+        }
+    });
+    assert_eq!(*v.snapshot_latest(), 900);
 }
 
 #[test]

@@ -110,7 +110,7 @@ fn killed_writer_mid_transaction_retries_cleanly() {
         tx.modify(&var, |v| v + 1)?;
         if !injected {
             injected = true;
-            // Simulate an enemy contention manager: kill the current txn.
+            // Simulate a conflicting writer: kill the current txn.
             // We reach the shared descriptor through the object's writer.
             let w = var
                 .object_for_tests()
@@ -127,7 +127,7 @@ fn killed_writer_mid_transaction_retries_cleanly() {
         "retry applied the increment once"
     );
     // The kill is the attempt's one contention-class abort: the victim
-    // submitted no conflict (not a contention-manager loss) and the body
+    // submitted no conflict (it did not meet a registered writer) and the body
     // never asks for a retry (not explicit).
     let es = h.engine_stats();
     assert_eq!((es.abort_reasons.contention, es.aborts), (1, 1));
@@ -304,13 +304,9 @@ fn a_read_lost_to_another_committer_fails_validation_despite_the_own_mark() {
 fn a_blocked_write_keeps_its_payload_for_the_retry() {
     // The payload rides along with the registration. A registration that is
     // turned away — here first by a committing writer that needs help, then
-    // by an active one the contention manager kills — must neither drop it
+    // by an active one the registration kills — must neither drop it
     // nor install it twice.
-    let stm = Stm::with_cm(
-        SharedCounter::new(),
-        StmConfig::watermark_retention(),
-        Aggressive,
-    );
+    let stm = Stm::with_config(SharedCounter::new(), StmConfig::watermark_retention());
     let var = stm.new_tvar(Arc::new(0u64));
     let committing: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xC0));
     assert!(matches!(
@@ -333,8 +329,8 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
     });
     assert_eq!(committing.status(), TxnStatus::Committed);
 
-    // Conflict: an active writer holds the mark; Aggressive kills it and the
-    // same payload registers on the next turn of the loop.
+    // Conflict: an active writer holds the mark; the registration kills it
+    // and the same payload registers on the next turn of the loop.
     let active: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xAC));
     assert!(matches!(
         register(&var, &active, Arc::new(2)),
@@ -355,11 +351,11 @@ fn a_blocked_write_keeps_its_payload_for_the_retry() {
 fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() {
     // `modify` on an unopened object derives its payload inside the
     // registration, so nothing ends the attempt between the two: a closure
-    // that panics does so before anything is registered, and a contention
-    // manager can only kill a writer whose payload is in. Either way no
+    // that panics does so before anything is registered, and a conflicting
+    // writer can only kill a writer whose payload is in. Either way no
     // writer stays registered, the object is writable by others, and the
     // handle's scratch comes back clean.
-    let stm = Stm::with_cm(SharedCounter::new(), StmConfig::default(), Aggressive);
+    let stm = Stm::new(SharedCounter::new());
     let var = stm.new_tvar(10u64);
     let obj = var.object_for_tests();
     let mut h = stm.register();
@@ -387,7 +383,7 @@ fn a_modify_that_dies_between_registration_and_install_leaves_the_object_free() 
     assert_eq!(after.aborts, before.aborts);
 
     // Killed after registration: `other` meets the mark of an active writer
-    // and Aggressive aborts it. The victim's commit finds itself `Killed`,
+    // and kills it. The victim's commit finds itself `Killed`,
     // and the retry derives from the enemy's 20.
     let mut injected = false;
     h.atomically(|tx| {
@@ -459,10 +455,10 @@ fn modify_never_runs_its_closure_on_a_version_the_snapshot_cannot_admit() {
 #[test]
 fn modify_runs_its_closure_once_per_registration_across_conflict_and_help_retries() {
     // Two registrations that are turned away first — by a committing writer
-    // that needs help, by an active one the contention manager kills — and
+    // that needs help, by an active one the registration kills — and
     // then succeed: each closure runs exactly once, on the value the
     // registration finally wrote over.
-    let stm = Stm::with_cm(SharedCounter::new(), StmConfig::default(), Aggressive);
+    let stm = Stm::new(SharedCounter::new());
     let (stuck, held) = (stm.new_tvar(1u64), stm.new_tvar(2u64));
     let committing = stuck_committing_writer(&stuck, 7);
     let active: Arc<TxnShared<u64>> = Arc::new(TxnShared::new(0xAC));
@@ -479,7 +475,7 @@ fn modify_runs_its_closure_once_per_registration_across_conflict_and_help_retrie
             on_stuck += 1;
             v * 10
         })?;
-        // Conflict: Aggressive kills `active`, the registration retries.
+        // Conflict: the registration kills `active` and retries.
         tx.modify(&held, |v| {
             on_held += 1;
             v * 10

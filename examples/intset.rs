@@ -1,9 +1,9 @@
 //! Transactional data structures under contention: sorted linked-list set
-//! and hash set, across contention-management policies.
+//! and hash set.
 //!
 //! The linked list produces long traversals (big read sets) and frequent
-//! write-write conflicts near the head — the workload contention managers
-//! were invented for (§2.3).
+//! write-write conflicts near the head, which the runtime's one conflict
+//! policy resolves by killing the registered writer (§2.3).
 //!
 //! Run with: `cargo run --release --example intset`
 
@@ -11,8 +11,8 @@ use lsa_rt::prelude::*;
 use lsa_rt::workloads::{FastRng, HashSetT, IntSetList};
 use std::time::Instant;
 
-fn list_run(cm_label: &str, stm: Stm<PerfectClock>) {
-    let set = IntSetList::new(stm);
+fn list_run() {
+    let set = IntSetList::new(Stm::new(PerfectClock::new()));
     let mut h = set.engine().register();
     for k in (0..128).step_by(2) {
         set.insert(&mut h, k);
@@ -56,7 +56,7 @@ fn list_run(cm_label: &str, stm: Stm<PerfectClock>) {
         "list stays sorted+unique"
     );
     println!(
-        "{cm_label:>12}: {:>8.0} list-ops/s, {aborts} aborts, {} keys left",
+        "   {:>9.0} list-ops/s, {aborts} aborts, {} keys left",
         ops as f64 / elapsed.as_secs_f64(),
         keys.len()
     );
@@ -64,23 +64,7 @@ fn list_run(cm_label: &str, stm: Stm<PerfectClock>) {
 
 fn main() {
     println!("sorted linked-list set, 4 threads, 80% updates:");
-    list_run("polite", Stm::new(PerfectClock::new()));
-    list_run(
-        "aggressive",
-        Stm::with_cm(PerfectClock::new(), StmConfig::default(), Aggressive),
-    );
-    list_run(
-        "karma",
-        Stm::with_cm(PerfectClock::new(), StmConfig::default(), Karma),
-    );
-    list_run(
-        "timestamp",
-        Stm::with_cm(
-            PerfectClock::new(),
-            StmConfig::default(),
-            TimestampCm::default(),
-        ),
-    );
+    list_run();
 
     println!("\nhash set (64 buckets), 4 threads:");
     let set = HashSetT::new(Stm::new(PerfectClock::new()), 64);

@@ -20,7 +20,7 @@
 //!   measurement machinery and a software clock-sync simulator,
 //! * [`stm`] ([`lsa_stm`]) — the LSA-RT algorithm (Alg. 2/3): multi-version
 //!   objects, visible writes, lazy snapshot extension, two-phase commit with
-//!   helping, pluggable contention managers,
+//!   helping, one built-in write-write conflict policy,
 //! * [`baseline`] ([`lsa_baseline`]) — TL2-style, validation-based and NOrec
 //!   comparator STMs (§1.2): three protocols over one runtime behind the
 //!   same `TxnEngine` surface,
